@@ -9,10 +9,10 @@
 //! multi-hop packet were covered.
 
 use octopus_core::{
-    AlphaSearch, BipartiteFabric, CandidateExtension, ExactKernel, LinkQueue, LinkQueues,
-    MatchingKind, ScheduleEngine, SearchPolicy, TrafficSource,
+    AlphaSearch, BipartiteFabric, LinkQueue, LinkQueues, MatchingKind, ScheduleEngine,
+    SearchPolicy, TrafficSource,
 };
-use octopus_net::{Configuration, NodeId, Schedule};
+use octopus_net::{NodeId, Schedule};
 use octopus_traffic::Weight;
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -82,32 +82,25 @@ pub fn one_hop_schedule(
         served: vec![0u64; demands.len()],
         psi: 0.0,
     };
-    let fabric = BipartiteFabric { kind: matching };
     let policy = SearchPolicy {
         search: alpha_search,
-        parallel: false,
-        prefer_larger_alpha: false,
-        kernel: ExactKernel::Hungarian,
+        ..SearchPolicy::exhaustive()
     };
     let mut engine = ScheduleEngine::new(source, n, delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-
-    while !engine.is_drained() && used + delta < window {
-        let budget = window - used - delta;
-        let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) else {
-            break;
-        };
-        let Ok(m) = engine.commit(&fabric, &choice.matching, choice.alpha) else {
-            // Unreachable with the shipped kernels (they emit matchings);
-            // stop extending the schedule rather than panicking.
-            debug_assert!(false, "kernel output failed to realize");
-            break;
-        };
-        schedule.push(Configuration::new(m, choice.alpha));
-        used += choice.alpha + delta;
-    }
-
+    let run = engine.plan_window(
+        &mut BipartiteFabric { kind: matching },
+        &policy,
+        window,
+        &mut (),
+    );
+    let schedule = match run {
+        Ok(run) => run.schedule,
+        Err(e) => {
+            // Unreachable with the shipped kernels (they emit matchings).
+            debug_assert!(false, "kernel output failed to realize: {e}");
+            Schedule::new()
+        }
+    };
     let source = engine.into_source();
     OneHopOutput {
         schedule,

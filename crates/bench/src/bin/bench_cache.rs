@@ -104,12 +104,12 @@ fn plan_once(
     cache: &mut ScheduleCache,
 ) -> (PlanShape, CacheOutcome, u64, usize) {
     let mut tr = RemainingTraffic::new(traffic, HopWeighting::Uniform).expect("validated load");
-    let fabric = BipartiteFabric {
+    let mut fabric = BipartiteFabric {
         kind: MatchingKind::Exact,
     };
     let mut engine = ScheduleEngine::new(&mut tr, N, DELTA);
     let start = Instant::now();
-    let plan = plan_window_cached(&mut engine, &fabric, policy, WINDOW, cache, 0)
+    let plan = plan_window_cached(&mut engine, &mut fabric, policy, WINDOW, cache, 0)
         .expect("realizable plan");
     let us = start.elapsed().as_micros() as u64;
     (plan.configs, plan.outcome, us, plan.matchings_computed)

@@ -191,9 +191,10 @@ fn prefers_auction(weights: impl Iterator<Item = f64>) -> bool {
 
 /// The winning configuration of one greedy iteration.
 ///
-/// Equality ignores [`BestChoice::worker_evals`] — it describes how the
-/// search *executed* (which is allowed to differ run-to-run with the worker
-/// count), never what was chosen.
+/// Equality compares what was chosen, not how the search ran: it ignores
+/// [`BestChoice::matchings_computed`] and [`BestChoice::worker_evals`],
+/// which the parallel search's shared pruning floor lets differ from run to
+/// run.
 #[derive(Debug, Clone)]
 pub struct BestChoice {
     /// Links of the chosen matching.
@@ -220,7 +221,6 @@ impl PartialEq for BestChoice {
             && self.alpha == other.alpha
             && self.benefit == other.benefit
             && self.score == other.score
-            && self.matchings_computed == other.matchings_computed
     }
 }
 
@@ -321,10 +321,11 @@ impl SweepContext {
     /// then re-solves the α's weight column in place. Allocation-free after
     /// the first candidate except for the returned matching itself.
     ///
-    /// Results are bit-identical to the historical per-α path
-    /// ([`eval_bipartite`]): same effective edge set (non-positive column
-    /// entries are skipped inside the kernels), same algorithms, and the
-    /// benefit is summed in the same matching order.
+    /// Results are bit-identical to the per-α path
+    /// ([`crate::BipartiteFabric`]'s `Fabric::evaluate`): same effective
+    /// edge set (non-positive column entries are skipped inside the
+    /// kernels), same algorithms, and the benefit is summed in the same
+    /// matching order.
     // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
     pub(crate) fn eval(
         &self,
@@ -458,27 +459,6 @@ pub(crate) fn run_kernel(
             let benefit = matching_weight(&g, &matching);
             (matching, benefit)
         }
-    }
-}
-
-/// Evaluates one α on the plain bipartite fabric — the historical per-α
-/// path, kept as the reference the batched sweep is tested against.
-#[cfg_attr(not(test), allow(dead_code))]
-pub(crate) fn eval_bipartite(
-    queues: &LinkQueues,
-    alpha: u64,
-    delta: u64,
-    kind: MatchingKind,
-    kernel: ExactKernel,
-) -> BestChoice {
-    let (matching, benefit) = run_kernel(queues.n(), queues.weighted_edges(alpha), kind, kernel);
-    BestChoice {
-        matching,
-        alpha,
-        benefit,
-        score: benefit / (alpha + delta) as f64,
-        matchings_computed: 1,
-        worker_evals: Vec::new(),
     }
 }
 
@@ -1041,8 +1021,11 @@ mod tests {
                 prefer_larger_alpha: true,
                 kernel: ExactKernel::Hungarian,
             };
+            let fabric = crate::BipartiteFabric {
+                kind: MatchingKind::Exact,
+            };
             let best = search_alpha(&q.alpha_candidates(10_000), &policy, None, &|alpha| {
-                eval_bipartite(&q, alpha, 10, MatchingKind::Exact, ExactKernel::Hungarian)
+                crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10)
             })
             .unwrap();
             assert_eq!(best.alpha, 30, "parallel = {parallel}");

@@ -13,10 +13,9 @@
 //! `lcm(1..=𝒟)` scale; [`GeneralMatcherKind::Greedy`] trades exactness for
 //! speed, mirroring Octopus-G.
 
-use crate::engine::{CandidateExtension, DuplexFabric, ScheduleEngine, SearchPolicy};
-use crate::{OctopusConfig, RemainingTraffic, SchedError};
+use crate::engine::{DuplexFabric, ScheduleEngine, SearchPolicy};
+use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
 use octopus_net::duplex::DuplexNetwork;
-use octopus_net::{Configuration, Schedule};
 use octopus_traffic::TrafficLoad;
 
 /// Which general-graph matching kernel the duplex scheduler uses.
@@ -45,12 +44,7 @@ pub fn octopus_duplex_with(
     cfg: &OctopusConfig,
     matcher: GeneralMatcherKind,
 ) -> Result<crate::OctopusOutput, SchedError> {
-    if cfg.window <= cfg.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: cfg.window,
-            delta: cfg.delta,
-        });
-    }
+    check_window(cfg.window, cfg.delta)?;
     let directed = net.to_directed();
     load.validate(&directed)?;
     let n = directed.num_nodes();
@@ -63,37 +57,18 @@ pub fn octopus_duplex_with(
         octopus_traffic::HopWeighting::EpsilonLater { .. } => (1u64 << 20) as f64,
     };
     let mut tr = RemainingTraffic::new(load, cfg.weighting)?;
-    let fabric = DuplexFabric {
+    let mut fabric = DuplexFabric {
         net,
         matcher,
         scale,
     };
-    let policy = SearchPolicy::exhaustive();
-    let mut engine = ScheduleEngine::new(&mut tr, n, cfg.delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-    let mut iterations = 0usize;
-    let mut matchings_computed = 0usize;
-
-    while !engine.is_drained() && used + cfg.delta < cfg.window {
-        let budget = cfg.window - used - cfg.delta;
-        let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) else {
-            break;
-        };
-        matchings_computed += choice.matchings_computed;
-        iterations += 1;
-        let directed_m = engine.commit(&fabric, &choice.matching, choice.alpha)?;
-        schedule.push(Configuration::new(directed_m, choice.alpha));
-        used += choice.alpha + cfg.delta;
-    }
-
-    Ok(crate::OctopusOutput {
-        schedule,
-        planned_psi: tr.planned_psi(),
-        planned_delivered: tr.planned_delivered(),
-        iterations,
-        matchings_computed,
-    })
+    let run = ScheduleEngine::new(&mut tr, n, cfg.delta).plan_window(
+        &mut fabric,
+        &SearchPolicy::exhaustive(),
+        cfg.window,
+        &mut (),
+    )?;
+    Ok(OctopusOutput::from_run(run, &tr))
 }
 
 #[cfg(test)]

@@ -3,8 +3,8 @@
 //! All schedulers in this crate are instances of one greedy loop: snapshot
 //! the per-link queues of the remaining traffic `T^r`, enumerate the
 //! candidate durations α (Procedure 1), evaluate a matching for each
-//! candidate on some *fabric*, commit the winner, repeat. Historically each
-//! variant module carried a private copy of that loop; they now share
+//! candidate on some *fabric*, commit the winner, repeat.
+//! [`ScheduleEngine::plan_window`] is that loop, once; it runs on a
 //! [`ScheduleEngine`], which owns the traffic source and a persistently
 //! maintained [`LinkQueues`] snapshot:
 //!
@@ -15,7 +15,9 @@
 //!   matching ([`BipartiteFabric`]), a union of `r` edge-disjoint matchings
 //!   ([`KPortFabric`]), a general-graph matching on an undirected duplex
 //!   fabric ([`DuplexFabric`]), or a persistence-aware matching for
-//!   localized reconfiguration ([`LocalFabric`]).
+//!   localized reconfiguration ([`LocalFabric`]). A variant's quirks live
+//!   on its fabric: extra α candidates ([`Fabric::extension`]) and state
+//!   carried from one configuration to the next ([`Fabric::committed`]).
 //! * [`ScheduleEngine::commit`] applies the chosen `(M, α)` and patches the
 //!   queue snapshot **incrementally**: the source reports exactly which
 //!   links gained or lost packets, and only those links' queues are
@@ -40,7 +42,7 @@ use crate::SchedError;
 use octopus_matching::blossom::maximum_weight_matching_general;
 use octopus_matching::general::greedy_general_matching;
 use octopus_net::duplex::{DuplexMatching, DuplexNetwork};
-use octopus_net::{Matching, NodeId};
+use octopus_net::{Configuration, Matching, NodeId, Schedule};
 use octopus_traffic::{FlowId, Route};
 use std::borrow::Borrow;
 use std::collections::HashSet;
@@ -234,6 +236,19 @@ pub trait Fabric<S> {
     ) -> Option<(MultiAlphaEdges, MatchingKind)> {
         let _ = (source, queues, candidates);
         None
+    }
+
+    /// Extra α candidates beyond the Procedure-1 class boundaries for the
+    /// next [`ScheduleEngine::plan_window`] iteration (default: none).
+    fn extension(&self) -> CandidateExtension {
+        CandidateExtension::None
+    }
+
+    /// Told the links [`ScheduleEngine::plan_window`] just committed, for
+    /// fabrics whose next evaluation depends on the previous configuration
+    /// (default: ignored).
+    fn committed(&mut self, links: &[(u32, u32)]) {
+        let _ = links;
     }
 }
 
@@ -459,8 +474,8 @@ pub struct LocalFabric {
     pub kind: MatchingKind,
     /// Reconfiguration delay Δ (the persistent-link bonus).
     pub delta: u64,
-    /// Links of the previously committed matching. The variant wrapper
-    /// updates this after every commit.
+    /// Links of the previously committed matching, updated through
+    /// [`Fabric::committed`].
     pub prev: HashSet<(u32, u32)>,
 }
 
@@ -528,6 +543,52 @@ impl<S> Fabric<S> for LocalFabric {
             self.kind,
         ))
     }
+
+    fn extension(&self) -> CandidateExtension {
+        // Persistent links serve α + Δ slots, so boundaries shifted down by
+        // Δ are also candidate maxima.
+        if self.delta > 0 && !self.prev.is_empty() {
+            CandidateExtension::ShiftDown(self.delta)
+        } else {
+            CandidateExtension::None
+        }
+    }
+
+    // lint:allow(hot-alloc) — amortized: once per committed configuration; the set is the next iteration's persistence state
+    fn committed(&mut self, links: &[(u32, u32)]) {
+        self.prev = links.iter().copied().collect();
+    }
+}
+
+/// Per-iteration additions to [`ScheduleEngine::plan_window`] used by the
+/// schedule cache ([`crate::memo`]): a warm-start seed for each iteration's
+/// search, and a look at each winner before it is committed. Offline callers
+/// pass `()`, which adds nothing.
+pub trait WindowHooks<S: TrafficSource> {
+    /// The warm-start seed for greedy iteration `iter` (0-based).
+    fn seed(&self, iter: usize) -> Option<WarmSeed<'_>> {
+        let _ = iter;
+        None
+    }
+
+    /// Sees the winning α while the snapshot still holds its weight column
+    /// (the commit changes it).
+    fn before_commit(&mut self, engine: &mut ScheduleEngine<S>, alpha: u64) {
+        let _ = (engine, alpha);
+    }
+}
+
+impl<S: TrafficSource> WindowHooks<S> for () {}
+
+/// One planned window: what [`ScheduleEngine::plan_window`] committed.
+#[derive(Debug, Clone, Default)]
+pub struct WindowRun {
+    /// The committed configurations in serve order; `Σ(α + Δ) ≤ window`.
+    pub schedule: Schedule,
+    /// Greedy iterations run (one per committed configuration).
+    pub iterations: usize,
+    /// Weighted matchings solved across all iterations.
+    pub matchings_computed: usize,
 }
 
 /// The shared greedy-iteration engine: a traffic source plus a persistently
@@ -829,6 +890,51 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             }
         }
     }
+
+    /// Plans one window with the greedy loop of Procedure 2: select the
+    /// configuration with the best benefit per `α + Δ` on `fabric`, commit
+    /// it, and repeat while packets remain, some configuration can move one,
+    /// and the next `α + Δ` still fits the `window`. Every Octopus variant
+    /// except the chain-aware one is this loop over its own [`Fabric`].
+    ///
+    /// # Errors
+    /// [`SchedError::Net`] when a winner fails to realize on `fabric` (see
+    /// [`Fabric::realize`]); the configurations committed before it stay
+    /// applied to the source.
+    pub fn plan_window<F, H>(
+        &mut self,
+        fabric: &mut F,
+        policy: &SearchPolicy,
+        window: u64,
+        hooks: &mut H,
+    ) -> Result<WindowRun, SchedError>
+    where
+        F: Fabric<S> + Sync,
+        S: Sync,
+        H: WindowHooks<S>,
+    {
+        let delta = self.delta;
+        let mut run = WindowRun::default();
+        let mut used = 0u64;
+        while !self.is_drained() && used + delta < window {
+            let budget = window - used - delta;
+            let seed = hooks.seed(run.iterations);
+            let Some(choice) =
+                self.select_seeded(&*fabric, budget, fabric.extension(), policy, seed.as_ref())
+            else {
+                break;
+            };
+            run.iterations += 1;
+            run.matchings_computed += choice.matchings_computed;
+            hooks.before_commit(self, choice.alpha);
+            let matching = self.commit(&*fabric, &choice.matching, choice.alpha)?;
+            fabric.committed(&choice.matching);
+            run.schedule
+                .push(Configuration::new(matching, choice.alpha));
+            used += choice.alpha + delta;
+        }
+        Ok(run)
+    }
 }
 
 /// Extends the Procedure-1 candidate set per `ext`; result stays sorted
@@ -944,6 +1050,8 @@ mod tests {
             )
             .unwrap();
         assert_eq!(got, expected);
+        // Both searches are sequential, so their solve counts are fixed too.
+        assert_eq!(got.matchings_computed, expected.matchings_computed);
     }
 
     #[test]

@@ -15,6 +15,8 @@ pub enum SchedError {
         /// Reconfiguration delay.
         delta: u64,
     },
+    /// The hysteresis factor η is negative or NaN.
+    InvalidEta(f64),
     /// The algorithm requires single-route flows but got route choices.
     MultiRouteFlow(FlowId),
     /// Makespan search exceeded its upper bound without serving the load.
@@ -49,6 +51,9 @@ impl fmt::Display for SchedError {
                 f,
                 "window {window} cannot fit a configuration with delta {delta}"
             ),
+            SchedError::InvalidEta(eta) => {
+                write!(f, "hysteresis factor eta {eta} must be a number >= 0")
+            }
             SchedError::MultiRouteFlow(id) => write!(
                 f,
                 "flow {id} has multiple routes; use octopus_plus for joint routing"
@@ -73,6 +78,18 @@ impl fmt::Display for SchedError {
 }
 
 impl std::error::Error for SchedError {}
+
+/// Checks that a `window` of slots fits at least one configuration under
+/// reconfiguration delay `delta`.
+///
+/// # Errors
+/// [`SchedError::WindowTooSmall`] when `window ≤ delta`.
+pub fn check_window(window: u64, delta: u64) -> Result<(), SchedError> {
+    if window <= delta {
+        return Err(SchedError::WindowTooSmall { window, delta });
+    }
+    Ok(())
+}
 
 impl From<octopus_net::NetError> for SchedError {
     fn from(e: octopus_net::NetError) -> Self {

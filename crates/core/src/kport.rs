@@ -8,69 +8,45 @@
 //! combined; this greedy is `(1 − 1/e)`-approximate per configuration,
 //! degrading the overall guarantee to `(1 − e^{−(1−1/e)/𝒟}) · W/(W+Δ)`.
 
-use crate::engine::{CandidateExtension, KPortFabric, ScheduleEngine, SearchPolicy};
-use crate::{OctopusConfig, RemainingTraffic, SchedError};
-use octopus_net::{Configuration, Network, Schedule};
+use crate::engine::{KPortFabric, ScheduleEngine, SearchPolicy};
+use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
+use octopus_net::Network;
 use octopus_traffic::TrafficLoad;
 
 /// Octopus for fabrics with `r` ports per node.
 ///
-/// Identical greedy outer loop to [`crate::octopus`] (shared via
-/// [`ScheduleEngine`]), but each candidate configuration for a given α is a
-/// union of up to `r` edge-disjoint matchings selected greedily with
-/// intermediate `g` updates ([`KPortFabric`]). The α search is exhaustive
-/// over the Procedure-1 candidate set; `cfg.alpha_search ==
-/// AlphaSearch::Binary` switches to ternary search as in Octopus-B.
+/// Identical greedy outer loop to [`crate::octopus`]
+/// ([`ScheduleEngine::plan_window`]), but each candidate configuration for a
+/// given α is a union of up to `r` edge-disjoint matchings selected greedily
+/// with intermediate `g` updates ([`KPortFabric`]). The α search is
+/// exhaustive over the Procedure-1 candidate set; `cfg.alpha_search ==
+/// AlphaSearch::Binary` switches to ternary search as in Octopus-B. The
+/// search always runs sequentially, whatever `cfg.parallel` says.
 pub fn octopus_kport(
     net: &Network,
     load: &TrafficLoad,
     cfg: &OctopusConfig,
     r: u32,
-) -> Result<crate::OctopusOutput, SchedError> {
+) -> Result<OctopusOutput, SchedError> {
     assert!(r >= 1, "at least one port per node");
-    if cfg.window <= cfg.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: cfg.window,
-            delta: cfg.delta,
-        });
-    }
+    check_window(cfg.window, cfg.delta)?;
     load.validate(net)?;
     let mut tr = RemainingTraffic::new(load, cfg.weighting)?;
-    let fabric = KPortFabric {
+    let mut fabric = KPortFabric {
         kind: cfg.matching,
         r,
     };
     let policy = SearchPolicy {
-        search: cfg.alpha_search,
         parallel: false,
-        prefer_larger_alpha: false,
-        kernel: cfg.kernel,
+        ..cfg.search_policy()
     };
-    let mut engine = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-    let mut iterations = 0usize;
-    let mut matchings_computed = 0usize;
-
-    while !engine.is_drained() && used + cfg.delta < cfg.window {
-        let budget = cfg.window - used - cfg.delta;
-        let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) else {
-            break;
-        };
-        matchings_computed += choice.matchings_computed;
-        iterations += 1;
-        let matching = engine.commit(&fabric, &choice.matching, choice.alpha)?;
-        schedule.push(Configuration::new(matching, choice.alpha));
-        used += choice.alpha + cfg.delta;
-    }
-
-    Ok(crate::OctopusOutput {
-        schedule,
-        planned_psi: tr.planned_psi(),
-        planned_delivered: tr.planned_delivered(),
-        iterations,
-        matchings_computed,
-    })
+    let run = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta).plan_window(
+        &mut fabric,
+        &policy,
+        cfg.window,
+        &mut (),
+    )?;
+    Ok(OctopusOutput::from_run(run, &tr))
 }
 
 #[cfg(test)]

@@ -73,13 +73,13 @@ pub mod online;
 pub use best_config::{best_configuration, AlphaSearch, BestChoice, ExactKernel, MatchingKind};
 pub use engine::{
     BipartiteFabric, CandidateExtension, DuplexFabric, Fabric, KPortFabric, LocalFabric,
-    ScheduleEngine, SearchPolicy, TrafficSource,
+    ScheduleEngine, SearchPolicy, TrafficSource, WindowHooks, WindowRun,
 };
-pub use error::SchedError;
+pub use error::{check_window, SchedError};
 pub use memo::{
     plan_window_cached, CacheConfig, CacheOutcome, CacheStats, PlannedStep, ScheduleCache,
     WarmSeed, WindowFingerprint, WindowPlan,
 };
-pub use octopus::{octopus, octopus_on, OctopusConfig, OctopusOutput};
+pub use octopus::{octopus, OctopusConfig, OctopusOutput};
 pub use octopus_traffic::HopWeighting;
 pub use state::{LinkQueue, LinkQueueRef, LinkQueues, MultiAlphaEdges, RemainingTraffic};

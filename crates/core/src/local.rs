@@ -18,9 +18,11 @@
 //! [`octopus_sim::ReconfigModel::Localized`], which realizes exactly this
 //! transition behavior, so gains are measured honestly end to end.
 
-use crate::engine::{CandidateExtension, LocalFabric, ScheduleEngine, SearchPolicy};
-use crate::{AlphaSearch, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
-use octopus_net::{Configuration, Network, Schedule};
+use crate::engine::{LocalFabric, ScheduleEngine, SearchPolicy};
+use crate::{
+    check_window, AlphaSearch, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError,
+};
+use octopus_net::Network;
 use octopus_traffic::TrafficLoad;
 use std::collections::HashSet;
 
@@ -32,12 +34,7 @@ pub fn octopus_local(
     load: &TrafficLoad,
     cfg: &OctopusConfig,
 ) -> Result<OctopusOutput, SchedError> {
-    if cfg.window <= cfg.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: cfg.window,
-            delta: cfg.delta,
-        });
-    }
+    check_window(cfg.window, cfg.delta)?;
     load.validate(net)?;
     let mut tr = RemainingTraffic::new(load, cfg.weighting)?;
     // Ties break toward the *larger* α: with persistent service, a longer
@@ -47,46 +44,20 @@ pub fn octopus_local(
         search: AlphaSearch::Exhaustive,
         parallel: false,
         prefer_larger_alpha: true,
-        kernel: cfg.kernel,
+        ..cfg.search_policy()
     };
     let mut fabric = LocalFabric {
         kind: cfg.matching,
         delta: cfg.delta,
         prev: HashSet::new(),
     };
-    let mut engine = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-    let mut iterations = 0usize;
-    let mut matchings_computed = 0usize;
-
-    while !engine.is_drained() && used + cfg.delta < cfg.window {
-        let budget = cfg.window - used - cfg.delta;
-        // Persistent links serve α + Δ slots, so boundaries shifted down by
-        // Δ are also candidate maxima.
-        let ext = if cfg.delta > 0 && !fabric.prev.is_empty() {
-            CandidateExtension::ShiftDown(cfg.delta)
-        } else {
-            CandidateExtension::None
-        };
-        let Some(choice) = engine.select(&fabric, budget, ext, &policy) else {
-            break;
-        };
-        matchings_computed += choice.matchings_computed;
-        iterations += 1;
-        let matching = engine.commit(&fabric, &choice.matching, choice.alpha)?;
-        fabric.prev = choice.matching.iter().copied().collect();
-        schedule.push(Configuration::new(matching, choice.alpha));
-        used += choice.alpha + cfg.delta;
-    }
-
-    Ok(OctopusOutput {
-        schedule,
-        planned_psi: tr.planned_psi(),
-        planned_delivered: tr.planned_delivered(),
-        iterations,
-        matchings_computed,
-    })
+    let run = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta).plan_window(
+        &mut fabric,
+        &policy,
+        cfg.window,
+        &mut (),
+    )?;
+    Ok(OctopusOutput::from_run(run, &tr))
 }
 
 #[cfg(test)]

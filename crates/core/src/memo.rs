@@ -41,7 +41,7 @@
 //! invalidation contract requires.
 
 use crate::best_config::ExactKernel;
-use crate::engine::{CandidateExtension, Fabric, ScheduleEngine, SearchPolicy, TrafficSource};
+use crate::engine::{Fabric, ScheduleEngine, SearchPolicy, TrafficSource, WindowHooks, WindowRun};
 use crate::state::{LinkQueues, RemainingTraffic};
 use crate::AlphaSearch;
 use crate::SchedError;
@@ -499,15 +499,12 @@ fn context_hash(policy: &SearchPolicy, window: u64, delta: u64, salt: u64) -> u6
     h.0 as u64
 }
 
-/// Plans one window (the greedy `select`/`commit` loop over `window` slots)
+/// Plans one window ([`ScheduleEngine::plan_window`] over `window` slots)
 /// through `cache`: exact hits replay the cached schedule, near hits
 /// warm-start the α-search, misses plan cold and record. The emitted
 /// schedule is bit-identical to an uncached run of the same loop in every
 /// case (see the module docs for why), so callers may flip caching on and
 /// off freely.
-///
-/// Candidates use [`CandidateExtension::None`] — the extension the serve
-/// daemon's re-plan loop and the batch `octopus` entry point both use.
 ///
 /// # Errors
 /// [`SchedError::Net`] when a commit fails to realize (with the shipped
@@ -517,7 +514,7 @@ fn context_hash(policy: &SearchPolicy, window: u64, delta: u64, salt: u64) -> u6
 // lint:allow(hot-alloc) — amortized: once per re-plan / cache miss on the serve path; the buffers are the cached plan itself
 pub fn plan_window_cached<S, F>(
     engine: &mut ScheduleEngine<S>,
-    fabric: &F,
+    fabric: &mut F,
     policy: &SearchPolicy,
     window: u64,
     cache: &mut ScheduleCache,
@@ -528,13 +525,11 @@ where
     F: Fabric<S> + Sync,
 {
     if !cache.cfg.enabled {
-        let mut record = Vec::new();
-        let (configs, matchings_computed) =
-            run_window(engine, fabric, policy, window, None, &mut record, false)?;
+        let run = engine.plan_window(fabric, policy, window, &mut ())?;
         return Ok(WindowPlan {
-            configs,
+            configs: planned_configs(&run),
             outcome: CacheOutcome::Disabled,
-            matchings_computed,
+            matchings_computed: run.matchings_computed,
         });
     }
     cache.stats.lookups += 1;
@@ -561,6 +556,7 @@ where
             let mut configs = Vec::with_capacity(plan.len());
             for (links, alpha) in plan {
                 let matching = engine.commit(fabric, &links, alpha)?;
+                fabric.committed(&links);
                 let links: Vec<(u32, u32)> =
                     matching.links().iter().map(|&(i, j)| (i.0, j.0)).collect();
                 configs.push((links, alpha));
@@ -575,105 +571,101 @@ where
             cache.stats.near_hits += 1;
             cache.touch(i);
             let seed_plan = cache.entries[i].plan.clone();
-            let mut record = Vec::new();
-            let (configs, matchings_computed) = run_window(
-                engine,
-                fabric,
-                policy,
-                window,
-                Some(&seed_plan),
-                &mut record,
-                false,
-            )?;
+            let mut hooks = CacheHooks {
+                seeds: &seed_plan,
+                harvest: None,
+                prices: Vec::new(),
+            };
+            let run = engine.plan_window(fabric, policy, window, &mut hooks)?;
+            let configs = planned_configs(&run);
             // The fresh entry inherits the matched entry's dual prices
             // rather than re-harvesting: weak duality keeps *any* `z ≥ 0`
             // a valid bound, and skipping the per-iteration harvest solve
             // keeps the warm path strictly cheaper than a cold one. Fresh
             // duals are only ever harvested on true misses.
-            for (k, step) in record.iter_mut().enumerate() {
-                if let Some(s) = seed_plan.get(k) {
-                    step.prices.clone_from(&s.prices);
-                }
-            }
-            cache.insert(fp, context, record);
+            let inherited: Vec<Vec<f64>> = seed_plan.iter().map(|s| s.prices.clone()).collect();
+            cache.insert(fp, context, planned_steps(&configs, &inherited));
             Ok(WindowPlan {
                 configs,
                 outcome: CacheOutcome::NearHit(distance),
-                matchings_computed,
+                matchings_computed: run.matchings_computed,
             })
         }
         _ => {
             cache.stats.misses += 1;
-            let mut record = Vec::new();
-            let (configs, matchings_computed) =
-                run_window(engine, fabric, policy, window, None, &mut record, warm)?;
-            cache.insert(fp, context, record);
+            let mut hooks = CacheHooks {
+                seeds: &[],
+                harvest: warm.then_some(*policy),
+                prices: Vec::new(),
+            };
+            let run = engine.plan_window(fabric, policy, window, &mut hooks)?;
+            let configs = planned_configs(&run);
+            cache.insert(fp, context, planned_steps(&configs, &hooks.prices));
             Ok(WindowPlan {
                 configs,
                 outcome: CacheOutcome::Miss,
-                matchings_computed,
+                matchings_computed: run.matchings_computed,
             })
         }
     }
 }
 
-/// The greedy window loop shared by every cache path: select (optionally
-/// warm-seeded per iteration), harvest the winning column's certified duals
-/// when `harvest`, commit, repeat until the window or the backlog runs out.
-// lint:allow(hot-alloc) — amortized: once per re-plan / cache miss on the serve path; the buffers are the cached plan itself
-fn run_window<S, F>(
-    engine: &mut ScheduleEngine<S>,
-    fabric: &F,
-    policy: &SearchPolicy,
-    window: u64,
-    seeds: Option<&[PlannedStep]>,
-    record: &mut Vec<PlannedStep>,
-    harvest: bool,
-) -> Result<(PlannedConfigs, usize), SchedError>
-where
-    S: TrafficSource + Sync,
-    F: Fabric<S> + Sync,
-{
-    let delta = engine.delta();
-    let mut configs = Vec::new();
-    let mut matchings = 0usize;
-    let mut used = 0u64;
-    let mut iter = 0usize;
-    while !engine.is_drained() && used + delta < window {
-        let budget = window - used - delta;
-        let seed = seeds.and_then(|p| p.get(iter)).map(|s| WarmSeed {
+/// The cache's [`WindowHooks`]: each iteration's search is seeded from the
+/// same iteration of `seeds` (a near entry's plan), and with `harvest` set
+/// the winning column's certified duals are collected into `prices`, one
+/// vector per iteration.
+struct CacheHooks<'a> {
+    seeds: &'a [PlannedStep],
+    harvest: Option<SearchPolicy>,
+    prices: Vec<Vec<f64>>,
+}
+
+impl<S: TrafficSource> WindowHooks<S> for CacheHooks<'_> {
+    fn seed(&self, iter: usize) -> Option<WarmSeed<'_>> {
+        self.seeds.get(iter).map(|s| WarmSeed {
             alpha: Some(s.alpha),
             prices: (!s.prices.is_empty()).then_some(s.prices.as_slice()),
-        });
-        let Some(choice) = engine.select_seeded(
-            fabric,
-            budget,
-            CandidateExtension::None,
-            policy,
-            seed.as_ref(),
-        ) else {
-            break;
-        };
-        matchings += choice.matchings_computed;
-        // Harvest before committing — the snapshot (and with it the winning
-        // column) changes under the commit.
-        let prices = if harvest {
-            harvest_duals(engine, policy, choice.alpha)
-        } else {
-            Vec::new()
-        };
-        let matching = engine.commit(fabric, &choice.matching, choice.alpha)?;
-        let links: Vec<(u32, u32)> = matching.links().iter().map(|&(i, j)| (i.0, j.0)).collect();
-        record.push(PlannedStep {
-            links: links.clone(),
-            alpha: choice.alpha,
-            prices,
-        });
-        configs.push((links, choice.alpha));
-        used += choice.alpha + delta;
-        iter += 1;
+        })
     }
-    Ok((configs, matchings))
+
+    fn before_commit(&mut self, engine: &mut ScheduleEngine<S>, alpha: u64) {
+        if let Some(policy) = &self.harvest {
+            self.prices.push(harvest_duals(engine, policy, alpha));
+        }
+    }
+}
+
+/// The emitted window as `(links, α)` pairs.
+// lint:allow(hot-alloc) — amortized: once per re-plan / cache miss on the serve path; the buffers are the cached plan itself
+fn planned_configs(run: &WindowRun) -> PlannedConfigs {
+    run.schedule
+        .configs()
+        .iter()
+        .map(|c| {
+            let links = c
+                .matching
+                .links()
+                .iter()
+                .map(|&(i, j)| (i.0, j.0))
+                .collect();
+            (links, c.alpha)
+        })
+        .collect()
+}
+
+/// The cache entry for an emitted window: configuration `k` carries
+/// `prices[k]`, or no prices past the end of `prices`.
+// lint:allow(hot-alloc) — amortized: once per re-plan / cache miss on the serve path; the buffers are the cached plan itself
+fn planned_steps(configs: &PlannedConfigs, prices: &[Vec<f64>]) -> Vec<PlannedStep> {
+    configs
+        .iter()
+        .enumerate()
+        .map(|(k, (links, alpha))| PlannedStep {
+            links: links.clone(),
+            alpha: *alpha,
+            prices: prices.get(k).cloned().unwrap_or_default(),
+        })
+        .collect()
 }
 
 /// Harvests right-port dual prices for the winning α's weight column with

@@ -21,7 +21,7 @@
 use crate::best_config::BestChoice;
 use crate::engine::{CandidateExtension, ScheduleEngine, SearchPolicy};
 use crate::flatmap::VecMap;
-use crate::{RemainingTraffic, SchedError};
+use crate::{check_window, RemainingTraffic, SchedError};
 use octopus_net::{Configuration, Matching, Network, Schedule};
 use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
 use std::collections::HashSet;
@@ -33,12 +33,7 @@ pub fn octopus_multihop(
     load: &TrafficLoad,
     cfg: &crate::OctopusConfig,
 ) -> Result<crate::OctopusOutput, SchedError> {
-    if cfg.window <= cfg.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: cfg.window,
-            delta: cfg.delta,
-        });
-    }
+    check_window(cfg.window, cfg.delta)?;
     load.validate(net)?;
     let mut tr = RemainingTraffic::new(load, cfg.weighting)?;
     let policy = SearchPolicy::exhaustive();

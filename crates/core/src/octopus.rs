@@ -1,8 +1,8 @@
 //! The main Octopus greedy loop (§4.1).
 
-use crate::engine::{BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy};
-use crate::{AlphaSearch, ExactKernel, MatchingKind, RemainingTraffic, SchedError};
-use octopus_net::{Configuration, Network, Schedule};
+use crate::engine::{BipartiteFabric, ScheduleEngine, SearchPolicy, WindowRun};
+use crate::{check_window, AlphaSearch, ExactKernel, MatchingKind, RemainingTraffic, SchedError};
+use octopus_net::{Network, Schedule};
 use octopus_traffic::{HopWeighting, TrafficLoad};
 use serde::{Deserialize, Serialize};
 
@@ -71,6 +71,16 @@ impl OctopusConfig {
         self.weighting = HopWeighting::EpsilonLater { eps };
         self
     }
+
+    /// The α-search these knobs select, with smaller-α tie-breaks.
+    pub fn search_policy(&self) -> SearchPolicy {
+        SearchPolicy {
+            search: self.alpha_search,
+            parallel: self.parallel,
+            prefer_larger_alpha: false,
+            kernel: self.kernel,
+        }
+    }
 }
 
 /// Result of a scheduler run.
@@ -89,6 +99,20 @@ pub struct OctopusOutput {
     pub matchings_computed: usize,
 }
 
+impl OctopusOutput {
+    /// The output of one planned window whose ψ and delivered figures are
+    /// `tr`'s planned totals.
+    pub(crate) fn from_run(run: WindowRun, tr: &RemainingTraffic) -> Self {
+        OctopusOutput {
+            schedule: run.schedule,
+            planned_psi: tr.planned_psi(),
+            planned_delivered: tr.planned_delivered(),
+            iterations: run.iterations,
+            matchings_computed: run.matchings_computed,
+        }
+    }
+}
+
 /// Runs the Octopus algorithm on a single-route load.
 ///
 /// Greedy loop: each iteration selects the configuration `(M, α)` with the
@@ -103,62 +127,17 @@ pub fn octopus(
     load: &TrafficLoad,
     cfg: &OctopusConfig,
 ) -> Result<OctopusOutput, SchedError> {
-    if cfg.window <= cfg.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: cfg.window,
-            delta: cfg.delta,
-        });
-    }
+    check_window(cfg.window, cfg.delta)?;
     load.validate(net)?;
     let mut tr = RemainingTraffic::new(load, cfg.weighting)?;
-    Ok(octopus_on(net, &mut tr, cfg))
-}
-
-/// Runs the Octopus greedy loop against an existing `T^r` state, advancing
-/// it in place — the building block for multi-window (online) operation.
-/// The reported ψ/delivered figures cover only this call's gains.
-pub fn octopus_on(net: &Network, tr: &mut RemainingTraffic, cfg: &OctopusConfig) -> OctopusOutput {
-    let psi_before = tr.planned_psi();
-    let delivered_before = tr.planned_delivered();
-    let fabric = BipartiteFabric { kind: cfg.matching };
-    let policy = SearchPolicy {
-        search: cfg.alpha_search,
-        parallel: cfg.parallel,
-        prefer_larger_alpha: false,
-        kernel: cfg.kernel,
-    };
-    let mut engine = ScheduleEngine::new(&mut *tr, net.num_nodes(), cfg.delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-    let mut iterations = 0usize;
-    let mut matchings_computed = 0usize;
-
-    while !engine.is_drained() && used + cfg.delta < cfg.window {
-        let budget = cfg.window - used - cfg.delta;
-        let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) else {
-            break; // no packet can move on any link
-        };
-        matchings_computed += choice.matchings_computed;
-        iterations += 1;
-        let Ok(matching) = engine.commit(&fabric, &choice.matching, choice.alpha) else {
-            // The kernel emitted a non-matching — unreachable with the
-            // shipped kernels; stop extending the schedule rather than
-            // panicking mid-window.
-            debug_assert!(false, "kernel output failed to realize");
-            break;
-        };
-        schedule.push(Configuration::new(matching, choice.alpha));
-        used += choice.alpha + cfg.delta;
-    }
-
-    debug_assert!(schedule.total_cost(cfg.delta) <= cfg.window);
-    OctopusOutput {
-        schedule,
-        planned_psi: tr.planned_psi() - psi_before,
-        planned_delivered: tr.planned_delivered() - delivered_before,
-        iterations,
-        matchings_computed,
-    }
+    let mut fabric = BipartiteFabric { kind: cfg.matching };
+    let run = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta).plan_window(
+        &mut fabric,
+        &cfg.search_policy(),
+        cfg.window,
+        &mut (),
+    )?;
+    Ok(OctopusOutput::from_run(run, &tr))
 }
 
 #[cfg(test)]

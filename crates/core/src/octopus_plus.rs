@@ -26,13 +26,11 @@
 //! `rayon::ThreadPoolBuilder` pin the count) and returns the same plan as
 //! the sequential search.
 
-use crate::engine::{
-    BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy, TrafficSource,
-};
+use crate::engine::{BipartiteFabric, ScheduleEngine, TrafficSource};
 use crate::flatmap::VecMap;
 use crate::state::{LinkQueue, LinkQueues};
-use crate::{OctopusConfig, SchedError};
-use octopus_net::{Configuration, Network, NodeId, Schedule};
+use crate::{check_window, OctopusConfig, SchedError};
+use octopus_net::{Network, NodeId, Schedule};
 use octopus_sim::ResolvedFlow;
 use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad, Weight};
 use rand::seq::SliceRandom;
@@ -432,21 +430,10 @@ pub fn octopus_plus(
     cfg: &PlusConfig,
 ) -> Result<PlusOutput, SchedError> {
     let base = &cfg.base;
-    if base.window <= base.delta {
-        return Err(SchedError::WindowTooSmall {
-            window: base.window,
-            delta: base.delta,
-        });
-    }
+    check_window(base.window, base.delta)?;
     load.validate(net)?;
-    let fabric = BipartiteFabric {
+    let mut fabric = BipartiteFabric {
         kind: base.matching,
-    };
-    let policy = SearchPolicy {
-        search: base.alpha_search,
-        parallel: base.parallel,
-        prefer_larger_alpha: false,
-        kernel: base.kernel,
     };
     let source = PlusSource {
         net,
@@ -454,27 +441,14 @@ pub fn octopus_plus(
         backtracking: cfg.backtracking,
     };
     let mut engine = ScheduleEngine::new(source, net.num_nodes(), base.delta);
-    let mut schedule = Schedule::new();
-    let mut used = 0u64;
-    let mut iterations = 0usize;
-
-    while !engine.is_drained() && used + base.delta < base.window {
-        let budget = base.window - used - base.delta;
-        let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) else {
-            break;
-        };
-        iterations += 1;
-        let matching = engine.commit(&fabric, &choice.matching, choice.alpha)?;
-        schedule.push(Configuration::new(matching, choice.alpha));
-        used += choice.alpha + base.delta;
-    }
+    let run = engine.plan_window(&mut fabric, &base.search_policy(), base.window, &mut ())?;
     let st = engine.into_source().st;
 
     Ok(PlusOutput {
-        schedule,
+        schedule: run.schedule,
         planned_psi: st.psi,
         planned_delivered: st.delivered,
-        iterations,
+        iterations: run.iterations,
         resolved: st.resolve(),
     })
 }

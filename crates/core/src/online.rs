@@ -10,10 +10,18 @@
 //! This is the batch-arrival counterpart of the adaptive policies of Wang &
 //! Javidi — traffic-aware, but requiring queue state only at epoch
 //! boundaries rather than at every instant.
+//!
+//! Both schedulers here keep one persistent [`ScheduleEngine`] over the
+//! backlog, as the serve daemon does: arrivals are admitted into it and its
+//! queue snapshot is patched on the links they touch, instead of rebuilding
+//! `T^r` every epoch.
 
-use crate::{octopus_on, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
-use octopus_net::{Network, Schedule};
-use octopus_traffic::{FlowId, Route, TrafficLoad};
+use crate::engine::{
+    BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy, TrafficSource,
+};
+use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
+use octopus_net::{Configuration, Matching, Network, Schedule};
+use octopus_traffic::TrafficLoad;
 
 /// One epoch's outcome.
 #[derive(Debug, Clone)]
@@ -26,6 +34,36 @@ pub struct EpochReport {
     pub delivered: u64,
     /// Backlog carried into the next epoch (at sources or mid-route).
     pub backlog: u64,
+}
+
+/// An empty persistent plan over `net` with `cfg`'s weighting and Δ.
+fn empty_engine(net: &Network, cfg: &OctopusConfig) -> ScheduleEngine<RemainingTraffic> {
+    let tr = RemainingTraffic::from_subflows(std::iter::empty(), cfg.weighting);
+    ScheduleEngine::new(tr, net.num_nodes(), cfg.delta)
+}
+
+/// Starts an epoch on `engine`: checks the arrivals (single-route flows on
+/// `net`), restarts the planned counters, and admits the arrivals at their
+/// sources, patching the snapshot. Nothing is admitted on error. Returns
+/// the packets that arrived.
+fn admit_epoch(
+    engine: &mut ScheduleEngine<RemainingTraffic>,
+    net: &Network,
+    arrivals: &TrafficLoad,
+) -> Result<u64, SchedError> {
+    arrivals.validate(net)?;
+    let mut subflows = Vec::with_capacity(arrivals.len());
+    for f in arrivals.flows() {
+        let [route] = f.routes.as_slice() else {
+            return Err(SchedError::MultiRouteFlow(f.id));
+        };
+        subflows.push((f.id, route.clone(), 0, f.size));
+    }
+    let tr = engine.source_mut();
+    tr.reset_planned();
+    let dirty = tr.admit_subflows(subflows)?;
+    engine.patch_links(&dirty);
+    Ok(arrivals.total_packets())
 }
 
 /// Epoch-by-epoch Octopus driver with backlog carry-over.
@@ -44,12 +82,12 @@ pub struct EpochReport {
 /// let r1 = sched.run_epoch(&arrivals).unwrap();
 /// assert_eq!(r1.delivered + r1.backlog, 100); // leftovers roll forward
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct OnlineScheduler {
     net: Network,
     cfg: OctopusConfig,
-    /// Sub-flows awaiting service: `(flow, route, position, count)`.
-    backlog: Vec<(FlowId, Route, u32, u64)>,
+    /// The backlog: packets awaiting service, at sources or mid-route.
+    engine: ScheduleEngine<RemainingTraffic>,
     /// Lifetime counters.
     total_arrived: u64,
     total_delivered: u64,
@@ -60,9 +98,9 @@ impl OnlineScheduler {
     /// Creates a scheduler over `net`; `cfg.window` is the per-epoch window.
     pub fn new(net: Network, cfg: OctopusConfig) -> Self {
         OnlineScheduler {
+            engine: empty_engine(&net, &cfg),
             net,
             cfg,
-            backlog: Vec::new(),
             total_arrived: 0,
             total_delivered: 0,
             epochs: 0,
@@ -71,7 +109,7 @@ impl OnlineScheduler {
 
     /// Packets currently queued (at sources or stranded mid-route).
     pub fn backlog_packets(&self) -> u64 {
-        self.backlog.iter().map(|&(_, _, _, c)| c).sum()
+        self.engine.source().remaining_packets()
     }
 
     /// Lifetime delivered / arrived fraction.
@@ -91,28 +129,19 @@ impl OnlineScheduler {
     /// with still-backlogged flows), schedules one window, and rolls the
     /// leftovers forward.
     pub fn run_epoch(&mut self, arrivals: &TrafficLoad) -> Result<EpochReport, SchedError> {
-        if self.cfg.window <= self.cfg.delta {
-            return Err(SchedError::WindowTooSmall {
-                window: self.cfg.window,
-                delta: self.cfg.delta,
-            });
-        }
-        arrivals.validate(&self.net)?;
-        let arrived: u64 = arrivals.total_packets();
-        for f in arrivals.flows() {
-            if f.routes.len() != 1 {
-                return Err(SchedError::MultiRouteFlow(f.id));
-            }
-            if f.size > 0 {
-                self.backlog.push((f.id, f.routes[0].clone(), 0, f.size));
-            }
-        }
-
-        let mut tr = RemainingTraffic::from_subflows(self.backlog.drain(..), self.cfg.weighting);
-        let output = octopus_on(&self.net, &mut tr, &self.cfg);
+        check_window(self.cfg.window, self.cfg.delta)?;
+        let arrived = admit_epoch(&mut self.engine, &self.net, arrivals)?;
+        let mut fabric = BipartiteFabric {
+            kind: self.cfg.matching,
+        };
+        let run = self.engine.plan_window(
+            &mut fabric,
+            &self.cfg.search_policy(),
+            self.cfg.window,
+            &mut (),
+        )?;
+        let output = OctopusOutput::from_run(run, self.engine.source());
         let delivered = output.planned_delivered;
-        self.backlog = tr.subflows();
-
         self.total_arrived += arrived;
         self.total_delivered += delivered;
         self.epochs += 1;
@@ -129,7 +158,7 @@ impl OnlineScheduler {
 mod tests {
     use super::*;
     use octopus_net::topology;
-    use octopus_traffic::Flow;
+    use octopus_traffic::{Flow, FlowId, Route};
 
     fn cfg(window: u64, delta: u64) -> OctopusConfig {
         OctopusConfig {
@@ -236,41 +265,114 @@ mod tests {
     }
 }
 
+/// Checks a hysteresis policy's knobs: a `window` (epoch or horizon) that
+/// fits one configuration under `delta`, and a factor `eta ≥ 0`.
+///
+/// # Errors
+/// [`SchedError::WindowTooSmall`] when `window ≤ delta`;
+/// [`SchedError::InvalidEta`] when `eta` is negative or NaN.
+pub fn check_hysteresis(window: u64, delta: u64, eta: f64) -> Result<(), SchedError> {
+    check_window(window, delta)?;
+    if eta.is_nan() || eta < 0.0 {
+        return Err(SchedError::InvalidEta(eta));
+    }
+    Ok(())
+}
+
+/// The hysteresis keep/switch rule. The incumbent is valued serving the
+/// whole `horizon`; the fresh candidate — the best configuration
+/// [`ScheduleEngine::select`] finds within `horizon − Δ` slots — is valued
+/// serving `horizon − Δ` (it pays the reconfiguration). The policy switches
+/// only when the candidate is worth more than `1 + eta` times the
+/// incumbent. The served matching is committed on `engine` for its duration
+/// and becomes the new `incumbent`.
+///
+/// Returns the served matching, its duration and whether it is a switch, or
+/// `None` when nothing is held and no packet can move.
+///
+/// # Errors
+/// [`SchedError::Net`] when the search's winner is not a matching
+/// (unreachable with the shipped kernels); nothing is committed then.
+// lint:allow(hot-alloc) — amortized: once per epoch / re-plan; the buffers are the served budgets and the held matching
+pub fn hysteresis_replan<S: TrafficSource + Sync>(
+    engine: &mut ScheduleEngine<S>,
+    fabric: &BipartiteFabric,
+    policy: &SearchPolicy,
+    incumbent: &mut Option<Matching>,
+    horizon: u64,
+    eta: f64,
+) -> Result<Option<(Matching, u64, bool)>, SchedError> {
+    let alpha_if_kept = horizon;
+    let alpha_if_changed = horizon.saturating_sub(engine.delta());
+    let candidate = match engine.select(fabric, alpha_if_changed, CandidateExtension::None, policy)
+    {
+        Some(best) => Some(Matching::new_free(best.matching.iter().copied())?),
+        None => None,
+    };
+    let queues = engine.queues();
+    let value = |m: &Matching, alpha: u64| -> f64 {
+        m.links()
+            .iter()
+            .map(|&(i, j)| queues.g(i.0, j.0, alpha))
+            .sum()
+    };
+    let (serve, alpha, switched) = match (incumbent.take(), candidate) {
+        (None, Some(cand)) => (cand, alpha_if_changed, true),
+        (Some(inc), Some(cand)) => {
+            if value(&cand, alpha_if_changed) > (1.0 + eta) * value(&inc, alpha_if_kept) {
+                (cand, alpha_if_changed, true)
+            } else {
+                (inc, alpha_if_kept, false)
+            }
+        }
+        (Some(inc), None) => (inc, alpha_if_kept, false),
+        (None, None) => return Ok(None),
+    };
+    let budgets: Vec<_> = serve.links().iter().map(|&(i, j)| (i, j, alpha)).collect();
+    engine.commit_budgets(&budgets);
+    *incumbent = Some(serve.clone());
+    Ok(Some((serve, alpha, switched)))
+}
+
 /// A quasi-static **hysteresis** policy in the spirit of Wang & Javidi's
 /// adaptive schedulers (§2 "[37]"): hold one matching per epoch, and
 /// reconfigure only when the best available matching beats the incumbent's
-/// current backlog value by a factor `1 + eta`. Traffic-aware but much
-/// simpler than Octopus — it needs queue weights only at epoch boundaries
-/// and pays at most one reconfiguration per epoch.
+/// current backlog value by a factor `1 + eta` ([`hysteresis_replan`]).
+/// Traffic-aware but much simpler than Octopus — it needs queue weights
+/// only at epoch boundaries and pays at most one reconfiguration per epoch.
 ///
 /// Serves as the online comparison point for [`OnlineScheduler`]; on
 /// multi-hop traffic its single-matching epochs leave chained hops starved,
 /// which is exactly the gap Octopus's per-window sequences close.
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 pub struct HysteresisScheduler {
     net: Network,
     cfg: OctopusConfig,
     /// Hysteresis factor: reconfigure when `best > (1 + eta) * incumbent`.
     eta: f64,
-    incumbent: Option<octopus_net::Matching>,
-    backlog: Vec<(FlowId, Route, u32, u64)>,
+    incumbent: Option<Matching>,
+    /// The backlog: packets awaiting service, at sources or mid-route.
+    engine: ScheduleEngine<RemainingTraffic>,
     total_arrived: u64,
     total_delivered: u64,
 }
 
 impl HysteresisScheduler {
     /// Creates the policy; `cfg.window` is the epoch length.
-    pub fn new(net: Network, cfg: OctopusConfig, eta: f64) -> Self {
-        assert!(eta >= 0.0, "hysteresis factor must be non-negative");
-        HysteresisScheduler {
+    ///
+    /// # Errors
+    /// See [`check_hysteresis`].
+    pub fn new(net: Network, cfg: OctopusConfig, eta: f64) -> Result<Self, SchedError> {
+        check_hysteresis(cfg.window, cfg.delta, eta)?;
+        Ok(HysteresisScheduler {
+            engine: empty_engine(&net, &cfg),
             net,
             cfg,
             eta,
             incumbent: None,
-            backlog: Vec::new(),
             total_arrived: 0,
             total_delivered: 0,
-        }
+        })
     }
 
     /// Lifetime delivered / arrived fraction.
@@ -283,93 +385,41 @@ impl HysteresisScheduler {
 
     /// Packets currently queued.
     pub fn backlog_packets(&self) -> u64 {
-        self.backlog.iter().map(|&(_, _, _, c)| c).sum()
+        self.engine.source().remaining_packets()
     }
 
     /// Admits arrivals and serves one epoch with a single matching.
     pub fn run_epoch(&mut self, arrivals: &TrafficLoad) -> Result<EpochReport, SchedError> {
-        arrivals.validate(&self.net)?;
-        let arrived = arrivals.total_packets();
-        for f in arrivals.flows() {
-            if f.routes.len() != 1 {
-                return Err(SchedError::MultiRouteFlow(f.id));
-            }
-            if f.size > 0 {
-                self.backlog.push((f.id, f.routes[0].clone(), 0, f.size));
-            }
-        }
-        let mut tr = RemainingTraffic::from_subflows(self.backlog.drain(..), self.cfg.weighting);
-        let mut engine = crate::ScheduleEngine::new(&mut tr, self.net.num_nodes(), self.cfg.delta);
-
-        // Value of a matching against the current queues, at epoch length.
-        let alpha_if_kept = self.cfg.window; // no reconfiguration spent
-        let alpha_if_changed = self.cfg.window.saturating_sub(self.cfg.delta);
-        let (serve, alpha) = {
-            let queues = engine.queues();
-            let value = |m: &octopus_net::Matching, alpha: u64| -> f64 {
-                m.links()
-                    .iter()
-                    .map(|&(i, j)| queues.g(i.0, j.0, alpha))
-                    .sum()
-            };
-            let best = crate::best_configuration(
-                queues,
-                self.cfg.delta,
-                alpha_if_changed.max(1),
-                crate::AlphaSearch::Exhaustive,
-                self.cfg.matching,
-                false,
-            );
-            let candidate = best.and_then(|b| {
-                let Ok(m) = octopus_net::Matching::new_free(b.matching.iter().copied()) else {
-                    debug_assert!(false, "kernel outputs are valid matchings");
-                    return None;
-                };
-                Some(m)
-            });
-
-            match (&self.incumbent, candidate) {
-                (None, Some(cand)) => (Some(cand), alpha_if_changed),
-                (Some(inc), Some(cand)) => {
-                    let keep_value = value(inc, alpha_if_kept);
-                    let switch_value = value(&cand, alpha_if_changed);
-                    if switch_value > (1.0 + self.eta) * keep_value {
-                        (Some(cand), alpha_if_changed)
-                    } else {
-                        (Some(inc.clone()), alpha_if_kept)
-                    }
-                }
-                (Some(inc), None) => (Some(inc.clone()), alpha_if_kept),
-                (None, None) => (None, 0),
-            }
-        };
-
+        let arrived = admit_epoch(&mut self.engine, &self.net, arrivals)?;
+        let served = hysteresis_replan(
+            &mut self.engine,
+            &BipartiteFabric {
+                kind: self.cfg.matching,
+            },
+            &self.cfg.search_policy(),
+            &mut self.incumbent,
+            self.cfg.window,
+            self.eta,
+        )?;
         let mut schedule = Schedule::new();
-        let delivered_before = engine.source().planned_delivered();
-        let psi_before = engine.source().planned_psi();
-        if let (Some(m), true) = (&serve, alpha > 0) {
-            let budgets: Vec<(octopus_net::NodeId, octopus_net::NodeId, u64)> =
-                m.links().iter().map(|&(i, j)| (i, j, alpha)).collect();
-            engine.commit_budgets(&budgets);
-            schedule.push(octopus_net::Configuration::new(m.clone(), alpha));
+        if let Some((matching, alpha, _)) = served {
+            schedule.push(Configuration::new(matching, alpha));
         }
-        drop(engine);
-        self.incumbent = serve;
-        self.backlog = tr.subflows();
-        let delivered = tr.planned_delivered() - delivered_before;
+        let tr = self.engine.source();
+        let delivered = tr.planned_delivered();
         self.total_arrived += arrived;
         self.total_delivered += delivered;
         Ok(EpochReport {
-            output: crate::OctopusOutput {
+            output: OctopusOutput {
                 schedule,
-                planned_psi: tr.planned_psi() - psi_before,
+                planned_psi: tr.planned_psi(),
                 planned_delivered: delivered,
                 iterations: 1,
                 matchings_computed: 1,
             },
             arrived,
             delivered,
-            backlog: self.backlog_packets(),
+            backlog: tr.remaining_packets(),
         })
     }
 }
@@ -378,7 +428,7 @@ impl HysteresisScheduler {
 mod hysteresis_tests {
     use super::*;
     use octopus_net::topology;
-    use octopus_traffic::Flow;
+    use octopus_traffic::{Flow, FlowId, Route};
 
     fn cfg(window: u64, delta: u64) -> OctopusConfig {
         OctopusConfig {
@@ -399,7 +449,7 @@ mod hysteresis_tests {
     #[test]
     fn holds_matching_while_traffic_is_stable() {
         let net = topology::complete(4);
-        let mut pol = HysteresisScheduler::new(net, cfg(100, 20), 0.2);
+        let mut pol = HysteresisScheduler::new(net, cfg(100, 20), 0.2).unwrap();
         // Same heavy demand every epoch: after the first configuration, the
         // incumbent should be kept (no more reconfigurations).
         let arrivals = TrafficLoad::new(vec![flow(1, 80, &[0, 1])]).unwrap();
@@ -415,7 +465,7 @@ mod hysteresis_tests {
     #[test]
     fn switches_when_demand_shifts_enough() {
         let net = topology::complete(4);
-        let mut pol = HysteresisScheduler::new(net, cfg(100, 10), 0.1);
+        let mut pol = HysteresisScheduler::new(net, cfg(100, 10), 0.1).unwrap();
         pol.run_epoch(&TrafficLoad::new(vec![flow(1, 50, &[0, 1])]).unwrap())
             .unwrap();
         // Demand moves entirely to (2,3): the policy must switch.
@@ -434,7 +484,7 @@ mod hysteresis_tests {
         let net = topology::ring(4).unwrap();
         let epoch_cfg = cfg(120, 10);
         let mut oct = OnlineScheduler::new(net.clone(), epoch_cfg);
-        let mut hys = HysteresisScheduler::new(net, epoch_cfg, 0.1);
+        let mut hys = HysteresisScheduler::new(net, epoch_cfg, 0.1).unwrap();
         for e in 0..4u64 {
             let arrivals = TrafficLoad::new(vec![flow(e, 40, &[0, 1, 2])]).unwrap();
             oct.run_epoch(&arrivals).unwrap();

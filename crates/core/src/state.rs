@@ -233,6 +233,17 @@ impl RemainingTraffic {
         self.psi
     }
 
+    /// Starts a new planning horizon over the waiting packets: ψ and the
+    /// delivered count restart at zero and delivered packets leave the
+    /// total, exactly as if `T^r` were rebuilt cold from
+    /// [`RemainingTraffic::subflows`] — so the next horizon's figures are
+    /// summed in the same floating-point order as on a rebuilt plan.
+    pub fn reset_planned(&mut self) {
+        self.total -= self.delivered;
+        self.delivered = 0;
+        self.psi = 0.0;
+    }
+
     /// Whether every packet has (planned to) come home.
     pub fn is_drained(&self) -> bool {
         self.remaining_packets() == 0

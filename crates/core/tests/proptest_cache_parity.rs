@@ -89,12 +89,12 @@ fn run_cached(
     cache: &mut ScheduleCache,
 ) -> (PlanShape, u64, u64, CacheOutcome) {
     let mut tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("validated load");
-    let fabric = BipartiteFabric {
+    let mut fabric = BipartiteFabric {
         kind: MatchingKind::Exact,
     };
     let (configs, outcome) = {
         let mut engine = ScheduleEngine::new(&mut tr, n, delta);
-        let plan = plan_window_cached(&mut engine, &fabric, policy, window, cache, 0)
+        let plan = plan_window_cached(&mut engine, &mut fabric, policy, window, cache, 0)
             .expect("realizable plan");
         (plan.configs, plan.outcome)
     };

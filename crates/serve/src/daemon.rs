@@ -9,11 +9,12 @@
 //! what keeps per-event cost independent of the backlog size.
 
 use crate::protocol::{Event, PlanConfig, Response, ServeStats};
+use octopus_core::online::{check_hysteresis, hysteresis_replan};
 use octopus_core::{
-    best_configuration, plan_window_cached, BipartiteFabric, CacheConfig, MatchingKind,
-    OctopusConfig, RemainingTraffic, SchedError, ScheduleCache, ScheduleEngine, SearchPolicy,
+    plan_window_cached, BipartiteFabric, CacheConfig, MatchingKind, OctopusConfig,
+    RemainingTraffic, SchedError, ScheduleCache, ScheduleEngine,
 };
-use octopus_net::{Matching, Network, NodeId};
+use octopus_net::{Matching, Network};
 use octopus_traffic::{FlowId, Route};
 use std::time::Instant;
 
@@ -94,14 +95,10 @@ impl ServeState {
     ///
     /// # Errors
     /// [`SchedError::WindowTooSmall`] when the horizon cannot fit one
-    /// configuration (`horizon ≤ delta`).
+    /// configuration (`horizon ≤ delta`), [`SchedError::InvalidEta`] when
+    /// `eta` is negative or NaN.
     pub fn new(net: Network, cfg: ServeConfig) -> Result<Self, SchedError> {
-        if cfg.horizon <= cfg.delta {
-            return Err(SchedError::WindowTooSmall {
-                window: cfg.horizon,
-                delta: cfg.delta,
-            });
-        }
+        check_hysteresis(cfg.horizon, cfg.delta, cfg.eta)?;
         let tr = RemainingTraffic::from_subflows(std::iter::empty(), cfg.octopus.weighting);
         let n = net.num_nodes();
         let delta = cfg.delta;
@@ -195,65 +192,29 @@ impl ServeState {
         })
     }
 
-    /// Hysteresis core (adapted from `octopus_core::online`): value the
-    /// incumbent at the full horizon against the best fresh matching at
-    /// `horizon − Δ`, switch only on a `1 + eta` improvement. Unlike the
-    /// epoch scheduler there, this never rebuilds `T^r` — it prices both
-    /// candidates on the engine's incrementally patched snapshot.
+    /// Hysteresis core: the shared keep/switch rule
+    /// ([`octopus_core::online::hysteresis_replan`]) over the horizon, on
+    /// the engine's incrementally patched snapshot. Reports the served
+    /// configuration only when it is a switch.
     fn replan_hysteresis(&mut self) -> Result<Vec<PlanConfig>, SchedError> {
-        let alpha_if_kept = self.cfg.horizon;
-        let alpha_if_changed = self.cfg.horizon.saturating_sub(self.cfg.delta).max(1);
-        let (serve, alpha, switched) = {
-            let queues = self.engine.queues();
-            let value = |m: &Matching, alpha: u64| -> f64 {
-                m.links()
-                    .iter()
-                    .map(|&(i, j)| queues.g(i.0, j.0, alpha))
-                    .sum()
-            };
-            let best = best_configuration(
-                queues,
-                self.cfg.delta,
-                alpha_if_changed,
-                self.cfg.octopus.alpha_search,
-                self.cfg.octopus.matching,
-                self.cfg.octopus.parallel,
-            );
-            let candidate = match best {
-                Some(b) => Some(Matching::new_free(b.matching.iter().copied())?),
-                None => None,
-            };
-            match (&self.incumbent, candidate) {
-                (None, Some(cand)) => (Some(cand), alpha_if_changed, true),
-                (Some(inc), Some(cand)) => {
-                    let keep_value = value(inc, alpha_if_kept);
-                    let switch_value = value(&cand, alpha_if_changed);
-                    if switch_value > (1.0 + self.cfg.eta) * keep_value {
-                        (Some(cand), alpha_if_changed, true)
-                    } else {
-                        (Some(inc.clone()), alpha_if_kept, false)
-                    }
-                }
-                (Some(inc), None) => (Some(inc.clone()), alpha_if_kept, false),
-                (None, None) => (None, 0, false),
-            }
+        let fabric = BipartiteFabric {
+            kind: self.cfg.octopus.matching,
         };
-        let mut configs = Vec::new();
-        if let Some(m) = serve {
-            if alpha > 0 {
-                let budgets: Vec<(NodeId, NodeId, u64)> =
-                    m.links().iter().map(|&(i, j)| (i, j, alpha)).collect();
-                self.engine.commit_budgets(&budgets);
-                if switched {
-                    configs.push(PlanConfig {
-                        links: m.links().iter().map(|&(i, j)| (i.0, j.0)).collect(),
-                        alpha,
-                    });
-                }
-                self.incumbent = Some(m);
-            }
-        }
-        Ok(configs)
+        let served = hysteresis_replan(
+            &mut self.engine,
+            &fabric,
+            &self.cfg.octopus.search_policy(),
+            &mut self.incumbent,
+            self.cfg.horizon,
+            self.cfg.eta,
+        )?;
+        Ok(match served {
+            Some((m, alpha, true)) => vec![PlanConfig {
+                links: m.links().iter().map(|&(i, j)| (i.0, j.0)).collect(),
+                alpha,
+            }],
+            _ => Vec::new(),
+        })
     }
 
     /// Greedy core: one offline-style window over the horizon, routed
@@ -263,14 +224,8 @@ impl ServeState {
     /// schedule is bit-identical to an uncached re-plan either way (see
     /// `octopus_core::memo`).
     fn replan_octopus(&mut self) -> Result<Vec<PlanConfig>, SchedError> {
-        let fabric = BipartiteFabric {
+        let mut fabric = BipartiteFabric {
             kind: self.cfg.octopus.matching,
-        };
-        let policy = SearchPolicy {
-            search: self.cfg.octopus.alpha_search,
-            parallel: self.cfg.octopus.parallel,
-            prefer_larger_alpha: false,
-            kernel: self.cfg.octopus.kernel,
         };
         // The context hash covers the policy/window/Δ; the matching kind
         // (which also selects among schedules) rides in via the salt.
@@ -281,8 +236,8 @@ impl ServeState {
         };
         let plan = plan_window_cached(
             &mut self.engine,
-            &fabric,
-            &policy,
+            &mut fabric,
+            &self.cfg.octopus.search_policy(),
             self.cfg.horizon,
             &mut self.cache,
             salt,

@@ -312,3 +312,34 @@ fn cache_replays_identical_windows_and_invalidates_on_interning() {
         other => panic!("expected stats, got {other:?}"),
     }
 }
+
+#[test]
+fn binary_rejects_negative_and_nan_eta() {
+    for eta in ["-5", "NaN"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_octopus-serve"))
+            .args(["--complete", "4", "--eta", eta])
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("daemon binary runs");
+        assert!(!out.status.success(), "--eta {eta} must fail");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("bad configuration"),
+            "--eta {eta}: {stderr}"
+        );
+    }
+}
+
+#[test]
+fn constructor_rejects_negative_and_nan_eta() {
+    for eta in [-5.0, f64::NAN] {
+        let cfg = ServeConfig {
+            eta,
+            ..ServeConfig::default()
+        };
+        assert!(
+            ServeState::new(topology::complete(4), cfg).is_err(),
+            "eta {eta}"
+        );
+    }
+}

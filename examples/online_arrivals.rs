@@ -25,7 +25,8 @@ fn main() {
     };
 
     let mut octopus = OnlineScheduler::new(net.clone(), cfg);
-    let mut hysteresis = HysteresisScheduler::new(net.clone(), cfg, 0.1);
+    let mut hysteresis =
+        HysteresisScheduler::new(net.clone(), cfg, 0.1).expect("epoch fits a configuration");
     let mut rng = StdRng::seed_from_u64(77);
     let mut next_id = 0u64;
 

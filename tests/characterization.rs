@@ -1,0 +1,155 @@
+//! Characterization of the scheduler variants' exact output: for two fixed
+//! seeded instances each, a digest of the schedule, the planned ψ bits and
+//! the planned delivered count are pinned for K-port, duplex, localized,
+//! Octopus+ and the one-hop (Eclipse) scheduler. A refactor of the shared
+//! greedy loop must leave every pinned value unchanged; a deliberate change
+//! of behaviour updates the table below and says why.
+
+use octopus_mhs::baselines::{one_hop_schedule, OneHopDemand};
+use octopus_mhs::core::{
+    duplex::octopus_duplex,
+    kport::octopus_kport,
+    local::octopus_local,
+    octopus_plus::{octopus_plus, PlusConfig},
+    AlphaSearch, MatchingKind, OctopusConfig,
+};
+use octopus_mhs::net::duplex::DuplexNetwork;
+use octopus_mhs::net::{topology, Network, Schedule};
+use octopus_mhs::traffic::{synthetic, synthetic::SyntheticConfig, TrafficLoad};
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+
+const N: u32 = 10;
+const WINDOW: u64 = 800;
+const DELTA: u64 = 10;
+const SEEDS: [u64; 2] = [11, 12];
+
+/// FNV-1a over every configuration's α and links, in serve order.
+fn digest(schedule: &Schedule) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    let mut word = |w: u64| {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    };
+    for c in schedule.configs() {
+        word(c.alpha);
+        for &(i, j) in c.matching.links() {
+            word(u64::from(i.0));
+            word(u64::from(j.0));
+        }
+    }
+    h
+}
+
+fn cfg() -> OctopusConfig {
+    OctopusConfig {
+        window: WINDOW,
+        delta: DELTA,
+        ..OctopusConfig::default()
+    }
+}
+
+fn load(net: &Network, seed: u64, routes: u32) -> TrafficLoad {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let synth = SyntheticConfig::paper_default(N, WINDOW);
+    if routes == 1 {
+        synthetic::generate(&synth, net, &mut rng)
+    } else {
+        synthetic::generate_with_routes(&synth, net, &mut rng, routes)
+    }
+}
+
+fn complete_duplex() -> DuplexNetwork {
+    let edges = (0..N).flat_map(|a| (a + 1..N).map(move |b| (a, b)));
+    DuplexNetwork::from_edges(N, edges).expect("complete duplex fabric")
+}
+
+/// `(variant, seed) → (schedule digest, ψ bits, delivered)` for every
+/// pinned variant and seed.
+fn observed() -> Vec<(String, u64, u64, u64)> {
+    let net = topology::complete(N);
+    let duplex = complete_duplex();
+    let mut out = Vec::new();
+    for seed in SEEDS {
+        let single = load(&net, seed, 1);
+        let mut push = |name: &str, schedule: &Schedule, psi: f64, delivered: u64| {
+            out.push((
+                format!("{name}/{seed}"),
+                digest(schedule),
+                psi.to_bits(),
+                delivered,
+            ));
+        };
+        let k = octopus_kport(&net, &single, &cfg(), 2).expect("kport");
+        push("kport", &k.schedule, k.planned_psi, k.planned_delivered);
+        let d =
+            octopus_duplex(&duplex, &load(&duplex.to_directed(), seed, 1), &cfg()).expect("duplex");
+        push("duplex", &d.schedule, d.planned_psi, d.planned_delivered);
+        let l = octopus_local(&net, &single, &cfg()).expect("local");
+        push("local", &l.schedule, l.planned_psi, l.planned_delivered);
+        let plus_cfg = PlusConfig {
+            base: cfg(),
+            backtracking: true,
+        };
+        let p = octopus_plus(&net, &load(&net, seed, 3), &plus_cfg).expect("plus");
+        push("plus", &p.schedule, p.planned_psi, p.planned_delivered);
+        // One demand per hop of every flow, weighted 1/hops as in the UB run.
+        let demands: Vec<OneHopDemand> = single
+            .flows()
+            .iter()
+            .flat_map(|f| {
+                let route = &f.routes[0];
+                let hops = route.hops();
+                (0..hops).map(move |k| {
+                    let (src, dst) = route.hop(k);
+                    OneHopDemand {
+                        src,
+                        dst,
+                        size: f.size,
+                        weight: 1.0 / f64::from(hops),
+                        tag: f.id.0 * 8 + u64::from(k),
+                    }
+                })
+            })
+            .collect();
+        let o = one_hop_schedule(
+            N,
+            &demands,
+            DELTA,
+            WINDOW,
+            AlphaSearch::Exhaustive,
+            MatchingKind::Exact,
+        );
+        let served: u64 = o.served.iter().sum();
+        push("one_hop", &o.schedule, o.psi, served);
+    }
+    out
+}
+
+#[test]
+fn variant_outputs_match_the_pinned_table() {
+    let pinned: [(&str, u64, u64, u64); 10] = [
+        ("kport/11", 0xb30e72ad05c51cab, 0x40b92d0000000000, 5630),
+        ("duplex/11", 0xf54f53bb6877fbd3, 0x40a7ac0000000000, 2580),
+        ("local/11", 0x1b366c46be84d0e9, 0x40b1eaaaaaaaaaab, 3720),
+        ("plus/11", 0xf515430348090cac, 0x40b8c0aaaaaaaaaa, 6020),
+        ("one_hop/11", 0x80e162a5046ea95e, 0x40b2915555555556, 6960),
+        ("kport/12", 0x34bfbc12b941abc0, 0x40b88eaaaaaaaaab, 5720),
+        ("duplex/12", 0xabb6b02dfffcdfe8, 0x40a61c0000000000, 2130),
+        ("local/12", 0xe7bc739ba439e029, 0x40b01d0000000000, 3380),
+        ("plus/12", 0xba7948fec9fe6a45, 0x40b9640000000000, 6220),
+        ("one_hop/12", 0xc2d486b4edf5cfb8, 0x40b25c0000000000, 7000),
+    ];
+    let got = observed();
+    let table: Vec<String> = got
+        .iter()
+        .map(|(name, d, psi, del)| format!("(\"{name}\", {d:#x}, {psi:#x}, {del}),"))
+        .collect();
+    let want: Vec<(String, u64, u64, u64)> = pinned
+        .iter()
+        .map(|&(name, d, psi, del)| (name.to_string(), d, psi, del))
+        .collect();
+    assert_eq!(got, want, "observed table:\n{}", table.join("\n"));
+}
