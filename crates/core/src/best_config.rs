@@ -37,7 +37,7 @@ use octopus_matching::{
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 
 /// How candidate α values are searched each iteration.
@@ -240,6 +240,9 @@ struct KernelWorkspace {
     greedy: GreedyScratch,
     ints: Vec<u64>,
     out: Vec<(u32, u32)>,
+    /// Dual row scratch: a solve's right-side duals on their way into the
+    /// search's [`DualTable`], or a table row on its way into a bound.
+    z: Vec<f64>,
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
     /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
     loaded_sweep: u64,
@@ -256,39 +259,209 @@ thread_local! {
 /// aliases a real sweep.
 static SWEEP_IDS: AtomicU64 = AtomicU64::new(1);
 
+/// Pads a certified upper bound on a matching weight outward, so that the
+/// strict α-search cut (`bound < incumbent score` ⇒ skip) stays sound in
+/// floating point.
+///
+/// Each bound the cut compares — the sweep's row/column-max bound and the
+/// weak-duality bound — is at least the kernel's matching weight in exact
+/// arithmetic, but both sides are float sums, summed in different orders:
+/// the bound of `m` rounded non-negative terms, the kernel's weight
+/// (`last_weight`, summed in matching order) of at most `n` terms. The
+/// recursive-summation error bound (Higham, *Accuracy and Stability of
+/// Numerical Algorithms*, §4.2: `|fl(Σxᵢ) − Σxᵢ| ≤ γₖ Σ|xᵢ|`,
+/// `γₖ = k·u / (1 − k·u)`, `u = ε/2`) puts the computed weight at most
+/// `(1 + γₙ) / (1 − γₘ)` times the computed bound. With `terms ≥ m + n`,
+/// the factor `1 + (terms + 2)·ε = 1 + 2(terms + 2)·u` covers that ratio
+/// and the rounding of the product itself for every `terms·u ≪ 1` (any
+/// real fabric). Without the pad a bound that is tight in exact arithmetic
+/// (an α's own optimal duals, or a column whose row maxima form the optimal
+/// matching) can land one ulp below the kernel's score, and under an exact
+/// score tie the strict cut would then drop a winner. Dividing both sides by
+/// the same `α + Δ` afterwards is monotone, so the score bound stays safe.
+/// Weights are rational hop weights far above the subnormal range, so
+/// underflow is not a concern.
+pub(crate) fn outward(bound: f64, terms: usize) -> f64 {
+    bound * (1.0 + (terms + 2) as f64 * f64::EPSILON)
+}
+
+/// The right-side duals `z ≥ 0` of every candidate α one search solved
+/// exactly, one row of `n` entries per candidate (`alphas` ascending).
+///
+/// A row is written once, by whichever worker solved its α, and published
+/// by its `ready` flag (release store / acquire load), so the bounds of
+/// candidates evaluated later — on any worker — read only complete rows.
+/// Rows are stored as `f64` bits in atomics only to make that sharing
+/// data-race-free; nothing else synchronizes on them.
+#[derive(Debug)]
+pub(crate) struct DualTable {
+    n: usize,
+    alphas: Vec<u64>,
+    z: Vec<AtomicU64>,
+    ready: Vec<AtomicBool>,
+}
+
+impl DualTable {
+    /// An empty table for the ascending candidates `alphas` of an `n`-port
+    /// fabric. Callers allocate it *before* the sweep's weight matrix: the
+    /// table outlives the select (the engine keeps it for the next one), and
+    /// allocated after the matrix it would sit above the matrix's freed
+    /// block and fragment the heap (peak RSS +13% on a 256-port window).
+    // lint:allow(hot-alloc) — amortized: one K × n table per select, next to the sweep's K × E weight matrix
+    pub(crate) fn new(alphas: &[u64], n: usize) -> Self {
+        DualTable {
+            n,
+            alphas: alphas.to_vec(),
+            z: (0..alphas.len() * n).map(|_| AtomicU64::new(0)).collect(),
+            ready: (0..alphas.len()).map(|_| AtomicBool::new(false)).collect(),
+        }
+    }
+
+    /// Stores `z` as row `k` and publishes it. A row of the wrong length (a
+    /// kernel that carried no price signal) is not stored.
+    fn publish(&self, k: usize, z: &[f64]) {
+        if z.len() != self.n {
+            return;
+        }
+        for (slot, &v) in self.z[k * self.n..(k + 1) * self.n].iter().zip(z) {
+            // lint:allow(atomic-ordering) — proof: the row is published by the Release store of `ready[k]` below; readers load entries only after an Acquire load of that flag sees `true`.
+            slot.store(v.to_bits(), Ordering::Relaxed);
+        }
+        self.ready[k].store(true, Ordering::Release);
+    }
+
+    fn is_ready(&self, k: usize) -> bool {
+        self.ready[k].load(Ordering::Acquire)
+    }
+
+    /// Copies row `k` into `out` (which must have been seen ready).
+    fn copy_row(&self, k: usize, out: &mut Vec<f64>) {
+        out.clear();
+        out.extend(
+            self.z[k * self.n..(k + 1) * self.n]
+                .iter()
+                // lint:allow(atomic-ordering) — proof: callers copy a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
+                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))),
+        );
+    }
+
+    /// Copies into `out` the published row whose α is nearest to `alpha`
+    /// (the smaller α on a tie) and returns `true`, or returns `false` when
+    /// no row is published. Sorted αs make the nearest published row on
+    /// each side the first one met scanning outward.
+    pub(crate) fn nearest(&self, alpha: u64, out: &mut Vec<f64>) -> bool {
+        let pos = self.alphas.partition_point(|&a| a < alpha);
+        let below = (0..pos).rev().find(|&k| self.is_ready(k));
+        let above = (pos..self.alphas.len()).find(|&k| self.is_ready(k));
+        let k = match (below, above) {
+            (Some(lo), Some(hi)) => {
+                if alpha - self.alphas[lo] <= self.alphas[hi] - alpha {
+                    lo
+                } else {
+                    hi
+                }
+            }
+            (Some(k), None) | (None, Some(k)) => k,
+            (None, None) => return false,
+        };
+        self.copy_row(k, out);
+        true
+    }
+}
+
 /// One iteration's batched α-search context: the fixed edge topology with one
 /// weight column and one matching-weight upper bound per candidate α
 /// ([`LinkQueues::weighted_edges_multi`]), tagged with a process-unique id so
 /// per-thread workspaces know when their loaded CSR topology is current.
-pub(crate) struct SweepContext {
+///
+/// It also carries the dual sources that tighten the search's bounds: the
+/// table this search fills with each exact solve's right-side duals, the
+/// previous search's table (`prior`), and a schedule-cache entry's prices.
+/// Every source enters only through the weak-duality bound, which is valid
+/// for any `z ≥ 0`, so none of them can change the winner.
+pub(crate) struct SweepContext<'p> {
     sweep: MultiAlphaEdges,
     id: u64,
+    duals: DualTable,
+    prior: Option<&'p DualTable>,
+    prices: Option<&'p [f64]>,
 }
 
-impl SweepContext {
-    pub(crate) fn new(sweep: MultiAlphaEdges) -> Self {
+impl<'p> SweepContext<'p> {
+    /// A context over `sweep` that records its solves' duals in `duals`, a
+    /// fresh [`DualTable`] over the same candidates.
+    pub(crate) fn new(
+        sweep: MultiAlphaEdges,
+        duals: DualTable,
+        prior: Option<&'p DualTable>,
+        prices: Option<&'p [f64]>,
+    ) -> Self {
+        debug_assert_eq!(duals.alphas, sweep.alphas(), "table and sweep disagree");
         SweepContext {
             sweep,
             // lint:allow(atomic-ordering) — proof: fetch_add is a single atomic RMW; uniqueness of the returned ids is guaranteed at any ordering and nothing else is synchronized on it.
             id: SWEEP_IDS.fetch_add(1, Ordering::Relaxed),
+            duals,
+            prior,
+            prices,
         }
     }
 
-    /// Optimistic score bound for one swept candidate α.
-    pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
-        self.sweep.upper_bound(self.sweep.index_of(alpha)) / (alpha + delta) as f64
+    /// The duals this search solved, for the next search to start from.
+    pub(crate) fn into_duals(self) -> DualTable {
+        self.duals
     }
 
-    /// A certified weak-duality score bound for one swept α from cached
-    /// dual prices `z ≥ 0` (one entry per right port): re-deriving
-    /// `y_u := max_v (w(u,v) − z_v)⁺` from scratch makes `(y, z)` dual-
-    /// feasible for **any** `z ≥ 0`, however stale, so
-    /// `Σ_u y_u + Σ_v z_v` upper-bounds every matching weight of this α's
-    /// column. Cached prices therefore tighten pruning without ever being
-    /// trusted — a poor `z` merely loosens the bound, and callers take the
-    /// `min` with the sweep's own bound.
-    pub(crate) fn dual_score_bound(&self, alpha: u64, delta: u64, z: &[f64]) -> f64 {
-        let col = self.sweep.column(self.sweep.index_of(alpha));
+    /// The eager score bound of one swept candidate α, which both orders
+    /// and cuts the bound-descending scan: the sweep's row/column-max bound,
+    /// tightened by the weak-duality bound under the cache's prices and
+    /// under the previous search's duals of the nearest α.
+    pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
+        let k = self.sweep.index_of(alpha);
+        let n = self.sweep.n() as usize;
+        let mut ub = outward(self.sweep.upper_bound(k), 2 * n);
+        if let Some(z) = self.prices {
+            ub = ub.min(self.dual_bound(k, z));
+        }
+        if let Some(prior) = self.prior {
+            ub = ub.min(self.nearest_dual_bound(prior, k));
+        }
+        ub / (alpha + delta) as f64
+    }
+
+    /// The lazy score bound of one swept candidate α: the weak-duality bound
+    /// under the duals this search already solved for the nearest α
+    /// (`+∞` before the first exact solve). It costs a pass over the column,
+    /// so the search consults it only for candidates that survive the eager
+    /// cut.
+    pub(crate) fn solved_score_bound(&self, alpha: u64, delta: u64) -> f64 {
+        self.nearest_dual_bound(&self.duals, self.sweep.index_of(alpha)) / (alpha + delta) as f64
+    }
+
+    /// [`SweepContext::dual_bound`] for column `k` under the published row
+    /// of `table` nearest to its α (`+∞` when the table has none).
+    fn nearest_dual_bound(&self, table: &DualTable, k: usize) -> f64 {
+        let alpha = self.sweep.alphas()[k];
+        KERNEL_WS.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            if table.nearest(alpha, &mut ws.z) {
+                self.dual_bound(k, &ws.z)
+            } else {
+                f64::INFINITY
+            }
+        })
+    }
+
+    /// A certified weak-duality bound on every matching weight of column
+    /// `k`, from dual prices `z ≥ 0` (one entry per right port), padded by
+    /// [`outward`]: re-deriving `y_u := max_v (w(u,v) − z_v)⁺` from scratch
+    /// makes `(y, z)` dual-feasible for **any** `z ≥ 0`, however stale, so
+    /// `Σ_u y_u + Σ_v z_v` bounds the column's maximum matching weight.
+    /// Duals from other columns, other iterations or the cache therefore
+    /// tighten pruning without ever being trusted — a poor `z` merely
+    /// loosens the bound.
+    fn dual_bound(&self, k: usize, z: &[f64]) -> f64 {
+        let col = self.sweep.column(k);
         let edges = self.sweep.edges();
         // Edges are `(u, v)`-sorted, so each left port's enabled entries
         // form one contiguous run — a single pass accumulates the per-u
@@ -313,13 +486,18 @@ impl SweepContext {
         }
         y_total += cur_best;
         let z_total: f64 = z.iter().sum();
-        (y_total + z_total) / (alpha + delta) as f64
+        // y: ≤ n rounded slacks summed; z: its own length; one final add;
+        // plus the ≤ n terms of the kernel's weight.
+        let n = self.sweep.n() as usize;
+        outward(y_total + z_total, 2 * n + z.len() + 1)
     }
 
     /// Evaluates one swept candidate α on this thread's workspace: reloads
     /// the topology only when the workspace last solved a different sweep,
-    /// then re-solves the α's weight column in place. Allocation-free after
-    /// the first candidate except for the returned matching itself.
+    /// then re-solves the α's weight column in place and, for the exact
+    /// kernels, publishes the solve's right-side duals into this search's
+    /// [`DualTable`]. Allocation-free after the first candidate except for
+    /// the returned matching itself.
     ///
     /// Results are bit-identical to the per-α path
     /// ([`crate::BipartiteFabric`]'s `Fabric::evaluate`): same effective
@@ -334,7 +512,8 @@ impl SweepContext {
         kind: MatchingKind,
         kernel: ExactKernel,
     ) -> BestChoice {
-        let col = self.sweep.column(self.sweep.index_of(alpha));
+        let k = self.sweep.index_of(alpha);
+        let col = self.sweep.column(k);
         let edges = self.sweep.edges();
         let n = self.sweep.n();
         // Auto resolves per column — the pick is a pure function of the
@@ -349,6 +528,8 @@ impl SweepContext {
                         ws.loaded_sweep_auction = self.id;
                     }
                     ws.auction.solve_reweighted(col);
+                    ws.auction.right_prices(&mut ws.z);
+                    self.duals.publish(k, &ws.z);
                     (ws.auction.matching().to_vec(), ws.auction.last_weight())
                 }
                 MatchingKind::Exact => {
@@ -357,6 +538,8 @@ impl SweepContext {
                         ws.loaded_sweep = self.id;
                     }
                     ws.solver.solve_reweighted(col);
+                    ws.solver.right_duals(&mut ws.z);
+                    self.duals.publish(k, &ws.z);
                     (ws.solver.matching().to_vec(), ws.solver.last_weight())
                 }
                 MatchingKind::GreedySort => {
@@ -489,11 +672,18 @@ pub fn best_configuration(
         kernel: ExactKernel::default(),
     };
     let kernel = policy.kernel.resolved();
-    let ctx = SweepContext::new(queues.weighted_edges_multi(&candidates));
+    let duals = DualTable::new(&candidates, queues.n() as usize);
+    let ctx = SweepContext::new(queues.weighted_edges_multi(&candidates), duals, None, None);
     let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-    search_alpha(&candidates, &policy, Some(&ub), &|alpha| {
-        ctx.eval(alpha, delta, kind, kernel)
-    })
+    let solved = |alpha: u64| ctx.solved_score_bound(alpha, delta);
+    search_alpha_seeded(
+        &candidates,
+        &policy,
+        Some(&ub),
+        Some(&solved),
+        &|alpha| ctx.eval(alpha, delta, kind, kernel),
+        None,
+    )
     .filter(|c| c.benefit > 0.0)
 }
 
@@ -558,12 +748,12 @@ where
 /// is ignored. The ternary search ignores seeds entirely: its probe sequence
 /// is part of the Octopus-B contract and must not depend on cache state.
 ///
-/// `refine` is an optional *second-tier* upper bound, typically more
-/// expensive than `ub` (the warm-start weak-duality bound is O(edges) per
-/// candidate where the sweep bound is precomputed). It is consulted lazily,
-/// only for candidates that already survived the `ub` cut, and prunes with
-/// the same strict comparison — so it must also be a true upper bound on
-/// the candidate's exact score, and like `ub` it can only skip provably
+/// `refine` is an optional *second-tier* upper bound that may tighten as
+/// the search runs (the weak-duality bound under the duals of the nearest α
+/// solved so far, O(edges) per call). It is consulted lazily, only for
+/// candidates that already survived the `ub` cut, and prunes with the same
+/// strict comparison — so it must also be a true upper bound on the
+/// candidate's exact score, and like `ub` it can only skip provably
 /// dominated candidates, never change the winner.
 pub(crate) fn search_alpha_seeded<E>(
     candidates: &[u64],
@@ -829,6 +1019,7 @@ fn ternary<E: Fn(u64) -> BestChoice>(
 mod tests {
     use super::*;
     use crate::state::LinkQueues;
+    use proptest::prelude::*;
 
     #[test]
     fn kernel_env_grammar_is_strict() {
@@ -1194,6 +1385,76 @@ mod tests {
                 "seed costs exactly one extra eval"
             );
             assert_eq!(best.matchings_computed, 2);
+        }
+    }
+
+    /// Tie-heavy `1/k` hop-weight links on up to 6 ports: `(link, k, count)`.
+    fn tie_heavy_links() -> impl Strategy<Value = Vec<((u32, u32), u64, u64)>> {
+        prop::collection::vec(((0u32..6, 0u32..6), 1u64..5, 1u64..40), 1..30)
+    }
+
+    proptest! {
+        /// Every bound the strict cut compares stays at or above the
+        /// kernel's float score, on columns full of exact score ties: the
+        /// sweep bound, the eager and lazy bounds, and the weak-duality
+        /// bound under the column's own duals, its neighbours' duals and
+        /// random `z ≥ 0`.
+        #[test]
+        fn bounds_never_undercut_the_kernel_score(
+            links in tie_heavy_links(),
+            delta in 0u64..20,
+            z_rand in prop::collection::vec(0.0f64..20.0, 6),
+        ) {
+            let q = LinkQueues::from_weighted_counts(
+                6,
+                links
+                    .iter()
+                    .filter(|((i, j), _, _)| i != j)
+                    .map(|&(link, k, c)| (link, 1.0 / k as f64, c)),
+            );
+            let alphas = q.alpha_candidates(10_000);
+            prop_assume!(!alphas.is_empty());
+            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
+                let duals = DualTable::new(&alphas, 6);
+                let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None, None);
+                let mut scores = Vec::new();
+                for (k, &alpha) in alphas.iter().enumerate() {
+                    // The lazy bound under the duals solved so far, before
+                    // this α's own solve.
+                    let lazy = ctx.solved_score_bound(alpha, delta);
+                    let s = ctx.eval(alpha, delta, MatchingKind::Exact, kernel).score;
+                    prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
+                    prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
+                    let cost = (alpha + delta) as f64;
+                    prop_assert!(ctx.dual_bound(k, &z_rand) / cost >= s);
+                    scores.push(s);
+                }
+                let mut z = Vec::new();
+                for (k, &alpha) in alphas.iter().enumerate() {
+                    let cost = (alpha + delta) as f64;
+                    for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
+                        if ctx.duals.is_ready(r) {
+                            ctx.duals.copy_row(r, &mut z);
+                            let b = ctx.dual_bound(k, &z) / cost;
+                            prop_assert!(
+                                b >= scores[k],
+                                "α {} under row {}: bound {} < score {}", alpha, r, b, scores[k]
+                            );
+                        }
+                    }
+                }
+                // The next search, bounded by this one's duals and the
+                // random prices as the cache would pass them.
+                let next = SweepContext::new(
+                    q.weighted_edges_multi(&alphas),
+                    DualTable::new(&alphas, 6),
+                    Some(&ctx.duals),
+                    Some(&z_rand),
+                );
+                for (k, &alpha) in alphas.iter().enumerate() {
+                    prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);
+                }
+            }
         }
     }
 

@@ -32,8 +32,8 @@
 //! count knobs (`OCTOPUS_THREADS`, `rayon::ThreadPoolBuilder`).
 
 use crate::best_config::{
-    run_kernel, search_alpha, search_alpha_seeded, AlphaSearch, BestChoice, ExactKernel,
-    MatchingKind, SweepContext,
+    outward, run_kernel, search_alpha, search_alpha_seeded, AlphaSearch, BestChoice, DualTable,
+    ExactKernel, MatchingKind, SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
 use crate::memo::WarmSeed;
@@ -571,8 +571,9 @@ pub trait WindowHooks<S: TrafficSource> {
         None
     }
 
-    /// Sees the winning α while the snapshot still holds its weight column
-    /// (the commit changes it).
+    /// Sees the winning α before it is committed, while the engine still
+    /// holds the duals its select solved
+    /// ([`ScheduleEngine::solved_duals`]).
     fn before_commit(&mut self, engine: &mut ScheduleEngine<S>, alpha: u64) {
         let _ = (engine, alpha);
     }
@@ -619,6 +620,14 @@ pub struct ScheduleEngine<S: TrafficSource> {
     queues: Option<LinkQueues>,
     n: u32,
     delta: u64,
+    /// The right-side duals of every α the last swept select solved
+    /// exactly. The next select bounds its candidates with them, which only
+    /// prunes (any `z ≥ 0` is a valid weak-duality certificate). They
+    /// survive commits and evaluations, so they carry from one greedy
+    /// iteration to the next, and are dropped whenever the source changes
+    /// behind the engine's back, so solve counts depend only on the input
+    /// since then.
+    duals: Option<DualTable>,
 }
 
 impl<S: TrafficSource> ScheduleEngine<S> {
@@ -630,6 +639,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             queues: None,
             n,
             delta,
+            duals: None,
         }
     }
 
@@ -649,8 +659,10 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Mutable access to the traffic source. Callers that mutate the source
-    /// behind the engine's back must [`ScheduleEngine::invalidate`] after.
+    /// behind the engine's back must [`ScheduleEngine::invalidate`] (or
+    /// [`ScheduleEngine::patch_links`]) after. Drops the last select's duals.
     pub fn source_mut(&mut self) -> &mut S {
+        self.duals = None;
         &mut self.source
     }
 
@@ -664,9 +676,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         self.source.is_drained()
     }
 
-    /// Drops the cached snapshot; the next access rebuilds from scratch.
+    /// Drops the cached snapshot and the last select's duals; the next
+    /// access rebuilds from scratch.
     pub fn invalidate(&mut self) {
         self.queues = None;
+        self.duals = None;
     }
 
     /// Builds the snapshot on first use and returns it together with the
@@ -685,6 +699,15 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// The current queue snapshot (built on first use, patched afterwards).
     pub fn queues(&mut self) -> &LinkQueues {
         self.ensure_queues().0
+    }
+
+    /// The right-side duals the last swept select solved for the α nearest
+    /// to `alpha` — for its winner, the winner's own, since every winner is
+    /// solved. `None` when it solved nothing exactly (a greedy kernel).
+    // lint:allow(hot-alloc) — amortized: one n-entry copy per committed configuration, on cache misses and near hits only
+    pub(crate) fn solved_duals(&self, alpha: u64) -> Option<Vec<f64>> {
+        let mut z = Vec::new();
+        self.duals.as_ref()?.nearest(alpha, &mut z).then_some(z)
     }
 
     /// The candidate α values for this iteration, capped by `budget` and
@@ -728,6 +751,12 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// is bit-identical to an unseeded [`ScheduleEngine::select`] for every
     /// seed, because the pruning cut is strict and only ever compares
     /// against exactly evaluated scores.
+    ///
+    /// On fabrics with a weight sweep the same weak-duality bound also runs
+    /// with solved duals: the previous select's (nearest α, in every
+    /// candidate's eager bound) and this select's own (nearest α solved so
+    /// far, lazily before each solve). The engine keeps this select's duals
+    /// for the next one.
     pub fn select_seeded<F>(
         &mut self,
         fabric: &F,
@@ -743,44 +772,49 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         if budget == 0 {
             return None;
         }
-        let delta = self.delta;
-        let n = self.n;
-        let (queues, source) = self.ensure_queues();
+        let Self {
+            source,
+            queues,
+            n,
+            delta,
+            duals,
+        } = self;
+        let (n, delta) = (*n, *delta);
+        let queues = &*queues.get_or_insert_with(|| source.snapshot_queues(n));
+        let source = &*source;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
         let seed_alpha = seed.and_then(|s| s.alpha);
+        // Before the sweep, see `DualTable::new`; unused without a sweep.
+        let table = DualTable::new(&candidates, n as usize);
         if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
             // Batched path: one pass over the snapshot produced every α's
             // weight column and matching-weight bound; per-α evaluation runs
             // on this thread's (or each rayon worker's) reusable workspace.
-            // The per-column bound is valid for the greedy kernels too (a
-            // greedy matching never out-weighs the exact optimum).
-            let ctx = SweepContext::new(sweep);
+            // The bounds are valid for the greedy kernels too (a greedy
+            // matching never out-weighs the exact optimum).
             let kernel = policy.kernel.resolved();
-            // Cached prices shrink the bound only through weak duality —
-            // valid for any `z ≥ 0`, so staleness can never mis-prune.
             let prices = seed
                 .and_then(|s| s.prices)
                 .filter(|z| z.len() == n as usize);
+            let ctx = SweepContext::new(sweep, table, duals.as_ref(), prices);
             let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-            // The weak-duality bound is O(edges) per candidate where the
-            // sweep bound is precomputed, so it rides as the lazy second
-            // tier: consulted only for candidates the sweep cut let live.
-            let dual = |alpha: u64| ctx.dual_score_bound(alpha, delta, prices.unwrap_or(&[]));
-            let refine: Option<&(dyn Fn(u64) -> f64 + Sync)> = match prices {
-                Some(_) => Some(&dual),
-                None => None,
-            };
-            return search_alpha_seeded(
+            let solved = |alpha: u64| ctx.solved_score_bound(alpha, delta);
+            let best = search_alpha_seeded(
                 &candidates,
                 policy,
                 Some(&ub),
-                refine,
+                Some(&solved),
                 &|alpha| ctx.eval(alpha, delta, kind, kernel),
                 seed_alpha,
             )
             .filter(|c| c.benefit > 0.0);
+            *duals = Some(ctx.into_duals());
+            return best;
         }
-        let ub = |alpha: u64| queues.matching_weight_upper_bound(alpha) / (alpha + delta) as f64;
+        let ub = |alpha: u64| {
+            outward(queues.matching_weight_upper_bound(alpha), 2 * n as usize)
+                / (alpha + delta) as f64
+        };
         let ub_ref: Option<&(dyn Fn(u64) -> f64 + Sync)> = if fabric.upper_bound_valid() {
             Some(&ub)
         } else {
@@ -882,8 +916,10 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// sorted position. A no-op when no snapshot is cached yet.
     ///
     /// Callers mutating the source on an *unknown* link set must use
-    /// [`ScheduleEngine::invalidate`] instead.
+    /// [`ScheduleEngine::invalidate`] instead. Both drop the last select's
+    /// duals.
     pub fn patch_links(&mut self, dirty: &[(u32, u32)]) {
+        self.duals = None;
         if let Some(queues) = self.queues.as_mut() {
             for &link in dirty {
                 queues.set_link(link, self.source.refresh_link(link));

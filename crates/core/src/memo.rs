@@ -25,14 +25,17 @@
 //!   immediately) and the cached kernel duals/prices tighten every
 //!   candidate's upper bound through a weak-duality bound that is re-proved
 //!   from scratch on the current weights — cached values are **re-verified,
-//!   never trusted**. Both seeds are pure pruning aids: the emitted
-//!   schedule is bit-identical to a cold solve (the pruning cut is strict,
-//!   the tie-break a strict total order, and a final exact solve certifies
+//!   never trusted**. The cached prices are one dual source among several:
+//!   the engine bounds candidates with the duals of its own solves too.
+//!   Both seeds are pure pruning aids: the emitted schedule is
+//!   bit-identical to a cold solve (the pruning cut is strict, the
+//!   tie-break a strict total order, and a final exact solve certifies
 //!   every winner), which `tests/proptest_cache_parity.rs` pins across all
 //!   8 `SearchPolicy` variants × both kernels.
 //! * **Miss** — cold solve, recording the emitted steps (and, with warm
-//!   starts enabled, harvesting one certified dual vector per step) into a
-//!   fresh cache entry.
+//!   starts enabled, each winner's right-side duals, copied from the
+//!   engine's table of solved duals at no extra solve) into a fresh cache
+//!   entry.
 //!
 //! Mid-window admissions that intern new links bump the interned-key
 //! generation ([`RemainingTraffic::interned_links`]), which is part of the
@@ -45,7 +48,6 @@ use crate::engine::{Fabric, ScheduleEngine, SearchPolicy, TrafficSource, WindowH
 use crate::state::{LinkQueues, RemainingTraffic};
 use crate::AlphaSearch;
 use crate::SchedError;
-use octopus_matching::{AssignmentSolver, AuctionSolver, WeightedBipartiteGraph};
 use std::borrow::Borrow;
 use std::sync::OnceLock;
 
@@ -69,8 +71,8 @@ pub(crate) enum CacheMode {
 pub struct CacheConfig {
     /// Master switch; `false` makes [`plan_window_cached`] plan cold.
     pub enabled: bool,
-    /// Warm-start near hits (and harvest duals/prices on misses). With
-    /// `false` the cache replays exact hits only.
+    /// Warm-start near hits (and record each planned winner's duals/prices
+    /// for later ones). With `false` the cache replays exact hits only.
     pub warm: bool,
     /// Bounded LRU capacity in entries.
     pub capacity: usize,
@@ -269,9 +271,9 @@ impl WindowFingerprint {
     }
 }
 
-/// One emitted configuration of a cached window plan, plus the certified
-/// dual prices harvested from its winning column (empty when warm-starts
-/// are off or the solve carried no price signal).
+/// One emitted configuration of a cached window plan, plus the dual prices
+/// of its winning column (empty when warm-starts are off or the solve
+/// carried no price signal).
 #[derive(Debug, Clone)]
 pub struct PlannedStep {
     /// The committed matching's links.
@@ -573,18 +575,12 @@ where
             let seed_plan = cache.entries[i].plan.clone();
             let mut hooks = CacheHooks {
                 seeds: &seed_plan,
-                harvest: None,
+                harvest: true,
                 prices: Vec::new(),
             };
             let run = engine.plan_window(fabric, policy, window, &mut hooks)?;
             let configs = planned_configs(&run);
-            // The fresh entry inherits the matched entry's dual prices
-            // rather than re-harvesting: weak duality keeps *any* `z ≥ 0`
-            // a valid bound, and skipping the per-iteration harvest solve
-            // keeps the warm path strictly cheaper than a cold one. Fresh
-            // duals are only ever harvested on true misses.
-            let inherited: Vec<Vec<f64>> = seed_plan.iter().map(|s| s.prices.clone()).collect();
-            cache.insert(fp, context, planned_steps(&configs, &inherited));
+            cache.insert(fp, context, planned_steps(&configs, &hooks.prices));
             Ok(WindowPlan {
                 configs,
                 outcome: CacheOutcome::NearHit(distance),
@@ -595,7 +591,7 @@ where
             cache.stats.misses += 1;
             let mut hooks = CacheHooks {
                 seeds: &[],
-                harvest: warm.then_some(*policy),
+                harvest: warm,
                 prices: Vec::new(),
             };
             let run = engine.plan_window(fabric, policy, window, &mut hooks)?;
@@ -612,11 +608,12 @@ where
 
 /// The cache's [`WindowHooks`]: each iteration's search is seeded from the
 /// same iteration of `seeds` (a near entry's plan), and with `harvest` set
-/// the winning column's certified duals are collected into `prices`, one
-/// vector per iteration.
+/// the winning column's right-side duals are collected into `prices`, one
+/// vector per iteration (empty when the kernel left none: the greedy
+/// kernels, or an auction solve with no price signal).
 struct CacheHooks<'a> {
     seeds: &'a [PlannedStep],
-    harvest: Option<SearchPolicy>,
+    harvest: bool,
     prices: Vec<Vec<f64>>,
 }
 
@@ -629,8 +626,9 @@ impl<S: TrafficSource> WindowHooks<S> for CacheHooks<'_> {
     }
 
     fn before_commit(&mut self, engine: &mut ScheduleEngine<S>, alpha: u64) {
-        if let Some(policy) = &self.harvest {
-            self.prices.push(harvest_duals(engine, policy, alpha));
+        if self.harvest {
+            self.prices
+                .push(engine.solved_duals(alpha).unwrap_or_default());
         }
     }
 }
@@ -666,43 +664,6 @@ fn planned_steps(configs: &PlannedConfigs, prices: &[Vec<f64>]) -> Vec<PlannedSt
             prices: prices.get(k).cloned().unwrap_or_default(),
         })
         .collect()
-}
-
-/// Harvests right-port dual prices for the winning α's weight column with
-/// one extra exact solve on throwaway solvers (deliberately *not* the
-/// search's thread-local workspaces: harvesting must not disturb their
-/// loaded-topology stamps or any other observable search state). The
-/// resulting `z` is only ever used inside re-verified weak-duality bounds,
-/// so the extra solve is the entire determinism surface — and it writes
-/// nothing back.
-// lint:allow(hot-alloc) — amortized: once per re-plan / cache miss on the serve path; the buffers are the cached plan itself
-fn harvest_duals<S: TrafficSource>(
-    engine: &mut ScheduleEngine<S>,
-    policy: &SearchPolicy,
-    alpha: u64,
-) -> Vec<f64> {
-    let n = engine.n();
-    let edges = engine.queues().weighted_edges(alpha);
-    if edges.is_empty() {
-        return Vec::new();
-    }
-    let weights: Vec<f64> = edges.iter().map(|&(_, _, w)| w).collect();
-    let kernel = policy.kernel.resolved().auto_pick(&weights);
-    let g = WeightedBipartiteGraph::from_tuples(n, n, edges);
-    let mut out = Vec::new();
-    match kernel {
-        ExactKernel::Auction => {
-            let mut solver = AuctionSolver::new();
-            solver.solve(&g);
-            solver.right_prices(&mut out);
-        }
-        _ => {
-            let mut solver = AssignmentSolver::new();
-            solver.solve(&g);
-            solver.right_duals(&mut out);
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -796,6 +757,83 @@ mod tests {
         cache.insert(fp.clone(), 7, Vec::new());
         assert!(matches!(cache.lookup(&fp, 7), Lookup::Exact(_)));
         assert!(matches!(cache.lookup(&fp, 8), Lookup::Miss));
+    }
+
+    #[test]
+    fn recorded_prices_equal_a_fresh_solve_of_each_winner() {
+        use crate::engine::{BipartiteFabric, CandidateExtension};
+        use crate::MatchingKind;
+        use octopus_matching::{AssignmentSolver, AuctionSolver, WeightedBipartiteGraph};
+        use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
+
+        let flow = |id, size, route: &[u32]| {
+            Flow::single(FlowId(id), size, Route::from_ids(route.to_vec()).unwrap())
+        };
+        let load = TrafficLoad::new(vec![
+            flow(1, 90, &[0, 1, 2]),
+            flow(2, 40, &[3, 0, 1]),
+            flow(3, 60, &[2, 1, 0]),
+            flow(4, 25, &[1, 3]),
+        ])
+        .unwrap();
+        let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
+        let (n, delta, window) = (4, 5, 400);
+        let policy = SearchPolicy::exhaustive();
+        let mut fabric = BipartiteFabric {
+            kind: MatchingKind::Exact,
+        };
+
+        // Replay the window by hand, solving each winner's column afresh.
+        let mut probe = ScheduleEngine::new(tr.clone(), n, delta);
+        let mut want = Vec::new();
+        let mut used = 0;
+        while let Some(choice) = probe.select(
+            &fabric,
+            window - used - delta,
+            CandidateExtension::None,
+            &policy,
+        ) {
+            let g = WeightedBipartiteGraph::from_tuples(
+                n,
+                n,
+                probe.queues().weighted_edges(choice.alpha),
+            );
+            let mut z = Vec::new();
+            if policy.kernel.resolved() == ExactKernel::Auction {
+                let mut solver = AuctionSolver::new();
+                solver.solve(&g);
+                solver.right_prices(&mut z);
+            } else {
+                let mut solver = AssignmentSolver::new();
+                solver.solve(&g);
+                solver.right_duals(&mut z);
+            }
+            want.push(z);
+            probe
+                .commit(&fabric, &choice.matching, choice.alpha)
+                .unwrap();
+            used += choice.alpha + delta;
+            if probe.is_drained() || used + delta >= window {
+                break;
+            }
+        }
+
+        let mut engine = ScheduleEngine::new(tr, n, delta);
+        let mut cache = ScheduleCache::new(CacheConfig::default());
+        let plan =
+            plan_window_cached(&mut engine, &mut fabric, &policy, window, &mut cache, 0).unwrap();
+        assert_eq!(plan.outcome, CacheOutcome::Miss);
+        let got: Vec<Vec<u64>> = cache.entries[0]
+            .plan
+            .iter()
+            .map(|s| s.prices.iter().map(|p| p.to_bits()).collect())
+            .collect();
+        let want: Vec<Vec<u64>> = want
+            .iter()
+            .map(|z| z.iter().map(|p| p.to_bits()).collect())
+            .collect();
+        assert!(want.len() > 1 && want.iter().all(|z| z.len() == n as usize));
+        assert_eq!(got, want);
     }
 
     #[test]

@@ -324,25 +324,35 @@ impl AuctionSolver {
         self.ws.rounds
     }
 
-    /// Fills `out` with the most recent solve's object prices, unscaled to
-    /// weight units and clamped to `≥ 0` (one entry per *real* right node;
-    /// embedding padding is dropped). Empty when the last solve terminated
-    /// before any ε-phase ran (trivial instances carry no price signal).
+    /// Fills `out` with the most recent solve's object prices, less the
+    /// lowest price of the embedding, unscaled to weight units and clamped
+    /// to `≥ 0` (one entry per *real* right node; embedding padding is
+    /// dropped). Empty when the last solve terminated before any ε-phase ran
+    /// (trivial instances carry no price signal).
     ///
     /// These prices exist for **certified weak-duality bounds only**: for
     /// any `z ≥ 0`, `Σ_u max_v (w(u,v) − z_v)⁺ + Σ_v z_v` upper-bounds every
     /// matching weight, no matter how stale `z` is. They must **never** seed
     /// a subsequent solve — the module docs explain why price warm-starts
     /// break the determinism contract.
+    ///
+    /// Why the shift: every object of the complete embedding is bid on
+    /// before the auction ends, so all prices share a positive offset `m`
+    /// (the lowest price). A bidder's profit `π_u = max_v (a_uv − p_v)` is
+    /// then as low as `−m`, and clamping it to zero in the bound above adds
+    /// up to `N·m`. Since `π_u ≥ −m` (every bidder may take the cheapest
+    /// object at value ≥ 0), the shifted prices `p − m` bound the matching
+    /// weight by at most `Σπ + Σp`, the auction's own ε-tight dual value.
     pub fn right_prices(&self, out: &mut Vec<f64>) {
         out.clear();
         if !self.last_priced {
             return;
         }
+        let floor = self.ws.price.iter().copied().min().unwrap_or(0);
         out.extend(
             self.ws.price[..self.nr]
                 .iter()
-                .map(|&p| (p as f64 / self.last_scale).max(0.0)),
+                .map(|&p| ((p - floor) as f64 / self.last_scale).max(0.0)),
         );
     }
 
@@ -813,5 +823,33 @@ mod tests {
             assert_eq!(solver.solve_reweighted(&weights), first.as_slice());
             assert_eq!(solver.last_weight().to_bits(), first_weight.to_bits());
         }
+    }
+
+    #[test]
+    fn right_prices_bound_the_optimum_tightly() {
+        // Weak-duality bound Σ_u max_v (w − z_v)⁺ + Σ_v z_v under the
+        // solve's own prices: valid, and within the final ε-phase's slack
+        // (below one weight unit on integer columns) of the optimum.
+        let edges: Vec<(u32, u32)> = (0..6u32)
+            .flat_map(|u| (0..6u32).map(move |v| (u, v)))
+            .collect();
+        let weights: Vec<f64> = edges
+            .iter()
+            .map(|&(u, v)| f64::from((u * 7 + v * 13) % 23))
+            .collect();
+        let mut solver = AuctionSolver::new();
+        solver.load_topology(6, 6, &edges);
+        solver.solve_reweighted(&weights);
+        let best = solver.last_weight();
+        let mut z = Vec::new();
+        solver.right_prices(&mut z);
+        assert_eq!(z.len(), 6);
+        let mut y = [0.0f64; 6];
+        for (&(u, v), &w) in edges.iter().zip(&weights) {
+            y[u as usize] = y[u as usize].max(w - z[v as usize]);
+        }
+        let bound: f64 = y.iter().sum::<f64>() + z.iter().sum::<f64>();
+        assert!(bound >= best, "bound {bound} below the optimum {best}");
+        assert!(bound < best + 1.0, "bound {bound} loose against {best}");
     }
 }
