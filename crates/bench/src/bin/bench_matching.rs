@@ -18,13 +18,8 @@
 //!   same pre-loaded topology in place. The optimality gap is asserted to be
 //!   exactly zero before timing (integer weights are within the auction's
 //!   adaptive resolution, so it certifies exactness).
-//! * **auto** — the [`ExactKernel::Auto`] per-column router vs both fixed
-//!   kernels, on the two column shapes that matter: dense weight-diverse
-//!   columns (where the auction wins past the size gate) and tie-heavy
-//!   single-class columns (Octopus's own `1/k` hop weights, which convoy
-//!   the auction). Asserts the router picks the expected kernel per case.
 //! * **grid_steal** — the work-stealing α-search executor
-//!   (`rayon::steal::map_reduce` over the candidate grid) vs the sequential
+//!   (`rayon::steal::map_reduce_filtered` over the candidate grid) vs the sequential
 //!   sweep, on the same synthetic instances as the legacy/batched arm, with
 //!   the winning `BestChoice` asserted bit-identical first.
 
@@ -115,22 +110,6 @@ struct AuctionCase {
     auction_rounds: usize,
 }
 
-/// One row of the per-column auto-routing arm.
-#[derive(Serialize)]
-struct AutoRoutingCase {
-    n: u32,
-    column: &'static str,
-    enabled_edges: usize,
-    picked: &'static str,
-    reps: usize,
-    hungarian_nanos: u64,
-    auction_nanos: u64,
-    auto_nanos: u64,
-    /// Auto time / best fixed-kernel time (≈1.0 means the router tracked
-    /// the winning kernel; the gap is the routing pass itself).
-    auto_overhead: f64,
-}
-
 /// One `n` row of the work-stealing α-search arm.
 #[derive(Serialize)]
 struct GridStealCase {
@@ -154,7 +133,6 @@ struct Report {
     metric: &'static str,
     cases: Vec<Case>,
     auction: Vec<AuctionCase>,
-    auto_routing: Vec<AutoRoutingCase>,
     grid_steal: Vec<GridStealCase>,
 }
 
@@ -306,108 +284,6 @@ fn run_auction_cases() -> Vec<AuctionCase> {
             optimality_gap: 0.0,
             auction_phases: phases,
             auction_rounds: rounds,
-        });
-    }
-    out
-}
-
-/// Auto-routing arm: the same dense diverse columns as the auction arm on
-/// either side of the measured crossover, plus a tie-heavy single-class
-/// column (every enabled edge at weight `0.25`, the shape Octopus's `1/k`
-/// hop weighting produces) where the auction convoys. Each case asserts
-/// [`ExactKernel::auto_pick`] routes to the expected kernel, then times all
-/// three — the auto row re-runs the routing pass inside the timed region,
-/// so its overhead vs the picked kernel is the cost of the heuristic.
-fn run_auto_routing_cases() -> Vec<AutoRoutingCase> {
-    let mut out = Vec::new();
-    let cases: [(u32, &'static str, &'static str); 4] = [
-        (64, "diverse", "hungarian"),    // ~3.7k enabled: below the size gate
-        (128, "diverse", "auction"),     // ~14.7k enabled and weight-diverse
-        (128, "tie_heavy", "hungarian"), // one weight class: convoy shape
-        (256, "diverse", "auction"),
-    ];
-    for (n, column, expected) in cases {
-        let reps = if n >= 256 { 3 } else { 5 };
-        let edges: Vec<(u32, u32)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
-        let mut rng = XorShift(0x6A09_E667 ^ u64::from(n));
-        let col: Vec<f64> = edges
-            .iter()
-            .map(|_| {
-                if column == "tie_heavy" {
-                    0.25
-                } else {
-                    let r = rng.next();
-                    if r % 10 == 0 {
-                        0.0
-                    } else {
-                        (1 + r % 4000) as f64
-                    }
-                }
-            })
-            .collect();
-        let enabled_edges = col.iter().filter(|&&w| w > 0.0).count();
-
-        let picked_kernel = ExactKernel::Auto.auto_pick(&col);
-        let picked = match picked_kernel {
-            ExactKernel::Hungarian => "hungarian",
-            ExactKernel::Auction => "auction",
-            ExactKernel::Auto => unreachable!("auto_pick always resolves"),
-        };
-        assert_eq!(
-            picked, expected,
-            "auto routed the {column} n = {n} column to the wrong kernel"
-        );
-
-        let mut hungarian = AssignmentSolver::new();
-        let mut auction = AuctionSolver::new();
-        hungarian.load_topology(n, n, &edges);
-        auction.load_topology(n, n, &edges);
-        // Warmup sizes both workspaces before anything is timed.
-        hungarian.solve_reweighted(&col);
-        auction.solve_reweighted(&col);
-        assert_eq!(
-            hungarian.last_weight() - auction.last_weight(),
-            0.0,
-            "optimality gap on the {column} n = {n} column"
-        );
-
-        let mut best_h = u64::MAX;
-        let mut best_a = u64::MAX;
-        let mut best_auto = u64::MAX;
-        for _ in 0..reps {
-            let t = Instant::now();
-            hungarian.solve_reweighted(&col);
-            best_h = best_h.min(t.elapsed().as_nanos() as u64);
-            let t = Instant::now();
-            auction.solve_reweighted(&col);
-            best_a = best_a.min(t.elapsed().as_nanos() as u64);
-            // The auto row pays for the routing pass *and* the picked solve.
-            let t = Instant::now();
-            match ExactKernel::Auto.auto_pick(&col) {
-                ExactKernel::Auction => {
-                    auction.solve_reweighted(&col);
-                }
-                _ => {
-                    hungarian.solve_reweighted(&col);
-                }
-            }
-            best_auto = best_auto.min(t.elapsed().as_nanos() as u64);
-        }
-
-        let auto_overhead = best_auto as f64 / best_h.min(best_a).max(1) as f64;
-        println!(
-            "auto    n={n:4} {column:<9} ({enabled_edges:6} enabled) -> {picked:<9}  hungarian {best_h:9} ns   auction {best_a:9} ns   auto {best_auto:9} ns  (x{auto_overhead:.2} vs best)",
-        );
-        out.push(AutoRoutingCase {
-            n,
-            column,
-            enabled_edges,
-            picked,
-            reps,
-            hungarian_nanos: best_h,
-            auction_nanos: best_a,
-            auto_nanos: best_auto,
-            auto_overhead,
         });
     }
     out
@@ -597,7 +473,6 @@ fn main() {
     }
 
     let auction = run_auction_cases();
-    let auto_routing = run_auto_routing_cases();
     let grid_steal = run_grid_steal_cases(REPS);
 
     let report = Report {
@@ -608,7 +483,6 @@ fn main() {
         metric: "min_over_reps",
         cases,
         auction,
-        auto_routing,
         grid_steal,
     };
     let text = serde_json::to_string_pretty(&report).expect("serializable report");

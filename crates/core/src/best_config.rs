@@ -38,7 +38,6 @@ use octopus_matching::{
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::OnceLock;
 
 /// How candidate α values are searched each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -68,16 +67,14 @@ pub enum MatchingKind {
     },
 }
 
-/// Which algorithm backs [`MatchingKind::Exact`] evaluations: both return
-/// maximum-weight matchings, but with different cost profiles (see
-/// `octopus_matching`'s `auction.rs` for when the auction wins) and possibly
-/// different — equally optimal — matchings on tie-heavy instances. The
-/// kernel is therefore part of the [`SearchPolicy`]: a schedule is only
-/// reproducible against runs using the same kernel.
-///
-/// The `OCTOPUS_KERNEL` environment variable (`hungarian` / `auction` /
-/// `auto`, read once per process) overrides every policy's kernel — the CI
-/// lever that re-runs the whole suite with the auction kernel forced.
+/// Which algorithm backs [`MatchingKind::Exact`] evaluations in a swept
+/// select: both return maximum-weight matchings, but with different cost
+/// profiles (see `octopus_matching`'s `auction.rs` for when the auction
+/// wins) and possibly different — equally optimal — matchings on tie-heavy
+/// instances. The kernel is therefore part of the [`SearchPolicy`]: a
+/// schedule is only reproducible against runs using the same kernel.
+/// Per-α evaluations outside a sweep (and the K-port union rounds) carry
+/// no policy and always use the Hungarian solver.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ExactKernel {
     /// Successive shortest augmenting paths with Johnson potentials
@@ -87,106 +84,6 @@ pub enum ExactKernel {
     /// Forward auction with ε-scaling ([`AuctionSolver`]) — deterministic
     /// parallel bidding inside a single solve.
     Auction,
-    /// Per-column routing between the two ([`ExactKernel::auto_pick`]):
-    /// large, weight-diverse columns go to the auction (where its ε-phases
-    /// pay off), everything else — in particular the tie-heavy `1/k`
-    /// hop-weight columns Octopus itself produces, which convoy the
-    /// auction's bidding rounds — goes to the Hungarian solver. The pick is
-    /// a pure function of the weight column, so schedules stay reproducible
-    /// per policy (but are *not* comparable across kernel variants: on ties
-    /// the two kernels may return different equally-optimal matchings).
-    Auto,
-}
-
-impl ExactKernel {
-    /// Parses an `OCTOPUS_KERNEL` value (case-insensitive); `None` means
-    /// unrecognized. Split out of [`ExactKernel::resolved`] so the accepted
-    /// grammar is unit-testable without touching the process environment.
-    pub(crate) fn parse_env(v: &str) -> Option<ExactKernel> {
-        match v.to_ascii_lowercase().as_str() {
-            "hungarian" => Some(ExactKernel::Hungarian),
-            "auction" => Some(ExactKernel::Auction),
-            "auto" => Some(ExactKernel::Auto),
-            _ => None,
-        }
-    }
-
-    /// This kernel unless `OCTOPUS_KERNEL` overrides it process-wide.
-    /// Unrecognized variable values warn loudly on stderr (once — the
-    /// variable is read exactly once per process) and are then ignored.
-    pub fn resolved(self) -> ExactKernel {
-        static ENV: OnceLock<Option<ExactKernel>> = OnceLock::new();
-        let env = ENV.get_or_init(|| {
-            let v = std::env::var("OCTOPUS_KERNEL").ok()?;
-            let parsed = ExactKernel::parse_env(&v);
-            if parsed.is_none() {
-                eprintln!(
-                    "octopus: ignoring unrecognized OCTOPUS_KERNEL={v:?} \
-                     (accepted values: hungarian, auction, auto)"
-                );
-            }
-            parsed
-        });
-        env.unwrap_or(self)
-    }
-
-    /// The concrete kernel [`ExactKernel::Auto`] routes this weight column
-    /// to (non-positive entries are disabled edges, as everywhere else).
-    /// [`ExactKernel::Hungarian`] / [`ExactKernel::Auction`] return
-    /// themselves.
-    ///
-    /// The heuristic is calibrated against `BENCH_matching.json`'s auction
-    /// arm: the auction only overtakes Hungarian on *large* columns (the
-    /// measured crossover sits between the ~3.7k-edge n = 64 and ~14.7k-edge
-    /// n = 128 dense cases), and convoys at any size when many edges share
-    /// one weight (equal bids raise one price by ε per round — Octopus's own
-    /// `1/k` hop-weight classes are exactly such ties, the PR 8 regression).
-    /// Both gates are pure functions of the column, evaluated in one
-    /// allocation-free pass.
-    pub fn auto_pick(self, weights: &[f64]) -> ExactKernel {
-        match self {
-            ExactKernel::Auto => {
-                if prefers_auction(weights.iter().copied()) {
-                    ExactKernel::Auction
-                } else {
-                    ExactKernel::Hungarian
-                }
-            }
-            k => k,
-        }
-    }
-}
-
-/// Enabled-edge count for the [`ExactKernel::Auto`] size gate: below this
-/// the Hungarian kernel wins regardless of weight diversity (see
-/// [`ExactKernel::auto_pick`]).
-const AUTO_MIN_ENABLED: usize = 6_000;
-
-/// Distinct-weight count (by bit pattern) for the Auto diversity gate: a
-/// column must fill all these probe slots to count as "dense random" rather
-/// than tie-heavy.
-const AUTO_DISTINCT_SLOTS: usize = 32;
-
-/// The Auto gate itself: `true` iff the column is both large and
-/// weight-diverse. One pass, fixed-size probe table, no allocation.
-fn prefers_auction(weights: impl Iterator<Item = f64>) -> bool {
-    let mut seen = [0u64; AUTO_DISTINCT_SLOTS];
-    let mut distinct = 0usize;
-    let mut enabled = 0usize;
-    for w in weights {
-        if w <= 0.0 {
-            continue;
-        }
-        enabled += 1;
-        if distinct < AUTO_DISTINCT_SLOTS {
-            let bits = w.to_bits();
-            if !seen[..distinct].contains(&bits) {
-                seen[distinct] = bits;
-                distinct += 1;
-            }
-        }
-    }
-    enabled >= AUTO_MIN_ENABLED && distinct >= AUTO_DISTINCT_SLOTS
 }
 
 /// The winning configuration of one greedy iteration.
@@ -281,7 +178,7 @@ static SWEEP_IDS: AtomicU64 = AtomicU64::new(1);
 /// the same `α + Δ` afterwards is monotone, so the score bound stays safe.
 /// Weights are rational hop weights far above the subnormal range, so
 /// underflow is not a concern.
-pub(crate) fn outward(bound: f64, terms: usize) -> f64 {
+fn outward(bound: f64, terms: usize) -> f64 {
     bound * (1.0 + (terms + 2) as f64 * f64::EPSILON)
 }
 
@@ -407,9 +304,32 @@ impl<'p> SweepContext<'p> {
         }
     }
 
-    /// The duals this search solved, for the next search to start from.
-    pub(crate) fn into_duals(self) -> DualTable {
-        self.duals
+    /// The swept α-search over this context's candidates under `policy`,
+    /// whose kernel backs [`MatchingKind::Exact`]: candidates are ordered
+    /// and cut by [`SweepContext::score_upper_bound`], cut again lazily by
+    /// [`SweepContext::solved_score_bound`], and solved by
+    /// [`SweepContext::eval`]. Returns the winner (`None` when no
+    /// configuration has positive benefit) and the duals the search solved,
+    /// for the next search to start from.
+    pub(crate) fn search(
+        self,
+        policy: &SearchPolicy,
+        kind: MatchingKind,
+        delta: u64,
+        seed_alpha: Option<u64>,
+    ) -> (Option<BestChoice>, DualTable) {
+        let ub = |alpha: u64| self.score_upper_bound(alpha, delta);
+        let solved = |alpha: u64| self.solved_score_bound(alpha, delta);
+        let best = search_alpha_seeded(
+            &self.duals.alphas,
+            policy,
+            Some(&ub),
+            Some(&solved),
+            &|alpha| self.eval(alpha, delta, kind, policy.kernel),
+            seed_alpha,
+        )
+        .filter(|c| c.benefit > 0.0);
+        (best, self.duals)
     }
 
     /// The eager score bound of one swept candidate α, which both orders
@@ -516,9 +436,6 @@ impl<'p> SweepContext<'p> {
         let col = self.sweep.column(k);
         let edges = self.sweep.edges();
         let n = self.sweep.n();
-        // Auto resolves per column — the pick is a pure function of the
-        // column, so which worker evaluates the α cannot change it.
-        let kernel = kernel.auto_pick(col);
         let (matching, benefit) = KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
             match kind {
@@ -592,35 +509,17 @@ fn column_weight(edges: &[(u32, u32)], col: &[f64], matching: &[(u32, u32)]) -> 
 
 /// Runs one matching kernel on an explicit weighted edge list.
 ///
-/// The exact kernel runs on this thread's persistent [`KernelWorkspace`]
-/// solver (reusing its scratch buffers), invalidating any sweep topology the
-/// workspace held.
+/// The exact kind runs the Hungarian solver on this thread's persistent
+/// [`KernelWorkspace`] (reusing its scratch buffers), invalidating any sweep
+/// topology the workspace held.
 // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 pub(crate) fn run_kernel(
     n: u32,
     edges: Vec<(u32, u32, f64)>,
     kind: MatchingKind,
-    kernel: ExactKernel,
 ) -> (Vec<(u32, u32)>, f64) {
-    // Auto routes per edge list, same gates as the swept-column path.
-    let kernel = match kernel {
-        ExactKernel::Auto => {
-            if prefers_auction(edges.iter().map(|&(_, _, w)| w)) {
-                ExactKernel::Auction
-            } else {
-                ExactKernel::Hungarian
-            }
-        }
-        k => k,
-    };
     let g = WeightedBipartiteGraph::from_tuples(n, n, edges);
     match kind {
-        MatchingKind::Exact if kernel == ExactKernel::Auction => KERNEL_WS.with(|ws| {
-            let ws = &mut *ws.borrow_mut();
-            ws.loaded_sweep_auction = 0;
-            ws.auction.solve(&g);
-            (ws.auction.matching().to_vec(), ws.auction.last_weight())
-        }),
         MatchingKind::Exact => KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
             ws.loaded_sweep = 0;
@@ -671,20 +570,11 @@ pub fn best_configuration(
         prefer_larger_alpha: false,
         kernel: ExactKernel::default(),
     };
-    let kernel = policy.kernel.resolved();
     let duals = DualTable::new(&candidates, queues.n() as usize);
-    let ctx = SweepContext::new(queues.weighted_edges_multi(&candidates), duals, None, None);
-    let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-    let solved = |alpha: u64| ctx.solved_score_bound(alpha, delta);
-    search_alpha_seeded(
-        &candidates,
-        &policy,
-        Some(&ub),
-        Some(&solved),
-        &|alpha| ctx.eval(alpha, delta, kind, kernel),
-        None,
-    )
-    .filter(|c| c.benefit > 0.0)
+    let sweep = queues.weighted_edges_multi(&candidates);
+    SweepContext::new(sweep, duals, None, None)
+        .search(&policy, kind, delta, None)
+        .0
 }
 
 /// Strict total order on choices under `policy`, `Greater` = better:
@@ -722,27 +612,17 @@ fn better(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> bool {
 /// `ub` is an optional optimistic score bound per α; when present the
 /// exhaustive searches visit candidates in decreasing bound order and skip
 /// (sequential: stop at) candidates whose bound falls strictly below the
-/// best score seen so far. `eval` must be deterministic; its
-/// `matchings_computed` values are summed into the winner (over *evaluated*
-/// candidates, so pruned counts vary with visit order and worker
-/// interleaving; the winning configuration itself is identical across all
-/// exhaustive paths).
-pub(crate) fn search_alpha<E>(
-    candidates: &[u64],
-    policy: &SearchPolicy,
-    ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    eval: &E,
-) -> Option<BestChoice>
-where
-    E: Fn(u64) -> BestChoice + Sync,
-{
-    search_alpha_seeded(candidates, policy, ub, None, eval, None)
-}
-
-/// [`search_alpha`] with an optional warm-start seed: the cached winner's α
-/// from a previous, similar window. The seed is evaluated *first*, so its
-/// exact score becomes the pruning floor before any other candidate is
-/// visited — pure work savings. Because the exhaustive cut is strict and
+/// best score seen so far. Without it every bound is `+∞`: candidates are
+/// visited in ascending α order and each is evaluated exactly once. `eval`
+/// must be deterministic; its `matchings_computed` values are summed into
+/// the winner (over *evaluated* candidates, so pruned counts vary with visit
+/// order and worker interleaving; the winning configuration itself is
+/// identical across all exhaustive paths).
+///
+/// `seed_alpha` is an optional warm-start seed: the cached winner's α from a
+/// previous, similar window. The seed is evaluated *first*, so its exact
+/// score becomes the pruning floor before any other candidate is visited —
+/// pure work savings. Because the exhaustive cut is strict and
 /// [`choice_cmp`] a strict total order, the returned winner is bit-identical
 /// for every seed (including none at all); a seed outside the candidate set
 /// is ignored. The ternary search ignores seeds entirely: its probe sequence
@@ -774,26 +654,34 @@ where
         AlphaSearch::Exhaustive if policy.parallel => {
             exhaustive_parallel(candidates, policy, ub, refine, eval, seed)
         }
-        AlphaSearch::Exhaustive => match ub {
-            Some(ub) => exhaustive_pruned(candidates, policy, ub, refine, eval, seed),
-            None => exhaustive_plain(candidates, policy, eval),
-        },
+        AlphaSearch::Exhaustive => exhaustive_pruned(candidates, policy, ub, refine, eval, seed),
         AlphaSearch::Binary => ternary(candidates, policy, eval),
     }
+}
+
+/// The candidates paired with their `ub` bounds (`+∞` without one), in
+/// visit order: bound descending, then α ascending.
+// lint:allow(hot-alloc) — amortized: one candidate-length list per search; dominated by the O(E√V) kernel work per candidate
+fn bound_order(candidates: &[u64], ub: Option<&(dyn Fn(u64) -> f64 + Sync)>) -> Vec<(u64, f64)> {
+    let mut order: Vec<(u64, f64)> = candidates
+        .iter()
+        .map(|&a| (a, ub.map_or(f64::INFINITY, |ub| ub(a))))
+        .collect();
+    order.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    order
 }
 
 // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     candidates: &[u64],
     policy: &SearchPolicy,
-    ub: &dyn Fn(u64) -> f64,
+    ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     eval: &E,
     seed: Option<u64>,
 ) -> Option<BestChoice> {
     // Order candidates by optimistic score so pruning bites early.
-    let mut order: Vec<(u64, f64)> = candidates.iter().map(|&a| (a, ub(a))).collect();
-    order.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    let order = bound_order(candidates, ub);
 
     let mut best: Option<BestChoice> = None;
     let mut computed = 0usize;
@@ -840,28 +728,6 @@ fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     })
 }
 
-// lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
-fn exhaustive_plain<E: Fn(u64) -> BestChoice>(
-    candidates: &[u64],
-    policy: &SearchPolicy,
-    eval: &E,
-) -> Option<BestChoice> {
-    let mut best: Option<BestChoice> = None;
-    let mut computed = 0usize;
-    for &alpha in candidates {
-        let cand = eval(alpha);
-        computed += cand.matchings_computed;
-        if best.as_ref().map_or(true, |b| better(&cand, b, policy)) {
-            best = Some(cand);
-        }
-    }
-    best.map(|mut b| {
-        b.matchings_computed = computed;
-        b.worker_evals = vec![computed as u32];
-        b
-    })
-}
-
 /// Parallel exhaustive search over a shared work-stealing bag
 /// ([`rayon::steal`]): candidates are claimed item-by-item from an atomic
 /// cursor instead of static per-worker chunks, so an expensive straggler
@@ -879,8 +745,9 @@ fn exhaustive_plain<E: Fn(u64) -> BestChoice>(
 /// winner. The floor only ever rises, and only to genuinely evaluated
 /// scores, so the skip set is sound under every worker interleaving (which
 /// candidates get skipped *does* vary run-to-run; `matchings_computed`
-/// reports the evaluations that actually happened). Without a bound, every
-/// candidate is evaluated exactly once (a unit test pins this).
+/// reports the evaluations that actually happened). Without a bound every
+/// bound is `+∞`, so nothing is cut and every candidate is evaluated exactly
+/// once (a unit test pins this).
 // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 fn exhaustive_parallel<E>(
     candidates: &[u64],
@@ -899,15 +766,7 @@ where
         winner.matchings_computed = computed;
         winner
     };
-    let Some(ub) = ub else {
-        // No bound ⇒ nothing to prune: plain bag, one eval per candidate.
-        let outcome = rayon::steal::map_reduce(candidates, |&alpha| eval(alpha), reduce)?;
-        let mut best = outcome.value;
-        best.worker_evals = outcome.worker_evals;
-        return Some(best);
-    };
-    let mut order: Vec<(u64, f64)> = candidates.iter().map(|&a| (a, ub(a))).collect();
-    order.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
+    let mut order = bound_order(candidates, ub);
     if let Some(sa) = seed {
         if let Some(pos) = order.iter().position(|&(a, _)| a == sa) {
             let s = order.remove(pos);
@@ -1020,26 +879,6 @@ mod tests {
     use super::*;
     use crate::state::LinkQueues;
     use proptest::prelude::*;
-
-    #[test]
-    fn kernel_env_grammar_is_strict() {
-        assert_eq!(
-            ExactKernel::parse_env("hungarian"),
-            Some(ExactKernel::Hungarian)
-        );
-        assert_eq!(
-            ExactKernel::parse_env("AUCTION"),
-            Some(ExactKernel::Auction)
-        );
-        assert_eq!(ExactKernel::parse_env("Auto"), Some(ExactKernel::Auto));
-        for bad in ["", "fast", "hungarian ", "1", "auction,auto"] {
-            assert_eq!(
-                ExactKernel::parse_env(bad),
-                None,
-                "{bad:?} must be rejected"
-            );
-        }
-    }
 
     /// Two links from distinct ports, different weight profiles.
     fn sample_queues() -> LinkQueues {
@@ -1174,7 +1013,7 @@ mod tests {
                 worker_evals: Vec::new(),
             }
         };
-        let best = search_alpha(&candidates, &policy, None, &eval).unwrap();
+        let best = search_alpha_seeded(&candidates, &policy, None, None, &eval, None).unwrap();
         // One eval per candidate — both by the counter the reduction carries
         // and by the actual number of closure invocations.
         assert_eq!(best.matchings_computed, candidates.len());
@@ -1215,10 +1054,9 @@ mod tests {
             let fabric = crate::BipartiteFabric {
                 kind: MatchingKind::Exact,
             };
-            let best = search_alpha(&q.alpha_candidates(10_000), &policy, None, &|alpha| {
-                crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10)
-            })
-            .unwrap();
+            let eval = |alpha| crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10);
+            let candidates = q.alpha_candidates(10_000);
+            let best = search_alpha_seeded(&candidates, &policy, None, None, &eval, None).unwrap();
             assert_eq!(best.alpha, 30, "parallel = {parallel}");
         }
     }
@@ -1338,7 +1176,8 @@ mod tests {
             prefer_larger_alpha: false,
             kernel: ExactKernel::Hungarian,
         };
-        let best = search_alpha(&candidates, &policy, Some(&ub), &eval).expect("non-empty");
+        let best = search_alpha_seeded(&candidates, &policy, Some(&ub), None, &eval, None)
+            .expect("non-empty");
         assert_eq!(best.alpha, 10);
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -1456,24 +1295,5 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn auto_pick_gates_on_size_and_diversity() {
-        // Tie-heavy convoy column: large but one weight class → Hungarian.
-        let ties = vec![0.5; 10_000];
-        assert_eq!(ExactKernel::Auto.auto_pick(&ties), ExactKernel::Hungarian);
-        // Large and weight-diverse → Auction.
-        let diverse: Vec<f64> = (1..=10_000).map(f64::from).collect();
-        assert_eq!(ExactKernel::Auto.auto_pick(&diverse), ExactKernel::Auction);
-        // Diverse but small → Hungarian.
-        let small: Vec<f64> = (1..=100).map(f64::from).collect();
-        assert_eq!(ExactKernel::Auto.auto_pick(&small), ExactKernel::Hungarian);
-        // Fixed kernels pass through untouched.
-        assert_eq!(ExactKernel::Auction.auto_pick(&ties), ExactKernel::Auction);
-        assert_eq!(
-            ExactKernel::Hungarian.auto_pick(&diverse),
-            ExactKernel::Hungarian
-        );
     }
 }

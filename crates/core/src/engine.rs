@@ -32,8 +32,8 @@
 //! count knobs (`OCTOPUS_THREADS`, `rayon::ThreadPoolBuilder`).
 
 use crate::best_config::{
-    outward, run_kernel, search_alpha, search_alpha_seeded, AlphaSearch, BestChoice, DualTable,
-    ExactKernel, MatchingKind, SweepContext,
+    run_kernel, search_alpha_seeded, AlphaSearch, BestChoice, DualTable, ExactKernel, MatchingKind,
+    SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
 use crate::memo::WarmSeed;
@@ -66,11 +66,12 @@ pub struct SearchPolicy {
     /// Δ); every other variant prefers the smaller α.
     pub prefer_larger_alpha: bool,
     /// Which exact assignment algorithm backs [`MatchingKind::Exact`]
-    /// evaluations: the sequential Hungarian solver (default) or the
-    /// parallel-bidding auction kernel. Both are exact; on tie-heavy
-    /// instances they may return different equally-optimal matchings, so the
-    /// kernel is part of the policy and the `OCTOPUS_KERNEL` environment
-    /// variable (`hungarian` / `auction`) overrides it process-wide.
+    /// evaluations of a swept select: the sequential Hungarian solver
+    /// (default) or the parallel-bidding auction kernel. Both are exact; on
+    /// tie-heavy instances they may return different equally-optimal
+    /// matchings, so the kernel is part of the policy. Per-α
+    /// [`Fabric::evaluate`] calls carry no policy and use the Hungarian
+    /// solver.
     pub kernel: ExactKernel,
 }
 
@@ -214,12 +215,6 @@ pub trait Fabric<S> {
     // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
     fn realize(&self, source: &S, links: &[(u32, u32)], alpha: u64) -> Realized;
 
-    /// Whether [`LinkQueues::matching_weight_upper_bound`] bounds this
-    /// fabric's per-α benefit (enables pruning in the exhaustive search).
-    fn upper_bound_valid(&self) -> bool {
-        false
-    }
-
     /// A batched multi-α weight sweep, for fabrics whose per-α evaluation is
     /// a bipartite matching kernel over one `g` column: the fixed topology
     /// plus one weight column (and matching-weight upper bound) per
@@ -227,7 +222,7 @@ pub trait Fabric<S> {
     /// ([`LinkQueues::weighted_edges_multi`]). When `Some`, the engine
     /// evaluates candidates on per-thread reusable matching workspaces and
     /// prunes with the per-column bounds; `None` (the default) keeps the
-    /// fabric's per-α [`Fabric::evaluate`] path.
+    /// fabric's per-α [`Fabric::evaluate`] path, unpruned.
     fn weight_sweep(
         &self,
         source: &S,
@@ -263,12 +258,10 @@ pub struct BipartiteFabric {
 impl<S> Fabric<S> for BipartiteFabric {
     // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
     fn evaluate(&self, _source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        // Direct per-α evaluations carry no policy, so the kernel is the
-        // env-resolved default (the batched `select` path honors
+        // Direct per-α evaluations carry no policy, so the exact kind is
+        // the Hungarian solver (the swept `select` path honors
         // `SearchPolicy::kernel`).
-        let kernel = ExactKernel::default().resolved();
-        let (matching, benefit) =
-            run_kernel(queues.n(), queues.weighted_edges(alpha), self.kind, kernel);
+        let (matching, benefit) = run_kernel(queues.n(), queues.weighted_edges(alpha), self.kind);
         BestChoice {
             matching,
             alpha,
@@ -287,10 +280,6 @@ impl<S> Fabric<S> for BipartiteFabric {
             .map(|&(i, j)| (NodeId(i), NodeId(j), alpha))
             .collect();
         Ok((matching, budgets))
-    }
-
-    fn upper_bound_valid(&self) -> bool {
-        true
     }
 
     fn weight_sweep(
@@ -372,8 +361,7 @@ fn union_matching(
         if edges.is_empty() {
             break;
         }
-        let (m, round_benefit) =
-            run_kernel(n, edges, round_kind, ExactKernel::default().resolved());
+        let (m, round_benefit) = run_kernel(n, edges, round_kind);
         if m.is_empty() {
             break;
         }
@@ -498,12 +486,7 @@ impl<S> Fabric<S> for LocalFabric {
             .map(|(i, j)| (i, j, queues.g(i, j, self.slots((i, j), alpha))))
             .filter(|&(_, _, w)| w > 0.0)
             .collect();
-        let (matching, benefit) = run_kernel(
-            queues.n(),
-            edges,
-            self.kind,
-            ExactKernel::default().resolved(),
-        );
+        let (matching, benefit) = run_kernel(queues.n(), edges, self.kind);
         BestChoice {
             matching,
             alpha,
@@ -726,9 +709,9 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// One iteration's configuration selection: enumerates candidates,
-    /// searches them under `policy` (with upper-bound pruning when the
-    /// fabric supports it), and returns the winner — or `None` when no
-    /// configuration has positive benefit.
+    /// searches them under `policy` (with upper-bound pruning on fabrics
+    /// with a [`Fabric::weight_sweep`]), and returns the winner — or `None`
+    /// when no configuration has positive benefit.
     pub fn select<F>(
         &mut self,
         fabric: &F,
@@ -792,38 +775,18 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             // on this thread's (or each rayon worker's) reusable workspace.
             // The bounds are valid for the greedy kernels too (a greedy
             // matching never out-weighs the exact optimum).
-            let kernel = policy.kernel.resolved();
             let prices = seed
                 .and_then(|s| s.prices)
                 .filter(|z| z.len() == n as usize);
             let ctx = SweepContext::new(sweep, table, duals.as_ref(), prices);
-            let ub = |alpha: u64| ctx.score_upper_bound(alpha, delta);
-            let solved = |alpha: u64| ctx.solved_score_bound(alpha, delta);
-            let best = search_alpha_seeded(
-                &candidates,
-                policy,
-                Some(&ub),
-                Some(&solved),
-                &|alpha| ctx.eval(alpha, delta, kind, kernel),
-                seed_alpha,
-            )
-            .filter(|c| c.benefit > 0.0);
-            *duals = Some(ctx.into_duals());
+            let (best, solved) = ctx.search(policy, kind, delta, seed_alpha);
+            *duals = Some(solved);
             return best;
         }
-        let ub = |alpha: u64| {
-            outward(queues.matching_weight_upper_bound(alpha), 2 * n as usize)
-                / (alpha + delta) as f64
-        };
-        let ub_ref: Option<&(dyn Fn(u64) -> f64 + Sync)> = if fabric.upper_bound_valid() {
-            Some(&ub)
-        } else {
-            None
-        };
         search_alpha_seeded(
             &candidates,
             policy,
-            ub_ref,
+            None,
             None,
             &|alpha| fabric.evaluate(source, queues, alpha, delta),
             seed_alpha,
@@ -849,7 +812,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         }
         let queues = self.ensure_queues().0;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        search_alpha(&candidates, policy, None, eval).filter(|c| c.benefit > 0.0)
+        search_alpha_seeded(&candidates, policy, None, None, eval, None).filter(|c| c.benefit > 0.0)
     }
 
     /// Commits a chosen configuration: realizes it on `fabric`, applies the

@@ -478,7 +478,7 @@ pub struct WindowPlan {
 }
 
 /// Hashes the planning knobs that select among schedules: search strategy,
-/// tie preference, the *resolved* kernel, window, Δ, and a caller salt for
+/// tie preference, the exact kernel, window, Δ, and a caller salt for
 /// anything beyond the policy (e.g. the fabric's matching kind).
 /// `SearchPolicy::parallel` is deliberately excluded — parallel and
 /// sequential searches return bit-identical winners, so their schedules are
@@ -490,10 +490,9 @@ fn context_hash(policy: &SearchPolicy, window: u64, delta: u64, salt: u64) -> u6
         AlphaSearch::Binary => 1,
     });
     h.word(u64::from(policy.prefer_larger_alpha));
-    h.word(match policy.kernel.resolved() {
+    h.word(match policy.kernel {
         ExactKernel::Hungarian => 0,
         ExactKernel::Auction => 1,
-        ExactKernel::Auto => 2,
     });
     h.word(window);
     h.word(delta);
@@ -778,62 +777,67 @@ mod tests {
         .unwrap();
         let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let (n, delta, window) = (4, 5, 400);
-        let policy = SearchPolicy::exhaustive();
         let mut fabric = BipartiteFabric {
             kind: MatchingKind::Exact,
         };
+        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
+            let policy = SearchPolicy {
+                kernel,
+                ..SearchPolicy::exhaustive()
+            };
 
-        // Replay the window by hand, solving each winner's column afresh.
-        let mut probe = ScheduleEngine::new(tr.clone(), n, delta);
-        let mut want = Vec::new();
-        let mut used = 0;
-        while let Some(choice) = probe.select(
-            &fabric,
-            window - used - delta,
-            CandidateExtension::None,
-            &policy,
-        ) {
-            let g = WeightedBipartiteGraph::from_tuples(
-                n,
-                n,
-                probe.queues().weighted_edges(choice.alpha),
-            );
-            let mut z = Vec::new();
-            if policy.kernel.resolved() == ExactKernel::Auction {
-                let mut solver = AuctionSolver::new();
-                solver.solve(&g);
-                solver.right_prices(&mut z);
-            } else {
-                let mut solver = AssignmentSolver::new();
-                solver.solve(&g);
-                solver.right_duals(&mut z);
+            // Replay the window by hand, solving each winner's column afresh.
+            let mut probe = ScheduleEngine::new(tr.clone(), n, delta);
+            let mut want = Vec::new();
+            let mut used = 0;
+            while let Some(choice) = probe.select(
+                &fabric,
+                window - used - delta,
+                CandidateExtension::None,
+                &policy,
+            ) {
+                let g = WeightedBipartiteGraph::from_tuples(
+                    n,
+                    n,
+                    probe.queues().weighted_edges(choice.alpha),
+                );
+                let mut z = Vec::new();
+                if kernel == ExactKernel::Auction {
+                    let mut solver = AuctionSolver::new();
+                    solver.solve(&g);
+                    solver.right_prices(&mut z);
+                } else {
+                    let mut solver = AssignmentSolver::new();
+                    solver.solve(&g);
+                    solver.right_duals(&mut z);
+                }
+                want.push(z);
+                probe
+                    .commit(&fabric, &choice.matching, choice.alpha)
+                    .unwrap();
+                used += choice.alpha + delta;
+                if probe.is_drained() || used + delta >= window {
+                    break;
+                }
             }
-            want.push(z);
-            probe
-                .commit(&fabric, &choice.matching, choice.alpha)
+
+            let mut engine = ScheduleEngine::new(tr.clone(), n, delta);
+            let mut cache = ScheduleCache::new(CacheConfig::default());
+            let plan = plan_window_cached(&mut engine, &mut fabric, &policy, window, &mut cache, 0)
                 .unwrap();
-            used += choice.alpha + delta;
-            if probe.is_drained() || used + delta >= window {
-                break;
-            }
+            assert_eq!(plan.outcome, CacheOutcome::Miss);
+            let got: Vec<Vec<u64>> = cache.entries[0]
+                .plan
+                .iter()
+                .map(|s| s.prices.iter().map(|p| p.to_bits()).collect())
+                .collect();
+            let want: Vec<Vec<u64>> = want
+                .iter()
+                .map(|z| z.iter().map(|p| p.to_bits()).collect())
+                .collect();
+            assert!(want.len() > 1 && want.iter().all(|z| z.len() == n as usize));
+            assert_eq!(got, want, "{kernel:?}");
         }
-
-        let mut engine = ScheduleEngine::new(tr, n, delta);
-        let mut cache = ScheduleCache::new(CacheConfig::default());
-        let plan =
-            plan_window_cached(&mut engine, &mut fabric, &policy, window, &mut cache, 0).unwrap();
-        assert_eq!(plan.outcome, CacheOutcome::Miss);
-        let got: Vec<Vec<u64>> = cache.entries[0]
-            .plan
-            .iter()
-            .map(|s| s.prices.iter().map(|p| p.to_bits()).collect())
-            .collect();
-        let want: Vec<Vec<u64>> = want
-            .iter()
-            .map(|z| z.iter().map(|p| p.to_bits()).collect())
-            .collect();
-        assert!(want.len() > 1 && want.iter().all(|z| z.len() == n as usize));
-        assert_eq!(got, want);
     }
 
     #[test]

@@ -22,9 +22,8 @@ pub struct OctopusConfig {
     pub matching: MatchingKind,
     /// Exact assignment algorithm backing [`MatchingKind::Exact`]:
     /// sequential Hungarian (default) or the parallel-bidding auction
-    /// kernel. Overridable process-wide via the `OCTOPUS_KERNEL`
-    /// environment variable (`hungarian` / `auction`). Absent fields in
-    /// serialized configs deserialize to the default.
+    /// kernel. Absent fields in serialized configs deserialize to the
+    /// default.
     #[serde(default)]
     pub kernel: ExactKernel,
     /// Fan candidate-α evaluation out over rayon's worker threads (the

@@ -903,8 +903,34 @@ impl LinkQueue {
 
     pub(crate) fn from_entries(mut entries: Vec<QueueEntry>) -> Self {
         entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+        Self::from_sorted(entries.into_iter().map(|(w, _, _, _, count)| (w, count)))
+    }
+
+    /// Builds one link's queue from `(weight, packets)` pairs — for traffic
+    /// sources outside this crate that patch snapshots incrementally
+    /// ([`crate::TrafficSource::refresh_link`]). Returns `None` when no
+    /// packets remain, matching the snapshot builders' omission of empty
+    /// links.
+    // lint:allow(hot-alloc) — amortized: queue snapshot constructed once per window refresh; the CSR buffers are reused by every kernel call in the window
+    pub fn from_weighted_counts(pairs: impl IntoIterator<Item = (f64, u64)>) -> Option<Self> {
+        let mut entries: Vec<(Weight, u64)> = pairs
+            .into_iter()
+            .filter(|&(_, c)| c > 0)
+            .map(|(w, c)| (Weight(w), c))
+            .collect();
+        if entries.is_empty() {
+            return None;
+        }
+        entries.sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
+        Some(Self::from_sorted(entries))
+    }
+
+    /// Folds weight-descending `(weight, packets)` pairs into classes (equal
+    /// weights merge) and their prefix sums.
+    // lint:allow(hot-alloc) — amortized: one link's queue per refresh; the class and prefix vectors are the returned queue itself
+    fn from_sorted(entries: impl IntoIterator<Item = (Weight, u64)>) -> Self {
         let mut classes: Vec<(f64, u64)> = Vec::new();
-        for (w, _, _, _, count) in entries {
+        for (w, count) in entries {
             match classes.last_mut() {
                 Some((cw, cc)) if *cw == w.value() => *cc += count,
                 _ => classes.push((w.value(), count)),
@@ -924,45 +950,6 @@ impl LinkQueue {
             prefix_counts,
             prefix_weights,
         }
-    }
-
-    /// Builds one link's queue from `(weight, packets)` pairs — for traffic
-    /// sources outside this crate that patch snapshots incrementally
-    /// ([`crate::TrafficSource::refresh_link`]). Returns `None` when no
-    /// packets remain, matching the snapshot builders' omission of empty
-    /// links.
-    // lint:allow(hot-alloc) — amortized: queue snapshot constructed once per window refresh; the CSR buffers are reused by every kernel call in the window
-    pub fn from_weighted_counts(pairs: impl IntoIterator<Item = (f64, u64)>) -> Option<Self> {
-        let mut entries: Vec<(Weight, u64)> = pairs
-            .into_iter()
-            .filter(|&(_, c)| c > 0)
-            .map(|(w, c)| (Weight(w), c))
-            .collect();
-        if entries.is_empty() {
-            return None;
-        }
-        entries.sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
-        let mut classes: Vec<(f64, u64)> = Vec::new();
-        for (w, count) in entries {
-            match classes.last_mut() {
-                Some((cw, cc)) if *cw == w.value() => *cc += count,
-                _ => classes.push((w.value(), count)),
-            }
-        }
-        let mut prefix_counts = Vec::with_capacity(classes.len());
-        let mut prefix_weights = Vec::with_capacity(classes.len());
-        let (mut pc, mut pw) = (0u64, 0.0f64);
-        for &(w, c) in &classes {
-            pc += c;
-            pw += w * c as f64;
-            prefix_counts.push(pc);
-            prefix_weights.push(pw);
-        }
-        Some(LinkQueue {
-            classes,
-            prefix_counts,
-            prefix_weights,
-        })
     }
 
     /// `g(α)`: maximum total weight of α waiting packets.

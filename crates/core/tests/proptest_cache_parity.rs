@@ -211,7 +211,7 @@ proptest! {
             ..CacheConfig::default()
         }
         .resolved();
-        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction, ExactKernel::Auto] {
+        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
             let seq = SearchPolicy {
                 search: AlphaSearch::Exhaustive,
                 parallel: false,

@@ -94,7 +94,7 @@ fn solve_alpha(
             },
         );
     let (n, col) = (queues.n(), sweep.column(0));
-    let (matching, benefit) = match kernel.resolved().auto_pick(col) {
+    let (matching, benefit) = match kernel {
         ExactKernel::Auction => {
             let mut s = AuctionSolver::new();
             s.load_topology(n, n, sweep.edges());

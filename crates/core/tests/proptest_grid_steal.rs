@@ -1,7 +1,7 @@
 //! Worker-count independence of the work-stealing α-search executor.
 //!
 //! The parallel exhaustive search draws candidates from a shared atomic bag
-//! (`rayon::steal::map_reduce`): *which* worker claims which candidate is
+//! (`rayon::steal::map_reduce_filtered`): *which* worker claims which candidate is
 //! scheduler-dependent, so the executor is only correct if the winner is a
 //! pure function of the candidate set. This suite pins that: for every
 //! worker count (the `rayon::ThreadPoolBuilder` override — the same knob
@@ -9,8 +9,7 @@
 //! swept via the builder here and via the env var in CI), the work-stealing
 //! search must return a `BestChoice` bit-identical to the sequential search,
 //! under every combination of search strategy, tie preference, and exact
-//! kernel (including `Auto`, whose per-column pick must itself be a pure
-//! function of the column for the contract to hold).
+//! kernel.
 //!
 //! The per-worker claim counts surface in [`BestChoice::worker_evals`]; the
 //! suite checks their sum always accounts for every evaluated candidate
@@ -122,7 +121,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Sequential vs work-stealing winners at worker counts 1, 2 and 4, for
-    /// all 12 (search × tie preference × kernel) policy variants.
+    /// all 8 (search × tie preference × kernel) policy variants.
     #[test]
     fn stolen_search_is_bit_identical_across_worker_counts(
         (n, load, window, delta) in instance()
@@ -130,7 +129,7 @@ proptest! {
         let _guard = GLOBAL_KNOB.lock().expect("no poisoned tests");
         for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
             for prefer_larger_alpha in [false, true] {
-                for kernel in [ExactKernel::Hungarian, ExactKernel::Auction, ExactKernel::Auto] {
+                for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
                     let seq = SearchPolicy {
                         search,
                         parallel: false,
@@ -181,7 +180,7 @@ proptest! {
         (n, load, window, delta) in instance()
     ) {
         let _guard = GLOBAL_KNOB.lock().expect("no poisoned tests");
-        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction, ExactKernel::Auto] {
+        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
             let policy = SearchPolicy {
                 search: AlphaSearch::Exhaustive,
                 parallel: true,

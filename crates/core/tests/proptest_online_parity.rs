@@ -10,7 +10,7 @@
 
 use octopus_core::online::{hysteresis_replan, EpochReport, HysteresisScheduler, OnlineScheduler};
 use octopus_core::{
-    BipartiteFabric, OctopusConfig, OctopusOutput, RemainingTraffic, ScheduleEngine,
+    BipartiteFabric, ExactKernel, OctopusConfig, OctopusOutput, RemainingTraffic, ScheduleEngine,
 };
 use octopus_net::{topology, Configuration, Matching, Network, Schedule};
 use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
@@ -103,13 +103,17 @@ fn assert_same(got: &EpochReport, want: &EpochReport, epoch: usize) -> Result<()
     Ok(())
 }
 
-fn config(window: u64, delta: u64) -> OctopusConfig {
+fn config(window: u64, delta: u64, kernel: ExactKernel) -> OctopusConfig {
     OctopusConfig {
         window,
         delta,
+        kernel,
         ..OctopusConfig::default()
     }
 }
+
+/// Both exact kernels: each script runs under each.
+const KERNELS: [ExactKernel; 2] = [ExactKernel::Hungarian, ExactKernel::Auction];
 
 fn online_parity(
     net: &Network,
@@ -188,12 +192,17 @@ proptest! {
 
     #[test]
     fn online_epochs_match_per_epoch_rebuild((n, window, delta, _eta, epochs) in script()) {
-        online_parity(&topology::complete(n), config(window, delta), &epochs)?;
+        for kernel in KERNELS {
+            online_parity(&topology::complete(n), config(window, delta, kernel), &epochs)?;
+        }
     }
 
     #[test]
     fn hysteresis_epochs_match_per_epoch_rebuild((n, window, delta, eta, epochs) in script()) {
-        hysteresis_parity(&topology::complete(n), config(window, delta), eta, &epochs)?;
+        for kernel in KERNELS {
+            let cfg = config(window, delta, kernel);
+            hysteresis_parity(&topology::complete(n), cfg, eta, &epochs)?;
+        }
     }
 }
 
@@ -201,14 +210,16 @@ proptest! {
 fn hysteresis_constructor_rejects_bad_knobs() {
     let net = topology::complete(4);
     for eta in [-5.0, f64::NAN] {
-        let err = HysteresisScheduler::new(net.clone(), config(100, 10), eta).err();
+        let err =
+            HysteresisScheduler::new(net.clone(), config(100, 10, ExactKernel::Hungarian), eta)
+                .err();
         assert!(
             matches!(err, Some(octopus_core::SchedError::InvalidEta(_))),
             "eta {eta}"
         );
     }
     assert_eq!(
-        HysteresisScheduler::new(net, config(10, 10), 0.1).err(),
+        HysteresisScheduler::new(net, config(10, 10, ExactKernel::Hungarian), 0.1).err(),
         Some(octopus_core::SchedError::WindowTooSmall {
             window: 10,
             delta: 10
