@@ -87,12 +87,7 @@ pub fn one_hop_schedule(
         ..SearchPolicy::exhaustive()
     };
     let mut engine = ScheduleEngine::new(source, n, delta);
-    let run = engine.plan_window(
-        &mut BipartiteFabric { kind: matching },
-        &policy,
-        window,
-        &mut (),
-    );
+    let run = engine.plan_window(&mut BipartiteFabric { kind: matching }, &policy, window);
     let schedule = match run {
         Ok(run) => run.schedule,
         Err(e) => {

@@ -272,16 +272,15 @@ impl DualTable {
 /// per-thread workspaces know when their loaded CSR topology is current.
 ///
 /// It also carries the dual sources that tighten the search's bounds: the
-/// table this search fills with each exact solve's right-side duals, the
-/// previous search's table (`prior`), and a schedule-cache entry's prices.
-/// Every source enters only through the weak-duality bound, which is valid
-/// for any `z ≥ 0`, so none of them can change the winner.
+/// table this search fills with each exact solve's right-side duals, and
+/// the previous search's table (`prior`). Both enter only through the
+/// weak-duality bound, which is valid for any `z ≥ 0`, so neither can
+/// change the winner.
 pub(crate) struct SweepContext<'p> {
     sweep: MultiAlphaEdges,
     id: u64,
     duals: DualTable,
     prior: Option<&'p DualTable>,
-    prices: Option<&'p [f64]>,
 }
 
 impl<'p> SweepContext<'p> {
@@ -291,7 +290,6 @@ impl<'p> SweepContext<'p> {
         sweep: MultiAlphaEdges,
         duals: DualTable,
         prior: Option<&'p DualTable>,
-        prices: Option<&'p [f64]>,
     ) -> Self {
         debug_assert_eq!(duals.alphas, sweep.alphas(), "table and sweep disagree");
         SweepContext {
@@ -300,7 +298,6 @@ impl<'p> SweepContext<'p> {
             id: SWEEP_IDS.fetch_add(1, Ordering::Relaxed),
             duals,
             prior,
-            prices,
         }
     }
 
@@ -316,17 +313,15 @@ impl<'p> SweepContext<'p> {
         policy: &SearchPolicy,
         kind: MatchingKind,
         delta: u64,
-        seed_alpha: Option<u64>,
     ) -> (Option<BestChoice>, DualTable) {
         let ub = |alpha: u64| self.score_upper_bound(alpha, delta);
         let solved = |alpha: u64| self.solved_score_bound(alpha, delta);
-        let best = search_alpha_seeded(
+        let best = search_alpha(
             &self.duals.alphas,
             policy,
             Some(&ub),
             Some(&solved),
             &|alpha| self.eval(alpha, delta, kind, policy.kernel),
-            seed_alpha,
         )
         .filter(|c| c.benefit > 0.0);
         (best, self.duals)
@@ -334,15 +329,12 @@ impl<'p> SweepContext<'p> {
 
     /// The eager score bound of one swept candidate α, which both orders
     /// and cuts the bound-descending scan: the sweep's row/column-max bound,
-    /// tightened by the weak-duality bound under the cache's prices and
-    /// under the previous search's duals of the nearest α.
+    /// tightened by the weak-duality bound under the previous search's
+    /// duals of the nearest α.
     pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
         let k = self.sweep.index_of(alpha);
         let n = self.sweep.n() as usize;
         let mut ub = outward(self.sweep.upper_bound(k), 2 * n);
-        if let Some(z) = self.prices {
-            ub = ub.min(self.dual_bound(k, z));
-        }
         if let Some(prior) = self.prior {
             ub = ub.min(self.nearest_dual_bound(prior, k));
         }
@@ -377,9 +369,9 @@ impl<'p> SweepContext<'p> {
     /// [`outward`]: re-deriving `y_u := max_v (w(u,v) − z_v)⁺` from scratch
     /// makes `(y, z)` dual-feasible for **any** `z ≥ 0`, however stale, so
     /// `Σ_u y_u + Σ_v z_v` bounds the column's maximum matching weight.
-    /// Duals from other columns, other iterations or the cache therefore
-    /// tighten pruning without ever being trusted — a poor `z` merely
-    /// loosens the bound.
+    /// Duals from other columns or other iterations therefore tighten
+    /// pruning without ever being trusted — a poor `z` merely loosens the
+    /// bound.
     fn dual_bound(&self, k: usize, z: &[f64]) -> f64 {
         let col = self.sweep.column(k);
         let edges = self.sweep.edges();
@@ -572,8 +564,8 @@ pub fn best_configuration(
     };
     let duals = DualTable::new(&candidates, queues.n() as usize);
     let sweep = queues.weighted_edges_multi(&candidates);
-    SweepContext::new(sweep, duals, None, None)
-        .search(&policy, kind, delta, None)
+    SweepContext::new(sweep, duals, None)
+        .search(&policy, kind, delta)
         .0
 }
 
@@ -619,15 +611,6 @@ fn better(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> bool {
 /// order and worker interleaving; the winning configuration itself is
 /// identical across all exhaustive paths).
 ///
-/// `seed_alpha` is an optional warm-start seed: the cached winner's α from a
-/// previous, similar window. The seed is evaluated *first*, so its exact
-/// score becomes the pruning floor before any other candidate is visited —
-/// pure work savings. Because the exhaustive cut is strict and
-/// [`choice_cmp`] a strict total order, the returned winner is bit-identical
-/// for every seed (including none at all); a seed outside the candidate set
-/// is ignored. The ternary search ignores seeds entirely: its probe sequence
-/// is part of the Octopus-B contract and must not depend on cache state.
-///
 /// `refine` is an optional *second-tier* upper bound that may tighten as
 /// the search runs (the weak-duality bound under the duals of the nearest α
 /// solved so far, O(edges) per call). It is consulted lazily, only for
@@ -635,13 +618,12 @@ fn better(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> bool {
 /// strict comparison — so it must also be a true upper bound on the
 /// candidate's exact score, and like `ub` it can only skip provably
 /// dominated candidates, never change the winner.
-pub(crate) fn search_alpha_seeded<E>(
+pub(crate) fn search_alpha<E>(
     candidates: &[u64],
     policy: &SearchPolicy,
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     eval: &E,
-    seed_alpha: Option<u64>,
 ) -> Option<BestChoice>
 where
     E: Fn(u64) -> BestChoice + Sync,
@@ -649,12 +631,11 @@ where
     if candidates.is_empty() {
         return None;
     }
-    let seed = seed_alpha.filter(|a| candidates.contains(a));
     match policy.search {
         AlphaSearch::Exhaustive if policy.parallel => {
-            exhaustive_parallel(candidates, policy, ub, refine, eval, seed)
+            exhaustive_parallel(candidates, policy, ub, refine, eval)
         }
-        AlphaSearch::Exhaustive => exhaustive_pruned(candidates, policy, ub, refine, eval, seed),
+        AlphaSearch::Exhaustive => exhaustive_pruned(candidates, policy, ub, refine, eval),
         AlphaSearch::Binary => ternary(candidates, policy, eval),
     }
 }
@@ -678,25 +659,13 @@ fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     eval: &E,
-    seed: Option<u64>,
 ) -> Option<BestChoice> {
     // Order candidates by optimistic score so pruning bites early.
     let order = bound_order(candidates, ub);
 
     let mut best: Option<BestChoice> = None;
     let mut computed = 0usize;
-    // Warm start: evaluate the seed before the scan so its exact score
-    // floors the cut immediately (the winner is visit-order-independent,
-    // see `search_alpha_seeded`).
-    if let Some(sa) = seed {
-        let cand = eval(sa);
-        computed += cand.matchings_computed;
-        best = Some(cand);
-    }
     for (alpha, ub_score) in order {
-        if Some(alpha) == seed {
-            continue; // already evaluated as the floor
-        }
         if let Some(b) = &best {
             // Strictly below the incumbent's score: no remaining candidate
             // can win, not even on tie-breaks. (At `ub_score == b.score` the
@@ -737,7 +706,7 @@ fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
 /// and the winner is bit-identical to the sequential search regardless of
 /// which worker claimed which candidate.
 ///
-/// With a bound, candidates are ordered bound-descending (seed first) and
+/// With a bound, candidates are ordered bound-descending and
 /// checked against a shared atomic best-score **floor** before evaluation:
 /// a candidate whose bound sits strictly below the floor is provably
 /// dominated — its exact score ≤ bound < floor ≤ the eventual winner's
@@ -755,7 +724,6 @@ fn exhaustive_parallel<E>(
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
     eval: &E,
-    seed: Option<u64>,
 ) -> Option<BestChoice>
 where
     E: Fn(u64) -> BestChoice + Sync,
@@ -766,13 +734,7 @@ where
         winner.matchings_computed = computed;
         winner
     };
-    let mut order = bound_order(candidates, ub);
-    if let Some(sa) = seed {
-        if let Some(pos) = order.iter().position(|&(a, _)| a == sa) {
-            let s = order.remove(pos);
-            order.insert(0, s);
-        }
-    }
+    let order = bound_order(candidates, ub);
     // Shared best-score floor, stored as bits and raised through a CAS loop
     // under `total_cmp` (raw `u64` ordering disagrees with `f64` ordering
     // for negative values, so `fetch_max` on bits would be wrong).
@@ -1013,7 +975,7 @@ mod tests {
                 worker_evals: Vec::new(),
             }
         };
-        let best = search_alpha_seeded(&candidates, &policy, None, None, &eval, None).unwrap();
+        let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
         // One eval per candidate — both by the counter the reduction carries
         // and by the actual number of closure invocations.
         assert_eq!(best.matchings_computed, candidates.len());
@@ -1056,7 +1018,7 @@ mod tests {
             };
             let eval = |alpha| crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10);
             let candidates = q.alpha_candidates(10_000);
-            let best = search_alpha_seeded(&candidates, &policy, None, None, &eval, None).unwrap();
+            let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
             assert_eq!(best.alpha, 30, "parallel = {parallel}");
         }
     }
@@ -1176,8 +1138,7 @@ mod tests {
             prefer_larger_alpha: false,
             kernel: ExactKernel::Hungarian,
         };
-        let best = search_alpha_seeded(&candidates, &policy, Some(&ub), None, &eval, None)
-            .expect("non-empty");
+        let best = search_alpha(&candidates, &policy, Some(&ub), None, &eval).expect("non-empty");
         assert_eq!(best.alpha, 10);
         assert_eq!(
             calls.load(Ordering::Relaxed),
@@ -1186,45 +1147,6 @@ mod tests {
         );
         assert_eq!(best.matchings_computed, 1);
         assert_eq!(best.worker_evals, vec![1]);
-    }
-
-    #[test]
-    fn seeded_search_floors_the_cut_with_the_seed() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Seeding α = 30 evaluates it first (floor 3.0); α = 10's bound
-        // still clears the floor and wins, α = 20 is then declined. Same
-        // winner as unseeded, one extra evaluation — in both executors.
-        let candidates = [10u64, 20, 30];
-        let ub = |alpha: u64| match alpha {
-            10 => 10.0,
-            20 => 5.0,
-            _ => 3.0,
-        };
-        for parallel in [false, true] {
-            let calls = AtomicUsize::new(0);
-            let eval = |alpha: u64| {
-                calls.fetch_add(1, Ordering::Relaxed);
-                tight_choice(alpha, ub(alpha))
-            };
-            let policy = SearchPolicy {
-                search: AlphaSearch::Exhaustive,
-                parallel,
-                prefer_larger_alpha: false,
-                kernel: ExactKernel::Hungarian,
-            };
-            let best = search_alpha_seeded(&candidates, &policy, Some(&ub), None, &eval, Some(30))
-                .expect("non-empty");
-            assert_eq!(
-                best.alpha, 10,
-                "seed must not steer the winner (parallel {parallel})"
-            );
-            assert_eq!(
-                calls.load(Ordering::Relaxed),
-                2,
-                "seed costs exactly one extra eval"
-            );
-            assert_eq!(best.matchings_computed, 2);
-        }
     }
 
     /// Tie-heavy `1/k` hop-weight links on up to 6 ports: `(link, k, count)`.
@@ -1255,7 +1177,7 @@ mod tests {
             prop_assume!(!alphas.is_empty());
             for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
                 let duals = DualTable::new(&alphas, 6);
-                let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None, None);
+                let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
                 let mut scores = Vec::new();
                 for (k, &alpha) in alphas.iter().enumerate() {
                     // The lazy bound under the duals solved so far, before
@@ -1282,13 +1204,11 @@ mod tests {
                         }
                     }
                 }
-                // The next search, bounded by this one's duals and the
-                // random prices as the cache would pass them.
+                // The next search, bounded by this one's duals.
                 let next = SweepContext::new(
                     q.weighted_edges_multi(&alphas),
                     DualTable::new(&alphas, 6),
                     Some(&ctx.duals),
-                    Some(&z_rand),
                 );
                 for (k, &alpha) in alphas.iter().enumerate() {
                     prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);

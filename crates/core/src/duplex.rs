@@ -66,7 +66,6 @@ pub fn octopus_duplex_with(
         &mut fabric,
         &SearchPolicy::exhaustive(),
         cfg.window,
-        &mut (),
     )?;
     Ok(OctopusOutput::from_run(run, &tr))
 }

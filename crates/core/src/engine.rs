@@ -32,11 +32,10 @@
 //! count knobs (`OCTOPUS_THREADS`, `rayon::ThreadPoolBuilder`).
 
 use crate::best_config::{
-    run_kernel, search_alpha_seeded, AlphaSearch, BestChoice, DualTable, ExactKernel, MatchingKind,
+    run_kernel, search_alpha, AlphaSearch, BestChoice, DualTable, ExactKernel, MatchingKind,
     SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
-use crate::memo::WarmSeed;
 use crate::state::{LinkQueue, LinkQueues, MultiAlphaEdges, RemainingTraffic};
 use crate::SchedError;
 use octopus_matching::blossom::maximum_weight_matching_general;
@@ -543,27 +542,6 @@ impl<S> Fabric<S> for LocalFabric {
     }
 }
 
-/// Per-iteration additions to [`ScheduleEngine::plan_window`] used by the
-/// schedule cache ([`crate::memo`]): a warm-start seed for each iteration's
-/// search, and a look at each winner before it is committed. Offline callers
-/// pass `()`, which adds nothing.
-pub trait WindowHooks<S: TrafficSource> {
-    /// The warm-start seed for greedy iteration `iter` (0-based).
-    fn seed(&self, iter: usize) -> Option<WarmSeed<'_>> {
-        let _ = iter;
-        None
-    }
-
-    /// Sees the winning α before it is committed, while the engine still
-    /// holds the duals its select solved
-    /// ([`ScheduleEngine::solved_duals`]).
-    fn before_commit(&mut self, engine: &mut ScheduleEngine<S>, alpha: u64) {
-        let _ = (engine, alpha);
-    }
-}
-
-impl<S: TrafficSource> WindowHooks<S> for () {}
-
 /// One planned window: what [`ScheduleEngine::plan_window`] committed.
 #[derive(Debug, Clone, Default)]
 pub struct WindowRun {
@@ -684,15 +662,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         self.ensure_queues().0
     }
 
-    /// The right-side duals the last swept select solved for the α nearest
-    /// to `alpha` — for its winner, the winner's own, since every winner is
-    /// solved. `None` when it solved nothing exactly (a greedy kernel).
-    // lint:allow(hot-alloc) — amortized: one n-entry copy per committed configuration, on cache misses and near hits only
-    pub(crate) fn solved_duals(&self, alpha: u64) -> Option<Vec<f64>> {
-        let mut z = Vec::new();
-        self.duals.as_ref()?.nearest(alpha, &mut z).then_some(z)
-    }
-
     /// The candidate α values for this iteration, capped by `budget` and
     /// extended per `ext`. Sorted ascending, deduplicated.
     pub fn candidates(&mut self, budget: u64, ext: CandidateExtension) -> Vec<u64> {
@@ -712,41 +681,20 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// searches them under `policy` (with upper-bound pruning on fabrics
     /// with a [`Fabric::weight_sweep`]), and returns the winner — or `None`
     /// when no configuration has positive benefit.
+    ///
+    /// On fabrics with a weight sweep a weak-duality bound prunes with
+    /// solved duals too: the previous select's (nearest α, in every
+    /// candidate's eager bound) and this select's own (nearest α solved so
+    /// far, lazily before each solve). Both only skip provably dominated
+    /// candidates, since the pruning cut is strict and only ever compares
+    /// against exactly evaluated scores. The engine keeps this select's
+    /// duals for the next one.
     pub fn select<F>(
         &mut self,
         fabric: &F,
         budget: u64,
         ext: CandidateExtension,
         policy: &SearchPolicy,
-    ) -> Option<BestChoice>
-    where
-        F: Fabric<S> + Sync,
-        S: Sync,
-    {
-        self.select_seeded(fabric, budget, ext, policy, None)
-    }
-
-    /// [`ScheduleEngine::select`] with an optional warm-start seed from the
-    /// schedule cache ([`crate::memo`]): the cached winner's α is evaluated
-    /// first (flooring the pruning cut at its exact score) and cached dual
-    /// prices tighten each candidate's upper bound through a re-verified
-    /// weak-duality bound. Both are pure pruning aids — the returned winner
-    /// is bit-identical to an unseeded [`ScheduleEngine::select`] for every
-    /// seed, because the pruning cut is strict and only ever compares
-    /// against exactly evaluated scores.
-    ///
-    /// On fabrics with a weight sweep the same weak-duality bound also runs
-    /// with solved duals: the previous select's (nearest α, in every
-    /// candidate's eager bound) and this select's own (nearest α solved so
-    /// far, lazily before each solve). The engine keeps this select's duals
-    /// for the next one.
-    pub fn select_seeded<F>(
-        &mut self,
-        fabric: &F,
-        budget: u64,
-        ext: CandidateExtension,
-        policy: &SearchPolicy,
-        seed: Option<&WarmSeed<'_>>,
     ) -> Option<BestChoice>
     where
         F: Fabric<S> + Sync,
@@ -766,7 +714,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         let queues = &*queues.get_or_insert_with(|| source.snapshot_queues(n));
         let source = &*source;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        let seed_alpha = seed.and_then(|s| s.alpha);
         // Before the sweep, see `DualTable::new`; unused without a sweep.
         let table = DualTable::new(&candidates, n as usize);
         if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
@@ -775,22 +722,14 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             // on this thread's (or each rayon worker's) reusable workspace.
             // The bounds are valid for the greedy kernels too (a greedy
             // matching never out-weighs the exact optimum).
-            let prices = seed
-                .and_then(|s| s.prices)
-                .filter(|z| z.len() == n as usize);
-            let ctx = SweepContext::new(sweep, table, duals.as_ref(), prices);
-            let (best, solved) = ctx.search(policy, kind, delta, seed_alpha);
+            let ctx = SweepContext::new(sweep, table, duals.as_ref());
+            let (best, solved) = ctx.search(policy, kind, delta);
             *duals = Some(solved);
             return best;
         }
-        search_alpha_seeded(
-            &candidates,
-            policy,
-            None,
-            None,
-            &|alpha| fabric.evaluate(source, queues, alpha, delta),
-            seed_alpha,
-        )
+        search_alpha(&candidates, policy, None, None, &|alpha| {
+            fabric.evaluate(source, queues, alpha, delta)
+        })
         .filter(|c| c.benefit > 0.0)
     }
 
@@ -812,7 +751,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         }
         let queues = self.ensure_queues().0;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        search_alpha_seeded(&candidates, policy, None, None, eval, None).filter(|c| c.benefit > 0.0)
+        search_alpha(&candidates, policy, None, None, eval).filter(|c| c.benefit > 0.0)
     }
 
     /// Commits a chosen configuration: realizes it on `fabric`, applies the
@@ -900,32 +839,26 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// [`SchedError::Net`] when a winner fails to realize on `fabric` (see
     /// [`Fabric::realize`]); the configurations committed before it stay
     /// applied to the source.
-    pub fn plan_window<F, H>(
+    pub fn plan_window<F>(
         &mut self,
         fabric: &mut F,
         policy: &SearchPolicy,
         window: u64,
-        hooks: &mut H,
     ) -> Result<WindowRun, SchedError>
     where
         F: Fabric<S> + Sync,
         S: Sync,
-        H: WindowHooks<S>,
     {
         let delta = self.delta;
         let mut run = WindowRun::default();
         let mut used = 0u64;
         while !self.is_drained() && used + delta < window {
             let budget = window - used - delta;
-            let seed = hooks.seed(run.iterations);
-            let Some(choice) =
-                self.select_seeded(&*fabric, budget, fabric.extension(), policy, seed.as_ref())
-            else {
+            let Some(choice) = self.select(&*fabric, budget, fabric.extension(), policy) else {
                 break;
             };
             run.iterations += 1;
             run.matchings_computed += choice.matchings_computed;
-            hooks.before_commit(self, choice.alpha);
             let matching = self.commit(&*fabric, &choice.matching, choice.alpha)?;
             fabric.committed(&choice.matching);
             run.schedule

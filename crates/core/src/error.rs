@@ -32,6 +32,8 @@ pub enum SchedError {
         /// The out-of-range position.
         pos: u32,
     },
+    /// Admitting the packets would push a packet count past `u64::MAX`.
+    PacketCountOverflow,
     /// The traffic source does not support chained (multi-hop-per-
     /// configuration) movement.
     ChainedUnsupported,
@@ -66,6 +68,9 @@ impl fmt::Display for SchedError {
                     f,
                     "sub-flow of {flow} admitted at position {pos} beyond its route"
                 )
+            }
+            SchedError::PacketCountOverflow => {
+                write!(f, "admission would overflow the 64-bit packet count")
             }
             SchedError::ChainedUnsupported => {
                 write!(f, "this traffic source does not support chained movement")

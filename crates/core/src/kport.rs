@@ -44,7 +44,6 @@ pub fn octopus_kport(
         &mut fabric,
         &policy,
         cfg.window,
-        &mut (),
     )?;
     Ok(OctopusOutput::from_run(run, &tr))
 }

@@ -55,7 +55,6 @@ pub fn octopus_local(
         &mut fabric,
         &policy,
         cfg.window,
-        &mut (),
     )?;
     Ok(OctopusOutput::from_run(run, &tr))
 }

@@ -134,7 +134,6 @@ pub fn octopus(
         &mut fabric,
         &cfg.search_policy(),
         cfg.window,
-        &mut (),
     )?;
     Ok(OctopusOutput::from_run(run, &tr))
 }

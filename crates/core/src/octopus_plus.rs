@@ -441,7 +441,7 @@ pub fn octopus_plus(
         backtracking: cfg.backtracking,
     };
     let mut engine = ScheduleEngine::new(source, net.num_nodes(), base.delta);
-    let run = engine.plan_window(&mut fabric, &base.search_policy(), base.window, &mut ())?;
+    let run = engine.plan_window(&mut fabric, &base.search_policy(), base.window)?;
     let st = engine.into_source().st;
 
     Ok(PlusOutput {

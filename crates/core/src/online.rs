@@ -134,12 +134,9 @@ impl OnlineScheduler {
         let mut fabric = BipartiteFabric {
             kind: self.cfg.matching,
         };
-        let run = self.engine.plan_window(
-            &mut fabric,
-            &self.cfg.search_policy(),
-            self.cfg.window,
-            &mut (),
-        )?;
+        let run =
+            self.engine
+                .plan_window(&mut fabric, &self.cfg.search_policy(), self.cfg.window)?;
         let output = OctopusOutput::from_run(run, self.engine.source());
         let delivered = output.planned_delivered;
         self.total_arrived += arrived;

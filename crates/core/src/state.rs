@@ -260,26 +260,39 @@ impl RemainingTraffic {
         self.link_keys.len()
     }
 
-    /// Histogram of remaining hop counts over all waiting packets: slot `k`
-    /// holds the packets that still have `k + 1` hops to travel (a packet
-    /// waiting at route position `pos` of an `h`-hop route has `h − pos`
-    /// left), with counts past `len` clamped into the last slot. Each packet
-    /// is counted exactly once — it waits on exactly one link row. One of
-    /// the window-fingerprint features of [`crate::memo`].
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
-    pub fn remaining_hops_histogram(&self, len: usize) -> Vec<u64> {
-        let mut hist = vec![0u64; len];
-        if len == 0 {
-            return hist;
-        }
-        for row in &self.rows {
-            for &((fi, pos), count) in row {
-                let left = (self.flows[fi as usize].hops - pos) as usize;
-                let slot = left.saturating_sub(1).min(len - 1);
-                hist[slot] += count;
+    /// Feeds `word` everything about this plan that the greedy window loop
+    /// reads, so two plans feeding the same words plan the same window: the
+    /// interned-key generation, the hop weighting, and every waiting
+    /// sub-flow in packet-priority tie-break order (flow ID, then row) as
+    /// its position, hop count, packet count and remaining route suffix.
+    /// Flow IDs themselves are left out, since only their order can steer a
+    /// plan. The key of the schedule cache ([`crate::memo`]).
+    // lint:allow(hot-alloc) — amortized: one row list per cached re-plan, sorted once
+    pub fn replay_key(&self, mut word: impl FnMut(u64)) {
+        word(self.link_keys.len() as u64);
+        match self.weighting {
+            HopWeighting::Uniform => word(0),
+            HopWeighting::EpsilonLater { eps } => {
+                word(1);
+                word(eps.to_bits());
             }
         }
-        hist
+        let mut waiting: Vec<(FlowId, u32, u32, u64)> = self
+            .rows
+            .iter()
+            .flatten()
+            .map(|&((fi, pos), count)| (self.flows[fi as usize].id, fi, pos, count))
+            .collect();
+        waiting.sort_unstable();
+        for (_, fi, pos, count) in waiting {
+            let meta = &self.flows[fi as usize];
+            word(u64::from(pos));
+            word(u64::from(meta.hops));
+            word(count);
+            for node in &meta.route.nodes()[pos as usize..] {
+                word(u64::from(node.0));
+            }
+        }
     }
 
     /// The interned `LinkId` of `(fi, pos)`'s waiting link.
@@ -607,7 +620,9 @@ impl RemainingTraffic {
     ///
     /// # Errors
     /// [`SchedError::PositionBeyondRoute`] if any entry's position is at or
-    /// past its route's end; the plan is untouched on error.
+    /// past its route's end, [`SchedError::PacketCountOverflow`] if the
+    /// plan's packet total would pass `u64::MAX`; the plan is untouched on
+    /// error.
     // lint:allow(hot-alloc) — amortized: runs once per admission batch, not per scheduling window
     pub fn admit_subflows(
         &mut self,
@@ -624,6 +639,10 @@ impl RemainingTraffic {
                 return Err(SchedError::PositionBeyondRoute { flow: id, pos });
             }
         }
+        let total = incoming
+            .iter()
+            .try_fold(self.total, |t, &(.., count)| t.checked_add(count))
+            .ok_or(SchedError::PacketCountOverflow)?;
         if incoming.is_empty() {
             return Ok(Vec::new());
         }
@@ -655,8 +674,8 @@ impl RemainingTraffic {
                 }
             };
             staged.push((fi, pos, count));
-            self.total += count;
         }
+        self.total = total;
         self.intern_new_links(fresh_keys);
         for fi in first_new..self.flows.len() {
             let link_off = self.flow_links.len() as u32;
@@ -1859,6 +1878,79 @@ mod tests {
         // The valid entry of the failed batch was not half-applied.
         assert_eq!(tr.subflows(), before);
         assert_eq!(tr.remaining_packets(), 200);
+    }
+
+    #[test]
+    fn admit_rejects_packet_count_overflow_without_mutating() {
+        let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
+        let before = tr.subflows();
+        let route = Route::from_ids([0, 1]).unwrap();
+        // Each size fits on its own; the batch's sum with the 200 waiting
+        // packets does not.
+        let err = tr
+            .admit_subflows([
+                (FlowId(7), route.clone(), 0, u64::MAX / 2),
+                (FlowId(8), route.clone(), 0, u64::MAX / 2),
+            ])
+            .unwrap_err();
+        assert_eq!(err, SchedError::PacketCountOverflow);
+        assert_eq!(tr.subflows(), before);
+        assert_eq!(tr.remaining_packets(), 200);
+        assert_eq!(
+            tr.admit_subflows([(FlowId(9), route, 0, u64::MAX)]),
+            Err(SchedError::PacketCountOverflow)
+        );
+        assert_eq!(tr.subflows(), before);
+    }
+
+    fn replay_key(tr: &RemainingTraffic) -> Vec<u64> {
+        let mut words = Vec::new();
+        tr.replay_key(|w| words.push(w));
+        words
+    }
+
+    #[test]
+    fn replay_key_covers_downstream_routes_and_priority_order() {
+        let flow = |id, size, route: [u32; 3]| {
+            Flow::single(FlowId(id), size, Route::from_ids(route).unwrap())
+        };
+        let key_of = |flows: Vec<Flow>| {
+            let load = TrafficLoad::new(flows).unwrap();
+            replay_key(&RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap())
+        };
+        let base = key_of(vec![flow(1, 10, [0, 1, 2]), flow(2, 20, [0, 1, 3])]);
+        // Fresh IDs in the same order: the same plan, the same key.
+        assert_eq!(
+            base,
+            key_of(vec![flow(5, 10, [0, 1, 2]), flow(9, 20, [0, 1, 3])])
+        );
+        // Same first-hop queue and links, swapped downstream routes.
+        assert_ne!(
+            base,
+            key_of(vec![flow(1, 10, [0, 1, 3]), flow(2, 20, [0, 1, 2])])
+        );
+        // Same rows, swapped priority between the two flows.
+        assert_ne!(
+            base,
+            key_of(vec![flow(2, 10, [0, 1, 2]), flow(1, 20, [0, 1, 3])])
+        );
+    }
+
+    #[test]
+    fn replay_key_covers_weighting_and_interned_links() {
+        let tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
+        let eps = RemainingTraffic::new(&load_example1(), HopWeighting::EpsilonLater { eps: 0.1 })
+            .unwrap();
+        assert_ne!(replay_key(&tr), replay_key(&eps));
+        // Admitting then cancelling a flow on a fresh link restores the rows
+        // but not the interned keys.
+        let mut churned = tr.clone();
+        churned
+            .admit_subflows([(FlowId(7), Route::from_ids([3, 2]).unwrap(), 0, 5)])
+            .unwrap();
+        churned.cancel_flow(FlowId(7));
+        assert_eq!(churned.subflows(), tr.subflows());
+        assert_ne!(replay_key(&churned), replay_key(&tr));
     }
 
     #[test]

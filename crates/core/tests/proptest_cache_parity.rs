@@ -1,47 +1,41 @@
-//! Cache-parity contract of the window-fingerprint schedule cache.
+//! Cache-parity contract of the exact-replay schedule cache.
 //!
-//! `octopus_core::memo` promises that caching is *transparent*: whatever the
-//! lookup outcome — disabled, miss, exact-hit replay, or near-hit
-//! warm-start — the emitted schedule, delivered counts and ψ are
-//! bit-identical to a cold solve of the same window. This suite pins that
-//! across all 8 `SearchPolicy` variants (search strategy × tie preference ×
-//! exact kernel), including the auction kernel whose harvested prices feed
-//! the warm-start weak-duality bound.
+//! `octopus_core::memo` promises that caching is *transparent*: whether a
+//! window misses (planned cold and recorded) or hits (replayed without a
+//! solve), the emitted schedule, delivered counts and ψ are bit-identical to
+//! a cold `ScheduleEngine::plan_window` of the same window. This suite pins
+//! that across all 8 sequential `SearchPolicy` variants (search strategy ×
+//! tie preference × exact kernel) plus the threaded exhaustive search.
 //!
-//! The near-hit leg perturbs one flow's size so the content hash misses,
-//! then plans under a cache primed with the *unperturbed* window and a
-//! wide-open near distance: the warm-started plan must equal the perturbed
-//! instance's own cold plan, proving the seeds prune without steering.
-//!
-//! Every cached configuration is passed through [`CacheConfig::resolved`],
-//! so CI can force the whole suite through `OCTOPUS_CACHE=on` and
-//! `OCTOPUS_CACHE=off`: the outcome assertions adapt to the resolved mode,
-//! while the bit-identity assertions hold unconditionally — the emitted
-//! schedule may never depend on whether (or how) the cache is enabled.
+//! The twin leg plans a load, then a twin whose per-link queues and
+//! interned links are the same but whose packets go elsewhere after the
+//! first hop: the twin's cached plan must be its own cold plan, not a replay
+//! of the first load's.
 
 use octopus_core::{
-    plan_window_cached, AlphaSearch, BipartiteFabric, CacheConfig, CacheOutcome, ExactKernel,
-    HopWeighting, MatchingKind, RemainingTraffic, ScheduleCache, ScheduleEngine, SearchPolicy,
+    plan_window_cached, AlphaSearch, BipartiteFabric, CacheOutcome, ExactKernel, HopWeighting,
+    MatchingKind, RemainingTraffic, ScheduleCache, ScheduleEngine, SearchPolicy,
 };
 use octopus_traffic::{Flow, FlowId, Route, TrafficLoad};
 use proptest::prelude::*;
 
 type PlanShape = Vec<(Vec<(u32, u32)>, u64)>;
 
-/// Random multihop load (same shape as the grid-steal suite) plus a
-/// perturbed twin: the first flow carries one extra packet, enough to move
-/// the content hash but keep the feature vector nearby.
+/// Random multihop load (same shape as the grid-steal suite) and a twin.
+/// Both loads end with two flows `s → m → c` and `s → m → d` of different
+/// sizes, which the twin swaps: the queue on `(s, m)` (one weight class)
+/// and the set of links are unchanged, the traffic bound for `c` and `d`
+/// is not.
 fn instance() -> impl Strategy<Value = (u32, TrafficLoad, TrafficLoad, u64, u64)> {
     (4u32..9)
         .prop_flat_map(|n| {
             let flows =
-                prop::collection::vec((0u32..n, 0u32..n, 1u64..60, 0u32..3u32, 0u32..n), 1..10);
-            (Just(n), flows, 150u64..1200, 0u64..30)
+                prop::collection::vec((0u32..n, 0u32..n, 1u64..60, 0u32..3u32, 0u32..n), 0..10);
+            let pair = (0u32..n, 1u64..60, 1u64..30);
+            (Just(n), flows, pair, 150u64..1200, 0u64..30)
         })
-        .prop_map(|(n, raw, window, delta)| {
+        .prop_map(|(n, raw, (shift, x, dx), window, delta)| {
             let mut flows = Vec::new();
-            let mut twin = Vec::new();
-            let mut id = 0u64;
             for (src, dst, size, extra_hops, via) in raw {
                 if src == dst {
                     continue;
@@ -58,24 +52,26 @@ fn instance() -> impl Strategy<Value = (u32, TrafficLoad, TrafficLoad, u64, u64)
                 }
                 nodes.push(dst);
                 if let Ok(route) = Route::from_ids(nodes) {
-                    let bump = u64::from(id == 0);
-                    flows.push(Flow::single(FlowId(id), size, route.clone()));
-                    twin.push(Flow::single(FlowId(id), size + bump, route));
-                    id += 1;
+                    flows.push((route, size));
                 }
             }
-            (
-                n,
-                TrafficLoad::new(flows).expect("sequential ids"),
-                TrafficLoad::new(twin).expect("sequential ids"),
-                window,
-                delta,
-            )
+            let node = |k: u32| (k + shift) % n;
+            let to_c = Route::from_ids([node(0), node(1), node(2)]).expect("distinct nodes");
+            let to_d = Route::from_ids([node(0), node(1), node(3)]).expect("distinct nodes");
+            let mut twin = flows.clone();
+            flows.extend([(to_c.clone(), x), (to_d.clone(), x + dx)]);
+            twin.extend([(to_c, x + dx), (to_d, x)]);
+            let load = |flows: Vec<(Route, u64)>| {
+                let flows = flows
+                    .into_iter()
+                    .enumerate()
+                    .map(|(id, (route, size))| Flow::single(FlowId(id as u64), size, route))
+                    .collect();
+                TrafficLoad::new(flows).expect("sequential ids")
+            };
+            (n, load(flows), load(twin), window, delta)
         })
-        .prop_filter(
-            "need at least one flow and room for a config",
-            |(_, load, _, w, d)| !load.is_empty() && *w > *d + 1,
-        )
+        .prop_filter("need room for a config", |(_, _, _, w, d)| *w > *d + 1)
 }
 
 /// Plans one full window through `cache`, returning the emitted configs,
@@ -106,6 +102,43 @@ fn run_cached(
     )
 }
 
+/// Plans one full window cold with `ScheduleEngine::plan_window`; same
+/// returns as [`run_cached`] minus the outcome.
+fn run_cold(
+    n: u32,
+    load: &TrafficLoad,
+    window: u64,
+    delta: u64,
+    policy: &SearchPolicy,
+) -> (PlanShape, u64, u64) {
+    let mut tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("validated load");
+    let run = ScheduleEngine::new(&mut tr, n, delta)
+        .plan_window(
+            &mut BipartiteFabric {
+                kind: MatchingKind::Exact,
+            },
+            policy,
+            window,
+        )
+        .expect("realizable plan");
+    let configs = run
+        .schedule
+        .configs()
+        .iter()
+        .map(|c| {
+            let links = c
+                .matching
+                .links()
+                .iter()
+                .map(|&(i, j)| (i.0, j.0))
+                .collect();
+            (links, c.alpha)
+        })
+        .collect();
+    (configs, tr.planned_psi().to_bits(), tr.planned_delivered())
+}
+
+/// The 8 sequential policy variants, then the threaded exhaustive search.
 fn policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
@@ -120,33 +153,28 @@ fn policies() -> Vec<SearchPolicy> {
             }
         }
     }
+    out.push(SearchPolicy {
+        parallel: true,
+        ..SearchPolicy::exhaustive()
+    });
     out
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Disabled / miss / exact-hit paths all emit the bit-identical window
+    /// Miss and exact-hit paths both emit the cold window bit for bit
     /// (configs, delivered, ψ bits), and the outcomes classify as expected.
     #[test]
     fn replay_is_bit_identical_to_cold((n, load, _twin, window, delta) in instance()) {
         for policy in policies() {
-            let mut off = ScheduleCache::new(CacheConfig::disabled());
-            let cold = run_cached(n, &load, window, delta, &policy, &mut off);
-            prop_assert_eq!(cold.3, CacheOutcome::Disabled);
-
-            let cfg = CacheConfig::default().resolved();
-            let mut cache = ScheduleCache::new(cfg);
+            let cold = run_cold(n, &load, window, delta, &policy);
+            let mut cache = ScheduleCache::new();
             let recorded = run_cached(n, &load, window, delta, &policy, &mut cache);
             let replayed = run_cached(n, &load, window, delta, &policy, &mut cache);
-            if cfg.enabled {
-                prop_assert_eq!(recorded.3, CacheOutcome::Miss);
-                prop_assert_eq!(replayed.3, CacheOutcome::ExactHit,
-                    "second identical window must replay");
-            } else {
-                prop_assert_eq!(recorded.3, CacheOutcome::Disabled);
-                prop_assert_eq!(replayed.3, CacheOutcome::Disabled);
-            }
+            prop_assert_eq!(recorded.3, CacheOutcome::Miss);
+            prop_assert_eq!(replayed.3, CacheOutcome::ExactHit,
+                "second identical window must replay");
 
             let ctx = format!("policy {policy:?}");
             prop_assert_eq!(&recorded.0, &cold.0, "record diverged from cold: {}", &ctx);
@@ -155,80 +183,25 @@ proptest! {
             prop_assert_eq!(replayed.1, cold.1, "psi bits diverged (replay): {}", &ctx);
             prop_assert_eq!(recorded.2, cold.2, "delivered diverged (record): {}", &ctx);
             prop_assert_eq!(replayed.2, cold.2, "delivered diverged (replay): {}", &ctx);
-            if cfg.enabled {
-                prop_assert_eq!(cache.stats().exact_hits, 1);
-                prop_assert_eq!(cache.stats().misses, 1);
-            }
+            prop_assert_eq!(cache.stats().exact_hits, 1);
+            prop_assert_eq!(cache.stats().misses, 1);
         }
     }
 
-    /// Near-hit warm-starts (cached α + harvested duals/prices) cannot
-    /// steer the search: a window planned warm from a *similar* cached
-    /// entry equals its own cold plan bit for bit.
+    /// A twin with the same first-hop queues and interned links but other
+    /// downstream routes is planned as itself, not replayed from the load.
     #[test]
-    fn warm_start_is_bit_identical_to_cold((n, load, twin, window, delta) in instance()) {
-        let wide = CacheConfig {
-            quantum: 1,
-            near_distance: 1 << 40,
-            ..CacheConfig::default()
-        }
-        .resolved();
+    fn downstream_twin_plans_cold((n, load, twin, window, delta) in instance()) {
         for policy in policies() {
-            let mut off = ScheduleCache::new(CacheConfig::disabled());
-            let cold_twin = run_cached(n, &twin, window, delta, &policy, &mut off);
-
-            let mut cache = ScheduleCache::new(wide);
-            let primed = run_cached(n, &load, window, delta, &policy, &mut cache);
-            let warm = run_cached(n, &twin, window, delta, &policy, &mut cache);
-            let ctx = format!("policy {policy:?}, outcome {:?}", warm.3);
-            if !wide.enabled {
-                prop_assert_eq!(primed.3, CacheOutcome::Disabled);
-                prop_assert_eq!(warm.3, CacheOutcome::Disabled);
-            } else if wide.warm {
-                prop_assert_eq!(primed.3, CacheOutcome::Miss);
-                prop_assert!(
-                    matches!(warm.3, CacheOutcome::NearHit(_) | CacheOutcome::ExactHit),
-                    "perturbed window must at least near-hit the primed cache: {}", &ctx
-                );
-            } else {
-                // `OCTOPUS_CACHE=exact`: near hits are ignored, not taken.
-                prop_assert_eq!(primed.3, CacheOutcome::Miss);
-                prop_assert_eq!(warm.3, CacheOutcome::Miss);
-            }
-            prop_assert_eq!(&warm.0, &cold_twin.0, "warm plan diverged: {}", &ctx);
-            prop_assert_eq!(warm.1, cold_twin.1, "psi bits diverged: {}", &ctx);
-            prop_assert_eq!(warm.2, cold_twin.2, "delivered diverged: {}", &ctx);
-        }
-    }
-
-    /// The parallel work-stealing search under warm seeds still matches the
-    /// sequential cold reference (seeds + atomic pruning floor compose).
-    #[test]
-    fn warm_parallel_matches_sequential_cold((n, load, twin, window, delta) in instance()) {
-        let wide = CacheConfig {
-            quantum: 1,
-            near_distance: 1 << 40,
-            ..CacheConfig::default()
-        }
-        .resolved();
-        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-            let seq = SearchPolicy {
-                search: AlphaSearch::Exhaustive,
-                parallel: false,
-                prefer_larger_alpha: false,
-                kernel,
-            };
-            let par = SearchPolicy { parallel: true, ..seq };
-            let mut off = ScheduleCache::new(CacheConfig::disabled());
-            let cold_twin = run_cached(n, &twin, window, delta, &seq, &mut off);
-
-            let mut cache = ScheduleCache::new(wide);
-            run_cached(n, &load, window, delta, &par, &mut cache);
-            let warm = run_cached(n, &twin, window, delta, &par, &mut cache);
-            let ctx = format!("kernel {kernel:?}");
-            prop_assert_eq!(&warm.0, &cold_twin.0, "plan diverged: {}", &ctx);
-            prop_assert_eq!(warm.1, cold_twin.1, "psi bits diverged: {}", &ctx);
-            prop_assert_eq!(warm.2, cold_twin.2, "delivered diverged: {}", &ctx);
+            let cold_twin = run_cold(n, &twin, window, delta, &policy);
+            let mut cache = ScheduleCache::new();
+            run_cached(n, &load, window, delta, &policy, &mut cache);
+            let cached = run_cached(n, &twin, window, delta, &policy, &mut cache);
+            let ctx = format!("policy {policy:?}, outcome {:?}", cached.3);
+            prop_assert_eq!(&cached.0, &cold_twin.0, "twin plan diverged: {}", &ctx);
+            prop_assert_eq!(cached.1, cold_twin.1, "psi bits diverged: {}", &ctx);
+            prop_assert_eq!(cached.2, cold_twin.2, "delivered diverged: {}", &ctx);
+            prop_assert_eq!(cached.3, CacheOutcome::Miss, "{}", &ctx);
         }
     }
 }

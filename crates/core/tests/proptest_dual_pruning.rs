@@ -143,7 +143,7 @@ fn planned(
             let mut fabric = BipartiteFabric {
                 kind: MatchingKind::Exact,
             };
-            engine.plan_window(&mut fabric, policy, window, &mut ())
+            engine.plan_window(&mut fabric, policy, window)
         }
         Kind::Local => {
             let mut fabric = LocalFabric {
@@ -151,7 +151,7 @@ fn planned(
                 delta,
                 prev: HashSet::new(),
             };
-            engine.plan_window(&mut fabric, policy, window, &mut ())
+            engine.plan_window(&mut fabric, policy, window)
         }
     }
     .expect("realizable plan");
@@ -269,7 +269,7 @@ fn carried_duals_cut_solves_deterministically() {
         let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).expect("valid load");
         let mut engine = ScheduleEngine::new(tr, n, delta);
         let run = engine
-            .plan_window(&mut fabric.clone(), &policy, window, &mut ())
+            .plan_window(&mut fabric.clone(), &policy, window)
             .expect("realizable plan");
         (run.matchings_computed, run.schedule)
     };

@@ -130,7 +130,6 @@ fn online_parity(
                 &mut BipartiteFabric { kind: cfg.matching },
                 &cfg.search_policy(),
                 cfg.window,
-                &mut (),
             )
             .expect("realizable plan");
         let output = OctopusOutput {

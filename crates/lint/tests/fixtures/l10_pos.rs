@@ -8,6 +8,6 @@ pub fn threads() -> usize {
     }
 }
 
-pub fn cache_enabled() -> bool {
-    std::env::var_os("OCTOPUS_CACHE").is_some()
+pub fn trace_enabled() -> bool {
+    std::env::var_os("OCTOPUS_TRACE").is_some()
 }

@@ -11,8 +11,8 @@
 use crate::protocol::{Event, PlanConfig, Response, ServeStats};
 use octopus_core::online::{check_hysteresis, hysteresis_replan};
 use octopus_core::{
-    plan_window_cached, BipartiteFabric, CacheConfig, MatchingKind, OctopusConfig,
-    RemainingTraffic, SchedError, ScheduleCache, ScheduleEngine,
+    plan_window_cached, BipartiteFabric, MatchingKind, OctopusConfig, RemainingTraffic, SchedError,
+    ScheduleCache, ScheduleEngine,
 };
 use octopus_net::{Matching, Network};
 use octopus_traffic::{FlowId, Route};
@@ -44,11 +44,6 @@ pub struct ServeConfig {
     /// α-search / matching-kernel / weighting knobs shared with the batch
     /// entry points (`window` is ignored; the horizon above rules).
     pub octopus: OctopusConfig,
-    /// Schedule-cache knobs for [`PolicyMode::Octopus`] re-plans (resolved
-    /// against `OCTOPUS_CACHE` at construction). Hysteresis re-plans are
-    /// never cached: their outcome depends on the held incumbent, which the
-    /// window fingerprint deliberately does not cover.
-    pub cache: CacheConfig,
 }
 
 impl Default for ServeConfig {
@@ -59,7 +54,6 @@ impl Default for ServeConfig {
             eta: 0.1,
             policy: PolicyMode::Hysteresis,
             octopus: OctopusConfig::default(),
-            cache: CacheConfig::default(),
         }
     }
 }
@@ -86,6 +80,9 @@ pub struct ServeState {
     cfg: ServeConfig,
     engine: ScheduleEngine<RemainingTraffic>,
     incumbent: Option<Matching>,
+    /// Exact-replay cache of [`PolicyMode::Octopus`] re-plans. Hysteresis
+    /// re-plans are never cached: their outcome depends on the held
+    /// incumbent, which the cache key does not cover.
     cache: ScheduleCache,
     stats: ServeStats,
 }
@@ -102,13 +99,12 @@ impl ServeState {
         let tr = RemainingTraffic::from_subflows(std::iter::empty(), cfg.octopus.weighting);
         let n = net.num_nodes();
         let delta = cfg.delta;
-        let cache = ScheduleCache::new(cfg.cache.resolved());
         Ok(ServeState {
             net,
             cfg,
             engine: ScheduleEngine::new(tr, n, delta),
             incumbent: None,
-            cache,
+            cache: ScheduleCache::new(),
             stats: ServeStats::default(),
         })
     }
@@ -133,7 +129,6 @@ impl ServeState {
         s.interned_links = tr.interned_links() as u64;
         let cs = self.cache.stats();
         s.cache_exact_hits = cs.exact_hits;
-        s.cache_near_hits = cs.near_hits;
         s.cache_misses = cs.misses;
         s
     }
@@ -143,18 +138,26 @@ impl ServeState {
     /// patches the cached snapshot on the dirty links.
     ///
     /// # Errors
-    /// Route construction/validation errors, or
+    /// Route construction/validation errors,
+    /// [`SchedError::PacketCountOverflow`] when the admitted-packet counter
+    /// or the plan's packet total would pass `u64::MAX`, or
     /// [`SchedError::PositionBeyondRoute`] from admission (not reachable
-    /// here: arrivals enter at position 0 of a validated route).
+    /// here: arrivals enter at position 0 of a validated route). Nothing is
+    /// admitted on error.
     pub fn admit(&mut self, id: u64, route_ids: &[u32], size: u64) -> Result<u64, SchedError> {
         let route = Route::from_ids(route_ids.iter().copied())?;
         self.net.validate_route(route.nodes())?;
+        let admitted = self
+            .stats
+            .admitted_packets
+            .checked_add(size)
+            .ok_or(SchedError::PacketCountOverflow)?;
         let dirty = self
             .engine
             .source_mut()
             .admit_subflows([(FlowId(id), route, 0, size)])?;
         self.engine.patch_links(&dirty);
-        self.stats.admitted_packets += size;
+        self.stats.admitted_packets = admitted;
         Ok(self.backlog())
     }
 
@@ -218,10 +221,9 @@ impl ServeState {
     }
 
     /// Greedy core: one offline-style window over the horizon, routed
-    /// through the window-fingerprint schedule cache — a backlog the daemon
-    /// has planned before replays its schedule without solving a single
-    /// matching, and a similar one warm-starts the α-search. The emitted
-    /// schedule is bit-identical to an uncached re-plan either way (see
+    /// through the schedule cache — a backlog the daemon has planned before
+    /// replays its schedule without solving a single matching. The emitted
+    /// schedule is the uncached re-plan's either way (see
     /// `octopus_core::memo`).
     fn replan_octopus(&mut self) -> Result<Vec<PlanConfig>, SchedError> {
         let mut fabric = BipartiteFabric {

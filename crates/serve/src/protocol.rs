@@ -83,10 +83,7 @@ pub struct ServeStats {
     /// Octopus re-plans replayed outright from the schedule cache.
     #[serde(default)]
     pub cache_exact_hits: u64,
-    /// Octopus re-plans warm-started from a near-matching cached window.
-    #[serde(default)]
-    pub cache_near_hits: u64,
-    /// Octopus re-plans solved cold (cache enabled but no usable entry).
+    /// Octopus re-plans solved cold (no cached window under their key).
     #[serde(default)]
     pub cache_misses: u64,
 }

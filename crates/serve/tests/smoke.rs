@@ -233,19 +233,7 @@ fn tcp_round_trip_over_a_real_socket() {
 
 #[test]
 fn cache_replays_identical_windows_and_invalidates_on_interning() {
-    use octopus_core::CacheConfig;
-
-    // warm = false keeps this test on the exact-replay path only; the
-    // warm-start path has its own parity proptest in octopus-core.
-    let cfg = ServeConfig {
-        policy: PolicyMode::Octopus,
-        cache: CacheConfig {
-            warm: false,
-            ..CacheConfig::default()
-        },
-        ..ServeConfig::default()
-    };
-    let mut state = ServeState::new(topology::complete(6), cfg).expect("valid config");
+    let mut state = new_state(PolicyMode::Octopus);
 
     let plan_of = |responses: &[Response]| -> Vec<octopus_serve::PlanConfig> {
         match responses.last() {
@@ -266,7 +254,7 @@ fn cache_replays_identical_windows_and_invalidates_on_interning() {
 
     // Window 2: a different flow id, same route and size. The drained
     // backlog plus an identical admission reproduces the queue content and
-    // no new link is interned, so the fingerprint matches exactly and the
+    // no new link is interned, so the cache key matches exactly and the
     // daemon replays the cached schedule.
     let r2 = run_script(
         &mut state,
@@ -307,10 +295,96 @@ fn cache_replays_identical_windows_and_invalidates_on_interning() {
         Some(Response::Stats { stats }) => {
             assert_eq!(stats.cache_exact_hits, 1);
             assert_eq!(stats.cache_misses, 2);
-            assert_eq!(stats.cache_near_hits, 0);
         }
         other => panic!("expected stats, got {other:?}"),
     }
+}
+
+/// Backlogs whose per-link queues match but whose packets go different
+/// places next must not share a cached plan: the third window queues ten
+/// packets on (0, 1) exactly like the second, with the same links interned,
+/// yet they continue to 2, not to 3, so replaying the second window's plan
+/// would deliver nothing.
+#[test]
+fn cache_never_replays_a_plan_for_different_downstream_routes() {
+    let cfg = ServeConfig {
+        policy: PolicyMode::Octopus,
+        horizon: 200,
+        delta: 5,
+        ..ServeConfig::default()
+    };
+    let mut state = ServeState::new(topology::complete(4), cfg).expect("valid config");
+    let mut plans = Vec::new();
+    for (id, last) in [(1, 2), (2, 3), (3, 2), (4, 2)] {
+        let script = format!(
+            "{{\"Arrival\":{{\"id\":{id},\"route\":[0,1,{last}],\"size\":10}}}}\n\"Replan\"\n"
+        );
+        match run_script(&mut state, &script).last() {
+            Some(Response::Plan {
+                configs,
+                delivered,
+                backlog,
+                ..
+            }) => {
+                assert_eq!((*delivered, *backlog), (10, 0), "flow {id}");
+                plans.push(configs.clone());
+            }
+            other => panic!("expected a plan, got {other:?}"),
+        }
+    }
+    // Flow 3 is planned cold: the same plan as flow 1, not flow 2's.
+    assert_eq!(plans[2], plans[0]);
+    assert_ne!(plans[2], plans[1]);
+    assert_eq!(state.cache_stats().misses, 3);
+    // Flow 4 repeats flow 3's window exactly and replays its plan.
+    assert_eq!(state.cache_stats().exact_hits, 1);
+    assert_eq!(plans[3], plans[2]);
+}
+
+/// Arrivals whose sizes sum past `u64::MAX` are refused with an error and
+/// the session goes on with its counters intact.
+#[test]
+fn admission_overflow_is_an_error_that_keeps_the_session() {
+    let mut state = new_state(PolicyMode::Octopus);
+    let big = u64::MAX / 2 + 1;
+    let script = format!(
+        concat!(
+            "{{\"Arrival\":{{\"id\":1,\"route\":[0,1],\"size\":{big}}}}}\n",
+            "{{\"Arrival\":{{\"id\":2,\"route\":[2,3],\"size\":{big}}}}}\n",
+            "{{\"Arrival\":{{\"id\":3,\"route\":[4,5],\"size\":7}}}}\n",
+            "\"Stats\"\n",
+        ),
+        big = big
+    );
+    let responses = run_script(&mut state, &script);
+    assert_eq!(responses.len(), 4);
+    assert_eq!(
+        responses[0],
+        Response::Admitted {
+            id: 1,
+            backlog: big
+        }
+    );
+    assert!(
+        matches!(&responses[1], Response::Error { message } if message.contains("overflow")),
+        "got {:?}",
+        responses[1]
+    );
+    assert_eq!(
+        responses[2],
+        Response::Admitted {
+            id: 3,
+            backlog: big + 7
+        }
+    );
+    let Response::Stats { stats } = &responses[3] else {
+        panic!("expected Stats, got {:?}", responses[3]);
+    };
+    assert_eq!(stats.admitted_packets, big + 7);
+    assert_eq!(
+        stats.admitted_packets,
+        stats.delivered_packets + stats.cancelled_packets + stats.backlog
+    );
 }
 
 #[test]
