@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use octopus_matching::{
     greedy::{bucket_greedy_matching, greedy_matching},
-    maximum_weight_matching, AssignmentSolver, WeightedBipartiteGraph,
+    maximum_weight_matching, AssignmentSolver, AuctionSolver, WeightedBipartiteGraph,
 };
 
 /// Deterministic sparse instance shaped like an Octopus iteration: ~16 edges
@@ -93,10 +93,71 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two exact kernels head to head: the Hungarian [`AssignmentSolver`]
+/// and the ε-scaling [`AuctionSolver`] each load a dense `n × n` topology
+/// once and re-solve integer weight columns in place (`solve_reweighted`,
+/// the α-sweep's steady state). Integer weights sit within the auction's
+/// adaptive resolution, so both must reach the same optimum: a nonzero gap
+/// on any column fails the bench before anything is timed.
+fn bench_exact_kernels(c: &mut Criterion) {
+    const COLUMNS: usize = 4;
+    let mut group = c.benchmark_group("exact_kernels");
+    for n in [64u32, 128, 256, 512] {
+        let edges: Vec<(u32, u32)> = (0..n).flat_map(|u| (0..n).map(move |v| (u, v))).collect();
+        let mut state = 0x9E37_79B9_u64 ^ u64::from(n);
+        let mut next = move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        };
+        // ~10 % disabled edges (w = 0), the rest 1..=4000.
+        let cols: Vec<Vec<f64>> = (0..COLUMNS)
+            .map(|_| {
+                edges
+                    .iter()
+                    .map(|_| match next() {
+                        r if r % 10 == 0 => 0.0,
+                        r => (1 + r % 4000) as f64,
+                    })
+                    .collect()
+            })
+            .collect();
+
+        let mut hungarian = AssignmentSolver::new();
+        let mut auction = AuctionSolver::new();
+        hungarian.load_topology(n, n, &edges);
+        auction.load_topology(n, n, &edges);
+        for (k, col) in cols.iter().enumerate() {
+            hungarian.solve_reweighted(col);
+            auction.solve_reweighted(col);
+            let gap = hungarian.last_weight() - auction.last_weight();
+            assert_eq!(gap, 0.0, "optimality gap at n = {n}, column {k}");
+        }
+
+        let mut k = 0;
+        group.bench_function(BenchmarkId::new("hungarian", n), |b| {
+            b.iter(|| {
+                k = (k + 1) % COLUMNS;
+                hungarian.solve_reweighted(&cols[k]);
+                hungarian.last_weight()
+            })
+        });
+        group.bench_function(BenchmarkId::new("auction", n), |b| {
+            b.iter(|| {
+                k = (k + 1) % COLUMNS;
+                auction.solve_reweighted(&cols[k]);
+                auction.last_weight()
+            })
+        });
+    }
+    group.finish();
+}
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_kernels, bench_workspace_reuse, bench_blossom
+    targets = bench_kernels, bench_workspace_reuse, bench_exact_kernels, bench_blossom
 }
 criterion_main!(benches);
 

@@ -5,7 +5,7 @@
 //!             [--instances N] [--seed S] [--out DIR] [--n N] [--window W] [--full]
 //! ```
 //!
-//! Tables print to stdout; CSV and JSON land in `--out` (default `results/`).
+//! Tables print to stdout; CSV lands in `--out` (default `results/`).
 //! `--full` uses the paper's exact sweep ranges and 10 instances per point —
 //! expect hours on a small machine; the defaults are trimmed to stay
 //! tractable while preserving every trend.
@@ -126,7 +126,6 @@ fn main() {
             println!("{}", s.render(|m| m.delivered_over_psi, "delivered / psi"));
         }
         std::fs::write(format!("{}/{}.csv", opts.out, s.id), s.to_csv()).expect("write csv");
-        std::fs::write(format!("{}/{}.json", opts.out, s.id), s.to_json()).expect("write json");
     }
     eprintln!("[experiments] {cmd} done in {:.1?}", t0.elapsed());
 }

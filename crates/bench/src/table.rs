@@ -1,10 +1,9 @@
-//! Plain-text table / CSV / JSON emitters for experiment series.
+//! Plain-text table and CSV emitters for experiment series.
 
 use crate::Metrics;
-use serde::Serialize;
 
 /// One experiment's output: rows are sweep points, columns are algorithms.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Experiment identifier, e.g. `fig4a`.
     pub id: String,
@@ -77,11 +76,6 @@ impl Series {
         }
         out
     }
-
-    /// Serializes the whole series as JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string_pretty(self).expect("series serializes")
-    }
 }
 
 #[cfg(test)]
@@ -108,8 +102,6 @@ mod tests {
         let csv = s.to_csv();
         assert_eq!(csv.lines().count(), 1 + 4);
         assert!(csv.contains("figX,20,Octopus,0.5"));
-        let json = s.to_json();
-        assert!(json.contains("\"figX\""));
     }
 
     #[test]

@@ -817,36 +817,19 @@ pub struct LinkQueueRef<'a> {
 }
 
 impl<'a> LinkQueueRef<'a> {
-    /// `g(α)`: maximum total weight of α waiting packets.
+    /// `g(α)`: maximum total weight of α waiting packets — the one-α case
+    /// of [`LinkQueueRef::g_multi`].
     pub fn g(&self, alpha: u64) -> f64 {
-        if alpha == 0 {
-            return 0.0;
-        }
-        // First class boundary with cumulative count >= alpha.
-        match self.prefix_counts.partition_point(|&c| c < alpha) {
-            idx if idx >= self.classes.len() => *self.prefix_weights.last().unwrap_or(&0.0),
-            idx => {
-                let below_count = if idx == 0 {
-                    0
-                } else {
-                    self.prefix_counts[idx - 1]
-                };
-                let below_weight = if idx == 0 {
-                    0.0
-                } else {
-                    self.prefix_weights[idx - 1]
-                };
-                below_weight + (alpha - below_count) as f64 * self.classes[idx].0
-            }
-        }
+        let mut out = [0.0];
+        self.g_multi(&[alpha], &mut out);
+        out[0]
     }
 
     /// Batched `g(α)` over an **ascending** α list: one merge-walk over the
     /// class boundaries instead of one binary search per α.
     ///
     /// Writes `g(alphas[k])` into `out[k]`; `O(classes + alphas.len())`.
-    /// Bit-identical to calling [`LinkQueueRef::g`] per α (the incremental
-    /// boundary advance lands on exactly the `partition_point` index).
+    /// [`LinkQueueRef::g`] is the one-α case, so both agree bit for bit.
     ///
     /// # Panics
     /// Panics if `out.len() != alphas.len()`; debug-asserts that `alphas` is
@@ -976,22 +959,9 @@ impl LinkQueue {
         self.view().g(alpha)
     }
 
-    /// Batched `g(α)`; see [`LinkQueueRef::g_multi`].
-    ///
-    /// # Panics
-    /// Panics if `out.len() != alphas.len()`.
-    pub fn g_multi(&self, alphas: &[u64], out: &mut [f64]) {
-        self.view().g_multi(alphas, out);
-    }
-
     /// Total packets waiting on this link.
     pub fn total_packets(&self) -> u64 {
         self.view().total_packets()
-    }
-
-    /// The per-link candidate α values (class-boundary prefix counts).
-    pub fn boundary_alphas(&self) -> &[u64] {
-        &self.prefix_counts
     }
 
     /// The aggregated `(weight, packets)` classes, weight strictly
@@ -1065,44 +1035,6 @@ impl LinkQueues {
         );
         self.links.push(link);
         self.spans.push((self.classes.len() as u32, 0));
-    }
-
-    /// Pre-interns `keys` into the CSR index ahead of a patch storm: absent
-    /// keys join the sorted key vector with empty (tombstone) spans in one
-    /// `O(old + new)` merge, so subsequent [`LinkQueues::set_link`] calls on
-    /// them mutate spans in place. Reads are unaffected — empty spans are
-    /// invisible. Keys already present are left untouched.
-    pub fn intern_links(&mut self, keys: impl IntoIterator<Item = (u32, u32)>) {
-        let mut fresh: Vec<(u32, u32)> = keys
-            .into_iter()
-            .filter(|k| self.links.binary_search(k).is_err())
-            .collect();
-        if fresh.is_empty() {
-            return;
-        }
-        // Interning reshapes the CSR index (span positions shift), so
-        // derived caches keyed on the generation must be invalidated even
-        // though no queue content changed.
-        self.generation += 1;
-        fresh.sort_unstable();
-        fresh.dedup();
-        let old_links = std::mem::take(&mut self.links);
-        let old_spans = std::mem::take(&mut self.spans);
-        self.links.reserve(old_links.len() + fresh.len());
-        self.spans.reserve(old_spans.len() + fresh.len());
-        let mut new_it = fresh.into_iter().peekable();
-        for (link, span) in old_links.into_iter().zip(old_spans) {
-            while let Some(k) = new_it.next_if(|&k| k < link) {
-                self.links.push(k);
-                self.spans.push((0, 0));
-            }
-            self.links.push(link);
-            self.spans.push(span);
-        }
-        for k in new_it {
-            self.links.push(k);
-            self.spans.push((0, 0));
-        }
     }
 
     /// Builds a snapshot directly from `(link, weight, count)` triples —
@@ -1316,33 +1248,6 @@ impl LinkQueues {
             })
             .filter(|&(_, _, w)| w > 0.0)
             .collect()
-    }
-
-    /// A cheap upper bound on the weight of *any* matching for a given α:
-    /// `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)`. Used to prune the α search.
-    ///
-    /// Computed over dense `n`-sized max arrays (links never reference nodes
-    /// `>= n`), not per-α hash maps; absent rows contribute an exact `+0.0`.
-    /// For a whole candidate list, prefer the bounds piggybacked on
-    /// [`LinkQueues::weighted_edges_multi`].
-    // lint:allow(hot-alloc) — amortized: two O(V) scratch rows per bound query, once per candidate α
-    pub fn matching_weight_upper_bound(&self, alpha: u64) -> f64 {
-        let mut row_max = vec![0.0f64; self.n as usize];
-        let mut col_max = vec![0.0f64; self.n as usize];
-        for e in self.live_indices() {
-            let (i, j) = self.links[e];
-            let g = self.view_at(e).g(alpha);
-            debug_assert!(i < self.n && j < self.n, "link ({i}, {j}) out of fabric");
-            if g > row_max[i as usize] {
-                row_max[i as usize] = g;
-            }
-            if g > col_max[j as usize] {
-                col_max[j as usize] = g;
-            }
-        }
-        let rs: f64 = row_max.iter().sum();
-        let cs: f64 = col_max.iter().sum();
-        rs.min(cs)
     }
 
     /// Batched form of [`LinkQueues::weighted_edges`]: evaluates `g(i, j, α)`
@@ -1589,16 +1494,31 @@ mod tests {
         assert!(!tr.is_drained());
     }
 
+    /// `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)` recomputed link by link from `g(i, j, α)`,
+    /// summed in node order like the sweep's piggybacked bound.
+    fn reference_upper_bound(q: &LinkQueues, alpha: u64) -> f64 {
+        let n = q.n() as usize;
+        let (mut row_max, mut col_max) = (vec![0.0f64; n], vec![0.0f64; n]);
+        for (i, j) in q.links() {
+            let g = q.g(i, j, alpha);
+            row_max[i as usize] = row_max[i as usize].max(g);
+            col_max[j as usize] = col_max[j as usize].max(g);
+        }
+        let rs: f64 = row_max.iter().sum();
+        rs.min(col_max.iter().sum())
+    }
+
     #[test]
     fn upper_bound_dominates_matching_weight() {
         let tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
         let q = tr.link_queues(4);
-        for alpha in [1, 10, 50, 100] {
-            let edges = q.weighted_edges(alpha);
-            let g = octopus_matching::WeightedBipartiteGraph::from_tuples(4, 4, edges);
+        let alphas = [1, 10, 50, 100];
+        let sweep = q.weighted_edges_multi(&alphas);
+        for (k, &alpha) in alphas.iter().enumerate() {
+            let g = octopus_matching::WeightedBipartiteGraph::from_tuples(4, 4, sweep.edge_list(k));
             let m = octopus_matching::maximum_weight_matching(&g);
             let w = octopus_matching::matching_weight(&g, &m);
-            assert!(q.matching_weight_upper_bound(alpha) + 1e-9 >= w);
+            assert!(sweep.upper_bound(k) + 1e-9 >= w, "α = {alpha}");
         }
     }
 
@@ -1625,8 +1545,8 @@ mod tests {
             assert_eq!(sweep.index_of(a), k);
             assert_eq!(sweep.edge_list(k), q.weighted_edges(a), "α = {a}");
             assert_eq!(
-                sweep.upper_bound(k),
-                q.matching_weight_upper_bound(a),
+                sweep.upper_bound(k).to_bits(),
+                reference_upper_bound(&q, a).to_bits(),
                 "α = {a}"
             );
         }
@@ -1970,16 +1890,6 @@ mod tests {
             .unwrap();
         let cold = RemainingTraffic::from_subflows(tr.subflows(), HopWeighting::Uniform);
         assert_snapshots_equal(&tr.link_queues(4), &cold.link_queues(4));
-    }
-
-    #[test]
-    fn intern_links_bumps_generation() {
-        let mut q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64)]);
-        assert_eq!(q.generation(), 0);
-        q.intern_links([(0, 1)]); // already present: nothing reshapes
-        assert_eq!(q.generation(), 0);
-        q.intern_links([(2, 3)]); // CSR index reshapes: caches must refresh
-        assert_eq!(q.generation(), 1);
     }
 
     #[test]

@@ -32,11 +32,17 @@ pub mod protocol;
 pub use daemon::{PlanSummary, PolicyMode, ServeConfig, ServeState};
 pub use protocol::{Event, PlanConfig, Response, ServeStats};
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
+
+/// Longest event line the daemon reads, in bytes, newline excluded. A longer
+/// line is skipped through its newline, never buffered whole, and answered
+/// with a [`Response::Error`].
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Runs one NDJSON session: reads [`Event`] lines from `reader`, answers one
 /// [`Response`] line each on `writer`, until `Shutdown`, EOF, or an I/O
-/// error. Malformed lines get a [`Response::Error`] and the session
+/// error. Malformed lines — bad JSON, bytes that are not UTF-8, or more than
+/// [`MAX_LINE_BYTES`] bytes — get a [`Response::Error`] and the session
 /// continues; blank lines are skipped.
 ///
 /// The loop is strictly read → handle → answer → read, so a slow re-plan
@@ -47,23 +53,37 @@ use std::io::{BufRead, Write};
 /// Propagates transport I/O errors; serialization failures (not expected for
 /// these types) surface as [`std::io::Error`] too.
 pub fn serve_lines<R: BufRead, W: Write>(
-    reader: R,
+    mut reader: R,
     mut writer: W,
     state: &mut ServeState,
 ) -> std::io::Result<()> {
-    for line in reader.lines() {
-        let line = line?;
-        if line.trim().is_empty() {
-            continue;
+    let cap = MAX_LINE_BYTES as u64 + 1;
+    let read_capped = |r: &mut R, buf: &mut Vec<u8>| r.by_ref().take(cap).read_until(b'\n', buf);
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        if read_capped(&mut reader, &mut buf)? == 0 {
+            break;
         }
-        let (response, done) = match serde_json::from_str::<Event>(&line) {
-            Ok(event) => state.handle(event),
-            Err(e) => (
-                Response::Error {
-                    message: format!("bad event: {e}"),
+        let (response, done) = if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            // Drop the rest of the line, one capped chunk at a time.
+            while buf.last() != Some(&b'\n') {
+                buf.clear();
+                if read_capped(&mut reader, &mut buf)? == 0 {
+                    break;
+                }
+            }
+            let reason = format!("line exceeds {MAX_LINE_BYTES} bytes");
+            (bad_event(reason), false)
+        } else {
+            match std::str::from_utf8(&buf) {
+                Ok(line) if line.trim().is_empty() => continue,
+                Ok(line) => match serde_json::from_str::<Event>(line) {
+                    Ok(event) => state.handle(event),
+                    Err(e) => (bad_event(e), false),
                 },
-                false,
-            ),
+                Err(e) => (bad_event(e), false),
+            }
         };
         let payload = serde_json::to_string(&response).map_err(std::io::Error::other)?;
         writer.write_all(payload.as_bytes())?;
@@ -74,4 +94,10 @@ pub fn serve_lines<R: BufRead, W: Write>(
         }
     }
     Ok(())
+}
+
+fn bad_event(reason: impl std::fmt::Display) -> Response {
+    Response::Error {
+        message: format!("bad event: {reason}"),
+    }
 }

@@ -8,6 +8,8 @@
 //! there is no pipelining window — the daemon reads, handles, answers, then
 //! reads again, so a slow re-plan back-pressures the client through the
 //! socket buffer rather than through an unbounded internal queue.
+//! A line that is not UTF-8 or is longer than [`crate::MAX_LINE_BYTES`] is
+//! answered with [`Response::Error`], like any malformed event.
 //!
 //! # Event types
 //!

@@ -1,9 +1,12 @@
 //! End-to-end smoke tests for the daemon: an in-process NDJSON session over
 //! `Cursor`, a TCP round-trip against a real socket, and protocol edge
-//! cases (malformed lines, invalid routes, blank lines).
+//! cases (malformed lines, invalid routes, blank lines, non-UTF-8 bytes,
+//! overlong lines).
 
 use octopus_net::topology;
-use octopus_serve::{serve_lines, Event, PolicyMode, Response, ServeConfig, ServeState};
+use octopus_serve::{
+    serve_lines, Event, PolicyMode, Response, ServeConfig, ServeState, MAX_LINE_BYTES,
+};
 use std::io::Cursor;
 
 fn new_state(policy: PolicyMode) -> ServeState {
@@ -160,6 +163,42 @@ fn bad_lines_get_errors_without_killing_the_session() {
     // Failed admissions must not leak packets into the backlog.
     assert_eq!(stats.admitted_packets, 5);
     assert_eq!(stats.backlog, 5);
+}
+
+#[test]
+fn garbage_bytes_and_overlong_lines_get_errors_without_killing_the_session() {
+    let mut state = new_state(PolicyMode::Octopus);
+    let mut script: Vec<u8> = Vec::new();
+    script.extend_from_slice(b"\xff\xfe not utf-8\n\"Stats\"\n");
+    script.extend(std::iter::repeat(b'x').take(MAX_LINE_BYTES + 1));
+    script.extend_from_slice(b"\n\"Stats\"\n");
+    script.extend_from_slice(b"\n\"Stats\"\n");
+    // Exactly at the cap is still a line: a `Stats` padded with spaces.
+    script.extend_from_slice(b"\"Stats\"");
+    script.extend(std::iter::repeat(b' ').take(MAX_LINE_BYTES - 7));
+    script.push(b'\n');
+    script.extend_from_slice(b"\"Shutdown\"\n");
+
+    let mut out = Vec::new();
+    serve_lines(Cursor::new(script), &mut out, &mut state).expect("in-memory io");
+    let responses: Vec<Response> = String::from_utf8(out)
+        .expect("utf8 output")
+        .lines()
+        .map(|l| serde_json::from_str(l).expect("well-formed response"))
+        .collect();
+    let kinds: Vec<&str> = responses
+        .iter()
+        .map(|r| match r {
+            Response::Error { .. } => "Error",
+            Response::Stats { .. } => "Stats",
+            Response::Bye { .. } => "Bye",
+            other => panic!("unexpected {other:?}"),
+        })
+        .collect();
+    assert_eq!(
+        kinds,
+        ["Error", "Stats", "Error", "Stats", "Stats", "Stats", "Bye"]
+    );
 }
 
 #[test]

@@ -7,6 +7,7 @@ use octopus_mhs::core::{
     LinkQueues, LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic, ScheduleEngine,
     SearchPolicy, TrafficSource,
 };
+use octopus_mhs::matching::{matching_weight, maximum_weight_matching, WeightedBipartiteGraph};
 use octopus_mhs::net::{topology, Configuration, Schedule};
 use octopus_mhs::sim::{resolve, SimConfig, Simulator};
 use octopus_mhs::traffic::{Flow, FlowId, Route, TrafficLoad};
@@ -261,9 +262,10 @@ proptest! {
         cap in 2u64..600,
     ) {
         // The batched sweep must reproduce, per candidate α, exactly the
-        // edge list and matching-weight upper bound of the historical
-        // one-α-at-a-time derivation — bit-for-bit, since the α search
-        // compares and prunes on these numbers.
+        // edge list of the one-α-at-a-time derivation and the bound
+        // min(Σᵢ maxⱼ g, Σⱼ maxᵢ g) recomputed here from g — bit-for-bit,
+        // since the α search compares and prunes on these numbers — and the
+        // bound must dominate the column's exact matching weight.
         let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let queues = tr.link_queues(n);
         let candidates = queues.alpha_candidates(cap);
@@ -271,10 +273,25 @@ proptest! {
         prop_assert_eq!(sweep.alphas(), &candidates[..]);
         for (k, &alpha) in candidates.iter().enumerate() {
             prop_assert_eq!(sweep.edge_list(k), queues.weighted_edges(alpha));
+            let (mut row_max, mut col_max) = (vec![0.0f64; n as usize], vec![0.0f64; n as usize]);
+            for (i, j) in queues.links() {
+                let g = queues.g(i, j, alpha);
+                row_max[i as usize] = row_max[i as usize].max(g);
+                col_max[j as usize] = col_max[j as usize].max(g);
+            }
+            let rs: f64 = row_max.iter().sum();
+            let bound = rs.min(col_max.iter().sum());
             prop_assert_eq!(
                 sweep.upper_bound(k).to_bits(),
-                queues.matching_weight_upper_bound(alpha).to_bits(),
+                bound.to_bits(),
                 "upper bound differs at alpha {}", alpha
+            );
+            let g = WeightedBipartiteGraph::from_tuples(n, n, sweep.edge_list(k));
+            let exact = matching_weight(&g, &maximum_weight_matching(&g));
+            prop_assert!(
+                sweep.upper_bound(k) + 1e-9 >= exact,
+                "bound {} below the exact matching weight {} at alpha {}",
+                sweep.upper_bound(k), exact, alpha
             );
         }
     }
