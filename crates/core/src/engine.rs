@@ -670,6 +670,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Evaluates one α on `fabric` against the current snapshot.
+    ///
+    /// An exact bipartite matching here always comes from the Hungarian
+    /// solver, whatever [`SearchPolicy::kernel`] says: the policy only picks
+    /// the kernel of [`ScheduleEngine::select`]'s α-sweep, and this call
+    /// takes no policy.
     // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
     pub fn evaluate<F: Fabric<S>>(&mut self, fabric: &F, alpha: u64) -> BestChoice {
         let delta = self.delta;

@@ -15,6 +15,11 @@ pub enum SchedError {
         /// Reconfiguration delay.
         delta: u64,
     },
+    /// The window is longer than [`MAX_WINDOW`] slots.
+    WindowTooLarge {
+        /// Requested window.
+        window: u64,
+    },
     /// The hysteresis factor η is negative or NaN.
     InvalidEta(f64),
     /// The algorithm requires single-route flows but got route choices.
@@ -53,6 +58,10 @@ impl fmt::Display for SchedError {
                 f,
                 "window {window} cannot fit a configuration with delta {delta}"
             ),
+            SchedError::WindowTooLarge { window } => write!(
+                f,
+                "window {window} exceeds the largest supported window of {MAX_WINDOW} slots (2^53)"
+            ),
             SchedError::InvalidEta(eta) => {
                 write!(f, "hysteresis factor eta {eta} must be a number >= 0")
             }
@@ -84,14 +93,23 @@ impl fmt::Display for SchedError {
 
 impl std::error::Error for SchedError {}
 
+/// The longest window a planner accepts, 2⁵³ slots. Every configuration's
+/// `α + Δ` then fits the window, so the sum cannot wrap and its `f64` in a
+/// score is exact.
+pub const MAX_WINDOW: u64 = 1 << 53;
+
 /// Checks that a `window` of slots fits at least one configuration under
-/// reconfiguration delay `delta`.
+/// reconfiguration delay `delta` and is at most [`MAX_WINDOW`] long.
 ///
 /// # Errors
-/// [`SchedError::WindowTooSmall`] when `window ≤ delta`.
+/// [`SchedError::WindowTooSmall`] when `window ≤ delta`;
+/// [`SchedError::WindowTooLarge`] when `window > MAX_WINDOW`.
 pub fn check_window(window: u64, delta: u64) -> Result<(), SchedError> {
     if window <= delta {
         return Err(SchedError::WindowTooSmall { window, delta });
+    }
+    if window > MAX_WINDOW {
+        return Err(SchedError::WindowTooLarge { window });
     }
     Ok(())
 }

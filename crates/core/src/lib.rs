@@ -75,7 +75,7 @@ pub use engine::{
     BipartiteFabric, CandidateExtension, DuplexFabric, Fabric, KPortFabric, LocalFabric,
     ScheduleEngine, SearchPolicy, TrafficSource, WindowRun,
 };
-pub use error::{check_window, SchedError};
+pub use error::{check_window, SchedError, MAX_WINDOW};
 pub use memo::{plan_window_cached, CacheOutcome, CacheStats, ScheduleCache, WindowPlan};
 pub use octopus::{octopus, OctopusConfig, OctopusOutput};
 pub use octopus_traffic::HopWeighting;

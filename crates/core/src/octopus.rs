@@ -236,6 +236,19 @@ mod tests {
     }
 
     #[test]
+    fn window_above_2_pow_53_errors() {
+        let net = topology::complete(3);
+        let load = TrafficLoad::new(vec![]).unwrap();
+        assert!(octopus(&net, &load, &cfg(crate::MAX_WINDOW, 10)).is_ok());
+        for window in [crate::MAX_WINDOW + 1, u64::MAX] {
+            assert_eq!(
+                octopus(&net, &load, &cfg(window, 10)).err(),
+                Some(SchedError::WindowTooLarge { window })
+            );
+        }
+    }
+
+    #[test]
     fn empty_load_gives_empty_schedule() {
         let net = topology::complete(3);
         let load = TrafficLoad::new(vec![]).unwrap();

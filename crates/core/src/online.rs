@@ -263,11 +263,14 @@ mod tests {
 }
 
 /// Checks a hysteresis policy's knobs: a `window` (epoch or horizon) that
-/// fits one configuration under `delta`, and a factor `eta ≥ 0`.
+/// passes [`check_window`], and a factor `eta ≥ 0`.
 ///
 /// # Errors
 /// [`SchedError::WindowTooSmall`] when `window ≤ delta`;
+/// [`SchedError::WindowTooLarge`] when `window > MAX_WINDOW`;
 /// [`SchedError::InvalidEta`] when `eta` is negative or NaN.
+///
+/// [`MAX_WINDOW`]: crate::MAX_WINDOW
 pub fn check_hysteresis(window: u64, delta: u64, eta: f64) -> Result<(), SchedError> {
     check_window(window, delta)?;
     if eta.is_nan() || eta < 0.0 {

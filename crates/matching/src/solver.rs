@@ -42,6 +42,43 @@
 //! return bit-identical schedules. Every solve therefore re-initializes
 //! `φ_l(u) = max(0, max_v w(u, v))`, `φ_r = 0` — an `O(V)` fill, not an
 //! allocation — making the result a pure function of `(topology, weights)`.
+//!
+//! ## Why the bounded search returns the same matching
+//!
+//! Each phase's Dijkstra stops at the first free extended-right vertex it
+//! finalizes, at distance `D`. Two cuts skip the work that cannot reach it:
+//!
+//! * **The bound `ub`.** The phase keeps `ub`, the least tentative distance
+//!   of any free extended-right vertex seen so far (s's own dummy sink is
+//!   relaxed first, so `ub` is finite from the start). Every tentative
+//!   distance is at least the final one, so `D ≤ ub` at all times. A
+//!   relaxation with `nd > ub` is dropped: no stamp, no `dist_r`/`pred_r`
+//!   write, no heap push. The cut is strict, so an entry tying `ub` is kept,
+//!   and with it every `(D, v)` tie that pops before the target. A dropped
+//!   entry has `nd > D`: the unbounded search pops it after the target, if
+//!   at all, and it cannot change the outcome of a later relaxation of the
+//!   same vertex at distance `≤ D`, since a tentative distance is only ever
+//!   replaced by a strictly smaller one.
+//! * **Rows by weight.** Every solve orders each row's positive entries by
+//!   weight, heaviest first, and the scan of row `u` (potential
+//!   `pl = pot_l[u]`) breaks at the first entry with
+//!   `d_u + max(0, pl − w) > ub`. Right potentials start at 0 and only
+//!   decrease (each Johnson update subtracts a non-negative amount; a
+//!   `debug_assert!` checks it), so `rc = (pl − w) − pot_r ≥ pl − w`, also
+//!   in floating point, where rounding is monotone; a lighter entry's
+//!   `pl − w` is no smaller. Every skipped entry would be dropped by the
+//!   bound.
+//!
+//! Within one row the order cannot matter: left vertex `u` relaxes each
+//! right vertex at most once per phase, every relaxation from `u` shares its
+//! `d_u` and its `pred_r`, the heap pops in the total `(dist, v)` order,
+//! whatever the push order, and how far `ub` has fallen when an entry is
+//! reached only decides the fate of entries above `D`. So the finalized
+//! vertices, their pop order, `pred_r`, the target, the Johnson updates and
+//! the duals are the unbounded search's, and matchings,
+//! [`AssignmentSolver::last_weight`] and [`AssignmentSolver::right_duals`]
+//! are bit-identical to it (pinned against a reference copy of the
+//! unbounded loop in this module's tests).
 
 use crate::WeightedBipartiteGraph;
 use std::cmp::Reverse;
@@ -89,6 +126,10 @@ pub struct AssignmentSolver {
     ev: Vec<u32>,
     /// CSR weights, parallel to `ev`; overwritten by each reweight.
     ew: Vec<f64>,
+    /// Each row's positive entries as `(weight, right)`, heaviest first, in
+    /// `start[u]..row_end[u]`; rebuilt by every solve, sized with `ev`.
+    by_weight: Vec<(f64, u32)>,
+    row_end: Vec<u32>,
     // Matching state (extended right ids: `0..nr` real, `nr + u` = dummy of u).
     match_l: Vec<u32>,
     match_r: Vec<u32>,
@@ -102,6 +143,9 @@ pub struct AssignmentSolver {
     stamp_r: Vec<u32>,
     done_r: Vec<bool>,
     phase: u32,
+    /// The phase's bound: the least tentative distance of any free extended
+    /// right vertex (see the module docs).
+    ub: f64,
     heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
     touched_l: Vec<u32>,
     touched_r: Vec<u32>,
@@ -147,6 +191,16 @@ impl AssignmentSolver {
         self.ev.extend(edges.iter().map(|&(_, v)| v));
         self.ew.clear();
         self.ew.resize(edges.len(), 0.0);
+        self.size_row_order();
+    }
+
+    /// Sizes the weight-ordered row buffers for the loaded topology, so
+    /// solves fill them in place.
+    fn size_row_order(&mut self) {
+        self.by_weight.clear();
+        self.by_weight.resize(self.ev.len(), (0.0, 0));
+        self.row_end.clear();
+        self.row_end.resize(self.nl, 0);
     }
 
     /// Number of edges in the loaded topology.
@@ -202,6 +256,7 @@ impl AssignmentSolver {
         self.ev.extend(edges.iter().map(|e| e.v));
         self.ew.clear();
         self.ew.extend(edges.iter().map(|e| e.weight));
+        self.size_row_order();
         self.run()
     }
 
@@ -252,11 +307,22 @@ impl AssignmentSolver {
         self.match_r.resize(nr_ext, UNMATCHED);
         // Canonical potentials: row maxima left, zero right (see module docs
         // for why these must not be warm-started across weight changes).
+        // The row maximum heads the row's weight order.
         self.pot_l.clear();
         self.pot_l.reserve(self.nl);
         for u in 0..self.nl {
-            let row = &self.ew[self.start[u] as usize..self.start[u + 1] as usize];
-            self.pot_l.push(row.iter().copied().fold(0.0, f64::max));
+            let (lo, hi) = (self.start[u] as usize, self.start[u + 1] as usize);
+            let mut end = lo;
+            for idx in lo..hi {
+                if self.ew[idx] > 0.0 {
+                    self.by_weight[end] = (self.ew[idx], self.ev[idx]);
+                    end += 1;
+                }
+            }
+            let row = &mut self.by_weight[lo..end];
+            row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            self.row_end[u] = end as u32;
+            self.pot_l.push(row.first().map_or(0.0, |&(w, _)| w));
         }
         self.pot_r.clear();
         self.pot_r.resize(nr_ext, 0.0);
@@ -278,12 +344,12 @@ impl AssignmentSolver {
 
     /// The successive-shortest-path assignment solve over the loaded CSR.
     ///
-    /// Identical, operation for operation, to the historical one-shot
-    /// kernel: left vertices are inserted in index order; each insertion
-    /// runs one Dijkstra over alternating paths in reduced costs (non-
-    /// positive-weight edges skipped) and augments to the cheapest free
-    /// extended-right vertex; Johnson potentials keep reduced costs
-    /// non-negative.
+    /// Left vertices are inserted in index order; each insertion runs one
+    /// Dijkstra over alternating paths in reduced costs (non-positive-weight
+    /// edges skipped), bounded by the phase's `ub`, and augments to the
+    /// cheapest free extended-right vertex; Johnson potentials keep reduced
+    /// costs non-negative. Every finalized vertex, and so the result, is the
+    /// unbounded search's (module docs).
     fn run(&mut self) -> &[(u32, u32)] {
         self.reset_state();
         let nl = self.nl;
@@ -297,6 +363,7 @@ impl AssignmentSolver {
             }
             self.phase += 1;
             let phase = self.phase;
+            self.ub = f64::INFINITY;
             self.heap.clear();
             self.touched_l.clear();
             self.touched_r.clear();
@@ -356,6 +423,9 @@ impl AssignmentSolver {
                     self.pot_r[vi] -= big_d - self.dist_r[vi];
                 }
             }
+            // `relax_left`'s row cut relies on right potentials never rising
+            // above their initial 0.
+            debug_assert!(self.pot_r.iter().all(|&p| p <= 0.0), "pot_r > 0");
             // Reset done flags for touched right vertices (stamps handle
             // dist).
             for &v in &self.touched_r {
@@ -394,30 +464,37 @@ impl AssignmentSolver {
         &self.out
     }
 
-    /// Relaxes all positive-weight edges of left vertex `u` (plus its dummy
-    /// sink), given its finalized distance `d_u`.
+    /// Relaxes left vertex `u`'s dummy sink and its positive-weight edges,
+    /// heaviest first, given its finalized distance `d_u`; stops at the
+    /// first edge that cannot come in under the phase bound.
     fn relax_left(&mut self, u: u32, d_u: f64, phase: u32) {
         let ui = u as usize;
-        let (lo, hi) = (self.start[ui] as usize, self.start[ui + 1] as usize);
-        for idx in lo..hi {
-            let w = self.ew[idx];
-            if w <= 0.0 {
-                continue; // disabled for this weight column
+        let pl = self.pot_l[ui];
+        // Dummy sink of u (cost 0 edge) first: it is free unless u is matched
+        // to it, so it can lower the bound before the row scan.
+        let dv = self.nr + ui;
+        let rc = pl - self.pot_r[dv];
+        self.relax(u, dv, rc, d_u, phase);
+        for idx in self.start[ui] as usize..self.row_end[ui] as usize {
+            let (w, v) = self.by_weight[idx];
+            // pot_r <= 0 makes rc >= pl - w, and every later entry of the
+            // row weighs no more (module docs).
+            if d_u + (pl - w).max(0.0) > self.ub {
+                break;
             }
-            let v = self.ev[idx] as usize;
-            let rc = -w + self.pot_l[ui] - self.pot_r[v];
+            let v = v as usize;
+            let rc = -w + pl - self.pot_r[v];
             self.relax(u, v, rc, d_u, phase);
         }
-        // Dummy sink of u: cost 0 edge.
-        let dv = self.nr + ui;
-        let rc = self.pot_l[ui] - self.pot_r[dv];
-        self.relax(u, dv, rc, d_u, phase);
     }
 
     #[inline]
     fn relax(&mut self, u: u32, v: usize, rc: f64, d_u: f64, phase: u32) {
         debug_assert!(rc >= -1e-9, "reduced cost must stay non-negative: {rc}");
         let nd = d_u + rc.max(0.0);
+        if nd > self.ub {
+            return; // above the target distance: cannot reach the answer
+        }
         if self.stamp_r[v] != phase {
             self.stamp_r[v] = phase;
             self.done_r[v] = false;
@@ -428,6 +505,9 @@ impl AssignmentSolver {
             self.dist_r[v] = nd;
             self.pred_r[v] = u;
             self.heap.push(Reverse((OrdF64(nd), v as u32)));
+            if self.match_r[v] == UNMATCHED {
+                self.ub = nd; // nd <= ub: a cheaper free vertex
+            }
         }
     }
 }
@@ -436,6 +516,104 @@ impl AssignmentSolver {
 mod tests {
     use super::*;
     use crate::{brute, matching_weight, maximum_weight_matching};
+
+    /// The kernel's phase loop without the `ub` cut or the weight-ordered
+    /// rows: fresh arrays per phase, rows in `(u, v)` order, every
+    /// relaxation kept. Returns the matching, its weight and the right
+    /// duals, computed as [`AssignmentSolver`] computes them.
+    fn reference_solve(
+        nl: usize,
+        nr: usize,
+        edges: &[(u32, u32)],
+        weights: &[f64],
+    ) -> (Vec<(u32, u32)>, f64, Vec<f64>) {
+        let nx = nr + nl;
+        let mut rows = vec![Vec::new(); nl];
+        for (&(u, v), &w) in edges.iter().zip(weights) {
+            if w > 0.0 {
+                rows[u as usize].push((v as usize, w));
+            }
+        }
+        let mut pot_l: Vec<f64> = rows
+            .iter()
+            .map(|r| r.iter().map(|&(_, w)| w).fold(0.0, f64::max))
+            .collect();
+        let mut pot_r = vec![0.0; nx];
+        let (mut match_l, mut match_r) = (vec![UNMATCHED; nl], vec![UNMATCHED; nx]);
+        for s in 0..nl {
+            if pot_l[s] <= 0.0 {
+                continue;
+            }
+            let (mut dist_l, mut dist_r) = (vec![f64::INFINITY; nl], vec![f64::INFINITY; nx]);
+            let (mut pred, mut done) = (vec![UNMATCHED; nx], vec![false; nx]);
+            let mut heap = BinaryHeap::new();
+            dist_l[s] = 0.0;
+            let mut reached = Some((s, 0.0));
+            let mut target = None;
+            loop {
+                if let Some((u, d_u)) = reached.take() {
+                    let dummy = (nr + u, pot_l[u] - pot_r[nr + u]);
+                    let row = rows[u].iter().map(|&(v, w)| (v, -w + pot_l[u] - pot_r[v]));
+                    for (v, rc) in row.chain([dummy]) {
+                        let nd = d_u + f64::max(rc, 0.0);
+                        if !done[v] && nd < dist_r[v] {
+                            dist_r[v] = nd;
+                            pred[v] = u as u32;
+                            heap.push(Reverse((OrdF64(nd), v as u32)));
+                        }
+                    }
+                }
+                let Some(Reverse((OrdF64(d), v))) = heap.pop() else {
+                    break;
+                };
+                let vi = v as usize;
+                if done[vi] || d > dist_r[vi] {
+                    continue;
+                }
+                done[vi] = true;
+                let u = match_r[vi];
+                if u == UNMATCHED {
+                    target = Some((v, d));
+                    break;
+                }
+                if d < dist_l[u as usize] {
+                    dist_l[u as usize] = d;
+                    reached = Some((u as usize, d));
+                }
+            }
+            let Some((t, big_d)) = target else { continue };
+            for (p, &d) in pot_l.iter_mut().zip(&dist_l) {
+                if d <= big_d {
+                    *p -= big_d - d;
+                }
+            }
+            for v in 0..nx {
+                if done[v] && dist_r[v] <= big_d {
+                    pot_r[v] -= big_d - dist_r[v];
+                }
+            }
+            let mut v_cur = t;
+            loop {
+                let u = pred[v_cur as usize];
+                let prev_v = match_l[u as usize];
+                match_l[u as usize] = v_cur;
+                match_r[v_cur as usize] = u;
+                if prev_v == UNMATCHED {
+                    break;
+                }
+                v_cur = prev_v;
+            }
+        }
+        let (mut out, mut weight) = (Vec::new(), 0.0);
+        for (u, &v) in match_l.iter().enumerate() {
+            if (v as usize) < nr {
+                out.push((u as u32, v));
+                weight += rows[u].iter().find(|&&(x, _)| x == v as usize).unwrap().1;
+            }
+        }
+        let duals = pot_r[..nr].iter().map(|&p| (-p).max(0.0)).collect();
+        (out, weight, duals)
+    }
 
     #[test]
     fn reweighted_matches_cold_solve_on_fixed_topology() {
@@ -503,13 +681,7 @@ mod tests {
 
     #[test]
     fn randomized_reweight_agrees_with_brute_force() {
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
+        let mut next = xorshift(0x9e37_79b9);
         let mut solver = AssignmentSolver::new();
         for trial in 0..200 {
             let nl = 1 + (next() % 5) as u32;
@@ -538,8 +710,113 @@ mod tests {
                     "trial {trial}: got weight {}, brute {want}",
                     matching_weight(&g, &got)
                 );
-                assert_eq!(got, maximum_weight_matching(&g), "trial {trial}");
+                let (want_m, ..) = reference_solve(nl as usize, nr as usize, &edges, &col);
+                assert_eq!(got, want_m, "trial {trial}");
             }
+        }
+    }
+
+    /// Xorshift stream for the randomized tests.
+    fn xorshift(mut state: u64) -> impl FnMut() -> u64 {
+        move || {
+            state ^= state << 13;
+            state ^= state >> 7;
+            state ^= state << 17;
+            state
+        }
+    }
+
+    /// A tie-heavy weight as the Octopus sweep produces them: hop weights
+    /// `k/6` times packet counts, sometimes summed over two packet classes,
+    /// and about one entry in eight disabled (`w ≤ 0`).
+    fn octopus_weight(next: &mut impl FnMut() -> u64) -> f64 {
+        match next() % 8 {
+            0 => [0.0, -1.0 / 3.0][(next() % 2) as usize],
+            r => {
+                let class = |next: &mut dyn FnMut() -> u64| {
+                    (1 + next() % 6) as f64 / 6.0 * (1 + next() % 8) as f64
+                };
+                let w = class(next);
+                if r == 1 {
+                    w + class(next)
+                } else {
+                    w
+                }
+            }
+        }
+    }
+
+    /// Solves `columns` over one topology and asserts every result is the
+    /// reference loop's, bit for bit.
+    fn assert_matches_reference(
+        solver: &mut AssignmentSolver,
+        (nl, nr): (u32, u32),
+        edges: &[(u32, u32)],
+        columns: &[Vec<f64>],
+    ) {
+        solver.load_topology(nl, nr, edges);
+        let mut duals = Vec::new();
+        for (c, col) in columns.iter().enumerate() {
+            let got = solver.solve_reweighted(col).to_vec();
+            let (want, weight, want_duals) = reference_solve(nl as usize, nr as usize, edges, col);
+            let ctx = format!("{nl}x{nr}, {} edges, column {c}", edges.len());
+            assert_eq!(got, want, "{ctx}");
+            assert_eq!(solver.last_weight().to_bits(), weight.to_bits(), "{ctx}");
+            solver.right_duals(&mut duals);
+            let bits = |d: &[f64]| d.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&duals), bits(&want_duals), "{ctx}");
+        }
+    }
+
+    /// Complete `n × n` topology without self-loops, as a complete fabric's
+    /// link set.
+    fn complete_edges(n: u32) -> Vec<(u32, u32)> {
+        (0..n)
+            .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect()
+    }
+
+    #[test]
+    fn bounded_search_matches_reference_bit_for_bit() {
+        let mut next = xorshift(0x5eed_0c70_9a11);
+        let mut solver = AssignmentSolver::new();
+        for trial in 0..120 {
+            let (nl, nr) = (1 + (next() % 24) as u32, 1 + (next() % 24) as u32);
+            let edges = if trial % 3 == 0 {
+                let n = nl.max(nr);
+                complete_edges(n)
+                    .into_iter()
+                    .filter(|&(u, v)| u < nl && v < nr)
+                    .collect()
+            } else {
+                let mut e: Vec<(u32, u32)> = (0..next() % (4 * nl * nr) as u64)
+                    .map(|_| (next() as u32 % nl, next() as u32 % nr))
+                    .collect();
+                e.sort_unstable();
+                e.dedup();
+                e
+            };
+            let columns: Vec<Vec<f64>> = (0..3)
+                .map(|_| edges.iter().map(|_| octopus_weight(&mut next)).collect())
+                .collect();
+            assert_matches_reference(&mut solver, (nl, nr), &edges, &columns);
+        }
+    }
+
+    /// The oracle on complete n = 64 and 128 topologies with Octopus weight
+    /// classes, too slow for the debug suite; run with `cargo test --release
+    /// -p octopus-matching -- --ignored`.
+    #[test]
+    #[ignore = "release-mode oracle at n = 64 and 128"]
+    fn bounded_search_matches_reference_at_real_sizes() {
+        let mut next = xorshift(0xb00d_5ea7_c4a5);
+        let mut solver = AssignmentSolver::new();
+        for n in [64, 128] {
+            let edges = complete_edges(n);
+            let columns: Vec<Vec<f64>> = (0..12)
+                .map(|_| edges.iter().map(|_| octopus_weight(&mut next)).collect())
+                .collect();
+            assert_matches_reference(&mut solver, (n, n), &edges, &columns);
         }
     }
 }

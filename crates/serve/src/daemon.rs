@@ -92,7 +92,8 @@ impl ServeState {
     ///
     /// # Errors
     /// [`SchedError::WindowTooSmall`] when the horizon cannot fit one
-    /// configuration (`horizon ≤ delta`), [`SchedError::InvalidEta`] when
+    /// configuration (`horizon ≤ delta`), [`SchedError::WindowTooLarge`]
+    /// when it is longer than 2⁵³ slots, [`SchedError::InvalidEta`] when
     /// `eta` is negative or NaN.
     pub fn new(net: Network, cfg: ServeConfig) -> Result<Self, SchedError> {
         check_hysteresis(cfg.horizon, cfg.delta, cfg.eta)?;

@@ -444,6 +444,21 @@ fn binary_rejects_negative_and_nan_eta() {
 }
 
 #[test]
+fn binary_rejects_a_horizon_above_2_pow_53() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_octopus-serve"))
+        .args(["--complete", "4", "--horizon", "18446744073709551615"])
+        .stdin(std::process::Stdio::null())
+        .output()
+        .expect("daemon binary runs");
+    assert!(!out.status.success(), "--horizon u64::MAX must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("bad configuration") && stderr.contains("largest supported window"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn constructor_rejects_negative_and_nan_eta() {
     for eta in [-5.0, f64::NAN] {
         let cfg = ServeConfig {
