@@ -7,9 +7,10 @@
 //! shared by every scheduler variant via
 //! [`crate::engine::ScheduleEngine`]:
 //!
-//! * [`AlphaSearch::Exhaustive`] evaluates every candidate α, with a cheap
-//!   matching-weight upper bound used to prune hopeless candidates — exact
-//!   selection, the default **Octopus** behavior. With `parallel`, candidate
+//! * [`AlphaSearch::Exhaustive`] finds the best of every candidate α —
+//!   exact selection, the default **Octopus** behavior — but solves only
+//!   candidates that certified score bounds cannot rule out (see *Pruning*
+//!   below). With `parallel`, candidate
 //!   evaluation fans out over rayon's worker threads (the paper's multi-core
 //!   controller argument, §4.1); the worker count follows the machine's
 //!   available parallelism and can be pinned via the `OCTOPUS_THREADS`
@@ -28,6 +29,36 @@
 //! one (K-port unions, duplex general graphs, persistence-aware local
 //! reconfiguration, chained multihop) reuse the identical candidate
 //! enumeration, pruning, tie-breaking and parallelism.
+//!
+//! # Pruning
+//!
+//! On a swept select ([`SweepContext`]) every candidate α starts with an
+//! *eager* score bound: the sweep's row/column-max bound, tightened by the
+//! weak-duality bound under the previous select's dual row nearest to α.
+//! Every exact solve publishes its right-side duals into this select's
+//! [`DualTable`], and `refine(α, incumbent)` bounds a candidate *lazily*
+//! under them: [`DualTable::bracket`] interpolates the nearest published
+//! rows on either side of α (or takes the one nearest row), and when the
+//! bound under that row does not fall strictly below `incumbent`, one
+//! descent step re-derives the right duals from the left ones and bounds
+//! again.
+//!
+//! The sequential search is best-first: it repeatedly takes the unsolved
+//! candidate with the highest current bound (smaller α on a tie), stops
+//! when that bound is strictly below the incumbent's score, refreshes the
+//! bound through `refine` when a row was published since the bound was
+//! last refined, and otherwise solves it. The parallel search keeps a
+//! bound-descending claim order and cuts against a shared floor.
+//!
+//! Why this stays exact: each bound is a weak-duality certificate derived
+//! from scratch for the candidate's own column — the left duals are
+//! re-derived from whatever `z ≥ 0` is at hand, so `(y, z)` is feasible
+//! however the row was obtained — and padded outward for float rounding.
+//! An interpolated (or stale, or another α's) row is therefore never
+//! trusted; a poor guess only loosens the bound. Since a candidate is
+//! skipped only when its bound is strictly below an exactly evaluated
+//! score, it loses even on tie-breaks, and the winner, its matching and
+//! every schedule are the same as an unbounded search's.
 
 use crate::engine::SearchPolicy;
 use crate::state::{LinkQueues, MultiAlphaEdges};
@@ -140,6 +171,14 @@ struct KernelWorkspace {
     /// Dual row scratch: a solve's right-side duals on their way into the
     /// search's [`DualTable`], or a table row on its way into a bound.
     z: Vec<f64>,
+    /// Left duals `y` re-derived by the last [`SweepContext::dual_bound`],
+    /// which the descent step ([`SweepContext::descent_bound`]) starts from.
+    y: Vec<f64>,
+    /// The descent step's right duals `z'`.
+    z_descent: Vec<f64>,
+    /// The sequential search's unsolved candidates ([`exhaustive_pruned`]),
+    /// taken out for the search and put back after it.
+    pending: Vec<Pending>,
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
     /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
     loaded_sweep: u64,
@@ -234,12 +273,15 @@ impl DualTable {
     /// Copies row `k` into `out` (which must have been seen ready).
     fn copy_row(&self, k: usize, out: &mut Vec<f64>) {
         out.clear();
-        out.extend(
-            self.z[k * self.n..(k + 1) * self.n]
-                .iter()
-                // lint:allow(atomic-ordering) — proof: callers copy a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
-                .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed))),
-        );
+        out.extend(self.row(k));
+    }
+
+    /// The entries of row `k` (which must have been seen ready).
+    fn row(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
+        self.z[k * self.n..(k + 1) * self.n]
+            .iter()
+            // lint:allow(atomic-ordering) — proof: callers read a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
+            .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
     }
 
     /// Copies into `out` the published row whose α is nearest to `alpha`
@@ -247,10 +289,7 @@ impl DualTable {
     /// no row is published. Sorted αs make the nearest published row on
     /// each side the first one met scanning outward.
     pub(crate) fn nearest(&self, alpha: u64, out: &mut Vec<f64>) -> bool {
-        let pos = self.alphas.partition_point(|&a| a < alpha);
-        let below = (0..pos).rev().find(|&k| self.is_ready(k));
-        let above = (pos..self.alphas.len()).find(|&k| self.is_ready(k));
-        let k = match (below, above) {
+        let k = match self.neighbours(alpha) {
             (Some(lo), Some(hi)) => {
                 if alpha - self.alphas[lo] <= self.alphas[hi] - alpha {
                     lo
@@ -263,6 +302,40 @@ impl DualTable {
         };
         self.copy_row(k, out);
         true
+    }
+
+    /// Copies into `out` a dual row for `alpha` bracketed by the published
+    /// rows and returns `true`, or returns `false` when no row is published.
+    /// With a row published on each side of `alpha` (and none at `alpha`
+    /// itself), `z` is their α-interpolation `z_lo + t·(z_hi − z_lo)`,
+    /// `t = (α − α_lo) / (α_hi − α_lo)`; otherwise it is the one nearest
+    /// row. Every entry is clamped at 0, so the row is a valid `z ≥ 0` for
+    /// [`SweepContext::dual_bound`] whatever was published: interpolation
+    /// only has to be a good guess, never a trusted one.
+    pub(crate) fn bracket(&self, alpha: u64, out: &mut Vec<f64>) -> bool {
+        let (lo, hi, t) = match self.neighbours(alpha) {
+            (Some(lo), Some(hi)) if self.alphas[hi] != alpha => {
+                let span = (self.alphas[hi] - self.alphas[lo]) as f64;
+                (lo, hi, (alpha - self.alphas[lo]) as f64 / span)
+            }
+            (_, Some(k)) | (Some(k), None) => (k, k, 0.0),
+            (None, None) => return false,
+        };
+        out.clear();
+        out.extend(
+            self.row(lo)
+                .zip(self.row(hi))
+                .map(|(a, b)| (a + t * (b - a)).max(0.0)),
+        );
+        true
+    }
+
+    /// The nearest published rows below and at-or-above `alpha`.
+    fn neighbours(&self, alpha: u64) -> (Option<usize>, Option<usize>) {
+        let pos = self.alphas.partition_point(|&a| a < alpha);
+        let below = (0..pos).rev().find(|&k| self.is_ready(k));
+        let above = (pos..self.alphas.len()).find(|&k| self.is_ready(k));
+        (below, above)
     }
 }
 
@@ -302,8 +375,8 @@ impl<'p> SweepContext<'p> {
     }
 
     /// The swept α-search over this context's candidates under `policy`,
-    /// whose kernel backs [`MatchingKind::Exact`]: candidates are ordered
-    /// and cut by [`SweepContext::score_upper_bound`], cut again lazily by
+    /// whose kernel backs [`MatchingKind::Exact`]: candidates are bounded
+    /// eagerly by [`SweepContext::score_upper_bound`], lazily by
     /// [`SweepContext::solved_score_bound`], and solved by
     /// [`SweepContext::eval`]. Returns the winner (`None` when no
     /// configuration has positive benefit) and the duals the search solved,
@@ -315,7 +388,7 @@ impl<'p> SweepContext<'p> {
         delta: u64,
     ) -> (Option<BestChoice>, DualTable) {
         let ub = |alpha: u64| self.score_upper_bound(alpha, delta);
-        let solved = |alpha: u64| self.solved_score_bound(alpha, delta);
+        let solved = |alpha: u64, incumbent: f64| self.solved_score_bound(alpha, delta, incumbent);
         let best = search_alpha(
             &self.duals.alphas,
             policy,
@@ -327,67 +400,83 @@ impl<'p> SweepContext<'p> {
         (best, self.duals)
     }
 
-    /// The eager score bound of one swept candidate α, which both orders
-    /// and cuts the bound-descending scan: the sweep's row/column-max bound,
-    /// tightened by the weak-duality bound under the previous search's
-    /// duals of the nearest α.
+    /// The eager score bound of one swept candidate α, which seeds its
+    /// place in the search: the sweep's row/column-max bound, tightened by
+    /// the weak-duality bound under the previous search's duals of the
+    /// nearest α.
     pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
         let k = self.sweep.index_of(alpha);
         let n = self.sweep.n() as usize;
         let mut ub = outward(self.sweep.upper_bound(k), 2 * n);
         if let Some(prior) = self.prior {
-            ub = ub.min(self.nearest_dual_bound(prior, k));
+            ub = ub.min(KERNEL_WS.with(|ws| {
+                let ws = &mut *ws.borrow_mut();
+                if prior.nearest(alpha, &mut ws.z) {
+                    self.dual_bound(k, &ws.z, None)
+                } else {
+                    f64::INFINITY
+                }
+            }));
         }
         ub / (alpha + delta) as f64
     }
 
-    /// The lazy score bound of one swept candidate α: the weak-duality bound
-    /// under the duals this search already solved for the nearest α
-    /// (`+∞` before the first exact solve). It costs a pass over the column,
-    /// so the search consults it only for candidates that survive the eager
-    /// cut.
-    pub(crate) fn solved_score_bound(&self, alpha: u64, delta: u64) -> f64 {
-        self.nearest_dual_bound(&self.duals, self.sweep.index_of(alpha)) / (alpha + delta) as f64
-    }
-
-    /// [`SweepContext::dual_bound`] for column `k` under the published row
-    /// of `table` nearest to its α (`+∞` when the table has none).
-    fn nearest_dual_bound(&self, table: &DualTable, k: usize) -> f64 {
-        let alpha = self.sweep.alphas()[k];
+    /// The lazy score bound of one swept candidate α under the duals this
+    /// search already solved (`+∞` before the first exact solve): the
+    /// weak-duality bound under [`DualTable::bracket`]'s row and, when that
+    /// does not fall strictly below `incumbent`, also under one descent
+    /// step from it ([`SweepContext::descent_bound`]), the smaller of the
+    /// two. Each costs a pass over the column, so the search consults it
+    /// only for the candidate it is about to solve.
+    pub(crate) fn solved_score_bound(&self, alpha: u64, delta: u64, incumbent: f64) -> f64 {
+        let k = self.sweep.index_of(alpha);
+        let cost = (alpha + delta) as f64;
         KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
-            if table.nearest(alpha, &mut ws.z) {
-                self.dual_bound(k, &ws.z)
-            } else {
-                f64::INFINITY
+            if !self.duals.bracket(alpha, &mut ws.z) {
+                return f64::INFINITY;
             }
+            let bound = self.dual_bound(k, &ws.z, Some(&mut ws.y)) / cost;
+            if bound < incumbent {
+                return bound;
+            }
+            bound.min(self.descent_bound(k, &ws.y, &mut ws.z_descent) / cost)
         })
     }
 
     /// A certified weak-duality bound on every matching weight of column
     /// `k`, from dual prices `z ≥ 0` (one entry per right port), padded by
     /// [`outward`]: re-deriving `y_u := max_v (w(u,v) − z_v)⁺` from scratch
-    /// makes `(y, z)` dual-feasible for **any** `z ≥ 0`, however stale, so
+    /// (left in `y` when given, one entry per left port) makes `(y, z)`
+    /// dual-feasible for **any** `z ≥ 0`, however stale, so
     /// `Σ_u y_u + Σ_v z_v` bounds the column's maximum matching weight.
     /// Duals from other columns or other iterations therefore tighten
     /// pruning without ever being trusted — a poor `z` merely loosens the
     /// bound.
-    fn dual_bound(&self, k: usize, z: &[f64]) -> f64 {
-        let col = self.sweep.column(k);
-        let edges = self.sweep.edges();
+    fn dual_bound(&self, k: usize, z: &[f64], mut y: Option<&mut Vec<f64>>) -> f64 {
+        let n = self.sweep.n() as usize;
+        if let Some(y) = y.as_deref_mut() {
+            y.clear();
+            y.resize(n, 0.0);
+        }
         // Edges are `(u, v)`-sorted, so each left port's enabled entries
-        // form one contiguous run — a single pass accumulates the per-u
-        // maxima with no scratch.
+        // form one contiguous run: its maximum is kept in a register and
+        // stored once, when the run ends.
         let mut y_total = 0.0f64;
+        let mut end_run = |u: u32, y_u: f64| {
+            if let Some(slot) = y.as_deref_mut().and_then(|y| y.get_mut(u as usize)) {
+                *slot = y_u;
+            }
+            y_total += y_u;
+        };
         let mut cur_u = u32::MAX;
         let mut cur_best = 0.0f64;
-        for (idx, &(u, v)) in edges.iter().enumerate() {
-            let w = col[idx];
+        for (&(u, v), &w) in self.sweep.edges().iter().zip(self.sweep.column(k)) {
             if w <= 0.0 {
                 continue;
             }
             if u != cur_u {
-                y_total += cur_best;
+                end_run(cur_u, cur_best);
                 cur_u = u;
                 cur_best = 0.0;
             }
@@ -396,12 +485,38 @@ impl<'p> SweepContext<'p> {
                 cur_best = slack;
             }
         }
-        y_total += cur_best;
+        end_run(cur_u, cur_best);
         let z_total: f64 = z.iter().sum();
-        // y: ≤ n rounded slacks summed; z: its own length; one final add;
+        // y: n rounded slacks summed; z: its own length; one final add;
         // plus the ≤ n terms of the kernel's weight.
-        let n = self.sweep.n() as usize;
         outward(y_total + z_total, 2 * n + z.len() + 1)
+    }
+
+    /// One coordinate-descent step on the dual of column `k`: from the left
+    /// duals `y ≥ 0` that [`SweepContext::dual_bound`] re-derived, the
+    /// least feasible right duals `z'_v := max_u (w(u,v) − y_u)⁺` (left in
+    /// `z`), and the certified bound `Σ_u y_u + Σ_v z'_v`, padded by
+    /// [`outward`]. `(y, z')` is dual-feasible for any `y ≥ 0`, and since
+    /// `y` was derived from some `z ≥ 0`, `z' ≤ z` entrywise: the step
+    /// never loosens the bound it starts from (up to rounding).
+    fn descent_bound(&self, k: usize, y: &[f64], z: &mut Vec<f64>) -> f64 {
+        let n = self.sweep.n() as usize;
+        z.clear();
+        z.resize(n, 0.0);
+        for (&(u, v), &w) in self.sweep.edges().iter().zip(self.sweep.column(k)) {
+            if w <= 0.0 {
+                continue;
+            }
+            let slack = w - y.get(u as usize).copied().unwrap_or(0.0);
+            if slack > z[v as usize] {
+                z[v as usize] = slack;
+            }
+        }
+        let y_total: f64 = y.iter().sum();
+        let z_total: f64 = z.iter().sum();
+        // y: its own length; z': n rounded slacks summed; one final add;
+        // plus the ≤ n terms of the kernel's weight.
+        outward(y_total + z_total, 2 * n + y.len() + 1)
     }
 
     /// Evaluates one swept candidate α on this thread's workspace: reloads
@@ -601,28 +716,32 @@ fn better(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> bool {
 
 /// Searches the sorted candidate α list for the best-scoring choice.
 ///
-/// `ub` is an optional optimistic score bound per α; when present the
-/// exhaustive searches visit candidates in decreasing bound order and skip
-/// (sequential: stop at) candidates whose bound falls strictly below the
-/// best score seen so far. Without it every bound is `+∞`: candidates are
-/// visited in ascending α order and each is evaluated exactly once. `eval`
-/// must be deterministic; its `matchings_computed` values are summed into
-/// the winner (over *evaluated* candidates, so pruned counts vary with visit
-/// order and worker interleaving; the winning configuration itself is
-/// identical across all exhaustive paths).
+/// `ub` is an optional optimistic score bound per α, and `refine` an
+/// optional lazy one, `refine(α, incumbent)`, that may tighten as the search
+/// runs. On a swept select it is [`SweepContext::solved_score_bound`]: the
+/// weak-duality bound under [`DualTable::bracket`]'s row, interpolated from
+/// the duals solved so far, plus a descent step unless that bound already
+/// falls strictly below `incumbent` (O(edges) per pass). Both must be true
+/// upper bounds on the candidate's exact score — an interpolated row needs
+/// no trust, since the bound re-derives a feasible dual from any `z ≥ 0` —
+/// and a candidate is skipped only when a bound falls strictly below an
+/// evaluated score, so bounds change how many candidates are evaluated,
+/// never the winner.
 ///
-/// `refine` is an optional *second-tier* upper bound that may tighten as
-/// the search runs (the weak-duality bound under the duals of the nearest α
-/// solved so far, O(edges) per call). It is consulted lazily, only for
-/// candidates that already survived the `ub` cut, and prunes with the same
-/// strict comparison — so it must also be a true upper bound on the
-/// candidate's exact score, and like `ub` it can only skip provably
-/// dominated candidates, never change the winner.
+/// The sequential exhaustive search runs best-first ([`exhaustive_pruned`]);
+/// the parallel one claims candidates in decreasing `ub` order and skips
+/// those whose `ub` or `refine` bound falls strictly below the best score
+/// seen so far ([`exhaustive_parallel`]). Without bounds every bound is
+/// `+∞`: candidates are visited in ascending α order and each is evaluated
+/// exactly once. `eval` must be deterministic; its `matchings_computed`
+/// values are summed into the winner (over *evaluated* candidates, so
+/// pruned counts vary with visit order and worker interleaving; the winning
+/// configuration itself is identical across all exhaustive paths).
 pub(crate) fn search_alpha<E>(
     candidates: &[u64],
     policy: &SearchPolicy,
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
+    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
     eval: &E,
 ) -> Option<BestChoice>
 where
@@ -641,7 +760,7 @@ where
 }
 
 /// The candidates paired with their `ub` bounds (`+∞` without one), in
-/// visit order: bound descending, then α ascending.
+/// the parallel search's claim order: bound descending, then α ascending.
 // lint:allow(hot-alloc) — amortized: one candidate-length list per search; dominated by the O(E√V) kernel work per candidate
 fn bound_order(candidates: &[u64], ub: Option<&(dyn Fn(u64) -> f64 + Sync)>) -> Vec<(u64, f64)> {
     let mut order: Vec<(u64, f64)> = candidates
@@ -652,48 +771,90 @@ fn bound_order(candidates: &[u64], ub: Option<&(dyn Fn(u64) -> f64 + Sync)>) -> 
     order
 }
 
+/// One unsolved candidate of the best-first search: its α, its current
+/// score bound, and how many candidates had been evaluated when that bound
+/// was last refined.
+#[derive(Clone, Copy)]
+struct Pending {
+    alpha: u64,
+    bound: f64,
+    refined_at: usize,
+}
+
+/// Sequential best-first exhaustive search. Each step takes the unsolved
+/// candidate with the highest current bound (the smaller α on a tie):
+///
+/// * if that bound is strictly below the incumbent's score, the search
+///   stops — every remaining candidate is provably dominated, so it loses
+///   even on tie-breaks;
+/// * else, if a candidate was evaluated since its bound was last refined
+///   (each exact evaluation publishes a dual row `refine` reads), the bound
+///   drops to `min(bound, refine(α, incumbent))` and the step repeats;
+/// * else the candidate is evaluated.
+///
+/// Bounds only ever fall, so each step either evaluates, stops, or refines
+/// a candidate at most once per evaluation. The unsolved set lives in this
+/// thread's [`KernelWorkspace`], so a search allocates nothing for it after
+/// the first.
 // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     candidates: &[u64],
     policy: &SearchPolicy,
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
+    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
     eval: &E,
 ) -> Option<BestChoice> {
-    // Order candidates by optimistic score so pruning bites early.
-    let order = bound_order(candidates, ub);
+    // Taken out of the workspace, not borrowed: `ub`, `refine` and `eval`
+    // borrow the workspace themselves.
+    let mut pending = KERNEL_WS.with(|ws| std::mem::take(&mut ws.borrow_mut().pending));
+    pending.clear();
+    pending.extend(candidates.iter().map(|&alpha| Pending {
+        alpha,
+        bound: ub.map_or(f64::INFINITY, |ub| ub(alpha)),
+        refined_at: 0,
+    }));
 
     let mut best: Option<BestChoice> = None;
     let mut computed = 0usize;
-    for (alpha, ub_score) in order {
-        if let Some(b) = &best {
-            // Strictly below the incumbent's score: no remaining candidate
-            // can win, not even on tie-breaks. (At `ub_score == b.score` the
-            // candidate could tie the score and take the α tie-break, so the
-            // cut must be strict for pruned and parallel searches to agree.)
-            if ub_score < b.score {
-                break;
-            }
-            // Second-tier bound: more expensive, so consulted only for
-            // candidates the primary cut let through. The scan order is by
-            // the primary bound, so a refine prune skips (it says nothing
-            // about later candidates).
-            if let Some(rf) = refine {
-                if rf(alpha) < b.score {
-                    continue;
-                }
+    let mut evaluated = 0usize;
+    while let Some(i) = top(&pending) {
+        let p = pending[i];
+        let incumbent = best.as_ref().map_or(f64::NEG_INFINITY, |b| b.score);
+        // Strict: at `bound == incumbent` the candidate could tie the score
+        // and take the α tie-break.
+        if p.bound < incumbent {
+            break;
+        }
+        if let Some(rf) = refine {
+            if p.refined_at < evaluated {
+                pending[i].bound = p.bound.min(rf(p.alpha, incumbent));
+                pending[i].refined_at = evaluated;
+                continue;
             }
         }
-        let cand = eval(alpha);
+        pending.swap_remove(i);
+        let cand = eval(p.alpha);
+        evaluated += 1;
         computed += cand.matchings_computed;
         if best.as_ref().map_or(true, |b| better(&cand, b, policy)) {
             best = Some(cand);
         }
     }
+    KERNEL_WS.with(|ws| ws.borrow_mut().pending = pending);
     best.map(|mut b| {
         b.matchings_computed = computed;
         b.worker_evals = vec![computed as u32];
         b
+    })
+}
+
+/// Index of the pending candidate with the highest bound, the smaller α on
+/// a tie (`None` when none is left). Candidate αs are distinct, so the
+/// order is total.
+fn top(pending: &[Pending]) -> Option<usize> {
+    (0..pending.len()).max_by(|&i, &j| {
+        let (p, q) = (&pending[i], &pending[j]);
+        p.bound.total_cmp(&q.bound).then(q.alpha.cmp(&p.alpha))
     })
 }
 
@@ -722,7 +883,7 @@ fn exhaustive_parallel<E>(
     candidates: &[u64],
     policy: &SearchPolicy,
     ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64) -> f64 + Sync)>,
+    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
     eval: &E,
 ) -> Option<BestChoice>
 where
@@ -764,7 +925,8 @@ where
             // Lazy second-tier bound, same strict cut against the floor.
             if let Some(rf) = refine {
                 // lint:allow(atomic-ordering) — proof: same prune-only floor read as above; staleness is safe, no ordering needed.
-                if rf(alpha) < f64::from_bits(floor.load(Ordering::Relaxed)) {
+                let floor = f64::from_bits(floor.load(Ordering::Relaxed));
+                if rf(alpha, floor) < floor {
                     return None;
                 }
             }
@@ -1157,14 +1319,18 @@ mod tests {
     proptest! {
         /// Every bound the strict cut compares stays at or above the
         /// kernel's float score, on columns full of exact score ties: the
-        /// sweep bound, the eager and lazy bounds, and the weak-duality
-        /// bound under the column's own duals, its neighbours' duals and
-        /// random `z ≥ 0`.
+        /// sweep bound, the eager bound, the lazy bound and its two halves
+        /// (the bracketed row and the descent step from it), and the
+        /// weak-duality bound under the column's own duals, its
+        /// neighbours' duals, random `z ≥ 0`, and bracketed rows of either
+        /// sign. Candidates are solved in a seeded shuffled order, so lazy
+        /// bounds meet published rows on one side and on both sides.
         #[test]
         fn bounds_never_undercut_the_kernel_score(
             links in tie_heavy_links(),
             delta in 0u64..20,
             z_rand in prop::collection::vec(0.0f64..20.0, 6),
+            seed in 0u64..u64::MAX,
         ) {
             let q = LinkQueues::from_weighted_counts(
                 6,
@@ -1175,34 +1341,58 @@ mod tests {
             );
             let alphas = q.alpha_candidates(10_000);
             prop_assume!(!alphas.is_empty());
+            let mut order: Vec<usize> = (0..alphas.len()).collect();
+            order.sort_by_key(|&k| (k as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            let (mut z, mut y, mut z_descent) = (Vec::new(), Vec::new(), Vec::new());
             for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
                 let duals = DualTable::new(&alphas, 6);
                 let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
-                let mut scores = Vec::new();
-                for (k, &alpha) in alphas.iter().enumerate() {
+                let mut scores = vec![0.0; alphas.len()];
+                for &k in &order {
+                    let alpha = alphas[k];
+                    let cost = (alpha + delta) as f64;
                     // The lazy bound under the duals solved so far, before
-                    // this α's own solve.
-                    let lazy = ctx.solved_score_bound(alpha, delta);
+                    // this α's own solve; a −∞ incumbent forces the descent
+                    // step.
+                    let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
+                    let halves = ctx.duals.bracket(alpha, &mut z).then(|| {
+                        let bracketed = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
+                        (bracketed, ctx.descent_bound(k, &y, &mut z_descent) / cost)
+                    });
                     let s = ctx.eval(alpha, delta, MatchingKind::Exact, kernel).score;
                     prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
+                    if let Some((bracketed, descended)) = halves {
+                        prop_assert!(bracketed >= s, "bracketed {} < score {}", bracketed, s);
+                        prop_assert!(descended >= s, "descent {} < score {}", descended, s);
+                    }
                     prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
-                    let cost = (alpha + delta) as f64;
-                    prop_assert!(ctx.dual_bound(k, &z_rand) / cost >= s);
-                    scores.push(s);
+                    prop_assert!(ctx.dual_bound(k, &z_rand, None) / cost >= s);
+                    scores[k] = s;
                 }
-                let mut z = Vec::new();
                 for (k, &alpha) in alphas.iter().enumerate() {
                     let cost = (alpha + delta) as f64;
                     for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
-                        if ctx.duals.is_ready(r) {
-                            ctx.duals.copy_row(r, &mut z);
-                            let b = ctx.dual_bound(k, &z) / cost;
-                            prop_assert!(
-                                b >= scores[k],
-                                "α {} under row {}: bound {} < score {}", alpha, r, b, scores[k]
-                            );
-                        }
+                        ctx.duals.copy_row(r, &mut z);
+                        let b = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
+                        let d = ctx.descent_bound(k, &y, &mut z_descent) / cost;
+                        prop_assert!(
+                            b.min(d) >= scores[k],
+                            "α {} under row {}: bound {} descent {} < score {}",
+                            alpha, r, b, d, scores[k]
+                        );
                     }
+                }
+                // Rows of either sign, published on every other candidate:
+                // `bracket` must hand back a `z ≥ 0` all the same.
+                let signed = DualTable::new(&alphas, 6);
+                for k in (0..alphas.len()).step_by(2) {
+                    let row: Vec<f64> = z_rand.iter().map(|&v| v - 10.0).collect();
+                    signed.publish(k, &row);
+                }
+                for (k, &alpha) in alphas.iter().enumerate() {
+                    prop_assert!(signed.bracket(alpha, &mut z));
+                    let b = ctx.dual_bound(k, &z, None) / (alpha + delta) as f64;
+                    prop_assert!(b >= scores[k], "signed row: bound {} < score {}", b, scores[k]);
                 }
                 // The next search, bounded by this one's duals.
                 let next = SweepContext::new(

@@ -689,11 +689,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     ///
     /// On fabrics with a weight sweep a weak-duality bound prunes with
     /// solved duals too: the previous select's (nearest α, in every
-    /// candidate's eager bound) and this select's own (nearest α solved so
-    /// far, lazily before each solve). Both only skip provably dominated
-    /// candidates, since the pruning cut is strict and only ever compares
-    /// against exactly evaluated scores. The engine keeps this select's
-    /// duals for the next one.
+    /// candidate's eager bound) and this select's own (the rows solved so
+    /// far that bracket α, lazily before each solve). Both only skip
+    /// provably dominated candidates, since the pruning cut is strict and
+    /// only ever compares against exactly evaluated scores. The engine
+    /// keeps this select's duals for the next one.
     pub fn select<F>(
         &mut self,
         fabric: &F,

@@ -11,6 +11,10 @@
 //! sequential and parallel search, both exact kernels, and the bipartite
 //! and localized fabrics.
 //!
+//! An ignored twin replays the same check at n = 12–24, where the
+//! best-first order has many surviving candidates to choose among; CI runs
+//! it in release.
+//!
 //! A fixed-instance test pins what the carried duals buy: the sequential
 //! solve count repeats exactly, and stays strictly below the sum of the
 //! same iterations' selects run without the previous iteration's duals.
@@ -32,9 +36,17 @@ type Plan = Vec<(Vec<(u32, u32)>, u64)>;
 
 /// Random multihop load on `n` nodes, a window and Δ.
 fn instance() -> impl Strategy<Value = (u32, TrafficLoad, u64, u64)> {
-    (4u32..9)
-        .prop_flat_map(|n| {
-            let flows = prop::collection::vec((0u32..n, 0u32..n, 1u64..60, 0u32..n), 1..12);
+    instance_in(4..9, 1..12)
+}
+
+/// [`instance`] with `nodes` and `flows` drawn from the given ranges.
+fn instance_in(
+    nodes: std::ops::Range<u32>,
+    flows: std::ops::Range<usize>,
+) -> impl Strategy<Value = (u32, TrafficLoad, u64, u64)> {
+    nodes
+        .prop_flat_map(move |n| {
+            let flows = prop::collection::vec((0u32..n, 0u32..n, 1u64..60, 0u32..n), flows.clone());
             (Just(n), flows, 100u64..900, 0u64..30)
         })
         .prop_map(|(n, raw, window, delta)| {
@@ -234,6 +246,32 @@ proptest! {
     /// after iteration, so whole windows agree bit for bit.
     #[test]
     fn pruned_windows_match_unbounded_search((n, load, window, delta) in instance()) {
+        for kind in [Kind::Bipartite, Kind::Local] {
+            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
+                let want = reference(n, &load, window, delta, kind, kernel);
+                for parallel in [false, true] {
+                    let got = planned(n, &load, window, delta, kind, &policy(kind, kernel, parallel));
+                    prop_assert_eq!(
+                        &got, &want,
+                        "{:?} {:?} parallel = {}", kind, kernel, parallel
+                    );
+                }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// [`pruned_windows_match_unbounded_search`] at n = 12–24 with up to 47
+    /// flows, where many candidates survive the eager cut and the
+    /// best-first order decides which get solved. Release-only (CI runs it).
+    #[test]
+    #[ignore = "release-mode parity at n = 12-24"]
+    fn pruned_windows_match_unbounded_search_at_larger_sizes(
+        (n, load, window, delta) in instance_in(12..25, 12..48)
+    ) {
         for kind in [Kind::Bipartite, Kind::Local] {
             for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
                 let want = reference(n, &load, window, delta, kind, kernel);

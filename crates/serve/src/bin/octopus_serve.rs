@@ -8,8 +8,11 @@
 //!
 //! Without `--listen`, the daemon speaks NDJSON on stdin/stdout and exits at
 //! `"Shutdown"` or EOF. With `--listen ADDR` (e.g. `127.0.0.1:4700`), it
-//! accepts TCP connections one at a time — each connection is a fresh
-//! session over a fresh backlog — and keeps accepting after `"Shutdown"`.
+//! checks its configuration, binds, and serves every TCP connection on a
+//! thread of its own — each connection is a fresh session over a fresh
+//! backlog, sharing nothing with the others — and keeps accepting after
+//! `"Shutdown"` and after a failed accept. A connection that neither sends
+//! a line nor takes a reply for [`IDLE_TIMEOUT`] is closed.
 //!
 //! A fabric file is `{"n": 4, "edges": [[0,1],[1,2],[2,3],[3,0]]}` (directed
 //! links); `--complete N` builds the all-to-all fabric instead.
@@ -19,8 +22,17 @@ use octopus_net::{topology, Network};
 use octopus_serve::{serve_lines, PolicyMode, ServeConfig, ServeState};
 use serde::Deserialize;
 use std::io::{BufReader, BufWriter};
-use std::net::TcpListener;
+use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
+use std::thread::JoinHandle;
+use std::time::Duration;
+
+/// How long a TCP session may wait on one read or one write before the
+/// daemon closes it.
+const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// How long the daemon waits after a failed `accept` before the next one.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// On-disk fabric description (`Network`'s derived deserialize would skip
 /// its adjacency caches, so the daemon rebuilds through `from_edges`).
@@ -103,33 +115,60 @@ fn parse_args(argv: &[String]) -> Result<Args, String> {
 
 fn run(args: Args) -> Result<(), String> {
     let fresh = |e: SchedError| format!("bad configuration: {e}");
-    match args.listen {
-        None => {
-            let mut state = ServeState::new(args.net, args.cfg).map_err(fresh)?;
-            let stdin = std::io::stdin();
-            let stdout = std::io::stdout();
-            serve_lines(stdin.lock(), stdout.lock(), &mut state)
-                .map_err(|e| format!("stdio session: {e}"))
-        }
-        Some(addr) => {
-            let listener = TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
-            let local = listener
-                .local_addr()
-                .map_err(|e| format!("bind {addr}: {e}"))?;
-            eprintln!("octopus-serve listening on {local}");
-            for stream in listener.incoming() {
-                let stream = stream.map_err(|e| format!("accept: {e}"))?;
-                let mut state =
-                    ServeState::new(args.net.clone(), args.cfg.clone()).map_err(fresh)?;
-                let reader = BufReader::new(stream.try_clone().map_err(|e| format!("{e}"))?);
-                let writer = BufWriter::new(stream);
-                if let Err(e) = serve_lines(reader, writer, &mut state) {
-                    eprintln!("session ended with error: {e}");
-                }
+    // Checks the configuration before anything is bound.
+    let mut state = ServeState::new(args.net.clone(), args.cfg.clone()).map_err(fresh)?;
+    let Some(addr) = args.listen else {
+        let stdin = std::io::stdin();
+        let stdout = std::io::stdout();
+        return serve_lines(stdin.lock(), stdout.lock(), &mut state)
+            .map_err(|e| format!("stdio session: {e}"));
+    };
+    let listener = TcpListener::bind(&addr).map_err(|e| format!("bind {addr}: {e}"))?;
+    let local = listener
+        .local_addr()
+        .map_err(|e| format!("bind {addr}: {e}"))?;
+    eprintln!("octopus-serve listening on {local}");
+    let mut sessions: Vec<JoinHandle<()>> = Vec::new();
+    for stream in listener.incoming() {
+        // Join the sessions that ended, so a panicked one is reported.
+        let (ended, live) = sessions.into_iter().partition(JoinHandle::is_finished);
+        sessions = live;
+        for session in ended {
+            if session.join().is_err() {
+                eprintln!("session panicked");
             }
-            Ok(())
+        }
+        let stream = match stream {
+            Ok(stream) => stream,
+            Err(e) => {
+                eprintln!("accept: {e}");
+                // Back off, so an error that persists (no file descriptors
+                // left) does not spin the loop.
+                std::thread::sleep(ACCEPT_BACKOFF);
+                continue;
+            }
+        };
+        // The configuration passed the check above, so this cannot fail.
+        let state = ServeState::new(args.net.clone(), args.cfg.clone()).map_err(fresh)?;
+        let session = std::thread::Builder::new().spawn(move || {
+            if let Err(e) = serve_connection(stream, state) {
+                eprintln!("session ended with error: {e}");
+            }
+        });
+        match session {
+            Ok(session) => sessions.push(session),
+            Err(e) => eprintln!("session thread: {e}"),
         }
     }
+    Ok(())
+}
+
+/// Serves one TCP session to its end under [`IDLE_TIMEOUT`].
+fn serve_connection(stream: TcpStream, mut state: ServeState) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(IDLE_TIMEOUT))?;
+    stream.set_write_timeout(Some(IDLE_TIMEOUT))?;
+    let reader = BufReader::new(stream.try_clone()?);
+    serve_lines(reader, BufWriter::new(stream), &mut state)
 }
 
 fn main() -> ExitCode {

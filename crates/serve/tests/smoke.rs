@@ -471,3 +471,95 @@ fn constructor_rejects_negative_and_nan_eta() {
         );
     }
 }
+
+/// An `octopus-serve` process with `args`, stderr piped, killed when the
+/// test ends however it ends.
+struct Daemon(std::process::Child);
+
+impl Daemon {
+    fn spawn(args: &[&str]) -> Self {
+        let child = std::process::Command::new(env!("CARGO_BIN_EXE_octopus-serve"))
+            .args(args)
+            .stdin(std::process::Stdio::null())
+            .stdout(std::process::Stdio::null())
+            .stderr(std::process::Stdio::piped())
+            .spawn()
+            .expect("daemon binary runs");
+        Daemon(child)
+    }
+
+    /// Waits up to ten seconds for the daemon to exit.
+    fn exit_status(&mut self) -> Option<std::process::ExitStatus> {
+        for _ in 0..200 {
+            if let Some(status) = self.0.try_wait().expect("poll daemon") {
+                return Some(status);
+            }
+            std::thread::sleep(std::time::Duration::from_millis(50));
+        }
+        None
+    }
+}
+
+impl Drop for Daemon {
+    fn drop(&mut self) {
+        let _ = self.0.kill();
+        let _ = self.0.wait();
+    }
+}
+
+#[test]
+fn binary_rejects_a_bad_horizon_before_listening() {
+    let mut daemon = Daemon::spawn(&[
+        "--complete",
+        "4",
+        "--listen",
+        "127.0.0.1:0",
+        "--horizon",
+        "18446744073709551615",
+    ]);
+    let status = daemon
+        .exit_status()
+        .expect("the daemon must exit without a client");
+    assert!(!status.success());
+    let mut stderr = String::new();
+    std::io::Read::read_to_string(&mut daemon.0.stderr.take().expect("piped"), &mut stderr)
+        .expect("read stderr");
+    assert!(
+        stderr.contains("bad configuration") && !stderr.contains("listening"),
+        "{stderr}"
+    );
+}
+
+#[test]
+fn binary_serves_a_second_client_while_the_first_is_silent() {
+    use std::io::{BufRead, BufReader, Write};
+    use std::net::TcpStream;
+
+    let mut daemon = Daemon::spawn(&["--complete", "4", "--listen", "127.0.0.1:0"]);
+    let mut banner = String::new();
+    BufReader::new(daemon.0.stderr.take().expect("piped"))
+        .read_line(&mut banner)
+        .expect("read banner");
+    let addr = banner
+        .trim()
+        .strip_prefix("octopus-serve listening on ")
+        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+        .to_string();
+
+    let _silent = TcpStream::connect(&addr).expect("first client connects");
+    let mut stream = TcpStream::connect(&addr).expect("second client connects");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("client timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
+    let mut ask = |line: &str| -> Response {
+        writeln!(stream, "{line}").expect("send");
+        let mut answer = String::new();
+        reader
+            .read_line(&mut answer)
+            .expect("the second client gets a reply");
+        serde_json::from_str(&answer).expect("well-formed response")
+    };
+    assert!(matches!(ask("\"Stats\""), Response::Stats { .. }));
+    assert_eq!(ask("\"Shutdown\""), Response::Bye { events: 2 });
+}
