@@ -53,7 +53,7 @@
 //!   relaxed first, so `ub` is finite from the start). Every tentative
 //!   distance is at least the final one, so `D ≤ ub` at all times. A
 //!   relaxation with `nd > ub` is dropped: no stamp, no `dist_r`/`pred_r`
-//!   write, no heap push. The cut is strict, so an entry tying `ub` is kept,
+//!   write, no queue push. The cut is strict, so an entry tying `ub` is kept,
 //!   and with it every `(D, v)` tie that pops before the target. A dropped
 //!   entry has `nd > D`: the unbounded search pops it after the target, if
 //!   at all, and it cannot change the outcome of a later relaxation of the
@@ -71,7 +71,7 @@
 //!
 //! Within one row the order cannot matter: left vertex `u` relaxes each
 //! right vertex at most once per phase, every relaxation from `u` shares its
-//! `d_u` and its `pred_r`, the heap pops in the total `(dist, v)` order,
+//! `d_u` and its `pred_r`, the queue pops in the total `(dist, v)` order,
 //! whatever the push order, and how far `ub` has fallen when an entry is
 //! reached only decides the fate of entries above `D`. So the finalized
 //! vertices, their pop order, `pred_r`, the target, the Johnson updates and
@@ -79,25 +79,47 @@
 //! [`AssignmentSolver::last_weight`] and [`AssignmentSolver::right_duals`]
 //! are bit-identical to it (pinned against a reference copy of the
 //! unbounded loop in this module's tests).
+//!
+//! ## Why the bucket queue pops in the heap's order
+//!
+//! Dijkstra's queue is a monotone bucket queue, not a binary heap: the
+//! Octopus hop weights `k/6` leave most tentative distances tied (most
+//! phases end at distance 0), and a heap spends its `log` work ordering
+//! exact ties. The queue keeps one bitset over the extended right vertices
+//! per distinct distance, keyed by `f64::to_bits`, with the keys ascending
+//! from a head cursor. A push finds or inserts its key and sets bit `v`; a
+//! pop takes the lowest set bit of the head bucket, moving the head past
+//! drained buckets first. That is the heap's `(dist, v)` order, pop for pop:
+//!
+//! * **Keys order as distances.** Every distance is a sum of `+0.0` and
+//!   clamped reduced costs `max(rc, 0)`, so it is non-negative and never
+//!   `−0.0` (IEEE addition gives `+0.0 + −0.0 = +0.0`); on such floats the
+//!   bit patterns order as `total_cmp` does, and distinct distances never
+//!   share a bucket.
+//! * **The head holds the minimum.** A phase pops distance `d` only after
+//!   every smaller one, and each push it makes meanwhile has
+//!   `nd = d + max(rc, 0) ≥ d`, so it lands in the head bucket or behind
+//!   it. Every queued entry of the head bucket therefore has the least
+//!   queued distance, and its lowest set bit is the least `v` among them —
+//!   also when a smaller `v` arrives at the current distance after a larger
+//!   one was popped.
+//! * **Sets, not multisets, change nothing.** A bit stands for one `(d, v)`
+//!   entry, and the solver never pushes the same pair twice: a re-push needs
+//!   a strictly smaller distance. A superseded entry stays in its old bucket
+//!   and pops later as stale, skipped by the same `done_r`/`dist_r` checks
+//!   that skipped it in the heap.
+//!
+//! So the finalized vertices, `pred_r`, the Johnson updates, the matchings,
+//! [`AssignmentSolver::last_weight`] and [`AssignmentSolver::right_duals`]
+//! are the heap kernel's, bit for bit (a unit test drives the queue and a
+//! heap through the same scripts; the reference loop in the tests keeps
+//! the heap). The bitsets live in one slab sized at load: each key a phase
+//! inserts takes the next slot, and the next phase zeroes only the slots
+//! this one used, so a solve allocates nothing after warm-up and a phase
+//! pays no `O(V)` reset. A phase inserts at most one key per push; the
+//! slab's size in practice is in EXPERIMENTS.md.
 
 use crate::WeightedBipartiteGraph;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
-/// Total order wrapper so `f64` distances can live in a [`BinaryHeap`].
-#[derive(Debug, PartialEq)]
-pub(crate) struct OrdF64(pub f64);
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
 
 const UNMATCHED: u32 = u32::MAX;
 
@@ -146,7 +168,7 @@ pub struct AssignmentSolver {
     /// The phase's bound: the least tentative distance of any free extended
     /// right vertex (see the module docs).
     ub: f64,
-    heap: BinaryHeap<Reverse<(OrdF64, u32)>>,
+    queue: BucketQueue,
     touched_l: Vec<u32>,
     touched_r: Vec<u32>,
     out: Vec<(u32, u32)>,
@@ -191,16 +213,17 @@ impl AssignmentSolver {
         self.ev.extend(edges.iter().map(|&(_, v)| v));
         self.ew.clear();
         self.ew.resize(edges.len(), 0.0);
-        self.size_row_order();
+        self.size_buffers();
     }
 
-    /// Sizes the weight-ordered row buffers for the loaded topology, so
-    /// solves fill them in place.
-    fn size_row_order(&mut self) {
+    /// Sizes the weight-ordered row buffers and the Dijkstra queue for the
+    /// loaded topology, so solves fill them in place.
+    fn size_buffers(&mut self) {
         self.by_weight.clear();
         self.by_weight.resize(self.ev.len(), (0.0, 0));
         self.row_end.clear();
         self.row_end.resize(self.nl, 0);
+        self.queue.reset(self.nr + self.nl);
     }
 
     /// Number of edges in the loaded topology.
@@ -256,7 +279,7 @@ impl AssignmentSolver {
         self.ev.extend(edges.iter().map(|e| e.v));
         self.ew.clear();
         self.ew.extend(edges.iter().map(|e| e.weight));
-        self.size_row_order();
+        self.size_buffers();
         self.run()
     }
 
@@ -339,7 +362,6 @@ impl AssignmentSolver {
         self.done_r.clear();
         self.done_r.resize(nr_ext, false);
         self.phase = 0;
-        self.heap.clear();
     }
 
     /// The successive-shortest-path assignment solve over the loaded CSR.
@@ -364,7 +386,7 @@ impl AssignmentSolver {
             self.phase += 1;
             let phase = self.phase;
             self.ub = f64::INFINITY;
-            self.heap.clear();
+            self.queue.clear();
             self.touched_l.clear();
             self.touched_r.clear();
 
@@ -376,7 +398,7 @@ impl AssignmentSolver {
 
             // Dijkstra until a free (extended) right vertex is finalized.
             let mut target: Option<(u32, f64)> = None;
-            while let Some(Reverse((OrdF64(d), v))) = self.heap.pop() {
+            while let Some((d, v)) = self.queue.pop() {
                 let vi = v as usize;
                 if self.stamp_r[vi] != phase || self.done_r[vi] || d > self.dist_r[vi] {
                     continue; // stale entry
@@ -398,7 +420,7 @@ impl AssignmentSolver {
             }
 
             // The dummy sink guarantees an augmenting path for every seeded
-            // vertex; if the heap nonetheless drained without finalizing a
+            // vertex; if the queue nonetheless drained without finalizing a
             // free right vertex, leave `s` unmatched rather than abort the
             // whole solve.
             let Some((t, big_d)) = target else {
@@ -491,6 +513,7 @@ impl AssignmentSolver {
     #[inline]
     fn relax(&mut self, u: u32, v: usize, rc: f64, d_u: f64, phase: u32) {
         debug_assert!(rc >= -1e-9, "reduced cost must stay non-negative: {rc}");
+        // `d_u` descends from the seed's `+0.0`, so `nd` is never `-0.0`.
         let nd = d_u + rc.max(0.0);
         if nd > self.ub {
             return; // above the target distance: cannot reach the answer
@@ -504,7 +527,7 @@ impl AssignmentSolver {
         if !self.done_r[v] && nd < self.dist_r[v] {
             self.dist_r[v] = nd;
             self.pred_r[v] = u;
-            self.heap.push(Reverse((OrdF64(nd), v as u32)));
+            self.queue.push(nd, v as u32);
             if self.match_r[v] == UNMATCHED {
                 self.ub = nd; // nd <= ub: a cheaper free vertex
             }
@@ -512,10 +535,110 @@ impl AssignmentSolver {
     }
 }
 
+/// Monotone bucket queue over the extended right vertices: one bitset per
+/// distinct tentative distance, popped in the `(dist, v)` order of a binary
+/// heap as long as no push goes below the last popped distance (module
+/// docs).
+#[derive(Debug, Default)]
+struct BucketQueue {
+    /// `u64` words per bitset.
+    words: usize,
+    /// `(f64::to_bits(dist), slot)` pairs, ascending; `keys[head..]` are
+    /// live, the buckets before `head` are drained.
+    keys: Vec<(u64, u32)>,
+    /// The bucket of the last pop, kept until a pop finds it empty, so a
+    /// push at the current distance lands in it.
+    head: usize,
+    /// Bitset slab: slot `s` owns `bits[s * words..(s + 1) * words]`. The
+    /// `k`-th key a phase inserts takes slot `k`, so the phase's bitsets
+    /// are the slab's first `keys.len()` slots.
+    bits: Vec<u64>,
+    /// Key of the last pop: no push may go below it.
+    floor: u64,
+}
+
+impl BucketQueue {
+    /// Empties the queue and sizes it for vertices `0..n`, with room for
+    /// `n` keys per phase before any regrowth.
+    fn reset(&mut self, n: usize) {
+        self.words = n.div_ceil(64).max(1);
+        self.keys.clear();
+        self.keys.reserve(n);
+        self.bits.clear();
+        self.bits.reserve(n * self.words);
+        self.head = 0;
+        self.floor = 0;
+    }
+
+    /// Empties the queue; zeroes only the slots the last phase used.
+    fn clear(&mut self) {
+        self.bits[..self.keys.len() * self.words].fill(0);
+        self.keys.clear();
+        self.head = 0;
+        self.floor = 0;
+    }
+
+    /// Adds `v` at distance `d >= +0.0`, no smaller than the last popped
+    /// distance. Pushing a `(d, v)` pair that is already queued is a no-op.
+    fn push(&mut self, d: f64, v: u32) {
+        debug_assert!(d.is_sign_positive() && !d.is_nan(), "bad distance {d}");
+        let key = d.to_bits();
+        debug_assert!(key >= self.floor, "push below the last pop");
+        let live = &self.keys[self.head..];
+        let slot = match live.binary_search_by_key(&key, |&(k, _)| k) {
+            Ok(i) => live[i].1,
+            Err(i) => {
+                let slot = self.keys.len() as u32;
+                let end = self.keys.len() * self.words + self.words;
+                if self.bits.len() < end {
+                    self.bits.resize(end, 0);
+                }
+                self.keys.insert(self.head + i, (key, slot));
+                slot
+            }
+        };
+        self.bits[slot as usize * self.words + v as usize / 64] |= 1 << (v % 64);
+    }
+
+    /// Removes and returns the least `(d, v)`: the lowest set bit of the
+    /// first non-empty bucket.
+    fn pop(&mut self) -> Option<(f64, u32)> {
+        while let Some(&(key, slot)) = self.keys.get(self.head) {
+            let s = slot as usize * self.words;
+            let bucket = &mut self.bits[s..s + self.words];
+            if let Some(i) = bucket.iter().position(|&w| w != 0) {
+                let b = bucket[i].trailing_zeros();
+                bucket[i] &= bucket[i] - 1;
+                self.floor = key;
+                return Some((f64::from_bits(key), (i * 64) as u32 + b));
+            }
+            self.head += 1;
+        }
+        None
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{brute, matching_weight, maximum_weight_matching};
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// Total order wrapper so `f64` distances can live in a [`BinaryHeap`].
+    #[derive(Debug, PartialEq)]
+    struct OrdF64(f64);
+    impl Eq for OrdF64 {}
+    impl PartialOrd for OrdF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for OrdF64 {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
 
     /// The kernel's phase loop without the `ub` cut or the weight-ordered
     /// rows: fresh arrays per phase, rows in `(u, v)` order, every
@@ -746,6 +869,25 @@ mod tests {
         }
     }
 
+    /// A tie-free weight: continuous in `[-1, 9)`, so a phase's tentative
+    /// distances are nearly all distinct; about one entry in ten disabled.
+    fn continuous_weight(next: &mut impl FnMut() -> u64) -> f64 {
+        (next() >> 11) as f64 / (1u64 << 53) as f64 * 10.0 - 1.0
+    }
+
+    /// `n_oct` Octopus columns drawn from `next`, then `n_cont` tie-free
+    /// ones from `cont`.
+    fn columns(
+        edges: &[(u32, u32)],
+        (n_oct, n_cont): (usize, usize),
+        next: &mut impl FnMut() -> u64,
+        cont: &mut impl FnMut() -> u64,
+    ) -> Vec<Vec<f64>> {
+        let oct = (0..n_oct).map(|_| edges.iter().map(|_| octopus_weight(next)).collect());
+        let tie_free = (0..n_cont).map(|_| edges.iter().map(|_| continuous_weight(cont)).collect());
+        oct.chain(tie_free).collect()
+    }
+
     /// Solves `columns` over one topology and asserts every result is the
     /// reference loop's, bit for bit.
     fn assert_matches_reference(
@@ -779,6 +921,7 @@ mod tests {
     #[test]
     fn bounded_search_matches_reference_bit_for_bit() {
         let mut next = xorshift(0x5eed_0c70_9a11);
+        let mut cont = xorshift(0x7e1e_f4ee_c01d);
         let mut solver = AssignmentSolver::new();
         for trial in 0..120 {
             let (nl, nr) = (1 + (next() % 24) as u32, 1 + (next() % 24) as u32);
@@ -796,27 +939,74 @@ mod tests {
                 e.dedup();
                 e
             };
-            let columns: Vec<Vec<f64>> = (0..3)
-                .map(|_| edges.iter().map(|_| octopus_weight(&mut next)).collect())
-                .collect();
+            let columns = columns(&edges, (3, 2), &mut next, &mut cont);
             assert_matches_reference(&mut solver, (nl, nr), &edges, &columns);
         }
     }
 
-    /// The oracle on complete n = 64 and 128 topologies with Octopus weight
-    /// classes, too slow for the debug suite; run with `cargo test --release
-    /// -p octopus-matching -- --ignored`.
+    /// The oracle on complete n = 64, 128 and 256 topologies with Octopus
+    /// weight classes and tie-free columns, too slow for the debug suite;
+    /// run with `cargo test --release -p octopus-matching -- --ignored`.
     #[test]
-    #[ignore = "release-mode oracle at n = 64 and 128"]
+    #[ignore = "release-mode oracle at n = 64, 128 and 256"]
     fn bounded_search_matches_reference_at_real_sizes() {
         let mut next = xorshift(0xb00d_5ea7_c4a5);
+        let mut cont = xorshift(0x2b1d_9e57_aa03);
         let mut solver = AssignmentSolver::new();
-        for n in [64, 128] {
+        for (n, counts) in [(64, (12, 2)), (128, (12, 2)), (256, (4, 2))] {
             let edges = complete_edges(n);
-            let columns: Vec<Vec<f64>> = (0..12)
-                .map(|_| edges.iter().map(|_| octopus_weight(&mut next)).collect())
-                .collect();
+            let columns = columns(&edges, counts, &mut next, &mut cont);
             assert_matches_reference(&mut solver, (n, n), &edges, &columns);
+        }
+    }
+
+    /// The queue against a `BinaryHeap` under the solver's discipline: a
+    /// vertex is pushed only below its tentative distance and only until it
+    /// is popped fresh, and no push goes below the last pop. Both must pop
+    /// the same `(d, v)` sequence, stale entries included. The scripts pile
+    /// up ties, nearly equal distances (one ulp, `1e-12`), stale entries and
+    /// smaller `v` pushed at the current distance, over several widths and
+    /// phases.
+    #[test]
+    fn bucket_queue_pops_in_heap_order() {
+        let mut next = xorshift(0x0b0c_4e75_1dea);
+        let mut queue = BucketQueue::default();
+        for script in 0..300 {
+            let n = 1 + (next() % 200) as usize;
+            queue.reset(n);
+            for _phase in 0..3 {
+                queue.clear();
+                let mut heap = BinaryHeap::new();
+                let (mut dist, mut done) = (vec![f64::INFINITY; n], vec![false; n]);
+                let mut floor = 0.0_f64;
+                for pops in 0.. {
+                    for _ in 0..next() % 6 {
+                        let v = (next() % n as u64) as usize;
+                        let d = match next() % 8 {
+                            0..=2 => floor,
+                            3 => f64::from_bits(floor.to_bits() + 1),
+                            4 => floor + 1e-12,
+                            5 => floor + [0.25, 1.0 / 3.0, 1.0][(next() % 3) as usize],
+                            _ => floor + continuous_weight(&mut next).abs(),
+                        };
+                        if !done[v] && d < dist[v] {
+                            dist[v] = d;
+                            heap.push(Reverse((OrdF64(d), v as u32)));
+                            queue.push(d, v as u32);
+                        }
+                    }
+                    let want = heap.pop().map(|Reverse((OrdF64(d), v))| (d.to_bits(), v));
+                    let got = queue.pop().map(|(d, v)| (d.to_bits(), v));
+                    assert_eq!(got, want, "script {script}, n = {n}, pop {pops}");
+                    let Some((bits, v)) = want else { break };
+                    floor = f64::from_bits(bits);
+                    // An entry above its vertex's tentative distance is stale.
+                    done[v as usize] |= floor <= dist[v as usize];
+                    if next() % 64 == 0 {
+                        break; // end the phase early, leaving live buckets
+                    }
+                }
+            }
         }
     }
 }
