@@ -9,7 +9,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use octopus_matching::{
     greedy::{bucket_greedy_matching, greedy_matching},
-    maximum_weight_matching, AssignmentSolver, AuctionSolver, WeightedBipartiteGraph,
+    maximum_weight_matching, AssignmentSolver, WeightedBipartiteGraph,
 };
 
 /// Deterministic sparse instance shaped like an Octopus iteration: ~16 edges
@@ -93,12 +93,11 @@ fn bench_workspace_reuse(c: &mut Criterion) {
     group.finish();
 }
 
-/// The two exact kernels head to head: the Hungarian [`AssignmentSolver`]
-/// and the ε-scaling [`AuctionSolver`] each load a dense `n × n` topology
-/// once and re-solve integer weight columns in place (`solve_reweighted`,
-/// the α-sweep's steady state). Integer weights sit within the auction's
-/// adaptive resolution, so both must reach the same optimum: a nonzero gap
-/// on any column fails the bench before anything is timed.
+/// The exact kernel on dense columns: the Hungarian [`AssignmentSolver`]
+/// loads a dense `n × n` topology once and re-solves integer weight columns
+/// in place (`solve_reweighted`, the α-sweep's steady state). The group and
+/// arm keep their names so earlier `exact_kernels/hungarian` tables stay
+/// comparable.
 fn bench_exact_kernels(c: &mut Criterion) {
     const COLUMNS: usize = 4;
     let mut group = c.benchmark_group("exact_kernels");
@@ -125,15 +124,7 @@ fn bench_exact_kernels(c: &mut Criterion) {
             .collect();
 
         let mut hungarian = AssignmentSolver::new();
-        let mut auction = AuctionSolver::new();
         hungarian.load_topology(n, n, &edges);
-        auction.load_topology(n, n, &edges);
-        for (k, col) in cols.iter().enumerate() {
-            hungarian.solve_reweighted(col);
-            auction.solve_reweighted(col);
-            let gap = hungarian.last_weight() - auction.last_weight();
-            assert_eq!(gap, 0.0, "optimality gap at n = {n}, column {k}");
-        }
 
         let mut k = 0;
         group.bench_function(BenchmarkId::new("hungarian", n), |b| {
@@ -141,13 +132,6 @@ fn bench_exact_kernels(c: &mut Criterion) {
                 k = (k + 1) % COLUMNS;
                 hungarian.solve_reweighted(&cols[k]);
                 hungarian.last_weight()
-            })
-        });
-        group.bench_function(BenchmarkId::new("auction", n), |b| {
-            b.iter(|| {
-                k = (k + 1) % COLUMNS;
-                auction.solve_reweighted(&cols[k]);
-                auction.last_weight()
             })
         });
     }

@@ -64,7 +64,7 @@ use crate::engine::SearchPolicy;
 use crate::state::{LinkQueues, MultiAlphaEdges};
 use octopus_matching::{
     greedy::{bucket_greedy_matching, greedy_matching, GreedyScratch},
-    matching_weight, AssignmentSolver, AuctionSolver, WeightedBipartiteGraph,
+    matching_weight, AssignmentSolver, WeightedBipartiteGraph,
 };
 use serde::{Deserialize, Serialize};
 use std::cell::RefCell;
@@ -98,23 +98,21 @@ pub enum MatchingKind {
     },
 }
 
-/// Which algorithm backs [`MatchingKind::Exact`] evaluations in a swept
-/// select: both return maximum-weight matchings, but with different cost
-/// profiles (see `octopus_matching`'s `auction.rs` for when the auction
-/// wins) and possibly different — equally optimal — matchings on tie-heavy
-/// instances. The kernel is therefore part of the [`SearchPolicy`]: a
-/// schedule is only reproducible against runs using the same kernel.
-/// Per-α evaluations outside a sweep (and the K-port union rounds) carry
-/// no policy and always use the Hungarian solver.
+/// The algorithm backing [`MatchingKind::Exact`]: the Hungarian
+/// [`AssignmentSolver`] is the one exact kernel, so this has one value and
+/// selects nothing. It stays only because the stand-alone benchmark crate
+/// (`perfbench`) still names it in a [`SearchPolicy`] literal, and keeps
+/// `Default` and serde so configs written with `"kernel": "Hungarian"`
+/// still parse. The next change to the benchmark deletes it with
+/// [`SearchPolicy::kernel`] and `OctopusConfig::kernel`. An ε-scaling
+/// auction kernel was measured slower on whole windows at every size and
+/// deleted (EXPERIMENTS.md, "Auction kernel verdict").
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum ExactKernel {
     /// Successive shortest augmenting paths with Johnson potentials
-    /// ([`AssignmentSolver`]) — the sequential default.
+    /// ([`AssignmentSolver`]).
     #[default]
     Hungarian,
-    /// Forward auction with ε-scaling ([`AuctionSolver`]) — deterministic
-    /// parallel bidding inside a single solve.
-    Auction,
 }
 
 /// The winning configuration of one greedy iteration.
@@ -164,7 +162,6 @@ impl PartialEq for BestChoice {
 #[derive(Default)]
 struct KernelWorkspace {
     solver: AssignmentSolver,
-    auction: AuctionSolver,
     greedy: GreedyScratch,
     ints: Vec<u64>,
     out: Vec<(u32, u32)>,
@@ -182,9 +179,6 @@ struct KernelWorkspace {
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
     /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
     loaded_sweep: u64,
-    /// Same stamp for `auction` — the kernels load topologies independently,
-    /// so switching kernels mid-process never reloads the other's CSR.
-    loaded_sweep_auction: u64,
 }
 
 thread_local! {
@@ -374,8 +368,8 @@ impl<'p> SweepContext<'p> {
         }
     }
 
-    /// The swept α-search over this context's candidates under `policy`,
-    /// whose kernel backs [`MatchingKind::Exact`]: candidates are bounded
+    /// The swept α-search over this context's candidates under `policy`:
+    /// candidates are bounded
     /// eagerly by [`SweepContext::score_upper_bound`], lazily by
     /// [`SweepContext::solved_score_bound`], and solved by
     /// [`SweepContext::eval`]. Returns the winner (`None` when no
@@ -394,7 +388,7 @@ impl<'p> SweepContext<'p> {
             policy,
             Some(&ub),
             Some(&solved),
-            &|alpha| self.eval(alpha, delta, kind, policy.kernel),
+            &|alpha| self.eval(alpha, delta, kind),
         )
         .filter(|c| c.benefit > 0.0);
         (best, self.duals)
@@ -522,7 +516,7 @@ impl<'p> SweepContext<'p> {
     /// Evaluates one swept candidate α on this thread's workspace: reloads
     /// the topology only when the workspace last solved a different sweep,
     /// then re-solves the α's weight column in place and, for the exact
-    /// kernels, publishes the solve's right-side duals into this search's
+    /// kind, publishes the solve's right-side duals into this search's
     /// [`DualTable`]. Allocation-free after the first candidate except for
     /// the returned matching itself.
     ///
@@ -532,13 +526,7 @@ impl<'p> SweepContext<'p> {
     /// kernels), same algorithms, and the benefit is summed in the same
     /// matching order.
     // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
-    pub(crate) fn eval(
-        &self,
-        alpha: u64,
-        delta: u64,
-        kind: MatchingKind,
-        kernel: ExactKernel,
-    ) -> BestChoice {
+    pub(crate) fn eval(&self, alpha: u64, delta: u64, kind: MatchingKind) -> BestChoice {
         let k = self.sweep.index_of(alpha);
         let col = self.sweep.column(k);
         let edges = self.sweep.edges();
@@ -546,16 +534,6 @@ impl<'p> SweepContext<'p> {
         let (matching, benefit) = KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
             match kind {
-                MatchingKind::Exact if kernel == ExactKernel::Auction => {
-                    if ws.loaded_sweep_auction != self.id {
-                        ws.auction.load_topology(n, n, edges);
-                        ws.loaded_sweep_auction = self.id;
-                    }
-                    ws.auction.solve_reweighted(col);
-                    ws.auction.right_prices(&mut ws.z);
-                    self.duals.publish(k, &ws.z);
-                    (ws.auction.matching().to_vec(), ws.auction.last_weight())
-                }
                 MatchingKind::Exact => {
                     if ws.loaded_sweep != self.id {
                         ws.solver.load_topology(n, n, edges);
@@ -1344,65 +1322,63 @@ mod tests {
             let mut order: Vec<usize> = (0..alphas.len()).collect();
             order.sort_by_key(|&k| (k as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let (mut z, mut y, mut z_descent) = (Vec::new(), Vec::new(), Vec::new());
-            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                let duals = DualTable::new(&alphas, 6);
-                let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
-                let mut scores = vec![0.0; alphas.len()];
-                for &k in &order {
-                    let alpha = alphas[k];
-                    let cost = (alpha + delta) as f64;
-                    // The lazy bound under the duals solved so far, before
-                    // this α's own solve; a −∞ incumbent forces the descent
-                    // step.
-                    let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
-                    let halves = ctx.duals.bracket(alpha, &mut z).then(|| {
-                        let bracketed = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
-                        (bracketed, ctx.descent_bound(k, &y, &mut z_descent) / cost)
-                    });
-                    let s = ctx.eval(alpha, delta, MatchingKind::Exact, kernel).score;
-                    prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
-                    if let Some((bracketed, descended)) = halves {
-                        prop_assert!(bracketed >= s, "bracketed {} < score {}", bracketed, s);
-                        prop_assert!(descended >= s, "descent {} < score {}", descended, s);
-                    }
-                    prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
-                    prop_assert!(ctx.dual_bound(k, &z_rand, None) / cost >= s);
-                    scores[k] = s;
+            let duals = DualTable::new(&alphas, 6);
+            let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
+            let mut scores = vec![0.0; alphas.len()];
+            for &k in &order {
+                let alpha = alphas[k];
+                let cost = (alpha + delta) as f64;
+                // The lazy bound under the duals solved so far, before
+                // this α's own solve; a −∞ incumbent forces the descent
+                // step.
+                let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
+                let halves = ctx.duals.bracket(alpha, &mut z).then(|| {
+                    let bracketed = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
+                    (bracketed, ctx.descent_bound(k, &y, &mut z_descent) / cost)
+                });
+                let s = ctx.eval(alpha, delta, MatchingKind::Exact).score;
+                prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
+                if let Some((bracketed, descended)) = halves {
+                    prop_assert!(bracketed >= s, "bracketed {} < score {}", bracketed, s);
+                    prop_assert!(descended >= s, "descent {} < score {}", descended, s);
                 }
-                for (k, &alpha) in alphas.iter().enumerate() {
-                    let cost = (alpha + delta) as f64;
-                    for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
-                        ctx.duals.copy_row(r, &mut z);
-                        let b = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
-                        let d = ctx.descent_bound(k, &y, &mut z_descent) / cost;
-                        prop_assert!(
-                            b.min(d) >= scores[k],
-                            "α {} under row {}: bound {} descent {} < score {}",
-                            alpha, r, b, d, scores[k]
-                        );
-                    }
+                prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
+                prop_assert!(ctx.dual_bound(k, &z_rand, None) / cost >= s);
+                scores[k] = s;
+            }
+            for (k, &alpha) in alphas.iter().enumerate() {
+                let cost = (alpha + delta) as f64;
+                for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
+                    ctx.duals.copy_row(r, &mut z);
+                    let b = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
+                    let d = ctx.descent_bound(k, &y, &mut z_descent) / cost;
+                    prop_assert!(
+                        b.min(d) >= scores[k],
+                        "α {} under row {}: bound {} descent {} < score {}",
+                        alpha, r, b, d, scores[k]
+                    );
                 }
-                // Rows of either sign, published on every other candidate:
-                // `bracket` must hand back a `z ≥ 0` all the same.
-                let signed = DualTable::new(&alphas, 6);
-                for k in (0..alphas.len()).step_by(2) {
-                    let row: Vec<f64> = z_rand.iter().map(|&v| v - 10.0).collect();
-                    signed.publish(k, &row);
-                }
-                for (k, &alpha) in alphas.iter().enumerate() {
-                    prop_assert!(signed.bracket(alpha, &mut z));
-                    let b = ctx.dual_bound(k, &z, None) / (alpha + delta) as f64;
-                    prop_assert!(b >= scores[k], "signed row: bound {} < score {}", b, scores[k]);
-                }
-                // The next search, bounded by this one's duals.
-                let next = SweepContext::new(
-                    q.weighted_edges_multi(&alphas),
-                    DualTable::new(&alphas, 6),
-                    Some(&ctx.duals),
-                );
-                for (k, &alpha) in alphas.iter().enumerate() {
-                    prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);
-                }
+            }
+            // Rows of either sign, published on every other candidate:
+            // `bracket` must hand back a `z ≥ 0` all the same.
+            let signed = DualTable::new(&alphas, 6);
+            for k in (0..alphas.len()).step_by(2) {
+                let row: Vec<f64> = z_rand.iter().map(|&v| v - 10.0).collect();
+                signed.publish(k, &row);
+            }
+            for (k, &alpha) in alphas.iter().enumerate() {
+                prop_assert!(signed.bracket(alpha, &mut z));
+                let b = ctx.dual_bound(k, &z, None) / (alpha + delta) as f64;
+                prop_assert!(b >= scores[k], "signed row: bound {} < score {}", b, scores[k]);
+            }
+            // The next search, bounded by this one's duals.
+            let next = SweepContext::new(
+                q.weighted_edges_multi(&alphas),
+                DualTable::new(&alphas, 6),
+                Some(&ctx.duals),
+            );
+            for (k, &alpha) in alphas.iter().enumerate() {
+                prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);
             }
         }
     }

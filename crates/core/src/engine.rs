@@ -64,13 +64,9 @@ pub struct SearchPolicy {
     /// planner prefers longer configurations (persistent links serve through
     /// Δ); every other variant prefers the smaller α.
     pub prefer_larger_alpha: bool,
-    /// Which exact assignment algorithm backs [`MatchingKind::Exact`]
-    /// evaluations of a swept select: the sequential Hungarian solver
-    /// (default) or the parallel-bidding auction kernel. Both are exact; on
-    /// tie-heavy instances they may return different equally-optimal
-    /// matchings, so the kernel is part of the policy. Per-α
-    /// [`Fabric::evaluate`] calls carry no policy and use the Hungarian
-    /// solver.
+    /// The exact assignment algorithm: [`ExactKernel`] has the one value
+    /// `Hungarian`, so this selects nothing. It stays until the benchmark
+    /// crate stops naming it (see [`ExactKernel`]).
     pub kernel: ExactKernel,
 }
 
@@ -257,9 +253,6 @@ pub struct BipartiteFabric {
 impl<S> Fabric<S> for BipartiteFabric {
     // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
     fn evaluate(&self, _source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        // Direct per-α evaluations carry no policy, so the exact kind is
-        // the Hungarian solver (the swept `select` path honors
-        // `SearchPolicy::kernel`).
         let (matching, benefit) = run_kernel(queues.n(), queues.weighted_edges(alpha), self.kind);
         BestChoice {
             matching,
@@ -670,11 +663,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Evaluates one α on `fabric` against the current snapshot.
-    ///
-    /// An exact bipartite matching here always comes from the Hungarian
-    /// solver, whatever [`SearchPolicy::kernel`] says: the policy only picks
-    /// the kernel of [`ScheduleEngine::select`]'s α-sweep, and this call
-    /// takes no policy.
     // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
     pub fn evaluate<F: Fabric<S>>(&mut self, fabric: &F, alpha: u64) -> BestChoice {
         let delta = self.delta;

@@ -14,7 +14,7 @@
 //! * **Miss** — the window is planned cold and recorded.
 //!
 //! The key covers the planning context (search strategy, tie preference,
-//! exact kernel, window, Δ and a caller salt for the fabric), the fabric
+//! window, Δ and a caller salt for the fabric), the fabric
 //! size, and the traffic itself through [`RemainingTraffic::replay_key`]:
 //! the interned-key generation, the hop weighting, and every waiting
 //! sub-flow's position, hop count, packet count and remaining route suffix,
@@ -28,7 +28,6 @@
 //! generation, so a backlog that *looks* identical after an admit/cancel
 //! round-trip misses.
 
-use crate::best_config::ExactKernel;
 use crate::engine::{Fabric, ScheduleEngine, SearchPolicy, TrafficSource, WindowRun};
 use crate::state::RemainingTraffic;
 use crate::AlphaSearch;
@@ -162,7 +161,7 @@ pub struct WindowPlan {
 
 /// The cache key of planning `window` slots from `traffic` on an `n`-node
 /// fabric: the planning knobs that select among schedules (search strategy,
-/// tie preference, the exact kernel, window, Δ, and a caller `salt` for
+/// tie preference, window, Δ, and a caller `salt` for
 /// anything beyond the policy, e.g. the fabric's matching kind), then the
 /// traffic's [`RemainingTraffic::replay_key`]. `SearchPolicy::parallel` is
 /// deliberately excluded — parallel and sequential searches return
@@ -181,10 +180,6 @@ fn window_key(
         AlphaSearch::Binary => 1,
     });
     h.word(u64::from(policy.prefer_larger_alpha));
-    h.word(match policy.kernel {
-        ExactKernel::Hungarian => 0,
-        ExactKernel::Auction => 1,
-    });
     h.word(window);
     h.word(delta);
     h.word(salt);
@@ -306,13 +301,8 @@ mod tests {
             search: AlphaSearch::Binary,
             ..policy
         };
-        let auction = SearchPolicy {
-            kernel: ExactKernel::Auction,
-            ..policy
-        };
         let others = [
             window_key(&binary, 100, 5, 0, 4, &tr),
-            window_key(&auction, 100, 5, 0, 4, &tr),
             window_key(&policy, 101, 5, 0, 4, &tr),
             window_key(&policy, 100, 6, 0, 4, &tr),
             window_key(&policy, 100, 5, 1, 4, &tr),

@@ -20,10 +20,10 @@ pub struct OctopusConfig {
     pub alpha_search: AlphaSearch,
     /// Matching kernel: `Exact` is Octopus, `BucketGreedy` Octopus-G.
     pub matching: MatchingKind,
-    /// Exact assignment algorithm backing [`MatchingKind::Exact`]:
-    /// sequential Hungarian (default) or the parallel-bidding auction
-    /// kernel. Absent fields in serialized configs deserialize to the
-    /// default.
+    /// Exact assignment algorithm backing [`MatchingKind::Exact`]. It has
+    /// the one value `Hungarian` and stays only until the benchmark crate
+    /// stops naming it (see [`ExactKernel`]); absent fields in serialized
+    /// configs deserialize to it.
     #[serde(default)]
     pub kernel: ExactKernel,
     /// Fan candidate-α evaluation out over rayon's worker threads (the

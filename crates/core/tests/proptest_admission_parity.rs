@@ -88,20 +88,18 @@ fn script() -> impl Strategy<Value = (u32, Vec<Op>)> {
         })
 }
 
-/// Every `SearchPolicy` variant, under both exact kernels.
+/// Every `SearchPolicy` variant.
 fn all_policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
         for parallel in [false, true] {
             for prefer_larger_alpha in [false, true] {
-                for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                    out.push(SearchPolicy {
-                        search,
-                        parallel,
-                        prefer_larger_alpha,
-                        kernel,
-                    });
-                }
+                out.push(SearchPolicy {
+                    search,
+                    parallel,
+                    prefer_larger_alpha,
+                    kernel: ExactKernel::Hungarian,
+                });
             }
         }
     }

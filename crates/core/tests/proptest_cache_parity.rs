@@ -4,8 +4,8 @@
 //! window misses (planned cold and recorded) or hits (replayed without a
 //! solve), the emitted schedule, delivered counts and ψ are bit-identical to
 //! a cold `ScheduleEngine::plan_window` of the same window. This suite pins
-//! that across all 8 sequential `SearchPolicy` variants (search strategy ×
-//! tie preference × exact kernel) plus the threaded exhaustive search.
+//! that across all 4 sequential `SearchPolicy` variants (search strategy ×
+//! tie preference) plus the threaded exhaustive search.
 //!
 //! The twin leg plans a load, then a twin whose per-link queues and
 //! interned links are the same but whose packets go elsewhere after the
@@ -138,19 +138,17 @@ fn run_cold(
     (configs, tr.planned_psi().to_bits(), tr.planned_delivered())
 }
 
-/// The 8 sequential policy variants, then the threaded exhaustive search.
+/// The 4 sequential policy variants, then the threaded exhaustive search.
 fn policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
         for prefer_larger_alpha in [false, true] {
-            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                out.push(SearchPolicy {
-                    search,
-                    parallel: false,
-                    prefer_larger_alpha,
-                    kernel,
-                });
-            }
+            out.push(SearchPolicy {
+                search,
+                parallel: false,
+                prefer_larger_alpha,
+                kernel: ExactKernel::Hungarian,
+            });
         }
     }
     out.push(SearchPolicy {

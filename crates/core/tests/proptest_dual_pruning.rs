@@ -8,8 +8,8 @@
 //! picks every winner by unbounded exhaustive search
 //! ([`ScheduleEngine::select_with`], which bounds nothing) over one-shot
 //! solves of each α's column. Schedule, ψ bits and delivered must match for
-//! sequential and parallel search, both exact kernels, and the bipartite
-//! and localized fabrics.
+//! sequential and parallel search, and the bipartite and localized
+//! fabrics.
 //!
 //! An ignored twin replays the same check at n = 12–24, where the
 //! best-first order has many surviving candidates to choose among; CI runs
@@ -24,7 +24,7 @@ use octopus_core::{
     AlphaSearch, BestChoice, BipartiteFabric, ExactKernel, HopWeighting, LinkQueues, LocalFabric,
     MatchingKind, RemainingTraffic, ScheduleEngine, SearchPolicy,
 };
-use octopus_matching::{AssignmentSolver, AuctionSolver};
+use octopus_matching::AssignmentSolver;
 use octopus_net::topology;
 use octopus_traffic::{synthetic, synthetic::SyntheticConfig, Flow, FlowId, Route, TrafficLoad};
 use proptest::prelude::*;
@@ -86,11 +86,10 @@ enum Kind {
 }
 
 /// Solves `alpha`'s column from scratch — the same topology and weights the
-/// batched sweep builds, on a fresh solver of `kernel` — with no bound.
+/// batched sweep builds, on a fresh solver — with no bound.
 fn solve_alpha(
     queues: &LinkQueues,
     prev: &HashSet<(u32, u32)>,
-    kernel: ExactKernel,
     alpha: u64,
     delta: u64,
 ) -> BestChoice {
@@ -106,22 +105,12 @@ fn solve_alpha(
             },
         );
     let (n, col) = (queues.n(), sweep.column(0));
-    let (matching, benefit) = match kernel {
-        ExactKernel::Auction => {
-            let mut s = AuctionSolver::new();
-            s.load_topology(n, n, sweep.edges());
-            s.solve_reweighted(col);
-            (s.matching().to_vec(), s.last_weight())
-        }
-        _ => {
-            let mut s = AssignmentSolver::new();
-            s.load_topology(n, n, sweep.edges());
-            s.solve_reweighted(col);
-            (s.matching().to_vec(), s.last_weight())
-        }
-    };
+    let mut s = AssignmentSolver::new();
+    s.load_topology(n, n, sweep.edges());
+    s.solve_reweighted(col);
+    let benefit = s.last_weight();
     BestChoice {
-        matching,
+        matching: s.matching().to_vec(),
         alpha,
         benefit,
         score: benefit / (alpha + delta) as f64,
@@ -130,12 +119,12 @@ fn solve_alpha(
     }
 }
 
-fn policy(kind: Kind, kernel: ExactKernel, parallel: bool) -> SearchPolicy {
+fn policy(kind: Kind, parallel: bool) -> SearchPolicy {
     SearchPolicy {
         search: AlphaSearch::Exhaustive,
         parallel,
         prefer_larger_alpha: kind == Kind::Local,
-        kernel,
+        kernel: ExactKernel::Hungarian,
     }
 }
 
@@ -187,17 +176,10 @@ fn planned(
 
 /// The reference: the same greedy loop, each winner picked by unbounded
 /// sequential exhaustive search over [`solve_alpha`].
-fn reference(
-    n: u32,
-    load: &TrafficLoad,
-    window: u64,
-    delta: u64,
-    kind: Kind,
-    kernel: ExactKernel,
-) -> (Plan, u64, u64) {
+fn reference(n: u32, load: &TrafficLoad, window: u64, delta: u64, kind: Kind) -> (Plan, u64, u64) {
     let tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("valid load");
     let mut engine = ScheduleEngine::new(tr, n, delta);
-    let policy = policy(kind, kernel, false);
+    let policy = policy(kind, false);
     let mut fabric = LocalFabric {
         kind: MatchingKind::Exact,
         delta,
@@ -215,7 +197,7 @@ fn reference(
                 fabric.prev.clone(),
             ),
         };
-        let eval = |alpha| solve_alpha(&queues, &prev, kernel, alpha, delta);
+        let eval = |alpha| solve_alpha(&queues, &prev, alpha, delta);
         let Some(choice) = engine.select_with(budget, ext, &policy, &eval) else {
             break;
         };
@@ -247,15 +229,13 @@ proptest! {
     #[test]
     fn pruned_windows_match_unbounded_search((n, load, window, delta) in instance()) {
         for kind in [Kind::Bipartite, Kind::Local] {
-            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                let want = reference(n, &load, window, delta, kind, kernel);
-                for parallel in [false, true] {
-                    let got = planned(n, &load, window, delta, kind, &policy(kind, kernel, parallel));
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{:?} {:?} parallel = {}", kind, kernel, parallel
-                    );
-                }
+            let want = reference(n, &load, window, delta, kind);
+            for parallel in [false, true] {
+                let got = planned(n, &load, window, delta, kind, &policy(kind, parallel));
+                prop_assert_eq!(
+                    &got, &want,
+                    "{:?} parallel = {}", kind, parallel
+                );
             }
         }
     }
@@ -273,15 +253,13 @@ proptest! {
         (n, load, window, delta) in instance_in(12..25, 12..48)
     ) {
         for kind in [Kind::Bipartite, Kind::Local] {
-            for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                let want = reference(n, &load, window, delta, kind, kernel);
-                for parallel in [false, true] {
-                    let got = planned(n, &load, window, delta, kind, &policy(kind, kernel, parallel));
-                    prop_assert_eq!(
-                        &got, &want,
-                        "{:?} {:?} parallel = {}", kind, kernel, parallel
-                    );
-                }
+            let want = reference(n, &load, window, delta, kind);
+            for parallel in [false, true] {
+                let got = planned(n, &load, window, delta, kind, &policy(kind, parallel));
+                prop_assert_eq!(
+                    &got, &want,
+                    "{:?} parallel = {}", kind, parallel
+                );
             }
         }
     }

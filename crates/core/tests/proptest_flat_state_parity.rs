@@ -239,20 +239,18 @@ fn instance() -> impl Strategy<Value = (u32, TrafficLoad, u64, u64)> {
 }
 
 /// Every `SearchPolicy` variant: {Exhaustive, Binary} × {sequential,
-/// parallel} × {smaller-α, larger-α preference} × {Hungarian, Auction}.
+/// parallel} × {smaller-α, larger-α preference}.
 fn all_policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
         for parallel in [false, true] {
             for prefer_larger_alpha in [false, true] {
-                for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                    out.push(SearchPolicy {
-                        search,
-                        parallel,
-                        prefer_larger_alpha,
-                        kernel,
-                    });
-                }
+                out.push(SearchPolicy {
+                    search,
+                    parallel,
+                    prefer_larger_alpha,
+                    kernel: ExactKernel::Hungarian,
+                });
             }
         }
     }

@@ -8,8 +8,7 @@
 //! `OCTOPUS_THREADS` sets, which is read once per process and therefore
 //! swept via the builder here and via the env var in CI), the work-stealing
 //! search must return a `BestChoice` bit-identical to the sequential search,
-//! under every combination of search strategy, tie preference, and exact
-//! kernel.
+//! under every combination of search strategy and tie preference.
 //!
 //! The per-worker claim counts surface in [`BestChoice::worker_evals`]; the
 //! suite checks their sum always accounts for every evaluated candidate
@@ -24,6 +23,9 @@ use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
 use std::sync::Mutex;
+
+/// The configurations one window committed, as `(α, links)`.
+type Chosen = Vec<(u64, Vec<(u32, u32)>)>;
 
 /// The worker-count override is process-global (`ThreadPoolBuilder::
 /// build_global` is last-call-wins), so tests that sweep it serialize here.
@@ -121,7 +123,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Sequential vs work-stealing winners at worker counts 1, 2 and 4, for
-    /// all 8 (search × tie preference × kernel) policy variants.
+    /// all 4 (search × tie preference) policy variants.
     #[test]
     fn stolen_search_is_bit_identical_across_worker_counts(
         (n, load, window, delta) in instance()
@@ -129,42 +131,40 @@ proptest! {
         let _guard = GLOBAL_KNOB.lock().expect("no poisoned tests");
         for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
             for prefer_larger_alpha in [false, true] {
-                for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-                    let seq = SearchPolicy {
-                        search,
-                        parallel: false,
-                        prefer_larger_alpha,
-                        kernel,
-                    };
-                    set_workers(1);
-                    let reference = select_once(n, &load, window, delta, &seq);
-                    let par = SearchPolicy { parallel: true, ..seq };
-                    for workers in [1usize, 2, 4] {
-                        set_workers(workers);
-                        let got = select_once(n, &load, window, delta, &par);
-                        let ctx = format!(
-                            "search {search:?}, prefer_larger {prefer_larger_alpha}, \
-                             kernel {kernel:?}, workers {workers}"
-                        );
-                        match (&reference, &got) {
-                            (None, None) => {}
-                            (Some(a), Some(b)) => {
-                                assert_bit_identical(a, b, &ctx)?;
-                                // The claim counts must account for every
-                                // evaluated candidate (ternary memoizes, so
-                                // its executed count is what the evaluations
-                                // reported).
-                                let claimed: u64 =
-                                    b.worker_evals.iter().map(|&c| u64::from(c)).sum();
-                                prop_assert_eq!(
-                                    claimed,
-                                    b.matchings_computed as u64,
-                                    "claim counts diverged: {}",
-                                    ctx
-                                );
-                            }
-                            _ => prop_assert!(false, "presence diverged: {}", ctx),
+                let seq = SearchPolicy {
+                    search,
+                    parallel: false,
+                    prefer_larger_alpha,
+                    kernel: ExactKernel::Hungarian,
+                };
+                set_workers(1);
+                let reference = select_once(n, &load, window, delta, &seq);
+                let par = SearchPolicy { parallel: true, ..seq };
+                for workers in [1usize, 2, 4] {
+                    set_workers(workers);
+                    let got = select_once(n, &load, window, delta, &par);
+                    let ctx = format!(
+                        "search {search:?}, prefer_larger {prefer_larger_alpha}, \
+                         workers {workers}"
+                    );
+                    match (&reference, &got) {
+                        (None, None) => {}
+                        (Some(a), Some(b)) => {
+                            assert_bit_identical(a, b, &ctx)?;
+                            // The claim counts must account for every
+                            // evaluated candidate (ternary memoizes, so
+                            // its executed count is what the evaluations
+                            // reported).
+                            let claimed: u64 =
+                                b.worker_evals.iter().map(|&c| u64::from(c)).sum();
+                            prop_assert_eq!(
+                                claimed,
+                                b.matchings_computed as u64,
+                                "claim counts diverged: {}",
+                                ctx
+                            );
                         }
+                        _ => prop_assert!(false, "presence diverged: {}", ctx),
                     }
                 }
             }
@@ -174,49 +174,46 @@ proptest! {
 
     /// Whole-schedule determinism: the greedy loop driven by the stolen
     /// search commits the identical configuration sequence at every worker
-    /// count (both kernels).
+    /// count.
     #[test]
     fn stolen_schedules_are_bit_identical(
         (n, load, window, delta) in instance()
     ) {
         let _guard = GLOBAL_KNOB.lock().expect("no poisoned tests");
-        for kernel in [ExactKernel::Hungarian, ExactKernel::Auction] {
-            let policy = SearchPolicy {
-                search: AlphaSearch::Exhaustive,
-                parallel: true,
-                prefer_larger_alpha: false,
-                kernel,
-            };
-            let mut reference: Option<Vec<(u64, Vec<(u32, u32)>)>> = None;
-            for workers in [1usize, 2, 4] {
-                set_workers(workers);
-                let mut tr =
-                    RemainingTraffic::new(&load, HopWeighting::Uniform).expect("validated load");
-                let fabric = BipartiteFabric { kind: MatchingKind::Exact };
-                let mut engine = ScheduleEngine::new(&mut tr, n, delta);
-                let mut chosen = Vec::new();
-                let mut used = 0u64;
-                while !engine.is_drained() && used + delta < window {
-                    let budget = window - used - delta;
-                    let Some(c) =
-                        engine.select(&fabric, budget, CandidateExtension::None, &policy)
-                    else {
-                        break;
-                    };
-                    engine.commit(&fabric, &c.matching, c.alpha).expect("valid matching");
-                    used += c.alpha + delta;
-                    chosen.push((c.alpha, c.matching));
-                }
-                match &reference {
-                    None => reference = Some(chosen),
-                    Some(want) => prop_assert_eq!(
-                        want,
-                        &chosen,
-                        "schedule diverged at {} workers (kernel {:?})",
-                        workers,
-                        kernel
-                    ),
-                }
+        let policy = SearchPolicy {
+            search: AlphaSearch::Exhaustive,
+            parallel: true,
+            prefer_larger_alpha: false,
+            kernel: ExactKernel::Hungarian,
+        };
+        let mut reference: Option<Chosen> = None;
+        for workers in [1usize, 2, 4] {
+            set_workers(workers);
+            let mut tr =
+                RemainingTraffic::new(&load, HopWeighting::Uniform).expect("validated load");
+            let fabric = BipartiteFabric { kind: MatchingKind::Exact };
+            let mut engine = ScheduleEngine::new(&mut tr, n, delta);
+            let mut chosen = Vec::new();
+            let mut used = 0u64;
+            while !engine.is_drained() && used + delta < window {
+                let budget = window - used - delta;
+                let Some(c) =
+                    engine.select(&fabric, budget, CandidateExtension::None, &policy)
+                else {
+                    break;
+                };
+                engine.commit(&fabric, &c.matching, c.alpha).expect("valid matching");
+                used += c.alpha + delta;
+                chosen.push((c.alpha, c.matching));
+            }
+            match &reference {
+                None => reference = Some(chosen),
+                Some(want) => prop_assert_eq!(
+                    want,
+                    &chosen,
+                    "schedule diverged at {} workers",
+                    workers
+                ),
             }
         }
         set_workers(0);

@@ -10,7 +10,7 @@
 
 use octopus_core::online::{hysteresis_replan, EpochReport, HysteresisScheduler, OnlineScheduler};
 use octopus_core::{
-    BipartiteFabric, ExactKernel, OctopusConfig, OctopusOutput, RemainingTraffic, ScheduleEngine,
+    BipartiteFabric, OctopusConfig, OctopusOutput, RemainingTraffic, ScheduleEngine,
 };
 use octopus_net::{topology, Configuration, Matching, Network, Schedule};
 use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
@@ -103,17 +103,13 @@ fn assert_same(got: &EpochReport, want: &EpochReport, epoch: usize) -> Result<()
     Ok(())
 }
 
-fn config(window: u64, delta: u64, kernel: ExactKernel) -> OctopusConfig {
+fn config(window: u64, delta: u64) -> OctopusConfig {
     OctopusConfig {
         window,
         delta,
-        kernel,
         ..OctopusConfig::default()
     }
 }
-
-/// Both exact kernels: each script runs under each.
-const KERNELS: [ExactKernel; 2] = [ExactKernel::Hungarian, ExactKernel::Auction];
 
 fn online_parity(
     net: &Network,
@@ -191,17 +187,12 @@ proptest! {
 
     #[test]
     fn online_epochs_match_per_epoch_rebuild((n, window, delta, _eta, epochs) in script()) {
-        for kernel in KERNELS {
-            online_parity(&topology::complete(n), config(window, delta, kernel), &epochs)?;
-        }
+        online_parity(&topology::complete(n), config(window, delta), &epochs)?;
     }
 
     #[test]
     fn hysteresis_epochs_match_per_epoch_rebuild((n, window, delta, eta, epochs) in script()) {
-        for kernel in KERNELS {
-            let cfg = config(window, delta, kernel);
-            hysteresis_parity(&topology::complete(n), cfg, eta, &epochs)?;
-        }
+        hysteresis_parity(&topology::complete(n), config(window, delta), eta, &epochs)?;
     }
 }
 
@@ -209,16 +200,14 @@ proptest! {
 fn hysteresis_constructor_rejects_bad_knobs() {
     let net = topology::complete(4);
     for eta in [-5.0, f64::NAN] {
-        let err =
-            HysteresisScheduler::new(net.clone(), config(100, 10, ExactKernel::Hungarian), eta)
-                .err();
+        let err = HysteresisScheduler::new(net.clone(), config(100, 10), eta).err();
         assert!(
             matches!(err, Some(octopus_core::SchedError::InvalidEta(_))),
             "eta {eta}"
         );
     }
     assert_eq!(
-        HysteresisScheduler::new(net, config(10, 10, ExactKernel::Hungarian), 0.1).err(),
+        HysteresisScheduler::new(net, config(10, 10), 0.1).err(),
         Some(octopus_core::SchedError::WindowTooSmall {
             window: 10,
             delta: 10

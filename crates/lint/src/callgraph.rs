@@ -60,6 +60,10 @@ pub struct CallGraph {
     pub edges: Vec<Vec<usize>>,
     /// Entry node ids (every fn matched by some entry spec).
     pub entries: Vec<usize>,
+    /// Entry specs that matched no workspace fn, in manifest order: a
+    /// renamed or deleted entry point that would otherwise silently drop
+    /// its hot path from L7.
+    pub unmatched: Vec<String>,
     /// `reach[n]` is `Some(parent)` if `n` is reachable (entries point to
     /// themselves), `None` otherwise.
     pub reach: Vec<Option<usize>>,
@@ -202,17 +206,22 @@ impl CallGraph {
                 Some((q, n)) => (Some(q), n),
                 None => (None, spec.as_str()),
             };
+            let mut matched = false;
             for (id, n) in g.nodes.iter().enumerate() {
                 let hit = n.name == name
                     && match qual {
                         Some(q) => n.qual.as_deref() == Some(q),
                         None => true,
                     };
+                matched |= hit;
                 if hit && g.reach[id].is_none() {
                     g.reach[id] = Some(id); // entries are their own parent
                     g.entries.push(id);
                     queue.push_back(id);
                 }
+            }
+            if !matched {
+                g.unmatched.push(spec.clone());
             }
         }
         while let Some(u) = queue.pop_front() {

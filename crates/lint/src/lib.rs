@@ -40,6 +40,9 @@ use report::{FileReport, Report};
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 
+/// The entry-point manifest, relative to the workspace root.
+const ENTRYPOINTS: &str = "lint-entrypoints.toml";
+
 /// Directories never walked: build output, vendored stand-ins, VCS, and
 /// `fixtures` (lint-test inputs that violate the lints on purpose).
 const SKIP_DIRS: &[&str] = &[
@@ -88,7 +91,9 @@ pub struct Analysis {
 /// hosts the steal bag's atomics and the `OCTOPUS_THREADS` knob, so L5, L9
 /// and L10 apply to it). Kernel entry points come from
 /// `<root>/lint-entrypoints.toml`; if the manifest is absent the call
-/// graph is still built but nothing is reachable, so L7 stays silent.
+/// graph is still built but nothing is reachable, so L7 stays silent. A
+/// spec that matches no workspace fn is an L7 finding on its manifest line
+/// that no baseline tolerates.
 pub fn analyze(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
     let mut files = collect_rs_files(root)?;
     let executor = root.join("vendor/rayon/src");
@@ -112,9 +117,8 @@ pub fn analyze(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
     }
 
     // Pass 2: call graph + reachability-gated L7.
-    let entry_specs = std::fs::read_to_string(root.join("lint-entrypoints.toml"))
-        .map(|t| parse_entrypoints(&t))
-        .unwrap_or_default();
+    let manifest = std::fs::read_to_string(root.join(ENTRYPOINTS)).unwrap_or_default();
+    let entry_specs = parse_entrypoints(&manifest);
     let parsed: Vec<(&str, &parser::ParsedFile)> = rels
         .iter()
         .zip(&analyses)
@@ -123,6 +127,12 @@ pub fn analyze(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
     let graph = CallGraph::build(&parsed, &entry_specs);
 
     let mut report = Report::default();
+    if !graph.unmatched.is_empty() {
+        report.files.push(FileReport {
+            path: ENTRYPOINTS.to_string(),
+            violations: unmatched_entrypoints(&manifest, &graph),
+        });
+    }
     for (file_idx, (rel, analysis)) in rels.iter().zip(&analyses).enumerate() {
         let mut violations = analysis.violations.clone();
         violations.extend(hot_alloc_for_file(rel, file_idx, analysis, &graph));
@@ -149,7 +159,35 @@ pub fn analyze(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
             violations: tagged,
         });
     }
+    report.files.sort_by(|a, b| a.path.cmp(&b.path));
     Ok(Analysis { report, graph })
+}
+
+/// One always-new L7 finding per entry spec that matched no workspace fn,
+/// on the manifest line that declares it: a renamed or deleted entry point
+/// would otherwise silently drop its hot path from L7.
+fn unmatched_entrypoints(manifest: &str, graph: &CallGraph) -> Vec<(Violation, bool)> {
+    graph
+        .unmatched
+        .iter()
+        .map(|spec| {
+            let quoted = format!("\"{spec}\"");
+            let line = manifest
+                .lines()
+                .position(|l| l.split('#').next().unwrap_or("").contains(&quoted))
+                .map_or(0, |i| i as u32 + 1);
+            let message = format!(
+                "entry point `{spec}` matches no workspace fn; L7 no longer covers \
+                 its hot path (rename or remove the spec)"
+            );
+            let v = Violation {
+                lint: Lint::HotAlloc,
+                line,
+                message,
+            };
+            (v, true)
+        })
+        .collect()
 }
 
 /// Lints every workspace file under `root` against `baseline`.
@@ -221,7 +259,8 @@ fn hot_alloc_for_file(
 /// Current violation counts per `(file, lint)`, for `--update-baseline`.
 pub fn current_counts(report: &Report) -> BTreeMap<(String, Lint), u32> {
     let mut counts: BTreeMap<(String, Lint), u32> = BTreeMap::new();
-    for f in &report.files {
+    // Unmatched entry points are never tolerated, so never baselined.
+    for f in report.files.iter().filter(|f| f.path != ENTRYPOINTS) {
         for (v, _) in &f.violations {
             *counts.entry((f.path.clone(), v.lint)).or_insert(0) += 1;
         }

@@ -315,6 +315,55 @@ fn l7_flags_reachable_allocs_and_spares_dead_and_waived_fns() {
 }
 
 #[test]
+fn l7_rejects_an_entry_point_that_matches_nothing() {
+    let root = mini_workspace(
+        "unmatched",
+        REACH_SRC,
+        Some(
+            "entrypoints = [\n\
+             \"Engine::select\",\n\
+             \"Gone::solve_reweighted\", # renamed away\n\
+             \"select\",\n\
+             ]\n",
+        ),
+    );
+    let g = CallGraph::build(
+        &[("crates/core/src/lib.rs", &pf(REACH_SRC))],
+        &[
+            "Engine::select".to_string(),
+            "Gone::solve_reweighted".to_string(),
+        ],
+    );
+    assert_eq!(g.unmatched, ["Gone::solve_reweighted"]);
+    // Through run(): one new finding on the spec's manifest line, which no
+    // baseline tolerates, next to the live entry's usual L7 finding.
+    let report = run(&root, &Baseline::default()).unwrap();
+    let manifest: Vec<_> = report
+        .files
+        .iter()
+        .filter(|f| f.path == "lint-entrypoints.toml")
+        .flat_map(|f| &f.violations)
+        .collect();
+    assert_eq!(
+        manifest.len(),
+        1,
+        "expected one unmatched spec: {manifest:?}"
+    );
+    let (v, is_new) = manifest[0];
+    assert!(*is_new && v.lint == Lint::HotAlloc && v.line == 3, "{v:?}");
+    assert!(
+        v.message.contains("`Gone::solve_reweighted`"),
+        "{}",
+        v.message
+    );
+    assert_eq!(report.new_count(), 2, "{}", report.render_text());
+    let tolerant = Baseline::parse("hot-alloc 5 lint-entrypoints.toml\n").unwrap();
+    let report = run(&root, &tolerant).unwrap();
+    assert_eq!(report.new_count(), 2, "a baseline must not hide it");
+    std::fs::remove_dir_all(&root).unwrap();
+}
+
+#[test]
 fn l7_stays_silent_without_an_entrypoint_manifest() {
     let root = mini_workspace("noentry", REACH_SRC, None);
     let report = run(&root, &Baseline::default()).unwrap();

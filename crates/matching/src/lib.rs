@@ -15,11 +15,8 @@
 //! * [`AssignmentSolver`] — the same exact kernel as a reusable workspace:
 //!   the CSR topology, potentials and Dijkstra scratch persist across solves,
 //!   and `solve_reweighted` re-solves a fixed topology under a new weight
-//!   column without allocating (the α-search hot path).
-//! * [`AuctionSolver`] — an alternative exact kernel: forward auction with
-//!   ε-scaling over integer-scaled prices, whose bidding pass parallelizes
-//!   across bidders deterministically (same workspace surface as
-//!   [`AssignmentSolver`]; see `auction.rs` for the resolution caveat).
+//!   column without allocating (the α-search hot path). It is the one exact
+//!   assignment kernel; EXPERIMENTS.md, "Auction kernel verdict", says why.
 //! * [`greedy::greedy_matching`] — the classic sort-by-weight greedy,
 //!   a ½-approximation (Avis 1983), used by **Octopus-G**.
 //! * [`greedy::bucket_greedy_matching`] — the same greedy in linear time via
@@ -47,12 +44,10 @@ pub mod general;
 pub mod greedy;
 pub mod hopcroft_karp;
 
-mod auction;
 mod bipartite;
 mod graph;
 mod solver;
 
-pub use auction::{AuctionSolver, AuctionWorkspace};
 pub use bipartite::maximum_weight_matching;
 pub use graph::{Edge, WeightedBipartiteGraph};
 pub use solver::AssignmentSolver;

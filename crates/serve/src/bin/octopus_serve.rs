@@ -12,16 +12,18 @@
 //! thread of its own — each connection is a fresh session over a fresh
 //! backlog, sharing nothing with the others — and keeps accepting after
 //! `"Shutdown"` and after a failed accept. A connection that neither sends
-//! a line nor takes a reply for [`IDLE_TIMEOUT`] is closed.
+//! a line nor takes a reply for [`IDLE_TIMEOUT`] is closed. At most
+//! [`MAX_SESSIONS`] sessions run at once; a connection past the cap gets
+//! one `Error` reply and is closed.
 //!
 //! A fabric file is `{"n": 4, "edges": [[0,1],[1,2],[2,3],[3,0]]}` (directed
 //! links); `--complete N` builds the all-to-all fabric instead.
 
 use octopus_core::SchedError;
 use octopus_net::{topology, Network};
-use octopus_serve::{serve_lines, PolicyMode, ServeConfig, ServeState};
+use octopus_serve::{serve_lines, PolicyMode, Response, ServeConfig, ServeState};
 use serde::Deserialize;
-use std::io::{BufReader, BufWriter};
+use std::io::{BufReader, BufWriter, Write};
 use std::net::{TcpListener, TcpStream};
 use std::process::ExitCode;
 use std::thread::JoinHandle;
@@ -30,6 +32,10 @@ use std::time::Duration;
 /// How long a TCP session may wait on one read or one write before the
 /// daemon closes it.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(300);
+
+/// Most TCP sessions served at once, so a flood of idle clients holds at
+/// most this many threads.
+const MAX_SESSIONS: usize = 64;
 
 /// How long the daemon waits after a failed `accept` before the next one.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
@@ -148,6 +154,12 @@ fn run(args: Args) -> Result<(), String> {
                 continue;
             }
         };
+        if sessions.len() >= MAX_SESSIONS {
+            if let Err(e) = refuse(stream) {
+                eprintln!("refused connection: {e}");
+            }
+            continue;
+        }
         // The configuration passed the check above, so this cannot fail.
         let state = ServeState::new(args.net.clone(), args.cfg.clone()).map_err(fresh)?;
         let session = std::thread::Builder::new().spawn(move || {
@@ -161,6 +173,18 @@ fn run(args: Args) -> Result<(), String> {
         }
     }
     Ok(())
+}
+
+/// Answers a connection past [`MAX_SESSIONS`] with one `Error` line, then
+/// closes it. The line is far smaller than a fresh socket's send buffer, so
+/// the write cannot stall the accept loop.
+fn refuse(mut stream: TcpStream) -> std::io::Result<()> {
+    let reply = Response::Error {
+        message: format!("too many sessions: {MAX_SESSIONS} open, try again later"),
+    };
+    let payload = serde_json::to_string(&reply).map_err(std::io::Error::other)?;
+    stream.write_all(payload.as_bytes())?;
+    stream.write_all(b"\n")
 }
 
 /// Serves one TCP session to its end under [`IDLE_TIMEOUT`].

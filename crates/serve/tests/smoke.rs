@@ -530,36 +530,79 @@ fn binary_rejects_a_bad_horizon_before_listening() {
     );
 }
 
+/// The `MAX_SESSIONS` cap of the `octopus-serve` binary.
+const MAX_SESSIONS: usize = 64;
+
+impl Daemon {
+    /// The address a `--listen 127.0.0.1:0` daemon announces on stderr.
+    fn listening_addr(&mut self) -> String {
+        use std::io::BufRead;
+        let mut banner = String::new();
+        std::io::BufReader::new(self.0.stderr.take().expect("piped"))
+            .read_line(&mut banner)
+            .expect("read banner");
+        banner
+            .trim()
+            .strip_prefix("octopus-serve listening on ")
+            .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
+            .to_string()
+    }
+}
+
+/// A line-at-a-time TCP client that waits at most ten seconds per reply.
+struct Client {
+    stream: std::net::TcpStream,
+    reader: std::io::BufReader<std::net::TcpStream>,
+}
+
+impl Client {
+    fn connect(addr: &str) -> Self {
+        let stream = std::net::TcpStream::connect(addr).expect("client connects");
+        stream
+            .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .expect("client timeout");
+        let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
+        Client { stream, reader }
+    }
+
+    fn read(&mut self) -> Response {
+        use std::io::BufRead;
+        let mut answer = String::new();
+        self.reader.read_line(&mut answer).expect("a reply arrives");
+        serde_json::from_str(&answer).expect("well-formed response")
+    }
+
+    fn ask(&mut self, line: &str) -> Response {
+        use std::io::Write;
+        writeln!(self.stream, "{line}").expect("send");
+        self.read()
+    }
+}
+
 #[test]
 fn binary_serves_a_second_client_while_the_first_is_silent() {
-    use std::io::{BufRead, BufReader, Write};
-    use std::net::TcpStream;
-
     let mut daemon = Daemon::spawn(&["--complete", "4", "--listen", "127.0.0.1:0"]);
-    let mut banner = String::new();
-    BufReader::new(daemon.0.stderr.take().expect("piped"))
-        .read_line(&mut banner)
-        .expect("read banner");
-    let addr = banner
-        .trim()
-        .strip_prefix("octopus-serve listening on ")
-        .unwrap_or_else(|| panic!("unexpected banner {banner:?}"))
-        .to_string();
+    let addr = daemon.listening_addr();
+    let _silent = Client::connect(&addr);
+    let mut client = Client::connect(&addr);
+    assert!(matches!(client.ask("\"Stats\""), Response::Stats { .. }));
+    assert_eq!(client.ask("\"Shutdown\""), Response::Bye { events: 2 });
+}
 
-    let _silent = TcpStream::connect(&addr).expect("first client connects");
-    let mut stream = TcpStream::connect(&addr).expect("second client connects");
-    stream
-        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
-        .expect("client timeout");
-    let mut reader = BufReader::new(stream.try_clone().expect("clone stream"));
-    let mut ask = |line: &str| -> Response {
-        writeln!(stream, "{line}").expect("send");
-        let mut answer = String::new();
-        reader
-            .read_line(&mut answer)
-            .expect("the second client gets a reply");
-        serde_json::from_str(&answer).expect("well-formed response")
-    };
-    assert!(matches!(ask("\"Stats\""), Response::Stats { .. }));
-    assert_eq!(ask("\"Shutdown\""), Response::Bye { events: 2 });
+/// A flood of silent clients holds at most `MAX_SESSIONS` sessions: the
+/// next connection gets one `Error` reply, and every held one is still
+/// served.
+#[test]
+fn binary_refuses_connections_past_its_session_cap() {
+    let mut daemon = Daemon::spawn(&["--complete", "4", "--listen", "127.0.0.1:0"]);
+    let addr = daemon.listening_addr();
+    let mut held: Vec<Client> = (0..MAX_SESSIONS).map(|_| Client::connect(&addr)).collect();
+    let mut extra = Client::connect(&addr);
+    assert!(
+        matches!(extra.read(), Response::Error { message } if message.contains("too many sessions")),
+        "the connection past the cap must be refused"
+    );
+    for client in &mut held {
+        assert!(matches!(client.ask("\"Stats\""), Response::Stats { .. }));
+    }
 }
