@@ -33,8 +33,13 @@
 //! # Pruning
 //!
 //! On a swept select ([`SweepContext`]) every candidate α starts with an
-//! *eager* score bound: the sweep's row/column-max bound, tightened by the
-//! weak-duality bound under the previous select's dual row nearest to α.
+//! *eager* score bound: the row/column-max bound of its `g` column,
+//! tightened by the weak-duality bound under the previous select's dual row
+//! nearest to α. One fused pass over the sweep's edges computes both for
+//! every candidate at once ([`MultiAlphaEdges::fused_bounds`]); no weight
+//! column is stored. A column is built only for a candidate the search
+//! refines or solves, on demand, into the thread's workspace, where a
+//! one-slot cache lets the refine and then the solve of one α share it.
 //! Every exact solve publishes its right-side duals into this select's
 //! [`DualTable`], and `refine(α, incumbent)` bounds a candidate *lazily*
 //! under them: [`DualTable::bracket`] interpolates the nearest published
@@ -61,7 +66,7 @@
 //! every schedule are the same as an unbounded search's.
 
 use crate::engine::SearchPolicy;
-use crate::state::{LinkQueues, MultiAlphaEdges};
+use crate::state::{FusedBounds, LinkQueues, MultiAlphaEdges};
 use octopus_matching::{
     greedy::{bucket_greedy_matching, greedy_matching, GreedyScratch},
     matching_weight, AssignmentSolver, WeightedBipartiteGraph,
@@ -176,6 +181,19 @@ struct KernelWorkspace {
     /// The sequential search's unsolved candidates ([`exhaustive_pruned`]),
     /// taken out for the search and put back after it.
     pending: Vec<Pending>,
+    /// A one-slot column cache: candidate `col_key.1`'s weight column of
+    /// the sweep with id `col_key.0` (sweep 0 = none), built on demand by
+    /// [`SweepContext::load_column`].
+    col: Vec<f64>,
+    col_key: (u64, usize),
+    /// The fused eager-bound pass's results and scratch
+    /// ([`SweepContext::new`]).
+    bounds: FusedBounds,
+    /// Per candidate, the previous search's dual row nearest to it.
+    prior_rows: Vec<Option<usize>>,
+    /// Those rows' entries, port-major (`z_gather[v * K + k]`), for the
+    /// fused pass.
+    z_gather: Vec<f64>,
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
     /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
     loaded_sweep: u64,
@@ -193,7 +211,7 @@ static SWEEP_IDS: AtomicU64 = AtomicU64::new(1);
 /// strict α-search cut (`bound < incumbent score` ⇒ skip) stays sound in
 /// floating point.
 ///
-/// Each bound the cut compares — the sweep's row/column-max bound and the
+/// Each bound the cut compares — a column's row/column-max bound and the
 /// weak-duality bound — is at least the kernel's matching weight in exact
 /// arithmetic, but both sides are float sums, summed in different orders:
 /// the bound of `m` rounded non-negative terms, the kernel's weight
@@ -233,11 +251,8 @@ pub(crate) struct DualTable {
 
 impl DualTable {
     /// An empty table for the ascending candidates `alphas` of an `n`-port
-    /// fabric. Callers allocate it *before* the sweep's weight matrix: the
-    /// table outlives the select (the engine keeps it for the next one), and
-    /// allocated after the matrix it would sit above the matrix's freed
-    /// block and fragment the heap (peak RSS +13% on a 256-port window).
-    // lint:allow(hot-alloc) — amortized: one K × n table per select, next to the sweep's K × E weight matrix
+    /// fabric. The engine keeps it past the select, for the next one.
+    // lint:allow(hot-alloc) — amortized: one K × n table per select, next to the sweep's O(E) edge arrays
     pub(crate) fn new(alphas: &[u64], n: usize) -> Self {
         DualTable {
             n,
@@ -264,38 +279,49 @@ impl DualTable {
         self.ready[k].load(Ordering::Acquire)
     }
 
-    /// Copies row `k` into `out` (which must have been seen ready).
-    fn copy_row(&self, k: usize, out: &mut Vec<f64>) {
-        out.clear();
-        out.extend(self.row(k));
-    }
-
     /// The entries of row `k` (which must have been seen ready).
     fn row(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
-        self.z[k * self.n..(k + 1) * self.n]
-            .iter()
-            // lint:allow(atomic-ordering) — proof: callers read a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
-            .map(|slot| f64::from_bits(slot.load(Ordering::Relaxed)))
+        (0..self.n).map(move |v| self.entry(k, v))
     }
 
-    /// Copies into `out` the published row whose α is nearest to `alpha`
-    /// (the smaller α on a tie) and returns `true`, or returns `false` when
-    /// no row is published. Sorted αs make the nearest published row on
-    /// each side the first one met scanning outward.
-    pub(crate) fn nearest(&self, alpha: u64, out: &mut Vec<f64>) -> bool {
-        let k = match self.neighbours(alpha) {
-            (Some(lo), Some(hi)) => {
-                if alpha - self.alphas[lo] <= self.alphas[hi] - alpha {
-                    lo
-                } else {
-                    hi
-                }
+    /// Entry `v` of row `k` (which must have been seen ready); 0 past the
+    /// row's end.
+    fn entry(&self, k: usize, v: usize) -> f64 {
+        if v >= self.n {
+            return 0.0;
+        }
+        // lint:allow(atomic-ordering) — proof: callers read a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
+        f64::from_bits(self.z[k * self.n + v].load(Ordering::Relaxed))
+    }
+
+    /// For each α of the ascending list `alphas`, the published row whose α
+    /// is nearest (the smaller α on a tie), or `None` when no row is
+    /// published, in one merge over the published rows.
+    fn nearest_each(&self, alphas: &[u64], out: &mut Vec<Option<usize>>) {
+        out.clear();
+        let ready_from = |k: usize| (k..self.alphas.len()).find(|&r| self.is_ready(r));
+        let (mut below, mut above) = (None, ready_from(0));
+        for &alpha in alphas {
+            while let Some(r) = above.filter(|&r| self.alphas[r] < alpha) {
+                below = Some(r);
+                above = ready_from(r + 1);
             }
-            (Some(k), None) | (None, Some(k)) => k,
-            (None, None) => return false,
-        };
-        self.copy_row(k, out);
-        true
+            out.push(self.nearer(alpha, below, above));
+        }
+    }
+
+    /// Of the nearest published rows below and at-or-above `alpha`, the one
+    /// whose α is nearer (the smaller α on a tie).
+    fn nearer(&self, alpha: u64, below: Option<usize>, above: Option<usize>) -> Option<usize> {
+        match (below, above) {
+            (Some(lo), Some(hi)) => Some(if alpha - self.alphas[lo] <= self.alphas[hi] - alpha {
+                lo
+            } else {
+                hi
+            }),
+            (Some(k), None) | (None, Some(k)) => Some(k),
+            (None, None) => None,
+        }
     }
 
     /// Copies into `out` a dual row for `alpha` bracketed by the published
@@ -333,38 +359,43 @@ impl DualTable {
     }
 }
 
-/// One iteration's batched α-search context: the fixed edge topology with one
-/// weight column and one matching-weight upper bound per candidate α
-/// ([`LinkQueues::weighted_edges_multi`]), tagged with a process-unique id so
-/// per-thread workspaces know when their loaded CSR topology is current.
+/// One iteration's batched α-search context: the fixed edge topology of
+/// every candidate α ([`LinkQueues::weighted_edges_multi`]) with each
+/// candidate's eager bound, tagged with a process-unique id so per-thread
+/// workspaces know when their loaded CSR topology and cached column are
+/// current.
 ///
 /// It also carries the dual sources that tighten the search's bounds: the
 /// table this search fills with each exact solve's right-side duals, and
-/// the previous search's table (`prior`). Both enter only through the
-/// weak-duality bound, which is valid for any `z ≥ 0`, so neither can
-/// change the winner.
-pub(crate) struct SweepContext<'p> {
-    sweep: MultiAlphaEdges,
+/// the previous search's table (`prior`, folded into the eager bounds).
+/// Both enter only through the weak-duality bound, which is valid for any
+/// `z ≥ 0`, so neither can change the winner.
+pub(crate) struct SweepContext<'q> {
+    sweep: MultiAlphaEdges<'q>,
     id: u64,
     duals: DualTable,
-    prior: Option<&'p DualTable>,
+    /// Per candidate, its eager bound on the matching weight (the score
+    /// bound times `α + Δ`).
+    eager: Vec<f64>,
 }
 
-impl<'p> SweepContext<'p> {
+impl<'q> SweepContext<'q> {
     /// A context over `sweep` that records its solves' duals in `duals`, a
-    /// fresh [`DualTable`] over the same candidates.
+    /// fresh [`DualTable`] over the same candidates, and bounds every
+    /// candidate eagerly under `prior`, the previous search's duals.
     pub(crate) fn new(
-        sweep: MultiAlphaEdges,
+        sweep: MultiAlphaEdges<'q>,
         duals: DualTable,
-        prior: Option<&'p DualTable>,
+        prior: Option<&DualTable>,
     ) -> Self {
         debug_assert_eq!(duals.alphas, sweep.alphas(), "table and sweep disagree");
+        let eager = KERNEL_WS.with(|ws| eager_bounds(&sweep, prior, &mut ws.borrow_mut()));
         SweepContext {
             sweep,
             // lint:allow(atomic-ordering) — proof: fetch_add is a single atomic RMW; uniqueness of the returned ids is guaranteed at any ordering and nothing else is synchronized on it.
             id: SWEEP_IDS.fetch_add(1, Ordering::Relaxed),
             duals,
-            prior,
+            eager,
         }
     }
 
@@ -395,24 +426,20 @@ impl<'p> SweepContext<'p> {
     }
 
     /// The eager score bound of one swept candidate α, which seeds its
-    /// place in the search: the sweep's row/column-max bound, tightened by
-    /// the weak-duality bound under the previous search's duals of the
-    /// nearest α.
+    /// place in the search: the row/column-max bound of its column,
+    /// tightened by the weak-duality bound under the previous search's
+    /// duals of the nearest α ([`eager_bounds`]).
     pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
-        let k = self.sweep.index_of(alpha);
-        let n = self.sweep.n() as usize;
-        let mut ub = outward(self.sweep.upper_bound(k), 2 * n);
-        if let Some(prior) = self.prior {
-            ub = ub.min(KERNEL_WS.with(|ws| {
-                let ws = &mut *ws.borrow_mut();
-                if prior.nearest(alpha, &mut ws.z) {
-                    self.dual_bound(k, &ws.z, None)
-                } else {
-                    f64::INFINITY
-                }
-            }));
+        self.eager[self.sweep.index_of(alpha)] / (alpha + delta) as f64
+    }
+
+    /// Loads candidate `k`'s weight column into `ws.col`, unless the
+    /// workspace's one-slot cache already holds it.
+    fn load_column(&self, k: usize, ws: &mut KernelWorkspace) {
+        if ws.col_key != (self.id, k) {
+            self.sweep.fill_column(k, &mut ws.col);
+            ws.col_key = (self.id, k);
         }
-        ub / (alpha + delta) as f64
     }
 
     /// The lazy score bound of one swept candidate α under the duals this
@@ -430,24 +457,26 @@ impl<'p> SweepContext<'p> {
             if !self.duals.bracket(alpha, &mut ws.z) {
                 return f64::INFINITY;
             }
-            let bound = self.dual_bound(k, &ws.z, Some(&mut ws.y)) / cost;
+            self.load_column(k, ws);
+            let bound = self.dual_bound(&ws.col, &ws.z, Some(&mut ws.y)) / cost;
             if bound < incumbent {
                 return bound;
             }
-            bound.min(self.descent_bound(k, &ws.y, &mut ws.z_descent) / cost)
+            bound.min(self.descent_bound(&ws.col, &ws.y, &mut ws.z_descent) / cost)
         })
     }
 
-    /// A certified weak-duality bound on every matching weight of column
-    /// `k`, from dual prices `z ≥ 0` (one entry per right port), padded by
-    /// [`outward`]: re-deriving `y_u := max_v (w(u,v) − z_v)⁺` from scratch
-    /// (left in `y` when given, one entry per left port) makes `(y, z)`
-    /// dual-feasible for **any** `z ≥ 0`, however stale, so
+    /// A certified weak-duality bound on every matching weight of the
+    /// weight column `col`, from dual prices `z ≥ 0` (one entry per right
+    /// port), padded by [`outward`]: re-deriving
+    /// `y_u := max_v (w(u,v) − z_v)⁺` from scratch (left in `y` when
+    /// given, one entry per left port) makes `(y, z)` dual-feasible for
+    /// **any** `z ≥ 0`, however stale, so
     /// `Σ_u y_u + Σ_v z_v` bounds the column's maximum matching weight.
     /// Duals from other columns or other iterations therefore tighten
     /// pruning without ever being trusted — a poor `z` merely loosens the
     /// bound.
-    fn dual_bound(&self, k: usize, z: &[f64], mut y: Option<&mut Vec<f64>>) -> f64 {
+    fn dual_bound(&self, col: &[f64], z: &[f64], mut y: Option<&mut Vec<f64>>) -> f64 {
         let n = self.sweep.n() as usize;
         if let Some(y) = y.as_deref_mut() {
             y.clear();
@@ -465,7 +494,7 @@ impl<'p> SweepContext<'p> {
         };
         let mut cur_u = u32::MAX;
         let mut cur_best = 0.0f64;
-        for (&(u, v), &w) in self.sweep.edges().iter().zip(self.sweep.column(k)) {
+        for (&(u, v), &w) in self.sweep.edges().iter().zip(col) {
             if w <= 0.0 {
                 continue;
             }
@@ -486,18 +515,18 @@ impl<'p> SweepContext<'p> {
         outward(y_total + z_total, 2 * n + z.len() + 1)
     }
 
-    /// One coordinate-descent step on the dual of column `k`: from the left
-    /// duals `y ≥ 0` that [`SweepContext::dual_bound`] re-derived, the
-    /// least feasible right duals `z'_v := max_u (w(u,v) − y_u)⁺` (left in
-    /// `z`), and the certified bound `Σ_u y_u + Σ_v z'_v`, padded by
+    /// One coordinate-descent step on the dual of the column `col`: from
+    /// the left duals `y ≥ 0` that [`SweepContext::dual_bound`] re-derived,
+    /// the least feasible right duals `z'_v := max_u (w(u,v) − y_u)⁺` (left
+    /// in `z`), and the certified bound `Σ_u y_u + Σ_v z'_v`, padded by
     /// [`outward`]. `(y, z')` is dual-feasible for any `y ≥ 0`, and since
     /// `y` was derived from some `z ≥ 0`, `z' ≤ z` entrywise: the step
     /// never loosens the bound it starts from (up to rounding).
-    fn descent_bound(&self, k: usize, y: &[f64], z: &mut Vec<f64>) -> f64 {
+    fn descent_bound(&self, col: &[f64], y: &[f64], z: &mut Vec<f64>) -> f64 {
         let n = self.sweep.n() as usize;
         z.clear();
         z.resize(n, 0.0);
-        for (&(u, v), &w) in self.sweep.edges().iter().zip(self.sweep.column(k)) {
+        for (&(u, v), &w) in self.sweep.edges().iter().zip(col) {
             if w <= 0.0 {
                 continue;
             }
@@ -515,9 +544,9 @@ impl<'p> SweepContext<'p> {
 
     /// Evaluates one swept candidate α on this thread's workspace: reloads
     /// the topology only when the workspace last solved a different sweep,
-    /// then re-solves the α's weight column in place and, for the exact
-    /// kind, publishes the solve's right-side duals into this search's
-    /// [`DualTable`]. Allocation-free after the first candidate except for
+    /// loads the α's weight column ([`SweepContext::load_column`]), then
+    /// re-solves it in place and, for the exact kind, publishes the solve's
+    /// right-side duals into this search's [`DualTable`]. Allocation-free after the first candidate except for
     /// the returned matching itself.
     ///
     /// Results are bit-identical to the per-α path
@@ -528,11 +557,12 @@ impl<'p> SweepContext<'p> {
     // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
     pub(crate) fn eval(&self, alpha: u64, delta: u64, kind: MatchingKind) -> BestChoice {
         let k = self.sweep.index_of(alpha);
-        let col = self.sweep.column(k);
         let edges = self.sweep.edges();
         let n = self.sweep.n();
         let (matching, benefit) = KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
+            self.load_column(k, ws);
+            let col = &ws.col;
             match kind {
                 MatchingKind::Exact => {
                     if ws.loaded_sweep != self.id {
@@ -574,6 +604,58 @@ impl<'p> SweepContext<'p> {
             worker_evals: Vec::new(),
         }
     }
+}
+
+/// Every candidate's eager bound on its matching weight, from one fused pass
+/// over `sweep` ([`MultiAlphaEdges::fused_bounds`]): the row/column-max
+/// bound, padded by [`outward`], and, when `prior` has a published row, the
+/// weak-duality bound under the row nearest each α. Both equal, bit for bit,
+/// what a pass over each candidate's column computes
+/// ([`SweepContext::dual_bound`] for the second): the fused pass sums in the
+/// same orders, and `Σz` is summed here over the same row.
+fn eager_bounds(
+    sweep: &MultiAlphaEdges,
+    prior: Option<&DualTable>,
+    ws: &mut KernelWorkspace,
+) -> Vec<f64> {
+    let alphas = sweep.alphas();
+    let (kk, n) = (alphas.len(), sweep.n() as usize);
+    ws.prior_rows.clear();
+    if let Some(prior) = prior {
+        prior.nearest_each(alphas, &mut ws.prior_rows);
+    }
+    // With any row published, every candidate has a nearest one.
+    let dual = ws.prior_rows.first().is_some_and(Option::is_some);
+    if let Some(prior) = prior.filter(|_| dual) {
+        ws.z_gather.clear();
+        for v in 0..n {
+            let rows = ws.prior_rows.iter().flatten();
+            ws.z_gather.extend(rows.map(|&r| prior.entry(r, v)));
+        }
+    }
+    sweep.fused_bounds(dual.then_some(ws.z_gather.as_slice()), &mut ws.bounds);
+    let mut eager = Vec::with_capacity(kk);
+    // `Σz` of the last row summed: a candidate's nearest row is usually its
+    // predecessor's.
+    let mut z_total = (usize::MAX, 0.0f64);
+    for k in 0..kk {
+        let mut ub = outward(ws.bounds.row_col[k], 2 * n);
+        if let Some(prior) = prior {
+            ub = ub.min(match ws.prior_rows[k] {
+                Some(r) => {
+                    if z_total.0 != r {
+                        z_total = (r, prior.row(r).sum());
+                    }
+                    // As in `dual_bound`: n rounded slacks, `Σz`, one final
+                    // add, and the ≤ n terms of the kernel's weight.
+                    outward(ws.bounds.slack[k] + z_total.1, 2 * n + prior.n + 1)
+                }
+                None => f64::INFINITY,
+            });
+        }
+        eager.push(ub);
+    }
+    eager
 }
 
 /// Total column weight of `matching`, summed in matching order — the same
@@ -979,7 +1061,8 @@ fn ternary<E: Fn(u64) -> BestChoice>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::LinkQueues;
+    use crate::state::{LinkQueue, LinkQueues};
+    use crate::HopWeighting;
     use proptest::prelude::*;
 
     /// Two links from distinct ports, different weight profiles.
@@ -1289,6 +1372,13 @@ mod tests {
         assert_eq!(best.worker_evals, vec![1]);
     }
 
+    /// Candidate `k`'s weight column of `ctx`'s sweep.
+    fn column(ctx: &SweepContext, k: usize) -> Vec<f64> {
+        let mut col = Vec::new();
+        ctx.sweep.fill_column(k, &mut col);
+        col
+    }
+
     /// Tie-heavy `1/k` hop-weight links on up to 6 ports: `(link, k, count)`.
     fn tie_heavy_links() -> impl Strategy<Value = Vec<((u32, u32), u64, u64)>> {
         prop::collection::vec(((0u32..6, 0u32..6), 1u64..5, 1u64..40), 1..30)
@@ -1325,16 +1415,18 @@ mod tests {
             let duals = DualTable::new(&alphas, 6);
             let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
             let mut scores = vec![0.0; alphas.len()];
+            let columns: Vec<Vec<f64>> = (0..alphas.len()).map(|k| column(&ctx, k)).collect();
             for &k in &order {
                 let alpha = alphas[k];
                 let cost = (alpha + delta) as f64;
+                let col = &columns[k];
                 // The lazy bound under the duals solved so far, before
                 // this α's own solve; a −∞ incumbent forces the descent
                 // step.
                 let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
                 let halves = ctx.duals.bracket(alpha, &mut z).then(|| {
-                    let bracketed = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
-                    (bracketed, ctx.descent_bound(k, &y, &mut z_descent) / cost)
+                    let bracketed = ctx.dual_bound(col, &z, Some(&mut y)) / cost;
+                    (bracketed, ctx.descent_bound(col, &y, &mut z_descent) / cost)
                 });
                 let s = ctx.eval(alpha, delta, MatchingKind::Exact).score;
                 prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
@@ -1343,15 +1435,16 @@ mod tests {
                     prop_assert!(descended >= s, "descent {} < score {}", descended, s);
                 }
                 prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
-                prop_assert!(ctx.dual_bound(k, &z_rand, None) / cost >= s);
+                prop_assert!(ctx.dual_bound(col, &z_rand, None) / cost >= s);
                 scores[k] = s;
             }
             for (k, &alpha) in alphas.iter().enumerate() {
                 let cost = (alpha + delta) as f64;
                 for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
-                    ctx.duals.copy_row(r, &mut z);
-                    let b = ctx.dual_bound(k, &z, Some(&mut y)) / cost;
-                    let d = ctx.descent_bound(k, &y, &mut z_descent) / cost;
+                    z.clear();
+                    z.extend(ctx.duals.row(r));
+                    let b = ctx.dual_bound(&columns[k], &z, Some(&mut y)) / cost;
+                    let d = ctx.descent_bound(&columns[k], &y, &mut z_descent) / cost;
                     prop_assert!(
                         b.min(d) >= scores[k],
                         "α {} under row {}: bound {} descent {} < score {}",
@@ -1368,7 +1461,7 @@ mod tests {
             }
             for (k, &alpha) in alphas.iter().enumerate() {
                 prop_assert!(signed.bracket(alpha, &mut z));
-                let b = ctx.dual_bound(k, &z, None) / (alpha + delta) as f64;
+                let b = ctx.dual_bound(&columns[k], &z, None) / (alpha + delta) as f64;
                 prop_assert!(b >= scores[k], "signed row: bound {} < score {}", b, scores[k]);
             }
             // The next search, bounded by this one's duals.
@@ -1379,6 +1472,221 @@ mod tests {
             );
             for (k, &alpha) in alphas.iter().enumerate() {
                 prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);
+            }
+        }
+    }
+
+    /// The dense sweep that the fused pass and the on-demand columns
+    /// replaced, kept as their reference: every candidate's `g` column over
+    /// the live links, one merge-walk per link, and each column's
+    /// row/column-max bound from a dense pass over it.
+    struct DenseSweep {
+        edges: Vec<(u32, u32)>,
+        columns: Vec<Vec<f64>>,
+        ubs: Vec<f64>,
+    }
+
+    fn dense_sweep(
+        q: &LinkQueues,
+        alphas: &[u64],
+        extra: impl Fn((u32, u32)) -> u64,
+    ) -> DenseSweep {
+        let n = q.n() as usize;
+        let edges: Vec<(u32, u32)> = q.links().collect();
+        let mut columns = vec![vec![0.0; edges.len()]; alphas.len()];
+        let mut row = vec![0.0; alphas.len()];
+        for (e, &(i, j)) in edges.iter().enumerate() {
+            let shifted: Vec<u64> = alphas.iter().map(|&a| a + extra((i, j))).collect();
+            q.queue(i, j)
+                .expect("live link")
+                .g_multi(&shifted, &mut row);
+            for (col, &g) in columns.iter_mut().zip(&row) {
+                col[e] = g;
+            }
+        }
+        let ubs = columns
+            .iter()
+            .map(|col| {
+                let (mut row_max, mut col_max) = (vec![0.0f64; n], vec![0.0f64; n]);
+                for (&(i, j), &g) in edges.iter().zip(col) {
+                    if g > row_max[i as usize] {
+                        row_max[i as usize] = g;
+                    }
+                    if g > col_max[j as usize] {
+                        col_max[j as usize] = g;
+                    }
+                }
+                let rs: f64 = row_max.iter().sum();
+                let cs: f64 = col_max.iter().sum();
+                rs.min(cs)
+            })
+            .collect();
+        DenseSweep {
+            edges,
+            columns,
+            ubs,
+        }
+    }
+
+    /// The per-column weak-duality bound the eager bounds used to run once
+    /// per candidate: left duals re-derived run by run, then `Σz`, padded.
+    fn reference_dual_bound(n: usize, edges: &[(u32, u32)], col: &[f64], z: &[f64]) -> f64 {
+        let mut y_total = 0.0f64;
+        let (mut cur_u, mut cur_best) = (u32::MAX, 0.0f64);
+        for (&(u, v), &w) in edges.iter().zip(col) {
+            if w <= 0.0 {
+                continue;
+            }
+            if u != cur_u {
+                y_total += cur_best;
+                cur_u = u;
+                cur_best = 0.0;
+            }
+            let slack = w - z.get(v as usize).copied().unwrap_or(0.0);
+            if slack > cur_best {
+                cur_best = slack;
+            }
+        }
+        y_total += cur_best;
+        let z_total: f64 = z.iter().sum();
+        outward(y_total + z_total, 2 * n + z.len() + 1)
+    }
+
+    /// [`SweepContext::solved_score_bound`] on an explicit column.
+    fn reference_lazy(ctx: &SweepContext, col: &[f64], alpha: u64, delta: u64, inc: f64) -> f64 {
+        let (mut z, mut y, mut z_descent) = (Vec::new(), Vec::new(), Vec::new());
+        if !ctx.duals.bracket(alpha, &mut z) {
+            return f64::INFINITY;
+        }
+        let cost = (alpha + delta) as f64;
+        let bound = ctx.dual_bound(col, &z, Some(&mut y)) / cost;
+        if bound < inc {
+            return bound;
+        }
+        bound.min(ctx.descent_bound(col, &y, &mut z_descent) / cost)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    proptest! {
+        /// The fused eager bounds, the on-demand columns and everything
+        /// bounded or solved from them equal the dense reference bit for
+        /// bit: on `EpsilonLater { eps: −0.5 }` hop weights (multi-class
+        /// links, zero-weight classes), with tombstoned links, links
+        /// patched onto the arena tail or to zero weight, a per-link α
+        /// bonus, and a previous
+        /// search's table with missing rows and entries of either sign. A
+        /// second sweep over the same snapshot is evaluated between each
+        /// refine and solve, so a column cache keyed on the candidate alone
+        /// would hand back its column.
+        #[test]
+        fn fused_bounds_and_columns_match_the_dense_reference(
+            links in prop::collection::vec(((0u32..7, 0u32..7), 1u32..4, 0u32..3, 1u64..40), 1..40),
+            edits in prop::collection::vec((0usize..64, 0u32..4), 0..16),
+            z_prior in prop::collection::vec(-2.0f64..8.0, 42),
+            published in prop::collection::vec(0usize..8, 0..5),
+            (delta, with_prior) in (0u64..30, 0u32..3),
+        ) {
+            let n = 7u32;
+            let eps = HopWeighting::EpsilonLater { eps: -0.5 };
+            let mut q = LinkQueues::from_weighted_counts(
+                n,
+                links
+                    .iter()
+                    .filter(|((i, j), ..)| i != j)
+                    .map(|&(link, k, x, c)| (link, eps.hop_weight(k, x % k).value(), c)),
+            );
+            let keys: Vec<(u32, u32)> = q.links().collect();
+            prop_assume!(!keys.is_empty());
+            let mut bonus = Vec::new();
+            for &(pick, action) in &edits {
+                let link = keys[pick % keys.len()];
+                match action {
+                    0 => q.set_link(link, None),
+                    1 => q.set_link(
+                        link,
+                        LinkQueue::from_weighted_counts([
+                            (eps.hop_weight(3, pick as u32 % 3).value(), 5 + pick as u64),
+                            (1.0 / 3.0, 2),
+                            (0.25, 7),
+                        ]),
+                    ),
+                    2 => bonus.push(link),
+                    _ => q.set_link(link, LinkQueue::from_weighted_counts([(0.0, 4)])),
+                }
+            }
+            let extra = |link| if bonus.contains(&link) { delta + 1 } else { 0 };
+            let alphas = q.alpha_candidates(10_000);
+            prop_assume!(!alphas.is_empty());
+            let prior_alphas: Vec<u64> = alphas.iter().step_by(2).map(|&a| a + 3).collect();
+            let prior = DualTable::new(&prior_alphas, n as usize);
+            for &r in &published {
+                if r < prior_alphas.len() {
+                    prior.publish(r, &z_prior[(r % 6) * 7..][..7]);
+                }
+            }
+            let prior = (with_prior > 0).then_some(&prior);
+            let ctx = SweepContext::new(
+                q.weighted_edges_multi_with(&alphas, extra),
+                DualTable::new(&alphas, n as usize),
+                prior,
+            );
+            let slack = KERNEL_WS.with(|ws| ws.borrow().bounds.slack.clone());
+            let other = SweepContext::new(
+                q.weighted_edges_multi(&alphas),
+                DualTable::new(&alphas, n as usize),
+                None,
+            );
+            let DenseSweep {
+                edges,
+                columns: dense,
+                ubs,
+            } = dense_sweep(&q, &alphas, extra);
+            prop_assert_eq!(ctx.sweep.edges(), &edges[..]);
+            let nn = n as usize;
+            for (k, &alpha) in alphas.iter().enumerate() {
+                prop_assert_eq!(bits(&column(&ctx, k)), bits(&dense[k]), "column {}", k);
+                let mut want = outward(ubs[k], 2 * nn);
+                if let Some(prior) = prior {
+                    let (below, above) = prior.neighbours(alpha);
+                    want = want.min(match prior.nearer(alpha, below, above) {
+                        Some(r) => {
+                            let z: Vec<f64> = prior.row(r).collect();
+                            let dual = reference_dual_bound(nn, &edges, &dense[k], &z);
+                            let fused = outward(slack[k] + z.iter().sum::<f64>(), 3 * nn + 1);
+                            prop_assert_eq!(fused.to_bits(), dual.to_bits(), "dual bound {}", k);
+                            dual
+                        }
+                        None => f64::INFINITY,
+                    });
+                }
+                prop_assert_eq!(ctx.eager[k].to_bits(), want.to_bits(), "eager bound {}", k);
+                let cost = (alpha + delta) as f64;
+                prop_assert_eq!(
+                    ctx.score_upper_bound(alpha, delta).to_bits(),
+                    (want / cost).to_bits()
+                );
+            }
+            // Solve in a strided order, so lazy bounds meet rows on one
+            // side and on both.
+            let order = (0..alphas.len()).map(|i| (i * 5 + 3) % alphas.len());
+            let mut solver = AssignmentSolver::new();
+            solver.load_topology(n, n, &edges);
+            for k in order {
+                let alpha = alphas[k];
+                for inc in [f64::NEG_INFINITY, f64::INFINITY] {
+                    let got = ctx.solved_score_bound(alpha, delta, inc);
+                    let want = reference_lazy(&ctx, &dense[k], alpha, delta, inc);
+                    prop_assert_eq!(got.to_bits(), want.to_bits(), "lazy bound {}", k);
+                }
+                other.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
+                other.eval(alpha, delta, MatchingKind::Exact);
+                let choice = ctx.eval(alpha, delta, MatchingKind::Exact);
+                solver.solve_reweighted(&dense[k]);
+                prop_assert_eq!(&choice.matching[..], solver.matching());
+                prop_assert_eq!(choice.benefit.to_bits(), solver.last_weight().to_bits());
             }
         }
     }

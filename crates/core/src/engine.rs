@@ -212,18 +212,18 @@ pub trait Fabric<S> {
 
     /// A batched multi-α weight sweep, for fabrics whose per-α evaluation is
     /// a bipartite matching kernel over one `g` column: the fixed topology
-    /// plus one weight column (and matching-weight upper bound) per
-    /// candidate, computed in one pass over the snapshot
+    /// over the snapshot, from which every candidate's bounds come in one
+    /// pass and its weight column on demand
     /// ([`LinkQueues::weighted_edges_multi`]). When `Some`, the engine
     /// evaluates candidates on per-thread reusable matching workspaces and
     /// prunes with the per-column bounds; `None` (the default) keeps the
     /// fabric's per-α [`Fabric::evaluate`] path, unpruned.
-    fn weight_sweep(
+    fn weight_sweep<'q>(
         &self,
         source: &S,
-        queues: &LinkQueues,
+        queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges, MatchingKind)> {
+    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
         let _ = (source, queues, candidates);
         None
     }
@@ -274,12 +274,12 @@ impl<S> Fabric<S> for BipartiteFabric {
         Ok((matching, budgets))
     }
 
-    fn weight_sweep(
+    fn weight_sweep<'q>(
         &self,
         _source: &S,
-        queues: &LinkQueues,
+        queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges, MatchingKind)> {
+    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
         Some((queues.weighted_edges_multi(candidates), self.kind))
     }
 }
@@ -499,12 +499,12 @@ impl<S> Fabric<S> for LocalFabric {
         Ok((matching, budgets))
     }
 
-    fn weight_sweep(
+    fn weight_sweep<'q>(
         &self,
         _source: &S,
-        queues: &LinkQueues,
+        queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges, MatchingKind)> {
+    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
         // Persistent links serve through the Δ transition, so their column
         // entries are g(i, j, α + Δ) — a per-link slot bonus in the sweep.
         Some((
@@ -707,14 +707,13 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         let queues = &*queues.get_or_insert_with(|| source.snapshot_queues(n));
         let source = &*source;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        // Before the sweep, see `DualTable::new`; unused without a sweep.
-        let table = DualTable::new(&candidates, n as usize);
         if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
-            // Batched path: one pass over the snapshot produced every α's
-            // weight column and matching-weight bound; per-α evaluation runs
-            // on this thread's (or each rayon worker's) reusable workspace.
-            // The bounds are valid for the greedy kernels too (a greedy
-            // matching never out-weighs the exact optimum).
+            // Batched path: one fused pass over the sweep bounds every α,
+            // and a column is built only for an α the search refines or
+            // solves, on this thread's (or each rayon worker's) reusable
+            // workspace. The bounds are valid for the greedy kernels too (a
+            // greedy matching never out-weighs the exact optimum).
+            let table = DualTable::new(&candidates, n as usize);
             let ctx = SweepContext::new(sweep, table, duals.as_ref());
             let (best, solved) = ctx.search(policy, kind, delta);
             *duals = Some(solved);

@@ -79,4 +79,6 @@ pub use error::{check_window, SchedError, MAX_WINDOW};
 pub use memo::{plan_window_cached, CacheOutcome, CacheStats, ScheduleCache, WindowPlan};
 pub use octopus::{octopus, OctopusConfig, OctopusOutput};
 pub use octopus_traffic::HopWeighting;
-pub use state::{LinkQueue, LinkQueueRef, LinkQueues, MultiAlphaEdges, RemainingTraffic};
+pub use state::{
+    FusedBounds, LinkQueue, LinkQueueRef, LinkQueues, MultiAlphaEdges, RemainingTraffic,
+};

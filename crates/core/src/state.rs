@@ -817,54 +817,70 @@ pub struct LinkQueueRef<'a> {
 }
 
 impl<'a> LinkQueueRef<'a> {
-    /// `g(α)`: maximum total weight of α waiting packets — the one-α case
-    /// of [`LinkQueueRef::g_multi`].
+    /// `g(α)`: maximum total weight of α waiting packets. The class holding
+    /// the α-th packet is found by binary search, and `g` is the weight
+    /// below it plus the α-th packet's share of it: the expression
+    /// [`LinkQueueRef::g_multi`] evaluates, so both agree bit for bit.
     pub fn g(&self, alpha: u64) -> f64 {
-        let mut out = [0.0];
-        self.g_multi(&[alpha], &mut out);
-        out[0]
+        if alpha == 0 {
+            return 0.0;
+        }
+        let idx = self.prefix_counts.partition_point(|&c| c < alpha);
+        match self.classes.get(idx) {
+            Some(&(w, _)) => {
+                let (below_count, below_weight) = match idx.checked_sub(1) {
+                    Some(b) => (self.prefix_counts[b], self.prefix_weights[b]),
+                    None => (0, 0.0),
+                };
+                below_weight + (alpha - below_count) as f64 * w
+            }
+            None => self.prefix_weights.last().copied().unwrap_or(0.0),
+        }
     }
 
-    /// Batched `g(α)` over an **ascending** α list: one merge-walk over the
-    /// class boundaries instead of one binary search per α.
+    /// Batched `g(α)` over an **ascending** α list: one pass over the
+    /// classes, each filling the run of αs that falls in it, instead of one
+    /// binary search per α.
     ///
     /// Writes `g(alphas[k])` into `out[k]`; `O(classes + alphas.len())`.
-    /// [`LinkQueueRef::g`] is the one-α case, so both agree bit for bit.
+    /// Bit for bit [`LinkQueueRef::g`] at each α.
     ///
     /// # Panics
     /// Panics if `out.len() != alphas.len()`; debug-asserts that `alphas` is
     /// ascending.
     pub fn g_multi(&self, alphas: &[u64], out: &mut [f64]) {
+        self.g_multi_shifted(alphas, 0, out);
+    }
+
+    /// [`LinkQueueRef::g_multi`] at every α shifted by `extra` slots:
+    /// `out[k] = g(alphas[k] + extra)`.
+    fn g_multi_shifted(&self, alphas: &[u64], extra: u64, out: &mut [f64]) {
         assert_eq!(alphas.len(), out.len(), "one output slot per α required");
         debug_assert!(
             alphas.windows(2).all(|w| w[0] <= w[1]),
             "alphas must be ascending"
         );
-        let mut idx = 0;
-        for (slot, &alpha) in out.iter_mut().zip(alphas) {
-            if alpha == 0 {
-                *slot = 0.0;
-                continue;
-            }
-            while idx < self.prefix_counts.len() && self.prefix_counts[idx] < alpha {
-                idx += 1;
-            }
-            *slot = if idx >= self.classes.len() {
-                *self.prefix_weights.last().unwrap_or(&0.0)
-            } else {
-                let below_count = if idx == 0 {
-                    0
-                } else {
-                    self.prefix_counts[idx - 1]
-                };
-                let below_weight = if idx == 0 {
-                    0.0
-                } else {
-                    self.prefix_weights[idx - 1]
-                };
-                below_weight + (alpha - below_count) as f64 * self.classes[idx].0
-            };
+        let mut k = 0;
+        while k < alphas.len() && alphas[k] + extra == 0 {
+            out[k] = 0.0;
+            k += 1;
         }
+        // Class `c` holds the αs in (its predecessor's prefix count, its own].
+        let (mut below_count, mut below_weight) = (0u64, 0.0f64);
+        let steps = self
+            .classes
+            .iter()
+            .zip(self.prefix_counts)
+            .zip(self.prefix_weights);
+        for ((&(w, _), &count), &weight) in steps {
+            while k < alphas.len() && alphas[k] + extra <= count {
+                out[k] = below_weight + (alphas[k] + extra - below_count) as f64 * w;
+                k += 1;
+            }
+            (below_count, below_weight) = (count, weight);
+        }
+        // Past the last class: every packet, the last prefix weight.
+        out[k..].fill(below_weight);
     }
 
     /// Total packets waiting on this link.
@@ -1089,7 +1105,11 @@ impl LinkQueues {
 
     /// The borrowed view of the span at CSR position `idx`.
     fn view_at(&self, idx: usize) -> LinkQueueRef<'_> {
-        let (off, len) = self.spans[idx];
+        self.view_span(self.spans[idx])
+    }
+
+    /// The borrowed view of one `(offset, len)` span of the class arenas.
+    fn view_span(&self, (off, len): (u32, u32)) -> LinkQueueRef<'_> {
         let r = off as usize..(off + len) as usize;
         LinkQueueRef {
             classes: &self.classes[r.clone()],
@@ -1250,13 +1270,13 @@ impl LinkQueues {
             .collect()
     }
 
-    /// Batched form of [`LinkQueues::weighted_edges`]: evaluates `g(i, j, α)`
-    /// for every non-empty link and every α of an **ascending** candidate
-    /// list in one merge-walk pass per link ([`LinkQueueRef::g_multi`]),
-    /// producing a fixed edge topology plus one weight column per α — the
-    /// shape [`octopus_matching::AssignmentSolver`] re-solves without
-    /// rebuilding. Per-α matching upper bounds ride along in the same pass.
-    pub fn weighted_edges_multi(&self, alphas: &[u64]) -> MultiAlphaEdges {
+    /// Batched form of [`LinkQueues::weighted_edges`] over an **ascending**
+    /// candidate list: the fixed edge topology (every non-empty link) that
+    /// [`octopus_matching::AssignmentSolver`] re-solves without rebuilding,
+    /// with each link's span in this snapshot's class arena. No weight is
+    /// evaluated here: [`MultiAlphaEdges`] computes `g(i, j, α)` on demand,
+    /// one candidate's column or every candidate's bounds at a time.
+    pub fn weighted_edges_multi(&self, alphas: &[u64]) -> MultiAlphaEdges<'_> {
         self.weighted_edges_multi_with(alphas, |_| 0)
     }
 
@@ -1264,75 +1284,44 @@ impl LinkQueues {
     /// `(i, j)` is evaluated at `α + extra((i, j))` for every candidate α.
     /// Used by the localized-reconfiguration extension, where links kept from
     /// the previous configuration also serve during the Δ transition.
-    // lint:allow(hot-alloc) — amortized: CSR edge arrays sized once per sweep and shared by all α extractions in it
+    // lint:allow(hot-alloc) — amortized: the edge, span and bonus arrays are sized once per sweep and shared by every candidate's column and bound
     pub fn weighted_edges_multi_with(
         &self,
         alphas: &[u64],
         extra: impl Fn((u32, u32)) -> u64,
-    ) -> MultiAlphaEdges {
+    ) -> MultiAlphaEdges<'_> {
         debug_assert!(
             alphas.windows(2).all(|w| w[0] <= w[1]),
             "alphas must be ascending"
         );
         let ne = self.live_indices().count();
-        let k = alphas.len();
-        let n = self.n as usize;
         let mut edges = Vec::with_capacity(ne);
-        let mut weights = vec![0.0f64; k * ne];
-        let mut row = vec![0.0f64; k];
-        let mut shifted: Vec<u64> = Vec::with_capacity(k);
-        for (e, idx) in self.live_indices().enumerate() {
+        let mut spans = Vec::with_capacity(ne);
+        let mut bonus = Vec::with_capacity(ne);
+        for idx in self.live_indices() {
             let (i, j) = self.links[idx];
-            edges.push((i, j));
             debug_assert!(i < self.n && j < self.n, "link ({i}, {j}) out of fabric");
-            let q = self.view_at(idx);
-            let bonus = extra((i, j));
-            if bonus == 0 {
-                q.g_multi(alphas, &mut row);
-            } else {
-                shifted.clear();
-                shifted.extend(alphas.iter().map(|&a| a + bonus));
-                q.g_multi(&shifted, &mut row);
-            }
-            // Scatter the link's row into the column-major weight matrix.
-            for (kk, &g) in row.iter().enumerate() {
-                weights[kk * ne + e] = g;
-            }
-        }
-        // Upper-bound piggyback: per column, one dense row/col max pass.
-        let mut ubs = Vec::with_capacity(k);
-        let mut row_max = vec![0.0f64; n];
-        let mut col_max = vec![0.0f64; n];
-        for kk in 0..k {
-            row_max.fill(0.0);
-            col_max.fill(0.0);
-            let col = &weights[kk * ne..(kk + 1) * ne];
-            for (e, &(i, j)) in edges.iter().enumerate() {
-                let g = col[e];
-                if g > row_max[i as usize] {
-                    row_max[i as usize] = g;
-                }
-                if g > col_max[j as usize] {
-                    col_max[j as usize] = g;
-                }
-            }
-            let rs: f64 = row_max.iter().sum();
-            let cs: f64 = col_max.iter().sum();
-            ubs.push(rs.min(cs));
+            edges.push((i, j));
+            spans.push(self.spans[idx]);
+            bonus.push(extra((i, j)));
         }
         MultiAlphaEdges {
-            n: self.n,
+            queues: self,
             alphas: alphas.to_vec(),
             edges,
-            weights,
-            ubs,
+            spans,
+            bonus,
         }
     }
 }
 
-/// The result of a batched multi-α sweep over a [`LinkQueues`] snapshot: one
-/// fixed `(i, j)`-sorted edge topology shared by all candidate αs, plus one
-/// `g(i, j, α)` weight column and one matching-weight upper bound per α.
+/// A batched multi-α sweep over a [`LinkQueues`] snapshot: one fixed
+/// `(i, j)`-sorted edge topology shared by all candidate αs, plus what
+/// `g(i, j, α)` needs per edge — its span in the snapshot's class arena and
+/// its α bonus. It holds no weight matrix: [`MultiAlphaEdges::fill_column`]
+/// builds one candidate's `g` column on demand, and
+/// [`MultiAlphaEdges::fused_bounds`] bounds every candidate in one pass over
+/// the edges, evaluating each edge at all candidates at once.
 ///
 /// Columns may contain non-positive weights (a link whose queue holds only
 /// zero-weight classes at some α); matching kernels consuming a column must
@@ -1341,23 +1330,61 @@ impl LinkQueues {
 /// [`octopus_matching::greedy::GreedyScratch`] do. [`MultiAlphaEdges::edge_list`]
 /// applies the same filter for the one-shot kernels.
 #[derive(Debug, Clone)]
-pub struct MultiAlphaEdges {
-    n: u32,
+pub struct MultiAlphaEdges<'q> {
+    queues: &'q LinkQueues,
     alphas: Vec<u64>,
     edges: Vec<(u32, u32)>,
-    /// Column-major: `weights[k * edges.len() + e]` is edge `e`'s weight at
-    /// `alphas[k]`.
-    weights: Vec<f64>,
-    ubs: Vec<f64>,
+    /// Per edge, its `(offset, len)` span in `queues`' class arenas.
+    spans: Vec<(u32, u32)>,
+    /// Per edge, the slots added to every candidate α.
+    bonus: Vec<u64>,
 }
 
-impl MultiAlphaEdges {
+/// The per-candidate bounds [`MultiAlphaEdges::fused_bounds`] computes,
+/// with the pass's scratch. Reused across sweeps, so a warm pass allocates
+/// nothing.
+#[derive(Debug, Default)]
+pub struct FusedBounds {
+    /// Per candidate `k`: `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)` over column `k`, each
+    /// sum taken in port order.
+    pub row_col: Vec<f64>,
+    /// Per candidate `k`, when the pass was given dual prices `z`:
+    /// `Σᵤ maxᵥ (g(u, v) − z_v)⁺` over the positive entries of column `k`,
+    /// summed in left-port order (all zero without prices).
+    pub slack: Vec<f64>,
+    /// One edge's `g` at every candidate.
+    row: Vec<f64>,
+    /// The current left port's row maximum, per candidate.
+    run_max: Vec<f64>,
+    /// The current left port's largest positive slack, per candidate.
+    run_slack: Vec<f64>,
+    /// `Σᵢ maxⱼ g` so far, per candidate.
+    row_sum: Vec<f64>,
+    /// Column maxima, port-major: `col_max[v * K + k]`.
+    col_max: Vec<f64>,
+}
+
+/// Clears `buf` to `len` zeros, reusing its allocation.
+fn zeroed(buf: &mut Vec<f64>, len: usize) {
+    buf.clear();
+    buf.resize(len, 0.0);
+}
+
+/// Adds each `run` entry into `sum` and resets it to zero.
+fn fold_run(sum: &mut [f64], run: &mut [f64]) {
+    for (s, r) in sum.iter_mut().zip(run) {
+        *s += *r;
+        *r = 0.0;
+    }
+}
+
+impl MultiAlphaEdges<'_> {
     /// Fabric size the sweep was built for.
     pub fn n(&self) -> u32 {
-        self.n
+        self.queues.n
     }
 
-    /// The ascending candidate αs the sweep evaluated.
+    /// The ascending candidate αs the sweep evaluates.
     pub fn alphas(&self) -> &[u64] {
         &self.alphas
     }
@@ -1383,27 +1410,107 @@ impl MultiAlphaEdges {
         }
     }
 
-    /// The weight column of candidate `k` (in [`MultiAlphaEdges::edges`]
-    /// order).
-    pub fn column(&self, k: usize) -> &[f64] {
-        &self.weights[k * self.edges.len()..(k + 1) * self.edges.len()]
+    /// The queue of edge `e`.
+    fn queue(&self, e: usize) -> LinkQueueRef<'_> {
+        self.queues.view_span(self.spans[e])
     }
 
-    /// The matching-weight upper bound of candidate `k`:
-    /// `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)` over that column.
-    pub fn upper_bound(&self, k: usize) -> f64 {
-        self.ubs[k]
+    /// Fills `out` with candidate `k`'s weight column, in
+    /// [`MultiAlphaEdges::edges`] order.
+    pub fn fill_column(&self, k: usize, out: &mut Vec<f64>) {
+        let alpha = self.alphas[k];
+        out.clear();
+        out.extend((0..self.edges.len()).map(|e| self.queue(e).g(alpha + self.bonus[e])));
     }
 
     /// Candidate `k`'s edges in [`LinkQueues::weighted_edges`] form
     /// (positive-weight `(i, j, g)` triples, `(i, j)`-sorted).
     pub fn edge_list(&self, k: usize) -> Vec<(u32, u32, f64)> {
+        let mut col = Vec::new();
+        self.fill_column(k, &mut col);
         self.edges
             .iter()
-            .zip(self.column(k))
-            .filter(|&(_, &w)| w > 0.0)
-            .map(|(&(i, j), &w)| (i, j, w))
+            .zip(col)
+            .filter(|&(_, w)| w > 0.0)
+            .map(|(&(i, j), w)| (i, j, w))
             .collect()
+    }
+
+    /// Bounds every candidate in one pass over the edges, evaluating each
+    /// edge at all candidates at once ([`LinkQueueRef::g_multi`]) and
+    /// storing no column: [`FusedBounds::row_col`] always and, with `z`,
+    /// [`FusedBounds::slack`]. `z` holds one dual price per right port and
+    /// candidate, port-major: `z[v * K + k]` for `K` candidates.
+    ///
+    /// Each sum is taken in the order a per-column pass takes it (ports in
+    /// index order, left ports in edge order), so the results equal a
+    /// column-by-column computation bit for bit. Row maxima and slacks are
+    /// kept per left-port run, since a port's edges are contiguous; ports
+    /// without edges add `+0.0` to a non-negative sum, which changes nothing.
+    pub fn fused_bounds(&self, z: Option<&[f64]>, out: &mut FusedBounds) {
+        let kk = self.alphas.len();
+        let n = self.n() as usize;
+        debug_assert!(z.map_or(true, |z| z.len() == n * kk), "z must be n × K");
+        let FusedBounds {
+            row_col,
+            slack,
+            row,
+            run_max,
+            run_slack,
+            row_sum,
+            col_max,
+        } = out;
+        for buf in [
+            &mut *slack,
+            &mut *row,
+            &mut *run_max,
+            &mut *run_slack,
+            &mut *row_sum,
+        ] {
+            zeroed(buf, kk);
+        }
+        zeroed(col_max, n * kk);
+        let mut cur_u = None;
+        for (e, &(u, v)) in self.edges.iter().enumerate() {
+            if cur_u != Some(u) {
+                fold_run(row_sum, run_max);
+                fold_run(slack, run_slack);
+                cur_u = Some(u);
+            }
+            self.queue(e)
+                .g_multi_shifted(&self.alphas, self.bonus[e], row);
+            let ports = v as usize * kk..(v as usize + 1) * kk;
+            for ((&g, rm), cm) in row
+                .iter()
+                .zip(run_max.iter_mut())
+                .zip(&mut col_max[ports.clone()])
+            {
+                if g > *rm {
+                    *rm = g;
+                }
+                if g > *cm {
+                    *cm = g;
+                }
+            }
+            if let Some(z) = z {
+                for ((&g, &zv), best) in row.iter().zip(&z[ports]).zip(run_slack.iter_mut()) {
+                    if g > 0.0 && g - zv > *best {
+                        *best = g - zv;
+                    }
+                }
+            }
+        }
+        fold_run(row_sum, run_max);
+        fold_run(slack, run_slack);
+        zeroed(row_col, kk);
+        for maxima in col_max.chunks_exact(kk.max(1)) {
+            for (s, &m) in row_col.iter_mut().zip(maxima) {
+                *s += m;
+            }
+        }
+        for (cs, &rs) in row_col.iter_mut().zip(row_sum.iter()) {
+            *cs = rs.min(*cs);
+        }
     }
 }
 
@@ -1514,11 +1621,13 @@ mod tests {
         let q = tr.link_queues(4);
         let alphas = [1, 10, 50, 100];
         let sweep = q.weighted_edges_multi(&alphas);
+        let mut bounds = FusedBounds::default();
+        sweep.fused_bounds(None, &mut bounds);
         for (k, &alpha) in alphas.iter().enumerate() {
             let g = octopus_matching::WeightedBipartiteGraph::from_tuples(4, 4, sweep.edge_list(k));
             let m = octopus_matching::maximum_weight_matching(&g);
             let w = octopus_matching::matching_weight(&g, &m);
-            assert!(sweep.upper_bound(k) + 1e-9 >= w, "α = {alpha}");
+            assert!(bounds.row_col[k] + 1e-9 >= w, "α = {alpha}");
         }
     }
 
@@ -1541,11 +1650,13 @@ mod tests {
         let alphas = q.alpha_candidates(1_000);
         let sweep = q.weighted_edges_multi(&alphas);
         assert_eq!(sweep.alphas(), alphas.as_slice());
+        let mut bounds = FusedBounds::default();
+        sweep.fused_bounds(None, &mut bounds);
         for (k, &a) in alphas.iter().enumerate() {
             assert_eq!(sweep.index_of(a), k);
             assert_eq!(sweep.edge_list(k), q.weighted_edges(a), "α = {a}");
             assert_eq!(
-                sweep.upper_bound(k).to_bits(),
+                bounds.row_col[k].to_bits(),
                 reference_upper_bound(&q, a).to_bits(),
                 "α = {a}"
             );
@@ -1575,8 +1686,9 @@ mod tests {
         let delta = 6u64;
         let sweep =
             q.weighted_edges_multi_with(&alphas, |link| if link == (0, 1) { delta } else { 0 });
+        let mut col = Vec::new();
         for (k, &a) in alphas.iter().enumerate() {
-            let col = sweep.column(k);
+            sweep.fill_column(k, &mut col);
             assert_eq!(col[0], q.g(0, 1, a + delta));
             assert_eq!(col[1], q.g(1, 2, a));
         }

@@ -104,10 +104,11 @@ fn solve_alpha(
                 }
             },
         );
-    let (n, col) = (queues.n(), sweep.column(0));
+    let (n, mut col) = (queues.n(), Vec::new());
+    sweep.fill_column(0, &mut col);
     let mut s = AssignmentSolver::new();
     s.load_topology(n, n, sweep.edges());
-    s.solve_reweighted(col);
+    s.solve_reweighted(&col);
     let benefit = s.last_weight();
     BestChoice {
         matching: s.matching().to_vec(),

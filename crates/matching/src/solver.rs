@@ -67,7 +67,9 @@
 //!   `debug_assert!` checks it), so `rc = (pl − w) − pot_r ≥ pl − w`, also
 //!   in floating point, where rounding is monotone; a lighter entry's
 //!   `pl − w` is no smaller. Every skipped entry would be dropped by the
-//!   bound.
+//!   bound. Within the scan, an entry whose vertex is already finalized
+//!   this phase is skipped before its reduced cost is computed: a
+//!   finalized distance is never replaced, so its relaxation is a no-op.
 //!
 //! Within one row the order cannot matter: left vertex `u` relaxes each
 //! right vertex at most once per phase, every relaxation from `u` shares its
@@ -343,7 +345,8 @@ impl AssignmentSolver {
                 }
             }
             let row = &mut self.by_weight[lo..end];
-            row.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
+            // Entries are positive, and positive floats order as their bits.
+            row.sort_unstable_by_key(|e| std::cmp::Reverse(e.0.to_bits()));
             self.row_end[u] = end as u32;
             self.pot_l.push(row.first().map_or(0.0, |&(w, _)| w));
         }
@@ -505,6 +508,15 @@ impl AssignmentSolver {
                 break;
             }
             let v = v as usize;
+            // A vertex finalized this phase keeps its distance: `relax`
+            // would be a no-op.
+            if self.stamp_r[v] == phase && self.done_r[v] {
+                debug_assert!(
+                    -w + pl - self.pot_r[v] >= -1e-9,
+                    "reduced cost must stay non-negative"
+                );
+                continue;
+            }
             let rc = -w + pl - self.pot_r[v];
             self.relax(u, v, rc, d_u, phase);
         }

@@ -260,6 +260,25 @@ impl ServeState {
     /// session should end.
     pub fn handle(&mut self, event: Event) -> (Response, bool) {
         self.stats.events += 1;
+        let reply = self.respond(event);
+        // The counters never drift from the plan state: every admitted
+        // packet is delivered by a plan, cancelled, or still queued.
+        debug_assert!(
+            {
+                let tr = self.engine.source();
+                u128::from(self.stats.admitted_packets)
+                    == u128::from(tr.planned_delivered())
+                        + u128::from(self.stats.cancelled_packets)
+                        + u128::from(tr.remaining_packets())
+            },
+            "admitted != delivered + cancelled + backlog after {:?}",
+            reply.0
+        );
+        reply
+    }
+
+    /// The response to one event, and whether the session should end.
+    fn respond(&mut self, event: Event) -> (Response, bool) {
         match event {
             Event::Arrival { id, route, size } => match self.admit(id, &route, size) {
                 Ok(backlog) => (Response::Admitted { id, backlog }, false),

@@ -3,9 +3,9 @@
 //! accounting and monotonicity.
 
 use octopus_mhs::core::{
-    best_configuration, octopus, AlphaSearch, BipartiteFabric, CandidateExtension, HopWeighting,
-    LinkQueues, LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic, ScheduleEngine,
-    SearchPolicy, TrafficSource,
+    best_configuration, octopus, AlphaSearch, BipartiteFabric, CandidateExtension, FusedBounds,
+    HopWeighting, LinkQueues, LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic,
+    ScheduleEngine, SearchPolicy, TrafficSource,
 };
 use octopus_mhs::matching::{matching_weight, maximum_weight_matching, WeightedBipartiteGraph};
 use octopus_mhs::net::{topology, Configuration, Schedule};
@@ -271,6 +271,8 @@ proptest! {
         let candidates = queues.alpha_candidates(cap);
         let sweep = queues.weighted_edges_multi(&candidates);
         prop_assert_eq!(sweep.alphas(), &candidates[..]);
+        let mut bounds = FusedBounds::default();
+        sweep.fused_bounds(None, &mut bounds);
         for (k, &alpha) in candidates.iter().enumerate() {
             prop_assert_eq!(sweep.edge_list(k), queues.weighted_edges(alpha));
             let (mut row_max, mut col_max) = (vec![0.0f64; n as usize], vec![0.0f64; n as usize]);
@@ -282,16 +284,16 @@ proptest! {
             let rs: f64 = row_max.iter().sum();
             let bound = rs.min(col_max.iter().sum());
             prop_assert_eq!(
-                sweep.upper_bound(k).to_bits(),
+                bounds.row_col[k].to_bits(),
                 bound.to_bits(),
                 "upper bound differs at alpha {}", alpha
             );
             let g = WeightedBipartiteGraph::from_tuples(n, n, sweep.edge_list(k));
             let exact = matching_weight(&g, &maximum_weight_matching(&g));
             prop_assert!(
-                sweep.upper_bound(k) + 1e-9 >= exact,
+                bounds.row_col[k] + 1e-9 >= exact,
                 "bound {} below the exact matching weight {} at alpha {}",
-                sweep.upper_bound(k), exact, alpha
+                bounds.row_col[k], exact, alpha
             );
         }
     }
