@@ -2,12 +2,6 @@
 //! quantity): building the link queues and selecting the best configuration,
 //! with the exact kernel vs the Octopus-G bucket greedy and the Octopus-B
 //! ternary α-search.
-//!
-//! A second group (`alpha_search_threads`) sweeps the threaded exhaustive
-//! search over worker counts 1/2/4/8: `seq_t1` is the single-pass sequential
-//! search (the executor runs inline below 2 workers), so the per-iteration
-//! speedup of `par_tK` over it is purely the rayon fan-out. Recorded in
-//! `EXPERIMENTS.md`.
 
 // Bench harness boilerplate: criterion's closure-heavy style trips the
 // workspace pedantic set, and `criterion_group!` expands to undocumented
@@ -57,26 +51,6 @@ fn bench_iteration(c: &mut Criterion) {
                 )
             })
         });
-        // Ablation: the same exhaustive search without upper-bound pruning,
-        // fanned out over rayon (the paper's multi-core framing) — shows what
-        // the pruning in best_config.rs buys on a small machine.
-        group.bench_with_input(
-            BenchmarkId::new("exact_unpruned_parallel", n),
-            &tr,
-            |b, tr| {
-                b.iter(|| {
-                    let queues = tr.link_queues(n);
-                    best_configuration(
-                        &queues,
-                        20,
-                        10_000,
-                        AlphaSearch::Exhaustive,
-                        MatchingKind::Exact,
-                        true,
-                    )
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("octopus_b", n), &tr, |b, tr| {
             b.iter(|| {
                 let queues = tr.link_queues(n);
@@ -94,53 +68,9 @@ fn bench_iteration(c: &mut Criterion) {
     group.finish();
 }
 
-/// One best-configuration call (queues prebuilt) with the threaded
-/// exhaustive α-search at fixed worker counts, against the same search at
-/// one worker — the sequential-vs-threaded comparison of EXPERIMENTS.md.
-fn bench_alpha_search_threads(c: &mut Criterion) {
-    let mut group = c.benchmark_group("alpha_search_threads");
-    for n in [32u32, 64, 128] {
-        let env = Env {
-            n,
-            window: 10_000,
-            delta: 20,
-            instances: 1,
-            seed: 7,
-        };
-        let inst = synthetic_instance(&env, 0, |c| c);
-        let tr = RemainingTraffic::new(&inst.load, HopWeighting::Uniform).unwrap();
-        let queues = tr.link_queues(n);
-        for threads in [1usize, 2, 4, 8] {
-            rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build_global()
-                .unwrap();
-            let label = if threads == 1 {
-                "seq_t1".into()
-            } else {
-                format!("par_t{threads}")
-            };
-            group.bench_with_input(BenchmarkId::new(label, n), &queues, |b, queues| {
-                b.iter(|| {
-                    best_configuration(
-                        queues,
-                        20,
-                        10_000,
-                        AlphaSearch::Exhaustive,
-                        MatchingKind::Exact,
-                        true,
-                    )
-                })
-            });
-        }
-        rayon::ThreadPoolBuilder::new().build_global().unwrap();
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(10);
-    targets = bench_iteration, bench_alpha_search_threads
+    targets = bench_iteration
 }
 criterion_main!(benches);

@@ -10,13 +10,7 @@
 //! * [`AlphaSearch::Exhaustive`] finds the best of every candidate α —
 //!   exact selection, the default **Octopus** behavior — but solves only
 //!   candidates that certified score bounds cannot rule out (see *Pruning*
-//!   below). With `parallel`, candidate
-//!   evaluation fans out over rayon's worker threads (the paper's multi-core
-//!   controller argument, §4.1); the worker count follows the machine's
-//!   available parallelism and can be pinned via the `OCTOPUS_THREADS`
-//!   environment variable or `rayon::ThreadPoolBuilder`. Parallel and
-//!   sequential searches return bit-identical winners: the comparator is a
-//!   strict total order, so the parallel reduction is shape-independent.
+//!   below).
 //! * [`AlphaSearch::Binary`] ternary-searches the candidate list — the
 //!   **Octopus-B** variant, `O(log)` matchings per iteration at a (measured,
 //!   §8 Fig 9a) negligible quality loss.
@@ -28,7 +22,7 @@
 //! returning a [`BestChoice`]), so fabrics other than the plain bipartite
 //! one (K-port unions, duplex general graphs, persistence-aware local
 //! reconfiguration, chained multihop) reuse the identical candidate
-//! enumeration, pruning, tie-breaking and parallelism.
+//! enumeration, pruning and tie-breaking.
 //!
 //! # Pruning
 //!
@@ -48,12 +42,13 @@
 //! descent step re-derives the right duals from the left ones and bounds
 //! again.
 //!
-//! The sequential search is best-first: it repeatedly takes the unsolved
-//! candidate with the highest current bound (smaller α on a tie), stops
-//! when that bound is strictly below the incumbent's score, refreshes the
-//! bound through `refine` when a row was published since the bound was
-//! last refined, and otherwise solves it. The parallel search keeps a
-//! bound-descending claim order and cuts against a shared floor.
+//! The search is best-first: it repeatedly takes the unsolved candidate
+//! with the highest current bound (smaller α on a tie), stops when that
+//! bound is strictly below the incumbent's score, refreshes the bound
+//! through `refine` when a row was published since the bound was last
+//! refined, and otherwise solves it. It runs on the calling thread, so the
+//! winner, the solve count and every schedule are pure functions of the
+//! input.
 //!
 //! Why this stays exact: each bound is a weak-duality certificate derived
 //! from scratch for the candidate's own column — the left duals are
@@ -72,8 +67,7 @@ use octopus_matching::{
     matching_weight, AssignmentSolver, WeightedBipartiteGraph,
 };
 use serde::{Deserialize, Serialize};
-use std::cell::RefCell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::{Cell, RefCell};
 
 /// How candidate α values are searched each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -122,10 +116,10 @@ pub enum ExactKernel {
 
 /// The winning configuration of one greedy iteration.
 ///
-/// Equality compares what was chosen, not how the search ran: it ignores
-/// [`BestChoice::matchings_computed`] and [`BestChoice::worker_evals`],
-/// which the parallel search's shared pruning floor lets differ from run to
-/// run.
+/// Equality compares what was chosen, not how much work finding it took:
+/// it ignores [`BestChoice::matchings_computed`], which differs between the
+/// pruned search, the ternary search and a direct per-α evaluation of the
+/// same winner.
 #[derive(Debug, Clone)]
 pub struct BestChoice {
     /// Links of the chosen matching.
@@ -138,12 +132,6 @@ pub struct BestChoice {
     pub score: f64,
     /// Number of weighted matchings computed to find this choice.
     pub matchings_computed: usize,
-    /// Candidate evaluations per executor worker for the search that
-    /// produced this choice: one entry per worker of the work-stealing
-    /// parallel search (straggler imbalance shows up directly in the Debug
-    /// output), a single entry for the sequential searches, empty for a
-    /// direct per-α evaluation that went through no search.
-    pub worker_evals: Vec<u32>,
 }
 
 impl PartialEq for BestChoice {
@@ -155,15 +143,17 @@ impl PartialEq for BestChoice {
     }
 }
 
-/// Per-worker matching workspace: the exact solver (CSR topology, duals,
+/// Per-thread matching workspace: the exact solver (CSR topology, duals,
 /// Dijkstra scratch), the greedy sort/marker buffers, and the integral-weight
-/// and output scratch. One instance lives in each thread's TLS, so both the
-/// sequential search and rayon's workers reuse buffers across every candidate
-/// α they evaluate — and across iterations, since TLS outlives the search.
+/// and output scratch. One instance lives in each thread's TLS, so the search
+/// reuses buffers across every candidate α it evaluates — and across
+/// iterations and engines, since TLS outlives the search.
 ///
 /// Solves are pure functions of `(topology, weights)` (see
-/// [`AssignmentSolver`]'s no-warm-start contract), so which worker evaluates
-/// which α cannot change any result — workspace reuse is determinism-safe.
+/// [`AssignmentSolver`]'s no-warm-start contract), and the cached topology
+/// and column are keyed by a sweep id this workspace issued, so what the
+/// workspace last held cannot change any result — reuse is
+/// determinism-safe.
 #[derive(Default)]
 struct KernelWorkspace {
     solver: AssignmentSolver,
@@ -197,15 +187,16 @@ struct KernelWorkspace {
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
     /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
     loaded_sweep: u64,
+    /// The last sweep id this workspace issued. Ids start at 1, so a fresh
+    /// workspace (`loaded_sweep == 0`) never aliases a real sweep. A sweep
+    /// is built and solved on one thread, so an id only has to be unique
+    /// within that thread's workspace.
+    last_sweep: u64,
 }
 
 thread_local! {
     static KERNEL_WS: RefCell<KernelWorkspace> = RefCell::new(KernelWorkspace::default());
 }
-
-/// Sweep ids start at 1 so a fresh workspace (`loaded_sweep == 0`) never
-/// aliases a real sweep.
-static SWEEP_IDS: AtomicU64 = AtomicU64::new(1);
 
 /// Pads a certified upper bound on a matching weight outward, so that the
 /// strict α-search cut (`bound < incumbent score` ⇒ skip) stays sound in
@@ -236,17 +227,16 @@ fn outward(bound: f64, terms: usize) -> f64 {
 /// The right-side duals `z ≥ 0` of every candidate α one search solved
 /// exactly, one row of `n` entries per candidate (`alphas` ascending).
 ///
-/// A row is written once, by whichever worker solved its α, and published
-/// by its `ready` flag (release store / acquire load), so the bounds of
-/// candidates evaluated later — on any worker — read only complete rows.
-/// Rows are stored as `f64` bits in atomics only to make that sharing
-/// data-race-free; nothing else synchronizes on them.
+/// A row is written once, when its α is solved, and marked by its `ready`
+/// flag, so the bounds of candidates evaluated later read only complete
+/// rows. The cells let [`SweepContext::eval`] publish through the shared
+/// borrow the search's bound closures also hold.
 #[derive(Debug)]
 pub(crate) struct DualTable {
     n: usize,
     alphas: Vec<u64>,
-    z: Vec<AtomicU64>,
-    ready: Vec<AtomicBool>,
+    z: Vec<Cell<f64>>,
+    ready: Vec<Cell<bool>>,
 }
 
 impl DualTable {
@@ -257,8 +247,8 @@ impl DualTable {
         DualTable {
             n,
             alphas: alphas.to_vec(),
-            z: (0..alphas.len() * n).map(|_| AtomicU64::new(0)).collect(),
-            ready: (0..alphas.len()).map(|_| AtomicBool::new(false)).collect(),
+            z: vec![Cell::new(0.0); alphas.len() * n],
+            ready: vec![Cell::new(false); alphas.len()],
         }
     }
 
@@ -269,29 +259,26 @@ impl DualTable {
             return;
         }
         for (slot, &v) in self.z[k * self.n..(k + 1) * self.n].iter().zip(z) {
-            // lint:allow(atomic-ordering) — proof: the row is published by the Release store of `ready[k]` below; readers load entries only after an Acquire load of that flag sees `true`.
-            slot.store(v.to_bits(), Ordering::Relaxed);
+            slot.set(v);
         }
-        self.ready[k].store(true, Ordering::Release);
+        self.ready[k].set(true);
     }
 
     fn is_ready(&self, k: usize) -> bool {
-        self.ready[k].load(Ordering::Acquire)
+        self.ready[k].get()
     }
 
-    /// The entries of row `k` (which must have been seen ready).
+    /// The entries of row `k` (which must be ready).
     fn row(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
         (0..self.n).map(move |v| self.entry(k, v))
     }
 
-    /// Entry `v` of row `k` (which must have been seen ready); 0 past the
-    /// row's end.
+    /// Entry `v` of row `k` (which must be ready); 0 past the row's end.
     fn entry(&self, k: usize, v: usize) -> f64 {
         if v >= self.n {
             return 0.0;
         }
-        // lint:allow(atomic-ordering) — proof: callers read a row only after `is_ready` (Acquire) saw it published; the Release store in `publish` orders these entries before the flag.
-        f64::from_bits(self.z[k * self.n + v].load(Ordering::Relaxed))
+        self.z[k * self.n + v].get()
     }
 
     /// For each α of the ascending list `alphas`, the published row whose α
@@ -361,9 +348,9 @@ impl DualTable {
 
 /// One iteration's batched α-search context: the fixed edge topology of
 /// every candidate α ([`LinkQueues::weighted_edges_multi`]) with each
-/// candidate's eager bound, tagged with a process-unique id so per-thread
-/// workspaces know when their loaded CSR topology and cached column are
-/// current.
+/// candidate's eager bound, tagged with an id unique within this thread's
+/// workspace, so the workspace knows when its loaded CSR topology and cached
+/// column are current.
 ///
 /// It also carries the dual sources that tighten the search's bounds: the
 /// table this search fills with each exact solve's right-side duals, and
@@ -389,11 +376,14 @@ impl<'q> SweepContext<'q> {
         prior: Option<&DualTable>,
     ) -> Self {
         debug_assert_eq!(duals.alphas, sweep.alphas(), "table and sweep disagree");
-        let eager = KERNEL_WS.with(|ws| eager_bounds(&sweep, prior, &mut ws.borrow_mut()));
+        let (id, eager) = KERNEL_WS.with(|ws| {
+            let ws = &mut *ws.borrow_mut();
+            ws.last_sweep += 1;
+            (ws.last_sweep, eager_bounds(&sweep, prior, ws))
+        });
         SweepContext {
             sweep,
-            // lint:allow(atomic-ordering) — proof: fetch_add is a single atomic RMW; uniqueness of the returned ids is guaranteed at any ordering and nothing else is synchronized on it.
-            id: SWEEP_IDS.fetch_add(1, Ordering::Relaxed),
+            id,
             duals,
             eager,
         }
@@ -601,7 +591,6 @@ impl<'q> SweepContext<'q> {
             benefit,
             score: benefit / (alpha + delta) as f64,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 }
@@ -716,6 +705,11 @@ pub(crate) fn run_kernel(
 /// `alpha_cap` bounds α by the remaining window budget (`W − used − Δ`).
 /// Returns `None` when no configuration has positive benefit (i.e. no packet
 /// can move on any fabric link).
+///
+/// `parallel` selects nothing: the search always runs on the calling
+/// thread. It stays only because the stand-alone benchmark crate
+/// (`perfbench`) still passes it; the next change to the benchmark deletes
+/// it with [`SearchPolicy::parallel`].
 pub fn best_configuration(
     queues: &LinkQueues,
     delta: u64,
@@ -750,12 +744,12 @@ pub fn best_configuration(
 /// the localized reconfiguration planner, which keeps links busy during Δ) —
 /// then the lexicographically smaller matching as a deterministic key.
 ///
-/// Totality matters for the parallel search: `reduce_with` combines partial
-/// winners in whatever shape the chunking produces, and only a total order
-/// makes the reduction associative and commutative, i.e. the winner
-/// independent of worker count and chunk boundaries. Within one search a
-/// given α is evaluated to exactly one (deterministic) choice, so two
-/// choices equal under this order are identical in every scheduled field.
+/// Totality makes the winner independent of the order the search visits
+/// candidates in: the best-first search visits them by bound, which pruning
+/// data from earlier selects reshuffles, and it must still agree with the
+/// unbounded ascending-α search. Within one search a given α is evaluated to
+/// exactly one (deterministic) choice, so two choices equal under this order
+/// are identical in every scheduled field.
 fn choice_cmp(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> std::cmp::Ordering {
     a.score
         .total_cmp(&b.score)
@@ -788,47 +782,29 @@ fn better(a: &BestChoice, b: &BestChoice, policy: &SearchPolicy) -> bool {
 /// evaluated score, so bounds change how many candidates are evaluated,
 /// never the winner.
 ///
-/// The sequential exhaustive search runs best-first ([`exhaustive_pruned`]);
-/// the parallel one claims candidates in decreasing `ub` order and skips
-/// those whose `ub` or `refine` bound falls strictly below the best score
-/// seen so far ([`exhaustive_parallel`]). Without bounds every bound is
-/// `+∞`: candidates are visited in ascending α order and each is evaluated
-/// exactly once. `eval` must be deterministic; its `matchings_computed`
-/// values are summed into the winner (over *evaluated* candidates, so
-/// pruned counts vary with visit order and worker interleaving; the winning
-/// configuration itself is identical across all exhaustive paths).
+/// The exhaustive search runs best-first ([`exhaustive_pruned`]). Without
+/// bounds every bound is `+∞`: candidates are visited in ascending α order
+/// and each is evaluated exactly once. `eval` must be deterministic; its
+/// `matchings_computed` values are summed into the winner (over *evaluated*
+/// candidates, so the count depends on the bounds; the winning
+/// configuration itself is identical with and without them).
 pub(crate) fn search_alpha<E>(
     candidates: &[u64],
     policy: &SearchPolicy,
-    ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
+    ub: Option<&dyn Fn(u64) -> f64>,
+    refine: Option<&dyn Fn(u64, f64) -> f64>,
     eval: &E,
 ) -> Option<BestChoice>
 where
-    E: Fn(u64) -> BestChoice + Sync,
+    E: Fn(u64) -> BestChoice,
 {
     if candidates.is_empty() {
         return None;
     }
     match policy.search {
-        AlphaSearch::Exhaustive if policy.parallel => {
-            exhaustive_parallel(candidates, policy, ub, refine, eval)
-        }
         AlphaSearch::Exhaustive => exhaustive_pruned(candidates, policy, ub, refine, eval),
         AlphaSearch::Binary => ternary(candidates, policy, eval),
     }
-}
-
-/// The candidates paired with their `ub` bounds (`+∞` without one), in
-/// the parallel search's claim order: bound descending, then α ascending.
-// lint:allow(hot-alloc) — amortized: one candidate-length list per search; dominated by the O(E√V) kernel work per candidate
-fn bound_order(candidates: &[u64], ub: Option<&(dyn Fn(u64) -> f64 + Sync)>) -> Vec<(u64, f64)> {
-    let mut order: Vec<(u64, f64)> = candidates
-        .iter()
-        .map(|&a| (a, ub.map_or(f64::INFINITY, |ub| ub(a))))
-        .collect();
-    order.sort_unstable_by(|x, y| y.1.total_cmp(&x.1).then(x.0.cmp(&y.0)));
-    order
 }
 
 /// One unsolved candidate of the best-first search: its α, its current
@@ -841,8 +817,8 @@ struct Pending {
     refined_at: usize,
 }
 
-/// Sequential best-first exhaustive search. Each step takes the unsolved
-/// candidate with the highest current bound (the smaller α on a tie):
+/// Best-first exhaustive search. Each step takes the unsolved candidate
+/// with the highest current bound (the smaller α on a tie):
 ///
 /// * if that bound is strictly below the incumbent's score, the search
 ///   stops — every remaining candidate is provably dominated, so it loses
@@ -860,8 +836,8 @@ struct Pending {
 fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     candidates: &[u64],
     policy: &SearchPolicy,
-    ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
+    ub: Option<&dyn Fn(u64) -> f64>,
+    refine: Option<&dyn Fn(u64, f64) -> f64>,
     eval: &E,
 ) -> Option<BestChoice> {
     // Taken out of the workspace, not borrowed: `ub`, `refine` and `eval`
@@ -903,7 +879,6 @@ fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     KERNEL_WS.with(|ws| ws.borrow_mut().pending = pending);
     best.map(|mut b| {
         b.matchings_computed = computed;
-        b.worker_evals = vec![computed as u32];
         b
     })
 }
@@ -916,89 +891,6 @@ fn top(pending: &[Pending]) -> Option<usize> {
         let (p, q) = (&pending[i], &pending[j]);
         p.bound.total_cmp(&q.bound).then(q.alpha.cmp(&p.alpha))
     })
-}
-
-/// Parallel exhaustive search over a shared work-stealing bag
-/// ([`rayon::steal`]): candidates are claimed item-by-item from an atomic
-/// cursor instead of static per-worker chunks, so an expensive straggler
-/// candidate no longer serializes its whole chunk behind it; the per-worker
-/// claim counts land in [`BestChoice::worker_evals`]. Because [`choice_cmp`]
-/// is a strict total order, the reduction is associative *and* commutative,
-/// and the winner is bit-identical to the sequential search regardless of
-/// which worker claimed which candidate.
-///
-/// With a bound, candidates are ordered bound-descending and
-/// checked against a shared atomic best-score **floor** before evaluation:
-/// a candidate whose bound sits strictly below the floor is provably
-/// dominated — its exact score ≤ bound < floor ≤ the eventual winner's
-/// score — so it loses even on tie-breaks and skipping it cannot change the
-/// winner. The floor only ever rises, and only to genuinely evaluated
-/// scores, so the skip set is sound under every worker interleaving (which
-/// candidates get skipped *does* vary run-to-run; `matchings_computed`
-/// reports the evaluations that actually happened). Without a bound every
-/// bound is `+∞`, so nothing is cut and every candidate is evaluated exactly
-/// once (a unit test pins this).
-// lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
-fn exhaustive_parallel<E>(
-    candidates: &[u64],
-    policy: &SearchPolicy,
-    ub: Option<&(dyn Fn(u64) -> f64 + Sync)>,
-    refine: Option<&(dyn Fn(u64, f64) -> f64 + Sync)>,
-    eval: &E,
-) -> Option<BestChoice>
-where
-    E: Fn(u64) -> BestChoice + Sync,
-{
-    let reduce = |a: BestChoice, b: BestChoice| {
-        let computed = a.matchings_computed + b.matchings_computed;
-        let mut winner = if better(&a, &b, policy) { a } else { b };
-        winner.matchings_computed = computed;
-        winner
-    };
-    let order = bound_order(candidates, ub);
-    // Shared best-score floor, stored as bits and raised through a CAS loop
-    // under `total_cmp` (raw `u64` ordering disagrees with `f64` ordering
-    // for negative values, so `fetch_max` on bits would be wrong).
-    let floor = AtomicU64::new(f64::NEG_INFINITY.to_bits());
-    let raise = |score: f64| {
-        // lint:allow(atomic-ordering) — proof: seed read for the CAS loop; any stale value is corrected by compare_exchange_weak's returned `seen`.
-        let mut cur = floor.load(Ordering::Relaxed);
-        while score.total_cmp(&f64::from_bits(cur)) == std::cmp::Ordering::Greater {
-            match floor.compare_exchange_weak(
-                cur,
-                score.to_bits(),
-                Ordering::Relaxed, // lint:allow(atomic-ordering) — proof: the CAS publishes only the bits value itself (no other memory); monotonicity comes from re-checking total_cmp against `seen` on failure.
-                Ordering::Relaxed,
-            ) {
-                Ok(_) => break,
-                Err(seen) => cur = seen,
-            }
-        }
-    };
-    let outcome = rayon::steal::map_reduce_filtered(
-        &order,
-        |&(alpha, bound)| {
-            // lint:allow(atomic-ordering) — proof: the floor only prunes; a stale (lower) value admits an extra eval, never skips a winner, so no ordering is required.
-            if bound < f64::from_bits(floor.load(Ordering::Relaxed)) {
-                return None; // dominated: cannot beat an evaluated score
-            }
-            // Lazy second-tier bound, same strict cut against the floor.
-            if let Some(rf) = refine {
-                // lint:allow(atomic-ordering) — proof: same prune-only floor read as above; staleness is safe, no ordering needed.
-                let floor = f64::from_bits(floor.load(Ordering::Relaxed));
-                if rf(alpha, floor) < floor {
-                    return None;
-                }
-            }
-            let cand = eval(alpha);
-            raise(cand.score);
-            Some(cand)
-        },
-        reduce,
-    )?;
-    let mut best = outcome.value;
-    best.worker_evals = outcome.worker_evals;
-    Some(best)
 }
 
 // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
@@ -1053,7 +945,6 @@ fn ternary<E: Fn(u64) -> BestChoice>(
     // The winner is *moved* out of the memo — the only clone-free exit.
     best_alpha.and_then(|a| memo.remove(&a)).map(|mut b| {
         b.matchings_computed = computed;
-        b.worker_evals = vec![computed as u32];
         b
     })
 }
@@ -1151,99 +1042,60 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential() {
-        let q = sample_queues();
-        let a = best_configuration(
-            &q,
-            7,
-            10_000,
-            AlphaSearch::Exhaustive,
-            MatchingKind::Exact,
-            false,
-        )
-        .unwrap();
-        let b = best_configuration(
-            &q,
-            7,
-            10_000,
-            AlphaSearch::Exhaustive,
-            MatchingKind::Exact,
-            true,
-        )
-        .unwrap();
-        assert_eq!(a.alpha, b.alpha);
-        assert_eq!(a.matching, b.matching);
-        assert!((a.score - b.score).abs() < 1e-12);
-    }
-
-    #[test]
-    fn parallel_evaluates_each_candidate_exactly_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
+    fn unbounded_search_evaluates_each_candidate_exactly_once() {
         let candidates: Vec<u64> = (1..=97).collect();
-        let policy = SearchPolicy {
-            search: AlphaSearch::Exhaustive,
-            parallel: true,
-            prefer_larger_alpha: false,
-            kernel: ExactKernel::Hungarian,
-        };
-        let calls = AtomicUsize::new(0);
+        let calls = Cell::new(0usize);
         let eval = |alpha: u64| {
-            calls.fetch_add(1, Ordering::Relaxed);
+            calls.set(calls.get() + 1);
             BestChoice {
                 matching: vec![(0, 1)],
                 alpha,
                 benefit: alpha as f64,
                 score: alpha as f64 / (alpha + 1) as f64,
                 matchings_computed: 1,
-                worker_evals: Vec::new(),
             }
         };
+        let policy = SearchPolicy::exhaustive();
         let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
-        // One eval per candidate — both by the counter the reduction carries
-        // and by the actual number of closure invocations.
+        // One eval per candidate — both by the counter the search sums and
+        // by the actual number of closure invocations.
         assert_eq!(best.matchings_computed, candidates.len());
-        assert_eq!(calls.load(Ordering::Relaxed), candidates.len());
+        assert_eq!(calls.get(), candidates.len());
         assert_eq!(best.alpha, 97);
     }
 
     #[test]
-    fn score_ties_break_identically_in_parallel_and_sequential() {
+    fn score_ties_break_on_alpha_per_policy() {
         // Two disjoint links sized so the candidate αs {10, 30} score exactly
         // equal at Δ = 10: α=10 → (10+10)/20 = 1, α=30 → (10+30)/40 = 1.
         let q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64), ((2, 3), 1.0, 30)]);
         assert_eq!(q.alpha_candidates(10_000), vec![10, 30]);
-        for parallel in [false, true] {
-            let best = best_configuration(
-                &q,
-                10,
-                10_000,
-                AlphaSearch::Exhaustive,
-                MatchingKind::Exact,
-                parallel,
-            )
-            .unwrap();
-            // Equal ψ-rate: the smaller α must win deterministically.
-            assert_eq!(best.alpha, 10, "parallel = {parallel}");
-            assert_eq!(best.matching, vec![(0, 1), (2, 3)]);
-            assert!((best.score - 1.0).abs() < 1e-12);
-        }
-        // With prefer_larger_alpha the same tie resolves to α = 30 on both
-        // paths (the localized-reconfiguration preference).
-        for parallel in [false, true] {
-            let policy = SearchPolicy {
-                search: AlphaSearch::Exhaustive,
-                parallel,
-                prefer_larger_alpha: true,
-                kernel: ExactKernel::Hungarian,
-            };
-            let fabric = crate::BipartiteFabric {
-                kind: MatchingKind::Exact,
-            };
-            let eval = |alpha| crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10);
-            let candidates = q.alpha_candidates(10_000);
-            let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
-            assert_eq!(best.alpha, 30, "parallel = {parallel}");
-        }
+        let best = best_configuration(
+            &q,
+            10,
+            10_000,
+            AlphaSearch::Exhaustive,
+            MatchingKind::Exact,
+            false,
+        )
+        .unwrap();
+        // Equal ψ-rate: the smaller α must win deterministically.
+        assert_eq!(best.alpha, 10);
+        assert_eq!(best.matching, vec![(0, 1), (2, 3)]);
+        assert!((best.score - 1.0).abs() < 1e-12);
+        // With prefer_larger_alpha the same tie resolves to α = 30 (the
+        // localized-reconfiguration preference).
+        let policy = SearchPolicy {
+            prefer_larger_alpha: true,
+            ..SearchPolicy::exhaustive()
+        };
+        let fabric = crate::BipartiteFabric {
+            kind: MatchingKind::Exact,
+        };
+        let eval = |alpha| crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10);
+        let candidates = q.alpha_candidates(10_000);
+        let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
+        assert_eq!(best.alpha, 30);
     }
 
     #[test]
@@ -1333,43 +1185,30 @@ mod tests {
             benefit: score,
             score,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 
     #[test]
-    fn parallel_pruning_cuts_dominated_candidates() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        // Three candidates sit below MIN_PAR_LEN, so the work-stealing bag
-        // takes its sequential fallback and the outcome is exact: the
-        // bound-descending scan evaluates α = 10 (floor 10.0), then declines
-        // 20 (bound 5.0) and 30 (bound 3.0) against the floor.
+    fn pruning_stops_at_dominated_candidates() {
+        // Best-first: α = 30 has the highest bound and is evaluated first
+        // (score 10.0); the next-best bound, 5.0 at α = 20, falls strictly
+        // below it, so the search stops without evaluating 10 or 20.
         let candidates = [10u64, 20, 30];
         let ub = |alpha: u64| match alpha {
-            10 => 10.0,
+            30 => 10.0,
             20 => 5.0,
             _ => 3.0,
         };
-        let calls = AtomicUsize::new(0);
+        let calls = Cell::new(0usize);
         let eval = |alpha: u64| {
-            calls.fetch_add(1, Ordering::Relaxed);
+            calls.set(calls.get() + 1);
             tight_choice(alpha, ub(alpha))
         };
-        let policy = SearchPolicy {
-            search: AlphaSearch::Exhaustive,
-            parallel: true,
-            prefer_larger_alpha: false,
-            kernel: ExactKernel::Hungarian,
-        };
+        let policy = SearchPolicy::exhaustive();
         let best = search_alpha(&candidates, &policy, Some(&ub), None, &eval).expect("non-empty");
-        assert_eq!(best.alpha, 10);
-        assert_eq!(
-            calls.load(Ordering::Relaxed),
-            1,
-            "dominated candidates must be declined"
-        );
+        assert_eq!(best.alpha, 30);
+        assert_eq!(calls.get(), 1, "dominated candidates must be skipped");
         assert_eq!(best.matchings_computed, 1);
-        assert_eq!(best.worker_evals, vec![1]);
     }
 
     /// Candidate `k`'s weight column of `ctx`'s sweep.

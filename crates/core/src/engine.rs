@@ -26,10 +26,8 @@
 //!   link's waiting packets, so the patched snapshot is identical to a
 //!   from-scratch rebuild (property-tested in `tests/proptest_invariants.rs`).
 //!
-//! The α search itself (exhaustive with upper-bound pruning, threaded over
-//! rayon workers, or ternary) lives in [`crate::best_config`] and is driven
-//! through [`SearchPolicy`]; see [`SearchPolicy::parallel`] for the worker-
-//! count knobs (`OCTOPUS_THREADS`, `rayon::ThreadPoolBuilder`).
+//! The α search itself (exhaustive with upper-bound pruning, or ternary)
+//! lives in [`crate::best_config`] and is driven through [`SearchPolicy`].
 
 use crate::best_config::{
     run_kernel, search_alpha, AlphaSearch, BestChoice, DualTable, ExactKernel, MatchingKind,
@@ -51,14 +49,12 @@ use std::collections::HashSet;
 pub struct SearchPolicy {
     /// Exhaustive or ternary (Octopus-B) candidate search.
     pub search: AlphaSearch,
-    /// Fan per-α evaluation out over rayon's worker threads, pruning
-    /// against a shared atomic best-score floor (candidates whose upper
-    /// bound falls strictly below an already-evaluated score are skipped as
-    /// provably dominated). Worker count: `OCTOPUS_THREADS` env var or
-    /// `rayon::ThreadPoolBuilder`, defaulting to the machine's available
-    /// parallelism; winners are bit-identical to the sequential search for
-    /// every worker count (the tie-break is a strict total order and the
-    /// pruning cut strict).
+    /// Selects nothing: the search always runs on the calling thread. It
+    /// stays only because the stand-alone benchmark crate (`perfbench`)
+    /// still names it in a [`SearchPolicy`] literal; the next change to the
+    /// benchmark deletes it with `OctopusConfig::parallel`. A threaded
+    /// search was measured slower at the daemon's fabric size and deleted
+    /// (EXPERIMENTS.md, "α-search threading verdict").
     pub parallel: bool,
     /// Break score ties toward the *larger* α. The localized-reconfiguration
     /// planner prefers longer configurations (persistent links serve through
@@ -260,7 +256,6 @@ impl<S> Fabric<S> for BipartiteFabric {
             benefit,
             score: benefit / (alpha + delta) as f64,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 
@@ -307,7 +302,6 @@ impl<S: Borrow<RemainingTraffic>> Fabric<S> for KPortFabric {
             benefit,
             score: benefit / (alpha + delta) as f64,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 
@@ -428,7 +422,6 @@ impl<S> Fabric<S> for DuplexFabric<'_> {
             benefit,
             score: benefit / (alpha + delta) as f64,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 
@@ -485,7 +478,6 @@ impl<S> Fabric<S> for LocalFabric {
             benefit,
             score: benefit / (alpha + delta) as f64,
             matchings_computed: 1,
-            worker_evals: Vec::new(),
         }
     }
 
@@ -682,17 +674,13 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// provably dominated candidates, since the pruning cut is strict and
     /// only ever compares against exactly evaluated scores. The engine
     /// keeps this select's duals for the next one.
-    pub fn select<F>(
+    pub fn select<F: Fabric<S>>(
         &mut self,
         fabric: &F,
         budget: u64,
         ext: CandidateExtension,
         policy: &SearchPolicy,
-    ) -> Option<BestChoice>
-    where
-        F: Fabric<S> + Sync,
-        S: Sync,
-    {
+    ) -> Option<BestChoice> {
         if budget == 0 {
             return None;
         }
@@ -710,9 +698,9 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
             // Batched path: one fused pass over the sweep bounds every α,
             // and a column is built only for an α the search refines or
-            // solves, on this thread's (or each rayon worker's) reusable
-            // workspace. The bounds are valid for the greedy kernels too (a
-            // greedy matching never out-weighs the exact optimum).
+            // solves, on this thread's reusable workspace. The bounds are
+            // valid for the greedy kernels too (a greedy matching never
+            // out-weighs the exact optimum).
             let table = DualTable::new(&candidates, n as usize);
             let ctx = SweepContext::new(sweep, table, duals.as_ref());
             let (best, solved) = ctx.search(policy, kind, delta);
@@ -728,16 +716,13 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// Like [`ScheduleEngine::select`], but with a caller-supplied per-α
     /// evaluation (no upper bound) — used by the chain-aware §5 variant
     /// whose benefit comes from a mini-simulation, not the queue snapshot.
-    pub fn select_with<E>(
+    pub fn select_with<E: Fn(u64) -> BestChoice>(
         &mut self,
         budget: u64,
         ext: CandidateExtension,
         policy: &SearchPolicy,
         eval: &E,
-    ) -> Option<BestChoice>
-    where
-        E: Fn(u64) -> BestChoice + Sync,
-    {
+    ) -> Option<BestChoice> {
         if budget == 0 {
             return None;
         }
@@ -831,16 +816,12 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// [`SchedError::Net`] when a winner fails to realize on `fabric` (see
     /// [`Fabric::realize`]); the configurations committed before it stay
     /// applied to the source.
-    pub fn plan_window<F>(
+    pub fn plan_window<F: Fabric<S>>(
         &mut self,
         fabric: &mut F,
         policy: &SearchPolicy,
         window: u64,
-    ) -> Result<WindowRun, SchedError>
-    where
-        F: Fabric<S> + Sync,
-        S: Sync,
-    {
+    ) -> Result<WindowRun, SchedError> {
         let delta = self.delta;
         let mut run = WindowRun::default();
         let mut used = 0u64;
@@ -927,12 +908,7 @@ mod tests {
         let fabric = BipartiteFabric {
             kind: MatchingKind::Exact,
         };
-        let policy = SearchPolicy {
-            search: AlphaSearch::Exhaustive,
-            parallel: false,
-            prefer_larger_alpha: false,
-            kernel: ExactKernel::Hungarian,
-        };
+        let policy = SearchPolicy::exhaustive();
         let mut engine = ScheduleEngine::new(&mut tr, 4, 5);
         let mut budget = 295u64;
         while let Some(choice) = engine.select(&fabric, budget, CandidateExtension::None, &policy) {

@@ -8,7 +8,7 @@
 //! combined; this greedy is `(1 − 1/e)`-approximate per configuration,
 //! degrading the overall guarantee to `(1 − e^{−(1−1/e)/𝒟}) · W/(W+Δ)`.
 
-use crate::engine::{KPortFabric, ScheduleEngine, SearchPolicy};
+use crate::engine::{KPortFabric, ScheduleEngine};
 use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
 use octopus_net::Network;
 use octopus_traffic::TrafficLoad;
@@ -20,8 +20,7 @@ use octopus_traffic::TrafficLoad;
 /// given α is a union of up to `r` edge-disjoint matchings selected greedily
 /// with intermediate `g` updates ([`KPortFabric`]). The α search is
 /// exhaustive over the Procedure-1 candidate set; `cfg.alpha_search ==
-/// AlphaSearch::Binary` switches to ternary search as in Octopus-B. The
-/// search always runs sequentially, whatever `cfg.parallel` says.
+/// AlphaSearch::Binary` switches to ternary search as in Octopus-B.
 pub fn octopus_kport(
     net: &Network,
     load: &TrafficLoad,
@@ -36,13 +35,9 @@ pub fn octopus_kport(
         kind: cfg.matching,
         r,
     };
-    let policy = SearchPolicy {
-        parallel: false,
-        ..cfg.search_policy()
-    };
     let run = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta).plan_window(
         &mut fabric,
-        &policy,
+        &cfg.search_policy(),
         cfg.window,
     )?;
     Ok(OctopusOutput::from_run(run, &tr))

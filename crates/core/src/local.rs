@@ -42,7 +42,6 @@ pub fn octopus_local(
     // at the end of the window.
     let policy = SearchPolicy {
         search: AlphaSearch::Exhaustive,
-        parallel: false,
         prefer_larger_alpha: true,
         ..cfg.search_policy()
     };

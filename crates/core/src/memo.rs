@@ -163,9 +163,8 @@ pub struct WindowPlan {
 /// fabric: the planning knobs that select among schedules (search strategy,
 /// tie preference, window, Δ, and a caller `salt` for
 /// anything beyond the policy, e.g. the fabric's matching kind), then the
-/// traffic's [`RemainingTraffic::replay_key`]. `SearchPolicy::parallel` is
-/// deliberately excluded — parallel and sequential searches return
-/// bit-identical winners, so their schedules are interchangeable.
+/// traffic's [`RemainingTraffic::replay_key`]. `SearchPolicy::parallel`
+/// selects nothing, so it is not part of the key.
 fn window_key(
     policy: &SearchPolicy,
     window: u64,
@@ -207,8 +206,8 @@ pub fn plan_window_cached<S, F>(
     salt: u64,
 ) -> Result<WindowPlan, SchedError>
 where
-    S: TrafficSource + Borrow<RemainingTraffic> + Sync,
-    F: Fabric<S> + Sync,
+    S: TrafficSource + Borrow<RemainingTraffic>,
+    F: Fabric<S>,
 {
     let key = window_key(
         policy,

@@ -57,7 +57,6 @@ pub fn octopus_multihop(
                 benefit,
                 score: benefit / (alpha + cfg.delta) as f64,
                 matchings_computed: 1,
-                worker_evals: Vec::new(),
             }
         };
         let Some(choice) =

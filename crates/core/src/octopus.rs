@@ -26,12 +26,11 @@ pub struct OctopusConfig {
     /// configs deserialize to it.
     #[serde(default)]
     pub kernel: ExactKernel,
-    /// Fan candidate-α evaluation out over rayon's worker threads (the
-    /// paper's multi-core controller; disables upper-bound pruning). The
-    /// worker count defaults to the machine's available parallelism and can
-    /// be pinned with the `OCTOPUS_THREADS` environment variable or
-    /// `rayon::ThreadPoolBuilder`; the chosen schedule is bit-identical to
-    /// the sequential search for every worker count.
+    /// Selects nothing: the α-search always runs on the calling thread. It
+    /// stays only until the benchmark crate stops naming it (see
+    /// [`SearchPolicy::parallel`]); absent fields in serialized configs
+    /// deserialize to `false`.
+    #[serde(default)]
     pub parallel: bool,
 }
 

@@ -20,11 +20,7 @@
 //! final; different packets of one flow may commit to different routes
 //! (out-of-order delivery is the receiver's problem, as the paper notes).
 //!
-//! The α search runs through the shared [`ScheduleEngine`] machinery and
-//! inherits the base config's `parallel` flag: with it set, per-α
-//! evaluation fans out over rayon's worker threads (`OCTOPUS_THREADS` /
-//! `rayon::ThreadPoolBuilder` pin the count) and returns the same plan as
-//! the sequential search.
+//! The α search runs through the shared [`ScheduleEngine`] machinery.
 
 use crate::engine::{BipartiteFabric, ScheduleEngine, TrafficSource};
 use crate::flatmap::VecMap;

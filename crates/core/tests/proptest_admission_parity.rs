@@ -13,13 +13,13 @@
 //! Following the shadow pattern of the PR 6 parity suite, every step of a
 //! random op script compares the live (incrementally patched) engine's
 //! [`ScheduleEngine::select`] against a cold-rebuilt one under **every**
-//! [`SearchPolicy`] variant: {exhaustive, binary} × {sequential, parallel} ×
+//! [`SearchPolicy`] variant: {exhaustive, binary} ×
 //! {smallest-α, largest-α tie-break}; ψ and delivered are accumulated from
 //! the cold engines' per-commit gains and must match the live totals on
 //! every `f64` bit.
 
 use octopus_core::{
-    AlphaSearch, BipartiteFabric, CandidateExtension, ExactKernel, MatchingKind, RemainingTraffic,
+    AlphaSearch, BipartiteFabric, CandidateExtension, MatchingKind, RemainingTraffic,
     ScheduleEngine, SearchPolicy,
 };
 use octopus_traffic::{FlowId, HopWeighting, Route};
@@ -92,15 +92,12 @@ fn script() -> impl Strategy<Value = (u32, Vec<Op>)> {
 fn all_policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
-        for parallel in [false, true] {
-            for prefer_larger_alpha in [false, true] {
-                out.push(SearchPolicy {
-                    search,
-                    parallel,
-                    prefer_larger_alpha,
-                    kernel: ExactKernel::Hungarian,
-                });
-            }
+        for prefer_larger_alpha in [false, true] {
+            out.push(SearchPolicy {
+                search,
+                prefer_larger_alpha,
+                ..SearchPolicy::exhaustive()
+            });
         }
     }
     out

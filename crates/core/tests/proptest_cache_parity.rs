@@ -4,8 +4,8 @@
 //! window misses (planned cold and recorded) or hits (replayed without a
 //! solve), the emitted schedule, delivered counts and ψ are bit-identical to
 //! a cold `ScheduleEngine::plan_window` of the same window. This suite pins
-//! that across all 4 sequential `SearchPolicy` variants (search strategy ×
-//! tie preference) plus the threaded exhaustive search.
+//! that across all 4 `SearchPolicy` variants (search strategy × tie
+//! preference).
 //!
 //! The twin leg plans a load, then a twin whose per-link queues and
 //! interned links are the same but whose packets go elsewhere after the
@@ -13,15 +13,15 @@
 //! of the first load's.
 
 use octopus_core::{
-    plan_window_cached, AlphaSearch, BipartiteFabric, CacheOutcome, ExactKernel, HopWeighting,
-    MatchingKind, RemainingTraffic, ScheduleCache, ScheduleEngine, SearchPolicy,
+    plan_window_cached, AlphaSearch, BipartiteFabric, CacheOutcome, HopWeighting, MatchingKind,
+    RemainingTraffic, ScheduleCache, ScheduleEngine, SearchPolicy,
 };
 use octopus_traffic::{Flow, FlowId, Route, TrafficLoad};
 use proptest::prelude::*;
 
 type PlanShape = Vec<(Vec<(u32, u32)>, u64)>;
 
-/// Random multihop load (same shape as the grid-steal suite) and a twin.
+/// Random multihop load and a twin.
 /// Both loads end with two flows `s → m → c` and `s → m → d` of different
 /// sizes, which the twin swaps: the queue on `(s, m)` (one weight class)
 /// and the set of links are unchanged, the traffic bound for `c` and `d`
@@ -138,23 +138,18 @@ fn run_cold(
     (configs, tr.planned_psi().to_bits(), tr.planned_delivered())
 }
 
-/// The 4 sequential policy variants, then the threaded exhaustive search.
+/// The 4 policy variants: search strategy × tie preference.
 fn policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
         for prefer_larger_alpha in [false, true] {
             out.push(SearchPolicy {
                 search,
-                parallel: false,
                 prefer_larger_alpha,
-                kernel: ExactKernel::Hungarian,
+                ..SearchPolicy::exhaustive()
             });
         }
     }
-    out.push(SearchPolicy {
-        parallel: true,
-        ..SearchPolicy::exhaustive()
-    });
     out
 }
 

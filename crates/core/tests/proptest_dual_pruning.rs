@@ -7,22 +7,21 @@
 //! suite replays random multihop windows against a reference loop that
 //! picks every winner by unbounded exhaustive search
 //! ([`ScheduleEngine::select_with`], which bounds nothing) over one-shot
-//! solves of each α's column. Schedule, ψ bits and delivered must match for
-//! sequential and parallel search, and the bipartite and localized
-//! fabrics.
+//! solves of each α's column. Schedule, ψ bits and delivered must match on
+//! the bipartite and localized fabrics.
 //!
 //! An ignored twin replays the same check at n = 12–24, where the
 //! best-first order has many surviving candidates to choose among; CI runs
 //! it in release.
 //!
-//! A fixed-instance test pins what the carried duals buy: the sequential
-//! solve count repeats exactly, and stays strictly below the sum of the
+//! A fixed-instance test pins what the carried duals buy: the solve count
+//! repeats exactly, and stays strictly below the sum of the
 //! same iterations' selects run without the previous iteration's duals.
 
 use octopus_core::engine::{CandidateExtension, Fabric};
 use octopus_core::{
-    AlphaSearch, BestChoice, BipartiteFabric, ExactKernel, HopWeighting, LinkQueues, LocalFabric,
-    MatchingKind, RemainingTraffic, ScheduleEngine, SearchPolicy,
+    BestChoice, BipartiteFabric, HopWeighting, LinkQueues, LocalFabric, MatchingKind,
+    RemainingTraffic, ScheduleEngine, SearchPolicy,
 };
 use octopus_matching::AssignmentSolver;
 use octopus_net::topology;
@@ -116,16 +115,13 @@ fn solve_alpha(
         benefit,
         score: benefit / (alpha + delta) as f64,
         matchings_computed: 1,
-        worker_evals: Vec::new(),
     }
 }
 
-fn policy(kind: Kind, parallel: bool) -> SearchPolicy {
+fn policy(kind: Kind) -> SearchPolicy {
     SearchPolicy {
-        search: AlphaSearch::Exhaustive,
-        parallel,
         prefer_larger_alpha: kind == Kind::Local,
-        kernel: ExactKernel::Hungarian,
+        ..SearchPolicy::exhaustive()
     }
 }
 
@@ -176,11 +172,11 @@ fn planned(
 }
 
 /// The reference: the same greedy loop, each winner picked by unbounded
-/// sequential exhaustive search over [`solve_alpha`].
+/// exhaustive search over [`solve_alpha`].
 fn reference(n: u32, load: &TrafficLoad, window: u64, delta: u64, kind: Kind) -> (Plan, u64, u64) {
     let tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("valid load");
     let mut engine = ScheduleEngine::new(tr, n, delta);
-    let policy = policy(kind, false);
+    let policy = policy(kind);
     let mut fabric = LocalFabric {
         kind: MatchingKind::Exact,
         delta,
@@ -231,13 +227,8 @@ proptest! {
     fn pruned_windows_match_unbounded_search((n, load, window, delta) in instance()) {
         for kind in [Kind::Bipartite, Kind::Local] {
             let want = reference(n, &load, window, delta, kind);
-            for parallel in [false, true] {
-                let got = planned(n, &load, window, delta, kind, &policy(kind, parallel));
-                prop_assert_eq!(
-                    &got, &want,
-                    "{:?} parallel = {}", kind, parallel
-                );
-            }
+            let got = planned(n, &load, window, delta, kind, &policy(kind));
+            prop_assert_eq!(&got, &want, "{:?}", kind);
         }
     }
 }
@@ -255,13 +246,8 @@ proptest! {
     ) {
         for kind in [Kind::Bipartite, Kind::Local] {
             let want = reference(n, &load, window, delta, kind);
-            for parallel in [false, true] {
-                let got = planned(n, &load, window, delta, kind, &policy(kind, parallel));
-                prop_assert_eq!(
-                    &got, &want,
-                    "{:?} parallel = {}", kind, parallel
-                );
-            }
+            let got = planned(n, &load, window, delta, kind, &policy(kind));
+            prop_assert_eq!(&got, &want, "{:?}", kind);
         }
     }
 }
@@ -292,7 +278,7 @@ fn carried_duals_cut_solves_deterministically() {
     };
     let (first, schedule) = solves();
     let (second, _) = solves();
-    assert_eq!(first, second, "sequential solve counts must repeat exactly");
+    assert_eq!(first, second, "solve counts must repeat exactly");
 
     // The same iterations, each select started without the previous
     // iteration's duals (`invalidate` drops them with the snapshot).

@@ -14,13 +14,13 @@
 //! nested ordered maps) and drives it through the identical
 //! [`ScheduleEngine`] greedy loop — including the per-commit `refresh_link`
 //! patch path — under **every** [`SearchPolicy`] variant: {exhaustive,
-//! binary} × {sequential, parallel} × {smallest-α, largest-α tie-break}.
+//! binary} × {smallest-α, largest-α tie-break}.
 //! Every iteration's `BestChoice` and the final ψ/delivered accounting must
 //! match exactly.
 
 use octopus_core::{
-    AlphaSearch, BipartiteFabric, CandidateExtension, ExactKernel, LinkQueue, LinkQueues,
-    MatchingKind, RemainingTraffic, ScheduleEngine, SearchPolicy, TrafficSource,
+    AlphaSearch, BipartiteFabric, CandidateExtension, LinkQueue, LinkQueues, MatchingKind,
+    RemainingTraffic, ScheduleEngine, SearchPolicy, TrafficSource,
 };
 use octopus_net::NodeId;
 use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad, Weight};
@@ -238,20 +238,17 @@ fn instance() -> impl Strategy<Value = (u32, TrafficLoad, u64, u64)> {
         )
 }
 
-/// Every `SearchPolicy` variant: {Exhaustive, Binary} × {sequential,
-/// parallel} × {smaller-α, larger-α preference}.
+/// Every `SearchPolicy` variant: {Exhaustive, Binary} × {smaller-α,
+/// larger-α preference}.
 fn all_policies() -> Vec<SearchPolicy> {
     let mut out = Vec::new();
     for search in [AlphaSearch::Exhaustive, AlphaSearch::Binary] {
-        for parallel in [false, true] {
-            for prefer_larger_alpha in [false, true] {
-                out.push(SearchPolicy {
-                    search,
-                    parallel,
-                    prefer_larger_alpha,
-                    kernel: ExactKernel::Hungarian,
-                });
-            }
+        for prefer_larger_alpha in [false, true] {
+            out.push(SearchPolicy {
+                search,
+                prefer_larger_alpha,
+                ..SearchPolicy::exhaustive()
+            });
         }
     }
     out

@@ -291,17 +291,15 @@ proptest! {
     }
 
     #[test]
-    fn ordered_bookkeeping_matches_hashed_greedy_parallel(
+    fn ordered_bookkeeping_matches_hashed_greedy(
         (n, load, window, delta) in instance()
     ) {
-        // Greedy kernel + threaded α-search: the parity must hold on every
-        // search path, not just the pruned sequential one.
-        let policy = SearchPolicy {
-            search: octopus_core::AlphaSearch::Exhaustive,
-            parallel: true,
-            prefer_larger_alpha: false,
-            kernel: octopus_core::ExactKernel::Hungarian,
-        };
-        assert_parity(n, &load, window, delta, MatchingKind::GreedySort, &policy)?;
+        // The parity must hold for the greedy kernel too, not just the
+        // exact one.
+        assert_parity(
+            n, &load, window, delta,
+            MatchingKind::GreedySort,
+            &SearchPolicy::exhaustive(),
+        )?;
     }
 }

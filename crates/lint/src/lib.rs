@@ -12,7 +12,7 @@
 //! | L6   | `btree-alloc`        | kernel      | fresh `BTreeMap`/`BTreeSet` construction  |
 //! | L7   | `hot-alloc`          | kernel      | allocation reachable from an entry point  |
 //! | L8   | `unchecked-arith`    | auction/memo| raw `+`/`*`/`<<` on price/value integers  |
-//! | L9   | `atomic-ordering`    | concurrency | `Ordering::Relaxed` without a proof       |
+//! | L9   | `atomic-ordering`    | kernel      | `Ordering::Relaxed` without a proof       |
 //! | L10  | `env-once`           | kernel+lib  | `env::var` outside a `OnceLock` reader    |
 //!
 //! L1–L6 and L8–L10 are per-file token/parse checks. L7 is
@@ -86,21 +86,13 @@ pub struct Analysis {
 /// Lints every workspace file under `root` against `baseline`, including
 /// the interprocedural pass.
 ///
-/// Walks the workspace `.rs` files plus `vendor/rayon/src` (the vendored
-/// work-stealing executor is skipped by the general `vendor` exclusion but
-/// hosts the steal bag's atomics and the `OCTOPUS_THREADS` knob, so L5, L9
-/// and L10 apply to it). Kernel entry points come from
+/// Walks the workspace `.rs` files. Kernel entry points come from
 /// `<root>/lint-entrypoints.toml`; if the manifest is absent the call
 /// graph is still built but nothing is reachable, so L7 stays silent. A
 /// spec that matches no workspace fn is an L7 finding on its manifest line
 /// that no baseline tolerates.
 pub fn analyze(root: &Path, baseline: &Baseline) -> std::io::Result<Analysis> {
-    let mut files = collect_rs_files(root)?;
-    let executor = root.join("vendor/rayon/src");
-    if executor.is_dir() {
-        files.extend(collect_rs_files(&executor)?);
-        files.sort();
-    }
+    let files = collect_rs_files(root)?;
 
     // Pass 1: per-file lints + parses.
     let mut rels: Vec<String> = Vec::with_capacity(files.len());

@@ -121,15 +121,8 @@ pub struct Violation {
 pub struct FileClass {
     /// Scheduling-kernel code: L1, L4, L6, L7 and L8 apply.
     pub kernel: bool,
-    /// Library (non-test, non-harness) code: L2 and L3 apply.
+    /// Library (non-test, non-harness) code: L2, L3 and L10 apply.
     pub library: bool,
-    /// Concurrency-sensitive code (kernel crates plus the vendored
-    /// work-stealing executor): L9 applies.
-    pub concurrency: bool,
-    /// Process-environment-reading surface (kernel + library + the vendored
-    /// executor, whose `OCTOPUS_THREADS` knob pins the worker count): L10
-    /// applies.
-    pub env_gate: bool,
 }
 
 /// Classifies a workspace-relative path (`/`-separated).
@@ -138,10 +131,6 @@ pub struct FileClass {
 ///   `octopus-matching`, `octopus-net` — the determinism-sensitive hot paths;
 /// * library surface additionally includes `octopus-traffic`, `octopus-sim`,
 ///   `octopus-baselines`, `octopus-serve` and the facade's `src/lib.rs`;
-/// * the vendored work-stealing executor (`vendor/rayon/src/`) is walked
-///   for the concurrency lints only (L9 `atomic-ordering`, L10 `env-once`,
-///   plus the universal L5) — it hosts the steal bag's atomics and the
-///   `OCTOPUS_THREADS` knob;
 /// * everything else (tests, benches, examples, binaries, the bench harness,
 ///   this linter) only gets L5, which applies to every walked file.
 pub fn classify(rel: &str) -> FileClass {
@@ -157,13 +146,7 @@ pub fn classify(rel: &str) -> FileClass {
                 || rel.starts_with("crates/baselines/src/")
                 || rel.starts_with("crates/serve/src/")
                 || rel == "src/lib.rs"));
-    let vendored_executor = rel.starts_with("vendor/rayon/src/");
-    FileClass {
-        kernel,
-        library,
-        concurrency: kernel || vendored_executor,
-        env_gate: kernel || library || vendored_executor,
-    }
+    FileClass { kernel, library }
 }
 
 /// Per-line pragma table: which lints are allowed on which lines.
@@ -272,10 +255,10 @@ pub fn analyze_file(rel: &str, src: &str) -> FileAnalysis {
     if class.kernel && (rel.ends_with("/auction.rs") || rel.ends_with("/memo.rs")) {
         lint_unchecked_arith(toks, &test_mask, &mut out);
     }
-    if class.concurrency {
+    if class.kernel {
         lint_atomic_ordering(toks, &test_mask, &mut out);
     }
-    if class.env_gate {
+    if class.library {
         lint_env_once(toks, &test_mask, &parsed, &mut out);
     }
     lint_undocumented_unsafe(toks, &pragmas, &mut out);
@@ -1080,12 +1063,12 @@ fn lint_unchecked_arith(toks: &[Token], test_mask: &[bool], out: &mut Vec<Violat
     }
 }
 
-/// L9: `Ordering::Relaxed` in concurrency-sensitive code without an
-/// ordering proof.
+/// L9: `Ordering::Relaxed` in kernel code without an ordering proof.
 ///
-/// Relaxed is frequently correct here (RMW claim counters, monotone prune
-/// floors) — but "frequently" is how silent reordering bugs ship. Every
-/// site must argue why Relaxed suffices in a
+/// The kernel crates hold no atomics today; a new one must not arrive with
+/// an unargued Relaxed. Relaxed is often correct (RMW claim counters,
+/// monotone prune floors) — but "often" is how silent reordering bugs ship.
+/// Every site must argue why Relaxed suffices in a
 /// `// lint:allow(atomic-ordering) — <proof>` pragma, or use a stronger
 /// ordering.
 fn lint_atomic_ordering(toks: &[Token], test_mask: &[bool], out: &mut Vec<Violation>) {

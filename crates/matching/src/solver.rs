@@ -38,8 +38,8 @@
 //! the anti-diagonal — same value, different matching.) Octopus weights are
 //! rational hop weights with massive tie classes, so this is the common
 //! case, not a corner. A history-dependent `eval(α)` would break the
-//! guarantee that pruned-sequential, plain-sequential and threaded α-searches
-//! return bit-identical schedules. Every solve therefore re-initializes
+//! guarantee that pruned and unbounded α-searches, on warm and cold
+//! workspaces, return bit-identical schedules. Every solve therefore re-initializes
 //! `φ_l(u) = max(0, max_v w(u, v))`, `φ_r = 0` — an `O(V)` fill, not an
 //! allocation — making the result a pure function of `(topology, weights)`.
 //!

@@ -58,6 +58,76 @@ fn instance() -> impl Strategy<Value = (u32, TrafficLoad, u64, u64)> {
         )
 }
 
+/// One Octopus window planned by [`ScheduleEngine::plan_window`]: the
+/// schedule, ψ bits and solve count.
+fn plan_once(n: u32, load: &TrafficLoad, window: u64, delta: u64) -> (Schedule, u64, usize) {
+    let mut tr = RemainingTraffic::new(load, HopWeighting::Uniform).unwrap();
+    let mut fabric = BipartiteFabric {
+        kind: MatchingKind::Exact,
+    };
+    let run = ScheduleEngine::new(&mut tr, n, delta)
+        .plan_window(&mut fabric, &SearchPolicy::exhaustive(), window)
+        .unwrap();
+    (
+        run.schedule,
+        tr.planned_psi().to_bits(),
+        run.matchings_computed,
+    )
+}
+
+/// [`plan_once`]'s window, planned by the same greedy loop as
+/// `plan_window`, but each select and commit is separated by a select and
+/// commit of a second engine over `other` on the same thread. The second
+/// engine starts over whenever its own window is spent.
+fn plan_interleaved(
+    n: u32,
+    load: &TrafficLoad,
+    window: u64,
+    delta: u64,
+    other: &(u32, TrafficLoad, u64, u64),
+) -> (Schedule, u64, usize) {
+    let fabric = BipartiteFabric {
+        kind: MatchingKind::Exact,
+    };
+    let policy = SearchPolicy::exhaustive();
+    let (other_n, other_load, other_window, other_delta) = other;
+    let fresh_other = || {
+        let tr = RemainingTraffic::new(other_load, HopWeighting::Uniform).unwrap();
+        (ScheduleEngine::new(tr, *other_n, *other_delta), 0u64)
+    };
+    let (mut second, mut second_used) = fresh_other();
+    let tr = RemainingTraffic::new(load, HopWeighting::Uniform).unwrap();
+    let mut engine = ScheduleEngine::new(tr, n, delta);
+    let (mut schedule, mut used, mut computed) = (Schedule::new(), 0u64, 0usize);
+    while !engine.is_drained() && used + delta < window {
+        let choice = engine.select(
+            &fabric,
+            window - used - delta,
+            CandidateExtension::None,
+            &policy,
+        );
+        let budget = other_window.saturating_sub(second_used + other_delta);
+        match second.select(&fabric, budget, CandidateExtension::None, &policy) {
+            Some(c) => {
+                second.commit(&fabric, &c.matching, c.alpha).unwrap();
+                second_used += c.alpha + other_delta;
+            }
+            None => (second, second_used) = fresh_other(),
+        }
+        let Some(choice) = choice else {
+            break;
+        };
+        computed += choice.matchings_computed;
+        let matching = engine
+            .commit(&fabric, &choice.matching, choice.alpha)
+            .unwrap();
+        schedule.push(Configuration::new(matching, choice.alpha));
+        used += choice.alpha + delta;
+    }
+    let psi = engine.source().planned_psi();
+    (schedule, psi.to_bits(), computed)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -186,38 +256,27 @@ proptest! {
     }
 
     #[test]
-    fn parallel_and_sequential_alpha_searches_agree(
-        (n, load, _window, delta) in instance()
+    fn alpha_search_is_identical_on_any_thread_and_workspace(
+        (n, load, window, delta) in instance(),
+        other in instance(),
     ) {
-        // The threaded exhaustive search must return the *same* winning
-        // configuration as the sequential (pruned) one — same α, same
-        // matching, same ψ-rate — for any instance and Δ. The tie-break is a
-        // strict total order, so this holds for every worker count and
-        // reduction shape. (matchings_computed may differ: pruning skips
-        // dominated candidates, the parallel path evaluates all of them.)
-        let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
-        let queues = tr.link_queues(n);
-        for kind in [MatchingKind::Exact, MatchingKind::GreedySort] {
-            for cap in [u64::MAX, 64, 7] {
-                let seq = best_configuration(
-                    &queues, delta, cap, AlphaSearch::Exhaustive, kind, false,
-                );
-                let par = best_configuration(
-                    &queues, delta, cap, AlphaSearch::Exhaustive, kind, true,
-                );
-                match (seq, par) {
-                    (None, None) => {}
-                    (Some(s), Some(p)) => {
-                        prop_assert_eq!(s.alpha, p.alpha, "kind {:?} cap {}", kind, cap);
-                        prop_assert_eq!(&s.matching, &p.matching, "kind {:?} cap {}", kind, cap);
-                        prop_assert_eq!(s.score.to_bits(), p.score.to_bits(),
-                            "psi-rate differs: {} vs {}", s.score, p.score);
-                        prop_assert_eq!(s.benefit.to_bits(), p.benefit.to_bits());
-                    }
-                    (s, p) => prop_assert!(false, "one path empty: seq {:?} par {:?}", s, p),
-                }
-            }
-        }
+        // The search keeps its solver, cached topology and cached column
+        // in a per-thread workspace, keyed by a sweep id that workspace
+        // issues. None of it may leak into a plan: the same window must come
+        // out the same — schedule, ψ bits and solve count — when planned
+        // twice on one thread, on a fresh thread with an empty workspace,
+        // and one select at a time between the selects of a second engine
+        // over different traffic on the same thread.
+        let first = plan_once(n, &load, window, delta);
+        prop_assert_eq!(&plan_once(n, &load, window, delta), &first, "second run");
+        let fresh = std::thread::scope(|s| {
+            s.spawn(|| plan_once(n, &load, window, delta))
+                .join()
+                .expect("planning thread panicked")
+        });
+        prop_assert_eq!(&fresh, &first, "fresh thread");
+        let interleaved = plan_interleaved(n, &load, window, delta, &other);
+        prop_assert_eq!(&interleaved, &first, "interleaved with a second engine");
     }
 
     #[test]
@@ -230,9 +289,9 @@ proptest! {
         //   α = c:    (c + c) / (c + Δ)     = 2c / 2c        = 1
         //   α = f·c:  (c + f·c) / (f·c + Δ) = c(1+f) / c(f+1) = 1
         // (bit-exact in f64: numerator equals denominator in both cases).
-        // A non-total tie-break would let the parallel reduction's chunk
-        // shape pick either α; the strict order must pick the smaller one on
-        // every path.
+        // The exhaustive best-first search and the ternary search visit the
+        // two candidates in different orders; the strict order must pick
+        // the smaller α on both.
         let c = small;
         let big = c * factor;
         let delta = c;
@@ -243,17 +302,17 @@ proptest! {
         let s1 = (c + c) as f64 / (c + delta) as f64;
         let s2 = (c + big) as f64 / (big + delta) as f64;
         prop_assert_eq!(s1.to_bits(), s2.to_bits());
-        let seq = best_configuration(
+        let exhaustive = best_configuration(
             &q, delta, u64::MAX, AlphaSearch::Exhaustive, MatchingKind::Exact, false,
         ).unwrap();
-        let par = best_configuration(
-            &q, delta, u64::MAX, AlphaSearch::Exhaustive, MatchingKind::Exact, true,
+        let binary = best_configuration(
+            &q, delta, u64::MAX, AlphaSearch::Binary, MatchingKind::Exact, false,
         ).unwrap();
         // Both paths must take the α tie-break: the smaller candidate.
-        prop_assert_eq!(seq.alpha, c);
-        prop_assert_eq!(par.alpha, c);
-        prop_assert_eq!(seq.matching, par.matching);
-        prop_assert_eq!(seq.score.to_bits(), par.score.to_bits());
+        prop_assert_eq!(exhaustive.alpha, c);
+        prop_assert_eq!(binary.alpha, c);
+        prop_assert_eq!(exhaustive.matching, binary.matching);
+        prop_assert_eq!(exhaustive.score.to_bits(), binary.score.to_bits());
     }
 
     #[test]
@@ -360,10 +419,8 @@ proptest! {
             prev: std::collections::HashSet::new(),
         };
         let policy = SearchPolicy {
-            search: AlphaSearch::Exhaustive,
-            parallel: false,
             prefer_larger_alpha: true,
-            kernel: octopus_core::ExactKernel::Hungarian,
+            ..SearchPolicy::exhaustive()
         };
         let mut engine = ScheduleEngine::new(&mut tr, n, delta);
         let mut used = 0u64;
