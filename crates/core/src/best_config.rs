@@ -18,11 +18,15 @@
 //!   comparison-sort greedy, or the linear-time bucket greedy of
 //!   **Octopus-G**.
 //!
-//! The search functions are generic over the per-α evaluation (a closure
-//! returning a [`BestChoice`]), so fabrics other than the plain bipartite
-//! one (K-port unions, duplex general graphs, persistence-aware local
-//! reconfiguration, chained multihop) reuse the identical candidate
-//! enumeration, pruning and tie-breaking.
+//! Every fabric's candidates are swept and evaluated here: a fabric's
+//! [`ColumnKernel`] turns one weight column into its configuration (a
+//! bipartite matching, a K-port union of matchings, or a duplex general
+//! matching) and scales the column's bounds to match, so K-port unions,
+//! duplex general graphs and persistence-aware local reconfiguration share
+//! the plain fabric's candidate enumeration, pruning and tie-breaking. The
+//! search functions take the per-α evaluation as a closure returning a
+//! [`BestChoice`], which is how the chain-aware multihop variant, whose
+//! benefit comes from a mini-simulation, reuses them unbounded.
 //!
 //! # Pruning
 //!
@@ -60,12 +64,12 @@
 //! score, it loses even on tie-breaks, and the winner, its matching and
 //! every schedule are the same as an unbounded search's.
 
+use crate::duplex::GeneralMatcherKind;
 use crate::engine::SearchPolicy;
 use crate::state::{FusedBounds, LinkQueues, MultiAlphaEdges};
-use octopus_matching::{
-    greedy::{bucket_greedy_matching, greedy_matching, GreedyScratch},
-    matching_weight, AssignmentSolver, WeightedBipartiteGraph,
-};
+use octopus_matching::blossom::maximum_weight_matching_general;
+use octopus_matching::general::greedy_general_matching;
+use octopus_matching::{greedy::GreedyScratch, AssignmentSolver};
 use serde::{Deserialize, Serialize};
 use std::cell::{Cell, RefCell};
 
@@ -95,6 +99,50 @@ pub enum MatchingKind {
         /// Integral scaling factor for edge weights.
         scale: u64,
     },
+}
+
+/// How a fabric turns one weight column of a sweep into a configuration.
+/// It also fixes how the column's certified bounds cover that
+/// configuration: as they are for one bipartite or duplex matching, `r`
+/// times over for a union of `r` matchings.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum ColumnKernel {
+    /// One bipartite matching of the column.
+    Matching(MatchingKind),
+    /// A union of up to `r` edge-disjoint bipartite matchings (§7 K-port):
+    /// each round matches the column with the links earlier rounds took
+    /// zeroed, so every round sees the same `g` minus the taken links.
+    Union {
+        /// The per-round matching kernel.
+        kind: MatchingKind,
+        /// Rounds, one per transceiver.
+        r: u32,
+    },
+    /// One general-graph matching of the column folded into undirected
+    /// `{a, b}` weights `g(a→b) + g(b→a)` (§7 full duplex).
+    Duplex {
+        /// The general-graph matching kernel.
+        matcher: GeneralMatcherKind,
+        /// Scale making the weights integral for the blossom's integer
+        /// duals.
+        scale: f64,
+    },
+}
+
+impl ColumnKernel {
+    /// A certified bound on this kernel's configuration weight, from a
+    /// certified bound `b` on the column's maximum bipartite matching
+    /// weight. A duplex matching's directed form is itself a bipartite
+    /// matching (each node sends once and receives once), so `b` bounds it
+    /// as is. Each round of a union matches a column that is at most the
+    /// original entrywise, so `r · b` bounds the union, padded by
+    /// [`outward`] for the `r`-term sum.
+    fn bound(self, b: f64) -> f64 {
+        match self {
+            ColumnKernel::Union { r, .. } => outward(b * f64::from(r), r as usize),
+            ColumnKernel::Matching(_) | ColumnKernel::Duplex { .. } => b,
+        }
+    }
 }
 
 /// The algorithm backing [`MatchingKind::Exact`]: the Hungarian
@@ -185,7 +233,7 @@ struct KernelWorkspace {
     /// fused pass.
     z_gather: Vec<f64>,
     /// Id of the [`SweepContext`] whose topology `solver` currently holds
-    /// (0 = none, or overwritten by a one-shot [`run_kernel`] call).
+    /// (0 = none).
     loaded_sweep: u64,
     /// The last sweep id this workspace issued. Ids start at 1, so a fresh
     /// workspace (`loaded_sweep == 0`) never aliases a real sweep. A sweep
@@ -348,9 +396,9 @@ impl DualTable {
 
 /// One iteration's batched α-search context: the fixed edge topology of
 /// every candidate α ([`LinkQueues::weighted_edges_multi`]) with each
-/// candidate's eager bound, tagged with an id unique within this thread's
-/// workspace, so the workspace knows when its loaded CSR topology and cached
-/// column are current.
+/// candidate's eager bound and the fabric's [`ColumnKernel`], tagged with an
+/// id unique within this thread's workspace, so the workspace knows when its
+/// loaded CSR topology and cached column are current.
 ///
 /// It also carries the dual sources that tighten the search's bounds: the
 /// table this search fills with each exact solve's right-side duals, and
@@ -359,19 +407,21 @@ impl DualTable {
 /// `z ≥ 0`, so neither can change the winner.
 pub(crate) struct SweepContext<'q> {
     sweep: MultiAlphaEdges<'q>,
+    kernel: ColumnKernel,
     id: u64,
     duals: DualTable,
-    /// Per candidate, its eager bound on the matching weight (the score
-    /// bound times `α + Δ`).
+    /// Per candidate, its eager bound on the column's matching weight.
     eager: Vec<f64>,
 }
 
 impl<'q> SweepContext<'q> {
-    /// A context over `sweep` that records its solves' duals in `duals`, a
-    /// fresh [`DualTable`] over the same candidates, and bounds every
-    /// candidate eagerly under `prior`, the previous search's duals.
+    /// A context that turns `sweep`'s columns into configurations with
+    /// `kernel`, records its exact solves' duals in `duals`, a fresh
+    /// [`DualTable`] over the same candidates, and bounds every candidate
+    /// eagerly under `prior`, the previous search's duals.
     pub(crate) fn new(
         sweep: MultiAlphaEdges<'q>,
+        kernel: ColumnKernel,
         duals: DualTable,
         prior: Option<&DualTable>,
     ) -> Self {
@@ -383,6 +433,7 @@ impl<'q> SweepContext<'q> {
         });
         SweepContext {
             sweep,
+            kernel,
             id,
             duals,
             eager,
@@ -399,7 +450,6 @@ impl<'q> SweepContext<'q> {
     pub(crate) fn search(
         self,
         policy: &SearchPolicy,
-        kind: MatchingKind,
         delta: u64,
     ) -> (Option<BestChoice>, DualTable) {
         let ub = |alpha: u64| self.score_upper_bound(alpha, delta);
@@ -409,7 +459,7 @@ impl<'q> SweepContext<'q> {
             policy,
             Some(&ub),
             Some(&solved),
-            &|alpha| self.eval(alpha, delta, kind),
+            &|alpha| self.eval(alpha, delta),
         )
         .filter(|c| c.benefit > 0.0);
         (best, self.duals)
@@ -418,9 +468,11 @@ impl<'q> SweepContext<'q> {
     /// The eager score bound of one swept candidate α, which seeds its
     /// place in the search: the row/column-max bound of its column,
     /// tightened by the weak-duality bound under the previous search's
-    /// duals of the nearest α ([`eager_bounds`]).
+    /// duals of the nearest α ([`eager_bounds`]), through
+    /// [`ColumnKernel::bound`].
     pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
-        self.eager[self.sweep.index_of(alpha)] / (alpha + delta) as f64
+        let eager = self.eager[self.sweep.index_of(alpha)];
+        self.kernel.bound(eager) / (alpha + delta) as f64
     }
 
     /// Loads candidate `k`'s weight column into `ws.col`, unless the
@@ -437,8 +489,9 @@ impl<'q> SweepContext<'q> {
     /// weak-duality bound under [`DualTable::bracket`]'s row and, when that
     /// does not fall strictly below `incumbent`, also under one descent
     /// step from it ([`SweepContext::descent_bound`]), the smaller of the
-    /// two. Each costs a pass over the column, so the search consults it
-    /// only for the candidate it is about to solve.
+    /// two, each through [`ColumnKernel::bound`]. Each costs a pass over the
+    /// column, so the search consults it only for the candidate it is about
+    /// to solve.
     pub(crate) fn solved_score_bound(&self, alpha: u64, delta: u64, incumbent: f64) -> f64 {
         let k = self.sweep.index_of(alpha);
         let cost = (alpha + delta) as f64;
@@ -448,11 +501,15 @@ impl<'q> SweepContext<'q> {
                 return f64::INFINITY;
             }
             self.load_column(k, ws);
-            let bound = self.dual_bound(&ws.col, &ws.z, Some(&mut ws.y)) / cost;
+            let bound = self
+                .kernel
+                .bound(self.dual_bound(&ws.col, &ws.z, Some(&mut ws.y)))
+                / cost;
             if bound < incumbent {
                 return bound;
             }
-            bound.min(self.descent_bound(&ws.col, &ws.y, &mut ws.z_descent) / cost)
+            let descent = self.descent_bound(&ws.col, &ws.y, &mut ws.z_descent);
+            bound.min(self.kernel.bound(descent) / cost)
         })
     }
 
@@ -532,57 +589,24 @@ impl<'q> SweepContext<'q> {
         outward(y_total + z_total, 2 * n + y.len() + 1)
     }
 
-    /// Evaluates one swept candidate α on this thread's workspace: reloads
-    /// the topology only when the workspace last solved a different sweep,
-    /// loads the α's weight column ([`SweepContext::load_column`]), then
-    /// re-solves it in place and, for the exact kind, publishes the solve's
-    /// right-side duals into this search's [`DualTable`]. Allocation-free after the first candidate except for
-    /// the returned matching itself.
-    ///
-    /// Results are bit-identical to the per-α path
-    /// ([`crate::BipartiteFabric`]'s `Fabric::evaluate`): same effective
-    /// edge set (non-positive column entries are skipped inside the
-    /// kernels), same algorithms, and the benefit is summed in the same
-    /// matching order.
+    /// Evaluates one swept candidate α on this thread's workspace: loads
+    /// its weight column ([`SweepContext::load_column`]) and turns it into a
+    /// configuration with this context's [`ColumnKernel`], counting every
+    /// matching solved. Allocation-free after the first candidate except for
+    /// the returned matching and the duplex kernels' own buffers.
     // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
-    pub(crate) fn eval(&self, alpha: u64, delta: u64, kind: MatchingKind) -> BestChoice {
+    pub(crate) fn eval(&self, alpha: u64, delta: u64) -> BestChoice {
         let k = self.sweep.index_of(alpha);
-        let edges = self.sweep.edges();
-        let n = self.sweep.n();
-        let (matching, benefit) = KERNEL_WS.with(|ws| {
+        let (matching, benefit, solves) = KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
             self.load_column(k, ws);
-            let col = &ws.col;
-            match kind {
-                MatchingKind::Exact => {
-                    if ws.loaded_sweep != self.id {
-                        ws.solver.load_topology(n, n, edges);
-                        ws.loaded_sweep = self.id;
-                    }
-                    ws.solver.solve_reweighted(col);
-                    ws.solver.right_duals(&mut ws.z);
-                    self.duals.publish(k, &ws.z);
-                    (ws.solver.matching().to_vec(), ws.solver.last_weight())
+            match self.kernel {
+                ColumnKernel::Matching(kind) => {
+                    let benefit = self.match_column(kind, Some(k), ws);
+                    (ws.out.clone(), benefit, 1)
                 }
-                MatchingKind::GreedySort => {
-                    ws.greedy.greedy_on(n, n, edges, col, &mut ws.out);
-                    let benefit = column_weight(edges, col, &ws.out);
-                    (ws.out.clone(), benefit)
-                }
-                MatchingKind::BucketGreedy { scale } => {
-                    ws.ints.clear();
-                    ws.ints.extend(col.iter().map(|&w| {
-                        if w > 0.0 {
-                            (w * scale as f64).round() as u64
-                        } else {
-                            0
-                        }
-                    }));
-                    ws.greedy
-                        .bucket_greedy_on(n, n, edges, &ws.ints, &mut ws.out);
-                    let benefit = column_weight(edges, col, &ws.out);
-                    (ws.out.clone(), benefit)
-                }
+                ColumnKernel::Union { kind, r } => self.union(k, kind, r, ws),
+                ColumnKernel::Duplex { matcher, scale } => self.duplex(matcher, scale, ws),
             }
         });
         BestChoice {
@@ -590,8 +614,142 @@ impl<'q> SweepContext<'q> {
             alpha,
             benefit,
             score: benefit / (alpha + delta) as f64,
-            matchings_computed: 1,
+            matchings_computed: solves,
         }
+    }
+
+    /// Matches the column in `ws.col` with `kind` (non-positive entries are
+    /// absent), leaves the matching in `ws.out` and returns its weight. An
+    /// exact solve reloads the topology only when the workspace last solved
+    /// another sweep, re-solves in place, and with `publish = Some(k)`
+    /// publishes its right-side duals as row `k` of this search's table.
+    fn match_column(
+        &self,
+        kind: MatchingKind,
+        publish: Option<usize>,
+        ws: &mut KernelWorkspace,
+    ) -> f64 {
+        let (edges, n) = (self.sweep.edges(), self.sweep.n());
+        let col = &ws.col;
+        match kind {
+            MatchingKind::Exact => {
+                if ws.loaded_sweep != self.id {
+                    ws.solver.load_topology(n, n, edges);
+                    ws.loaded_sweep = self.id;
+                }
+                ws.solver.solve_reweighted(col);
+                if let Some(k) = publish {
+                    ws.solver.right_duals(&mut ws.z);
+                    self.duals.publish(k, &ws.z);
+                }
+                ws.out.clear();
+                ws.out.extend_from_slice(ws.solver.matching());
+                ws.solver.last_weight()
+            }
+            MatchingKind::GreedySort => {
+                ws.greedy.greedy_on(n, n, edges, col, &mut ws.out);
+                column_weight(edges, col, &ws.out)
+            }
+            MatchingKind::BucketGreedy { scale } => {
+                ws.ints.clear();
+                ws.ints.extend(col.iter().map(|&w| {
+                    if w > 0.0 {
+                        (w * scale as f64).round() as u64
+                    } else {
+                        0
+                    }
+                }));
+                ws.greedy
+                    .bucket_greedy_on(n, n, edges, &ws.ints, &mut ws.out);
+                column_weight(edges, col, &ws.out)
+            }
+        }
+    }
+
+    /// The §7 K-port union of candidate `k`'s column in `ws.col`: up to `r`
+    /// rounds of [`SweepContext::match_column`], each later one with the
+    /// links already taken zeroed (which keeps bucket weights integral).
+    /// A configuration moves each packet one hop, so a round gains exactly
+    /// its own links' `g`. Only the first round, on the column itself,
+    /// publishes duals; masking drops the column cache. Returns the sorted
+    /// union, its weight and the rounds solved.
+    // lint:allow(hot-alloc) — amortized: the union is the returned configuration, built once per evaluated candidate
+    fn union(
+        &self,
+        k: usize,
+        kind: MatchingKind,
+        r: u32,
+        ws: &mut KernelWorkspace,
+    ) -> (Vec<(u32, u32)>, f64, usize) {
+        let edges = self.sweep.edges();
+        let mut links = Vec::new();
+        let mut total = 0.0;
+        let mut solves = 0;
+        for round in 0..r {
+            if round > 0 {
+                ws.col_key = (0, 0);
+                for link in &ws.out {
+                    if let Ok(e) = edges.binary_search(link) {
+                        ws.col[e] = 0.0;
+                    }
+                }
+            }
+            if !ws.col.iter().any(|&w| w > 0.0) {
+                break;
+            }
+            total += self.match_column(kind, (round == 0).then_some(k), ws);
+            solves += 1;
+            links.extend_from_slice(&ws.out);
+        }
+        links.sort_unstable();
+        (links, total, solves)
+    }
+
+    /// The §7 duplex configuration of the column in `ws.col`, one general
+    /// matching where `{a, b}` weighs `g(a→b) + g(b→a)`, and its benefit.
+    // lint:allow(hot-alloc) — amortized: the folded edge list and the general matchers' buffers are built once per evaluated candidate
+    fn duplex(
+        &self,
+        matcher: GeneralMatcherKind,
+        scale: f64,
+        ws: &KernelWorkspace,
+    ) -> (Vec<(u32, u32)>, f64, usize) {
+        let (edges, col) = (self.sweep.edges(), &ws.col);
+        // Canonicalize each positive directed edge to `(min, max)`,
+        // stable-sort by key, then fold adjacent duplicates. Edges are
+        // `(u, v)`-sorted, so for any pair {a, b} the `a → b` term precedes
+        // `b → a` there and after the stable sort, and is added first.
+        let mut undirected: Vec<((u32, u32), f64)> = edges
+            .iter()
+            .zip(col)
+            .filter(|&(_, &w)| w > 0.0)
+            .map(|(&(i, j), &w)| (if i < j { (i, j) } else { (j, i) }, w))
+            .collect();
+        undirected.sort_by_key(|&(key, _)| key);
+        let mut folded: Vec<(u32, u32, f64)> = Vec::with_capacity(undirected.len());
+        for ((a, b), w) in undirected {
+            match folded.last_mut() {
+                Some(last) if (last.0, last.1) == (a, b) => last.2 += w,
+                _ => folded.push((a, b, w)),
+            }
+        }
+        let n = self.sweep.n();
+        let matching = match matcher {
+            GeneralMatcherKind::Greedy => greedy_general_matching(n, &folded),
+            GeneralMatcherKind::ExactBlossom => {
+                let ints: Vec<(u32, u32, i64)> = folded
+                    .iter()
+                    .map(|&(a, b, w)| (a, b, (w * scale).round() as i64))
+                    .collect();
+                maximum_weight_matching_general(n, &ints)
+            }
+        };
+        let entry = |a: u32, b: u32| edges.binary_search(&(a, b)).map_or(0.0, |e| col[e]);
+        let benefit = matching
+            .iter()
+            .map(|&(a, b)| entry(a, b) + entry(b, a))
+            .sum();
+        (matching, benefit, 1)
     }
 }
 
@@ -663,43 +821,6 @@ fn column_weight(edges: &[(u32, u32)], col: &[f64], matching: &[(u32, u32)]) -> 
         .sum()
 }
 
-/// Runs one matching kernel on an explicit weighted edge list.
-///
-/// The exact kind runs the Hungarian solver on this thread's persistent
-/// [`KernelWorkspace`] (reusing its scratch buffers), invalidating any sweep
-/// topology the workspace held.
-// lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
-pub(crate) fn run_kernel(
-    n: u32,
-    edges: Vec<(u32, u32, f64)>,
-    kind: MatchingKind,
-) -> (Vec<(u32, u32)>, f64) {
-    let g = WeightedBipartiteGraph::from_tuples(n, n, edges);
-    match kind {
-        MatchingKind::Exact => KERNEL_WS.with(|ws| {
-            let ws = &mut *ws.borrow_mut();
-            ws.loaded_sweep = 0;
-            ws.solver.solve(&g);
-            (ws.solver.matching().to_vec(), ws.solver.last_weight())
-        }),
-        MatchingKind::GreedySort => {
-            let matching = greedy_matching(&g);
-            let benefit = matching_weight(&g, &matching);
-            (matching, benefit)
-        }
-        MatchingKind::BucketGreedy { scale } => {
-            let ints: Vec<u64> = g
-                .edges()
-                .iter()
-                .map(|e| (e.weight * scale as f64).round() as u64)
-                .collect();
-            let matching = bucket_greedy_matching(&g, &ints);
-            let benefit = matching_weight(&g, &matching);
-            (matching, benefit)
-        }
-    }
-}
-
 /// Picks the configuration with the highest benefit per unit cost.
 ///
 /// `alpha_cap` bounds α by the remaining window budget (`W − used − Δ`).
@@ -733,8 +854,8 @@ pub fn best_configuration(
     };
     let duals = DualTable::new(&candidates, queues.n() as usize);
     let sweep = queues.weighted_edges_multi(&candidates);
-    SweepContext::new(sweep, duals, None)
-        .search(&policy, kind, delta)
+    SweepContext::new(sweep, ColumnKernel::Matching(kind), duals, None)
+        .search(&policy, delta)
         .0
 }
 
@@ -1089,11 +1210,14 @@ mod tests {
             prefer_larger_alpha: true,
             ..SearchPolicy::exhaustive()
         };
-        let fabric = crate::BipartiteFabric {
-            kind: MatchingKind::Exact,
-        };
-        let eval = |alpha| crate::Fabric::<()>::evaluate(&fabric, &(), &q, alpha, 10);
         let candidates = q.alpha_candidates(10_000);
+        let ctx = SweepContext::new(
+            q.weighted_edges_multi(&candidates),
+            ColumnKernel::Matching(MatchingKind::Exact),
+            DualTable::new(&candidates, 4),
+            None,
+        );
+        let eval = |alpha| ctx.eval(alpha, 10);
         let best = search_alpha(&candidates, &policy, None, None, &eval).unwrap();
         assert_eq!(best.alpha, 30);
     }
@@ -1211,6 +1335,9 @@ mod tests {
         assert_eq!(best.matchings_computed, 1);
     }
 
+    /// The plain bipartite fabric's exact kernel.
+    const EXACT: ColumnKernel = ColumnKernel::Matching(MatchingKind::Exact);
+
     /// Candidate `k`'s weight column of `ctx`'s sweep.
     fn column(ctx: &SweepContext, k: usize) -> Vec<f64> {
         let mut col = Vec::new();
@@ -1252,7 +1379,7 @@ mod tests {
             order.sort_by_key(|&k| (k as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
             let (mut z, mut y, mut z_descent) = (Vec::new(), Vec::new(), Vec::new());
             let duals = DualTable::new(&alphas, 6);
-            let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), duals, None);
+            let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), EXACT, duals, None);
             let mut scores = vec![0.0; alphas.len()];
             let columns: Vec<Vec<f64>> = (0..alphas.len()).map(|k| column(&ctx, k)).collect();
             for &k in &order {
@@ -1267,7 +1394,7 @@ mod tests {
                     let bracketed = ctx.dual_bound(col, &z, Some(&mut y)) / cost;
                     (bracketed, ctx.descent_bound(col, &y, &mut z_descent) / cost)
                 });
-                let s = ctx.eval(alpha, delta, MatchingKind::Exact).score;
+                let s = ctx.eval(alpha, delta).score;
                 prop_assert!(lazy >= s, "lazy bound {} < score {}", lazy, s);
                 if let Some((bracketed, descended)) = halves {
                     prop_assert!(bracketed >= s, "bracketed {} < score {}", bracketed, s);
@@ -1306,11 +1433,99 @@ mod tests {
             // The next search, bounded by this one's duals.
             let next = SweepContext::new(
                 q.weighted_edges_multi(&alphas),
+                EXACT,
                 DualTable::new(&alphas, 6),
                 Some(&ctx.duals),
             );
             for (k, &alpha) in alphas.iter().enumerate() {
                 prop_assert!(next.score_upper_bound(alpha, delta) >= scores[k]);
+            }
+        }
+    }
+
+    /// Every fabric's column kernel, for `1/k` hop weights with `k < 5`
+    /// (integral at scale 12).
+    const KERNELS: [ColumnKernel; 10] = [
+        ColumnKernel::Matching(MatchingKind::Exact),
+        ColumnKernel::Matching(MatchingKind::GreedySort),
+        ColumnKernel::Matching(MatchingKind::BucketGreedy { scale: 12 }),
+        ColumnKernel::Union {
+            kind: MatchingKind::Exact,
+            r: 1,
+        },
+        ColumnKernel::Union {
+            kind: MatchingKind::Exact,
+            r: 2,
+        },
+        ColumnKernel::Union {
+            kind: MatchingKind::Exact,
+            r: 3,
+        },
+        ColumnKernel::Union {
+            kind: MatchingKind::GreedySort,
+            r: 2,
+        },
+        ColumnKernel::Union {
+            kind: MatchingKind::BucketGreedy { scale: 12 },
+            r: 2,
+        },
+        ColumnKernel::Duplex {
+            matcher: GeneralMatcherKind::ExactBlossom,
+            scale: 12.0,
+        },
+        ColumnKernel::Duplex {
+            matcher: GeneralMatcherKind::Greedy,
+            scale: 12.0,
+        },
+    ];
+
+    proptest! {
+        /// Every fabric's eager and lazy score bounds stay at or above the
+        /// score its kernel evaluates: plain, localized (a per-link α
+        /// bonus), K-port unions of 1–3 rounds and duplex matchings, with
+        /// exact and greedy kernels. The eager bounds carry a previous
+        /// search's duals, and candidates are solved in a seeded shuffled
+        /// order, so lazy bounds meet published rows on one side and on
+        /// both.
+        #[test]
+        fn every_kernel_is_bounded_by_its_eager_and_lazy_bounds(
+            links in tie_heavy_links(),
+            delta in 0u64..20,
+            seed in 0u64..u64::MAX,
+            with_bonus in 0u32..2,
+        ) {
+            let q = LinkQueues::from_weighted_counts(
+                6,
+                links
+                    .iter()
+                    .filter(|((i, j), _, _)| i != j)
+                    .map(|&(link, k, c)| (link, 1.0 / k as f64, c)),
+            );
+            let alphas = q.alpha_candidates(10_000);
+            prop_assume!(!alphas.is_empty());
+            let bonus = |(i, j): (u32, u32)| if with_bonus > 0 && (i + j) % 2 == 0 { delta } else { 0 };
+            let mut order: Vec<usize> = (0..alphas.len()).collect();
+            order.sort_by_key(|&k| (k as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            for kernel in KERNELS {
+                let sweep = || q.weighted_edges_multi_with(&alphas, bonus);
+                let prior = SweepContext::new(sweep(), kernel, DualTable::new(&alphas, 6), None);
+                for &alpha in alphas.iter().step_by(2) {
+                    prior.eval(alpha, delta);
+                }
+                let ctx = SweepContext::new(
+                    sweep(),
+                    kernel,
+                    DualTable::new(&alphas, 6),
+                    Some(&prior.duals),
+                );
+                for &k in &order {
+                    let alpha = alphas[k];
+                    let eager = ctx.score_upper_bound(alpha, delta);
+                    let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
+                    let s = ctx.eval(alpha, delta).score;
+                    prop_assert!(eager >= s, "{:?} α {}: eager {} < score {}", kernel, alpha, eager, s);
+                    prop_assert!(lazy >= s, "{:?} α {}: lazy {} < score {}", kernel, alpha, lazy, s);
+                }
             }
         }
     }
@@ -1469,12 +1684,14 @@ mod tests {
             let prior = (with_prior > 0).then_some(&prior);
             let ctx = SweepContext::new(
                 q.weighted_edges_multi_with(&alphas, extra),
+                EXACT,
                 DualTable::new(&alphas, n as usize),
                 prior,
             );
             let slack = KERNEL_WS.with(|ws| ws.borrow().bounds.slack.clone());
             let other = SweepContext::new(
                 q.weighted_edges_multi(&alphas),
+                EXACT,
                 DualTable::new(&alphas, n as usize),
                 None,
             );
@@ -1521,8 +1738,8 @@ mod tests {
                     prop_assert_eq!(got.to_bits(), want.to_bits(), "lazy bound {}", k);
                 }
                 other.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
-                other.eval(alpha, delta, MatchingKind::Exact);
-                let choice = ctx.eval(alpha, delta, MatchingKind::Exact);
+                other.eval(alpha, delta);
+                let choice = ctx.eval(alpha, delta);
                 solver.solve_reweighted(&dense[k]);
                 prop_assert_eq!(&choice.matching[..], solver.matching());
                 prop_assert_eq!(choice.benefit.to_bits(), solver.last_weight().to_bits());

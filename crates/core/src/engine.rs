@@ -15,9 +15,12 @@
 //!   matching ([`BipartiteFabric`]), a union of `r` edge-disjoint matchings
 //!   ([`KPortFabric`]), a general-graph matching on an undirected duplex
 //!   fabric ([`DuplexFabric`]), or a persistence-aware matching for
-//!   localized reconfiguration ([`LocalFabric`]). A variant's quirks live
-//!   on its fabric: extra α candidates ([`Fabric::extension`]) and state
-//!   carried from one configuration to the next ([`Fabric::committed`]).
+//!   localized reconfiguration ([`LocalFabric`]). Each hands the engine a
+//!   multi-α weight sweep and the [`ColumnKernel`] that turns one column
+//!   into its configuration, so every fabric is searched and pruned on the
+//!   same path. A variant's quirks live on its fabric: extra α candidates
+//!   ([`Fabric::extension`]) and state carried from one configuration to
+//!   the next ([`Fabric::committed`]).
 //! * [`ScheduleEngine::commit`] applies the chosen `(M, α)` and patches the
 //!   queue snapshot **incrementally**: the source reports exactly which
 //!   links gained or lost packets, and only those links' queues are
@@ -30,18 +33,15 @@
 //! lives in [`crate::best_config`] and is driven through [`SearchPolicy`].
 
 use crate::best_config::{
-    run_kernel, search_alpha, AlphaSearch, BestChoice, DualTable, ExactKernel, MatchingKind,
+    search_alpha, AlphaSearch, BestChoice, ColumnKernel, DualTable, ExactKernel, MatchingKind,
     SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
 use crate::state::{LinkQueue, LinkQueues, MultiAlphaEdges, RemainingTraffic};
 use crate::SchedError;
-use octopus_matching::blossom::maximum_weight_matching_general;
-use octopus_matching::general::greedy_general_matching;
 use octopus_net::duplex::{DuplexMatching, DuplexNetwork};
 use octopus_net::{Configuration, Matching, NodeId, Schedule};
 use octopus_traffic::{FlowId, Route};
-use std::borrow::Borrow;
 use std::collections::HashSet;
 
 /// How one iteration's α-candidate search runs.
@@ -188,14 +188,11 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
 /// `(src, dst, slots)` budgets the traffic source should serve under it.
 pub type Realized = Result<(Matching, Vec<(NodeId, NodeId, u64)>), SchedError>;
 
-/// What a *configuration* is on a given fabric: how one candidate α is
-/// evaluated into a [`BestChoice`], and how a chosen link set is realized
-/// into a [`Matching`] plus the per-link slot budgets `T^r` should serve.
-pub trait Fabric<S> {
-    /// Evaluates the best configuration of this fabric for one α.
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn evaluate(&self, source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice;
-
+/// What a *configuration* is on a given fabric: which weight column each
+/// candidate α gets and how a column becomes a configuration
+/// ([`Fabric::weight_sweep`]), and how a chosen link set is realized into a
+/// [`Matching`] plus the per-link slot budgets `T^r` should serve.
+pub trait Fabric {
     /// Turns the winning link set into the matching pushed onto the schedule
     /// and the `(src, dst, slots)` budgets applied to the traffic source.
     ///
@@ -203,26 +200,20 @@ pub trait Fabric<S> {
     /// [`SchedError::Net`] when the link set violates the fabric's port
     /// constraints — the matching kernel and the fabric model disagree,
     /// which a correct kernel never produces.
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn realize(&self, source: &S, links: &[(u32, u32)], alpha: u64) -> Realized;
+    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized;
 
-    /// A batched multi-α weight sweep, for fabrics whose per-α evaluation is
-    /// a bipartite matching kernel over one `g` column: the fixed topology
+    /// The batched multi-α weight sweep of `candidates`: the fixed topology
     /// over the snapshot, from which every candidate's bounds come in one
     /// pass and its weight column on demand
-    /// ([`LinkQueues::weighted_edges_multi`]). When `Some`, the engine
-    /// evaluates candidates on per-thread reusable matching workspaces and
-    /// prunes with the per-column bounds; `None` (the default) keeps the
-    /// fabric's per-α [`Fabric::evaluate`] path, unpruned.
+    /// ([`LinkQueues::weighted_edges_multi`]), and the [`ColumnKernel`]
+    /// that turns a column into this fabric's configuration. The engine
+    /// evaluates candidates on the thread's reusable matching workspace and
+    /// prunes them with the per-column bounds.
     fn weight_sweep<'q>(
         &self,
-        source: &S,
         queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
-        let _ = (source, queues, candidates);
-        None
-    }
+    ) -> (MultiAlphaEdges<'q>, ColumnKernel);
 
     /// Extra α candidates beyond the Procedure-1 class boundaries for the
     /// next [`ScheduleEngine::plan_window`] iteration (default: none).
@@ -246,21 +237,9 @@ pub struct BipartiteFabric {
     pub kind: MatchingKind,
 }
 
-impl<S> Fabric<S> for BipartiteFabric {
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn evaluate(&self, _source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        let (matching, benefit) = run_kernel(queues.n(), queues.weighted_edges(alpha), self.kind);
-        BestChoice {
-            matching,
-            alpha,
-            benefit,
-            score: benefit / (alpha + delta) as f64,
-            matchings_computed: 1,
-        }
-    }
-
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn realize(&self, _source: &S, links: &[(u32, u32)], alpha: u64) -> Realized {
+impl Fabric for BipartiteFabric {
+    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
+    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free(links.iter().copied())?;
         let budgets = links
             .iter()
@@ -271,42 +250,31 @@ impl<S> Fabric<S> for BipartiteFabric {
 
     fn weight_sweep<'q>(
         &self,
-        _source: &S,
         queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
-        Some((queues.weighted_edges_multi(candidates), self.kind))
+    ) -> (MultiAlphaEdges<'q>, ColumnKernel) {
+        (
+            queues.weighted_edges_multi(candidates),
+            ColumnKernel::Matching(self.kind),
+        )
     }
 }
 
 /// The §7 K-port fabric: each node has `r` transceivers, a configuration is
-/// a union of up to `r` edge-disjoint matchings built greedily with
-/// intermediate `g` updates against a cloned `T^r`.
+/// a union of up to `r` edge-disjoint matchings built greedily on one `g`
+/// column, each later round seeing the same `g` minus the links already
+/// taken ([`ColumnKernel::Union`]).
 #[derive(Debug, Clone, Copy)]
 pub struct KPortFabric {
-    /// The per-round matching kernel (`Exact` or greedy — the bucket kernel
-    /// falls back to sort-greedy here, as the union rounds re-weight edges).
+    /// The per-round matching kernel.
     pub kind: MatchingKind,
     /// Transceivers per node.
     pub r: u32,
 }
 
-impl<S: Borrow<RemainingTraffic>> Fabric<S> for KPortFabric {
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn evaluate(&self, source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        let (matching, benefit) =
-            union_matching(source.borrow(), queues.n(), alpha, self.r, self.kind);
-        BestChoice {
-            matching,
-            alpha,
-            benefit,
-            score: benefit / (alpha + delta) as f64,
-            matchings_computed: 1,
-        }
-    }
-
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn realize(&self, _source: &S, links: &[(u32, u32)], alpha: u64) -> Realized {
+impl Fabric for KPortFabric {
+    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
+    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free_with_capacity(links.iter().copied(), self.r)?;
         let budgets = links
             .iter()
@@ -314,59 +282,24 @@ impl<S: Borrow<RemainingTraffic>> Fabric<S> for KPortFabric {
             .collect();
         Ok((matching, budgets))
     }
-}
 
-/// Greedily builds a union of up to `r` edge-disjoint matchings for duration
-/// `alpha`, recomputing `g` against a cloned `T^r` after each matching so the
-/// later matchings only claim residual packets.
-// lint:allow(hot-alloc) — amortized: k-port union built once per window; the per-round sets are bounded by k ≤ ports, not by kernel iterations
-fn union_matching(
-    tr: &RemainingTraffic,
-    n: u32,
-    alpha: u64,
-    r: u32,
-    kind: MatchingKind,
-) -> (Vec<(u32, u32)>, f64) {
-    let mut shadow = tr.clone();
-    let mut all_links: Vec<(u32, u32)> = Vec::new();
-    let mut taken: HashSet<(u32, u32)> = HashSet::new();
-    let mut total_benefit = 0.0;
-    // The bucket kernel falls back to sort-greedy: union rounds re-weight
-    // edges, so the integral-weight precondition does not survive them.
-    let round_kind = match kind {
-        MatchingKind::Exact => MatchingKind::Exact,
-        _ => MatchingKind::GreedySort,
-    };
-    for _ in 0..r {
-        let queues = shadow.link_queues(n);
-        let edges: Vec<(u32, u32, f64)> = queues
-            .weighted_edges(alpha)
-            .into_iter()
-            .filter(|&(i, j, _)| !taken.contains(&(i, j)))
-            .collect();
-        if edges.is_empty() {
-            break;
-        }
-        let (m, round_benefit) = run_kernel(n, edges, round_kind);
-        if m.is_empty() {
-            break;
-        }
-        total_benefit += round_benefit;
-        let node_links: Vec<(NodeId, NodeId)> =
-            m.iter().map(|&(i, j)| (NodeId(i), NodeId(j))).collect();
-        shadow.apply(&node_links, alpha);
-        for &(i, j) in &m {
-            taken.insert((i, j));
-            all_links.push((i, j));
-        }
+    fn weight_sweep<'q>(
+        &self,
+        queues: &'q LinkQueues,
+        candidates: &[u64],
+    ) -> (MultiAlphaEdges<'q>, ColumnKernel) {
+        let kernel = ColumnKernel::Union {
+            kind: self.kind,
+            r: self.r,
+        };
+        (queues.weighted_edges_multi(candidates), kernel)
     }
-    all_links.sort_unstable();
-    (all_links, total_benefit)
 }
 
 /// The §7 full-duplex fabric: an undirected general graph where edge
 /// `{a, b}` is worth `g(a→b, α) + g(b→a, α)` and configurations are
-/// general-graph matchings (exact blossom or greedy).
+/// general-graph matchings (exact blossom or greedy,
+/// [`ColumnKernel::Duplex`]).
 #[derive(Debug, Clone, Copy)]
 pub struct DuplexFabric<'a> {
     /// The undirected fabric the matchings must live on.
@@ -378,55 +311,9 @@ pub struct DuplexFabric<'a> {
     pub scale: f64,
 }
 
-impl<S> Fabric<S> for DuplexFabric<'_> {
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn evaluate(&self, _source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        // Undirected edge weight: both directions together. Sorted-vec merge
-        // instead of a per-evaluate tree: canonicalize each directed edge to
-        // `(min, max)`, stable-sort by key, then fold adjacent duplicates.
-        // `weighted_edges` yields `(i, j)`-sorted edges, so for any pair
-        // {a, b} the `a → b` direction precedes `b → a` both there and after
-        // the stable sort — the two `g` terms are added in the same order the
-        // old `BTreeMap` accumulation used, keeping sums bit-identical.
-        let mut undirected: Vec<((u32, u32), f64)> = queues
-            .weighted_edges(alpha)
-            .into_iter()
-            .map(|(i, j, w)| (if i < j { (i, j) } else { (j, i) }, w))
-            .collect();
-        undirected.sort_by_key(|&(key, _)| key);
-        let mut edges: Vec<(u32, u32, f64)> = Vec::with_capacity(undirected.len());
-        for ((a, b), w) in undirected {
-            match edges.last_mut() {
-                Some(last) if (last.0, last.1) == (a, b) => last.2 += w,
-                _ => edges.push((a, b, w)),
-            }
-        }
-        let n = queues.n();
-        let m = match self.matcher {
-            GeneralMatcherKind::Greedy => greedy_general_matching(n, &edges),
-            GeneralMatcherKind::ExactBlossom => {
-                let int_edges: Vec<(u32, u32, i64)> = edges
-                    .iter()
-                    .map(|&(a, b, w)| (a, b, (w * self.scale).round() as i64))
-                    .collect();
-                maximum_weight_matching_general(n, &int_edges)
-            }
-        };
-        let benefit: f64 = m
-            .iter()
-            .map(|&(a, b)| queues.g(a, b, alpha) + queues.g(b, a, alpha))
-            .sum();
-        BestChoice {
-            matching: m,
-            alpha,
-            benefit,
-            score: benefit / (alpha + delta) as f64,
-            matchings_computed: 1,
-        }
-    }
-
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn realize(&self, _source: &S, links: &[(u32, u32)], alpha: u64) -> Realized {
+impl Fabric for DuplexFabric<'_> {
+    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
+    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let dm = DuplexMatching::new(self.net, links.iter().copied())?;
         let directed = dm.to_directed();
         let budgets = directed
@@ -435,6 +322,18 @@ impl<S> Fabric<S> for DuplexFabric<'_> {
             .map(|&(i, j)| (i, j, alpha))
             .collect();
         Ok((directed, budgets))
+    }
+
+    fn weight_sweep<'q>(
+        &self,
+        queues: &'q LinkQueues,
+        candidates: &[u64],
+    ) -> (MultiAlphaEdges<'q>, ColumnKernel) {
+        let kernel = ColumnKernel::Duplex {
+            matcher: self.matcher,
+            scale: self.scale,
+        };
+        (queues.weighted_edges_multi(candidates), kernel)
     }
 }
 
@@ -463,26 +362,9 @@ impl LocalFabric {
     }
 }
 
-impl<S> Fabric<S> for LocalFabric {
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn evaluate(&self, _source: &S, queues: &LinkQueues, alpha: u64, delta: u64) -> BestChoice {
-        let edges: Vec<(u32, u32, f64)> = queues
-            .links()
-            .map(|(i, j)| (i, j, queues.g(i, j, self.slots((i, j), alpha))))
-            .filter(|&(_, _, w)| w > 0.0)
-            .collect();
-        let (matching, benefit) = run_kernel(queues.n(), edges, self.kind);
-        BestChoice {
-            matching,
-            alpha,
-            benefit,
-            score: benefit / (alpha + delta) as f64,
-            matchings_computed: 1,
-        }
-    }
-
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    fn realize(&self, _source: &S, links: &[(u32, u32)], alpha: u64) -> Realized {
+impl Fabric for LocalFabric {
+    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
+    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free(links.iter().copied())?;
         let budgets = links
             .iter()
@@ -493,22 +375,19 @@ impl<S> Fabric<S> for LocalFabric {
 
     fn weight_sweep<'q>(
         &self,
-        _source: &S,
         queues: &'q LinkQueues,
         candidates: &[u64],
-    ) -> Option<(MultiAlphaEdges<'q>, MatchingKind)> {
+    ) -> (MultiAlphaEdges<'q>, ColumnKernel) {
         // Persistent links serve through the Δ transition, so their column
         // entries are g(i, j, α + Δ) — a per-link slot bonus in the sweep.
-        Some((
-            queues.weighted_edges_multi_with(candidates, |link| {
-                if self.prev.contains(&link) {
-                    self.delta
-                } else {
-                    0
-                }
-            }),
-            self.kind,
-        ))
+        let sweep = queues.weighted_edges_multi_with(candidates, |link| {
+            if self.prev.contains(&link) {
+                self.delta
+            } else {
+                0
+            }
+        });
+        (sweep, ColumnKernel::Matching(self.kind))
     }
 
     fn extension(&self) -> CandidateExtension {
@@ -629,52 +508,48 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         self.duals = None;
     }
 
-    /// Builds the snapshot on first use and returns it together with the
-    /// source (callers often need both; destructuring keeps the field
-    /// borrows disjoint and the path panic-free).
-    fn ensure_queues(&mut self) -> (&LinkQueues, &S) {
+    /// The current queue snapshot (built on first use, patched afterwards).
+    pub fn queues(&mut self) -> &LinkQueues {
         let Self {
             queues, source, n, ..
         } = self;
-        (
-            queues.get_or_insert_with(|| source.snapshot_queues(*n)),
-            source,
-        )
-    }
-
-    /// The current queue snapshot (built on first use, patched afterwards).
-    pub fn queues(&mut self) -> &LinkQueues {
-        self.ensure_queues().0
+        queues.get_or_insert_with(|| source.snapshot_queues(*n))
     }
 
     /// The candidate α values for this iteration, capped by `budget` and
     /// extended per `ext`. Sorted ascending, deduplicated.
     pub fn candidates(&mut self, budget: u64, ext: CandidateExtension) -> Vec<u64> {
-        let base = self.ensure_queues().0.alpha_candidates(budget);
+        let base = self.queues().alpha_candidates(budget);
         extend_candidates(base, budget, ext)
     }
 
-    /// Evaluates one α on `fabric` against the current snapshot.
-    // lint:allow(hot-alloc) — amortized: fabric evaluate/realize runs once per window per candidate; the allocations are the returned schedule/candidate buffers, not inner-loop churn
-    pub fn evaluate<F: Fabric<S>>(&mut self, fabric: &F, alpha: u64) -> BestChoice {
-        let delta = self.delta;
-        let (queues, source) = self.ensure_queues();
-        fabric.evaluate(source, queues, alpha, delta)
+    /// Evaluates one α on `fabric` against the current snapshot: a sweep of
+    /// that one candidate, solved as a select solves any candidate. The
+    /// duals the engine carries to the next select are neither read nor
+    /// replaced.
+    pub fn evaluate<F: Fabric + ?Sized>(&mut self, fabric: &F, alpha: u64) -> BestChoice {
+        let (n, delta) = (self.n as usize, self.delta);
+        let (sweep, kernel) = fabric.weight_sweep(self.queues(), &[alpha]);
+        SweepContext::new(sweep, kernel, DualTable::new(&[alpha], n), None).eval(alpha, delta)
     }
 
     /// One iteration's configuration selection: enumerates candidates,
-    /// searches them under `policy` (with upper-bound pruning on fabrics
-    /// with a [`Fabric::weight_sweep`]), and returns the winner — or `None`
-    /// when no configuration has positive benefit.
+    /// searches them under `policy` with upper-bound pruning over the
+    /// fabric's [`Fabric::weight_sweep`], and returns the winner — or
+    /// `None` when no configuration has positive benefit.
     ///
-    /// On fabrics with a weight sweep a weak-duality bound prunes with
-    /// solved duals too: the previous select's (nearest α, in every
-    /// candidate's eager bound) and this select's own (the rows solved so
-    /// far that bracket α, lazily before each solve). Both only skip
-    /// provably dominated candidates, since the pruning cut is strict and
-    /// only ever compares against exactly evaluated scores. The engine
-    /// keeps this select's duals for the next one.
-    pub fn select<F: Fabric<S>>(
+    /// One fused pass over the sweep bounds every α, and a column is built
+    /// only for an α the search refines or solves, on this thread's
+    /// reusable workspace. A weak-duality bound prunes with solved duals
+    /// too: the previous select's (nearest α, in every candidate's eager
+    /// bound) and this select's own (the rows solved so far that bracket α,
+    /// lazily before each solve). Every bound goes through the fabric's
+    /// [`ColumnKernel`], and every bound only skips provably dominated
+    /// candidates, since the pruning cut is strict and only ever compares
+    /// against exactly evaluated scores. The bounds are valid for the
+    /// greedy kernels too (a greedy matching never out-weighs the exact
+    /// optimum). The engine keeps this select's duals for the next one.
+    pub fn select<F: Fabric + ?Sized>(
         &mut self,
         fabric: &F,
         budget: u64,
@@ -693,24 +568,13 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         } = self;
         let (n, delta) = (*n, *delta);
         let queues = &*queues.get_or_insert_with(|| source.snapshot_queues(n));
-        let source = &*source;
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        if let Some((sweep, kind)) = fabric.weight_sweep(source, queues, &candidates) {
-            // Batched path: one fused pass over the sweep bounds every α,
-            // and a column is built only for an α the search refines or
-            // solves, on this thread's reusable workspace. The bounds are
-            // valid for the greedy kernels too (a greedy matching never
-            // out-weighs the exact optimum).
-            let table = DualTable::new(&candidates, n as usize);
-            let ctx = SweepContext::new(sweep, table, duals.as_ref());
-            let (best, solved) = ctx.search(policy, kind, delta);
-            *duals = Some(solved);
-            return best;
-        }
-        search_alpha(&candidates, policy, None, None, &|alpha| {
-            fabric.evaluate(source, queues, alpha, delta)
-        })
-        .filter(|c| c.benefit > 0.0)
+        let (sweep, kernel) = fabric.weight_sweep(queues, &candidates);
+        let table = DualTable::new(&candidates, n as usize);
+        let ctx = SweepContext::new(sweep, kernel, table, duals.as_ref());
+        let (best, solved) = ctx.search(policy, delta);
+        *duals = Some(solved);
+        best
     }
 
     /// Like [`ScheduleEngine::select`], but with a caller-supplied per-α
@@ -726,7 +590,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         if budget == 0 {
             return None;
         }
-        let queues = self.ensure_queues().0;
+        let queues = self.queues();
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
         search_alpha(&candidates, policy, None, None, eval).filter(|c| c.benefit > 0.0)
     }
@@ -738,13 +602,13 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// # Errors
     /// [`SchedError::Net`] when realization fails (see [`Fabric::realize`]);
     /// the source and snapshot are untouched in that case.
-    pub fn commit<F: Fabric<S>>(
+    pub fn commit<F: Fabric + ?Sized>(
         &mut self,
         fabric: &F,
         links: &[(u32, u32)],
         alpha: u64,
     ) -> Result<Matching, SchedError> {
-        let (matching, budgets) = fabric.realize(&self.source, links, alpha)?;
+        let (matching, budgets) = fabric.realize(links, alpha)?;
         self.commit_budgets(&budgets);
         Ok(matching)
     }
@@ -816,7 +680,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// [`SchedError::Net`] when a winner fails to realize on `fabric` (see
     /// [`Fabric::realize`]); the configurations committed before it stay
     /// applied to the source.
-    pub fn plan_window<F: Fabric<S>>(
+    pub fn plan_window<F: Fabric + ?Sized>(
         &mut self,
         fabric: &mut F,
         policy: &SearchPolicy,

@@ -42,6 +42,8 @@ pub enum SchedError {
     /// The traffic source does not support chained (multi-hop-per-
     /// configuration) movement.
     ChainedUnsupported,
+    /// A K-port fabric was given zero ports per node.
+    NoPorts,
     /// A realized configuration violates the fabric's port constraints —
     /// the matching kernel and the fabric model disagree.
     Net(octopus_net::NetError),
@@ -84,6 +86,7 @@ impl fmt::Display for SchedError {
             SchedError::ChainedUnsupported => {
                 write!(f, "this traffic source does not support chained movement")
             }
+            SchedError::NoPorts => write!(f, "a K-port fabric needs at least one port per node"),
             SchedError::Net(e) => {
                 write!(f, "configuration violates fabric port constraints: {e}")
             }

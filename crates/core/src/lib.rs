@@ -70,7 +70,9 @@ pub mod multihop_config;
 pub mod octopus_plus;
 pub mod online;
 
-pub use best_config::{best_configuration, AlphaSearch, BestChoice, ExactKernel, MatchingKind};
+pub use best_config::{
+    best_configuration, AlphaSearch, BestChoice, ColumnKernel, ExactKernel, MatchingKind,
+};
 pub use engine::{
     BipartiteFabric, CandidateExtension, DuplexFabric, Fabric, KPortFabric, LocalFabric,
     ScheduleEngine, SearchPolicy, TrafficSource, WindowRun,

@@ -207,7 +207,7 @@ pub fn plan_window_cached<S, F>(
 ) -> Result<WindowPlan, SchedError>
 where
     S: TrafficSource + Borrow<RemainingTraffic>,
-    F: Fabric<S>,
+    F: Fabric,
 {
     let key = window_key(
         policy,

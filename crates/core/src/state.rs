@@ -751,7 +751,8 @@ impl RemainingTraffic {
 /// * the candidate α set of Procedure 1 — per-link prefix counts at class
 ///   boundaries ([`LinkQueues::alpha_candidates`]);
 /// * the weighted graph `G'` whose maximum matching is the best
-///   configuration for a given α ([`LinkQueues::weighted_edges`]).
+///   configuration for a given α, swept over every candidate α at once
+///   ([`LinkQueues::weighted_edges_multi`]).
 ///
 /// # Storage: CSR link index + class arena
 ///
@@ -1258,20 +1259,8 @@ impl LinkQueues {
         set
     }
 
-    /// The weighted edges of `G'` for a given α: `(i, j, g(i, j, α))`.
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
-    pub fn weighted_edges(&self, alpha: u64) -> Vec<(u32, u32, f64)> {
-        self.live_indices()
-            .map(|e| {
-                let (i, j) = self.links[e];
-                (i, j, self.view_at(e).g(alpha))
-            })
-            .filter(|&(_, _, w)| w > 0.0)
-            .collect()
-    }
-
-    /// Batched form of [`LinkQueues::weighted_edges`] over an **ascending**
-    /// candidate list: the fixed edge topology (every non-empty link) that
+    /// The weighted edges of `G'` over an **ascending** candidate list: the
+    /// fixed edge topology (every non-empty link) that
     /// [`octopus_matching::AssignmentSolver`] re-solves without rebuilding,
     /// with each link's span in this snapshot's class arena. No weight is
     /// evaluated here: [`MultiAlphaEdges`] computes `g(i, j, α)` on demand,
@@ -1423,8 +1412,8 @@ impl MultiAlphaEdges<'_> {
         out.extend((0..self.edges.len()).map(|e| self.queue(e).g(alpha + self.bonus[e])));
     }
 
-    /// Candidate `k`'s edges in [`LinkQueues::weighted_edges`] form
-    /// (positive-weight `(i, j, g)` triples, `(i, j)`-sorted).
+    /// Candidate `k`'s positive-weight edges as `(i, j, g(i, j, α))`
+    /// triples, `(i, j)`-sorted.
     pub fn edge_list(&self, k: usize) -> Vec<(u32, u32, f64)> {
         let mut col = Vec::new();
         self.fill_column(k, &mut col);
@@ -1601,6 +1590,14 @@ mod tests {
         assert!(!tr.is_drained());
     }
 
+    /// The positive-weight `(i, j, g(i, j, α))` triples, link by link.
+    fn positive_edges(q: &LinkQueues, alpha: u64) -> Vec<(u32, u32, f64)> {
+        q.links()
+            .map(|(i, j)| (i, j, q.g(i, j, alpha)))
+            .filter(|&(_, _, w)| w > 0.0)
+            .collect()
+    }
+
     /// `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)` recomputed link by link from `g(i, j, α)`,
     /// summed in node order like the sweep's piggybacked bound.
     fn reference_upper_bound(q: &LinkQueues, alpha: u64) -> f64 {
@@ -1654,7 +1651,7 @@ mod tests {
         sweep.fused_bounds(None, &mut bounds);
         for (k, &a) in alphas.iter().enumerate() {
             assert_eq!(sweep.index_of(a), k);
-            assert_eq!(sweep.edge_list(k), q.weighted_edges(a), "α = {a}");
+            assert_eq!(sweep.edge_list(k), positive_edges(&q, a), "α = {a}");
             assert_eq!(
                 bounds.row_col[k].to_bits(),
                 reference_upper_bound(&q, a).to_bits(),
@@ -1672,7 +1669,7 @@ mod tests {
         let sweep = q.weighted_edges_multi(&alphas);
         assert_eq!(sweep.edges(), &[(0, 1), (2, 3)]);
         for (k, &a) in alphas.iter().enumerate() {
-            assert_eq!(sweep.edge_list(k), q.weighted_edges(a), "α = {a}");
+            assert_eq!(sweep.edge_list(k), positive_edges(&q, a), "α = {a}");
         }
     }
 

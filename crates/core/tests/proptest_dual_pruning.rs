@@ -3,12 +3,13 @@
 //! The α-search prunes with three certified upper bounds: the sweep's
 //! row/column-max bound, and the weak-duality bound under duals solved
 //! earlier — by the same search for a nearby α, or by the previous greedy
-//! iteration's search, which [`ScheduleEngine`] keeps across commits. This
-//! suite replays random multihop windows against a reference loop that
-//! picks every winner by unbounded exhaustive search
-//! ([`ScheduleEngine::select_with`], which bounds nothing) over one-shot
-//! solves of each α's column. Schedule, ψ bits and delivered must match on
-//! the bipartite and localized fabrics.
+//! iteration's search, which [`ScheduleEngine`] keeps across commits — each
+//! through the fabric's [`octopus_core::ColumnKernel`]. This suite replays random multihop
+//! windows against a reference loop that picks every winner by unbounded
+//! exhaustive search ([`ScheduleEngine::select_with`], which bounds nothing)
+//! over one-shot solves of each α's column. Schedule, ψ bits and delivered
+//! must match on the bipartite, localized, K-port (r = 1, 2) and duplex
+//! fabrics.
 //!
 //! An ignored twin replays the same check at n = 12–24, where the
 //! best-first order has many surviving candidates to choose among; CI runs
@@ -20,16 +21,19 @@
 
 use octopus_core::engine::{CandidateExtension, Fabric};
 use octopus_core::{
-    BestChoice, BipartiteFabric, HopWeighting, LinkQueues, LocalFabric, MatchingKind,
-    RemainingTraffic, ScheduleEngine, SearchPolicy,
+    duplex::GeneralMatcherKind, BestChoice, BipartiteFabric, DuplexFabric, HopWeighting,
+    KPortFabric, LinkQueues, LocalFabric, MatchingKind, RemainingTraffic, ScheduleEngine,
+    SearchPolicy,
 };
+use octopus_matching::blossom::maximum_weight_matching_general;
 use octopus_matching::AssignmentSolver;
+use octopus_net::duplex::DuplexNetwork;
 use octopus_net::topology;
 use octopus_traffic::{synthetic, synthetic::SyntheticConfig, Flow, FlowId, Route, TrafficLoad};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use std::collections::HashSet;
+use std::collections::{BTreeMap, HashSet};
 
 type Plan = Vec<(Vec<(u32, u32)>, u64)>;
 
@@ -82,6 +86,71 @@ fn instance_in(
 enum Kind {
     Bipartite,
     Local,
+    KPort(u32),
+    Duplex,
+}
+
+const KINDS: [Kind; 5] = [
+    Kind::Bipartite,
+    Kind::Local,
+    Kind::KPort(1),
+    Kind::KPort(2),
+    Kind::Duplex,
+];
+
+/// The complete duplex fabric on `n` nodes: every route of [`instance`]
+/// lives on it.
+fn complete_duplex(n: u32) -> DuplexNetwork {
+    let edges = (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b)));
+    DuplexNetwork::from_edges(n, edges).expect("complete duplex fabric")
+}
+
+/// The blossom's integral weight scale for `load`, as `octopus_duplex`
+/// picks it under uniform hop weights.
+fn duplex_scale(load: &TrafficLoad) -> f64 {
+    octopus_traffic::weight::weight_scale(load.max_route_hops().max(1)) as f64
+}
+
+/// The fabric of `kind`, with exact kernels.
+fn fabric<'a>(kind: Kind, delta: u64, net: &'a DuplexNetwork, scale: f64) -> Box<dyn Fabric + 'a> {
+    let exact = MatchingKind::Exact;
+    match kind {
+        Kind::Bipartite => Box::new(BipartiteFabric { kind: exact }),
+        Kind::Local => Box::new(LocalFabric {
+            kind: exact,
+            delta,
+            prev: HashSet::new(),
+        }),
+        Kind::KPort(r) => Box::new(KPortFabric { kind: exact, r }),
+        Kind::Duplex => Box::new(DuplexFabric {
+            net,
+            matcher: GeneralMatcherKind::ExactBlossom,
+            scale,
+        }),
+    }
+}
+
+/// `alpha`'s weight column, with a per-link α bonus.
+fn column(
+    queues: &LinkQueues,
+    alpha: u64,
+    extra: impl Fn((u32, u32)) -> u64,
+) -> (Vec<(u32, u32)>, Vec<f64>) {
+    let sweep = queues.weighted_edges_multi_with(&[alpha], extra);
+    let mut col = Vec::new();
+    sweep.fill_column(0, &mut col);
+    (sweep.edges().to_vec(), col)
+}
+
+/// One evaluated candidate, scored per `α + Δ`.
+fn scored(matching: Vec<(u32, u32)>, alpha: u64, benefit: f64, delta: u64) -> BestChoice {
+    BestChoice {
+        matching,
+        alpha,
+        benefit,
+        score: benefit / (alpha + delta) as f64,
+        matchings_computed: 1,
+    }
 }
 
 /// Solves `alpha`'s column from scratch — the same topology and weights the
@@ -92,30 +161,67 @@ fn solve_alpha(
     alpha: u64,
     delta: u64,
 ) -> BestChoice {
-    let sweep =
-        queues.weighted_edges_multi_with(
-            &[alpha],
-            |link| {
-                if prev.contains(&link) {
-                    delta
-                } else {
-                    0
-                }
-            },
-        );
-    let (n, mut col) = (queues.n(), Vec::new());
-    sweep.fill_column(0, &mut col);
-    let mut s = AssignmentSolver::new();
-    s.load_topology(n, n, sweep.edges());
-    s.solve_reweighted(&col);
-    let benefit = s.last_weight();
-    BestChoice {
-        matching: s.matching().to_vec(),
+    let (edges, col) = column(
+        queues,
         alpha,
-        benefit,
-        score: benefit / (alpha + delta) as f64,
-        matchings_computed: 1,
+        |link| {
+            if prev.contains(&link) {
+                delta
+            } else {
+                0
+            }
+        },
+    );
+    let n = queues.n();
+    let mut s = AssignmentSolver::new();
+    s.load_topology(n, n, &edges);
+    s.solve_reweighted(&col);
+    scored(s.matching().to_vec(), alpha, s.last_weight(), delta)
+}
+
+/// The K-port union of `alpha`'s column, one fresh solver per round: each
+/// round matches the column with the links earlier rounds took zeroed.
+fn union_alpha(queues: &LinkQueues, r: u32, alpha: u64, delta: u64) -> BestChoice {
+    let (edges, mut col) = column(queues, alpha, |_| 0);
+    let n = queues.n();
+    let (mut links, mut benefit) = (Vec::new(), 0.0);
+    for _ in 0..r {
+        if !col.iter().any(|&w| w > 0.0) {
+            break;
+        }
+        let mut s = AssignmentSolver::new();
+        s.load_topology(n, n, &edges);
+        s.solve_reweighted(&col);
+        benefit += s.last_weight();
+        for &link in s.matching() {
+            col[edges.binary_search(&link).expect("matched link")] = 0.0;
+            links.push(link);
+        }
     }
+    links.sort_unstable();
+    scored(links, alpha, benefit, delta)
+}
+
+/// The exact duplex matching of `alpha`'s column: `{a, b}` weighs
+/// `g(a→b) + g(b→a)`, accumulated in link order.
+fn duplex_alpha(queues: &LinkQueues, scale: f64, alpha: u64, delta: u64) -> BestChoice {
+    let (edges, col) = column(queues, alpha, |_| 0);
+    let mut undirected: BTreeMap<(u32, u32), f64> = BTreeMap::new();
+    for (&(i, j), &w) in edges.iter().zip(&col) {
+        if w > 0.0 {
+            *undirected.entry((i.min(j), i.max(j))).or_insert(0.0) += w;
+        }
+    }
+    let ints: Vec<(u32, u32, i64)> = undirected
+        .iter()
+        .map(|(&(a, b), &w)| (a, b, (w * scale).round() as i64))
+        .collect();
+    let m = maximum_weight_matching_general(queues.n(), &ints);
+    let benefit = m
+        .iter()
+        .map(|&(a, b)| queues.g(a, b, alpha) + queues.g(b, a, alpha))
+        .sum();
+    scored(m, alpha, benefit, delta)
 }
 
 fn policy(kind: Kind) -> SearchPolicy {
@@ -136,23 +242,11 @@ fn planned(
 ) -> (Plan, u64, u64) {
     let tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("valid load");
     let mut engine = ScheduleEngine::new(tr, n, delta);
-    let run = match kind {
-        Kind::Bipartite => {
-            let mut fabric = BipartiteFabric {
-                kind: MatchingKind::Exact,
-            };
-            engine.plan_window(&mut fabric, policy, window)
-        }
-        Kind::Local => {
-            let mut fabric = LocalFabric {
-                kind: MatchingKind::Exact,
-                delta,
-                prev: HashSet::new(),
-            };
-            engine.plan_window(&mut fabric, policy, window)
-        }
-    }
-    .expect("realizable plan");
+    let net = complete_duplex(n);
+    let mut fabric = fabric(kind, delta, &net, duplex_scale(load));
+    let run = engine
+        .plan_window(&mut *fabric, policy, window)
+        .expect("realizable plan");
     let plan = run
         .schedule
         .configs()
@@ -172,44 +266,37 @@ fn planned(
 }
 
 /// The reference: the same greedy loop, each winner picked by unbounded
-/// exhaustive search over [`solve_alpha`].
+/// exhaustive search over one-shot solves ([`solve_alpha`],
+/// [`union_alpha`], [`duplex_alpha`]).
 fn reference(n: u32, load: &TrafficLoad, window: u64, delta: u64, kind: Kind) -> (Plan, u64, u64) {
     let tr = RemainingTraffic::new(load, HopWeighting::Uniform).expect("valid load");
     let mut engine = ScheduleEngine::new(tr, n, delta);
     let policy = policy(kind);
-    let mut fabric = LocalFabric {
-        kind: MatchingKind::Exact,
-        delta,
-        prev: HashSet::new(),
-    };
+    let net = complete_duplex(n);
+    let scale = duplex_scale(load);
+    let mut fabric = fabric(kind, delta, &net, scale);
+    // The localized fabric's previous matching, tracked here too.
+    let mut prev = HashSet::new();
     let mut plan = Vec::new();
     let mut used = 0u64;
     while !engine.is_drained() && used + delta < window {
         let budget = window - used - delta;
         let queues = engine.queues().clone();
-        let (ext, prev) = match kind {
-            Kind::Bipartite => (CandidateExtension::None, HashSet::new()),
-            Kind::Local => (
-                Fabric::<RemainingTraffic>::extension(&fabric),
-                fabric.prev.clone(),
-            ),
+        let eval = |alpha| match kind {
+            Kind::Bipartite | Kind::Local => solve_alpha(&queues, &prev, alpha, delta),
+            Kind::KPort(r) => union_alpha(&queues, r, alpha, delta),
+            Kind::Duplex => duplex_alpha(&queues, scale, alpha, delta),
         };
-        let eval = |alpha| solve_alpha(&queues, &prev, alpha, delta);
-        let Some(choice) = engine.select_with(budget, ext, &policy, &eval) else {
+        let Some(choice) = engine.select_with(budget, fabric.extension(), &policy, &eval) else {
             break;
         };
-        let matching = match kind {
-            Kind::Bipartite => engine.commit(
-                &BipartiteFabric {
-                    kind: MatchingKind::Exact,
-                },
-                &choice.matching,
-                choice.alpha,
-            ),
-            Kind::Local => engine.commit(&fabric, &choice.matching, choice.alpha),
+        let matching = engine
+            .commit(&*fabric, &choice.matching, choice.alpha)
+            .expect("realizable plan");
+        fabric.committed(&choice.matching);
+        if kind == Kind::Local {
+            prev = choice.matching.iter().copied().collect();
         }
-        .expect("realizable plan");
-        Fabric::<RemainingTraffic>::committed(&mut fabric, &choice.matching);
         let links = matching.links().iter().map(|&(i, j)| (i.0, j.0)).collect();
         plan.push((links, choice.alpha));
         used += choice.alpha + delta;
@@ -225,7 +312,7 @@ proptest! {
     /// after iteration, so whole windows agree bit for bit.
     #[test]
     fn pruned_windows_match_unbounded_search((n, load, window, delta) in instance()) {
-        for kind in [Kind::Bipartite, Kind::Local] {
+        for kind in KINDS {
             let want = reference(n, &load, window, delta, kind);
             let got = planned(n, &load, window, delta, kind, &policy(kind));
             prop_assert_eq!(&got, &want, "{:?}", kind);
@@ -244,7 +331,7 @@ proptest! {
     fn pruned_windows_match_unbounded_search_at_larger_sizes(
         (n, load, window, delta) in instance_in(12..25, 12..48)
     ) {
-        for kind in [Kind::Bipartite, Kind::Local] {
+        for kind in KINDS {
             let want = reference(n, &load, window, delta, kind);
             let got = planned(n, &load, window, delta, kind, &policy(kind));
             prop_assert_eq!(&got, &want, "{:?}", kind);

@@ -249,7 +249,7 @@ impl CallGraph {
     }
 
     /// Renders the chain entry → … → `id` (up to `max` hops, elided in the
-    /// middle) for violation messages, e.g. `select → evaluate → run_kernel`.
+    /// middle) for violation messages, e.g. `select → search → eval`.
     pub fn chain(&self, id: usize, max: usize) -> String {
         let mut names: Vec<String> = Vec::new();
         let mut cur = id;

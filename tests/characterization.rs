@@ -130,13 +130,20 @@ fn observed() -> Vec<(String, u64, u64, u64)> {
 
 #[test]
 fn variant_outputs_match_the_pinned_table() {
+    // The K-port rows were re-pinned when each union round stopped
+    // re-weighting `g` against a shadow traffic copy that forwarded the
+    // earlier rounds' packets: a configuration serves each packet one hop,
+    // so those forwarded packets were claimed on downstream links that
+    // realized nothing. Later rounds now match the same `g` minus the links
+    // already taken, and every claimed benefit is realized (seed 12 plans
+    // more ψ, 6333.33 vs 6286.67).
     let pinned: [(&str, u64, u64, u64); 10] = [
-        ("kport/11", 0xb30e72ad05c51cab, 0x40b92d0000000000, 5630),
+        ("kport/11", 0x1f932b7e53df39c1, 0x40b92d0000000000, 5630),
         ("duplex/11", 0xf54f53bb6877fbd3, 0x40a7ac0000000000, 2580),
         ("local/11", 0x1b366c46be84d0e9, 0x40b1eaaaaaaaaaab, 3720),
         ("plus/11", 0xf515430348090cac, 0x40b8c0aaaaaaaaaa, 6020),
         ("one_hop/11", 0x80e162a5046ea95e, 0x40b2915555555556, 6960),
-        ("kport/12", 0x34bfbc12b941abc0, 0x40b88eaaaaaaaaab, 5720),
+        ("kport/12", 0x0da2ed28c3ca5f0e, 0x40b8bd5555555555, 5660),
         ("duplex/12", 0xabb6b02dfffcdfe8, 0x40a61c0000000000, 2130),
         ("local/12", 0xe7bc739ba439e029, 0x40b01d0000000000, 3380),
         ("plus/12", 0xba7948fec9fe6a45, 0x40b9640000000000, 6220),

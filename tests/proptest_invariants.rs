@@ -3,11 +3,13 @@
 //! accounting and monotonicity.
 
 use octopus_mhs::core::{
-    best_configuration, octopus, AlphaSearch, BipartiteFabric, CandidateExtension, FusedBounds,
-    HopWeighting, LinkQueues, LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic,
-    ScheduleEngine, SearchPolicy, TrafficSource,
+    best_configuration, duplex::GeneralMatcherKind, octopus, AlphaSearch, BipartiteFabric,
+    CandidateExtension, DuplexFabric, Fabric, FusedBounds, HopWeighting, KPortFabric, LinkQueues,
+    LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic, ScheduleEngine, SearchPolicy,
+    TrafficSource,
 };
 use octopus_mhs::matching::{matching_weight, maximum_weight_matching, WeightedBipartiteGraph};
+use octopus_mhs::net::duplex::DuplexNetwork;
 use octopus_mhs::net::{topology, Configuration, Schedule};
 use octopus_mhs::sim::{resolve, SimConfig, Simulator};
 use octopus_mhs::traffic::{Flow, FlowId, Route, TrafficLoad};
@@ -128,8 +130,92 @@ fn plan_interleaved(
     (schedule, psi.to_bits(), computed)
 }
 
+/// Plans one window on `fabric` with the greedy loop of `plan_window`,
+/// panicking unless every select's claimed benefit equals the ψ its commit
+/// adds (relative 1e-9).
+fn claims_are_realized(
+    n: u32,
+    load: &TrafficLoad,
+    weighting: HopWeighting,
+    window: u64,
+    delta: u64,
+    fabric: &mut dyn Fabric,
+    label: &str,
+) {
+    let tr = RemainingTraffic::new(load, weighting).unwrap();
+    let mut engine = ScheduleEngine::new(tr, n, delta);
+    let policy = SearchPolicy::exhaustive();
+    let mut used = 0u64;
+    while !engine.is_drained() && used + delta < window {
+        let budget = window - used - delta;
+        let Some(choice) = engine.select(&*fabric, budget, fabric.extension(), &policy) else {
+            break;
+        };
+        let before = engine.source().planned_psi();
+        engine
+            .commit(&*fabric, &choice.matching, choice.alpha)
+            .unwrap();
+        fabric.committed(&choice.matching);
+        let realized = engine.source().planned_psi() - before;
+        assert!(
+            (choice.benefit - realized).abs() <= 1e-9 * choice.benefit.abs().max(realized.abs()),
+            "{} under {:?}: claimed {} but the commit realized {}",
+            label,
+            weighting,
+            choice.benefit,
+            realized
+        );
+        used += choice.alpha + delta;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn claimed_benefit_is_realized_on_every_fabric(
+        (n, load, window, delta) in instance(),
+    ) {
+        // A configuration serves each packet at most one hop, so a
+        // configuration's benefit is exactly the g of its own links. A
+        // fabric that claims more (say, by counting packets an earlier
+        // K-port round would forward onto a later round's link) misleads
+        // the α-search about what it commits.
+        let duplex = DuplexNetwork::from_edges(
+            n,
+            (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))),
+        )
+        .unwrap();
+        let hops = load.max_route_hops().max(1);
+        for weighting in [HopWeighting::Uniform, HopWeighting::EpsilonLater { eps: 0.1 }] {
+            let scale = match weighting {
+                HopWeighting::Uniform => octopus_mhs::traffic::weight::weight_scale(hops) as f64,
+                HopWeighting::EpsilonLater { .. } => (1u64 << 20) as f64,
+            };
+            let exact = MatchingKind::Exact;
+            let mut fabrics: Vec<(String, Box<dyn Fabric + '_>)> = vec![
+                ("bipartite".into(), Box::new(BipartiteFabric { kind: exact })),
+                (
+                    "local".into(),
+                    Box::new(LocalFabric { kind: exact, delta, prev: Default::default() }),
+                ),
+                (
+                    "duplex".into(),
+                    Box::new(DuplexFabric {
+                        net: &duplex,
+                        matcher: GeneralMatcherKind::ExactBlossom,
+                        scale,
+                    }),
+                ),
+            ];
+            for r in 1..=3 {
+                fabrics.push((format!("kport r = {r}"), Box::new(KPortFabric { kind: exact, r })));
+            }
+            for (label, fabric) in &mut fabrics {
+                claims_are_realized(n, &load, weighting, window, delta, &mut **fabric, label);
+            }
+        }
+    }
 
     #[test]
     fn octopus_schedules_are_valid_and_conservative(
@@ -333,7 +419,12 @@ proptest! {
         let mut bounds = FusedBounds::default();
         sweep.fused_bounds(None, &mut bounds);
         for (k, &alpha) in candidates.iter().enumerate() {
-            prop_assert_eq!(sweep.edge_list(k), queues.weighted_edges(alpha));
+            let positive: Vec<(u32, u32, f64)> = queues
+                .links()
+                .map(|(i, j)| (i, j, queues.g(i, j, alpha)))
+                .filter(|&(_, _, w)| w > 0.0)
+                .collect();
+            prop_assert_eq!(sweep.edge_list(k), positive);
             let (mut row_max, mut col_max) = (vec![0.0f64; n as usize], vec![0.0f64; n as usize]);
             for (i, j) in queues.links() {
                 let g = queues.g(i, j, alpha);
@@ -361,11 +452,11 @@ proptest! {
     fn batched_select_matches_legacy_per_alpha_evaluation(
         (n, load, window, delta) in instance(),
     ) {
-        // `ScheduleEngine::select` runs the batched sweep on reusable
-        // workspaces; `ScheduleEngine::evaluate` runs the historical
-        // build-a-graph-per-α kernel. For every kernel kind the winner must
-        // carry the legacy evaluation's exact matching and benefit, and must
-        // dominate every candidate's legacy score (i.e. pruning on the
+        // `ScheduleEngine::select` searches the batched sweep of every
+        // candidate under its bounds; `ScheduleEngine::evaluate` solves a
+        // sweep of one α, unbounded. For every kernel kind the winner must
+        // carry that one-α evaluation's exact matching and benefit, and
+        // must dominate every candidate's one-α score (i.e. pruning on the
         // batched bounds never discards the true winner).
         let scale = octopus_mhs::traffic::weight::weight_scale(
             load.max_route_hops().max(1),
@@ -411,7 +502,7 @@ proptest! {
     ) {
         // The persistence-aware fabric sweeps g(i, j, α + Δ) on links carried
         // over from the previous matching; each step's winner must agree with
-        // the legacy per-α evaluation at the same α and `prev` set.
+        // the one-α evaluation at the same α and `prev` set.
         let mut tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let mut fabric = LocalFabric {
             kind: MatchingKind::Exact,
