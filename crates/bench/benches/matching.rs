@@ -97,7 +97,9 @@ fn bench_workspace_reuse(c: &mut Criterion) {
 /// loads a dense `n × n` topology once and re-solves integer weight columns
 /// in place (`solve_reweighted`, the α-sweep's steady state). The group and
 /// arm keep their names so earlier `exact_kernels/hungarian` tables stay
-/// comparable.
+/// comparable. Its weights, drawn from 1..=4000, rarely tie; the
+/// `hungarian_ties` arm solves tie-heavy Octopus-class columns, where the
+/// kernel's tie rule decides how much each phase scans.
 fn bench_exact_kernels(c: &mut Criterion) {
     const COLUMNS: usize = 4;
     let mut group = c.benchmark_group("exact_kernels");
@@ -131,6 +133,31 @@ fn bench_exact_kernels(c: &mut Criterion) {
             b.iter(|| {
                 k = (k + 1) % COLUMNS;
                 hungarian.solve_reweighted(&cols[k]);
+                hungarian.last_weight()
+            })
+        });
+
+        // Octopus-class columns: each link carries a few packets at hop
+        // weight 1, 1/2 and 1/3, so most weights tie and most phases end at
+        // distance 0; ~10 % disabled.
+        let ties: Vec<Vec<f64>> = (0..COLUMNS)
+            .map(|_| {
+                edges
+                    .iter()
+                    .map(|_| match next() {
+                        r if r % 10 == 0 => 0.0,
+                        r => {
+                            let r = r / 10;
+                            (1 + r % 3) as f64 + (r / 3 % 3) as f64 / 2.0 + (r / 9 % 4) as f64 / 3.0
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        group.bench_function(BenchmarkId::new("hungarian_ties", n), |b| {
+            b.iter(|| {
+                k = (k + 1) % COLUMNS;
+                hungarian.solve_reweighted(&ties[k]);
                 hungarian.last_weight()
             })
         });

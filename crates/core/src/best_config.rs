@@ -216,6 +216,8 @@ struct KernelWorkspace {
     y: Vec<f64>,
     /// The descent step's right duals `z'`.
     z_descent: Vec<f64>,
+    /// Each port's `r` heaviest entries ([`SweepContext::top_r_bound`]).
+    top: Vec<f64>,
     /// The sequential search's unsolved candidates ([`exhaustive_pruned`]),
     /// taken out for the search and put back after it.
     pending: Vec<Pending>,
@@ -489,16 +491,24 @@ impl<'q> SweepContext<'q> {
     /// weak-duality bound under [`DualTable::bracket`]'s row and, when that
     /// does not fall strictly below `incumbent`, also under one descent
     /// step from it ([`SweepContext::descent_bound`]), the smaller of the
-    /// two, each through [`ColumnKernel::bound`]. Each costs a pass over the
-    /// column, so the search consults it only for the candidate it is about
-    /// to solve.
+    /// two, each through [`ColumnKernel::bound`]. A union of `r ≥ 2`
+    /// matchings is also bounded by [`SweepContext::top_r_bound`], with or
+    /// without duals. Each costs a pass over the column, so the search
+    /// consults it only for the candidate it is about to solve.
     pub(crate) fn solved_score_bound(&self, alpha: u64, delta: u64, incumbent: f64) -> f64 {
         let k = self.sweep.index_of(alpha);
         let cost = (alpha + delta) as f64;
         KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
+            let top = |ws: &mut KernelWorkspace| match self.kernel {
+                ColumnKernel::Union { r, .. } if r > 1 => {
+                    self.load_column(k, ws);
+                    self.top_r_bound(&ws.col, r as usize, &mut ws.top) / cost
+                }
+                _ => f64::INFINITY,
+            };
             if !self.duals.bracket(alpha, &mut ws.z) {
-                return f64::INFINITY;
+                return top(ws);
             }
             self.load_column(k, ws);
             let bound = self
@@ -508,9 +518,44 @@ impl<'q> SweepContext<'q> {
             if bound < incumbent {
                 return bound;
             }
+            let bound = bound.min(top(ws));
+            if bound < incumbent {
+                return bound;
+            }
             let descent = self.descent_bound(&ws.col, &ws.y, &mut ws.z_descent);
             bound.min(self.kernel.bound(descent) / cost)
         })
+    }
+
+    /// A certified bound on every union of `r` edge-disjoint matchings of
+    /// the weight column `col`, padded by [`outward`]: each port carries at
+    /// most `r` of the union's links, so the union weighs no more than the
+    /// sum over left ports of each one's `r` heaviest entries, nor than the
+    /// same sum over right ports. `top` is scratch.
+    fn top_r_bound(&self, col: &[f64], r: usize, top: &mut Vec<f64>) -> f64 {
+        let n = self.sweep.n() as usize;
+        // `top[p * r..(p + 1) * r]` holds port p's heaviest entries,
+        // descending: left ports first, then right ports at `n + v`.
+        top.clear();
+        top.resize(2 * n * r, 0.0);
+        for (&(u, v), &w) in self.sweep.edges().iter().zip(col) {
+            for p in [u as usize, n + v as usize] {
+                let slots = &mut top[p * r..(p + 1) * r];
+                if w > slots[r - 1] {
+                    let mut i = r - 1;
+                    while i > 0 && slots[i - 1] < w {
+                        slots[i] = slots[i - 1];
+                        i -= 1;
+                    }
+                    slots[i] = w;
+                }
+            }
+        }
+        let (left, right) = top.split_at(n * r);
+        let (left, right): (f64, f64) = (left.iter().sum(), right.iter().sum());
+        // n·r entries summed per side, plus the ≤ n·r terms of the union's
+        // weight.
+        outward(left.min(right), 2 * n * r + 1)
     }
 
     /// A certified weak-duality bound on every matching weight of the

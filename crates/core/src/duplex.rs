@@ -13,7 +13,7 @@
 //! `lcm(1..=𝒟)` scale; [`GeneralMatcherKind::Greedy`] trades exactness for
 //! speed, mirroring Octopus-G.
 
-use crate::engine::{DuplexFabric, ScheduleEngine, SearchPolicy};
+use crate::engine::{DuplexFabric, ScheduleEngine};
 use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
 use octopus_net::duplex::DuplexNetwork;
 use octopus_traffic::TrafficLoad;
@@ -38,6 +38,11 @@ pub fn octopus_duplex(
 }
 
 /// Octopus on a duplex fabric with the chosen matching kernel.
+///
+/// `matcher`, not `cfg.matching`, picks the general-graph kernel: the
+/// bipartite kinds `cfg.matching` names do not apply to an undirected
+/// fabric. The α-search is `cfg`'s ([`OctopusConfig::search_policy`]), so
+/// `cfg.alpha_search = Binary` gives Octopus-B here as on every fabric.
 pub fn octopus_duplex_with(
     net: &DuplexNetwork,
     load: &TrafficLoad,
@@ -64,7 +69,7 @@ pub fn octopus_duplex_with(
     };
     let run = ScheduleEngine::new(&mut tr, n, cfg.delta).plan_window(
         &mut fabric,
-        &SearchPolicy::exhaustive(),
+        &cfg.search_policy(),
         cfg.window,
     )?;
     Ok(OctopusOutput::from_run(run, &tr))
@@ -156,6 +161,28 @@ mod matcher_kind_tests {
             delta,
             ..OctopusConfig::default()
         }
+    }
+
+    /// `cfg.alpha_search = Binary` reaches the duplex planner: Octopus-B
+    /// probes other αs than the exhaustive search, so the two solve counts
+    /// differ on a seeded complete fabric.
+    #[test]
+    fn binary_config_runs_the_ternary_search() {
+        use octopus_traffic::synthetic::{self, SyntheticConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let n = 12;
+        let net =
+            DuplexNetwork::from_edges(n, (0..n).flat_map(|a| (a + 1..n).map(move |b| (a, b))))
+                .unwrap();
+        let synth = SyntheticConfig::paper_default(n, 2_000);
+        let load = synthetic::generate(&synth, &net.to_directed(), &mut StdRng::seed_from_u64(1));
+        let exhaustive = octopus_duplex(&net, &load, &cfg(2_000, 10)).unwrap();
+        let binary = octopus_duplex(&net, &load, &cfg(2_000, 10).octopus_b()).unwrap();
+        // Same plan here, but the ternary search solves 12 matchings where
+        // the pruned exhaustive search solves 10.
+        assert_eq!(exhaustive.matchings_computed, 10);
+        assert_eq!(binary.matchings_computed, 12);
+        assert!(binary.planned_psi > 0.0);
     }
 
     /// A 5-cycle where the greedy matcher is provably suboptimal but the

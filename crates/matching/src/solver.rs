@@ -43,44 +43,68 @@
 //! `φ_l(u) = max(0, max_v w(u, v))`, `φ_r = 0` — an `O(V)` fill, not an
 //! allocation — making the result a pure function of `(topology, weights)`.
 //!
-//! ## Why the bounded search returns the same matching
+//! ## Which optimum a phase returns: the first free vertex at the least distance
 //!
-//! Each phase's Dijkstra stops at the first free extended-right vertex it
-//! finalizes, at distance `D`. Two cuts skip the work that cannot reach it:
+//! Each phase runs Dijkstra from the inserted left vertex `s` over
+//! alternating paths in reduced costs and augments along a shortest path to
+//! a free extended-right vertex (a right vertex nobody is matched to, or a
+//! left vertex's dummy sink). Any shortest path keeps the matching of
+//! maximum weight and the potentials optimal; the phase takes the first one
+//! it finds:
 //!
 //! * **The bound `ub`.** The phase keeps `ub`, the least tentative distance
-//!   of any free extended-right vertex seen so far (s's own dummy sink is
-//!   relaxed first, so `ub` is finite from the start). Every tentative
-//!   distance is at least the final one, so `D ≤ ub` at all times. A
-//!   relaxation with `nd > ub` is dropped: no stamp, no `dist_r`/`pred_r`
-//!   write, no queue push. The cut is strict, so an entry tying `ub` is kept,
-//!   and with it every `(D, v)` tie that pops before the target. A dropped
-//!   entry has `nd > D`: the unbounded search pops it after the target, if
-//!   at all, and it cannot change the outcome of a later relaxation of the
-//!   same vertex at distance `≤ D`, since a tentative distance is only ever
-//!   replaced by a strictly smaller one.
+//!   of any free extended-right vertex so far, and `ub_v`, the first vertex
+//!   to reach it (s's own dummy sink is relaxed first, so `ub` is finite
+//!   from the start). Reaching a free vertex only lowers `ub`; free
+//!   vertices are never queued.
+//! * **The stop.** The phase ends as soon as the distance being expanded
+//!   reaches `ub`: at the first pop with `d ≥ ub`, or when the queue runs
+//!   dry. No queued entry is then below `ub`, so `ub` is `ub_v`'s final
+//!   distance `D`, and the phase augments to `ub_v`. A relaxation that
+//!   reaches a free vertex at the expanding vertex's own distance drops
+//!   `ub` to that distance, so the very next pop ends the phase. It pops
+//!   nothing at `D`, so the Johnson update (`pot[x] -= D − d(x)` for every
+//!   finalized `x`) moves only vertices finalized below `D`, and reduced
+//!   costs stay non-negative.
+//!
+//! Most Octopus phases end at `D = 0`, often inside `s`'s own row. A rule
+//! that instead augmented to the least `(D, v)` free vertex had to pop
+//! every vertex at `D` with a smaller index first, and expand its match:
+//! 29.1 rows per distance-0 phase at complete n = 256, against 3.5 here
+//! (EXPERIMENTS.md, "Free-first augmentation").
+//!
+//! ## Why the cuts do not change the matching
+//!
+//! Two cuts skip the work that cannot change the target:
+//!
+//! * **Relaxations at or above `ub`.** A relaxation with `nd ≥ ub` is
+//!   dropped: no stamp, no `dist_r`/`pred_r` write, no queue push. It cannot
+//!   lower `ub`, its entry would pop at or after the stop, and it cannot
+//!   change the outcome of a later relaxation of the same vertex below
+//!   `ub`, since a tentative distance is only ever replaced by a strictly
+//!   smaller one.
 //! * **Rows by weight.** Every solve orders each row's positive entries by
 //!   weight, heaviest first, and the scan of row `u` (potential
 //!   `pl = pot_l[u]`) breaks at the first entry with
-//!   `d_u + max(0, pl − w) > ub`. Right potentials start at 0 and only
+//!   `d_u + max(0, pl − w) ≥ ub`. Right potentials start at 0 and only
 //!   decrease (each Johnson update subtracts a non-negative amount; a
 //!   `debug_assert!` checks it), so `rc = (pl − w) − pot_r ≥ pl − w`, also
 //!   in floating point, where rounding is monotone; a lighter entry's
-//!   `pl − w` is no smaller. Every skipped entry would be dropped by the
-//!   bound. Within the scan, an entry whose vertex is already finalized
-//!   this phase is skipped before its reduced cost is computed: a
-//!   finalized distance is never replaced, so its relaxation is a no-op.
+//!   `pl − w` is no smaller. Every skipped entry would be dropped. Within
+//!   the scan, an entry whose vertex is already finalized this phase is
+//!   skipped before its reduced cost is computed: a finalized distance is
+//!   never replaced, so its relaxation is a no-op.
 //!
-//! Within one row the order cannot matter: left vertex `u` relaxes each
-//! right vertex at most once per phase, every relaxation from `u` shares its
-//! `d_u` and its `pred_r`, the queue pops in the total `(dist, v)` order,
-//! whatever the push order, and how far `ub` has fallen when an entry is
-//! reached only decides the fate of entries above `D`. So the finalized
-//! vertices, their pop order, `pred_r`, the target, the Johnson updates and
-//! the duals are the unbounded search's, and matchings,
-//! [`AssignmentSolver::last_weight`] and [`AssignmentSolver::right_duals`]
-//! are bit-identical to it (pinned against a reference copy of the
-//! unbounded loop in this module's tests).
+//! The scan order decides ties: the first relaxation to reach the least
+//! distance sets `ub_v`. Each row scans its dummy sink first, then its
+//! entries by the explicit key `(Reverse(w), v)`, not in whatever order an
+//! unstable sort leaves equal weights; left vertices are expanded in the
+//! queue's `(dist, v)` pop order. So the target of every phase, and with it
+//! the matching, [`AssignmentSolver::last_weight`] and
+//! [`AssignmentSolver::right_duals`], are a pure function of
+//! `(topology, weights)`, and bit-identical to the same rule run without
+//! cuts: a heap loop in this module's tests that queues every relaxation,
+//! free vertices too.
 //!
 //! ## Why the bucket queue pops in the heap's order
 //!
@@ -111,11 +135,11 @@
 //!   and pops later as stale, skipped by the same `done_r`/`dist_r` checks
 //!   that skipped it in the heap.
 //!
-//! So the finalized vertices, `pred_r`, the Johnson updates, the matchings,
-//! [`AssignmentSolver::last_weight`] and [`AssignmentSolver::right_duals`]
-//! are the heap kernel's, bit for bit (a unit test drives the queue and a
-//! heap through the same scripts; the reference loop in the tests keeps
-//! the heap). The bitsets live in one slab sized at load: each key a phase
+//! So the expanded vertices, `pred_r`, `ub_v`, the Johnson updates, the
+//! matchings, [`AssignmentSolver::last_weight`] and
+//! [`AssignmentSolver::right_duals`] are the heap loop's, bit for bit (a
+//! unit test drives the queue and a heap through the same scripts; the
+//! reference loop in the tests keeps the heap). The bitsets live in one slab sized at load: each key a phase
 //! inserts takes the next slot, and the next phase zeroes only the slots
 //! this one used, so a solve allocates nothing after warm-up and a phase
 //! pays no `O(V)` reset. A phase inserts at most one key per push; the
@@ -163,13 +187,13 @@ pub struct AssignmentSolver {
     dist_l: Vec<f64>,
     dist_r: Vec<f64>,
     pred_r: Vec<u32>,
-    stamp_l: Vec<u32>,
     stamp_r: Vec<u32>,
     done_r: Vec<bool>,
     phase: u32,
     /// The phase's bound: the least tentative distance of any free extended
-    /// right vertex (see the module docs).
+    /// right vertex, and the first vertex to reach it (see the module docs).
     ub: f64,
+    ub_v: u32,
     queue: BucketQueue,
     touched_l: Vec<u32>,
     touched_r: Vec<u32>,
@@ -345,8 +369,10 @@ impl AssignmentSolver {
                 }
             }
             let row = &mut self.by_weight[lo..end];
-            // Entries are positive, and positive floats order as their bits.
-            row.sort_unstable_by_key(|e| std::cmp::Reverse(e.0.to_bits()));
+            // Entries are positive, and positive floats order as their bits;
+            // ties go to the lower right index, so the order, and with it
+            // the target each phase finds first, depends on the weights only.
+            row.sort_unstable_by_key(|&(w, v)| (std::cmp::Reverse(w.to_bits()), v));
             self.row_end[u] = end as u32;
             self.pot_l.push(row.first().map_or(0.0, |&(w, _)| w));
         }
@@ -358,8 +384,6 @@ impl AssignmentSolver {
         self.dist_r.resize(nr_ext, f64::INFINITY);
         self.pred_r.clear();
         self.pred_r.resize(nr_ext, u32::MAX);
-        self.stamp_l.clear();
-        self.stamp_l.resize(self.nl, 0);
         self.stamp_r.clear();
         self.stamp_r.resize(nr_ext, 0);
         self.done_r.clear();
@@ -372,9 +396,9 @@ impl AssignmentSolver {
     /// Left vertices are inserted in index order; each insertion runs one
     /// Dijkstra over alternating paths in reduced costs (non-positive-weight
     /// edges skipped), bounded by the phase's `ub`, and augments to the
-    /// cheapest free extended-right vertex; Johnson potentials keep reduced
-    /// costs non-negative. Every finalized vertex, and so the result, is the
-    /// unbounded search's (module docs).
+    /// first free extended-right vertex reached at the least distance;
+    /// Johnson potentials keep reduced costs non-negative. The result is
+    /// the uncut search's under the same rule (module docs).
     fn run(&mut self) -> &[(u32, u32)] {
         self.reset_state();
         let nl = self.nl;
@@ -389,49 +413,47 @@ impl AssignmentSolver {
             self.phase += 1;
             let phase = self.phase;
             self.ub = f64::INFINITY;
+            self.ub_v = UNMATCHED;
             self.queue.clear();
             self.touched_l.clear();
             self.touched_r.clear();
 
             // Seed with s at distance 0.
             self.dist_l[s as usize] = 0.0;
-            self.stamp_l[s as usize] = phase;
             self.touched_l.push(s);
             self.relax_left(s, 0.0, phase);
 
-            // Dijkstra until a free (extended) right vertex is finalized.
-            let mut target: Option<(u32, f64)> = None;
+            // Dijkstra until the distance being expanded reaches `ub`: the
+            // free vertex that set it is then final (module docs). Only
+            // matched right vertices are queued, each reached left vertex
+            // only through its match.
             while let Some((d, v)) = self.queue.pop() {
+                if d >= self.ub {
+                    break;
+                }
                 let vi = v as usize;
-                if self.stamp_r[vi] != phase || self.done_r[vi] || d > self.dist_r[vi] {
+                if self.done_r[vi] || d > self.dist_r[vi] {
                     continue; // stale entry
                 }
                 self.done_r[vi] = true;
                 let u = self.match_r[vi];
-                if u == UNMATCHED {
-                    target = Some((v, d));
-                    break;
-                }
-                // Traverse the matched edge backwards at reduced cost 0.
+                debug_assert!(u != UNMATCHED, "free vertices are never queued");
                 let ui = u as usize;
-                if self.stamp_l[ui] != phase || d < self.dist_l[ui] {
-                    self.stamp_l[ui] = phase;
-                    self.dist_l[ui] = d;
-                    self.touched_l.push(u);
-                    self.relax_left(u, d, phase);
-                }
+                self.dist_l[ui] = d;
+                self.touched_l.push(u);
+                self.relax_left(u, d, phase);
             }
 
-            // The dummy sink guarantees an augmenting path for every seeded
-            // vertex; if the queue nonetheless drained without finalizing a
-            // free right vertex, leave `s` unmatched rather than abort the
-            // whole solve.
-            let Some((t, big_d)) = target else {
+            // s's dummy sink makes `ub` finite for every seeded vertex; if
+            // it nonetheless is not, leave `s` unmatched rather than abort
+            // the whole solve.
+            let (t, big_d) = (self.ub_v, self.ub);
+            if t == UNMATCHED {
                 for &v in &self.touched_r {
                     self.done_r[v as usize] = false;
                 }
                 continue;
-            };
+            }
 
             // Johnson potential update: every finalized vertex x with
             // d(x) <= D gets pot[x] -= (D - d(x)); this keeps reduced costs
@@ -504,7 +526,7 @@ impl AssignmentSolver {
             let (w, v) = self.by_weight[idx];
             // pot_r <= 0 makes rc >= pl - w, and every later entry of the
             // row weighs no more (module docs).
-            if d_u + (pl - w).max(0.0) > self.ub {
+            if d_u + (pl - w).max(0.0) >= self.ub {
                 break;
             }
             let v = v as usize;
@@ -527,8 +549,8 @@ impl AssignmentSolver {
         debug_assert!(rc >= -1e-9, "reduced cost must stay non-negative: {rc}");
         // `d_u` descends from the seed's `+0.0`, so `nd` is never `-0.0`.
         let nd = d_u + rc.max(0.0);
-        if nd > self.ub {
-            return; // above the target distance: cannot reach the answer
+        if nd >= self.ub {
+            return; // the phase ends before it expands distance `nd`
         }
         if self.stamp_r[v] != phase {
             self.stamp_r[v] = phase;
@@ -539,9 +561,13 @@ impl AssignmentSolver {
         if !self.done_r[v] && nd < self.dist_r[v] {
             self.dist_r[v] = nd;
             self.pred_r[v] = u;
-            self.queue.push(nd, v as u32);
             if self.match_r[v] == UNMATCHED {
-                self.ub = nd; // nd <= ub: a cheaper free vertex
+                // nd < ub: a cheaper free vertex, the target unless a
+                // cheaper one follows. It is never queued.
+                self.ub = nd;
+                self.ub_v = v as u32;
+            } else {
+                self.queue.push(nd, v as u32);
             }
         }
     }
@@ -652,10 +678,12 @@ mod tests {
         }
     }
 
-    /// The kernel's phase loop without the `ub` cut or the weight-ordered
-    /// rows: fresh arrays per phase, rows in `(u, v)` order, every
-    /// relaxation kept. Returns the matching, its weight and the right
-    /// duals, computed as [`AssignmentSolver`] computes them.
+    /// The kernel's phase loop without its cuts: fresh arrays per phase,
+    /// every relaxation kept and queued, free vertices too. Rows are scanned
+    /// as the kernel scans them (dummy sink, then `(Reverse(w), v)` order),
+    /// and a phase ends at the first pop at or above the least free
+    /// distance. Returns the matching, its weight and the right duals,
+    /// computed as [`AssignmentSolver`] computes them.
     fn reference_solve(
         nl: usize,
         nr: usize,
@@ -669,9 +697,12 @@ mod tests {
                 rows[u as usize].push((v as usize, w));
             }
         }
+        for row in &mut rows {
+            row.sort_by(|a: &(usize, f64), b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        }
         let mut pot_l: Vec<f64> = rows
             .iter()
-            .map(|r| r.iter().map(|&(_, w)| w).fold(0.0, f64::max))
+            .map(|r| r.first().map_or(0.0, |e| e.1))
             .collect();
         let mut pot_r = vec![0.0; nx];
         let (mut match_l, mut match_r) = (vec![UNMATCHED; nl], vec![UNMATCHED; nx]);
@@ -682,19 +713,24 @@ mod tests {
             let (mut dist_l, mut dist_r) = (vec![f64::INFINITY; nl], vec![f64::INFINITY; nx]);
             let (mut pred, mut done) = (vec![UNMATCHED; nx], vec![false; nx]);
             let mut heap = BinaryHeap::new();
+            // The least tentative distance of a free vertex, and the first
+            // vertex to reach it.
+            let (mut ub, mut target) = (f64::INFINITY, UNMATCHED);
             dist_l[s] = 0.0;
             let mut reached = Some((s, 0.0));
-            let mut target = None;
             loop {
                 if let Some((u, d_u)) = reached.take() {
                     let dummy = (nr + u, pot_l[u] - pot_r[nr + u]);
                     let row = rows[u].iter().map(|&(v, w)| (v, -w + pot_l[u] - pot_r[v]));
-                    for (v, rc) in row.chain([dummy]) {
+                    for (v, rc) in [dummy].into_iter().chain(row) {
                         let nd = d_u + f64::max(rc, 0.0);
                         if !done[v] && nd < dist_r[v] {
                             dist_r[v] = nd;
                             pred[v] = u as u32;
                             heap.push(Reverse((OrdF64(nd), v as u32)));
+                            if match_r[v] == UNMATCHED && nd < ub {
+                                (ub, target) = (nd, v as u32);
+                            }
                         }
                     }
                 }
@@ -702,21 +738,21 @@ mod tests {
                     break;
                 };
                 let vi = v as usize;
+                if d >= ub {
+                    break;
+                }
                 if done[vi] || d > dist_r[vi] {
                     continue;
                 }
                 done[vi] = true;
-                let u = match_r[vi];
-                if u == UNMATCHED {
-                    target = Some((v, d));
-                    break;
-                }
-                if d < dist_l[u as usize] {
-                    dist_l[u as usize] = d;
-                    reached = Some((u as usize, d));
-                }
+                let u = match_r[vi] as usize;
+                dist_l[u] = d;
+                reached = Some((u, d));
             }
-            let Some((t, big_d)) = target else { continue };
+            if target == UNMATCHED {
+                continue;
+            }
+            let big_d = ub;
             for (p, &d) in pot_l.iter_mut().zip(&dist_l) {
                 if d <= big_d {
                     *p -= big_d - d;
@@ -727,7 +763,7 @@ mod tests {
                     pot_r[v] -= big_d - dist_r[v];
                 }
             }
-            let mut v_cur = t;
+            let mut v_cur = target;
             loop {
                 let u = pred[v_cur as usize];
                 let prev_v = match_l[u as usize];

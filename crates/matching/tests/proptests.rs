@@ -69,8 +69,81 @@ fn is_matching(m: &[(u32, u32)]) -> bool {
     m.iter().all(|&(u, v)| ls.insert(u) && rs.insert(v))
 }
 
+/// Strategy: an Octopus-class column over an `n`-port fabric's complete
+/// link set (no self-loops), `n` drawn from `sizes`. A weight is a few
+/// packets of hop weight `1`, `1/2` and `1/3`, so equal weights and
+/// equal-weight optima abound; about one link in ten is disabled (`0` or
+/// negative).
+fn octopus_column(
+    sizes: impl Strategy<Value = u32>,
+) -> impl Strategy<Value = (u32, Vec<(u32, u32)>, Vec<f64>)> {
+    sizes.prop_flat_map(|n| {
+        let edges: Vec<(u32, u32)> = (0..n)
+            .flat_map(|u| (0..n).filter(move |&v| v != u).map(move |v| (u, v)))
+            .collect();
+        let weight = (0u32..10, 0u32..3, 0u32..3, 0u32..4).prop_map(|(off, a, b, c)| match off {
+            0 => -f64::from(a),
+            _ => f64::from(a) + f64::from(b) / 2.0 + f64::from(c) / 3.0,
+        });
+        let col = prop::collection::vec(weight, edges.len()..=edges.len());
+        (Just(n), Just(edges), col)
+    })
+}
+
+/// The kernel's optimality certificate on one column: the right duals
+/// `z ≥ 0` of [`AssignmentSolver::right_duals`], with the left duals they
+/// imply, `y_u = max_v (w(u, v) − z_v)⁺`, are feasible on every enabled
+/// edge (up to rounding), and `Σy + Σz` equals the returned matching's weight up to the
+/// rounding of its `2n + 1` sums, padded as the α-search pads its dual
+/// bounds. By weak duality no matching weighs more than `Σy + Σz`, so the
+/// returned one is a maximum-weight matching.
+fn assert_certified(n: u32, edges: &[(u32, u32)], col: &[f64]) {
+    let mut solver = AssignmentSolver::new();
+    solver.load_topology(n, n, edges);
+    let m = solver.solve_reweighted(col).to_vec();
+    assert!(is_matching(&m));
+    let mut z = Vec::new();
+    solver.right_duals(&mut z);
+    assert_eq!(z.len(), n as usize);
+    assert!(z.iter().all(|&x| x >= 0.0));
+    let mut y = vec![0.0f64; n as usize];
+    for (&(u, v), &w) in edges.iter().zip(col).filter(|&(_, &w)| w > 0.0) {
+        y[u as usize] = y[u as usize].max(w - z[v as usize]);
+    }
+    let mut weight = 0.0;
+    for &(u, v) in &m {
+        let e = edges
+            .binary_search(&(u, v))
+            .expect("matched pair is a loaded edge");
+        assert!(col[e] > 0.0, "({u}, {v}) is disabled");
+        weight += col[e];
+    }
+    assert_eq!(weight.to_bits(), solver.last_weight().to_bits());
+    for (&(u, v), &w) in edges.iter().zip(col).filter(|&(_, &w)| w > 0.0) {
+        // Up to the rounding of `w − z_v` and of the sum.
+        let (y, z) = (y[u as usize], z[v as usize]);
+        assert!(
+            w - (y + z) <= 2.0 * f64::EPSILON * (w + z),
+            "({u}, {v}) infeasible: w {w}, y {y}, z {z}"
+        );
+    }
+    let total = y.iter().sum::<f64>() + z.iter().sum::<f64>();
+    let terms = 2 * n as usize + z.len() + 1;
+    let tolerance = (terms + 2) as f64 * f64::EPSILON * total;
+    assert!(
+        (total - weight).abs() <= tolerance,
+        "dual {total} vs matching {weight}: gap {:e} above {tolerance:e}",
+        total - weight
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn exact_kernel_is_certified_on_octopus_columns((n, edges, col) in octopus_column(2u32..25)) {
+        assert_certified(n, &edges, &col);
+    }
 
     #[test]
     fn exact_bipartite_matches_brute_force((nl, nr, edges) in bipartite()) {
@@ -229,5 +302,19 @@ proptest! {
             prop_assert!(is_matching(&t.matching));
             prop_assert!(t.duration > 0);
         }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The certificate at complete n = 64, 128 and 256; release-only (CI
+    /// runs it).
+    #[test]
+    #[ignore = "release-mode certificate at n = 64-256"]
+    fn exact_kernel_is_certified_at_real_sizes(
+        (n, edges, col) in octopus_column((0usize..3).prop_map(|i| [64u32, 128, 256][i]))
+    ) {
+        assert_certified(n, &edges, &col);
     }
 }
