@@ -26,6 +26,9 @@
 //!   one-hop ancestor the paper cites in §2.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 pub mod eclipse;

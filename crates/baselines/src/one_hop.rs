@@ -15,7 +15,7 @@ use octopus_core::{
 use octopus_net::{NodeId, Schedule};
 use octopus_traffic::Weight;
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// One one-hop demand: `size` packets of per-packet `weight` on link
 /// `(src, dst)`. The `tag` survives into the per-demand service report
@@ -60,7 +60,7 @@ pub fn one_hop_schedule(
     matching: MatchingKind,
 ) -> OneHopOutput {
     // Demand indices per link, pre-sorted by (weight desc, tag asc).
-    let mut by_link: HashMap<(u32, u32), Vec<usize>> = HashMap::new();
+    let mut by_link: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
     for (idx, d) in demands.iter().enumerate() {
         if d.size > 0 && d.weight > 0.0 && d.src != d.dst {
             by_link.entry((d.src.0, d.dst.0)).or_default().push(idx);
@@ -112,7 +112,7 @@ struct DemandSource<'a> {
     demands: &'a [OneHopDemand],
     /// Demand indices per link, sorted by (weight desc, tag asc) — the
     /// priority order packets drain in.
-    by_link: HashMap<(u32, u32), Vec<usize>>,
+    by_link: BTreeMap<(u32, u32), Vec<usize>>,
     remaining: Vec<u64>,
     served: Vec<u64>,
     psi: f64,

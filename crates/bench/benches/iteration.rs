@@ -6,7 +6,7 @@
 // Bench harness boilerplate: criterion's closure-heavy style trips the
 // workspace pedantic set, and `criterion_group!` expands to undocumented
 // items. Benches are not library surface, so relax those lints here.
-#![allow(clippy::semicolon_if_nothing_returned, missing_docs)]
+#![expect(clippy::semicolon_if_nothing_returned, missing_docs)]
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use octopus_bench::runners::synthetic_instance;

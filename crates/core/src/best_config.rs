@@ -292,7 +292,6 @@ pub(crate) struct DualTable {
 impl DualTable {
     /// An empty table for the ascending candidates `alphas` of an `n`-port
     /// fabric. The engine keeps it past the select, for the next one.
-    // lint:allow(hot-alloc) — amortized: one K × n table per select, next to the sweep's O(E) edge arrays
     pub(crate) fn new(alphas: &[u64], n: usize) -> Self {
         DualTable {
             n,
@@ -639,7 +638,6 @@ impl<'q> SweepContext<'q> {
     /// configuration with this context's [`ColumnKernel`], counting every
     /// matching solved. Allocation-free after the first candidate except for
     /// the returned matching and the duplex kernels' own buffers.
-    // lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
     pub(crate) fn eval(&self, alpha: u64, delta: u64) -> BestChoice {
         let k = self.sweep.index_of(alpha);
         let (matching, benefit, solves) = KERNEL_WS.with(|ws| {
@@ -718,7 +716,6 @@ impl<'q> SweepContext<'q> {
     /// its own links' `g`. Only the first round, on the column itself,
     /// publishes duals; masking drops the column cache. Returns the sorted
     /// union, its weight and the rounds solved.
-    // lint:allow(hot-alloc) — amortized: the union is the returned configuration, built once per evaluated candidate
     fn union(
         &self,
         k: usize,
@@ -752,7 +749,6 @@ impl<'q> SweepContext<'q> {
 
     /// The §7 duplex configuration of the column in `ws.col`, one general
     /// matching where `{a, b}` weighs `g(a→b) + g(b→a)`, and its benefit.
-    // lint:allow(hot-alloc) — amortized: the folded edge list and the general matchers' buffers are built once per evaluated candidate
     fn duplex(
         &self,
         matcher: GeneralMatcherKind,
@@ -998,7 +994,6 @@ struct Pending {
 /// a candidate at most once per evaluation. The unsolved set lives in this
 /// thread's [`KernelWorkspace`], so a search allocates nothing for it after
 /// the first.
-// lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 fn exhaustive_pruned<E: Fn(u64) -> BestChoice>(
     candidates: &[u64],
     policy: &SearchPolicy,
@@ -1059,7 +1054,6 @@ fn top(pending: &[Pending]) -> Option<usize> {
     })
 }
 
-// lint:allow(hot-alloc) — amortized: α-search driver allocates once per candidate α; dominated by the O(E√V) kernel work per candidate
 fn ternary<E: Fn(u64) -> BestChoice>(
     candidates: &[u64],
     policy: &SearchPolicy,

@@ -238,7 +238,6 @@ pub struct BipartiteFabric {
 }
 
 impl Fabric for BipartiteFabric {
-    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
     fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free(links.iter().copied())?;
         let budgets = links
@@ -273,7 +272,6 @@ pub struct KPortFabric {
 }
 
 impl Fabric for KPortFabric {
-    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
     fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free_with_capacity(links.iter().copied(), self.r)?;
         let budgets = links
@@ -312,7 +310,6 @@ pub struct DuplexFabric<'a> {
 }
 
 impl Fabric for DuplexFabric<'_> {
-    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
     fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let dm = DuplexMatching::new(self.net, links.iter().copied())?;
         let directed = dm.to_directed();
@@ -363,7 +360,6 @@ impl LocalFabric {
 }
 
 impl Fabric for LocalFabric {
-    // lint:allow(hot-alloc) — amortized: realize runs once per committed configuration; the allocations are the returned matching and budgets
     fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
         let matching = Matching::new_free(links.iter().copied())?;
         let budgets = links
@@ -400,7 +396,6 @@ impl Fabric for LocalFabric {
         }
     }
 
-    // lint:allow(hot-alloc) — amortized: once per committed configuration; the set is the next iteration's persistence state
     fn committed(&mut self, links: &[(u32, u32)]) {
         self.prev = links.iter().copied().collect();
     }
@@ -708,7 +703,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
 
 /// Extends the Procedure-1 candidate set per `ext`; result stays sorted
 /// ascending and deduplicated, capped by `budget`.
-// lint:allow(hot-alloc) — amortized: candidate-set extension once per select call; the cloned set is the per-window candidate list
 fn extend_candidates(mut set: Vec<u64>, budget: u64, ext: CandidateExtension) -> Vec<u64> {
     match ext {
         CandidateExtension::None => return set,

@@ -1,8 +1,8 @@
 //! A tiny sorted-vec map: the cache-flat replacement for the kernel-side
-//! `BTreeMap`s (octopus-lint L6).
+//! `BTreeMap`s, which `clippy::disallowed_types` bans in the kernel crates.
 //!
 //! Entries live in one contiguous `Vec<(K, V)>` kept sorted by key, so
-//! iteration walks the same fixed total order a `BTreeMap` would (the L1
+//! iteration walks the same fixed total order a `BTreeMap` would (the
 //! determinism guarantee) without per-node pointer chasing or per-insert
 //! allocation. Lookups are binary searches; inserts and removals shift the
 //! tail. The maps this replaces hold at most a few thousand small entries on

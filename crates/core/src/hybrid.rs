@@ -74,7 +74,9 @@ pub fn octopus_hybrid(
     let mut order: Vec<&Flow> = load.flows().iter().collect();
     order.sort_by_key(|f| (f.size, f.id));
 
-    // Ordered map: summed and drained into the output below (octopus-lint L1).
+    // Ordered map: drained into the output below, where a HashMap's order
+    // would show. Clippy cannot see `into_iter` on a HashMap;
+    // `everything_is_deterministic` (tests/end_to_end.rs) can.
     let mut offload: VecMap<FlowId, u64> = VecMap::new();
     for f in order {
         let s = f.src().0;

@@ -196,7 +196,6 @@ fn window_key(
 /// [`SchedError::Net`] when a commit fails to realize (with the shipped
 /// kernels this is unreachable on a miss; on an exact-hit replay it would
 /// indicate a hash collision, which we surface rather than mask).
-// lint:allow(hot-alloc) — amortized: once per re-plan on the serve path; the buffers are the cached plan itself
 pub fn plan_window_cached<S, F>(
     engine: &mut ScheduleEngine<S>,
     fabric: &mut F,
@@ -245,7 +244,6 @@ where
 }
 
 /// The emitted window as `(links, α)` pairs.
-// lint:allow(hot-alloc) — amortized: once per re-plan on the serve path; the buffers are the cached plan itself
 fn planned_configs(run: &WindowRun) -> PlannedConfigs {
     run.schedule
         .configs()

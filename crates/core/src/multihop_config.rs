@@ -205,12 +205,17 @@ impl Snapshot {
 
 /// Greedy edge-by-edge matching on chain-aware benefit: repeatedly add the
 /// port-compatible fabric edge with the largest positive marginal benefit.
+#[expect(
+    clippy::float_cmp,
+    reason = "bit-equal marginals tie and break on the smaller (i, j)"
+)]
 fn greedy_chain_matching(snap: &Snapshot, net: &Network, alpha: u64) -> (Vec<(u32, u32)>, f64) {
     // Candidate edges: any hop appearing in a remaining route (others can
     // never carry traffic this configuration).
-    // Sorted + deduped: the greedy loop below iterates it (octopus-lint L1);
-    // the marginal-benefit argmax has an explicit (i, j) tie-break, but a
-    // fixed visit order keeps float summation order reproducible too.
+    // Sorted + deduped, not a HashSet (`clippy::iter_over_hash_type`): the
+    // greedy loop below iterates it. The marginal-benefit argmax has an
+    // explicit (i, j) tie-break, but a fixed visit order keeps float
+    // summation order reproducible too.
     let mut cands: Vec<(u32, u32)> = Vec::new();
     for (_, route, pos, _) in &snap.entries {
         for x in *pos..route.hops() {

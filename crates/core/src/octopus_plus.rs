@@ -104,7 +104,7 @@ struct PlusState<'a> {
     weighting: HopWeighting,
     /// Ordered: candidate enumeration and plan resolution iterate this map,
     /// and iteration order must be deterministic for schedules to be
-    /// reproducible (octopus-lint L1).
+    /// reproducible (`clippy::iter_over_hash_type`).
     portions: VecMap<Portion, u64>,
     /// Packets delivered per (flow, route index); u32::MAX = direct
     /// backtrack route. Ordered: aggregated into the resolved-flow output.
@@ -157,7 +157,6 @@ impl<'a> PlusState<'a> {
 
     /// Enumerates `(link, weight, count, portion, action)` candidates for the
     /// current `T^r` (the Octopus+ `g`/`h` inputs).
-    // lint:allow(hot-alloc) — amortized: once-per-window candidate snapshot of the + state
     fn candidates(&self, net: &Network, backtracking: bool) -> Vec<Candidate> {
         let mut out = Vec::new();
         for &(portion, count) in self.portions.iter() {
@@ -209,7 +208,6 @@ impl<'a> PlusState<'a> {
     /// packet moves more than one hop per configuration, with per-portion
     /// `taken` accounting so a packet eligible on several links (next hop
     /// vs. direct) moves exactly once.
-    // lint:allow(hot-alloc) — amortized: once-per-window apply of the committed matching to the + state
     fn apply(&mut self, net: &Network, links: &[(u32, u32)], alpha: u64, backtracking: bool) {
         type LinkCandidate = (Weight, FlowId, Action, Portion, u64);
         let mut per_link: HashMap<(u32, u32), Vec<LinkCandidate>> = HashMap::new();
@@ -399,7 +397,6 @@ impl TrafficSource for PlusSource<'_> {
         )
     }
 
-    // lint:allow(hot-alloc) — amortized: once-per-commit served-budget projection
     fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>> {
         let &(_, _, alpha) = served.first()?;
         debug_assert!(served.iter().all(|&(_, _, a)| a == alpha));

@@ -293,7 +293,6 @@ pub fn check_hysteresis(window: u64, delta: u64, eta: f64) -> Result<(), SchedEr
 /// # Errors
 /// [`SchedError::Net`] when the search's winner is not a matching
 /// (unreachable with the shipped kernels); nothing is committed then.
-// lint:allow(hot-alloc) — amortized: once per epoch / re-plan; the buffers are the served budgets and the held matching
 pub fn hysteresis_replan<S: TrafficSource>(
     engine: &mut ScheduleEngine<S>,
     fabric: &BipartiteFabric,

@@ -36,8 +36,9 @@
 //!   weight classes and their prefix sums. Patching a link rewrites its span
 //!   in place (or appends and later compacts) instead of rebalancing a tree.
 //!
-//! Determinism note (enforced by `octopus-lint`, L1/L6): everything that is
-//! ever *iterated* on a scheduling path walks these sorted vecs, so
+//! Determinism note (enforced by `clippy::iter_over_hash_type`,
+//! `clippy::disallowed_methods` and `clippy::disallowed_types`): everything
+//! that is ever *iterated* on a scheduling path walks these sorted vecs, so
 //! iteration order is a fixed total order independent of hasher seeds and
 //! insertion history. `HashMap` remains only for pure point lookups
 //! (`from_subflows`' dedup index, `advance_chained`'s flow-id index), which
@@ -267,7 +268,6 @@ impl RemainingTraffic {
     /// its position, hop count, packet count and remaining route suffix.
     /// Flow IDs themselves are left out, since only their order can steer a
     /// plan. The key of the schedule cache ([`crate::memo`]).
-    // lint:allow(hot-alloc) — amortized: one row list per cached re-plan, sorted once
     pub fn replay_key(&self, mut word: impl FnMut(u64)) {
         word(self.link_keys.len() as u64);
         match self.weighting {
@@ -329,7 +329,6 @@ impl RemainingTraffic {
     }
 
     /// The queue entries currently waiting on `link`.
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     fn entries_on(&self, link: (u32, u32)) -> Option<Vec<QueueEntry>> {
         let li = self.link_keys.binary_search(&link).ok()?;
         let row = &self.rows[li];
@@ -357,7 +356,6 @@ impl RemainingTraffic {
     /// candidate α set for the current iteration. One pass over the sorted
     /// link rows, appending straight into the snapshot's arena — no
     /// intermediate per-link maps.
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     pub fn link_queues(&self, n: u32) -> LinkQueues {
         let slots: usize = self.rows.iter().map(Vec::len).sum();
         let mut q = LinkQueues::with_capacity(n, self.link_keys.len(), slots);
@@ -398,7 +396,6 @@ impl RemainingTraffic {
     /// `M`, the top-α waiting packets (by weight, then flow ID) advance one
     /// hop. Returns the benefit actually realized (the configuration's
     /// contribution to ψ).
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     pub fn apply(&mut self, links: &[(NodeId, NodeId)], alpha: u64) -> f64 {
         let with_budgets: Vec<(NodeId, NodeId, u64)> =
             links.iter().map(|&(i, j)| (i, j, alpha)).collect();
@@ -416,7 +413,6 @@ impl RemainingTraffic {
     /// [`RemainingTraffic::apply_budgets`] that also reports the movements
     /// it made as `(flow index, from-position, count, hop weight)` tuples,
     /// so the incremental engine can compute which links changed.
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     pub(crate) fn apply_budgets_tracked(
         &mut self,
         links: &[(NodeId, NodeId, u64)],
@@ -501,7 +497,6 @@ impl RemainingTraffic {
     /// configuration here (§5). ψ gains the weight of every traversed hop.
     /// Returns the links whose queues changed (origin and landing links;
     /// intermediate hops hold no packets before or after).
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     pub(crate) fn advance_chained(
         &mut self,
         moves: &[(FlowId, Route, u32, u32, u64)],
@@ -571,7 +566,6 @@ impl RemainingTraffic {
     /// `LinkId` (an id at or past an insertion point shifts up by the number
     /// of fresh keys inserted before it). `O(links + hops)` per batch, not
     /// per key — the mid-window growth path the layout originally forbade.
-    // lint:allow(hot-alloc) — amortized: arena growth on admission of new links only; steady-state windows reuse the interned slots
     fn intern_new_links(&mut self, mut fresh: Vec<(u32, u32)>) {
         fresh.sort_unstable();
         fresh.dedup();
@@ -623,7 +617,6 @@ impl RemainingTraffic {
     /// past its route's end, [`SchedError::PacketCountOverflow`] if the
     /// plan's packet total would pass `u64::MAX`; the plan is untouched on
     /// error.
-    // lint:allow(hot-alloc) — amortized: runs once per admission batch, not per scheduling window
     pub fn admit_subflows(
         &mut self,
         subflows: impl IntoIterator<Item = (FlowId, Route, u32, u64)>,
@@ -930,7 +923,6 @@ impl LinkQueue {
     /// ([`crate::TrafficSource::refresh_link`]). Returns `None` when no
     /// packets remain, matching the snapshot builders' omission of empty
     /// links.
-    // lint:allow(hot-alloc) — amortized: queue snapshot constructed once per window refresh; the CSR buffers are reused by every kernel call in the window
     pub fn from_weighted_counts(pairs: impl IntoIterator<Item = (f64, u64)>) -> Option<Self> {
         let mut entries: Vec<(Weight, u64)> = pairs
             .into_iter()
@@ -946,7 +938,10 @@ impl LinkQueue {
 
     /// Folds weight-descending `(weight, packets)` pairs into classes (equal
     /// weights merge) and their prefix sums.
-    // lint:allow(hot-alloc) — amortized: one link's queue per refresh; the class and prefix vectors are the returned queue itself
+    #[expect(
+        clippy::float_cmp,
+        reason = "equal weights merge into one class only when bit-equal"
+    )]
     fn from_sorted(entries: impl IntoIterator<Item = (Weight, u64)>) -> Self {
         let mut classes: Vec<(f64, u64)> = Vec::new();
         for (w, count) in entries {
@@ -1006,6 +1001,10 @@ impl LinkQueues {
     /// Appends one link's queue, aggregating `entries` into weight classes
     /// directly in the arena. Links must arrive in ascending key order (the
     /// builders iterate sorted rows, so this holds by construction).
+    #[expect(
+        clippy::float_cmp,
+        reason = "equal weights merge into one class only when bit-equal"
+    )]
     fn push_link_entries(&mut self, link: (u32, u32), entries: &mut [QueueEntry]) {
         debug_assert!(
             !self.links.last().is_some_and(|&l| l >= link),
@@ -1056,7 +1055,6 @@ impl LinkQueues {
 
     /// Builds a snapshot directly from `(link, weight, count)` triples —
     /// used by schedulers with their own `T^r` representation (Octopus+).
-    // lint:allow(hot-alloc) — amortized: queue snapshot constructed once per window refresh; the CSR buffers are reused by every kernel call in the window
     pub fn from_weighted_counts(
         n: u32,
         triples: impl IntoIterator<Item = ((u32, u32), f64, u64)>,
@@ -1246,7 +1244,6 @@ impl LinkQueues {
     /// prefix counts, clamped to `cap` (α values above the remaining window
     /// budget collapse onto `cap`, since the last configuration is truncated
     /// anyway). Sorted ascending, deduplicated.
-    // lint:allow(hot-alloc) — amortized: once-per-window state snapshot/update; the output buffer is handed to the kernel, not reallocated inside it
     pub fn alpha_candidates(&self, cap: u64) -> Vec<u64> {
         let mut set: Vec<u64> = self
             .live_indices()
@@ -1273,7 +1270,6 @@ impl LinkQueues {
     /// `(i, j)` is evaluated at `α + extra((i, j))` for every candidate α.
     /// Used by the localized-reconfiguration extension, where links kept from
     /// the previous configuration also serve during the Δ transition.
-    // lint:allow(hot-alloc) — amortized: the edge, span and bonus arrays are sized once per sweep and shared by every candidate's column and bound
     pub fn weighted_edges_multi_with(
         &self,
         alphas: &[u64],

@@ -2,7 +2,8 @@
 //!
 //! PR 5 converted `RemainingTraffic`'s link-keyed multiset (and the snapshot
 //! builders) from hash maps to ordered maps so that no scheduling path ever
-//! iterates a collection in hasher-seed-dependent order (octopus-lint L1).
+//! iterates a collection in hasher-seed-dependent order
+//! (`clippy::iter_over_hash_type`).
 //! The conversion must be *behavior-preserving*: the pre-change code was
 //! order-insensitive by construction (every iterated collection was either
 //! sorted before use or aggregated order-insensitively), so the ordered

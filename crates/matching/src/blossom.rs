@@ -28,7 +28,10 @@
 /// let m = maximum_weight_matching_general(4, &[(0, 1, 2), (1, 2, 3), (2, 3, 2)]);
 /// assert_eq!(m, vec![(0, 1), (2, 3)]);
 /// ```
-// lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
+#[expect(
+    clippy::disallowed_types,
+    reason = "cold path: one edge dedup per blossom call"
+)]
 pub fn maximum_weight_matching_general(n: u32, edges: &[(u32, u32, i64)]) -> Vec<(u32, u32)> {
     if n == 0 {
         return Vec::new();
@@ -50,7 +53,6 @@ pub fn maximum_weight_matching_general(n: u32, edges: &[(u32, u32, i64)]) -> Vec
                 (b, a)
             }
         })
-        // lint:allow(btree-alloc) — cold path: one edge dedup per blossom call
         .collect::<std::collections::BTreeSet<_>>()
         .into_iter()
         .collect()
@@ -85,7 +87,6 @@ struct Blossom {
 }
 
 impl Blossom {
-    // lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
     fn new(n: usize) -> Self {
         let m = 2 * n + 1;
         let mut g = vec![vec![Edge::default(); m]; m];
@@ -225,7 +226,6 @@ impl Blossom {
         0
     }
 
-    // lint:allow(hot-alloc) — amortized: allocates per blossom contraction, bounded by O(V) contractions per solve
     fn add_blossom(&mut self, u: usize, lca: usize, v: usize) {
         let mut b = self.n + 1;
         while b <= self.n_x && self.st[b] != 0 {
@@ -433,7 +433,6 @@ impl Blossom {
         }
     }
 
-    // lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
     fn solve(&mut self) -> Vec<(usize, usize)> {
         for u in 0..=self.n {
             self.st[u] = u;

@@ -37,7 +37,10 @@ pub struct BvnTerm {
 /// assert_eq!(reconstruct(3, &terms)[0][1], 4);
 /// ```
 pub fn decompose(n: u32, demand: &[(u32, u32, u64)]) -> Vec<BvnTerm> {
-    // lint:allow(btree-alloc) — cold path: one decomposition per demand matrix
+    #[expect(
+        clippy::disallowed_types,
+        reason = "cold path: one decomposition per demand matrix"
+    )]
     let mut remaining: std::collections::BTreeMap<(u32, u32), u64> = demand
         .iter()
         .filter(|&&(_, _, d)| d > 0)

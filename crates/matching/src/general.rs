@@ -16,7 +16,6 @@ pub type GeneralEdge = (u32, u32, f64);
 /// (Avis 1983). Ties are broken by normalized `(min, max)` endpoint pair, so
 /// the result is deterministic. Self-loops and non-positive weights are
 /// ignored. Returns edges as `(min, max)` pairs sorted ascending.
-// lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
 pub fn greedy_general_matching(n: u32, edges: &[GeneralEdge]) -> Vec<(u32, u32)> {
     let mut list: Vec<(u32, u32, f64)> = edges
         .iter()

@@ -34,7 +34,6 @@ impl WeightedBipartiteGraph {
     ///
     /// # Panics
     /// Panics if an endpoint is out of range or a weight is NaN.
-    // lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
     pub fn new<I>(n_left: u32, n_right: u32, edges: I) -> Self
     where
         I: IntoIterator<Item = Edge>,

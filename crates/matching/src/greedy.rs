@@ -14,7 +14,6 @@ use crate::WeightedBipartiteGraph;
 /// Sort-based greedy matching: ½-approximation, `O(E log E)`.
 ///
 /// Ties are broken by `(u, v)` so results are deterministic.
-// lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
 pub fn greedy_matching(g: &WeightedBipartiteGraph) -> Vec<(u32, u32)> {
     let mut order: Vec<usize> = (0..g.num_edges()).collect();
     let edges = g.edges();
@@ -36,7 +35,6 @@ pub fn greedy_matching(g: &WeightedBipartiteGraph) -> Vec<(u32, u32)> {
 ///
 /// # Panics
 /// Panics if `weights.len() != g.num_edges()`.
-// lint:allow(hot-alloc) — amortized: per-solve workspace/result construction; buffers live for the whole matching call, outside the augmentation loops
 pub fn bucket_greedy_matching(g: &WeightedBipartiteGraph, weights: &[u64]) -> Vec<(u32, u32)> {
     assert_eq!(
         weights.len(),
@@ -178,7 +176,6 @@ impl GreedyScratch {
     }
 }
 
-// lint:allow(hot-alloc) — amortized: per-solve order/result buffers; sorting scratch is not inside the take loop
 fn take_greedily(
     g: &WeightedBipartiteGraph,
     order: impl Iterator<Item = usize>,

@@ -25,7 +25,7 @@ fn bipartite() -> impl Strategy<Value = (u32, u32, Vec<(u32, u32, f64)>)> {
 /// Strategy: a fixed `(u, v)`-sorted topology plus several independent weight
 /// columns (including non-positive entries, to exercise the `w <= 0` edge
 /// dropping) and a chain of non-negative increments for monotone updates.
-#[allow(clippy::type_complexity)]
+#[expect(clippy::type_complexity)]
 fn topology_and_columns(
 ) -> impl Strategy<Value = (u32, u32, Vec<(u32, u32)>, Vec<Vec<f64>>, Vec<Vec<u64>>)> {
     (1u32..7, 1u32..7)

@@ -86,7 +86,6 @@ impl DuplexNetwork {
             Ok(net) => net,
             Err(_) => {
                 debug_assert!(false, "projection of a valid duplex network is valid");
-                // lint:allow(hot-alloc) — cold: debug-asserted fallback arm, never taken for a valid network
                 Network::from_sorted_edges(self.n, Vec::new())
             }
         }
@@ -102,7 +101,6 @@ pub struct DuplexMatching {
 
 impl DuplexMatching {
     /// Builds and validates a duplex matching against a duplex network.
-    // lint:allow(hot-alloc) — amortized: per-realize topology/matching construction; runs once per committed window
     pub fn new<I, E>(net: &DuplexNetwork, edges: I) -> Result<Self, NetError>
     where
         I: IntoIterator<Item = E>,

@@ -35,7 +35,6 @@ impl Network {
     ///
     /// Duplicate edges are collapsed. Returns an error on out-of-range nodes
     /// or self-loops.
-    // lint:allow(hot-alloc) — amortized: per-realize topology/matching construction; runs once per committed window
     pub fn from_edges<I, E>(n: u32, edges: I) -> Result<Self, NetError>
     where
         I: IntoIterator<Item = E>,
@@ -64,7 +63,6 @@ impl Network {
         Ok(Self::from_sorted_edges(n, list))
     }
 
-    // lint:allow(hot-alloc) — amortized: per-realize topology/matching construction; runs once per committed window
     pub(crate) fn from_sorted_edges(n: u32, edges: Vec<(NodeId, NodeId)>) -> Self {
         let nn = n as usize;
         let mut bitmap = vec![false; nn * nn];

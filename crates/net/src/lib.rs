@@ -42,6 +42,10 @@
 //! ```
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
+#![cfg_attr(not(test), deny(clippy::iter_over_hash_type, clippy::disallowed_types))]
 #![warn(missing_docs)]
 
 pub mod analysis;

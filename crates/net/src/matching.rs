@@ -52,7 +52,6 @@ impl Matching {
         Self::new_unchecked_edges(links)
     }
 
-    // lint:allow(hot-alloc) — amortized: per-realize topology/matching construction; runs once per committed window
     fn new_unchecked_edges<I, E>(links: I) -> Result<Self, NetError>
     where
         I: IntoIterator<Item = E>,
@@ -89,7 +88,6 @@ impl Matching {
     /// The graph-membership check is the caller's responsibility (compose
     /// with [`Network::has_edge`]); port-capacity invariants are enforced
     /// here. `r = 1` is equivalent to [`Matching::new_free`].
-    // lint:allow(hot-alloc) — amortized: per-realize topology/matching construction; runs once per committed window
     pub fn new_free_with_capacity<I, E>(links: I, r: u32) -> Result<Self, NetError>
     where
         I: IntoIterator<Item = E>,
@@ -186,8 +184,9 @@ impl Matching {
 
 /// Fallible counterpart of `FromIterator`: collects links into a matching,
 /// surfacing invariant violations as [`NetError`] instead of panicking.
-/// (A panicking `FromIterator` impl used to live here; octopus-lint L2
-/// forbids panics in library paths, so collection goes through this.)
+/// (A panicking `FromIterator` impl used to live here; the library crates
+/// deny `clippy::panic` and `clippy::unwrap_used`, so collection goes
+/// through this.)
 impl Matching {
     /// Collects an iterator of links into a matching, validating the
     /// port-disjointness invariants.

@@ -177,6 +177,10 @@ impl ServeState {
     /// [`SchedError::Net`] when a kernel output fails to realize as a
     /// matching (unreachable with the shipped kernels).
     pub fn replan(&mut self) -> Result<PlanSummary, SchedError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "times the re-plan for the reported `elapsed_us`; no decision reads it"
+        )]
         let start = Instant::now();
         self.stats.replans += 1;
         let tr = self.engine.source();

@@ -26,6 +26,10 @@
 //! assert_eq!(plan.delivered, 50); // both hops fit in one horizon
 //! ```
 
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
+
 mod daemon;
 pub mod protocol;
 

@@ -560,6 +560,10 @@ impl<'a> Engine<'a> {
             never_moved += counts[0];
             stranded += counts[1..h].iter().sum::<u64>();
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "collects into a map: the visit order cannot show"
+        )]
         let completion_slot: HashMap<FlowId, u64> = per_flow_size
             .iter()
             .filter(|&(id, &size)| size > 0 && per_flow.get(id).copied().unwrap_or(0) == size)

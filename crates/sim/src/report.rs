@@ -74,6 +74,10 @@ impl SimReport {
     /// Mean flow completion time over fully-completed flows (slots), or
     /// `None` when no flow completed — the latency-side metric of
     /// ProjecToR-style evaluations.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "sums integer-valued f64s, exact in any order below 2^53"
+    )]
     pub fn mean_fct(&self) -> Option<f64> {
         if self.completion_slot.is_empty() {
             return None;
@@ -92,6 +96,7 @@ impl SimReport {
         if self.completion_slot.is_empty() {
             return None;
         }
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
         let mut v: Vec<u64> = self.completion_slot.values().copied().collect();
         v.sort_unstable();
         Some(v[v.len() / 2])

@@ -25,6 +25,9 @@
 //!   rationale).
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 #![warn(missing_docs)]
 
 mod flow;

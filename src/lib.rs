@@ -19,6 +19,9 @@
 //! See `examples/quickstart.rs` for an end-to-end tour.
 
 #![forbid(unsafe_code)]
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#![deny(clippy::unreachable, clippy::todo, clippy::unimplemented)]
+#![cfg_attr(not(test), deny(clippy::float_cmp, clippy::disallowed_methods))]
 
 pub use octopus_baselines as baselines;
 pub use octopus_core as core;
