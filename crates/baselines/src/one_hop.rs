@@ -9,8 +9,8 @@
 //! multi-hop packet were covered.
 
 use octopus_core::{
-    AlphaSearch, BipartiteFabric, LinkQueue, LinkQueues, MatchingKind, ScheduleEngine,
-    SearchPolicy, TrafficSource,
+    AlphaSearch, BipartiteFabric, LinkQueues, MatchingKind, ScheduleEngine, SearchPolicy,
+    TrafficSource,
 };
 use octopus_net::{NodeId, Schedule};
 use octopus_traffic::Weight;
@@ -158,12 +158,13 @@ impl TrafficSource for DemandSource<'_> {
         Some(dirty)
     }
 
-    fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue> {
-        let idxs = self.by_link.get(&link)?;
-        LinkQueue::from_weighted_counts(
-            idxs.iter()
-                .map(|&i| (self.demands[i].weight, self.remaining[i])),
-        )
+    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
+        if let Some(idxs) = self.by_link.get(&link) {
+            out.extend(
+                idxs.iter()
+                    .map(|&i| (self.demands[i].weight, self.remaining[i])),
+            );
+        }
     }
 
     fn is_drained(&self) -> bool {

@@ -23,21 +23,25 @@
 //!   the next ([`Fabric::committed`]).
 //! * [`ScheduleEngine::commit`] applies the chosen `(M, α)` and patches the
 //!   queue snapshot **incrementally**: the source reports exactly which
-//!   links gained or lost packets, and only those links' queues are
-//!   re-derived ([`TrafficSource::refresh_link`]) instead of rebuilding all
-//!   `O(n²)` queues. A link's aggregated weight classes depend only on that
-//!   link's waiting packets, so the patched snapshot is identical to a
-//!   from-scratch rebuild (property-tested in `tests/proptest_invariants.rs`).
+//!   links gained or lost packets, and only those links' `(weight,
+//!   packets)` groups are re-read ([`TrafficSource::refresh_link`], into one
+//!   buffer per commit) and folded straight into the snapshot's arena
+//!   ([`LinkQueues::set_link`]) instead of rebuilding all `O(n²)` queues. A
+//!   link's aggregated weight classes depend only on that link's waiting
+//!   packets, so the patched snapshot is identical to a from-scratch
+//!   rebuild (property-tested in `tests/proptest_invariants.rs`).
 //!
 //! The α search itself (exhaustive with upper-bound pruning, or ternary)
 //! lives in [`crate::best_config`] and is driven through [`SearchPolicy`].
+//! The snapshot is the only state the engine keeps between selects: each
+//! select bounds its candidates from the snapshot and its own solves alone,
+//! so its solve count is a pure function of the snapshot.
 
 use crate::best_config::{
-    search_alpha, AlphaSearch, BestChoice, ColumnKernel, DualTable, ExactKernel, MatchingKind,
-    SweepContext,
+    search_alpha, AlphaSearch, BestChoice, ColumnKernel, ExactKernel, MatchingKind, SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
-use crate::state::{LinkQueue, LinkQueues, MultiAlphaEdges, RemainingTraffic};
+use crate::state::{LinkQueues, MultiAlphaEdges, RemainingTraffic};
 use crate::SchedError;
 use octopus_net::duplex::{DuplexMatching, DuplexNetwork};
 use octopus_net::{Configuration, Matching, NodeId, Schedule};
@@ -108,13 +112,16 @@ pub trait TrafficSource {
     /// `None` when the caller must rebuild the snapshot from scratch.
     fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>>;
 
-    /// Re-derives one link's queue from the current state (`None` when the
-    /// link is now empty). Called only for links reported dirty by
+    /// Fills `out`, handed in empty, with one link's `(weight, packets)`
+    /// groups in the current state, in any order; groups holding no packets
+    /// are ignored, and leaving `out` empty means the link is now empty.
+    /// The engine folds them into its snapshot ([`LinkQueues::set_link`]).
+    /// Called only for links reported dirty by
     /// [`TrafficSource::apply_served`] / [`TrafficSource::apply_chained`];
     /// sources that always request full rebuilds (return `None` from
-    /// `apply_served`) can honestly answer `None` here, since no link is
-    /// ever reported dirty.
-    fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue>;
+    /// `apply_served`) can leave `out` empty, since no link is ever
+    /// reported dirty.
+    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>);
 
     /// Whether every packet has (planned to) come home.
     fn is_drained(&self) -> bool;
@@ -143,8 +150,8 @@ impl TrafficSource for RemainingTraffic {
         Some(self.dirty_links(&moves))
     }
 
-    fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue> {
-        RemainingTraffic::refresh_link(self, link)
+    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
+        RemainingTraffic::refresh_link(self, link, out);
     }
 
     fn is_drained(&self) -> bool {
@@ -168,8 +175,8 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
         (**self).apply_served(served)
     }
 
-    fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue> {
-        (**self).refresh_link(link)
+    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
+        (**self).refresh_link(link, out);
     }
 
     fn is_drained(&self) -> bool {
@@ -440,14 +447,6 @@ pub struct ScheduleEngine<S: TrafficSource> {
     queues: Option<LinkQueues>,
     n: u32,
     delta: u64,
-    /// The right-side duals of every α the last swept select solved
-    /// exactly. The next select bounds its candidates with them, which only
-    /// prunes (any `z ≥ 0` is a valid weak-duality certificate). They
-    /// survive commits and evaluations, so they carry from one greedy
-    /// iteration to the next, and are dropped whenever the source changes
-    /// behind the engine's back, so solve counts depend only on the input
-    /// since then.
-    duals: Option<DualTable>,
 }
 
 impl<S: TrafficSource> ScheduleEngine<S> {
@@ -459,7 +458,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             queues: None,
             n,
             delta,
-            duals: None,
         }
     }
 
@@ -480,9 +478,8 @@ impl<S: TrafficSource> ScheduleEngine<S> {
 
     /// Mutable access to the traffic source. Callers that mutate the source
     /// behind the engine's back must [`ScheduleEngine::invalidate`] (or
-    /// [`ScheduleEngine::patch_links`]) after. Drops the last select's duals.
+    /// [`ScheduleEngine::patch_links`]) after.
     pub fn source_mut(&mut self) -> &mut S {
-        self.duals = None;
         &mut self.source
     }
 
@@ -496,11 +493,9 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         self.source.is_drained()
     }
 
-    /// Drops the cached snapshot and the last select's duals; the next
-    /// access rebuilds from scratch.
+    /// Drops the cached snapshot; the next access rebuilds from scratch.
     pub fn invalidate(&mut self) {
         self.queues = None;
-        self.duals = None;
     }
 
     /// The current queue snapshot (built on first use, patched afterwards).
@@ -519,13 +514,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Evaluates one α on `fabric` against the current snapshot: a sweep of
-    /// that one candidate, solved as a select solves any candidate. The
-    /// duals the engine carries to the next select are neither read nor
-    /// replaced.
+    /// that one candidate, solved as a select solves any candidate.
     pub fn evaluate<F: Fabric + ?Sized>(&mut self, fabric: &F, alpha: u64) -> BestChoice {
-        let (n, delta) = (self.n as usize, self.delta);
+        let delta = self.delta;
         let (sweep, kernel) = fabric.weight_sweep(self.queues(), &[alpha]);
-        SweepContext::new(sweep, kernel, DualTable::new(&[alpha], n), None).eval(alpha, delta)
+        SweepContext::new(sweep, kernel).eval(alpha, delta)
     }
 
     /// One iteration's configuration selection: enumerates candidates,
@@ -533,17 +526,16 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// fabric's [`Fabric::weight_sweep`], and returns the winner — or
     /// `None` when no configuration has positive benefit.
     ///
-    /// One fused pass over the sweep bounds every α, and a column is built
-    /// only for an α the search refines or solves, on this thread's
-    /// reusable workspace. A weak-duality bound prunes with solved duals
-    /// too: the previous select's (nearest α, in every candidate's eager
-    /// bound) and this select's own (the rows solved so far that bracket α,
-    /// lazily before each solve). Every bound goes through the fabric's
-    /// [`ColumnKernel`], and every bound only skips provably dominated
-    /// candidates, since the pruning cut is strict and only ever compares
-    /// against exactly evaluated scores. The bounds are valid for the
-    /// greedy kernels too (a greedy matching never out-weighs the exact
-    /// optimum). The engine keeps this select's duals for the next one.
+    /// One fused pass over the sweep bounds every α by its column's
+    /// row/column maxima, and a column is built only for an α the search
+    /// refines or solves, on this thread's reusable workspace. Before each
+    /// solve, a weak-duality bound under this select's own solved duals
+    /// (the rows that bracket α) prunes too. Every bound goes through the
+    /// fabric's [`ColumnKernel`], and every bound only skips provably
+    /// dominated candidates, since the pruning cut is strict and only ever
+    /// compares against exactly evaluated scores. The bounds are valid for
+    /// the greedy kernels too (a greedy matching never out-weighs the exact
+    /// optimum). Nothing outlives the select but the snapshot.
     pub fn select<F: Fabric + ?Sized>(
         &mut self,
         fabric: &F,
@@ -554,22 +546,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         if budget == 0 {
             return None;
         }
-        let Self {
-            source,
-            queues,
-            n,
-            delta,
-            duals,
-        } = self;
-        let (n, delta) = (*n, *delta);
-        let queues = &*queues.get_or_insert_with(|| source.snapshot_queues(n));
+        let delta = self.delta;
+        let queues = self.queues();
         let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
         let (sweep, kernel) = fabric.weight_sweep(queues, &candidates);
-        let table = DualTable::new(&candidates, n as usize);
-        let ctx = SweepContext::new(sweep, kernel, table, duals.as_ref());
-        let (best, solved) = ctx.search(policy, delta);
-        *duals = Some(solved);
-        best
+        SweepContext::new(sweep, kernel).search(policy, delta)
     }
 
     /// Like [`ScheduleEngine::select`], but with a caller-supplied per-α
@@ -613,13 +594,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// matching rather than a freshly selected one).
     pub fn commit_budgets(&mut self, budgets: &[(NodeId, NodeId, u64)]) {
         match self.source.apply_served(budgets) {
-            Some(dirty) => {
-                if let Some(queues) = self.queues.as_mut() {
-                    for link in dirty {
-                        queues.set_link(link, self.source.refresh_link(link));
-                    }
-                }
-            }
+            Some(dirty) => self.patch_links(&dirty),
             None => self.queues = None,
         }
     }
@@ -634,13 +609,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         moves: &[(FlowId, Route, u32, u32, u64)],
     ) -> Result<(), SchedError> {
         match self.source.apply_chained(moves)? {
-            Some(dirty) => {
-                if let Some(queues) = self.queues.as_mut() {
-                    for link in dirty {
-                        queues.set_link(link, self.source.refresh_link(link));
-                    }
-                }
-            }
+            Some(dirty) => self.patch_links(&dirty),
             None => self.queues = None,
         }
         Ok(())
@@ -649,18 +618,21 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// Brings the cached snapshot back in sync after the traffic source was
     /// mutated behind the engine's back on a known set of links — the
     /// streaming admission/cancellation path ([`RemainingTraffic::admit_subflows`]
-    /// returns exactly this dirty set). Each link's queue is re-derived from
-    /// the source; links the snapshot has never interned are inserted in
-    /// sorted position. A no-op when no snapshot is cached yet.
+    /// returns exactly this dirty set), and the patch step of every commit.
+    /// Each link's `(weight, packets)` groups are re-read from the source
+    /// into one reused buffer and folded into the snapshot's arena; links
+    /// the snapshot has never interned are inserted in sorted position. A
+    /// no-op when no snapshot is cached yet.
     ///
     /// Callers mutating the source on an *unknown* link set must use
-    /// [`ScheduleEngine::invalidate`] instead. Both drop the last select's
-    /// duals.
+    /// [`ScheduleEngine::invalidate`] instead.
     pub fn patch_links(&mut self, dirty: &[(u32, u32)]) {
-        self.duals = None;
         if let Some(queues) = self.queues.as_mut() {
+            let mut pairs = Vec::new();
             for &link in dirty {
-                queues.set_link(link, self.source.refresh_link(link));
+                pairs.clear();
+                self.source.refresh_link(link, &mut pairs);
+                queues.set_link(link, &mut pairs);
             }
         }
     }

@@ -24,7 +24,7 @@
 
 use crate::engine::{BipartiteFabric, ScheduleEngine, TrafficSource};
 use crate::flatmap::VecMap;
-use crate::state::{LinkQueue, LinkQueues};
+use crate::state::LinkQueues;
 use crate::{check_window, OctopusConfig, SchedError};
 use octopus_net::{Network, NodeId, Schedule};
 use octopus_sim::ResolvedFlow;
@@ -405,10 +405,9 @@ impl TrafficSource for PlusSource<'_> {
         None
     }
 
-    fn refresh_link(&self, _link: (u32, u32)) -> Option<LinkQueue> {
+    fn refresh_link(&self, _link: (u32, u32), _out: &mut Vec<(f64, u64)>) {
         // `apply_served` always requests a full rebuild (returns `None`),
         // so the engine never reports a dirty link to refresh here.
-        None
     }
 
     fn is_drained(&self) -> bool {

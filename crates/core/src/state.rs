@@ -328,28 +328,33 @@ impl RemainingTraffic {
         }
     }
 
-    /// The queue entries currently waiting on `link`.
-    fn entries_on(&self, link: (u32, u32)) -> Option<Vec<QueueEntry>> {
-        let li = self.link_keys.binary_search(&link).ok()?;
-        let row = &self.rows[li];
-        if row.is_empty() {
-            return None;
-        }
-        Some(
-            row.iter()
-                .map(|&((fi, pos), count)| {
-                    let meta = &self.flows[fi as usize];
-                    debug_assert!(pos < meta.hops, "delivered packets leave the rows");
-                    (
-                        self.weighting.hop_weight(meta.hops, pos),
-                        meta.id,
-                        fi,
-                        pos,
-                        count,
-                    )
-                })
-                .collect(),
-        )
+    /// The `(weight, packets)` groups of `LinkId` `li`'s row.
+    fn row_pairs(&self, li: usize) -> impl Iterator<Item = (f64, u64)> + '_ {
+        self.rows[li].iter().map(|&((fi, pos), count)| {
+            let meta = &self.flows[fi as usize];
+            debug_assert!(pos < meta.hops, "delivered packets leave the rows");
+            (self.weighting.hop_weight(meta.hops, pos).value(), count)
+        })
+    }
+
+    /// Fills `out` with the queue entries currently waiting on `link`
+    /// (empty when none do), reusing its allocation.
+    fn entries_on(&self, link: (u32, u32), out: &mut Vec<QueueEntry>) {
+        out.clear();
+        let Ok(li) = self.link_keys.binary_search(&link) else {
+            return;
+        };
+        out.extend(self.rows[li].iter().map(|&((fi, pos), count)| {
+            let meta = &self.flows[fi as usize];
+            debug_assert!(pos < meta.hops, "delivered packets leave the rows");
+            (
+                self.weighting.hop_weight(meta.hops, pos),
+                meta.id,
+                fi,
+                pos,
+                count,
+            )
+        }));
     }
 
     /// Builds the per-link queue snapshot used to compute `g`, `h` and the
@@ -359,7 +364,7 @@ impl RemainingTraffic {
     pub fn link_queues(&self, n: u32) -> LinkQueues {
         let slots: usize = self.rows.iter().map(Vec::len).sum();
         let mut q = LinkQueues::with_capacity(n, self.link_keys.len(), slots);
-        let mut entries: Vec<QueueEntry> = Vec::new();
+        let mut pairs: Vec<(f64, u64)> = Vec::new();
         for (li, row) in self.rows.iter().enumerate() {
             if row.is_empty() {
                 // Intern the key even when nothing queues there yet: packets
@@ -368,28 +373,22 @@ impl RemainingTraffic {
                 q.push_empty_link(self.link_keys[li]);
                 continue;
             }
-            entries.clear();
-            entries.extend(row.iter().map(|&((fi, pos), count)| {
-                let meta = &self.flows[fi as usize];
-                debug_assert!(pos < meta.hops, "delivered packets leave the rows");
-                (
-                    self.weighting.hop_weight(meta.hops, pos),
-                    meta.id,
-                    fi,
-                    pos,
-                    count,
-                )
-            }));
-            q.push_link_entries(self.link_keys[li], &mut entries);
+            pairs.clear();
+            pairs.extend(self.row_pairs(li));
+            q.push_link_entries(self.link_keys[li], &mut pairs);
         }
         q
     }
 
-    /// Re-derives the queue of a single link from the current plan, or
-    /// `None` if nothing waits there any more. The incremental engine calls
-    /// this for exactly the links touched by an applied configuration.
-    pub(crate) fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue> {
-        self.entries_on(link).map(LinkQueue::from_entries)
+    /// Fills `out`, handed in empty, with the `(weight, packets)` groups
+    /// waiting on `link` (none when nothing waits there any more). The
+    /// incremental engine calls this for exactly the links touched by an
+    /// applied configuration and folds the groups into its snapshot with
+    /// [`LinkQueues::set_link`].
+    pub(crate) fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
+        if let Ok(li) = self.link_keys.binary_search(&link) {
+            out.extend(self.row_pairs(li));
+        }
     }
 
     /// Applies a chosen configuration `(M, α)` to the plan: on every link of
@@ -424,16 +423,15 @@ impl RemainingTraffic {
         // most one hop per configuration. A link listed twice is served once.
         let mut served: std::collections::HashSet<(NodeId, NodeId)> = Default::default();
         let mut moves: Vec<(u32, u32, u64, f64)> = Vec::new();
+        let mut cands: Vec<QueueEntry> = Vec::new();
         for &(i, j, link_budget) in links {
             if !served.insert((i, j)) {
                 continue;
             }
-            let Some(mut cands) = self.entries_on((i.0, j.0)) else {
-                continue;
-            };
+            self.entries_on((i.0, j.0), &mut cands);
             cands.sort_unstable_by(|a, b| b.0.cmp(&a.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
             let mut budget = link_budget;
-            for (w, _, fi, pos, count) in cands {
+            for &(w, _, fi, pos, count) in &cands {
                 if budget == 0 {
                     break;
                 }
@@ -752,20 +750,22 @@ impl RemainingTraffic {
 /// The snapshot is three parallel pieces: the sorted link keys
 /// (`links`), one `(offset, len)` span per link (`spans`), and contiguous
 /// arenas holding every link's weight classes and prefix sums back to back.
-/// Each span's prefix sums restart at zero, so a span *is* a complete
-/// [`LinkQueue`] laid out in shared storage; [`LinkQueues::queue`] hands out
-/// a borrowed [`LinkQueueRef`] view of it.
+/// Each span's prefix sums restart at zero, so a span is one link's complete
+/// queue laid out in shared storage; [`LinkQueues::queue`] hands out a
+/// borrowed [`LinkQueueRef`] view of it.
 ///
 /// The snapshot can be patched link-by-link ([`LinkQueues::set_link`]): the
 /// class list of a link depends only on that link's waiting packets, so an
 /// incremental rebuild of the touched links yields exactly the snapshot a
-/// full rebuild would. A patch that fits its link's existing span rewrites
-/// it in place; a growing patch appends to the arena tail and the stale
-/// span becomes garbage, reclaimed by compaction once garbage outweighs
-/// live data. A drained link keeps its key with a zero-length **tombstone**
-/// span (every read path skips those) rather than shifting the sorted key
-/// vector — commit storms touch thousands of links, and `O(links)` memmoves
-/// per drain/refill would make patching quadratic. Every patch bumps
+/// full rebuild would. A patch folds its classes at the arena tail, the
+/// one fold every builder shares; classes that fit the link's existing
+/// span move into it, and a growing patch stays at the tail while the
+/// stale span becomes garbage, reclaimed by compaction once garbage
+/// outweighs live data. A drained link keeps its key with a zero-length
+/// **tombstone** span (every read path skips those) rather than shifting
+/// the sorted key vector — commit storms touch thousands of links, and
+/// `O(links)` memmoves per drain/refill would make patching quadratic.
+/// Every patch bumps
 /// [`LinkQueues::generation`] so derived caches can detect staleness.
 #[derive(Debug, Clone)]
 pub struct LinkQueues {
@@ -787,22 +787,7 @@ pub struct LinkQueues {
     generation: u64,
 }
 
-/// One link's aggregated queue, owned. Produced by incremental refreshes
-/// ([`crate::TrafficSource::refresh_link`]); inside a [`LinkQueues`]
-/// snapshot the same data lives in the shared arena and is viewed through
-/// [`LinkQueueRef`].
-#[derive(Debug, Clone)]
-pub struct LinkQueue {
-    /// `(weight, packets)` per class, weight strictly descending.
-    classes: Vec<(f64, u64)>,
-    /// Cumulative packet counts at class boundaries.
-    prefix_counts: Vec<u64>,
-    /// Cumulative weight at class boundaries.
-    prefix_weights: Vec<f64>,
-}
-
 /// A borrowed view of one link's queue inside a [`LinkQueues`] arena.
-/// Offers the same read API as [`LinkQueue`].
 #[derive(Debug, Clone, Copy)]
 pub struct LinkQueueRef<'a> {
     classes: &'a [(f64, u64)],
@@ -892,95 +877,6 @@ impl<'a> LinkQueueRef<'a> {
     pub fn classes(&self) -> &'a [(f64, u64)] {
         self.classes
     }
-
-    /// Copies the view into an owned [`LinkQueue`].
-    pub fn to_owned(&self) -> LinkQueue {
-        LinkQueue {
-            classes: self.classes.to_vec(),
-            prefix_counts: self.prefix_counts.to_vec(),
-            prefix_weights: self.prefix_weights.to_vec(),
-        }
-    }
-}
-
-impl LinkQueue {
-    /// The borrowed view of this queue (shared read API with arena spans).
-    pub fn view(&self) -> LinkQueueRef<'_> {
-        LinkQueueRef {
-            classes: &self.classes,
-            prefix_counts: &self.prefix_counts,
-            prefix_weights: &self.prefix_weights,
-        }
-    }
-
-    pub(crate) fn from_entries(mut entries: Vec<QueueEntry>) -> Self {
-        entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
-        Self::from_sorted(entries.into_iter().map(|(w, _, _, _, count)| (w, count)))
-    }
-
-    /// Builds one link's queue from `(weight, packets)` pairs — for traffic
-    /// sources outside this crate that patch snapshots incrementally
-    /// ([`crate::TrafficSource::refresh_link`]). Returns `None` when no
-    /// packets remain, matching the snapshot builders' omission of empty
-    /// links.
-    pub fn from_weighted_counts(pairs: impl IntoIterator<Item = (f64, u64)>) -> Option<Self> {
-        let mut entries: Vec<(Weight, u64)> = pairs
-            .into_iter()
-            .filter(|&(_, c)| c > 0)
-            .map(|(w, c)| (Weight(w), c))
-            .collect();
-        if entries.is_empty() {
-            return None;
-        }
-        entries.sort_unstable_by_key(|&(w, _)| std::cmp::Reverse(w));
-        Some(Self::from_sorted(entries))
-    }
-
-    /// Folds weight-descending `(weight, packets)` pairs into classes (equal
-    /// weights merge) and their prefix sums.
-    #[expect(
-        clippy::float_cmp,
-        reason = "equal weights merge into one class only when bit-equal"
-    )]
-    fn from_sorted(entries: impl IntoIterator<Item = (Weight, u64)>) -> Self {
-        let mut classes: Vec<(f64, u64)> = Vec::new();
-        for (w, count) in entries {
-            match classes.last_mut() {
-                Some((cw, cc)) if *cw == w.value() => *cc += count,
-                _ => classes.push((w.value(), count)),
-            }
-        }
-        let mut prefix_counts = Vec::with_capacity(classes.len());
-        let mut prefix_weights = Vec::with_capacity(classes.len());
-        let (mut pc, mut pw) = (0u64, 0.0f64);
-        for &(w, c) in &classes {
-            pc += c;
-            pw += w * c as f64;
-            prefix_counts.push(pc);
-            prefix_weights.push(pw);
-        }
-        LinkQueue {
-            classes,
-            prefix_counts,
-            prefix_weights,
-        }
-    }
-
-    /// `g(α)`: maximum total weight of α waiting packets.
-    pub fn g(&self, alpha: u64) -> f64 {
-        self.view().g(alpha)
-    }
-
-    /// Total packets waiting on this link.
-    pub fn total_packets(&self) -> u64 {
-        self.view().total_packets()
-    }
-
-    /// The aggregated `(weight, packets)` classes, weight strictly
-    /// descending. Exposed so equivalence tests can compare snapshots.
-    pub fn classes(&self) -> &[(f64, u64)] {
-        &self.classes
-    }
 }
 
 impl LinkQueues {
@@ -998,45 +894,52 @@ impl LinkQueues {
         }
     }
 
-    /// Appends one link's queue, aggregating `entries` into weight classes
-    /// directly in the arena. Links must arrive in ascending key order (the
-    /// builders iterate sorted rows, so this holds by construction).
+    /// Sorts `pairs` by descending weight and folds them into weight
+    /// classes at the arena tail, equal weights merging and zero counts
+    /// dropping out, with prefix sums restarting at zero. Returns the number
+    /// of classes. The one class fold: every builder and every patch goes
+    /// through it, so a link's span depends only on the multiset of its
+    /// `(weight, packets)` groups.
     #[expect(
         clippy::float_cmp,
         reason = "equal weights merge into one class only when bit-equal"
     )]
-    fn push_link_entries(&mut self, link: (u32, u32), entries: &mut [QueueEntry]) {
-        debug_assert!(
-            !self.links.last().is_some_and(|&l| l >= link),
-            "links must be appended in ascending order"
-        );
-        debug_assert!(!entries.is_empty());
-        entries.sort_unstable_by_key(|e| std::cmp::Reverse(e.0));
+    fn fold_classes(&mut self, pairs: &mut [(f64, u64)]) -> u32 {
+        pairs.sort_unstable_by(|a, b| b.0.total_cmp(&a.0));
         let off = self.classes.len();
-        for &(w, _, _, _, count) in entries.iter() {
-            let wv = w.value();
-            let top = self.classes.len();
-            if top > off && self.classes[top - 1].0 == wv {
-                self.classes[top - 1].1 += count;
-            } else {
-                self.classes.push((wv, count));
+        for &(w, count) in pairs.iter().filter(|&&(_, c)| c > 0) {
+            match self.classes[off..].last_mut() {
+                Some((cw, cc)) if *cw == w => *cc += count,
+                _ => self.classes.push((w, count)),
             }
         }
         // Prefix sums are computed after the merge, so each class
-        // contributes exactly one `w * c` term — bit-identical to
-        // [`LinkQueue::from_entries`].
+        // contributes exactly one `w * c` term.
         let (mut pc, mut pw) = (0u64, 0.0f64);
-        for k in off..self.classes.len() {
-            let (w, c) = self.classes[k];
+        for &(w, c) in &self.classes[off..] {
             pc += c;
             pw += w * c as f64;
             self.prefix_counts.push(pc);
             self.prefix_weights.push(pw);
         }
-        let len = self.classes.len() - off;
+        (self.classes.len() - off) as u32
+    }
+
+    /// Appends one link's queue, folding its `(weight, packets)` groups
+    /// into weight classes directly in the arena. Links must arrive in
+    /// ascending key order (the builders iterate sorted rows, so this holds
+    /// by construction).
+    fn push_link_entries(&mut self, link: (u32, u32), pairs: &mut [(f64, u64)]) {
+        debug_assert!(
+            !self.links.last().is_some_and(|&l| l >= link),
+            "links must be appended in ascending order"
+        );
+        debug_assert!(!pairs.is_empty());
+        let off = self.classes.len() as u32;
+        let len = self.fold_classes(pairs);
         self.links.push(link);
-        self.spans.push((off as u32, len as u32));
-        self.live += len;
+        self.spans.push((off, len));
+        self.live += len as usize;
     }
 
     /// Interns a key with an empty (tombstone) span: the link is known to
@@ -1063,16 +966,11 @@ impl LinkQueues {
             triples.into_iter().filter(|&(_, _, c)| c > 0).collect();
         v.sort_by_key(|&(link, _, _)| link);
         let mut q = LinkQueues::with_capacity(n, 0, v.len());
-        let mut entries: Vec<QueueEntry> = Vec::new();
-        let mut idx = 0;
-        while idx < v.len() {
-            let link = v[idx].0;
-            entries.clear();
-            while idx < v.len() && v[idx].0 == link {
-                entries.push((Weight(v[idx].1), FlowId(0), 0, 0, v[idx].2));
-                idx += 1;
-            }
-            q.push_link_entries(link, &mut entries);
+        let mut pairs: Vec<(f64, u64)> = Vec::new();
+        for group in v.chunk_by(|a, b| a.0 == b.0) {
+            pairs.clear();
+            pairs.extend(group.iter().map(|&(_, w, c)| (w, c)));
+            q.push_link_entries(group[0].0, &mut pairs);
         }
         q
     }
@@ -1123,57 +1021,48 @@ impl LinkQueues {
         (self.spans[idx].1 > 0).then(|| self.view_at(idx))
     }
 
-    /// Replaces (or, with `None`, removes) one link's queue — the patch
-    /// operation of the incremental engine. An update that fits the link's
-    /// current span is written in place; a growing one appends to the arena
-    /// tail. Stale slots are reclaimed once they outnumber live ones.
-    pub fn set_link(&mut self, link: (u32, u32), queue: Option<LinkQueue>) {
+    /// Replaces one link's queue with the `(weight, packets)` groups in
+    /// `pairs`, in any order (sorted in place) — the patch operation of the
+    /// incremental engine. The groups fold into classes at the arena tail
+    /// ([`LinkQueues::fold_classes`]); classes that fit the link's current
+    /// span move into it, so a shrinking queue leaves no garbage, and a
+    /// growing one keeps its tail span. Groups holding no packets tombstone
+    /// the link. Stale slots are reclaimed once they outnumber live ones.
+    pub fn set_link(&mut self, link: (u32, u32), pairs: &mut [(f64, u64)]) {
         self.generation += 1;
-        match (self.links.binary_search(&link), queue) {
-            (Ok(idx), Some(q)) => {
-                let (off, len) = self.spans[idx];
-                let new_len = q.classes.len() as u32;
-                if new_len <= len {
+        let tail = self.classes.len();
+        let len = self.fold_classes(pairs);
+        match self.links.binary_search(&link) {
+            Ok(idx) => {
+                let (off, old_len) = self.spans[idx];
+                if len <= old_len {
+                    // Fits (or drains to a tombstone): move the classes into
+                    // the old span. Removing a drained key would memmove the
+                    // tail of the sorted key vector on every drained link —
+                    // quadratic under commit storms.
+                    let new = tail..tail + len as usize;
                     let o = off as usize;
-                    let nl = new_len as usize;
-                    self.classes[o..o + nl].copy_from_slice(&q.classes);
-                    self.prefix_counts[o..o + nl].copy_from_slice(&q.prefix_counts);
-                    self.prefix_weights[o..o + nl].copy_from_slice(&q.prefix_weights);
-                    self.spans[idx] = (off, new_len);
-                    self.live -= (len - new_len) as usize;
+                    self.classes.copy_within(new.clone(), o);
+                    self.prefix_counts.copy_within(new.clone(), o);
+                    self.prefix_weights.copy_within(new, o);
+                    self.classes.truncate(tail);
+                    self.prefix_counts.truncate(tail);
+                    self.prefix_weights.truncate(tail);
+                    self.spans[idx] = (off, len);
+                    self.live -= (old_len - len) as usize;
                 } else {
-                    let span = self.arena_append(&q);
-                    self.spans[idx] = span;
-                    self.live += new_len as usize;
-                    self.live -= len as usize;
+                    self.spans[idx] = (tail as u32, len);
+                    self.live += (len - old_len) as usize;
                 }
             }
-            (Ok(idx), None) => {
-                // Tombstone: keep the key, zero the span. Removing would
-                // memmove the tail of the sorted key vector on every drained
-                // link — quadratic under commit storms.
-                let (off, len) = self.spans[idx];
-                self.spans[idx] = (off, 0);
-                self.live -= len as usize;
-            }
-            (Err(idx), Some(q)) => {
-                let span = self.arena_append(&q);
+            Err(idx) if len > 0 => {
                 self.links.insert(idx, link);
-                self.spans.insert(idx, span);
-                self.live += span.1 as usize;
+                self.spans.insert(idx, (tail as u32, len));
+                self.live += len as usize;
             }
-            (Err(_), None) => {}
+            Err(_) => {}
         }
         self.maybe_compact();
-    }
-
-    /// Appends an owned queue's classes at the arena tail.
-    fn arena_append(&mut self, q: &LinkQueue) -> (u32, u32) {
-        let off = self.classes.len() as u32;
-        self.classes.extend_from_slice(&q.classes);
-        self.prefix_counts.extend_from_slice(&q.prefix_counts);
-        self.prefix_weights.extend_from_slice(&q.prefix_weights);
-        (off, q.classes.len() as u32)
     }
 
     /// Rewrites the arenas span by span once garbage slots outnumber both the
@@ -1333,16 +1222,10 @@ pub struct FusedBounds {
     /// Per candidate `k`: `min(Σᵢ maxⱼ g, Σⱼ maxᵢ g)` over column `k`, each
     /// sum taken in port order.
     pub row_col: Vec<f64>,
-    /// Per candidate `k`, when the pass was given dual prices `z`:
-    /// `Σᵤ maxᵥ (g(u, v) − z_v)⁺` over the positive entries of column `k`,
-    /// summed in left-port order (all zero without prices).
-    pub slack: Vec<f64>,
     /// One edge's `g` at every candidate.
     row: Vec<f64>,
     /// The current left port's row maximum, per candidate.
     run_max: Vec<f64>,
-    /// The current left port's largest positive slack, per candidate.
-    run_slack: Vec<f64>,
     /// `Σᵢ maxⱼ g` so far, per candidate.
     row_sum: Vec<f64>,
     /// Column maxima, port-major: `col_max[v * K + k]`.
@@ -1423,35 +1306,24 @@ impl MultiAlphaEdges<'_> {
 
     /// Bounds every candidate in one pass over the edges, evaluating each
     /// edge at all candidates at once ([`LinkQueueRef::g_multi`]) and
-    /// storing no column: [`FusedBounds::row_col`] always and, with `z`,
-    /// [`FusedBounds::slack`]. `z` holds one dual price per right port and
-    /// candidate, port-major: `z[v * K + k]` for `K` candidates.
+    /// storing no column: [`FusedBounds::row_col`].
     ///
     /// Each sum is taken in the order a per-column pass takes it (ports in
-    /// index order, left ports in edge order), so the results equal a
-    /// column-by-column computation bit for bit. Row maxima and slacks are
-    /// kept per left-port run, since a port's edges are contiguous; ports
-    /// without edges add `+0.0` to a non-negative sum, which changes nothing.
-    pub fn fused_bounds(&self, z: Option<&[f64]>, out: &mut FusedBounds) {
+    /// index order), so the results equal a column-by-column computation
+    /// bit for bit. Row maxima are kept per left-port run, since a port's
+    /// edges are contiguous; ports without edges add `+0.0` to a
+    /// non-negative sum, which changes nothing.
+    pub fn fused_bounds(&self, out: &mut FusedBounds) {
         let kk = self.alphas.len();
         let n = self.n() as usize;
-        debug_assert!(z.map_or(true, |z| z.len() == n * kk), "z must be n × K");
         let FusedBounds {
             row_col,
-            slack,
             row,
             run_max,
-            run_slack,
             row_sum,
             col_max,
         } = out;
-        for buf in [
-            &mut *slack,
-            &mut *row,
-            &mut *run_max,
-            &mut *run_slack,
-            &mut *row_sum,
-        ] {
+        for buf in [&mut *row, &mut *run_max, &mut *row_sum] {
             zeroed(buf, kk);
         }
         zeroed(col_max, n * kk);
@@ -1459,17 +1331,12 @@ impl MultiAlphaEdges<'_> {
         for (e, &(u, v)) in self.edges.iter().enumerate() {
             if cur_u != Some(u) {
                 fold_run(row_sum, run_max);
-                fold_run(slack, run_slack);
                 cur_u = Some(u);
             }
             self.queue(e)
                 .g_multi_shifted(&self.alphas, self.bonus[e], row);
             let ports = v as usize * kk..(v as usize + 1) * kk;
-            for ((&g, rm), cm) in row
-                .iter()
-                .zip(run_max.iter_mut())
-                .zip(&mut col_max[ports.clone()])
-            {
+            for ((&g, rm), cm) in row.iter().zip(run_max.iter_mut()).zip(&mut col_max[ports]) {
                 if g > *rm {
                     *rm = g;
                 }
@@ -1477,16 +1344,8 @@ impl MultiAlphaEdges<'_> {
                     *cm = g;
                 }
             }
-            if let Some(z) = z {
-                for ((&g, &zv), best) in row.iter().zip(&z[ports]).zip(run_slack.iter_mut()) {
-                    if g > 0.0 && g - zv > *best {
-                        *best = g - zv;
-                    }
-                }
-            }
         }
         fold_run(row_sum, run_max);
-        fold_run(slack, run_slack);
         zeroed(row_col, kk);
         for maxima in col_max.chunks_exact(kk.max(1)) {
             for (s, &m) in row_col.iter_mut().zip(maxima) {
@@ -1615,7 +1474,7 @@ mod tests {
         let alphas = [1, 10, 50, 100];
         let sweep = q.weighted_edges_multi(&alphas);
         let mut bounds = FusedBounds::default();
-        sweep.fused_bounds(None, &mut bounds);
+        sweep.fused_bounds(&mut bounds);
         for (k, &alpha) in alphas.iter().enumerate() {
             let g = octopus_matching::WeightedBipartiteGraph::from_tuples(4, 4, sweep.edge_list(k));
             let m = octopus_matching::maximum_weight_matching(&g);
@@ -1644,7 +1503,7 @@ mod tests {
         let sweep = q.weighted_edges_multi(&alphas);
         assert_eq!(sweep.alphas(), alphas.as_slice());
         let mut bounds = FusedBounds::default();
-        sweep.fused_bounds(None, &mut bounds);
+        sweep.fused_bounds(&mut bounds);
         for (k, &a) in alphas.iter().enumerate() {
             assert_eq!(sweep.index_of(a), k);
             assert_eq!(sweep.edge_list(k), positive_edges(&q, a), "α = {a}");
@@ -1715,10 +1574,27 @@ mod tests {
         let dirty = tr.dirty_links(&moves);
         assert_eq!(dirty, vec![(0, 1), (1, 0), (2, 1), (3, 0)]);
         // Refreshing the dirty links matches a from-scratch rebuild.
-        assert!(tr.refresh_link((3, 0)).is_none()); // emptied
-        assert_eq!(tr.refresh_link((0, 1)).unwrap().total_packets(), 150);
-        assert_eq!(tr.refresh_link((2, 1)).unwrap().total_packets(), 40);
-        assert_eq!(tr.refresh_link((1, 0)).unwrap().total_packets(), 10);
+        assert_eq!(refreshed_packets(&tr, (3, 0)), 0); // emptied
+        assert_eq!(refreshed_packets(&tr, (0, 1)), 150);
+        assert_eq!(refreshed_packets(&tr, (2, 1)), 40);
+        assert_eq!(refreshed_packets(&tr, (1, 0)), 10);
+    }
+
+    /// Packets [`RemainingTraffic::refresh_link`] reports on `link`.
+    fn refreshed_packets(tr: &RemainingTraffic, link: (u32, u32)) -> u64 {
+        let mut pairs = Vec::new();
+        tr.refresh_link(link, &mut pairs);
+        pairs.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// Re-derives `dirty` from `tr` into `q`, as the engine's commit does.
+    fn patch(q: &mut LinkQueues, tr: &RemainingTraffic, dirty: &[(u32, u32)]) {
+        let mut pairs = Vec::new();
+        for &link in dirty {
+            pairs.clear();
+            tr.refresh_link(link, &mut pairs);
+            q.set_link(link, &mut pairs);
+        }
     }
 
     // ---- arena/CSR patching (snapshot/restore and mid-window patching) ----
@@ -1750,9 +1626,7 @@ mod tests {
         ];
         for serve in serves {
             let (_, moves) = tr.apply_budgets_tracked(serve);
-            for link in tr.dirty_links(&moves) {
-                patched.set_link(link, tr.refresh_link(link));
-            }
+            patch(&mut patched, &tr, &tr.dirty_links(&moves));
             assert_snapshots_equal(&patched, &tr.link_queues(4));
         }
     }
@@ -1761,34 +1635,59 @@ mod tests {
     fn set_link_handles_empty_and_duplicate_key_edges() {
         let mut q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64), ((2, 3), 0.5, 4)]);
         // Removing a link that holds nothing is a no-op.
-        q.set_link((1, 2), None);
+        q.set_link((1, 2), &mut []);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
         // Re-setting the same key replaces, never duplicates, the CSR entry.
-        q.set_link((0, 1), LinkQueue::from_weighted_counts([(1.0, 3)]));
-        q.set_link(
-            (0, 1),
-            LinkQueue::from_weighted_counts([(2.0, 1), (1.0, 2)]),
-        );
+        q.set_link((0, 1), &mut [(1.0, 3)]);
+        q.set_link((0, 1), &mut [(1.0, 2), (2.0, 1)]);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
         assert_eq!(q.queue(0, 1).unwrap().classes(), &[(2.0, 1), (1.0, 2)]);
         // Emptying a link drops it from the index entirely.
-        q.set_link((0, 1), None);
+        q.set_link((0, 1), &mut []);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(2, 3)]);
         assert!(q.queue(0, 1).is_none());
         // Inserting a brand-new link lands in sorted position.
-        q.set_link((1, 1), LinkQueue::from_weighted_counts([(3.0, 7)]));
+        q.set_link((1, 1), &mut [(3.0, 7)]);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(1, 1), (2, 3)]);
         assert_eq!(q.queue(1, 1).unwrap().total_packets(), 7);
+        // Unsorted groups with bit-equal duplicate weights and zero counts
+        // fold to the span the snapshot builder makes of them, through a
+        // shrink, a grow, a tombstone and a refill.
+        let groups: [&[(f64, u64)]; 5] = [
+            &[
+                (0.5, 2),
+                (1.0, 0),
+                (2.0, 3),
+                (0.5, 4),
+                (2.0, 1),
+                (1.0 / 3.0, 0),
+            ],
+            &[(0.5, 0), (2.0, 5), (2.0, 0)],
+            &[(0.25, 1), (1.0, 2), (0.25, 3), (4.0, 0), (1.0, 1), (0.5, 6)],
+            &[(1.0, 0), (0.5, 0)],
+            &[(1.0 / 3.0, 2), (1.0 / 3.0, 1), (0.0, 4), (1.0 / 3.0, 0)],
+        ];
+        for group in groups {
+            q.set_link((1, 1), &mut group.to_vec());
+            let expect = LinkQueues::from_weighted_counts(
+                4,
+                group
+                    .iter()
+                    .map(|&(w, c)| ((1, 1), w, c))
+                    .chain([((2, 3), 0.5, 4)]),
+            );
+            assert_snapshots_equal(&q, &expect);
+        }
     }
 
     #[test]
     fn generation_counts_every_patch() {
         let mut q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64)]);
         assert_eq!(q.generation(), 0);
-        q.set_link((0, 1), LinkQueue::from_weighted_counts([(1.0, 5)]));
+        q.set_link((0, 1), &mut [(1.0, 5)]);
         assert_eq!(q.generation(), 1);
-        q.set_link((0, 1), None);
-        q.set_link((2, 2), None); // even a no-op patch advances the clock
+        q.set_link((0, 1), &mut []);
+        q.set_link((2, 2), &mut []); // even a no-op patch advances the clock
         assert_eq!(q.generation(), 3);
     }
 
@@ -1800,9 +1699,7 @@ mod tests {
         let mut q = tr.link_queues(4);
         let checkpoint = q.clone();
         let (_, moves) = tr.apply_budgets_tracked(&[(NodeId(0), NodeId(1), 100)]);
-        for link in tr.dirty_links(&moves) {
-            q.set_link(link, tr.refresh_link(link));
-        }
+        patch(&mut q, &tr, &tr.dirty_links(&moves));
         // All 100 packets of f1 left (0, 1); the checkpoint still holds them.
         assert!(q.queue(0, 1).is_none());
         assert_eq!(checkpoint.queue(0, 1).unwrap().total_packets(), 100);
@@ -1823,7 +1720,7 @@ mod tests {
             let pairs: Vec<(f64, u64)> = (0..(round % 7) + 1)
                 .map(|k| (1.0 + k as f64, round + k))
                 .collect();
-            q.set_link((0, 1), LinkQueue::from_weighted_counts(pairs.clone()));
+            q.set_link((0, 1), &mut pairs.clone());
             let expect = LinkQueues::from_weighted_counts(
                 4,
                 pairs
@@ -1987,7 +1884,7 @@ mod tests {
         assert_eq!(removed, 50);
         assert_eq!(dirty, vec![(0, 1), (3, 0)]);
         assert_eq!(tr.remaining_packets(), 150);
-        assert!(tr.refresh_link((3, 0)).is_none());
+        assert_eq!(refreshed_packets(&tr, (3, 0)), 0);
         // Cancelling an unknown flow is a no-op.
         assert_eq!(tr.cancel_flow(FlowId(99)), (0, vec![]));
         // Re-admitting the cancelled flow reuses its row and schedules again.
@@ -2006,14 +1903,14 @@ mod tests {
         let mut q =
             LinkQueues::from_weighted_counts(64, (0..40u32).map(|k| ((k, k + 1), 1.0, 5u64)));
         for k in 0..40u32 {
-            q.set_link((k, k + 1), None);
+            q.set_link((k, k + 1), &mut []);
         }
         let (live, len, _) = q.arena_usage();
         assert_eq!(live, 0);
         assert_eq!(len, 0, "all-drained snapshot must drop its garbage");
         assert!(q.is_empty());
         // The zeroed spans must still be patchable and readable.
-        q.set_link((7, 8), LinkQueue::from_weighted_counts([(2.0, 3)]));
+        q.set_link((7, 8), &mut [(2.0, 3)]);
         assert_eq!(q.queue(7, 8).unwrap().total_packets(), 3);
         assert_snapshots_equal(
             &q,
@@ -2034,7 +1931,7 @@ mod tests {
         for round in 0..50u64 {
             let n_classes = 50 + (round * 13) % 51; // 50..=100, hits both directions
             let pairs: Vec<(f64, u64)> = (0..n_classes).map(|k| (1.0 + k as f64, k + 1)).collect();
-            q.set_link((0, 1), LinkQueue::from_weighted_counts(pairs.clone()));
+            q.set_link((0, 1), &mut pairs.clone());
             let (live, len, _) = q.arena_usage();
             let garbage = len - live;
             assert!(

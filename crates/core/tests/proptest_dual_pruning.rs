@@ -1,9 +1,8 @@
 //! Dual-certified pruning parity: **bounded search ≡ unbounded search**.
 //!
-//! The α-search prunes with three certified upper bounds: the sweep's
-//! row/column-max bound, and the weak-duality bound under duals solved
-//! earlier — by the same search for a nearby α, or by the previous greedy
-//! iteration's search, which [`ScheduleEngine`] keeps across commits — each
+//! The α-search prunes with certified upper bounds: the sweep's
+//! row/column-max bound, and the weak-duality bound under duals the same
+//! search solved for nearby αs (plus one descent step from them), each
 //! through the fabric's [`octopus_core::ColumnKernel`]. This suite replays random multihop
 //! windows against a reference loop that picks every winner by unbounded
 //! exhaustive search ([`ScheduleEngine::select_with`], which bounds nothing)
@@ -15,9 +14,9 @@
 //! best-first order has many surviving candidates to choose among; CI runs
 //! it in release.
 //!
-//! A fixed-instance test pins what the carried duals buy: the solve count
-//! repeats exactly, and stays strictly below the sum of the
-//! same iterations' selects run without the previous iteration's duals.
+//! A fixed-instance test pins that nothing but the snapshot carries from one
+//! select to the next: the solve count repeats exactly, and equals the sum
+//! of the same iterations' selects each run on a freshly built snapshot.
 
 use octopus_core::engine::{CandidateExtension, Fabric};
 use octopus_core::{
@@ -349,7 +348,7 @@ fn fixed_window() -> (u32, TrafficLoad, u64, u64) {
 }
 
 #[test]
-fn carried_duals_cut_solves_deterministically() {
+fn solve_counts_depend_only_on_the_snapshot() {
     let (n, load, window, delta) = fixed_window();
     let policy = SearchPolicy::exhaustive();
     let fabric = BipartiteFabric {
@@ -367,8 +366,8 @@ fn carried_duals_cut_solves_deterministically() {
     let (second, _) = solves();
     assert_eq!(first, second, "solve counts must repeat exactly");
 
-    // The same iterations, each select started without the previous
-    // iteration's duals (`invalidate` drops them with the snapshot).
+    // The same iterations, each select run on a snapshot rebuilt from
+    // scratch (`invalidate` drops the patched one).
     let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).expect("valid load");
     let mut engine = ScheduleEngine::new(tr, n, delta);
     let mut standalone = 0usize;
@@ -394,8 +393,8 @@ fn carried_duals_cut_solves_deterministically() {
         schedule.configs().len() > 1,
         "the window needs several iterations"
     );
-    assert!(
-        first < standalone,
-        "carried duals must save solves: {first} with vs {standalone} without"
+    assert_eq!(
+        first, standalone,
+        "a select's solve count must depend on its snapshot alone"
     );
 }

@@ -18,7 +18,7 @@
 //! no epsilon.
 
 use octopus_core::{
-    BipartiteFabric, CandidateExtension, LinkQueue, LinkQueues, MatchingKind, RemainingTraffic,
+    BipartiteFabric, CandidateExtension, LinkQueues, MatchingKind, RemainingTraffic,
     ScheduleEngine, SearchPolicy, TrafficSource,
 };
 use octopus_net::NodeId;
@@ -185,12 +185,14 @@ impl TrafficSource for HashedTraffic {
         Some(dirty)
     }
 
-    fn refresh_link(&self, link: (u32, u32)) -> Option<LinkQueue> {
-        LinkQueue::from_weighted_counts(
-            self.entries_on(link)?
-                .into_iter()
-                .map(|(w, _, _, _, count)| (w.value(), count)),
-        )
+    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
+        if let Some(entries) = self.entries_on(link) {
+            out.extend(
+                entries
+                    .into_iter()
+                    .map(|(w, _, _, _, count)| (w.value(), count)),
+            );
+        }
     }
 
     fn is_drained(&self) -> bool {

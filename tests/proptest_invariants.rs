@@ -417,7 +417,7 @@ proptest! {
         let sweep = queues.weighted_edges_multi(&candidates);
         prop_assert_eq!(sweep.alphas(), &candidates[..]);
         let mut bounds = FusedBounds::default();
-        sweep.fused_bounds(None, &mut bounds);
+        sweep.fused_bounds(&mut bounds);
         for (k, &alpha) in candidates.iter().enumerate() {
             let positive: Vec<(u32, u32, f64)> = queues
                 .links()
