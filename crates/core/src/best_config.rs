@@ -34,10 +34,11 @@
 //! *eager* score bound: the row/column-max bound of its `g` column. One
 //! fused pass over the sweep's edges computes it for every candidate at
 //! once ([`MultiAlphaEdges::fused_bounds`]) from the snapshot's link values
-//! alone; no weight column is stored, and no dual outlives its select. A
-//! column is built only for a candidate the search refines or solves, on
-//! demand, into the thread's workspace, where a one-slot cache lets the
-//! refine and then the solve of one α share it.
+//! alone; no dual outlives its select. Weight columns are built only for
+//! candidates the search can still refine or solve: the first solve's
+//! column alone, then, at the first refine, every candidate whose eager
+//! bound reaches the first solve's score, in one pass over the edges, into
+//! a block that dies with the select.
 //! Every exact solve publishes its right-side duals into this select's
 //! [`DualTable`], and `refine(α, incumbent)` bounds a candidate *lazily*
 //! under them: [`DualTable::bracket`] interpolates the nearest published
@@ -71,7 +72,7 @@ use octopus_matching::blossom::maximum_weight_matching_general;
 use octopus_matching::general::greedy_general_matching;
 use octopus_matching::{greedy::GreedyScratch, AssignmentSolver};
 use serde::{Deserialize, Serialize};
-use std::cell::{Cell, RefCell};
+use std::cell::{Cell, Ref, RefCell};
 
 /// How candidate α values are searched each iteration.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
@@ -199,9 +200,8 @@ impl PartialEq for BestChoice {
 ///
 /// Solves are pure functions of `(topology, weights)` (see
 /// [`AssignmentSolver`]'s no-warm-start contract), and the cached topology
-/// and column are keyed by a sweep id this workspace issued, so what the
-/// workspace last held cannot change any result — reuse is
-/// determinism-safe.
+/// is keyed by a sweep id this workspace issued, so what the workspace last
+/// held cannot change any result — reuse is determinism-safe.
 #[derive(Default)]
 struct KernelWorkspace {
     solver: AssignmentSolver,
@@ -221,11 +221,11 @@ struct KernelWorkspace {
     /// The sequential search's unsolved candidates ([`exhaustive_pruned`]),
     /// taken out for the search and put back after it.
     pending: Vec<Pending>,
-    /// A one-slot column cache: candidate `col_key.1`'s weight column of
-    /// the sweep with id `col_key.0` (sweep 0 = none), built on demand by
-    /// [`SweepContext::load_column`].
+    /// The K-port union's column, with the links earlier rounds took
+    /// zeroed ([`SweepContext::union`]).
     col: Vec<f64>,
-    col_key: (u64, usize),
+    /// The candidates [`SweepContext::build_batch`] picks.
+    picked: Vec<usize>,
     /// The fused eager-bound pass's results and scratch
     /// ([`SweepContext::new`]).
     bounds: FusedBounds,
@@ -361,11 +361,62 @@ impl DualTable {
     }
 }
 
+/// The weight columns one search has built, back to back in one block
+/// ([`MultiAlphaEdges::fill_columns`]). It lives and dies with its
+/// [`SweepContext`].
+#[derive(Debug, Default)]
+struct ColumnBlock {
+    /// Per candidate, the offset of its column in `columns`, or
+    /// [`ColumnBlock::ABSENT`]; empty until the first column is built.
+    offset: Vec<usize>,
+    columns: Vec<f64>,
+    /// Whether the search's first refine has built the batch
+    /// ([`SweepContext::build_batch`]), after which every column it loads
+    /// is already here.
+    batched: bool,
+}
+
+impl ColumnBlock {
+    const ABSENT: usize = usize::MAX;
+
+    /// Whether candidate `k`'s column is built.
+    fn has(&self, k: usize) -> bool {
+        self.offset.get(k).is_some_and(|&o| o != Self::ABSENT)
+    }
+
+    /// Builds the columns of the ascending candidates `ks`, none of them
+    /// built yet, in one pass over `sweep`.
+    fn build(&mut self, sweep: &MultiAlphaEdges, ks: &[usize]) {
+        let ne = sweep.edges().len();
+        if self.offset.is_empty() {
+            self.offset = vec![Self::ABSENT; sweep.alphas().len()];
+        }
+        for (s, &k) in ks.iter().enumerate() {
+            self.offset[k] = self.columns.len() + s * ne;
+        }
+        self.columns.reserve_exact(ks.len() * ne);
+        sweep.fill_columns(ks, &mut self.columns);
+    }
+
+    /// Candidate `k`'s column, which must be built.
+    fn column(&self, k: usize, ne: usize) -> &[f64] {
+        let o = self.offset[k];
+        &self.columns[o..o + ne]
+    }
+}
+
 /// One iteration's batched α-search context: the fixed edge topology of
 /// every candidate α ([`LinkQueues::weighted_edges_multi`]) with each
 /// candidate's eager bound and the fabric's [`ColumnKernel`], tagged with an
 /// id unique within this thread's workspace, so the workspace knows when its
-/// loaded CSR topology and cached column are current.
+/// loaded CSR topology is current.
+///
+/// It builds weight columns only for candidates the search refines or
+/// solves, into a [`ColumnBlock`] that dies with the context: the first
+/// solve's column alone, then, at the first refine, in one pass over the
+/// edges, the column of every candidate whose eager score bound does not
+/// fall below the incumbent. Incumbents only rise and bounds only fall, so
+/// every candidate the search refines or solves later is in that batch.
 ///
 /// It also carries the table this search fills with each exact solve's
 /// right-side duals, which tighten its lazy bounds. They enter only through
@@ -378,6 +429,7 @@ pub(crate) struct SweepContext<'q> {
     duals: DualTable,
     /// Per candidate, its eager bound on the column's matching weight.
     eager: Vec<f64>,
+    block: RefCell<ColumnBlock>,
 }
 
 impl<'q> SweepContext<'q> {
@@ -398,6 +450,7 @@ impl<'q> SweepContext<'q> {
             id,
             duals,
             eager,
+            block: RefCell::default(),
         }
     }
 
@@ -424,17 +477,47 @@ impl<'q> SweepContext<'q> {
     /// place in the search: the row/column-max bound of its column
     /// ([`eager_bounds`]), through [`ColumnKernel::bound`].
     pub(crate) fn score_upper_bound(&self, alpha: u64, delta: u64) -> f64 {
-        let eager = self.eager[self.sweep.index_of(alpha)];
-        self.kernel.bound(eager) / (alpha + delta) as f64
+        self.eager_score(self.sweep.index_of(alpha), delta)
     }
 
-    /// Loads candidate `k`'s weight column into `ws.col`, unless the
-    /// workspace's one-slot cache already holds it.
-    fn load_column(&self, k: usize, ws: &mut KernelWorkspace) {
-        if ws.col_key != (self.id, k) {
-            self.sweep.fill_column(k, &mut ws.col);
-            ws.col_key = (self.id, k);
+    /// [`SweepContext::score_upper_bound`] of candidate `k`.
+    fn eager_score(&self, k: usize, delta: u64) -> f64 {
+        let alpha = self.sweep.alphas()[k];
+        self.kernel.bound(self.eager[k]) / (alpha + delta) as f64
+    }
+
+    /// Builds, once per search, the column of every candidate whose eager
+    /// score bound does not fall below `incumbent` and that has none yet,
+    /// in one pass over the edges. Called at every refine; the first, with
+    /// the first solve's score as `incumbent`, builds the batch.
+    fn build_batch(&self, delta: u64, incumbent: f64, ws: &mut KernelWorkspace) {
+        let mut block = self.block.borrow_mut();
+        if block.batched {
+            return;
         }
+        block.batched = true;
+        ws.picked.clear();
+        ws.picked.extend(
+            (0..self.eager.len())
+                .filter(|&k| !block.has(k) && self.eager_score(k, delta) >= incumbent),
+        );
+        block.build(&self.sweep, &ws.picked);
+    }
+
+    /// Candidate `k`'s weight column: from the block, or, before the batch
+    /// exists (the first solve, and the refine-free ternary search and
+    /// [`crate::engine::ScheduleEngine::evaluate`]), built on its own.
+    fn load_column(&self, k: usize) -> Ref<'_, [f64]> {
+        if !self.block.borrow().has(k) {
+            let mut block = self.block.borrow_mut();
+            debug_assert!(
+                !block.batched,
+                "candidate {k} was loaded but left out of the batch"
+            );
+            block.build(&self.sweep, &[k]);
+        }
+        let ne = self.sweep.edges().len();
+        Ref::map(self.block.borrow(), |b| b.column(k, ne))
     }
 
     /// The lazy score bound of one swept candidate α under the duals this
@@ -451,20 +534,20 @@ impl<'q> SweepContext<'q> {
         let cost = (alpha + delta) as f64;
         KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
+            self.build_batch(delta, incumbent, ws);
+            let col = self.load_column(k);
             let top = |ws: &mut KernelWorkspace| match self.kernel {
                 ColumnKernel::Union { r, .. } if r > 1 => {
-                    self.load_column(k, ws);
-                    self.top_r_bound(&ws.col, r as usize, &mut ws.top) / cost
+                    self.top_r_bound(&col, r as usize, &mut ws.top) / cost
                 }
                 _ => f64::INFINITY,
             };
             if !self.duals.bracket(alpha, &mut ws.z) {
                 return top(ws);
             }
-            self.load_column(k, ws);
             let bound = self
                 .kernel
-                .bound(self.dual_bound(&ws.col, &ws.z, Some(&mut ws.y)))
+                .bound(self.dual_bound(&col, &ws.z, Some(&mut ws.y)))
                 / cost;
             if bound < incumbent {
                 return bound;
@@ -473,7 +556,7 @@ impl<'q> SweepContext<'q> {
             if bound < incumbent {
                 return bound;
             }
-            let descent = self.descent_bound(&ws.col, &ws.y, &mut ws.z_descent);
+            let descent = self.descent_bound(&col, &ws.y, &mut ws.z_descent);
             bound.min(self.kernel.bound(descent) / cost)
         })
     }
@@ -589,19 +672,20 @@ impl<'q> SweepContext<'q> {
     /// its weight column ([`SweepContext::load_column`]) and turns it into a
     /// configuration with this context's [`ColumnKernel`], counting every
     /// matching solved. Allocation-free after the first candidate except for
-    /// the returned matching and the duplex kernels' own buffers.
+    /// the returned matching, the column block and the duplex kernels' own
+    /// buffers.
     pub(crate) fn eval(&self, alpha: u64, delta: u64) -> BestChoice {
         let k = self.sweep.index_of(alpha);
         let (matching, benefit, solves) = KERNEL_WS.with(|ws| {
             let ws = &mut *ws.borrow_mut();
-            self.load_column(k, ws);
+            let col = self.load_column(k);
             match self.kernel {
                 ColumnKernel::Matching(kind) => {
-                    let benefit = self.match_column(kind, Some(k), ws);
+                    let benefit = self.match_column(kind, Some(k), &col, ws);
                     (ws.out.clone(), benefit, 1)
                 }
-                ColumnKernel::Union { kind, r } => self.union(k, kind, r, ws),
-                ColumnKernel::Duplex { matcher, scale } => self.duplex(matcher, scale, ws),
+                ColumnKernel::Union { kind, r } => self.union(k, &col, kind, r, ws),
+                ColumnKernel::Duplex { matcher, scale } => self.duplex(matcher, scale, &col),
             }
         });
         BestChoice {
@@ -613,19 +697,20 @@ impl<'q> SweepContext<'q> {
         }
     }
 
-    /// Matches the column in `ws.col` with `kind` (non-positive entries are
-    /// absent), leaves the matching in `ws.out` and returns its weight. An
-    /// exact solve reloads the topology only when the workspace last solved
-    /// another sweep, re-solves in place, and with `publish = Some(k)`
-    /// publishes its right-side duals as row `k` of this search's table.
+    /// Matches the weight column `col` with `kind` (non-positive entries
+    /// are absent), leaves the matching in `ws.out` and returns its weight.
+    /// An exact solve reloads the topology only when the workspace last
+    /// solved another sweep, re-solves in place, and with
+    /// `publish = Some(k)` publishes its right-side duals as row `k` of this
+    /// search's table.
     fn match_column(
         &self,
         kind: MatchingKind,
         publish: Option<usize>,
+        col: &[f64],
         ws: &mut KernelWorkspace,
     ) -> f64 {
         let (edges, n) = (self.sweep.edges(), self.sweep.n());
-        let col = &ws.col;
         match kind {
             MatchingKind::Exact => {
                 if ws.loaded_sweep != self.id {
@@ -661,53 +746,58 @@ impl<'q> SweepContext<'q> {
         }
     }
 
-    /// The §7 K-port union of candidate `k`'s column in `ws.col`: up to `r`
-    /// rounds of [`SweepContext::match_column`], each later one with the
-    /// links already taken zeroed (which keeps bucket weights integral).
-    /// A configuration moves each packet one hop, so a round gains exactly
-    /// its own links' `g`. Only the first round, on the column itself,
-    /// publishes duals; masking drops the column cache. Returns the sorted
-    /// union, its weight and the rounds solved.
+    /// The §7 K-port union of candidate `k`'s column `col`: up to `r`
+    /// rounds of [`SweepContext::match_column`] on a copy in `ws.col`, each
+    /// later one with the links already taken zeroed (which keeps bucket
+    /// weights integral). A configuration moves each packet one hop, so a
+    /// round gains exactly its own links' `g`. Only the first round, on the
+    /// column itself, publishes duals. Returns the sorted union, its weight
+    /// and the rounds solved.
     fn union(
         &self,
         k: usize,
+        col: &[f64],
         kind: MatchingKind,
         r: u32,
         ws: &mut KernelWorkspace,
     ) -> (Vec<(u32, u32)>, f64, usize) {
         let edges = self.sweep.edges();
+        // Taken out of the workspace, which each round borrows mutably.
+        let mut masked = std::mem::take(&mut ws.col);
+        masked.clear();
+        masked.extend_from_slice(col);
         let mut links = Vec::new();
         let mut total = 0.0;
         let mut solves = 0;
         for round in 0..r {
             if round > 0 {
-                ws.col_key = (0, 0);
                 for link in &ws.out {
                     if let Ok(e) = edges.binary_search(link) {
-                        ws.col[e] = 0.0;
+                        masked[e] = 0.0;
                     }
                 }
             }
-            if !ws.col.iter().any(|&w| w > 0.0) {
+            if !masked.iter().any(|&w| w > 0.0) {
                 break;
             }
-            total += self.match_column(kind, (round == 0).then_some(k), ws);
+            total += self.match_column(kind, (round == 0).then_some(k), &masked, ws);
             solves += 1;
             links.extend_from_slice(&ws.out);
         }
+        ws.col = masked;
         links.sort_unstable();
         (links, total, solves)
     }
 
-    /// The §7 duplex configuration of the column in `ws.col`, one general
+    /// The §7 duplex configuration of the weight column `col`, one general
     /// matching where `{a, b}` weighs `g(a→b) + g(b→a)`, and its benefit.
     fn duplex(
         &self,
         matcher: GeneralMatcherKind,
         scale: f64,
-        ws: &KernelWorkspace,
+        col: &[f64],
     ) -> (Vec<(u32, u32)>, f64, usize) {
-        let (edges, col) = (self.sweep.edges(), &ws.col);
+        let edges = self.sweep.edges();
         // Canonicalize each positive directed edge to `(min, max)`,
         // stable-sort by key, then fold adjacent duplicates. Edges are
         // `(u, v)`-sorted, so for any pair {a, b} the `a → b` term precedes
@@ -1286,10 +1376,10 @@ mod tests {
     /// The plain bipartite fabric's exact kernel.
     const EXACT: ColumnKernel = ColumnKernel::Matching(MatchingKind::Exact);
 
-    /// Candidate `k`'s weight column of `ctx`'s sweep.
+    /// Candidate `k`'s weight column of `ctx`'s sweep, built on its own.
     fn column(ctx: &SweepContext, k: usize) -> Vec<f64> {
         let mut col = Vec::new();
-        ctx.sweep.fill_column(k, &mut col);
+        ctx.sweep.fill_columns(&[k], &mut col);
         col
     }
 
@@ -1526,15 +1616,57 @@ mod tests {
         v.iter().map(|x| x.to_bits()).collect()
     }
 
+    /// Candidate `k`'s column in `ctx`'s block, if built.
+    fn block_column(ctx: &SweepContext, k: usize) -> Option<Vec<f64>> {
+        let block = ctx.block.borrow();
+        block
+            .has(k)
+            .then(|| block.column(k, ctx.sweep.edges().len()).to_vec())
+    }
+
+    /// Every column `ctx`'s block holds equals the dense reference bit for
+    /// bit; returns how many it holds.
+    fn assert_block_matches(ctx: &SweepContext, dense: &[Vec<f64>]) -> usize {
+        let mut built = 0;
+        for (k, want) in dense.iter().enumerate() {
+            if let Some(col) = block_column(ctx, k) {
+                assert_eq!(bits(&col), bits(want), "block column {k}");
+                built += 1;
+            }
+        }
+        built
+    }
+
+    /// Candidate `alphas` extended by
+    /// [`crate::engine::CandidateExtension::ShiftDown`], as the local
+    /// fabric gets them.
+    fn shifted_down(alphas: &[u64], shift: u64) -> Vec<u64> {
+        let mut set: Vec<u64> = alphas
+            .iter()
+            .flat_map(|&a| [a, a.saturating_sub(shift)])
+            .filter(|&a| a > 0)
+            .collect();
+        set.sort_unstable();
+        set.dedup();
+        set
+    }
+
     proptest! {
-        /// The fused eager bounds, the on-demand columns and everything
-        /// bounded or solved from them equal the dense reference bit for
-        /// bit: on `EpsilonLater { eps: −0.5 }` hop weights (multi-class
-        /// links, zero-weight classes), with tombstoned links, links
-        /// patched onto the arena tail or to zero weight, and a per-link α
-        /// bonus. A second sweep over the same snapshot is evaluated
-        /// between each refine and solve, so a column cache keyed on the
-        /// candidate alone would hand back its column.
+        /// The fused eager bounds, the single and block columns and
+        /// everything bounded or solved from them equal the dense reference
+        /// bit for bit: on `EpsilonLater { eps: −0.5 }` hop weights
+        /// (multi-class links, zero-weight classes), with tombstoned links,
+        /// links patched onto the arena tail or to zero weight, and a
+        /// per-link α bonus. A second sweep over the same snapshot is
+        /// evaluated between each refine and solve, so a column kept per
+        /// candidate across sweeps would show. Then every column kernel's
+        /// search (exact, both greedy kinds, the K-port union at `r = 2`,
+        /// duplex, and the local fabric's bonus over
+        /// [`crate::engine::CandidateExtension::ShiftDown`] candidates)
+        /// builds its block
+        /// from the first solve's incumbent, and every block column equals
+        /// the reference; the block's coverage is debug-asserted on every
+        /// load.
         #[test]
         fn fused_bounds_and_columns_match_the_dense_reference(
             links in prop::collection::vec(((0u32..7, 0u32..7), 1u32..4, 0u32..3, 1u64..40), 1..40),
@@ -1610,6 +1742,98 @@ mod tests {
                 prop_assert_eq!(&choice.matching[..], solver.matching());
                 prop_assert_eq!(choice.benefit.to_bits(), solver.last_weight().to_bits());
             }
+            // A −∞ incumbent batches every candidate.
+            prop_assert_eq!(assert_block_matches(&ctx, &dense), alphas.len());
+            let policy = SearchPolicy::exhaustive();
+            let searched = [
+                EXACT,
+                ColumnKernel::Matching(MatchingKind::GreedySort),
+                ColumnKernel::Matching(MatchingKind::BucketGreedy { scale: 12 }),
+                ColumnKernel::Union {
+                    kind: MatchingKind::Exact,
+                    r: 2,
+                },
+                ColumnKernel::Duplex {
+                    matcher: GeneralMatcherKind::ExactBlossom,
+                    scale: 12.0,
+                },
+            ];
+            let dense = dense_sweep(&q, &alphas, |_| 0).columns;
+            for kernel in searched {
+                let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), kernel);
+                ctx.search(&policy, delta);
+                prop_assert!(assert_block_matches(&ctx, &dense) > 0, "{:?}", kernel);
+            }
+            let local = shifted_down(&alphas, delta + 1);
+            let ctx = SweepContext::new(q.weighted_edges_multi_with(&local, extra), EXACT);
+            ctx.search(&policy, delta);
+            prop_assert!(assert_block_matches(&ctx, &dense_sweep(&q, &local, extra).columns) > 0);
         }
+    }
+
+    /// The block oracle at real size: every select of one `octopus()`
+    /// window on complete n = 256 (`paper_default`, W = 10 000, Δ = 20)
+    /// builds block columns, and bounds them lazily, exactly as the dense
+    /// reference does, bit for bit.
+    #[test]
+    #[ignore = "release-mode oracle at complete n = 256"]
+    fn block_columns_and_lazy_bounds_match_the_dense_reference_at_real_size() {
+        use crate::engine::{BipartiteFabric, CandidateExtension, ScheduleEngine};
+        use crate::{OctopusConfig, RemainingTraffic};
+        use octopus_traffic::synthetic::{self, SyntheticConfig};
+        use rand::SeedableRng;
+
+        let (n, window) = (256u32, 10_000u64);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(1);
+        let load = synthetic::generate(
+            &SyntheticConfig::paper_default(n, window),
+            &octopus_net::topology::complete(n),
+            &mut rng,
+        );
+        let cfg = OctopusConfig {
+            window,
+            delta: 20,
+            ..OctopusConfig::default()
+        };
+        let (delta, policy) = (cfg.delta, cfg.search_policy());
+        let fabric = BipartiteFabric { kind: cfg.matching };
+        let mut tr = RemainingTraffic::new(&load, cfg.weighting).unwrap();
+        let mut engine = ScheduleEngine::new(&mut tr, n, delta);
+        let (mut used, mut selects, mut checked) = (0, 0, 0);
+        while !engine.is_drained() && used + delta < window {
+            let budget = window - used - delta;
+            let alphas = engine.candidates(budget, CandidateExtension::None);
+            let queues = engine.queues();
+            let ctx = SweepContext::new(queues.weighted_edges_multi(&alphas), EXACT);
+            let Some(choice) = ctx.search(&policy, delta) else {
+                break;
+            };
+            let dense = dense_sweep(queues, &alphas, |_| 0).columns;
+            checked += assert_block_matches(&ctx, &dense);
+            for (k, &alpha) in alphas.iter().enumerate() {
+                if block_column(&ctx, k).is_none() {
+                    continue;
+                }
+                for inc in [f64::NEG_INFINITY, choice.score, f64::INFINITY] {
+                    let got = ctx.solved_score_bound(alpha, delta, inc);
+                    let want = reference_lazy(&ctx, &dense[k], alpha, delta, inc);
+                    assert_eq!(
+                        got.to_bits(),
+                        want.to_bits(),
+                        "select {selects}, lazy bound {k}"
+                    );
+                }
+            }
+            drop(ctx);
+            engine
+                .commit(&fabric, &choice.matching, choice.alpha)
+                .unwrap();
+            used += choice.alpha + delta;
+            selects += 1;
+        }
+        assert!(
+            selects > 10 && checked > selects,
+            "{selects} selects, {checked} columns"
+        );
     }
 }

@@ -527,15 +527,18 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     /// `None` when no configuration has positive benefit.
     ///
     /// One fused pass over the sweep bounds every α by its column's
-    /// row/column maxima, and a column is built only for an α the search
-    /// refines or solves, on this thread's reusable workspace. Before each
-    /// solve, a weak-duality bound under this select's own solved duals
-    /// (the rows that bracket α) prunes too. Every bound goes through the
-    /// fabric's [`ColumnKernel`], and every bound only skips provably
-    /// dominated candidates, since the pruning cut is strict and only ever
-    /// compares against exactly evaluated scores. The bounds are valid for
-    /// the greedy kernels too (a greedy matching never out-weighs the exact
-    /// optimum). Nothing outlives the select but the snapshot.
+    /// row/column maxima. Weight columns are built for the first solve
+    /// alone, then, at the first refine, for every α whose eager bound
+    /// reaches the first solve's score, in one more pass over the edges
+    /// into a block the select owns; every later refine or solve reads that
+    /// block, and the solves run on this thread's reusable workspace.
+    /// Before each solve, a weak-duality bound under this select's own
+    /// solved duals (the rows that bracket α) prunes too. Every bound goes
+    /// through the fabric's [`ColumnKernel`], and every bound only skips
+    /// provably dominated candidates, since the pruning cut is strict and
+    /// only ever compares against exactly evaluated scores. The bounds are
+    /// valid for the greedy kernels too (a greedy matching never out-weighs
+    /// the exact optimum). Nothing outlives the select but the snapshot.
     pub fn select<F: Fabric + ?Sized>(
         &mut self,
         fabric: &F,

@@ -762,10 +762,12 @@ impl RemainingTraffic {
 /// span move into it, and a growing patch stays at the tail while the
 /// stale span becomes garbage, reclaimed by compaction once garbage
 /// outweighs live data. A drained link keeps its key with a zero-length
-/// **tombstone** span (every read path skips those) rather than shifting
-/// the sorted key vector — commit storms touch thousands of links, and
-/// `O(links)` memmoves per drain/refill would make patching quadratic.
-/// Every patch bumps
+/// **tombstone** span rather than shifting the sorted key vector — commit
+/// storms touch thousands of links, and `O(links)` memmoves per
+/// drain/refill would make patching quadratic. A bitset over the key
+/// positions marks the live spans, so the read paths that walk every live
+/// link (candidate enumeration, the sweep's edge arrays) visit set bits
+/// only, not every interned key. Every patch bumps
 /// [`LinkQueues::generation`] so derived caches can detect staleness.
 #[derive(Debug, Clone)]
 pub struct LinkQueues {
@@ -783,6 +785,9 @@ pub struct LinkQueues {
     prefix_weights: Vec<f64>,
     /// Arena slots referenced by a span; `classes.len() - live` is garbage.
     live: usize,
+    /// Bit `e` is set iff `spans[e]` is live (non-empty); bits past
+    /// `links.len()` are clear.
+    live_links: Vec<u64>,
     /// Bumped on every [`LinkQueues::set_link`]; see the type docs.
     generation: u64,
 }
@@ -856,6 +861,9 @@ impl<'a> LinkQueueRef<'a> {
                 out[k] = below_weight + (alphas[k] + extra - below_count) as f64 * w;
                 k += 1;
             }
+            if k == alphas.len() {
+                return;
+            }
             (below_count, below_weight) = (count, weight);
         }
         // Past the last class: every packet, the last prefix weight.
@@ -890,6 +898,7 @@ impl LinkQueues {
             prefix_counts: Vec::with_capacity(slots),
             prefix_weights: Vec::with_capacity(slots),
             live: 0,
+            live_links: Vec::with_capacity(links.div_ceil(64)),
             generation: 0,
         }
     }
@@ -937,8 +946,7 @@ impl LinkQueues {
         debug_assert!(!pairs.is_empty());
         let off = self.classes.len() as u32;
         let len = self.fold_classes(pairs);
-        self.links.push(link);
-        self.spans.push((off, len));
+        self.push_key(link, (off, len));
         self.live += len as usize;
     }
 
@@ -952,8 +960,50 @@ impl LinkQueues {
             !self.links.last().is_some_and(|&l| l >= link),
             "links must be appended in ascending order"
         );
+        self.push_key(link, (self.classes.len() as u32, 0));
+    }
+
+    /// Appends a key and its span at the end of the CSR index, with its
+    /// live bit.
+    fn push_key(&mut self, link: (u32, u32), span: (u32, u32)) {
+        let e = self.links.len();
+        if e % 64 == 0 {
+            self.live_links.push(0);
+        }
         self.links.push(link);
-        self.spans.push((self.classes.len() as u32, 0));
+        self.spans.push(span);
+        self.set_live(e, span.1 > 0);
+    }
+
+    /// Sets or clears the live bit of CSR position `e`.
+    fn set_live(&mut self, e: usize, live: bool) {
+        let (word, bit) = (e / 64, 1u64 << (e % 64));
+        if live {
+            self.live_links[word] |= bit;
+        } else {
+            self.live_links[word] &= !bit;
+        }
+    }
+
+    /// Inserts a key and its live span at CSR position `idx`, shifting the
+    /// keys, spans and live bits above it up by one position.
+    fn insert_key(&mut self, idx: usize, link: (u32, u32), span: (u32, u32)) {
+        if self.links.len() % 64 == 0 {
+            self.live_links.push(0);
+        }
+        self.links.insert(idx, link);
+        self.spans.insert(idx, span);
+        // From the top word down, each word moves up one bit and takes the
+        // top bit of the word below it; the word holding `idx` keeps its
+        // bits below `idx` in place.
+        let word = idx / 64;
+        for w in (word + 1..self.live_links.len()).rev() {
+            self.live_links[w] = (self.live_links[w] << 1) | (self.live_links[w - 1] >> 63);
+        }
+        let below = (1u64 << (idx % 64)) - 1;
+        let bits = self.live_links[word];
+        self.live_links[word] = (bits & below) | ((bits & !below) << 1);
+        self.set_live(idx, span.1 > 0);
     }
 
     /// Builds a snapshot directly from `(link, weight, count)` triples —
@@ -1054,10 +1104,10 @@ impl LinkQueues {
                     self.spans[idx] = (tail as u32, len);
                     self.live += (len - old_len) as usize;
                 }
+                self.set_live(idx, len > 0);
             }
             Err(idx) if len > 0 => {
-                self.links.insert(idx, link);
-                self.spans.insert(idx, (tail as u32, len));
+                self.insert_key(idx, link, (tail as u32, len));
                 self.live += len as usize;
             }
             Err(_) => {}
@@ -1118,10 +1168,27 @@ impl LinkQueues {
         self.queue(i, j).map_or(0.0, |q| q.g(alpha))
     }
 
-    /// CSR positions whose spans are live (ascending link order),
-    /// skipping tombstones.
+    /// CSR positions whose spans are live (ascending link order): the set
+    /// bits of the live bitset, so tombstones cost nothing to skip.
     fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.links.len()).filter(|&e| self.spans[e].1 > 0)
+        self.live_links.iter().enumerate().flat_map(|(w, &word)| {
+            let mut bits = word;
+            std::iter::from_fn(move || {
+                (bits != 0).then(|| {
+                    let b = bits.trailing_zeros() as usize;
+                    bits &= bits - 1;
+                    w * 64 + b
+                })
+            })
+        })
+    }
+
+    /// The number of live links.
+    fn live_count(&self) -> usize {
+        self.live_links
+            .iter()
+            .map(|w| w.count_ones() as usize)
+            .sum()
     }
 
     /// Iterates non-empty links (ascending).
@@ -1134,12 +1201,14 @@ impl LinkQueues {
     /// budget collapse onto `cap`, since the last configuration is truncated
     /// anyway). Sorted ascending, deduplicated.
     pub fn alpha_candidates(&self, cap: u64) -> Vec<u64> {
-        let mut set: Vec<u64> = self
-            .live_indices()
-            .flat_map(|e| self.view_at(e).boundary_alphas().iter().copied())
-            .map(|a| a.min(cap))
-            .filter(|&a| a > 0)
-            .collect();
+        // One boundary per live class.
+        let mut set = Vec::with_capacity(self.live);
+        set.extend(
+            self.live_indices()
+                .flat_map(|e| self.view_at(e).boundary_alphas().iter().copied())
+                .map(|a| a.min(cap))
+                .filter(|&a| a > 0),
+        );
         set.sort_unstable();
         set.dedup();
         set
@@ -1168,7 +1237,7 @@ impl LinkQueues {
             alphas.windows(2).all(|w| w[0] <= w[1]),
             "alphas must be ascending"
         );
-        let ne = self.live_indices().count();
+        let ne = self.live_count();
         let mut edges = Vec::with_capacity(ne);
         let mut spans = Vec::with_capacity(ne);
         let mut bonus = Vec::with_capacity(ne);
@@ -1192,10 +1261,11 @@ impl LinkQueues {
 /// A batched multi-α sweep over a [`LinkQueues`] snapshot: one fixed
 /// `(i, j)`-sorted edge topology shared by all candidate αs, plus what
 /// `g(i, j, α)` needs per edge — its span in the snapshot's class arena and
-/// its α bonus. It holds no weight matrix: [`MultiAlphaEdges::fill_column`]
-/// builds one candidate's `g` column on demand, and
+/// its α bonus. It holds no weight matrix:
 /// [`MultiAlphaEdges::fused_bounds`] bounds every candidate in one pass over
-/// the edges, evaluating each edge at all candidates at once.
+/// the edges, evaluating each edge at all candidates at once, and
+/// [`MultiAlphaEdges::fill_columns`] builds the `g` columns of any set of
+/// candidates in one such pass.
 ///
 /// Columns may contain non-positive weights (a link whose queue holds only
 /// zero-weight classes at some α); matching kernels consuming a column must
@@ -1283,19 +1353,43 @@ impl MultiAlphaEdges<'_> {
         self.queues.view_span(self.spans[e])
     }
 
-    /// Fills `out` with candidate `k`'s weight column, in
-    /// [`MultiAlphaEdges::edges`] order.
-    pub fn fill_column(&self, k: usize, out: &mut Vec<f64>) {
-        let alpha = self.alphas[k];
-        out.clear();
-        out.extend((0..self.edges.len()).map(|e| self.queue(e).g(alpha + self.bonus[e])));
+    /// Appends to `out` the weight column of each candidate in `ks`
+    /// (ascending), one after the other, each in [`MultiAlphaEdges::edges`]
+    /// order: column `s` is `out[base + s·E..base + (s + 1)·E]` for the
+    /// `E` edges and `out`'s length `base` on entry.
+    ///
+    /// One pass over the edges walks each edge's classes once for up to 64
+    /// candidates at a time ([`LinkQueueRef::g_multi`]), as
+    /// [`MultiAlphaEdges::fused_bounds`] does, so every value equals
+    /// [`LinkQueueRef::g`] bit for bit. Allocates nothing beyond `out`'s
+    /// growth.
+    pub fn fill_columns(&self, ks: &[usize], out: &mut Vec<f64>) {
+        const CHUNK: usize = 64;
+        debug_assert!(ks.windows(2).all(|w| w[0] < w[1]), "ks must be ascending");
+        let ne = self.edges.len();
+        let base = out.len();
+        out.resize(base + ks.len() * ne, 0.0);
+        let (mut alphas, mut row) = ([0u64; CHUNK], [0.0f64; CHUNK]);
+        for (c, chunk) in ks.chunks(CHUNK).enumerate() {
+            let (alphas, row) = (&mut alphas[..chunk.len()], &mut row[..chunk.len()]);
+            for (a, &k) in alphas.iter_mut().zip(chunk) {
+                *a = self.alphas[k];
+            }
+            let columns = &mut out[base + c * CHUNK * ne..];
+            for e in 0..ne {
+                self.queue(e).g_multi_shifted(alphas, self.bonus[e], row);
+                for (s, &g) in row.iter().enumerate() {
+                    columns[s * ne + e] = g;
+                }
+            }
+        }
     }
 
     /// Candidate `k`'s positive-weight edges as `(i, j, g(i, j, α))`
     /// triples, `(i, j)`-sorted.
     pub fn edge_list(&self, k: usize) -> Vec<(u32, u32, f64)> {
         let mut col = Vec::new();
-        self.fill_column(k, &mut col);
+        self.fill_columns(&[k], &mut col);
         self.edges
             .iter()
             .zip(col)
@@ -1538,9 +1632,9 @@ mod tests {
         let delta = 6u64;
         let sweep =
             q.weighted_edges_multi_with(&alphas, |link| if link == (0, 1) { delta } else { 0 });
-        let mut col = Vec::new();
-        for (k, &a) in alphas.iter().enumerate() {
-            sweep.fill_column(k, &mut col);
+        let mut cols = Vec::new();
+        sweep.fill_columns(&[0, 1], &mut cols);
+        for (col, &a) in cols.chunks_exact(2).zip(&alphas) {
             assert_eq!(col[0], q.g(0, 1, a + delta));
             assert_eq!(col[1], q.g(1, 2, a));
         }
@@ -1613,6 +1707,23 @@ mod tests {
         assert_eq!(a.alpha_candidates(u64::MAX), b.alpha_candidates(u64::MAX));
     }
 
+    /// The live bitset marks exactly the non-empty spans: [`LinkQueues::links`]
+    /// equals the `spans[e].1 > 0` filter over every interned key, and no
+    /// bit is set past the key vector.
+    fn assert_live_bits_match_spans(q: &LinkQueues) {
+        let want: Vec<(u32, u32)> = (0..q.links.len())
+            .filter(|&e| q.spans[e].1 > 0)
+            .map(|e| q.links[e])
+            .collect();
+        assert_eq!(
+            q.links().collect::<Vec<_>>(),
+            want,
+            "live bits disagree with spans"
+        );
+        assert_eq!(q.live_count(), want.len());
+        assert_eq!(q.live_links.len(), q.links.len().div_ceil(64));
+    }
+
     #[test]
     fn set_link_patches_match_full_rebuild_across_commit_cycles() {
         let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
@@ -1627,7 +1738,56 @@ mod tests {
         for serve in serves {
             let (_, moves) = tr.apply_budgets_tracked(serve);
             patch(&mut patched, &tr, &tr.dirty_links(&moves));
+            assert_live_bits_match_spans(&patched);
             assert_snapshots_equal(&patched, &tr.link_queues(4));
+        }
+    }
+
+    #[test]
+    fn admitted_keys_shift_live_bits_across_words() {
+        // 210 interned keys (four bitset words), every fourth drained to a
+        // tombstone; then admissions on links that sort before all of them
+        // insert keys at positions 0..29, each shifting every later bit up
+        // one position, across every word boundary.
+        let n = 16u32;
+        let flows: Vec<Flow> = (2..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .enumerate()
+            .map(|(f, (i, j))| {
+                Flow::single(
+                    FlowId(f as u64),
+                    3 + f as u64 % 5,
+                    Route::from_ids([i, j]).unwrap(),
+                )
+            })
+            .collect();
+        let mut tr =
+            RemainingTraffic::new(&TrafficLoad::new(flows).unwrap(), HopWeighting::Uniform)
+                .unwrap();
+        let mut q = tr.link_queues(n);
+        assert!(q.links.len() > 128);
+        assert_live_bits_match_spans(&q);
+        let keys = q.links.clone();
+        for &(i, j) in keys.iter().step_by(4) {
+            let (_, moves) = tr.apply_budgets_tracked(&[(NodeId(i), NodeId(j), 100)]);
+            patch(&mut q, &tr, &tr.dirty_links(&moves));
+            assert_live_bits_match_spans(&q);
+        }
+        let fresh = (0..2u32).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
+        for (f, (i, j)) in fresh.enumerate() {
+            let dirty = tr
+                .admit_subflows([(
+                    FlowId(1_000 + f as u64),
+                    Route::from_ids([i, j]).unwrap(),
+                    0,
+                    4,
+                )])
+                .unwrap();
+            let at = q.links.partition_point(|&l| l < (i, j));
+            assert!(at < 64, "key ({i}, {j}) lands at position {at}");
+            patch(&mut q, &tr, &dirty);
+            assert_live_bits_match_spans(&q);
+            assert_snapshots_equal(&q, &tr.link_queues(n));
         }
     }
 
@@ -1721,6 +1881,7 @@ mod tests {
                 .map(|k| (1.0 + k as f64, round + k))
                 .collect();
             q.set_link((0, 1), &mut pairs.clone());
+            assert_live_bits_match_spans(&q);
             let expect = LinkQueues::from_weighted_counts(
                 4,
                 pairs
@@ -1904,6 +2065,7 @@ mod tests {
             LinkQueues::from_weighted_counts(64, (0..40u32).map(|k| ((k, k + 1), 1.0, 5u64)));
         for k in 0..40u32 {
             q.set_link((k, k + 1), &mut []);
+            assert_live_bits_match_spans(&q);
         }
         let (live, len, _) = q.arena_usage();
         assert_eq!(live, 0);
@@ -1911,6 +2073,7 @@ mod tests {
         assert!(q.is_empty());
         // The zeroed spans must still be patchable and readable.
         q.set_link((7, 8), &mut [(2.0, 3)]);
+        assert_live_bits_match_spans(&q);
         assert_eq!(q.queue(7, 8).unwrap().total_packets(), 3);
         assert_snapshots_equal(
             &q,

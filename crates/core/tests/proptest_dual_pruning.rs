@@ -137,7 +137,7 @@ fn column(
 ) -> (Vec<(u32, u32)>, Vec<f64>) {
     let sweep = queues.weighted_edges_multi_with(&[alpha], extra);
     let mut col = Vec::new();
-    sweep.fill_column(0, &mut col);
+    sweep.fill_columns(&[0], &mut col);
     (sweep.edges().to_vec(), col)
 }
 

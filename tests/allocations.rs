@@ -145,9 +145,9 @@ fn window_allocations(n: u32) -> Vec<(u64, u64, u64, u64)> {
 }
 
 /// Allocations a select may make besides its solves: the candidate list,
-/// the weight sweep's edge, span and bonus arrays, the dual table and the
-/// search's bookkeeping, each sized once per select (14–19 today at
-/// n = 32–128).
+/// the weight sweep's edge, span and bonus arrays, the dual table, the
+/// column block and the search's bookkeeping, each sized once per select
+/// (at most 12 today at n = 32–128).
 const SELECT_BASE: u64 = 22;
 /// Allocations per solve: the evaluated candidate's matching, cloned out of
 /// the kernel workspace (one today; the bound leaves one spare).
