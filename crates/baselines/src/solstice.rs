@@ -17,8 +17,9 @@
 //!    among entries ≥ `t` in the stuffed matrix), holds that matching for
 //!    the minimum covered entry, and subtracts.
 //!
-//! Exposed both as a schedule generator for one-hop demand matrices and as a
-//! test consumer of the `octopus-matching` BvN/Hopcroft–Karp substrate.
+//! Exposed as a schedule generator for one-hop demand matrices; each
+//! threshold's perfect matching comes from `octopus-matching`'s
+//! Hopcroft–Karp.
 
 use octopus_matching::{hopcroft_karp::hopcroft_karp, WeightedBipartiteGraph};
 use octopus_net::{Configuration, Matching, Schedule};

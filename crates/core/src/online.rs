@@ -287,8 +287,8 @@ pub fn check_hysteresis(window: u64, delta: u64, eta: f64) -> Result<(), SchedEr
 /// incumbent. The served matching is committed on `engine` for its duration
 /// and becomes the new `incumbent`.
 ///
-/// Returns the served matching, its duration and whether it is a switch, or
-/// `None` when nothing is held and no packet can move.
+/// Returns what was served, or `None` when nothing is held and no packet
+/// can move (the search then solves no matching).
 ///
 /// # Errors
 /// [`SchedError::Net`] when the search's winner is not a matching
@@ -300,14 +300,17 @@ pub fn hysteresis_replan<S: TrafficSource>(
     incumbent: &mut Option<Matching>,
     horizon: u64,
     eta: f64,
-) -> Result<Option<(Matching, u64, bool)>, SchedError> {
+) -> Result<Option<HysteresisStep>, SchedError> {
     let alpha_if_kept = horizon;
     let alpha_if_changed = horizon.saturating_sub(engine.delta());
-    let candidate = match engine.select(fabric, alpha_if_changed, CandidateExtension::None, policy)
-    {
-        Some(best) => Some(Matching::new_free(best.matching.iter().copied())?),
-        None => None,
-    };
+    let (candidate, matchings_computed) =
+        match engine.select(fabric, alpha_if_changed, CandidateExtension::None, policy) {
+            Some(best) => (
+                Some(Matching::new_free(best.matching.iter().copied())?),
+                best.matchings_computed,
+            ),
+            None => (None, 0),
+        };
     let queues = engine.queues();
     let value = |m: &Matching, alpha: u64| -> f64 {
         m.links()
@@ -330,7 +333,26 @@ pub fn hysteresis_replan<S: TrafficSource>(
     let budgets: Vec<_> = serve.links().iter().map(|&(i, j)| (i, j, alpha)).collect();
     engine.commit_budgets(&budgets);
     *incumbent = Some(serve.clone());
-    Ok(Some((serve, alpha, switched)))
+    Ok(Some(HysteresisStep {
+        matching: serve,
+        alpha,
+        switched,
+        matchings_computed,
+    }))
+}
+
+/// What one [`hysteresis_replan`] served.
+#[derive(Debug, Clone, PartialEq)]
+pub struct HysteresisStep {
+    /// The served matching, now the incumbent.
+    pub matching: Matching,
+    /// Its duration: the horizon when kept, `horizon − Δ` after a switch.
+    pub alpha: u64,
+    /// Whether it replaced the incumbent.
+    pub switched: bool,
+    /// Weighted matchings the search for a fresh candidate solved, whether
+    /// or not the policy switched to it.
+    pub matchings_computed: usize,
 }
 
 /// A quasi-static **hysteresis** policy in the spirit of Wang & Javidi's
@@ -401,9 +423,13 @@ impl HysteresisScheduler {
             self.eta,
         )?;
         let mut schedule = Schedule::new();
-        if let Some((matching, alpha, _)) = served {
-            schedule.push(Configuration::new(matching, alpha));
-        }
+        let (iterations, matchings_computed) = match served {
+            Some(step) => {
+                schedule.push(Configuration::new(step.matching, step.alpha));
+                (1, step.matchings_computed)
+            }
+            None => (0, 0),
+        };
         let tr = self.engine.source();
         let delivered = tr.planned_delivered();
         self.total_arrived += arrived;
@@ -413,8 +439,8 @@ impl HysteresisScheduler {
                 schedule,
                 planned_psi: tr.planned_psi(),
                 planned_delivered: delivered,
-                iterations: 1,
-                matchings_computed: 1,
+                iterations,
+                matchings_computed,
             },
             arrived,
             delivered,
@@ -427,7 +453,9 @@ impl HysteresisScheduler {
 mod hysteresis_tests {
     use super::*;
     use octopus_net::topology;
+    use octopus_traffic::synthetic::{self, SyntheticConfig};
     use octopus_traffic::{Flow, FlowId, Route};
+    use rand::{rngs::StdRng, SeedableRng};
 
     fn cfg(window: u64, delta: u64) -> OctopusConfig {
         OctopusConfig {
@@ -474,6 +502,62 @@ mod hysteresis_tests {
         assert_eq!(r.delivered, 70);
         let m = &r.output.schedule.configs()[0].matching;
         assert!(m.contains(octopus_net::NodeId(2), octopus_net::NodeId(3)));
+    }
+
+    #[test]
+    fn epoch_counts_the_selects_solves() {
+        const N: u32 = 12;
+        let (window, delta) = (1_000, 20);
+        let net = topology::complete(N);
+        let mut pol = HysteresisScheduler::new(net.clone(), cfg(window, delta), 0.1).unwrap();
+        // Nothing waits: nothing is served and nothing is solved.
+        let idle = pol
+            .run_epoch(&TrafficLoad::new(Vec::new()).unwrap())
+            .unwrap();
+        assert_eq!(
+            (idle.output.iterations, idle.output.matchings_computed),
+            (0, 0)
+        );
+        // Epochs of the paper's synthetic load, flow ids kept apart.
+        let epoch = |seed: u64| -> Vec<Flow> {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let load =
+                synthetic::generate(&SyntheticConfig::paper_default(N, window), &net, &mut rng);
+            load.flows()
+                .iter()
+                .map(|f| Flow {
+                    id: FlowId(f.id.0 + 1_000 * seed),
+                    ..f.clone()
+                })
+                .collect()
+        };
+        let mut most = 0;
+        for arrivals in [epoch(1), epoch(2), epoch(3)] {
+            // The same snapshot, standalone: the backlog plus the arrivals.
+            let mut waiting = pol.engine.source().subflows();
+            waiting.extend(
+                arrivals
+                    .iter()
+                    .map(|f| (f.id, f.routes[0].clone(), 0, f.size)),
+            );
+            let tr = RemainingTraffic::from_subflows(waiting, pol.cfg.weighting);
+            let standalone = ScheduleEngine::new(tr, N, delta)
+                .select(
+                    &BipartiteFabric {
+                        kind: pol.cfg.matching,
+                    },
+                    window - delta,
+                    CandidateExtension::None,
+                    &pol.cfg.search_policy(),
+                )
+                .unwrap();
+            let r = pol.run_epoch(&TrafficLoad::new(arrivals).unwrap()).unwrap();
+            assert_eq!(r.output.iterations, 1);
+            assert_eq!(r.output.matchings_computed, standalone.matchings_computed);
+            most = most.max(r.output.matchings_computed);
+        }
+        // A hard-coded count of one would pass every epoch but this.
+        assert!(most > 1, "some epoch's search must solve several matchings");
     }
 
     #[test]

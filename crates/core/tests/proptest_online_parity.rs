@@ -165,15 +165,17 @@ fn hysteresis_parity(
         )
         .expect("realizable matching");
         let mut schedule = Schedule::new();
-        if let Some((m, alpha, _)) = served {
-            schedule.push(Configuration::new(m, alpha));
+        let (mut iterations, mut matchings_computed) = (0, 0);
+        if let Some(step) = served {
+            schedule.push(Configuration::new(step.matching, step.alpha));
+            (iterations, matchings_computed) = (1, step.matchings_computed);
         }
         let output = OctopusOutput {
             schedule,
             planned_psi: tr.planned_psi(),
             planned_delivered: tr.planned_delivered(),
-            iterations: 1,
-            matchings_computed: 1,
+            iterations,
+            matchings_computed,
         };
         let want = report(output, arrivals.total_packets(), &tr);
         assert_same(&got, &want, e)?;

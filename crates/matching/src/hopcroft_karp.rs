@@ -1,8 +1,7 @@
 //! Hopcroft–Karp maximum-cardinality bipartite matching, `O(E √V)`.
 //!
-//! Used as a substrate by the Birkhoff–von-Neumann-style decomposition
-//! ([`crate::bvn`]) and available to baseline schedulers that need to cover a
-//! demand matrix with as few configurations as possible.
+//! The Solstice baseline uses it to find a perfect matching among the
+//! demand-matrix entries above each threshold.
 
 use crate::WeightedBipartiteGraph;
 

@@ -24,10 +24,9 @@
 //!   integral and bounded (§8 "Execution Time").
 //! * [`general::greedy_general_matching`] — greedy matching on *general*
 //!   (non-bipartite) graphs for the §7 bidirectional-link generalization.
-//! * [`hopcroft_karp`] — maximum-cardinality bipartite matching, a substrate
-//!   for the Birkhoff–von-Neumann-style decomposition.
-//! * [`bvn`] — greedy BvN-style decomposition of a demand matrix into
-//!   `(matching, duration)` pairs, as used by Solstice-style schedulers.
+//! * [`hopcroft_karp`] — maximum-cardinality bipartite matching, which the
+//!   Solstice baseline uses to find a perfect matching among the entries
+//!   above each threshold.
 //! * [`brute`] — exponential-time exact reference implementations used by the
 //!   property-test suites of downstream crates.
 //!
@@ -43,7 +42,6 @@
 
 pub mod blossom;
 pub mod brute;
-pub mod bvn;
 pub mod general;
 pub mod greedy;
 pub mod hopcroft_karp;

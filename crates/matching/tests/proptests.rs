@@ -3,7 +3,7 @@
 
 use octopus_matching::{
     blossom::maximum_weight_matching_general,
-    brute, bvn,
+    brute,
     general::{general_matching_brute, greedy_general_matching},
     greedy::{bucket_greedy_matching, greedy_matching, GreedyScratch},
     hopcroft_karp::hopcroft_karp,
@@ -274,33 +274,6 @@ proptest! {
             let g = WeightedBipartiteGraph::from_tuples(nl, nr, tuples);
             scratch.greedy_on(nl, nr, &edges, col, &mut out);
             prop_assert_eq!(&out, &greedy_matching(&g));
-        }
-    }
-
-    #[test]
-    fn bvn_decomposition_reconstructs(
-        n in 2u32..7,
-        raw in prop::collection::vec((0u32..7, 0u32..7, 1u64..200), 0..10),
-    ) {
-        let mut seen = std::collections::HashSet::new();
-        let demand: Vec<(u32, u32, u64)> = raw
-            .into_iter()
-            .filter_map(|(r, c, d)| {
-                let (r, c) = (r % n, c % n);
-                (r != c && seen.insert((r, c))).then_some((r, c, d))
-            })
-            .collect();
-        let terms = bvn::decompose(n, &demand);
-        let m = bvn::reconstruct(n, &terms);
-        for &(r, c, d) in &demand {
-            prop_assert_eq!(m[r as usize][c as usize], d);
-        }
-        let total: u64 = m.iter().flatten().sum();
-        prop_assert_eq!(total, demand.iter().map(|&(_, _, d)| d).sum::<u64>());
-        // Each term is a valid matching.
-        for t in &terms {
-            prop_assert!(is_matching(&t.matching));
-            prop_assert!(t.duration > 0);
         }
     }
 }

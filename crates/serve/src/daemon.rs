@@ -9,7 +9,7 @@
 //! what keeps per-event cost independent of the backlog size.
 
 use crate::protocol::{Event, PlanConfig, Response, ServeStats};
-use octopus_core::online::{check_hysteresis, hysteresis_replan};
+use octopus_core::online::{check_hysteresis, hysteresis_replan, HysteresisStep};
 use octopus_core::{
     plan_window_cached, BipartiteFabric, MatchingKind, OctopusConfig, RemainingTraffic, SchedError,
     ScheduleCache, ScheduleEngine,
@@ -217,8 +217,13 @@ impl ServeState {
             self.cfg.eta,
         )?;
         Ok(match served {
-            Some((m, alpha, true)) => vec![PlanConfig {
-                links: m.links().iter().map(|&(i, j)| (i.0, j.0)).collect(),
+            Some(HysteresisStep {
+                matching,
+                alpha,
+                switched: true,
+                ..
+            }) => vec![PlanConfig {
+                links: matching.links().iter().map(|&(i, j)| (i.0, j.0)).collect(),
                 alpha,
             }],
             _ => Vec::new(),

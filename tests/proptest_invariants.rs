@@ -346,9 +346,10 @@ proptest! {
         (n, load, window, delta) in instance(),
         other in instance(),
     ) {
-        // The search keeps its solver, cached topology and cached column
-        // in a per-thread workspace, keyed by a sweep id that workspace
-        // issues. None of it may leak into a plan: the same window must come
+        // The search keeps its solver, the topology loaded into it (keyed
+        // by a sweep id that workspace issues) and its scratch buffers in a
+        // per-thread workspace; weight columns live in a block each select
+        // owns. None of it may leak into a plan: the same window must come
         // out the same — schedule, ψ bits and solve count — when planned
         // twice on one thread, on a fresh thread with an empty workspace,
         // and one select at a time between the selects of a second engine
