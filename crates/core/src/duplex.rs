@@ -78,6 +78,7 @@ pub fn octopus_duplex_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_net::NodeId;
     use octopus_traffic::{Flow, FlowId, Route};
 
     fn cfg(window: u64, delta: u64) -> OctopusConfig {
@@ -102,6 +103,39 @@ mod tests {
         assert_eq!(out.planned_delivered, 40);
         assert_eq!(out.iterations, 1);
         assert_eq!(out.schedule.configs()[0].matching.len(), 2);
+    }
+
+    #[test]
+    fn epsilon_scale_resolves_near_ties() {
+        // Path 0 - 1 - … - 13. The first select sees one packet on each of
+        // 6 -> 5 (a 6-hop route), 7 -> 8 (6 hops), 6 -> 7 (5 hops) and
+        // 7 -> 6 (7 hops): edge {6, 7} is worth 1/5 + 1/7 = 0.3429, more
+        // than {5, 6} and {7, 8} together, 1/6 + 1/6 = 0.3333, so the first
+        // configuration is {6, 7} alone. The blossom's integer weights at
+        // the 2^20 scale keep that order; rounded at 2^4 they read 5
+        // against 3 + 3, and the pair would win.
+        let net = DuplexNetwork::from_edges(14, (0u32..13).map(|v| (v, v + 1))).unwrap();
+        let flow = |id, nodes: &[u32]| {
+            Flow::single(
+                FlowId(id),
+                1,
+                Route::from_ids(nodes.iter().copied()).unwrap(),
+            )
+        };
+        let load = TrafficLoad::new(vec![
+            flow(1, &[6, 5, 4, 3, 2, 1, 0]),
+            flow(2, &[7, 8, 9, 10, 11, 12, 13]),
+            flow(3, &[6, 7, 8, 9, 10, 11]),
+            flow(4, &[7, 6, 5, 4, 3, 2, 1, 0]),
+        ])
+        .unwrap();
+        let cfg = OctopusConfig {
+            weighting: octopus_traffic::HopWeighting::EpsilonLater { eps: 0.1 },
+            ..cfg(1_000, 5)
+        };
+        let out = octopus_duplex(&net, &load, &cfg).unwrap();
+        let first = out.schedule.configs()[0].matching.links();
+        assert_eq!(first, [(NodeId(6), NodeId(7)), (NodeId(7), NodeId(6))]);
     }
 
     #[test]

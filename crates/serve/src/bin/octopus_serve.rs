@@ -182,9 +182,9 @@ fn refuse(mut stream: TcpStream) -> std::io::Result<()> {
     let reply = Response::Error {
         message: format!("too many sessions: {MAX_SESSIONS} open, try again later"),
     };
-    let payload = serde_json::to_string(&reply).map_err(std::io::Error::other)?;
-    stream.write_all(payload.as_bytes())?;
-    stream.write_all(b"\n")
+    let mut line = Vec::new();
+    reply.write_line(&mut line).map_err(std::io::Error::other)?;
+    stream.write_all(&line)
 }
 
 /// Serves one TCP session to its end under [`IDLE_TIMEOUT`].

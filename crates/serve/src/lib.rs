@@ -47,7 +47,10 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// [`Response`] line each on `writer`, until `Shutdown`, EOF, or an I/O
 /// error. Malformed lines — bad JSON, bytes that are not UTF-8, or more than
 /// [`MAX_LINE_BYTES`] bytes — get a [`Response::Error`] and the session
-/// continues; blank lines are skipped.
+/// continues; blank lines are skipped. Each line is parsed by
+/// [`Event::parse_line`], and each reply is written by
+/// [`Response::write_line`] into one buffer reused from line to line (see
+/// [`protocol`]).
 ///
 /// The loop is strictly read → handle → answer → read, so a slow re-plan
 /// back-pressures the client through the transport instead of queueing
@@ -64,6 +67,7 @@ pub fn serve_lines<R: BufRead, W: Write>(
     let cap = MAX_LINE_BYTES as u64 + 1;
     let read_capped = |r: &mut R, buf: &mut Vec<u8>| r.by_ref().take(cap).read_until(b'\n', buf);
     let mut buf = Vec::new();
+    let mut reply = Vec::new();
     loop {
         buf.clear();
         if read_capped(&mut reader, &mut buf)? == 0 {
@@ -82,16 +86,18 @@ pub fn serve_lines<R: BufRead, W: Write>(
         } else {
             match std::str::from_utf8(&buf) {
                 Ok(line) if line.trim().is_empty() => continue,
-                Ok(line) => match serde_json::from_str::<Event>(line) {
+                Ok(line) => match Event::parse_line(line) {
                     Ok(event) => state.handle(event),
                     Err(e) => (bad_event(e), false),
                 },
                 Err(e) => (bad_event(e), false),
             }
         };
-        let payload = serde_json::to_string(&response).map_err(std::io::Error::other)?;
-        writer.write_all(payload.as_bytes())?;
-        writer.write_all(b"\n")?;
+        reply.clear();
+        response
+            .write_line(&mut reply)
+            .map_err(std::io::Error::other)?;
+        writer.write_all(&reply)?;
         writer.flush()?;
         if done {
             break;

@@ -11,6 +11,9 @@
 //! * Every [`ScheduleEngine::commit`] stays within
 //!   `COMMIT_BASE + COMMIT_PER_DIRTY · dirty`, `dirty` being the number of
 //!   links the commit re-derives (the snapshot's generation step).
+//! * Every warm canonical `Arrival` and `Cancel` line through
+//!   `octopus_serve::serve_lines` stays within `ARRIVAL_LINE` and
+//!   `CANCEL_LINE`: the wire codec adds only the parsed route.
 //!
 //! The counter is a `const`-initialised thread local, so tests running in
 //! parallel on other threads never mix into a count.
@@ -20,8 +23,9 @@ use octopus_mhs::core::{OctopusConfig, RemainingTraffic};
 use octopus_mhs::matching::AssignmentSolver;
 use octopus_mhs::net::topology;
 use octopus_mhs::traffic::{synthetic, synthetic::SyntheticConfig};
+use octopus_serve::{serve_lines, Event, ServeConfig, ServeState};
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -184,5 +188,80 @@ fn select_and_commit_stay_within_budget() {
                  dirty links; (solves, select, dirty, commit) per iteration: {rows:?}"
             );
         }
+    }
+}
+
+/// A writer for `serve_lines` that drops the reply bytes and records this
+/// thread's allocation count at every `flush`, i.e. after every reply.
+struct FlushCounts(Vec<u64>);
+
+impl std::io::Write for FlushCounts {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.0.push(ALLOCS.with(Cell::get));
+        Ok(())
+    }
+}
+
+/// Allocations per warm canonical `Arrival` line through `serve_lines`,
+/// parse and reply included. The codec's share is the parsed route `Vec`
+/// alone (the reply is written into a buffer reused from line to line);
+/// the admission path makes the rest: `Route::from_ids`' node list,
+/// `admit_subflows`' incoming, staged and dirty-link lists, `patch_links`'
+/// pair buffer, and amortized growth of the snapshot's arena (6–8 in all
+/// today).
+const ARRIVAL_LINE: u64 = 8;
+/// Allocations per warm canonical `Cancel` line: `cancel_flow`'s copy of the
+/// flow's row list and its dirty-link list, and `patch_links`' pair buffer
+/// when a dirty link keeps packets (2 today). The codec makes none.
+const CANCEL_LINE: u64 = 3;
+
+#[test]
+fn event_lines_stay_within_budget() {
+    let n = 16u32;
+    let mut rng = StdRng::seed_from_u64(3);
+    let mut events = Vec::new();
+    for id in 0..200u64 {
+        let hops = rng.gen_range(1..=3usize);
+        let mut route = vec![rng.gen_range(0..n)];
+        while route.len() <= hops {
+            let next = rng.gen_range(0..n);
+            if !route.contains(&next) {
+                route.push(next);
+            }
+        }
+        let size = rng.gen_range(1..=64u64);
+        events.push(Event::Arrival { id, route, size });
+        if id % 5 == 4 {
+            events.push(Event::Cancel { id: id - 2 });
+        }
+    }
+    let lines: String = events
+        .iter()
+        .map(|e| serde_json::to_string(e).unwrap() + "\n")
+        .collect();
+    let mut state = ServeState::new(topology::complete(n), ServeConfig::default()).unwrap();
+    // The first pass interns every link and grows the plan state; the
+    // second, on the same lines, is measured. A line's count runs from the
+    // previous reply's flush to its own, so the first line is not counted.
+    let flushes = || FlushCounts(Vec::with_capacity(events.len()));
+    serve_lines(lines.as_bytes(), flushes(), &mut state).unwrap();
+    let mut counts = flushes();
+    serve_lines(lines.as_bytes(), &mut counts, &mut state).unwrap();
+    assert_eq!(counts.0.len(), events.len());
+    for (k, w) in counts.0.windows(2).enumerate() {
+        let (allocs, event) = (w[1] - w[0], &events[k + 1]);
+        let budget = match event {
+            Event::Arrival { .. } => ARRIVAL_LINE,
+            _ => CANCEL_LINE,
+        };
+        assert!(
+            allocs <= budget,
+            "line {}: {event:?} made {allocs} allocations (budget {budget})",
+            k + 1
+        );
     }
 }
