@@ -26,7 +26,8 @@
 //! the plain fabric's candidate enumeration, pruning and tie-breaking. The
 //! search functions take the per-α evaluation as a closure returning a
 //! [`BestChoice`], which is how the chain-aware multihop variant, whose
-//! benefit comes from a mini-simulation, reuses them unbounded.
+//! benefit comes from holding each configuration on the simulator, reuses
+//! them unbounded.
 //!
 //! # Pruning
 //!

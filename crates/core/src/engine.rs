@@ -38,14 +38,13 @@
 //! so its solve count is a pure function of the snapshot.
 
 use crate::best_config::{
-    search_alpha, AlphaSearch, BestChoice, ColumnKernel, ExactKernel, MatchingKind, SweepContext,
+    AlphaSearch, BestChoice, ColumnKernel, ExactKernel, MatchingKind, SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
 use crate::state::{LinkQueues, MultiAlphaEdges, RemainingTraffic};
 use crate::SchedError;
 use octopus_net::duplex::{DuplexMatching, DuplexNetwork};
 use octopus_net::{Configuration, Matching, NodeId, Schedule};
-use octopus_traffic::{FlowId, Route};
 use std::collections::HashSet;
 
 /// How one iteration's α-candidate search runs.
@@ -117,7 +116,8 @@ pub trait TrafficSource {
     /// are ignored, and leaving `out` empty means the link is now empty.
     /// The engine folds them into its snapshot ([`LinkQueues::set_link`]).
     /// Called only for links reported dirty by
-    /// [`TrafficSource::apply_served`] / [`TrafficSource::apply_chained`];
+    /// [`TrafficSource::apply_served`] or handed to
+    /// [`ScheduleEngine::patch_links`];
     /// sources that always request full rebuilds (return `None` from
     /// `apply_served`) can leave `out` empty, since no link is ever
     /// reported dirty.
@@ -125,19 +125,6 @@ pub trait TrafficSource {
 
     /// Whether every packet has (planned to) come home.
     fn is_drained(&self) -> bool;
-
-    /// Applies chained movements `(flow, route, from-position, hops-advanced,
-    /// count)` where a packet may cross several hops in one configuration
-    /// (§5). Same dirty-link contract as [`TrafficSource::apply_served`].
-    /// Chained movement is opt-in per source; the default reports
-    /// [`SchedError::ChainedUnsupported`] instead of applying anything.
-    fn apply_chained(
-        &mut self,
-        moves: &[(FlowId, Route, u32, u32, u64)],
-    ) -> Result<Option<Vec<(u32, u32)>>, SchedError> {
-        let _ = moves;
-        Err(SchedError::ChainedUnsupported)
-    }
 }
 
 impl TrafficSource for RemainingTraffic {
@@ -157,13 +144,6 @@ impl TrafficSource for RemainingTraffic {
     fn is_drained(&self) -> bool {
         RemainingTraffic::is_drained(self)
     }
-
-    fn apply_chained(
-        &mut self,
-        moves: &[(FlowId, Route, u32, u32, u64)],
-    ) -> Result<Option<Vec<(u32, u32)>>, SchedError> {
-        Ok(Some(self.advance_chained(moves)))
-    }
 }
 
 impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
@@ -181,13 +161,6 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
 
     fn is_drained(&self) -> bool {
         (**self).is_drained()
-    }
-
-    fn apply_chained(
-        &mut self,
-        moves: &[(FlowId, Route, u32, u32, u64)],
-    ) -> Result<Option<Vec<(u32, u32)>>, SchedError> {
-        (**self).apply_chained(moves)
     }
 }
 
@@ -556,24 +529,6 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         SweepContext::new(sweep, kernel).search(policy, delta)
     }
 
-    /// Like [`ScheduleEngine::select`], but with a caller-supplied per-α
-    /// evaluation (no upper bound) — used by the chain-aware §5 variant
-    /// whose benefit comes from a mini-simulation, not the queue snapshot.
-    pub fn select_with<E: Fn(u64) -> BestChoice>(
-        &mut self,
-        budget: u64,
-        ext: CandidateExtension,
-        policy: &SearchPolicy,
-        eval: &E,
-    ) -> Option<BestChoice> {
-        if budget == 0 {
-            return None;
-        }
-        let queues = self.queues();
-        let candidates = extend_candidates(queues.alpha_candidates(budget), budget, ext);
-        search_alpha(&candidates, policy, None, None, eval).filter(|c| c.benefit > 0.0)
-    }
-
     /// Commits a chosen configuration: realizes it on `fabric`, applies the
     /// resulting budgets to the source, and patches the snapshot on exactly
     /// the dirty links. Returns the matching to push onto the schedule.
@@ -602,26 +557,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         }
     }
 
-    /// Commits chained movements (§5) and patches the snapshot.
-    ///
-    /// # Errors
-    /// [`SchedError::ChainedUnsupported`] when the source does not opt into
-    /// chained movement; nothing is applied in that case.
-    pub fn commit_chained(
-        &mut self,
-        moves: &[(FlowId, Route, u32, u32, u64)],
-    ) -> Result<(), SchedError> {
-        match self.source.apply_chained(moves)? {
-            Some(dirty) => self.patch_links(&dirty),
-            None => self.queues = None,
-        }
-        Ok(())
-    }
-
     /// Brings the cached snapshot back in sync after the traffic source was
     /// mutated behind the engine's back on a known set of links — the
     /// streaming admission/cancellation path ([`RemainingTraffic::admit_subflows`]
-    /// returns exactly this dirty set), and the patch step of every commit.
+    /// returns exactly this dirty set), the chain-aware variant's chained
+    /// commits, and the patch step of every commit.
     /// Each link's `(weight, packets)` groups are re-read from the source
     /// into one reused buffer and folded into the snapshot's arena; links
     /// the snapshot has never interned are inserted in sorted position. A
@@ -708,7 +648,7 @@ fn extend_candidates(mut set: Vec<u64>, budget: u64, ext: CandidateExtension) ->
 #[cfg(test)]
 mod tests {
     use super::*;
-    use octopus_traffic::{Flow, HopWeighting, TrafficLoad};
+    use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
 
     fn load_example1() -> TrafficLoad {
         TrafficLoad::new(vec![

@@ -39,9 +39,6 @@ pub enum SchedError {
     },
     /// Admitting the packets would push a packet count past `u64::MAX`.
     PacketCountOverflow,
-    /// The traffic source does not support chained (multi-hop-per-
-    /// configuration) movement.
-    ChainedUnsupported,
     /// A K-port fabric was given zero ports per node.
     NoPorts,
     /// A realized configuration violates the fabric's port constraints —
@@ -82,9 +79,6 @@ impl fmt::Display for SchedError {
             }
             SchedError::PacketCountOverflow => {
                 write!(f, "admission would overflow the 64-bit packet count")
-            }
-            SchedError::ChainedUnsupported => {
-                write!(f, "this traffic source does not support chained movement")
             }
             SchedError::NoPorts => write!(f, "a K-port fabric needs at least one port per node"),
             SchedError::Net(e) => {

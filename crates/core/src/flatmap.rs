@@ -77,15 +77,6 @@ impl<K: Ord, V> VecMap<K, V> {
         }
     }
 
-    /// Removes and returns the smallest-keyed entry if it satisfies `pred` —
-    /// the drain primitive for time-ordered queues (`pending` maps).
-    pub fn pop_first_if(&mut self, pred: impl FnOnce(&K) -> bool) -> Option<(K, V)> {
-        match self.entries.first() {
-            Some((k, _)) if pred(k) => Some(self.entries.remove(0)),
-            _ => None,
-        }
-    }
-
     /// Iterates `&(key, value)` pairs in ascending key order.
     pub fn iter(&self) -> std::slice::Iter<'_, (K, V)> {
         self.entries.iter()
@@ -126,15 +117,13 @@ mod tests {
     }
 
     #[test]
-    fn get_or_insert_and_pop_first_if() {
+    fn get_or_insert_accumulates() {
         let mut m: VecMap<u64, Vec<u32>> = VecMap::new();
         m.get_or_insert_with(4, Vec::new).push(40);
         m.get_or_insert_with(2, Vec::new).push(20);
         m.get_or_insert_with(4, Vec::new).push(41);
-        assert_eq!(m.pop_first_if(|&k| k <= 1), None);
-        assert_eq!(m.pop_first_if(|&k| k <= 2), Some((2, vec![20])));
-        assert_eq!(m.pop_first_if(|&k| k <= 9), Some((4, vec![40, 41])));
-        assert_eq!(m.pop_first_if(|_| true), None);
+        let entries: Vec<(u64, Vec<u32>)> = m.into_iter().collect();
+        assert_eq!(entries, vec![(2, vec![20]), (4, vec![40, 41])]);
 
         let mut counts: VecMap<u32, u64> = VecMap::new();
         *counts.get_or_insert(3, 0) += 5;

@@ -10,20 +10,22 @@
 //! approximate configuration and an overall
 //! `(1 − e^{−1/(2𝒟²)})·W/(W+Δ)` guarantee.
 //!
-//! The chain-aware benefit of an edge set is evaluated by a slot-accurate
-//! mini-simulation of the configuration against `T^r` (switch latency of one
-//! slot, the §5 feasibility argument). This is a faithful but deliberately
-//! reference-grade implementation — each greedy step is
-//! `O(candidate-edges × α × |F|)` — intended for modest instances; the
-//! headline experiments use the one-hop-per-configuration bookkeeping whose
-//! guarantee Theorem 1 covers.
+//! The chain-aware benefit of an edge set is its ψ when held for α slots
+//! against `T^r` with switch latency one slot (the §5 feasibility argument),
+//! priced by the measuring simulator itself ([`octopus_sim::hold_links`]),
+//! so planning and measurement share one forwarding rule. One hold costs
+//! `O(|F| + α · edges · log |F|)` for `|F|` waiting sub-flows, and every
+//! greedy step, at every candidate α, holds each free candidate edge with
+//! the edges chosen so far; the variant suits modest instances, while the
+//! headline experiments use the one-hop-per-configuration bookkeeping
+//! whose guarantee Theorem 1 covers.
 
-use crate::best_config::BestChoice;
+use crate::best_config::{search_alpha, BestChoice};
 use crate::engine::{CandidateExtension, ScheduleEngine, SearchPolicy};
-use crate::flatmap::VecMap;
 use crate::{check_window, RemainingTraffic, SchedError};
-use octopus_net::{Configuration, Matching, Network, Schedule};
-use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
+use octopus_net::{Configuration, Matching, Network, NodeId, Schedule};
+use octopus_sim::{hold_links, Held, ResolvedFlow};
+use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad};
 use std::collections::HashSet;
 
 /// Octopus with chain-aware (multi-hop within a configuration) benefit and
@@ -59,18 +61,20 @@ pub fn octopus_multihop(
                 matchings_computed: 1,
             }
         };
+        let candidates = engine.candidates(budget, CandidateExtension::Lead(lead));
         let Some(choice) =
-            engine.select_with(budget, CandidateExtension::Lead(lead), &policy, &eval)
+            search_alpha(&candidates, &policy, None, None, &eval).filter(|c| c.benefit > 0.0)
         else {
             break;
         };
         matchings_computed += choice.matchings_computed;
         iterations += 1;
-        // Advance the plan with chaining: packets move as the mini-sim says.
-        let moved = snap.simulate(&choice.matching, choice.alpha).moves;
-        engine.commit_chained(&moved)?;
+        // Advance the plan with chaining: packets move as the hold says.
+        let moves = snap.moves(&snap.hold(choice.matching.iter().copied(), choice.alpha));
+        let dirty = engine.source_mut().advance_chained(&moves);
+        engine.patch_links(&dirty);
         let Ok(matching) = Matching::new_free(choice.matching.iter().copied()) else {
-            debug_assert!(false, "kernel matchings keep ports free");
+            debug_assert!(false, "greedy matchings keep ports free");
             break;
         };
         schedule.push(Configuration::new(matching, choice.alpha));
@@ -86,120 +90,52 @@ pub fn octopus_multihop(
     })
 }
 
-/// A frozen copy of `T^r` for what-if evaluation.
+/// A frozen copy of `T^r` for what-if holds: one resolved flow per waiting
+/// sub-flow (its packet count as the size, the *original* route so hop
+/// weights stay correct) and the route position its packets wait at.
 struct Snapshot {
-    /// `(flow id, route, position, count)` with the *original* route (so hop
-    /// weights stay correct) — one entry per sub-flow.
-    entries: Vec<(FlowId, Route, u32, u64)>,
+    flows: Vec<ResolvedFlow>,
+    start: Vec<u32>,
     weighting: HopWeighting,
-}
-
-/// Outcome of a mini-simulation.
-/// Priority key inside the mini-simulation: weight, flow ID, entry index.
-type PrioEntry = (Weight, FlowId, usize);
-
-struct ChainOutcome {
-    benefit: f64,
-    /// `(entry index, hops advanced, count)` — how far each sub-flow's
-    /// packets got.
-    moves: Vec<(FlowId, Route, u32, u32, u64)>,
 }
 
 impl Snapshot {
     fn from_traffic(tr: &RemainingTraffic, weighting: HopWeighting) -> Self {
+        let (flows, start) = tr
+            .subflows()
+            .into_iter()
+            .map(|(flow, route, pos, size)| (ResolvedFlow { flow, size, route }, pos))
+            .unzip();
         Snapshot {
-            entries: tr.subflows(),
+            flows,
+            start,
             weighting,
         }
     }
 
-    /// Slot-accurate simulation of holding `edges` for `alpha` slots with
-    /// chaining (switch latency 1). Returns weighted benefit and the
-    /// per-sub-flow advancement.
-    fn simulate(&self, edges: &[(u32, u32)], alpha: u64) -> ChainOutcome {
-        // Queue state: key (entry idx, current pos) -> available count.
-        let mut avail: VecMap<(usize, u32), u64> = VecMap::new();
-        for (idx, &(_, _, pos, count)) in self.entries.iter().enumerate() {
-            *avail.get_or_insert((idx, pos), 0) += count;
-        }
-        // Pending arrivals: (due slot) -> [(entry, pos, count)].
-        let mut pending: VecMap<u64, Vec<(usize, u32, u64)>> = VecMap::new();
-        let edge_set: Vec<(u32, u32)> = edges.to_vec();
-        let mut benefit = 0.0;
-        // advanced[(idx, final_pos)] tracked at the end from avail/pending.
-        for t in 0..alpha {
-            // Admit due arrivals (a sorted prefix of the pending map).
-            while let Some((_, batch)) = pending.pop_first_if(|&due| due <= t) {
-                for (idx, pos, c) in batch {
-                    *avail.get_or_insert((idx, pos), 0) += c;
-                }
-            }
-            for &(i, j) in &edge_set {
-                // Highest-priority waiting packet whose next hop is (i, j).
-                let mut bestk: Option<(PrioEntry, (usize, u32))> = None;
-                for &((idx, pos), c) in avail.iter() {
-                    if c == 0 {
-                        continue;
-                    }
-                    let (fid, route, _, _) = &self.entries[idx];
-                    if pos >= route.hops() {
-                        continue;
-                    }
-                    let (a, b) = route.hop(pos);
-                    if (a.0, b.0) != (i, j) {
-                        continue;
-                    }
-                    let w = self.weighting.hop_weight(route.hops(), pos);
-                    let key = (w, *fid, idx);
-                    let better = match &bestk {
-                        None => true,
-                        Some((bk, _)) => {
-                            key.0 > bk.0 || (key.0 == bk.0 && (key.1, key.2) < (bk.1, bk.2))
-                        }
-                    };
-                    if better {
-                        bestk = Some((key, (idx, pos)));
-                    }
-                }
-                if let Some((key, (idx, pos))) = bestk {
-                    let Some(c) = avail.get_mut(&(idx, pos)) else {
-                        debug_assert!(false, "argmax candidate came from avail");
-                        continue;
-                    };
-                    *c -= 1;
-                    benefit += key.0.value();
-                    let route = &self.entries[idx].1;
-                    let new_pos = pos + 1;
-                    if new_pos >= route.hops() {
-                        // Delivered: park at the terminal position.
-                        *avail.get_or_insert((idx, new_pos), 0) += 1;
-                    } else {
-                        pending
-                            .get_or_insert_with(t + 1, Vec::new)
-                            .push((idx, new_pos, 1));
-                    }
-                }
-            }
-        }
-        // Flush pending into avail for final positions.
-        for (_, batch) in pending {
-            for (idx, pos, c) in batch {
-                *avail.get_or_insert((idx, pos), 0) += c;
-            }
-        }
-        // Derive per-entry movement: packets of entry idx that ended at pos'
-        // >= original pos moved (pos' - pos) hops.
+    /// Holds `edges`, visited in the given order each slot, for `alpha`
+    /// slots.
+    fn hold(&self, edges: impl IntoIterator<Item = (u32, u32)>, alpha: u64) -> Held {
+        let links: Vec<(NodeId, NodeId)> = edges
+            .into_iter()
+            .map(|(i, j)| (NodeId(i), NodeId(j)))
+            .collect();
+        hold_links(&self.flows, &self.start, &links, alpha, self.weighting)
+    }
+
+    /// The chained movements `(flow, route, from-position, hops advanced,
+    /// count)` a hold made, per sub-flow in snapshot order, then by landing
+    /// position.
+    fn moves(&self, held: &Held) -> Vec<(FlowId, Route, u32, u32, u64)> {
         let mut moves = Vec::new();
-        for &((idx, pos_end), c) in avail.iter() {
-            if c == 0 {
-                continue;
-            }
-            let (fid, route, pos0, _) = &self.entries[idx];
-            if pos_end > *pos0 {
-                moves.push((*fid, route.clone(), *pos0, pos_end - *pos0, c));
+        for ((f, &pos), counts) in self.flows.iter().zip(&self.start).zip(&held.counts) {
+            for (end, &count) in counts.iter().enumerate().skip(pos as usize + 1) {
+                if count > 0 {
+                    moves.push((f.flow, f.route.clone(), pos, end as u32 - pos, count));
+                }
             }
         }
-        ChainOutcome { benefit, moves }
+        moves
     }
 }
 
@@ -217,9 +153,9 @@ fn greedy_chain_matching(snap: &Snapshot, net: &Network, alpha: u64) -> (Vec<(u3
     // explicit (i, j) tie-break, but a fixed visit order keeps float
     // summation order reproducible too.
     let mut cands: Vec<(u32, u32)> = Vec::new();
-    for (_, route, pos, _) in &snap.entries {
-        for x in *pos..route.hops() {
-            let (a, b) = route.hop(x);
+    for (f, &pos) in snap.flows.iter().zip(&snap.start) {
+        for x in pos..f.route.hops() {
+            let (a, b) = f.route.hop(x);
             if net.has_edge(a, b) {
                 cands.push((a.0, b.0));
             }
@@ -237,9 +173,10 @@ fn greedy_chain_matching(snap: &Snapshot, net: &Network, alpha: u64) -> (Vec<(u3
             if used_out.contains(&i) || used_in.contains(&j) {
                 continue;
             }
-            let mut trial = chosen.clone();
-            trial.push((i, j));
-            let b = snap.simulate(&trial, alpha).benefit;
+            // The chosen edges in ascending order, then the trial edge: the
+            // hold visits links in this order, which fixes ψ's summation
+            // order and so which of two bit-close marginals wins.
+            let b = snap.hold(chosen.iter().copied().chain([(i, j)]), alpha).psi;
             let marginal = b - current;
             if marginal > 1e-12
                 && best.as_ref().map_or(true, |&(be, bm)| {
@@ -263,7 +200,7 @@ fn greedy_chain_matching(snap: &Snapshot, net: &Network, alpha: u64) -> (Vec<(u3
     let benefit = if chosen.is_empty() {
         0.0
     } else {
-        snap.simulate(&chosen, alpha).benefit
+        snap.hold(chosen.iter().copied(), alpha).psi
     };
     (chosen, benefit)
 }
@@ -334,7 +271,7 @@ mod tests {
     }
 
     #[test]
-    fn mini_sim_benefit_counts_weighted_hops() {
+    fn hold_benefit_counts_weighted_hops() {
         let load = TrafficLoad::new(vec![Flow::single(
             FlowId(1),
             4,
@@ -344,10 +281,13 @@ mod tests {
         let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let snap = Snapshot::from_traffic(&tr, HopWeighting::Uniform);
         // Both hops active for 5 slots: 4 packets × 2 hops × 1/2 = 4.0.
-        let out = snap.simulate(&[(0, 1), (1, 2)], 5);
-        assert!((out.benefit - 4.0).abs() < 1e-9);
-        // Only the first hop: 4 × 1/2.
-        let out1 = snap.simulate(&[(0, 1)], 5);
-        assert!((out1.benefit - 2.0).abs() < 1e-9);
+        let held = snap.hold([(0, 1), (1, 2)], 5);
+        assert!((held.psi - 4.0).abs() < 1e-9);
+        let route = Route::from_ids([0, 1, 2]).unwrap();
+        assert_eq!(snap.moves(&held), vec![(FlowId(1), route.clone(), 0, 2, 4)]);
+        // Only the first hop: 4 × 1/2, every packet parked at node 1.
+        let held = snap.hold([(0, 1)], 5);
+        assert!((held.psi - 2.0).abs() < 1e-9);
+        assert_eq!(snap.moves(&held), vec![(FlowId(1), route, 0, 1, 4)]);
     }
 }

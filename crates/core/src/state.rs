@@ -41,8 +41,9 @@
 //! that is ever *iterated* on a scheduling path walks these sorted vecs, so
 //! iteration order is a fixed total order independent of hasher seeds and
 //! insertion history. `HashMap` remains only for pure point lookups
-//! (`from_subflows`' dedup index, `advance_chained`'s flow-id index), which
-//! cannot observe iteration order.
+//! (`from_subflows`' dedup index and the lazy flow-ID index that
+//! admissions, cancellations and chained commits look rows up through),
+//! which cannot observe iteration order.
 
 use crate::SchedError;
 use octopus_net::NodeId;
@@ -492,23 +493,20 @@ impl RemainingTraffic {
 
     /// Advances the plan by *chained* movements `(flow, route, from-position,
     /// hops-advanced, count)` — a packet may cross several hops in one
-    /// configuration here (§5). ψ gains the weight of every traversed hop.
-    /// Returns the links whose queues changed (origin and landing links;
-    /// intermediate hops hold no packets before or after).
+    /// configuration here (§5). Each movement applies to the `(flow,
+    /// route)` row, found through the flow-ID index. ψ gains the weight of
+    /// every traversed hop. Returns the links whose queues changed (origin
+    /// and landing links; intermediate hops hold no packets before or
+    /// after): feed them to [`crate::ScheduleEngine::patch_links`].
     pub(crate) fn advance_chained(
         &mut self,
         moves: &[(FlowId, Route, u32, u32, u64)],
     ) -> Vec<(u32, u32)> {
-        let index: HashMap<FlowId, u32> = self
-            .flows
-            .iter()
-            .enumerate()
-            .map(|(i, m)| (m.id, i as u32))
-            .collect();
+        self.ensure_index();
         let mut dirty: Vec<(u32, u32)> = Vec::with_capacity(moves.len() * 2);
-        for &(id, ref _route, pos, advanced, count) in moves {
+        for &(id, ref route, pos, advanced, count) in moves {
             debug_assert!(advanced > 0);
-            let Some(&fi) = index.get(&id) else {
+            let Some(fi) = self.flow_index_of(id, route) else {
                 debug_assert!(false, "chained move names an unknown flow {id}");
                 continue;
             };

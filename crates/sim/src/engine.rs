@@ -215,9 +215,58 @@ impl Simulator {
                 return Err(SimError::WindowExceeded { cost, window });
             }
         }
-        let mut engine = Engine::new(&self.cfg, &self.flows);
+        let mut engine = Engine::new(&self.cfg, &self.flows, &[]);
         engine.run(schedule, &self.failed_links);
         Ok(engine.into_report(&self.flows))
+    }
+}
+
+/// What holding one link set did to a group of sub-flows ([`hold_links`]).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Held {
+    /// Weighted packet-hops served (the ψ the hold gains), added once per
+    /// packet in service order: slot by slot, each slot's links in the
+    /// caller's order.
+    pub psi: f64,
+    /// `counts[k][p]`: packets of sub-flow `k` at route position `p` when
+    /// the hold ends (`p == hops` means delivered); a packet still crossing
+    /// a switch counts at the node it is crossing.
+    pub counts: Vec<Vec<u64>>,
+}
+
+/// Holds `links` for `alpha` slots against sub-flows already part-way along
+/// their routes: the `size` packets of `flows[k]` wait at route position
+/// `start[k]` (position 0 where `start` has no entry). There is no Δ before
+/// the hold, and a packet that crosses a link may take its next hop one
+/// slot later (switch latency 1), so packets chain across consecutive held
+/// links — the benefit of one configuration under §5's Theorem 2.
+///
+/// Service follows [`Simulator::run`]'s per-slot rule (weight, then flow
+/// ID, then index into `flows`) on the same per-slot loop, never its
+/// batch path, so ψ is summed one packet at a time, each slot's links in
+/// the order given; the caller's link order fixes ψ's last bits, not which
+/// packets move. With every `start` at 0 the hold moves exactly the
+/// packets [`Simulator::run`] moves on the one-configuration schedule
+/// `(links, alpha)` with Δ = 0.
+pub fn hold_links(
+    flows: &[ResolvedFlow],
+    start: &[u32],
+    links: &[(NodeId, NodeId)],
+    alpha: u64,
+    weighting: HopWeighting,
+) -> Held {
+    let cfg = SimConfig {
+        delta: 0,
+        forwarding: ForwardingMode::WithinConfig { switch_latency: 1 },
+        weighting,
+        ..SimConfig::default()
+    };
+    let mut engine = Engine::new(&cfg, flows, start);
+    engine.serve_slots(links, 0, alpha, alpha);
+    engine.admit_arrivals_until(u64::MAX);
+    Held {
+        psi: engine.psi,
+        counts: engine.pos_counts,
     }
 }
 
@@ -250,7 +299,10 @@ struct Engine<'a> {
 }
 
 impl<'a> Engine<'a> {
-    fn new(cfg: &'a SimConfig, flows: &'a [ResolvedFlow]) -> Self {
+    /// Queues every flow's packets at route position `start[fi]` (0 where
+    /// `start` has no entry; a position at or past the route's end counts
+    /// them delivered).
+    fn new(cfg: &'a SimConfig, flows: &'a [ResolvedFlow], start: &[u32]) -> Self {
         let n_nodes = flows
             .iter()
             .flat_map(|f| f.route.nodes())
@@ -258,43 +310,37 @@ impl<'a> Engine<'a> {
             .max()
             .unwrap_or(1) as usize;
         let hops: Vec<u32> = flows.iter().map(|f| f.route.hops()).collect();
-        let mut pos_counts: Vec<Vec<u64>> = flows
+        let pos_counts: Vec<Vec<u64>> = flows
             .iter()
             .map(|f| vec![0u64; f.route.nodes().len()])
             .collect();
-        let mut voqs: Vec<VoqTable> = vec![HashMap::new(); n_nodes];
-        let weighting = cfg.weighting;
-        for (fi, f) in flows.iter().enumerate() {
-            if f.size == 0 {
-                continue;
-            }
-            pos_counts[fi][0] = f.size;
-            let (at, next) = f.route.hop(0);
-            let key = (
-                Reverse(weighting.hop_weight(hops[fi], 0)),
-                f.flow,
-                fi as u32,
-            );
-            voqs[at.index()]
-                .entry(next.0)
-                .or_default()
-                .insert(key, (fi as u32, 0));
-        }
-        let last_delivery = vec![0u64; flows.len()];
-        Engine {
+        let mut engine = Engine {
             cfg,
             flows,
             hops,
             pos_counts,
-            voqs,
+            voqs: vec![HashMap::new(); n_nodes],
             arrivals: BTreeMap::new(),
-            weighting,
+            weighting: cfg.weighting,
             psi: 0.0,
             hops_traversed: 0,
             link_slots: 0,
             now: 0,
-            last_delivery,
+            last_delivery: vec![0u64; flows.len()],
+        };
+        for (fi, f) in flows.iter().enumerate() {
+            if f.size == 0 {
+                continue;
+            }
+            let hops = engine.hops[fi];
+            let pos = start.get(fi).map_or(0, |&p| p.min(hops));
+            if pos == hops {
+                engine.pos_counts[fi][hops as usize] += f.size;
+            } else {
+                engine.admit(fi as u32, pos, f.size);
+            }
         }
+        engine
     }
 
     fn switch_latency(&self) -> u64 {
@@ -328,22 +374,8 @@ impl<'a> Engine<'a> {
                             .filter(|l| prev_links.contains(l))
                             .count() as u64;
                         self.link_slots += self.cfg.delta * persist_count;
-                        let defer = matches!(self.cfg.forwarding, ForwardingMode::NextConfigOnly);
-                        for s in 0..self.cfg.delta {
-                            let t = self.now + s;
-                            if !defer {
-                                self.admit_arrivals_until(t);
-                            }
-                            for &(i, j) in &persistent {
-                                self.transmit_one(
-                                    i,
-                                    j,
-                                    t,
-                                    defer,
-                                    self.now + self.cfg.delta + config.alpha,
-                                );
-                            }
-                        }
+                        let (start, slots) = (self.now, self.cfg.delta);
+                        self.serve_slots(&persistent, start, slots, start + slots + config.alpha);
                         self.now += self.cfg.delta;
                     }
                 }
@@ -368,15 +400,7 @@ impl<'a> Engine<'a> {
                 self.admit_arrivals_until(start);
                 self.batch_serve(&links, alpha, start);
             } else {
-                for s in 0..alpha {
-                    let t = start + s;
-                    if !defer_to_config_end {
-                        self.admit_arrivals_until(t);
-                    }
-                    for &(i, j) in &links {
-                        self.transmit_one(i, j, t, defer_to_config_end, start + alpha);
-                    }
-                }
+                self.serve_slots(&links, start, alpha, start + alpha);
             }
             self.now = start + alpha;
             if defer_to_config_end {
@@ -450,6 +474,23 @@ impl<'a> Engine<'a> {
                         .or_default()
                         .push((fi, new_pos, take));
                 }
+            }
+        }
+    }
+
+    /// The per-slot loop: over slots `start..start + slots`, admits the
+    /// packets due by each slot, then lets every link of `links`, in order,
+    /// transmit one packet. Under [`ForwardingMode::NextConfigOnly`] nothing
+    /// is admitted mid-configuration and forwarded packets land at
+    /// `config_end`.
+    fn serve_slots(&mut self, links: &[(NodeId, NodeId)], start: u64, slots: u64, config_end: u64) {
+        let defer = matches!(self.cfg.forwarding, ForwardingMode::NextConfigOnly);
+        for t in start..start + slots {
+            if !defer {
+                self.admit_arrivals_until(t);
+            }
+            for &(i, j) in links {
+                self.transmit_one(i, j, t, defer, config_end);
             }
         }
     }
@@ -851,6 +892,52 @@ mod tests {
         let r = sim.run(&schedule).unwrap();
         assert_eq!(r.delivered, 5);
         assert_eq!(r.total_packets, 5);
+    }
+
+    #[test]
+    fn hold_chains_a_mid_route_flow_across_two_links() {
+        // Flow 1 (route 0-1-2-3, weights 1/3) has 3 packets waiting at node 1
+        // and 2 at node 0; links (1,2) and (2,3) are held for 4 slots. By
+        // hand: (1,2) sends one node-1 packet per slot 0..=2, each reaching
+        // node 2 one slot later, so (2,3) delivers them in slots 1..=3. The
+        // node-0 packets never move: (0,1) is not held.
+        let flows = vec![single(1, 3, &[0, 1, 2, 3]), single(1, 2, &[0, 1, 2, 3])];
+        let links = [(NodeId(1), NodeId(2)), (NodeId(2), NodeId(3))];
+        let held = hold_links(&flows, &[1, 0], &links, 4, HopWeighting::Uniform);
+        assert_eq!(held.counts, vec![vec![0, 0, 0, 3], vec![2, 0, 0, 0]]);
+        assert!((held.psi - 6.0 / 3.0).abs() < 1e-12, "6 hops of weight 1/3");
+        // One slot less: the third packet crosses (1,2) in slot 2 and is
+        // still crossing node 2 when the hold ends.
+        let held = hold_links(&flows, &[1, 0], &links, 3, HopWeighting::Uniform);
+        assert_eq!(held.counts[0], vec![0, 0, 1, 2]);
+        assert!((held.psi - 5.0 / 3.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn hold_from_route_start_serves_what_run_serves() {
+        let flows = example1_flows();
+        let links = [
+            (NodeId(3), NodeId(0)),
+            (NodeId(0), NodeId(1)),
+            (NodeId(1), NodeId(2)),
+        ];
+        let held = hold_links(&flows, &[], &links, 120, HopWeighting::Uniform);
+        let schedule = sched(&[(120, &[(3, 0), (0, 1), (1, 2)])]);
+        let r = Simulator::new(None, flows.clone(), cfg0())
+            .unwrap()
+            .run(&schedule)
+            .unwrap();
+        let delivered: u64 = flows
+            .iter()
+            .zip(&held.counts)
+            .map(|(f, c)| c[f.route.hops() as usize])
+            .sum();
+        assert_eq!(delivered, r.delivered);
+        assert_eq!(held.psi.to_bits(), r.psi.to_bits());
+        assert_eq!(
+            held,
+            hold_links(&flows, &[0, 0, 0], &links, 120, HopWeighting::Uniform)
+        );
     }
 
     #[test]

@@ -21,6 +21,12 @@
 //! triple with one concrete route. Single-route loads convert directly
 //! ([`resolve`]); Octopus+ resolves its own route choices before evaluation.
 //!
+//! The same per-slot loop also prices candidate configurations for the
+//! chain-aware scheduler of Theorem 2 (`octopus_core::multihop_config`):
+//! [`hold_links`] holds one link set for α slots against sub-flows already
+//! part-way along their routes and reports the ψ served and where every
+//! packet ended, so that planner and simulator forward packets by one rule.
+//!
 //! ## Example
 //!
 //! ```
@@ -52,6 +58,7 @@ mod engine;
 mod report;
 
 pub use engine::{
-    resolve, ForwardingMode, ReconfigModel, ResolvedFlow, SimConfig, SimError, Simulator,
+    hold_links, resolve, ForwardingMode, Held, ReconfigModel, ResolvedFlow, SimConfig, SimError,
+    Simulator,
 };
 pub use report::SimReport;

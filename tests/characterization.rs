@@ -1,8 +1,9 @@
 //! Characterization of the scheduler variants' exact output: for two fixed
 //! seeded instances each, a digest of the schedule, the planned ψ bits and
 //! the planned delivered count are pinned for K-port, duplex, localized,
-//! Octopus+ and the one-hop (Eclipse) scheduler, and for plain `octopus()`
-//! on a larger fabric. A refactor of the shared
+//! Octopus+ and the one-hop (Eclipse) scheduler, for plain `octopus()`
+//! on a larger fabric, and for the chain-aware Theorem 2 variant
+//! (`octopus_multihop`) on a smaller one. A refactor of the shared
 //! greedy loop must leave every pinned value unchanged; a deliberate change
 //! of behaviour updates the table below and says why.
 
@@ -11,6 +12,7 @@ use octopus_mhs::core::{
     duplex::octopus_duplex,
     kport::octopus_kport,
     local::octopus_local,
+    multihop_config::octopus_multihop,
     octopus,
     octopus_plus::{octopus_plus, PlusConfig},
     AlphaSearch, MatchingKind, OctopusConfig,
@@ -30,6 +32,13 @@ const SEEDS: [u64; 2] = [11, 12];
 /// kernel's tie choice to show.
 const OCTOPUS_N: u32 = 48;
 const OCTOPUS_WINDOW: u64 = 2_000;
+/// The chain-aware variant prices every candidate edge set by simulating
+/// it, so it is pinned on a small fabric. Seed 4 holds an exact tie between
+/// two edges whose prices differ only in the order ψ is summed.
+const MULTIHOP_N: u32 = 8;
+const MULTIHOP_WINDOW: u64 = 800;
+const MULTIHOP_DELTA: u64 = 15;
+const MULTIHOP_SEEDS: [u64; 2] = [3, 4];
 
 /// FNV-1a over every configuration's α and links, in serve order.
 fn digest(schedule: &Schedule) -> u64 {
@@ -148,6 +157,23 @@ fn observed() -> Vec<(String, u64, u64, u64)> {
             o.planned_delivered,
         ));
     }
+    let net = topology::complete(MULTIHOP_N);
+    let synth = SyntheticConfig::paper_default(MULTIHOP_N, MULTIHOP_WINDOW);
+    let cfg = OctopusConfig {
+        window: MULTIHOP_WINDOW,
+        delta: MULTIHOP_DELTA,
+        ..OctopusConfig::default()
+    };
+    for seed in MULTIHOP_SEEDS {
+        let load = synthetic::generate(&synth, &net, &mut StdRng::seed_from_u64(seed));
+        let o = octopus_multihop(&net, &load, &cfg).expect("multihop");
+        out.push((
+            format!("multihop/{seed}"),
+            digest(&o.schedule),
+            o.planned_psi.to_bits(),
+            o.planned_delivered,
+        ));
+    }
     out
 }
 
@@ -172,7 +198,7 @@ fn variant_outputs_match_the_pinned_table() {
     //   octopus/11 0xce5c85294f407e08, 0x40e972caaaaaaaab, 43190
     //   octopus/12 0x81c7f38bd626f7df, 0x40e970eaaaaaaaac, 41780
     // so each of these rows tells the two tie rules apart.
-    let pinned: [(&str, u64, u64, u64); 12] = [
+    let pinned: [(&str, u64, u64, u64); 14] = [
         ("kport/11", 0x107c3cb40531a0a7, 0x40ba14aaaaaaaaab, 5940),
         ("duplex/11", 0xf54f53bb6877fbd3, 0x40a7ac0000000000, 2580),
         ("local/11", 0x1b366c46be84d0e9, 0x40b1eaaaaaaaaaab, 3720),
@@ -185,6 +211,8 @@ fn variant_outputs_match_the_pinned_table() {
         ("one_hop/12", 0x51d0a254c540169c, 0x40b1f80000000000, 6760),
         ("octopus/11", 0x457b033460f2af87, 0x40e952eaaaaaaaaa, 42250),
         ("octopus/12", 0xfeeaf114b1712f3c, 0x40e95f6aaaaaaaaa, 41010),
+        ("multihop/3", 0x5c6c4ca5fa135d88, 0x40a936aaaaaaaaac, 3052),
+        ("multihop/4", 0x3763f37b170ef73f, 0x40a7830000000000, 2824),
     ];
     let got = observed();
     let table: Vec<String> = got
