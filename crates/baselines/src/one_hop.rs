@@ -131,8 +131,11 @@ impl TrafficSource for DemandSource<'_> {
         )
     }
 
-    fn apply_served(&mut self, budgets: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>> {
-        let mut dirty = Vec::with_capacity(budgets.len());
+    fn apply_served(
+        &mut self,
+        budgets: &[(NodeId, NodeId, u64)],
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> bool {
         for &(i, j, alpha) in budgets {
             let Some(idxs) = self.by_link.get(&(i.0, j.0)) else {
                 continue;
@@ -155,7 +158,7 @@ impl TrafficSource for DemandSource<'_> {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        Some(dirty)
+        true
     }
 
     fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {

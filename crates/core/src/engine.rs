@@ -24,8 +24,8 @@
 //! * [`ScheduleEngine::commit`] applies the chosen `(M, α)` and patches the
 //!   queue snapshot **incrementally**: the source reports exactly which
 //!   links gained or lost packets, and only those links' `(weight,
-//!   packets)` groups are re-read ([`TrafficSource::refresh_link`], into one
-//!   buffer per commit) and folded straight into the snapshot's arena
+//!   packets)` groups are re-read ([`TrafficSource::refresh_link`], into a
+//!   buffer the engine reuses) and folded straight into the snapshot's arena
 //!   ([`LinkQueues::set_link`]) instead of rebuilding all `O(n²)` queues. A
 //!   link's aggregated weight classes depend only on that link's waiting
 //!   packets, so the patched snapshot is identical to a from-scratch
@@ -106,10 +106,15 @@ pub trait TrafficSource {
     /// Builds the full per-link queue snapshot for an `n`-node fabric.
     fn snapshot_queues(&self, n: u32) -> LinkQueues;
 
-    /// Applies one committed configuration as per-link slot budgets.
-    /// Returns the sorted, deduplicated links whose queues changed, or
-    /// `None` when the caller must rebuild the snapshot from scratch.
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>>;
+    /// Applies one committed configuration as per-link slot budgets and
+    /// fills `dirty`, handed in empty, with the sorted, deduplicated links
+    /// whose queues changed. Returns `false` when the caller must rebuild
+    /// the snapshot from scratch instead.
+    fn apply_served(
+        &mut self,
+        served: &[(NodeId, NodeId, u64)],
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> bool;
 
     /// Fills `out`, handed in empty, with one link's `(weight, packets)`
     /// groups in the current state, in any order; groups holding no packets
@@ -118,7 +123,7 @@ pub trait TrafficSource {
     /// Called only for links reported dirty by
     /// [`TrafficSource::apply_served`] or handed to
     /// [`ScheduleEngine::patch_links`];
-    /// sources that always request full rebuilds (return `None` from
+    /// sources that always request full rebuilds (return `false` from
     /// `apply_served`) can leave `out` empty, since no link is ever
     /// reported dirty.
     fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>);
@@ -132,9 +137,13 @@ impl TrafficSource for RemainingTraffic {
         self.link_queues(n)
     }
 
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>> {
-        let (_, moves) = self.apply_budgets_tracked(served);
-        Some(self.dirty_links(&moves))
+    fn apply_served(
+        &mut self,
+        served: &[(NodeId, NodeId, u64)],
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        self.apply_budgets_tracked(served, dirty);
+        true
     }
 
     fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
@@ -151,8 +160,12 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
         (**self).snapshot_queues(n)
     }
 
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>> {
-        (**self).apply_served(served)
+    fn apply_served(
+        &mut self,
+        served: &[(NodeId, NodeId, u64)],
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        (**self).apply_served(served, dirty)
     }
 
     fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
@@ -164,23 +177,25 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
     }
 }
 
-/// A realized configuration: the matching pushed onto the schedule plus the
-/// `(src, dst, slots)` budgets the traffic source should serve under it.
-pub type Realized = Result<(Matching, Vec<(NodeId, NodeId, u64)>), SchedError>;
-
 /// What a *configuration* is on a given fabric: which weight column each
 /// candidate α gets and how a column becomes a configuration
 /// ([`Fabric::weight_sweep`]), and how a chosen link set is realized into a
 /// [`Matching`] plus the per-link slot budgets `T^r` should serve.
 pub trait Fabric {
-    /// Turns the winning link set into the matching pushed onto the schedule
-    /// and the `(src, dst, slots)` budgets applied to the traffic source.
+    /// Turns the winning link set into the matching pushed onto the
+    /// schedule, and fills `budgets`, handed in empty, with the `(src, dst,
+    /// slots)` budgets applied to the traffic source, in serve order.
     ///
     /// # Errors
     /// [`SchedError::Net`] when the link set violates the fabric's port
     /// constraints — the matching kernel and the fabric model disagree,
     /// which a correct kernel never produces.
-    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized;
+    fn realize(
+        &self,
+        links: &[(u32, u32)],
+        alpha: u64,
+        budgets: &mut Vec<(NodeId, NodeId, u64)>,
+    ) -> Result<Matching, SchedError>;
 
     /// The batched multi-α weight sweep of `candidates`: the fixed topology
     /// over the snapshot, from which every candidate's bounds come in one
@@ -218,13 +233,15 @@ pub struct BipartiteFabric {
 }
 
 impl Fabric for BipartiteFabric {
-    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
+    fn realize(
+        &self,
+        links: &[(u32, u32)],
+        alpha: u64,
+        budgets: &mut Vec<(NodeId, NodeId, u64)>,
+    ) -> Result<Matching, SchedError> {
         let matching = Matching::new_free(links.iter().copied())?;
-        let budgets = links
-            .iter()
-            .map(|&(i, j)| (NodeId(i), NodeId(j), alpha))
-            .collect();
-        Ok((matching, budgets))
+        budgets.extend(links.iter().map(|&(i, j)| (NodeId(i), NodeId(j), alpha)));
+        Ok(matching)
     }
 
     fn weight_sweep<'q>(
@@ -252,13 +269,15 @@ pub struct KPortFabric {
 }
 
 impl Fabric for KPortFabric {
-    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
+    fn realize(
+        &self,
+        links: &[(u32, u32)],
+        alpha: u64,
+        budgets: &mut Vec<(NodeId, NodeId, u64)>,
+    ) -> Result<Matching, SchedError> {
         let matching = Matching::new_free_with_capacity(links.iter().copied(), self.r)?;
-        let budgets = links
-            .iter()
-            .map(|&(i, j)| (NodeId(i), NodeId(j), alpha))
-            .collect();
-        Ok((matching, budgets))
+        budgets.extend(links.iter().map(|&(i, j)| (NodeId(i), NodeId(j), alpha)));
+        Ok(matching)
     }
 
     fn weight_sweep<'q>(
@@ -290,15 +309,16 @@ pub struct DuplexFabric<'a> {
 }
 
 impl Fabric for DuplexFabric<'_> {
-    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
+    fn realize(
+        &self,
+        links: &[(u32, u32)],
+        alpha: u64,
+        budgets: &mut Vec<(NodeId, NodeId, u64)>,
+    ) -> Result<Matching, SchedError> {
         let dm = DuplexMatching::new(self.net, links.iter().copied())?;
         let directed = dm.to_directed();
-        let budgets = directed
-            .links()
-            .iter()
-            .map(|&(i, j)| (i, j, alpha))
-            .collect();
-        Ok((directed, budgets))
+        budgets.extend(directed.links().iter().map(|&(i, j)| (i, j, alpha)));
+        Ok(directed)
     }
 
     fn weight_sweep<'q>(
@@ -340,13 +360,19 @@ impl LocalFabric {
 }
 
 impl Fabric for LocalFabric {
-    fn realize(&self, links: &[(u32, u32)], alpha: u64) -> Realized {
+    fn realize(
+        &self,
+        links: &[(u32, u32)],
+        alpha: u64,
+        budgets: &mut Vec<(NodeId, NodeId, u64)>,
+    ) -> Result<Matching, SchedError> {
         let matching = Matching::new_free(links.iter().copied())?;
-        let budgets = links
-            .iter()
-            .map(|&(i, j)| (NodeId(i), NodeId(j), self.slots((i, j), alpha)))
-            .collect();
-        Ok((matching, budgets))
+        budgets.extend(
+            links
+                .iter()
+                .map(|&(i, j)| (NodeId(i), NodeId(j), self.slots((i, j), alpha))),
+        );
+        Ok(matching)
     }
 
     fn weight_sweep<'q>(
@@ -393,7 +419,10 @@ pub struct WindowRun {
 }
 
 /// The shared greedy-iteration engine: a traffic source plus a persistently
-/// maintained queue snapshot, patched link-by-link on every commit.
+/// maintained queue snapshot, patched link-by-link on every commit. The
+/// budget, dirty-link and pair lists a commit or patch fills are buffers the
+/// engine reuses, so once they have grown a commit allocates only the
+/// matching it returns.
 ///
 /// ```
 /// use octopus_core::engine::{BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy};
@@ -420,6 +449,12 @@ pub struct ScheduleEngine<S: TrafficSource> {
     queues: Option<LinkQueues>,
     n: u32,
     delta: u64,
+    /// A commit's realized `(src, dst, slots)` budgets.
+    budgets: Vec<(NodeId, NodeId, u64)>,
+    /// The links a commit or source update changed.
+    dirty: Vec<(u32, u32)>,
+    /// One patched link's `(weight, packets)` groups.
+    pairs: Vec<(f64, u64)>,
 }
 
 impl<S: TrafficSource> ScheduleEngine<S> {
@@ -431,6 +466,9 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             queues: None,
             n,
             delta,
+            budgets: Vec::new(),
+            dirty: Vec::new(),
+            pairs: Vec::new(),
         }
     }
 
@@ -542,40 +580,70 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         links: &[(u32, u32)],
         alpha: u64,
     ) -> Result<Matching, SchedError> {
-        let (matching, budgets) = fabric.realize(links, alpha)?;
-        self.commit_budgets(&budgets);
-        Ok(matching)
+        let mut budgets = std::mem::take(&mut self.budgets);
+        budgets.clear();
+        let realized = fabric.realize(links, alpha, &mut budgets);
+        if realized.is_ok() {
+            self.commit_budgets(&budgets);
+        }
+        self.budgets = budgets;
+        realized
     }
 
     /// Applies explicit per-link slot budgets to the source and patches the
     /// snapshot (used by the hysteresis baseline, which serves an incumbent
     /// matching rather than a freshly selected one).
     pub fn commit_budgets(&mut self, budgets: &[(NodeId, NodeId, u64)]) {
-        match self.source.apply_served(budgets) {
-            Some(dirty) => self.patch_links(&dirty),
-            None => self.queues = None,
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        if self.source.apply_served(budgets, &mut dirty) {
+            self.patch_links(&dirty);
+        } else {
+            self.queues = None;
         }
+        self.dirty = dirty;
+    }
+
+    /// Mutates the source on a link set it reports: `f` gets the source and
+    /// an empty list to fill with every link whose queues it changed, and
+    /// the snapshot is then patched on those links
+    /// ([`ScheduleEngine::patch_links`]). The list is the engine's own,
+    /// reused, so streaming admissions
+    /// ([`RemainingTraffic::admit_subflows_into`]) and cancellations
+    /// ([`RemainingTraffic::cancel_flow_into`]) allocate nothing here.
+    pub fn update_source<R>(&mut self, f: impl FnOnce(&mut S, &mut Vec<(u32, u32)>) -> R) -> R {
+        let mut dirty = std::mem::take(&mut self.dirty);
+        dirty.clear();
+        let out = f(&mut self.source, &mut dirty);
+        self.patch_links(&dirty);
+        self.dirty = dirty;
+        out
     }
 
     /// Brings the cached snapshot back in sync after the traffic source was
     /// mutated behind the engine's back on a known set of links — the
     /// streaming admission/cancellation path ([`RemainingTraffic::admit_subflows`]
-    /// returns exactly this dirty set), the chain-aware variant's chained
-    /// commits, and the patch step of every commit.
+    /// returns exactly this dirty set), the patch step of every commit and
+    /// of [`ScheduleEngine::update_source`].
     /// Each link's `(weight, packets)` groups are re-read from the source
-    /// into one reused buffer and folded into the snapshot's arena; links
-    /// the snapshot has never interned are inserted in sorted position. A
-    /// no-op when no snapshot is cached yet.
+    /// into the engine's reused buffer and folded into the snapshot's arena;
+    /// links the snapshot has never interned are inserted in sorted
+    /// position. A no-op when no snapshot is cached yet.
     ///
     /// Callers mutating the source on an *unknown* link set must use
     /// [`ScheduleEngine::invalidate`] instead.
     pub fn patch_links(&mut self, dirty: &[(u32, u32)]) {
-        if let Some(queues) = self.queues.as_mut() {
-            let mut pairs = Vec::new();
+        let Self {
+            queues,
+            source,
+            pairs,
+            ..
+        } = self;
+        if let Some(queues) = queues.as_mut() {
             for &link in dirty {
                 pairs.clear();
-                self.source.refresh_link(link, &mut pairs);
-                queues.set_link(link, &mut pairs);
+                source.refresh_link(link, pairs);
+                queues.set_link(link, pairs);
             }
         }
     }

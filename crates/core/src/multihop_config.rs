@@ -71,8 +71,7 @@ pub fn octopus_multihop(
         iterations += 1;
         // Advance the plan with chaining: packets move as the hold says.
         let moves = snap.moves(&snap.hold(choice.matching.iter().copied(), choice.alpha));
-        let dirty = engine.source_mut().advance_chained(&moves);
-        engine.patch_links(&dirty);
+        engine.update_source(|tr, dirty| tr.advance_chained(&moves, dirty));
         let Ok(matching) = Matching::new_free(choice.matching.iter().copied()) else {
             debug_assert!(false, "greedy matchings keep ports free");
             break;

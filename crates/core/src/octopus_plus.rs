@@ -379,7 +379,7 @@ impl<'a> PlusState<'a> {
 /// weights at a link depend on route commitments made *anywhere* (a source
 /// packet's options collapse once its first hop is served), so per-link dirty
 /// tracking is not worth it: every commit requests a full snapshot rebuild
-/// by returning `None`.
+/// by returning `false`.
 struct PlusSource<'a> {
     net: &'a Network,
     st: PlusState<'a>,
@@ -397,16 +397,22 @@ impl TrafficSource for PlusSource<'_> {
         )
     }
 
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)]) -> Option<Vec<(u32, u32)>> {
-        let &(_, _, alpha) = served.first()?;
+    fn apply_served(
+        &mut self,
+        served: &[(NodeId, NodeId, u64)],
+        _dirty: &mut Vec<(u32, u32)>,
+    ) -> bool {
+        let Some(&(_, _, alpha)) = served.first() else {
+            return false;
+        };
         debug_assert!(served.iter().all(|&(_, _, a)| a == alpha));
         let links: Vec<(u32, u32)> = served.iter().map(|&(i, j, _)| (i.0, j.0)).collect();
         self.st.apply(self.net, &links, alpha, self.backtracking);
-        None
+        false
     }
 
     fn refresh_link(&self, _link: (u32, u32), _out: &mut Vec<(f64, u64)>) {
-        // `apply_served` always requests a full rebuild (returns `None`),
+        // `apply_served` always requests a full rebuild (returns `false`),
         // so the engine never reports a dirty link to refresh here.
     }
 

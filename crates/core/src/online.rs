@@ -59,10 +59,8 @@ fn admit_epoch(
         };
         subflows.push((f.id, route.clone(), 0, f.size));
     }
-    let tr = engine.source_mut();
-    tr.reset_planned();
-    let dirty = tr.admit_subflows(subflows)?;
-    engine.patch_links(&dirty);
+    engine.source_mut().reset_planned();
+    engine.update_source(|tr, dirty| tr.admit_subflows_into(subflows, dirty))?;
     Ok(arrivals.total_packets())
 }
 

@@ -44,10 +44,25 @@
 //! (`from_subflows`' dedup index and the lazy flow-ID index that
 //! admissions, cancellations and chained commits look rows up through),
 //! which cannot observe iteration order.
+//!
+//! # The event path: one keyed probe, no allocation
+//!
+//! The flow-ID index maps an ID to its *first* row only, under std's keyed
+//! `RandomState` (flow IDs come from clients, and a fixed hash would let a
+//! client force collisions); each row links to the next row with the same
+//! ID, in admission order. Admitting a sub-flow is one `entry` probe, which
+//! either finds the ID's chain (walked for the row whose route matches, or
+//! extended by a new row) or claims the ID for a new row; a cancellation is
+//! one `get` probe and a walk of the chain. Admissions and commits refill
+//! buffers this struct keeps, and report their dirty links into a list the
+//! caller owns ([`crate::ScheduleEngine::update_source`] hands in the
+//! engine's), so once the buffers have grown, an admission that merges into
+//! a live row, a cancellation and a commit allocate nothing here.
 
 use crate::SchedError;
 use octopus_net::NodeId;
 use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 /// One waiting packet group as seen by a link queue: weight, flow ID (the
@@ -63,6 +78,68 @@ struct FlowMeta {
     /// Offset of this flow's per-hop `LinkId`s in
     /// [`RemainingTraffic::flow_links`].
     link_off: u32,
+}
+
+/// End of a flow ID's row chain in [`FlowIndex::next_same`].
+const NO_ROW: u32 = u32::MAX;
+
+/// The flow-ID index of the streaming entry points. Point lookups only —
+/// never iterated on a scheduling path, so hasher order cannot leak into
+/// schedules.
+#[derive(Debug, Clone)]
+struct FlowIndex {
+    /// Flow ID → its first row (index into `flows`).
+    first: HashMap<FlowId, u32>,
+    /// Per row: the next row with the same flow ID, in admission order, or
+    /// [`NO_ROW`]. As long as `flows`.
+    next_same: Vec<u32>,
+}
+
+impl FlowIndex {
+    /// The index over `flows`, built on first use. Admissions keep it
+    /// current afterwards; nothing else adds rows, so once built it never
+    /// goes stale.
+    fn ensure<'a>(index: &'a mut Option<FlowIndex>, flows: &[FlowMeta]) -> &'a mut FlowIndex {
+        index.get_or_insert_with(|| {
+            let mut first = HashMap::with_capacity(flows.len());
+            let mut next_same = vec![NO_ROW; flows.len()];
+            // Backwards, so each row links to the next later row of its ID.
+            for (fi, m) in flows.iter().enumerate().rev() {
+                next_same[fi] = first.insert(m.id, fi as u32).unwrap_or(NO_ROW);
+            }
+            FlowIndex { first, next_same }
+        })
+    }
+
+    /// The rows of `id`, in admission order.
+    fn rows_of(&self, id: FlowId) -> impl Iterator<Item = u32> + '_ {
+        let mut next = self.first.get(&id).copied().unwrap_or(NO_ROW);
+        std::iter::from_fn(move || {
+            let fi = next;
+            (fi != NO_ROW).then(|| {
+                next = self.next_same[fi as usize];
+                fi
+            })
+        })
+    }
+}
+
+/// Buffers that admissions and commits refill on every call, kept so that
+/// the event path stops allocating once they have grown. Their contents are
+/// meaningless between calls.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Admission: the batch's non-empty sub-flows.
+    incoming: Vec<(FlowId, Route, u32, u64)>,
+    /// Admission: `(row, position, count)` of every incoming sub-flow.
+    staged: Vec<(u32, u32, u64)>,
+    /// Admission: hops of new rows on links never seen before, to intern.
+    fresh_keys: Vec<(u32, u32)>,
+    /// Commit: one served link's waiting groups.
+    cands: Vec<QueueEntry>,
+    /// Commit: the last apply's `(row, from-position, count, hop weight)`
+    /// movements, in serve order.
+    moves: Vec<(u32, u32, u64, f64)>,
 }
 
 /// The directed fabric link a route's `pos`-th hop crosses.
@@ -91,11 +168,10 @@ pub struct RemainingTraffic {
     delivered: u64,
     total: u64,
     psi: f64,
-    /// Lazy flow-ID index for the streaming entry points (admit/cancel):
-    /// flow id → indices into `flows`. Point lookups only — never iterated
-    /// on a scheduling path, so hasher order cannot leak into schedules
-    /// (L1-safe). Built on first use; `None` for pure batch runs.
-    index: Option<HashMap<FlowId, Vec<u32>>>,
+    /// Lazy flow-ID index for the streaming entry points (admit, cancel,
+    /// chained commits). Built on first use; `None` for pure batch runs.
+    index: Option<FlowIndex>,
+    scratch: Scratch,
 }
 
 impl RemainingTraffic {
@@ -156,6 +232,7 @@ impl RemainingTraffic {
             total: load.total_packets(),
             psi: 0.0,
             index: None,
+            scratch: Scratch::default(),
         };
         for (fi, f) in load.flows().iter().enumerate() {
             if f.size > 0 {
@@ -213,6 +290,7 @@ impl RemainingTraffic {
             total,
             psi: 0.0,
             index: None,
+            scratch: Scratch::default(),
         };
         for (fi, pos, count) in staged {
             tr.add(fi, pos, count);
@@ -407,26 +485,23 @@ impl RemainingTraffic {
     /// persist from the previous configuration also serve during the Δ
     /// transition and thus get `α + Δ` slots.
     pub fn apply_budgets(&mut self, links: &[(NodeId, NodeId, u64)]) -> f64 {
-        self.apply_budgets_tracked(links).0
-    }
-
-    /// [`RemainingTraffic::apply_budgets`] that also reports the movements
-    /// it made as `(flow index, from-position, count, hop weight)` tuples,
-    /// so the incremental engine can compute which links changed.
-    pub(crate) fn apply_budgets_tracked(
-        &mut self,
-        links: &[(NodeId, NodeId, u64)],
-    ) -> (f64, Vec<(u32, u32, u64, f64)>) {
-        let mut gained = 0.0;
         // Movements are collected first so that chained links inside one
         // matching (e.g. (d,a) and (a,b)) do not let a packet traverse two
         // hops in one configuration — §4's bookkeeping moves each packet at
-        // most one hop per configuration. A link listed twice is served once.
-        let mut served: std::collections::HashSet<(NodeId, NodeId)> = Default::default();
-        let mut moves: Vec<(u32, u32, u64, f64)> = Vec::new();
-        let mut cands: Vec<QueueEntry> = Vec::new();
-        for &(i, j, link_budget) in links {
-            if !served.insert((i, j)) {
+        // most one hop per configuration.
+        let mut moves = std::mem::take(&mut self.scratch.moves);
+        let mut cands = std::mem::take(&mut self.scratch.cands);
+        moves.clear();
+        // A link listed twice is served once, at its first occurrence.
+        // Kernel matchings list their links in ascending order, which rules
+        // a repeat out at once; any other list (a K-port union, a caller's
+        // budgets) is scanned, over at most the `n · r` links of one
+        // configuration.
+        let ascending = links
+            .windows(2)
+            .all(|w| (w[0].0, w[0].1) < (w[1].0, w[1].1));
+        for (k, &(i, j, link_budget)) in links.iter().enumerate() {
+            if !ascending && links[..k].iter().any(|&(a, b, _)| (a, b) == (i, j)) {
                 continue;
             }
             self.entries_on((i.0, j.0), &mut cands);
@@ -441,6 +516,7 @@ impl RemainingTraffic {
                 moves.push((fi, pos, take, w.value()));
             }
         }
+        let mut gained = 0.0;
         for &(fi, pos, take, w) in &moves {
             self.sub(fi, pos, take);
             let hops = self.flows[fi as usize].hops;
@@ -453,15 +529,22 @@ impl RemainingTraffic {
             gained += w * take as f64;
         }
         self.psi += gained;
-        (gained, moves)
+        self.scratch.moves = moves;
+        self.scratch.cands = cands;
+        gained
     }
 
-    /// The links whose queues changed under the given movements: each moved
-    /// group leaves its origin link and (unless delivered) lands on the next
-    /// hop's link. Sorted, deduplicated.
-    pub(crate) fn dirty_links(&self, moves: &[(u32, u32, u64, f64)]) -> Vec<(u32, u32)> {
-        let mut dirty: Vec<(u32, u32)> = Vec::with_capacity(moves.len() * 2);
-        for &(fi, pos, _, _) in moves {
+    /// [`RemainingTraffic::apply_budgets`] that also appends to `dirty` the
+    /// links whose queues changed, leaving it sorted and deduplicated: each
+    /// moved group leaves its origin link and (unless delivered) lands on
+    /// the next hop's link.
+    pub(crate) fn apply_budgets_tracked(
+        &mut self,
+        links: &[(NodeId, NodeId, u64)],
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> f64 {
+        let gained = self.apply_budgets(links);
+        for &(fi, pos, _, _) in &self.scratch.moves {
             let meta = &self.flows[fi as usize];
             dirty.push(link_of(&meta.route, pos));
             if pos + 1 < meta.hops {
@@ -470,7 +553,7 @@ impl RemainingTraffic {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        dirty
+        gained
     }
 
     /// Snapshot of the current sub-flows as `(flow id, route, position,
@@ -495,18 +578,22 @@ impl RemainingTraffic {
     /// hops-advanced, count)` — a packet may cross several hops in one
     /// configuration here (§5). Each movement applies to the `(flow,
     /// route)` row, found through the flow-ID index. ψ gains the weight of
-    /// every traversed hop. Returns the links whose queues changed (origin
-    /// and landing links; intermediate hops hold no packets before or
-    /// after): feed them to [`crate::ScheduleEngine::patch_links`].
+    /// every traversed hop. Appends to `dirty` the links whose queues
+    /// changed (origin and landing links; intermediate hops hold no packets
+    /// before or after), leaving it sorted and deduplicated: run it through
+    /// [`crate::ScheduleEngine::update_source`].
     pub(crate) fn advance_chained(
         &mut self,
         moves: &[(FlowId, Route, u32, u32, u64)],
-    ) -> Vec<(u32, u32)> {
-        self.ensure_index();
-        let mut dirty: Vec<(u32, u32)> = Vec::with_capacity(moves.len() * 2);
+        dirty: &mut Vec<(u32, u32)>,
+    ) {
         for &(id, ref route, pos, advanced, count) in moves {
             debug_assert!(advanced > 0);
-            let Some(fi) = self.flow_index_of(id, route) else {
+            let index = FlowIndex::ensure(&mut self.index, &self.flows);
+            let Some(fi) = index
+                .rows_of(id)
+                .find(|&fi| self.flows[fi as usize].route == *route)
+            else {
                 debug_assert!(false, "chained move names an unknown flow {id}");
                 continue;
             };
@@ -527,42 +614,15 @@ impl RemainingTraffic {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        dirty
     }
 
-    /// Builds the flow-ID point-lookup index on first use. Admissions keep
-    /// it current afterwards; nothing else mutates `flows`, so once built it
-    /// never goes stale.
-    fn ensure_index(&mut self) {
-        if self.index.is_some() {
-            return;
-        }
-        let mut idx: HashMap<FlowId, Vec<u32>> = HashMap::with_capacity(self.flows.len());
-        for (fi, m) in self.flows.iter().enumerate() {
-            idx.entry(m.id).or_default().push(fi as u32);
-        }
-        self.index = Some(idx);
-    }
-
-    /// The bookkeeping row for `(id, route)`, if one exists.
-    fn flow_index_of(&self, id: FlowId, route: &Route) -> Option<u32> {
-        self.index
-            .as_ref()
-            .and_then(|idx| idx.get(&id))
-            .and_then(|cands| {
-                cands
-                    .iter()
-                    .copied()
-                    .find(|&fi| self.flows[fi as usize].route == *route)
-            })
-    }
-
-    /// Interns link keys not yet present: one sorted merge into
-    /// `link_keys`/`rows`, then a dense remap of every stored per-hop
-    /// `LinkId` (an id at or past an insertion point shifts up by the number
-    /// of fresh keys inserted before it). `O(links + hops)` per batch, not
-    /// per key — the mid-window growth path the layout originally forbade.
-    fn intern_new_links(&mut self, mut fresh: Vec<(u32, u32)>) {
+    /// Interns the link keys in `fresh` not yet present, draining it: one
+    /// sorted merge into `link_keys`/`rows`, then a dense remap of every
+    /// stored per-hop `LinkId` (an id at or past an insertion point shifts
+    /// up by the number of fresh keys inserted before it).
+    /// `O(links + hops)` per batch, not per key — the mid-window growth path
+    /// the layout originally forbade.
+    fn intern_new_links(&mut self, fresh: &mut Vec<(u32, u32)>) {
         fresh.sort_unstable();
         fresh.dedup();
         fresh.retain(|k| self.link_keys.binary_search(k).is_err());
@@ -575,7 +635,7 @@ impl RemainingTraffic {
         let mut shift = vec![0u32; old_keys.len()];
         self.link_keys.reserve(old_keys.len() + fresh.len());
         self.rows.reserve(old_rows.len() + fresh.len());
-        let mut fresh_it = fresh.into_iter().peekable();
+        let mut fresh_it = fresh.drain(..).peekable();
         let mut inserted = 0u32;
         for (i, (key, row)) in old_keys.into_iter().zip(old_rows).enumerate() {
             while let Some(k) = fresh_it.next_if(|&k| k < key) {
@@ -606,7 +666,8 @@ impl RemainingTraffic {
     ///
     /// Returns the links whose queues changed, sorted and deduplicated —
     /// feed them to [`crate::ScheduleEngine::patch_links`] to bring a live
-    /// snapshot back in sync.
+    /// snapshot back in sync. [`RemainingTraffic::admit_subflows_into`]
+    /// reports them into a caller's list instead.
     ///
     /// # Errors
     /// [`SchedError::PositionBeyondRoute`] if any entry's position is at or
@@ -617,13 +678,42 @@ impl RemainingTraffic {
         &mut self,
         subflows: impl IntoIterator<Item = (FlowId, Route, u32, u64)>,
     ) -> Result<Vec<(u32, u32)>, SchedError> {
-        let incoming: Vec<(FlowId, Route, u32, u64)> = subflows
-            .into_iter()
-            .filter(|&(_, _, _, count)| count > 0)
-            .collect();
+        let mut dirty = Vec::new();
+        self.admit_subflows_into(subflows, &mut dirty)?;
+        Ok(dirty)
+    }
+
+    /// [`RemainingTraffic::admit_subflows`] that appends the links whose
+    /// queues changed to `dirty`, leaving it sorted and deduplicated, and
+    /// otherwise works on buffers the plan keeps: a sub-flow merging into a
+    /// live row allocates nothing.
+    ///
+    /// # Errors
+    /// As [`RemainingTraffic::admit_subflows`]; `dirty` and the plan are
+    /// untouched on error.
+    pub fn admit_subflows_into(
+        &mut self,
+        subflows: impl IntoIterator<Item = (FlowId, Route, u32, u64)>,
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> Result<(), SchedError> {
+        let mut incoming = std::mem::take(&mut self.scratch.incoming);
+        incoming.extend(subflows.into_iter().filter(|&(.., count)| count > 0));
+        let admitted = self.admit_incoming(&mut incoming, dirty);
+        incoming.clear();
+        self.scratch.incoming = incoming;
+        admitted
+    }
+
+    /// The body of [`RemainingTraffic::admit_subflows_into`] over the
+    /// batch's non-empty sub-flows, which it drains on success.
+    fn admit_incoming(
+        &mut self,
+        incoming: &mut Vec<(FlowId, Route, u32, u64)>,
+        dirty: &mut Vec<(u32, u32)>,
+    ) -> Result<(), SchedError> {
         // Validate everything before mutating anything: an error mid-batch
         // must not leave a half-admitted plan.
-        for &(id, ref route, pos, _) in &incoming {
+        for &(id, ref route, pos, _) in incoming.iter() {
             if pos >= route.hops() {
                 return Err(SchedError::PositionBeyondRoute { flow: id, pos });
             }
@@ -633,64 +723,96 @@ impl RemainingTraffic {
             .try_fold(self.total, |t, &(.., count)| t.checked_add(count))
             .ok_or(SchedError::PacketCountOverflow)?;
         if incoming.is_empty() {
-            return Ok(Vec::new());
+            return Ok(());
         }
-        self.ensure_index();
-        let first_new = self.flows.len();
-        let mut staged: Vec<(u32, u32, u64)> = Vec::with_capacity(incoming.len());
-        let mut fresh_keys: Vec<(u32, u32)> = Vec::new();
-        for (id, route, pos, count) in incoming {
-            let fi = match self.flow_index_of(id, &route) {
+        self.total = total;
+        let (first_new, links_before) = (self.flows.len(), self.flow_links.len());
+        let mut staged = std::mem::take(&mut self.scratch.staged);
+        let mut fresh_keys = std::mem::take(&mut self.scratch.fresh_keys);
+        let index = FlowIndex::ensure(&mut self.index, &self.flows);
+        for (id, route, pos, count) in incoming.drain(..) {
+            // One probe finds the ID's row chain, or claims the ID for the
+            // row about to be added.
+            let new_fi = self.flows.len() as u32;
+            let found = match index.first.entry(id) {
+                Entry::Vacant(slot) => {
+                    slot.insert(new_fi);
+                    None
+                }
+                Entry::Occupied(slot) => {
+                    let mut fi = *slot.get();
+                    loop {
+                        if self.flows[fi as usize].route == route {
+                            break Some(fi);
+                        }
+                        match index.next_same[fi as usize] {
+                            NO_ROW => {
+                                index.next_same[fi as usize] = new_fi;
+                                break None;
+                            }
+                            next => fi = next,
+                        }
+                    }
+                }
+            };
+            let fi = match found {
                 Some(fi) => fi,
                 None => {
-                    let fi = self.flows.len() as u32;
+                    // Each hop of a new row is looked up once. A hop on a
+                    // link never seen before leaves the row's ids short and
+                    // sends the batch through the interning pass below.
                     let hops = route.hops();
+                    let link_off = self.flow_links.len() as u32;
                     for p in 0..hops {
-                        fresh_keys.push(link_of(&route, p));
+                        let link = link_of(&route, p);
+                        match self.link_keys.binary_search(&link) {
+                            Ok(li) => self.flow_links.push(li as u32),
+                            Err(_) => fresh_keys.push(link),
+                        }
                     }
+                    index.next_same.push(NO_ROW);
                     self.flows.push(FlowMeta {
                         id,
                         route,
                         hops,
-                        // Assigned below, after the key merge: hop ids of a
-                        // new flow are only meaningful post-remap.
-                        link_off: u32::MAX,
+                        link_off,
                     });
-                    if let Some(idx) = self.index.as_mut() {
-                        idx.entry(id).or_default().push(fi);
-                    }
-                    fi
+                    new_fi
                 }
             };
             staged.push((fi, pos, count));
         }
-        self.total = total;
-        self.intern_new_links(fresh_keys);
-        for fi in first_new..self.flows.len() {
-            let link_off = self.flow_links.len() as u32;
-            let (hops, route) = {
+        if !fresh_keys.is_empty() {
+            // Intern the fresh keys, which remaps every stored `LinkId`,
+            // then give the new rows their hop ids again: only ids looked
+            // up after the key merge are meaningful.
+            self.flow_links.truncate(links_before);
+            self.intern_new_links(&mut fresh_keys);
+            for fi in first_new..self.flows.len() {
+                let link_off = self.flow_links.len() as u32;
                 let m = &self.flows[fi];
-                (m.hops, m.route.clone())
-            };
-            for pos in 0..hops {
-                let link = link_of(&route, pos);
-                // The key was just interned, so the search always hits;
-                // `unwrap_or_else(|i| i)` keeps this panic-free by
-                // construction (mirrors `intern`).
-                let li = self.link_keys.binary_search(&link).unwrap_or_else(|i| i);
-                debug_assert_eq!(self.link_keys.get(li), Some(&link));
-                self.flow_links.push(li as u32);
+                for pos in 0..m.hops {
+                    let link = link_of(&m.route, pos);
+                    // The key was just interned, so the search always hits;
+                    // `unwrap_or_else(|i| i)` keeps this panic-free by
+                    // construction (mirrors `intern`).
+                    let li = self.link_keys.binary_search(&link).unwrap_or_else(|i| i);
+                    debug_assert_eq!(self.link_keys.get(li), Some(&link));
+                    self.flow_links.push(li as u32);
+                }
+                self.flows[fi].link_off = link_off;
             }
-            self.flows[fi].link_off = link_off;
         }
-        let mut dirty: Vec<(u32, u32)> = Vec::with_capacity(staged.len());
-        for (fi, pos, count) in staged {
+        for &(fi, pos, count) in &staged {
             self.add(fi, pos, count);
             dirty.push(self.link_keys[self.link_id(fi, pos) as usize]);
         }
         dirty.sort_unstable();
         dirty.dedup();
-        Ok(dirty)
+        staged.clear();
+        self.scratch.staged = staged;
+        self.scratch.fresh_keys = fresh_keys;
+        Ok(())
     }
 
     /// Cancels every sub-flow of `id` still waiting in the plan: the
@@ -701,20 +823,25 @@ impl RemainingTraffic {
     ///
     /// Returns `(packets removed, dirty links)` — the links, sorted and
     /// deduplicated, whose queues lost packets.
+    /// [`RemainingTraffic::cancel_flow_into`] reports them into a caller's
+    /// list instead.
     pub fn cancel_flow(&mut self, id: FlowId) -> (u64, Vec<(u32, u32)>) {
-        self.ensure_index();
-        let fis: Vec<u32> = self
-            .index
-            .as_ref()
-            .and_then(|idx| idx.get(&id))
-            .cloned()
-            .unwrap_or_default();
+        let mut dirty = Vec::new();
+        let removed = self.cancel_flow_into(id, &mut dirty);
+        (removed, dirty)
+    }
+
+    /// [`RemainingTraffic::cancel_flow`] that appends the links whose
+    /// queues lost packets to `dirty`, leaving it sorted and deduplicated;
+    /// returns the packets removed. Allocates nothing once the flow-ID
+    /// index is built.
+    pub fn cancel_flow_into(&mut self, id: FlowId, dirty: &mut Vec<(u32, u32)>) -> u64 {
+        let index = FlowIndex::ensure(&mut self.index, &self.flows);
         let mut removed = 0u64;
-        let mut dirty: Vec<(u32, u32)> = Vec::new();
-        for fi in fis {
-            let hops = self.flows[fi as usize].hops;
-            for pos in 0..hops {
-                let li = self.link_id(fi, pos) as usize;
+        for fi in index.rows_of(id) {
+            let meta = &self.flows[fi as usize];
+            for pos in 0..meta.hops {
+                let li = self.flow_links[meta.link_off as usize + pos as usize] as usize;
                 let row = &mut self.rows[li];
                 if let Ok(k) = row.binary_search_by_key(&(fi, pos), |e| e.0) {
                     removed += row[k].1;
@@ -726,7 +853,7 @@ impl RemainingTraffic {
         self.total -= removed;
         dirty.sort_unstable();
         dirty.dedup();
-        (removed, dirty)
+        removed
     }
 }
 
@@ -1659,11 +1786,14 @@ mod tests {
     #[test]
     fn tracked_apply_reports_moves_and_dirty_links() {
         let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
-        let (gained, moves) =
-            tr.apply_budgets_tracked(&[(NodeId(3), NodeId(0), 50), (NodeId(2), NodeId(1), 10)]);
-        assert!((gained - 30.0).abs() < 1e-12); // 50·½ + 10·½
-                                                // f2 moved off (3,0) onto (0,1); f3 moved off (2,1) onto (1,0).
-        let dirty = tr.dirty_links(&moves);
+        let mut dirty = Vec::new();
+        let gained = tr.apply_budgets_tracked(
+            &[(NodeId(3), NodeId(0), 50), (NodeId(2), NodeId(1), 10)],
+            &mut dirty,
+        );
+        // 50·½ + 10·½: f2 moved off (3,0) onto (0,1), f3 off (2,1) onto (1,0).
+        assert!((gained - 30.0).abs() < 1e-12);
+        assert_eq!(tr.scratch.moves, vec![(1, 0, 50, 0.5), (2, 0, 10, 0.5)]);
         assert_eq!(dirty, vec![(0, 1), (1, 0), (2, 1), (3, 0)]);
         // Refreshing the dirty links matches a from-scratch rebuild.
         assert_eq!(refreshed_packets(&tr, (3, 0)), 0); // emptied
@@ -1672,11 +1802,37 @@ mod tests {
         assert_eq!(refreshed_packets(&tr, (1, 0)), 10);
     }
 
+    #[test]
+    fn a_link_listed_twice_is_served_once_at_its_first_occurrence() {
+        let (a, b) = ((NodeId(3), NodeId(0)), (NodeId(2), NodeId(1)));
+        for (listed, once) in [
+            (vec![(a, 20), (b, 10), (a, 30)], vec![(a, 20), (b, 10)]),
+            (vec![(b, 10), (a, 20), (a, 30)], vec![(b, 10), (a, 20)]),
+        ] {
+            let budgets = |l: &[((NodeId, NodeId), u64)]| -> Vec<(NodeId, NodeId, u64)> {
+                l.iter().map(|&((i, j), s)| (i, j, s)).collect()
+            };
+            let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
+            let mut reference = tr.clone();
+            let gained = tr.apply_budgets(&budgets(&listed));
+            assert_eq!(gained, reference.apply_budgets(&budgets(&once)));
+            assert_eq!(tr.scratch.moves, reference.scratch.moves);
+            assert_eq!(waiting(&tr), waiting(&reference));
+        }
+    }
+
     /// Packets [`RemainingTraffic::refresh_link`] reports on `link`.
     fn refreshed_packets(tr: &RemainingTraffic, link: (u32, u32)) -> u64 {
         let mut pairs = Vec::new();
         tr.refresh_link(link, &mut pairs);
         pairs.iter().map(|&(_, c)| c).sum()
+    }
+
+    /// Applies `serve` to `tr` and returns the dirty links it reports.
+    fn served(tr: &mut RemainingTraffic, serve: &[(NodeId, NodeId, u64)]) -> Vec<(u32, u32)> {
+        let mut dirty = Vec::new();
+        tr.apply_budgets_tracked(serve, &mut dirty);
+        dirty
     }
 
     /// Re-derives `dirty` from `tr` into `q`, as the engine's commit does.
@@ -1734,8 +1890,8 @@ mod tests {
             &[(NodeId(3), NodeId(0), 500)],
         ];
         for serve in serves {
-            let (_, moves) = tr.apply_budgets_tracked(serve);
-            patch(&mut patched, &tr, &tr.dirty_links(&moves));
+            let dirty = served(&mut tr, serve);
+            patch(&mut patched, &tr, &dirty);
             assert_live_bits_match_spans(&patched);
             assert_snapshots_equal(&patched, &tr.link_queues(4));
         }
@@ -1767,8 +1923,8 @@ mod tests {
         assert_live_bits_match_spans(&q);
         let keys = q.links.clone();
         for &(i, j) in keys.iter().step_by(4) {
-            let (_, moves) = tr.apply_budgets_tracked(&[(NodeId(i), NodeId(j), 100)]);
-            patch(&mut q, &tr, &tr.dirty_links(&moves));
+            let dirty = served(&mut tr, &[(NodeId(i), NodeId(j), 100)]);
+            patch(&mut q, &tr, &dirty);
             assert_live_bits_match_spans(&q);
         }
         let fresh = (0..2u32).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
@@ -1856,8 +2012,8 @@ mod tests {
         let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
         let mut q = tr.link_queues(4);
         let checkpoint = q.clone();
-        let (_, moves) = tr.apply_budgets_tracked(&[(NodeId(0), NodeId(1), 100)]);
-        patch(&mut q, &tr, &tr.dirty_links(&moves));
+        let dirty = served(&mut tr, &[(NodeId(0), NodeId(1), 100)]);
+        patch(&mut q, &tr, &dirty);
         // All 100 packets of f1 left (0, 1); the checkpoint still holds them.
         assert!(q.queue(0, 1).is_none());
         assert_eq!(checkpoint.queue(0, 1).unwrap().total_packets(), 100);
@@ -2051,6 +2207,92 @@ mod tests {
             .unwrap();
         let cold = RemainingTraffic::from_subflows(tr.subflows(), HopWeighting::Uniform);
         assert_snapshots_equal(&tr.link_queues(4), &cold.link_queues(4));
+    }
+
+    /// Every waiting sub-flow as `(id, route, position, count)`, sorted.
+    fn waiting(tr: &RemainingTraffic) -> Vec<(u64, Vec<u32>, u32, u64)> {
+        let mut v: Vec<_> = tr
+            .subflows()
+            .into_iter()
+            .map(|(id, route, pos, count)| {
+                let nodes = route.nodes().iter().map(|v| v.0).collect();
+                (id.0, nodes, pos, count)
+            })
+            .collect();
+        v.sort();
+        v
+    }
+
+    #[test]
+    fn flow_index_chains_one_id_across_three_routes() {
+        // One flow ID on three routes, with another ID's row between them,
+        // so the ID's row chain skips a row. After every step the plan must
+        // equal a cold rebuild of the expected sub-flows.
+        let route = |ids: &[u32]| Route::from_ids(ids.iter().copied()).unwrap();
+        let (a, b, c) = (route(&[0, 1, 2]), route(&[3, 4]), route(&[5, 3, 4, 0]));
+        let id = FlowId(1);
+        let mut tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
+        let mut expected = vec![(FlowId(7), route(&[1, 2]), 0, 4)];
+        let check = |tr: &RemainingTraffic, expected: &[(FlowId, Route, u32, u64)]| {
+            let cold = RemainingTraffic::from_subflows(expected.to_vec(), HopWeighting::Uniform);
+            assert_eq!(waiting(tr), waiting(&cold));
+            assert_eq!(tr.remaining_packets(), cold.remaining_packets());
+            assert_snapshots_equal(&tr.link_queues(6), &cold.link_queues(6));
+        };
+
+        // Admit all three routes: the first alone, then the other ID, then
+        // the second and third in one batch.
+        let mut dirty = Vec::new();
+        tr.admit_subflows_into([(id, a.clone(), 0, 10)], &mut dirty)
+            .unwrap();
+        assert_eq!(dirty, vec![(0, 1)]);
+        assert_eq!(tr.admit_subflows(expected.clone()).unwrap(), vec![(1, 2)]);
+        let batch = [(id, b.clone(), 0, 6), (id, c.clone(), 0, 5)];
+        assert_eq!(
+            tr.admit_subflows(batch.clone()).unwrap(),
+            vec![(3, 4), (5, 3)]
+        );
+        expected.extend([(id, a.clone(), 0, 10)]);
+        expected.extend(batch);
+        assert_eq!(tr.flows.len(), 4);
+        check(&tr, &expected);
+
+        // Top up the second route: it merges into the ID's second row.
+        assert_eq!(
+            tr.admit_subflows([(id, b.clone(), 0, 3)]).unwrap(),
+            vec![(3, 4)]
+        );
+        expected[2].3 += 3;
+        assert_eq!(tr.flows.len(), 4);
+        check(&tr, &expected);
+
+        // Chain the third route's packets two hops: the row is found by
+        // route through the index, not by ID alone.
+        let mut dirty = Vec::new();
+        tr.advance_chained(&[(id, c.clone(), 0, 2, 5)], &mut dirty);
+        assert_eq!(dirty, vec![(4, 0), (5, 3)]);
+        assert!((tr.planned_psi() - 5.0 * 2.0 / 3.0).abs() < 1e-12);
+        expected[3].2 = 2;
+        check(&tr, &expected);
+
+        // Cancelling the ID empties all three of its rows.
+        let mut dirty = Vec::new();
+        assert_eq!(tr.cancel_flow_into(id, &mut dirty), 10 + 9 + 5);
+        assert_eq!(dirty, vec![(0, 1), (3, 4), (4, 0)]);
+        expected.retain(|e| e.0 != id);
+        check(&tr, &expected);
+
+        // Re-admitting the first route reuses its row, the ID's first.
+        assert_eq!(
+            tr.admit_subflows([(id, a.clone(), 0, 2)]).unwrap(),
+            vec![(0, 1)]
+        );
+        expected.push((id, a, 0, 2));
+        assert_eq!(tr.flows.len(), 4);
+        let index = tr.index.as_ref().unwrap();
+        assert_eq!(index.rows_of(id).collect::<Vec<_>>(), vec![0, 2, 3]);
+        assert_eq!(index.rows_of(FlowId(7)).collect::<Vec<_>>(), vec![1]);
+        check(&tr, &expected);
     }
 
     #[test]

@@ -29,7 +29,7 @@ impl Matching {
         I: IntoIterator<Item = E>,
         E: Into<(u32, u32)>,
     {
-        let m = Self::new_unchecked_edges(links)?;
+        let m = Self::new_free(links)?;
         for &(i, j) in &m.links {
             if !net.has_edge(i, j) {
                 return Err(NetError::LinkNotInNetwork(i, j));
@@ -49,35 +49,7 @@ impl Matching {
         I: IntoIterator<Item = E>,
         E: Into<(u32, u32)>,
     {
-        Self::new_unchecked_edges(links)
-    }
-
-    fn new_unchecked_edges<I, E>(links: I) -> Result<Self, NetError>
-    where
-        I: IntoIterator<Item = E>,
-        E: Into<(u32, u32)>,
-    {
-        let mut list: Vec<Link> = Vec::new();
-        for e in links {
-            let (i, j) = e.into();
-            if i == j {
-                return Err(NetError::SelfLoop(NodeId(i)));
-            }
-            list.push((NodeId(i), NodeId(j)));
-        }
-        list.sort_unstable();
-        list.dedup();
-        let mut out_seen = std::collections::HashSet::new();
-        let mut in_seen = std::collections::HashSet::new();
-        for &(i, j) in &list {
-            if !out_seen.insert(i) {
-                return Err(NetError::OutputPortConflict(i));
-            }
-            if !in_seen.insert(j) {
-                return Err(NetError::InputPortConflict(j));
-            }
-        }
-        Ok(Matching { links: list })
+        Self::new_free_with_capacity(links, 1)
     }
 
     /// Builds a **multi-port** link set for fabrics whose nodes have `r`
@@ -88,12 +60,18 @@ impl Matching {
     /// The graph-membership check is the caller's responsibility (compose
     /// with [`Network::has_edge`]); port-capacity invariants are enforced
     /// here. `r = 1` is equivalent to [`Matching::new_free`].
+    ///
+    /// A rejected set names the port of its first overloading link in
+    /// `(src, dst)` order, the output port when that link overloads both.
+    /// Both overloads are found from sorted orders of the links alone, so
+    /// nothing is hashed and nothing is sized by the largest node ID.
     pub fn new_free_with_capacity<I, E>(links: I, r: u32) -> Result<Self, NetError>
     where
         I: IntoIterator<Item = E>,
         E: Into<(u32, u32)>,
     {
-        let mut list: Vec<Link> = Vec::new();
+        let links = links.into_iter();
+        let mut list: Vec<Link> = Vec::with_capacity(links.size_hint().0);
         for e in links {
             let (i, j) = e.into();
             if i == j {
@@ -101,23 +79,27 @@ impl Matching {
             }
             list.push((NodeId(i), NodeId(j)));
         }
-        list.sort_unstable();
+        // A link overloads a port when `r` links before it in `(src, dst)`
+        // order share that port. Sorted by `(dst, src)`, a destination's
+        // links sit together in that same order, so its overloading links
+        // are those `r` places after a link with the same destination.
+        let r = r as usize;
+        list.sort_unstable_by_key(|&(i, j)| (j, i));
         list.dedup();
-        let mut out_deg = std::collections::HashMap::new();
-        let mut in_deg = std::collections::HashMap::new();
-        for &(i, j) in &list {
-            let o = out_deg.entry(i).or_insert(0u32);
-            *o += 1;
-            if *o > r {
-                return Err(NetError::OutputPortConflict(i));
-            }
-            let d = in_deg.entry(j).or_insert(0u32);
-            *d += 1;
-            if *d > r {
-                return Err(NetError::InputPortConflict(j));
-            }
+        let first_in = (r..list.len())
+            .filter(|&k| list[k - r].1 == list[k].1)
+            .map(|k| list[k])
+            .min();
+        list.sort_unstable();
+        let first_out = (r..list.len())
+            .find(|&k| list[k - r].0 == list[k].0)
+            .map(|k| list[k]);
+        match (first_out, first_in) {
+            (Some(out), Some(inp)) if inp < out => Err(NetError::InputPortConflict(inp.1)),
+            (Some((i, _)), _) => Err(NetError::OutputPortConflict(i)),
+            (None, Some((_, j))) => Err(NetError::InputPortConflict(j)),
+            (None, None) => Ok(Matching { links: list }),
         }
-        Ok(Matching { links: list })
     }
 
     /// The empty matching.
@@ -162,7 +144,7 @@ impl Matching {
     /// Returns `Err` if the union would violate the matching property; this
     /// is how multi-matching (K-port) configurations detect conflicts.
     pub fn union(&self, other: &Matching) -> Result<Matching, NetError> {
-        Self::new_unchecked_edges(
+        Self::new_free(
             self.links
                 .iter()
                 .chain(other.links.iter())
@@ -191,7 +173,7 @@ impl Matching {
     /// Collects an iterator of links into a matching, validating the
     /// port-disjointness invariants.
     pub fn try_from_links<T: IntoIterator<Item = Link>>(iter: T) -> Result<Self, NetError> {
-        Matching::new_unchecked_edges(iter.into_iter().map(|(i, j)| (i.0, j.0)))
+        Matching::new_free(iter.into_iter().map(|(i, j)| (i.0, j.0)))
     }
 }
 

@@ -1,8 +1,108 @@
 //! Property-based tests for the network model: matchings, schedules and
 //! topology builders.
 
-use octopus_net::{topology, Configuration, Matching, NetError, Network, Schedule};
+use octopus_net::{topology, Configuration, Link, Matching, NetError, Network, NodeId, Schedule};
 use proptest::prelude::*;
+use std::collections::{HashMap, HashSet};
+
+/// The port check `Matching::new_free_with_capacity` made with hash maps,
+/// kept as the reference its sorted-order check must agree with: walk the
+/// sorted, deduplicated links and stop at the first one that takes a port
+/// past `r`, checking its output port first.
+fn reference_with_capacity(links: &[(u32, u32)], r: u32) -> Result<Vec<Link>, NetError> {
+    let mut list: Vec<Link> = Vec::new();
+    for &(i, j) in links {
+        if i == j {
+            return Err(NetError::SelfLoop(NodeId(i)));
+        }
+        list.push((NodeId(i), NodeId(j)));
+    }
+    list.sort_unstable();
+    list.dedup();
+    let mut out_deg = HashMap::new();
+    let mut in_deg = HashMap::new();
+    for &(i, j) in &list {
+        let o = out_deg.entry(i).or_insert(0u32);
+        *o += 1;
+        if *o > r {
+            return Err(NetError::OutputPortConflict(i));
+        }
+        let d = in_deg.entry(j).or_insert(0u32);
+        *d += 1;
+        if *d > r {
+            return Err(NetError::InputPortConflict(j));
+        }
+    }
+    Ok(list)
+}
+
+/// The port check `Matching::new_free` made with two hash sets, kept as the
+/// reference its sorted-order check must agree with.
+fn reference_free(links: &[(u32, u32)]) -> Result<Vec<Link>, NetError> {
+    let mut list: Vec<Link> = Vec::new();
+    for &(i, j) in links {
+        if i == j {
+            return Err(NetError::SelfLoop(NodeId(i)));
+        }
+        list.push((NodeId(i), NodeId(j)));
+    }
+    list.sort_unstable();
+    list.dedup();
+    let mut out_seen = HashSet::new();
+    let mut in_seen = HashSet::new();
+    for &(i, j) in &list {
+        if !out_seen.insert(i) {
+            return Err(NetError::OutputPortConflict(i));
+        }
+        if !in_seen.insert(j) {
+            return Err(NetError::InputPortConflict(j));
+        }
+    }
+    Ok(list)
+}
+
+/// Node IDs that collide often (0..8) mixed with extremes up to `u32::MAX`.
+fn node_id() -> impl Strategy<Value = u32> {
+    (0u32..12, 0u32..=u32::MAX).prop_map(|(k, big)| match k {
+        0..=7 => k,
+        8 => u32::MAX,
+        9 => u32::MAX - 1,
+        10 => 1 << 31,
+        _ => big,
+    })
+}
+
+/// Link lists with self-loops, duplicates and conflicts on both port kinds.
+fn link_list() -> impl Strategy<Value = Vec<(u32, u32)>> {
+    prop::collection::vec((node_id(), node_id()), 0..14)
+}
+
+#[test]
+fn a_link_to_the_largest_node_id_is_a_matching() {
+    let m = Matching::new_free([(0u32, u32::MAX)]).unwrap();
+    assert_eq!(m.links(), &[(NodeId(0), NodeId(u32::MAX))]);
+    let k = Matching::new_free_with_capacity([(u32::MAX, 0u32), (u32::MAX, 1)], 2).unwrap();
+    assert_eq!(k.len(), 2);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn new_free_agrees_with_the_hash_set_reference(links in link_list()) {
+        let got = Matching::new_free(links.clone()).map(|m| m.links().to_vec());
+        prop_assert_eq!(got, reference_free(&links), "links {:?}", links);
+    }
+
+    #[test]
+    fn new_free_with_capacity_agrees_with_the_hash_map_reference(
+        links in link_list(),
+        r in (0u32..6).prop_map(|r| if r == 5 { u32::MAX } else { r }),
+    ) {
+        let got = Matching::new_free_with_capacity(links.clone(), r).map(|m| m.links().to_vec());
+        prop_assert_eq!(got, reference_with_capacity(&links, r), "links {:?}, r = {}", links, r);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]

@@ -2,11 +2,17 @@
 //! [`RemainingTraffic`], mutated event by event and re-planned on demand.
 //!
 //! Arrivals and cancellations go through the flat state layer's streaming
-//! entry points ([`RemainingTraffic::admit_subflows`] /
-//! [`RemainingTraffic::cancel_flow`]) and patch the engine's cached queue
-//! snapshot on exactly the dirty links ([`ScheduleEngine::patch_links`]) —
-//! the snapshot is *never* rebuilt from scratch between re-plans, which is
-//! what keeps per-event cost independent of the backlog size.
+//! entry points ([`RemainingTraffic::admit_subflows_into`] /
+//! [`RemainingTraffic::cancel_flow_into`]) under
+//! [`ScheduleEngine::update_source`], which patches the engine's cached
+//! queue snapshot on exactly the dirty links — the snapshot is *never*
+//! rebuilt from scratch between re-plans, which is what keeps per-event
+//! cost independent of the backlog size. Each finds the flow's rows with
+//! one probe of the plan's flow-ID index, a std `HashMap` under its keyed
+//! `RandomState` (clients choose flow IDs, so an unkeyed hash would let one
+//! force collisions), and works on buffers the plan and the engine reuse:
+//! an `Arrival` for a live `(id, route)` allocates only its parsed route
+//! and its `Route`, and a `Cancel` nothing.
 
 use crate::protocol::{Event, PlanConfig, Response, ServeStats};
 use octopus_core::online::{check_hysteresis, hysteresis_replan, HysteresisStep};
@@ -153,19 +159,18 @@ impl ServeState {
             .admitted_packets
             .checked_add(size)
             .ok_or(SchedError::PacketCountOverflow)?;
-        let dirty = self
-            .engine
-            .source_mut()
-            .admit_subflows([(FlowId(id), route, 0, size)])?;
-        self.engine.patch_links(&dirty);
+        let entry = [(FlowId(id), route, 0, size)];
+        self.engine
+            .update_source(|tr, dirty| tr.admit_subflows_into(entry, dirty))?;
         self.stats.admitted_packets = admitted;
         Ok(self.backlog())
     }
 
     /// Cancels every queued packet of `id`; returns the removed count.
     pub fn cancel(&mut self, id: u64) -> u64 {
-        let (removed, dirty) = self.engine.source_mut().cancel_flow(FlowId(id));
-        self.engine.patch_links(&dirty);
+        let removed = self
+            .engine
+            .update_source(|tr, dirty| tr.cancel_flow_into(FlowId(id), dirty));
         self.stats.cancelled_packets += removed;
         removed
     }

@@ -43,13 +43,10 @@ impl Route {
         if nodes.len() < 2 {
             return Err(TrafficError::RouteTooShort);
         }
-        let mut seen = std::collections::HashSet::new();
-        for &v in nodes.iter() {
-            if !seen.insert(v) {
-                return Err(TrafficError::RouteRevisitsNode(v));
-            }
+        match first_revisit(&nodes) {
+            Some(v) => Err(TrafficError::RouteRevisitsNode(v)),
+            None => Ok(Route { nodes }),
         }
-        Ok(Route { nodes })
     }
 
     /// Convenience constructor from raw u32 ids.
@@ -98,6 +95,30 @@ impl Route {
     pub fn is_direct(&self) -> bool {
         self.nodes.len() == 2
     }
+}
+
+/// Routes up to this many nodes are checked for revisits pairwise, without
+/// touching the heap; a longer one (a route read from a client may list
+/// thousands of nodes) sorts a copy, so the check stays `O(len log len)`.
+const PAIRWISE_ROUTE_NODES: usize = 16;
+
+/// The node at the earliest position that repeats an earlier one, if any.
+fn first_revisit(nodes: &[NodeId]) -> Option<NodeId> {
+    if nodes.len() <= PAIRWISE_ROUTE_NODES {
+        return (1..nodes.len())
+            .find(|&k| nodes[..k].contains(&nodes[k]))
+            .map(|k| nodes[k]);
+    }
+    // Sorted by node then position, every repeat follows an equal node,
+    // and the smallest such position is the earliest revisit.
+    let mut by_node: Vec<(NodeId, usize)> = nodes.iter().copied().zip(0..).collect();
+    by_node.sort_unstable();
+    by_node
+        .windows(2)
+        .filter(|w| w[0].0 == w[1].0)
+        .map(|w| w[1].1)
+        .min()
+        .map(|k| nodes[k])
 }
 
 /// A traffic flow: `size` packets from `src` to `dst`, with one or more

@@ -2,10 +2,68 @@
 //! sweep-knob conservation, route feasibility and CSV round-trips.
 
 use octopus_net::topology;
-use octopus_traffic::{synthetic, synthetic::SyntheticConfig, DemandMatrix};
+use octopus_net::NodeId;
+use octopus_traffic::{synthetic, synthetic::SyntheticConfig, DemandMatrix, Route, TrafficError};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+
+/// The revisit check `Route::new` made with a hash set, kept as the
+/// reference its hash-free check must agree with: the error names the
+/// first node, in route order, seen before.
+fn reference_route(ids: &[u32]) -> Result<Vec<NodeId>, TrafficError> {
+    if ids.len() < 2 {
+        return Err(TrafficError::RouteTooShort);
+    }
+    let mut seen = std::collections::HashSet::new();
+    for &v in ids {
+        if !seen.insert(v) {
+            return Err(TrafficError::RouteRevisitsNode(NodeId(v)));
+        }
+    }
+    Ok(ids.iter().map(|&v| NodeId(v)).collect())
+}
+
+/// Node IDs that repeat often (0..24) mixed with extremes up to `u32::MAX`.
+fn node_id() -> impl Strategy<Value = u32> {
+    (0u32..28, 0u32..=u32::MAX).prop_map(|(k, big)| match k {
+        0..=23 => k,
+        24 => u32::MAX,
+        25 => u32::MAX - 1,
+        26 => 1 << 31,
+        _ => big,
+    })
+}
+
+/// Routes of 0–40 nodes, so both the pairwise check (up to 16 nodes) and
+/// the sorted one run: random lists (long ones nearly always revisit), and
+/// distinct lists with one node optionally copied to another position.
+fn route_ids() -> impl Strategy<Value = Vec<u32>> {
+    let distinct = (0usize..40, 0u32..=u32::MAX, 0usize..80, 0usize..80, 0u32..2).prop_map(
+        |(len, salt, from, to, repeat)| {
+            let mut ids: Vec<u32> = (0..len as u32)
+                .map(|k| k.wrapping_mul(2_654_435_761) ^ salt)
+                .collect();
+            if repeat == 1 && len > 0 {
+                let v = ids[from % len];
+                ids.insert(to % (len + 1), v);
+            }
+            ids
+        },
+    );
+    (0u32..2, prop::collection::vec(node_id(), 0..40), distinct)
+        .prop_map(|(pick, random, distinct)| if pick == 0 { random } else { distinct })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn route_new_agrees_with_the_hash_set_reference(ids in route_ids()) {
+        let got = Route::from_ids(ids.iter().copied()).map(|r| r.nodes().to_vec());
+        prop_assert_eq!(got, reference_route(&ids), "route {:?}", ids);
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]

@@ -13,7 +13,8 @@
 //!   links the commit re-derives (the snapshot's generation step).
 //! * Every warm canonical `Arrival` and `Cancel` line through
 //!   `octopus_serve::serve_lines` stays within `ARRIVAL_LINE` and
-//!   `CANCEL_LINE`: the wire codec adds only the parsed route.
+//!   `CANCEL_LINE`: the wire codec adds only the parsed route, and the
+//!   admission only its `Route`.
 //!
 //! The counter is a `const`-initialised thread local, so tests running in
 //! parallel on other threads never mix into a count.
@@ -157,14 +158,18 @@ const SELECT_BASE: u64 = 22;
 /// the kernel workspace (one today; the bound leaves one spare).
 const SELECT_PER_SOLVE: u64 = 2;
 /// Allocations a commit may make besides re-deriving its dirty links: the
-/// realized matching, its budgets, the served-link set, the move and
-/// dirty-link lists, and the growth of its two reused entry buffers.
-const COMMIT_BASE: u64 = 16;
+/// realized matching it returns, nothing else. Its budget, candidate,
+/// move, dirty-link and pair lists are buffers the engine and the plan
+/// reuse, and the served-link check scans the budget list in place; the
+/// buffers' growth on a window's first commits falls within the per-dirty
+/// term.
+const COMMIT_BASE: u64 = 1;
 /// Allocations per dirty link: a link's `(weight, packets)` groups are read
-/// into one buffer per commit and folded straight into the snapshot's
-/// arena, so what is left per link is amortized growth of the plan's rows
-/// and of the arena (at most 0.5 per dirty link over the base today at
-/// n = 32–128: 24–77 allocations per commit for 25–199 dirty links).
+/// into the engine's reused buffer and folded straight into the snapshot's
+/// arena, so what is left per link is amortized growth of the plan's rows,
+/// of the arena and, on a window's first commits, of the reused buffers
+/// (at most 0.53 per dirty link over the base today at n = 32–128: 1–41
+/// allocations per commit for 25–199 dirty links).
 const COMMIT_PER_DIRTY: u64 = 1;
 
 #[test]
@@ -207,17 +212,17 @@ impl std::io::Write for FlushCounts {
 }
 
 /// Allocations per warm canonical `Arrival` line through `serve_lines`,
-/// parse and reply included. The codec's share is the parsed route `Vec`
-/// alone (the reply is written into a buffer reused from line to line);
-/// the admission path makes the rest: `Route::from_ids`' node list,
-/// `admit_subflows`' incoming, staged and dirty-link lists, `patch_links`'
-/// pair buffer, and amortized growth of the snapshot's arena (6–8 in all
-/// today).
-const ARRIVAL_LINE: u64 = 8;
-/// Allocations per warm canonical `Cancel` line: `cancel_flow`'s copy of the
-/// flow's row list and its dirty-link list, and `patch_links`' pair buffer
-/// when a dirty link keeps packets (2 today). The codec makes none.
-const CANCEL_LINE: u64 = 3;
+/// parse and reply included: the codec's parsed route `Vec` (the reply is
+/// written into a buffer reused from line to line), `Route::from_ids`' node
+/// list, and now and then amortized growth of the snapshot's arena (2 on
+/// most lines today, 3 at most). Admission merges into the flow's live row
+/// through one keyed probe of the flow-ID index, on the plan's reused
+/// buffers, and the patch reuses the engine's.
+const ARRIVAL_LINE: u64 = 3;
+/// Allocations per warm canonical `Cancel` line: none. The flow's rows are
+/// walked along the index's row chain, and the dirty-link and pair lists
+/// are the engine's reused buffers. The codec makes none either.
+const CANCEL_LINE: u64 = 0;
 
 #[test]
 fn event_lines_stay_within_budget() {
