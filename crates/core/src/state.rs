@@ -21,15 +21,18 @@
 //! Both `T^r` and the [`LinkQueues`] snapshot are stored in sorted-vec /
 //! arena form rather than `BTreeMap`s (see DESIGN.md §6):
 //!
-//! * every fabric link a route can cross is *interned* into a sorted
-//!   `Vec<(u32, u32)>`; the dense index into that vec is the link's
-//!   `LinkId`, and each flow precomputes the `LinkId` of every hop. The key
-//!   vector is seeded at load and **may grow mid-window**: admitting a flow
-//!   whose route crosses an unknown link sorted-inserts the new keys and
-//!   remaps every stored `LinkId` in one pass
-//!   ([`RemainingTraffic::admit_subflows`]);
+//! * every fabric link a route can cross is *interned* once under a stable
+//!   dense `LinkId`, and each flow precomputes the `LinkId` of every hop.
+//!   A cold load numbers its links in ascending key order; a link first
+//!   seen mid-window (admitting a flow whose route crosses it,
+//!   [`RemainingTraffic::admit_subflows`]) takes the next free id, and no
+//!   stored id ever moves. Keys are found through `LinkTable`'s sorted
+//!   per-source adjacency, and every walk whose order can reach a schedule
+//!   (the snapshot build, [`RemainingTraffic::subflows`]) goes through it in
+//!   key order, never in id order;
 //! * `T^r` keeps one flat row `Vec<((flow index, position), count)>` per
-//!   `LinkId`, sorted by key — the same total order the old per-link
+//!   `LinkId`, sorted by `(flow index, position)`; walked in link-key order,
+//!   the rows visit sub-flows in the same total order the old per-link
 //!   `BTreeMap` iterated in, so schedules are bit-identical by construction;
 //! * [`LinkQueues`] is a CSR: the sorted link keys in one vec, a parallel
 //!   `(offset, len)` span per link, and three contiguous arenas holding the
@@ -38,12 +41,13 @@
 //!
 //! Determinism note (enforced by `clippy::iter_over_hash_type`,
 //! `clippy::disallowed_methods` and `clippy::disallowed_types`): everything
-//! that is ever *iterated* on a scheduling path walks these sorted vecs, so
-//! iteration order is a fixed total order independent of hasher seeds and
-//! insertion history. `HashMap` remains only for pure point lookups
-//! (`from_subflows`' dedup index and the lazy flow-ID index that
-//! admissions, cancellations and chained commits look rows up through),
-//! which cannot observe iteration order.
+//! that is ever *iterated* on a scheduling path walks these sorted vecs or
+//! the link table's sorted index, so iteration order is a fixed total order
+//! independent of hasher seeds and of the order links were interned in.
+//! `HashMap` remains only for pure point lookups (`from_subflows`' dedup
+//! index and the lazy flow-ID index that admissions, cancellations and
+//! chained commits look rows up through), which cannot observe iteration
+//! order.
 //!
 //! # The event path: one keyed probe, no allocation
 //!
@@ -57,7 +61,13 @@
 //! buffers this struct keeps, and report their dirty links into a list the
 //! caller owns ([`crate::ScheduleEngine::update_source`] hands in the
 //! engine's), so once the buffers have grown, an admission that merges into
-//! a live row, a cancellation and a commit allocate nothing here.
+//! a live row, a cancellation and a commit allocate nothing here. A new
+//! row's hops are looked up in the link table as they are filed, and a hop
+//! on a link never seen before is interned right there: one key and one
+//! row appended, one entry inserted into its source's adjacency. Nothing
+//! already stored is renumbered, so a new link costs at most a memmove of
+//! one node's adjacency (and of the source list, for a new source), never
+//! a pass over every interned link.
 
 use crate::SchedError;
 use octopus_net::NodeId;
@@ -133,8 +143,6 @@ struct Scratch {
     incoming: Vec<(FlowId, Route, u32, u64)>,
     /// Admission: `(row, position, count)` of every incoming sub-flow.
     staged: Vec<(u32, u32, u64)>,
-    /// Admission: hops of new rows on links never seen before, to intern.
-    fresh_keys: Vec<(u32, u32)>,
     /// Commit: one served link's waiting groups.
     cands: Vec<QueueEntry>,
     /// Commit: the last apply's `(row, from-position, count, hop weight)`
@@ -148,6 +156,63 @@ fn link_of(route: &Route, pos: u32) -> (u32, u32) {
     (i.0, j.0)
 }
 
+/// Every link any route can cross, each under a stable dense `LinkId`,
+/// with a sorted index over the keys. Grows on mid-window admission, one
+/// key at a time; never shrinks, and never renumbers a link.
+///
+/// The index is the sorted list of distinct source nodes, each with its
+/// `(destination, LinkId)` adjacency sorted by destination: a lookup is two
+/// short binary searches, an insertion a memmove of one source's adjacency
+/// (and, for a source never seen before, of the source list), and nothing
+/// is sized by a node ID, which clients choose.
+#[derive(Debug, Clone, Default)]
+struct LinkTable {
+    /// Per `LinkId`: its `(source, destination)` key.
+    keys: Vec<(u32, u32)>,
+    /// Distinct source nodes, ascending.
+    sources: Vec<u32>,
+    /// Per entry of `sources`: `(destination, LinkId)`, ascending.
+    adjacency: Vec<Vec<(u32, u32)>>,
+}
+
+impl LinkTable {
+    /// Links interned so far.
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The `LinkId` of `link`, if interned.
+    fn id(&self, (i, j): (u32, u32)) -> Option<usize> {
+        let adj = &self.adjacency[self.sources.binary_search(&i).ok()?];
+        let d = adj.binary_search_by_key(&j, |&(dst, _)| dst).ok()?;
+        Some(adj[d].1 as usize)
+    }
+
+    /// The `LinkId` of `link`, interning it under the next free id if new.
+    fn intern(&mut self, (i, j): (u32, u32)) -> u32 {
+        let s = self.sources.binary_search(&i).unwrap_or_else(|s| {
+            self.sources.insert(s, i);
+            self.adjacency.insert(s, Vec::new());
+            s
+        });
+        let adj = &mut self.adjacency[s];
+        match adj.binary_search_by_key(&j, |&(dst, _)| dst) {
+            Ok(d) => adj[d].1,
+            Err(d) => {
+                let li = self.keys.len() as u32;
+                adj.insert(d, (j, li));
+                self.keys.push((i, j));
+                li
+            }
+        }
+    }
+
+    /// Every `LinkId`, in ascending key order.
+    fn in_key_order(&self) -> impl Iterator<Item = usize> + '_ {
+        self.adjacency.iter().flatten().map(|&(_, li)| li as usize)
+    }
+}
+
 /// The remaining traffic `T^r` for single-route loads.
 #[derive(Debug, Clone)]
 pub struct RemainingTraffic {
@@ -155,14 +220,12 @@ pub struct RemainingTraffic {
     /// Interned `LinkId` of every flow's every hop, flow-major; flow `fi`'s
     /// hop `pos` lives at `flow_links[flows[fi].link_off + pos]`.
     flow_links: Vec<u32>,
-    /// Every link any route can cross, sorted ascending. The index into
-    /// this vec is the dense `LinkId`; the sorted order is what keeps every
-    /// link iteration on the same fixed total order the old `BTreeMap` had.
-    /// Grows on mid-window admission (with a full `LinkId` remap); never
-    /// shrinks.
-    link_keys: Vec<(u32, u32)>,
+    /// Every link any route can cross, under its stable `LinkId`. Every
+    /// link walk that can reach a schedule goes through its key order.
+    links: LinkTable,
     /// Per `LinkId`: `((flow index, position), packets)` planned to sit at
-    /// `route[position]`, waiting to cross this link. Sorted by key.
+    /// `route[position]`, waiting to cross this link. Sorted by
+    /// `(flow index, position)`; as long as `links`.
     rows: Vec<Vec<((u32, u32), u64)>>,
     weighting: HopWeighting,
     delivered: u64,
@@ -175,10 +238,10 @@ pub struct RemainingTraffic {
 }
 
 impl RemainingTraffic {
-    /// Interns the union of all route hops: returns the sorted link-key vec
-    /// and the flow-major per-hop `LinkId` table, setting each flow's
-    /// `link_off`.
-    fn intern(flows: &mut [FlowMeta]) -> (Vec<(u32, u32)>, Vec<u32>) {
+    /// Interns the union of all route hops, numbering the links in
+    /// ascending key order: returns the link table and the flow-major
+    /// per-hop `LinkId` table, setting each flow's `link_off`.
+    fn intern(flows: &mut [FlowMeta]) -> (LinkTable, Vec<u32>) {
         let total_hops: usize = flows.iter().map(|m| m.hops as usize).sum();
         let mut keys: Vec<(u32, u32)> = Vec::with_capacity(total_hops);
         for m in flows.iter() {
@@ -188,20 +251,18 @@ impl RemainingTraffic {
         }
         keys.sort_unstable();
         keys.dedup();
+        let mut links = LinkTable::default();
+        for &link in &keys {
+            links.intern(link);
+        }
         let mut flow_links = Vec::with_capacity(total_hops);
         for m in flows.iter_mut() {
             m.link_off = flow_links.len() as u32;
             for pos in 0..m.hops {
-                let link = link_of(&m.route, pos);
-                // Every hop was just inserted, so the search always hits;
-                // `unwrap_or_else(|i| i)` keeps this panic-free by
-                // construction rather than by `.expect`.
-                let li = keys.binary_search(&link).unwrap_or_else(|i| i);
-                debug_assert_eq!(keys.get(li), Some(&link));
-                flow_links.push(li as u32);
+                flow_links.push(links.intern(link_of(&m.route, pos)));
             }
         }
-        (keys, flow_links)
+        (links, flow_links)
     }
 
     /// Initializes `T^r = T` for a single-route load.
@@ -220,12 +281,12 @@ impl RemainingTraffic {
                 link_off: 0,
             });
         }
-        let (link_keys, flow_links) = Self::intern(&mut flows);
-        let rows = vec![Vec::new(); link_keys.len()];
+        let (links, flow_links) = Self::intern(&mut flows);
+        let rows = vec![Vec::new(); links.len()];
         let mut tr = RemainingTraffic {
             flows,
             flow_links,
-            link_keys,
+            links,
             rows,
             weighting,
             delivered: 0,
@@ -278,12 +339,12 @@ impl RemainingTraffic {
             staged.push((fi, pos, count));
             total += count;
         }
-        let (link_keys, flow_links) = Self::intern(&mut flows);
-        let rows = vec![Vec::new(); link_keys.len()];
+        let (links, flow_links) = Self::intern(&mut flows);
+        let rows = vec![Vec::new(); links.len()];
         let mut tr = RemainingTraffic {
             flows,
             flow_links,
-            link_keys,
+            links,
             rows,
             weighting,
             delivered: 0,
@@ -334,10 +395,10 @@ impl RemainingTraffic {
         self.weighting
     }
 
-    /// Links interned into the key vector so far. Seeded at load, grows on
+    /// Links interned into the link table so far. Seeded at load, grows on
     /// [`RemainingTraffic::admit_subflows`]; never shrinks.
     pub fn interned_links(&self) -> usize {
-        self.link_keys.len()
+        self.links.len()
     }
 
     /// Feeds `word` everything about this plan that the greedy window loop
@@ -348,7 +409,7 @@ impl RemainingTraffic {
     /// Flow IDs themselves are left out, since only their order can steer a
     /// plan. The key of the schedule cache ([`crate::memo`]).
     pub fn replay_key(&self, mut word: impl FnMut(u64)) {
-        word(self.link_keys.len() as u64);
+        word(self.links.len() as u64);
         match self.weighting {
             HopWeighting::Uniform => word(0),
             HopWeighting::EpsilonLater { eps } => {
@@ -420,7 +481,7 @@ impl RemainingTraffic {
     /// (empty when none do), reusing its allocation.
     fn entries_on(&self, link: (u32, u32), out: &mut Vec<QueueEntry>) {
         out.clear();
-        let Ok(li) = self.link_keys.binary_search(&link) else {
+        let Some(li) = self.links.id(link) else {
             return;
         };
         out.extend(self.rows[li].iter().map(|&((fi, pos), count)| {
@@ -437,24 +498,25 @@ impl RemainingTraffic {
     }
 
     /// Builds the per-link queue snapshot used to compute `g`, `h` and the
-    /// candidate α set for the current iteration. One pass over the sorted
-    /// link rows, appending straight into the snapshot's arena — no
+    /// candidate α set for the current iteration. One pass over the link
+    /// rows in key order, appending straight into the snapshot's arena — no
     /// intermediate per-link maps.
     pub fn link_queues(&self, n: u32) -> LinkQueues {
         let slots: usize = self.rows.iter().map(Vec::len).sum();
-        let mut q = LinkQueues::with_capacity(n, self.link_keys.len(), slots);
+        let mut q = LinkQueues::with_capacity(n, self.links.len(), slots);
         let mut pairs: Vec<(f64, u64)> = Vec::new();
-        for (li, row) in self.rows.iter().enumerate() {
-            if row.is_empty() {
+        for li in self.links.in_key_order() {
+            let link = self.links.keys[li];
+            if self.rows[li].is_empty() {
                 // Intern the key even when nothing queues there yet: packets
                 // advancing onto this link later then patch an existing span
                 // in place instead of memmoving the sorted key vector.
-                q.push_empty_link(self.link_keys[li]);
+                q.push_empty_link(link);
                 continue;
             }
             pairs.clear();
             pairs.extend(self.row_pairs(li));
-            q.push_link_entries(self.link_keys[li], &mut pairs);
+            q.push_link_entries(link, &mut pairs);
         }
         q
     }
@@ -465,7 +527,7 @@ impl RemainingTraffic {
     /// applied configuration and folds the groups into its snapshot with
     /// [`LinkQueues::set_link`].
     pub(crate) fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
-        if let Ok(li) = self.link_keys.binary_search(&link) {
+        if let Some(li) = self.links.id(link) {
             out.extend(self.row_pairs(li));
         }
     }
@@ -557,13 +619,15 @@ impl RemainingTraffic {
     }
 
     /// Snapshot of the current sub-flows as `(flow id, route, position,
-    /// count)` tuples, sorted deterministically. Used by the chain-aware
-    /// configuration selection of §5 (Theorem 2).
+    /// count)` tuples, sorted deterministically: by flow ID and position,
+    /// ties (one ID on several routes at one position) in link-key order,
+    /// then row order. Used by the chain-aware configuration selection of
+    /// §5 (Theorem 2).
     pub fn subflows(&self) -> Vec<(FlowId, Route, u32, u64)> {
         let mut v: Vec<(FlowId, Route, u32, u64)> = self
-            .rows
-            .iter()
-            .flat_map(|row| row.iter())
+            .links
+            .in_key_order()
+            .flat_map(|li| self.rows[li].iter())
             .filter(|&&(_, c)| c > 0)
             .map(|&((fi, pos), count)| {
                 let meta = &self.flows[fi as usize];
@@ -616,50 +680,10 @@ impl RemainingTraffic {
         dirty.dedup();
     }
 
-    /// Interns the link keys in `fresh` not yet present, draining it: one
-    /// sorted merge into `link_keys`/`rows`, then a dense remap of every
-    /// stored per-hop `LinkId` (an id at or past an insertion point shifts
-    /// up by the number of fresh keys inserted before it).
-    /// `O(links + hops)` per batch, not per key — the mid-window growth path
-    /// the layout originally forbade.
-    fn intern_new_links(&mut self, fresh: &mut Vec<(u32, u32)>) {
-        fresh.sort_unstable();
-        fresh.dedup();
-        fresh.retain(|k| self.link_keys.binary_search(k).is_err());
-        if fresh.is_empty() {
-            return;
-        }
-        let old_keys = std::mem::take(&mut self.link_keys);
-        let old_rows = std::mem::take(&mut self.rows);
-        // shift[i] = number of fresh keys sorting before old key `i`.
-        let mut shift = vec![0u32; old_keys.len()];
-        self.link_keys.reserve(old_keys.len() + fresh.len());
-        self.rows.reserve(old_rows.len() + fresh.len());
-        let mut fresh_it = fresh.drain(..).peekable();
-        let mut inserted = 0u32;
-        for (i, (key, row)) in old_keys.into_iter().zip(old_rows).enumerate() {
-            while let Some(k) = fresh_it.next_if(|&k| k < key) {
-                self.link_keys.push(k);
-                self.rows.push(Vec::new());
-                inserted += 1;
-            }
-            shift[i] = inserted;
-            self.link_keys.push(key);
-            self.rows.push(row);
-        }
-        for k in fresh_it {
-            self.link_keys.push(k);
-            self.rows.push(Vec::new());
-        }
-        for l in &mut self.flow_links {
-            *l += shift[*l as usize];
-        }
-    }
-
     /// Admits sub-flows `(flow id, route, position, count)` into a live
     /// plan — the streaming counterpart of [`RemainingTraffic::from_subflows`].
-    /// Routes crossing links the plan has never seen grow the interned key
-    /// vector in place (see [`RemainingTraffic::intern_new_links`]). Entries
+    /// A hop on a link the plan has never seen interns it under the next
+    /// free `LinkId`, one per-source lookup; no stored id moves. Entries
     /// matching an existing `(id, route)` row merge into it, so re-admitting
     /// traffic for a live flow accumulates bit-identically to having loaded
     /// the merged counts cold (`w*c1 + w*c2` summed per entry would not).
@@ -726,9 +750,7 @@ impl RemainingTraffic {
             return Ok(());
         }
         self.total = total;
-        let (first_new, links_before) = (self.flows.len(), self.flow_links.len());
         let mut staged = std::mem::take(&mut self.scratch.staged);
-        let mut fresh_keys = std::mem::take(&mut self.scratch.fresh_keys);
         let index = FlowIndex::ensure(&mut self.index, &self.flows);
         for (id, route, pos, count) in incoming.drain(..) {
             // One probe finds the ID's row chain, or claims the ID for the
@@ -758,17 +780,12 @@ impl RemainingTraffic {
             let fi = match found {
                 Some(fi) => fi,
                 None => {
-                    // Each hop of a new row is looked up once. A hop on a
-                    // link never seen before leaves the row's ids short and
-                    // sends the batch through the interning pass below.
+                    // Each hop of a new row is looked up once, and interned
+                    // there if the plan has never seen its link.
                     let hops = route.hops();
                     let link_off = self.flow_links.len() as u32;
                     for p in 0..hops {
-                        let link = link_of(&route, p);
-                        match self.link_keys.binary_search(&link) {
-                            Ok(li) => self.flow_links.push(li as u32),
-                            Err(_) => fresh_keys.push(link),
-                        }
+                        self.flow_links.push(self.links.intern(link_of(&route, p)));
                     }
                     index.next_same.push(NO_ROW);
                     self.flows.push(FlowMeta {
@@ -782,36 +799,15 @@ impl RemainingTraffic {
             };
             staged.push((fi, pos, count));
         }
-        if !fresh_keys.is_empty() {
-            // Intern the fresh keys, which remaps every stored `LinkId`,
-            // then give the new rows their hop ids again: only ids looked
-            // up after the key merge are meaningful.
-            self.flow_links.truncate(links_before);
-            self.intern_new_links(&mut fresh_keys);
-            for fi in first_new..self.flows.len() {
-                let link_off = self.flow_links.len() as u32;
-                let m = &self.flows[fi];
-                for pos in 0..m.hops {
-                    let link = link_of(&m.route, pos);
-                    // The key was just interned, so the search always hits;
-                    // `unwrap_or_else(|i| i)` keeps this panic-free by
-                    // construction (mirrors `intern`).
-                    let li = self.link_keys.binary_search(&link).unwrap_or_else(|i| i);
-                    debug_assert_eq!(self.link_keys.get(li), Some(&link));
-                    self.flow_links.push(li as u32);
-                }
-                self.flows[fi].link_off = link_off;
-            }
-        }
+        self.rows.resize_with(self.links.len(), Vec::new);
         for &(fi, pos, count) in &staged {
             self.add(fi, pos, count);
-            dirty.push(self.link_keys[self.link_id(fi, pos) as usize]);
+            dirty.push(self.links.keys[self.link_id(fi, pos) as usize]);
         }
         dirty.sort_unstable();
         dirty.dedup();
         staged.clear();
         self.scratch.staged = staged;
-        self.scratch.fresh_keys = fresh_keys;
         Ok(())
     }
 
@@ -846,7 +842,7 @@ impl RemainingTraffic {
                 if let Ok(k) = row.binary_search_by_key(&(fi, pos), |e| e.0) {
                     removed += row[k].1;
                     row.remove(k);
-                    dirty.push(self.link_keys[li]);
+                    dirty.push(self.links.keys[li]);
                 }
             }
         }
@@ -2346,5 +2342,188 @@ mod tests {
                 &LinkQueues::from_weighted_counts(4, pairs.iter().map(|&(w, c)| ((0, 1), w, c))),
             );
         }
+    }
+
+    // ---- stable link ids ----
+
+    /// One event per link of complete `n`, in shuffled order: a flow of 1–3
+    /// hops whose route crosses that link at a random hop, with 1–9
+    /// packets waiting at a random position. Every fourth event reuses the
+    /// ID of the event three before it on its own route, both waiting at
+    /// position 0, so some IDs sit on two routes at one position.
+    fn shuffled_link_admissions(n: u32, seed: u64) -> Vec<(FlowId, Route, u32, u64)> {
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut links: Vec<(u32, u32)> = (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .collect();
+        links.shuffle(&mut rng);
+        let mut events: Vec<(FlowId, Route, u32, u64)> = Vec::with_capacity(links.len());
+        for (k, &(i, j)) in links.iter().enumerate() {
+            let hops = rng.gen_range(1..=3usize);
+            let before = rng.gen_range(0..hops);
+            let mut nodes = vec![i, j];
+            let fresh = |nodes: &[u32], rng: &mut rand::rngs::StdRng| loop {
+                let v = rng.gen_range(0..n);
+                if !nodes.contains(&v) {
+                    break v;
+                }
+            };
+            for _ in 0..before {
+                let v = fresh(&nodes, &mut rng);
+                nodes.insert(0, v);
+            }
+            while nodes.len() <= hops {
+                let v = fresh(&nodes, &mut rng);
+                nodes.push(v);
+            }
+            let route = Route::from_ids(nodes).unwrap();
+            let shared = k % 4 == 3;
+            let id = if shared {
+                events[k - 3].0
+            } else {
+                FlowId(k as u64)
+            };
+            let pos = if shared || k % 4 == 0 {
+                0
+            } else {
+                rng.gen_range(0..route.hops())
+            };
+            events.push((id, route, pos, rng.gen_range(1..=9)));
+        }
+        events
+    }
+
+    /// One window planned on a copy of `tr`: its configurations and ψ bits.
+    fn planned_window(tr: &RemainingTraffic, n: u32) -> (octopus_net::Schedule, u64) {
+        use crate::engine::{BipartiteFabric, ScheduleEngine};
+        let cfg = crate::OctopusConfig {
+            window: 300,
+            delta: 10,
+            ..crate::OctopusConfig::default()
+        };
+        let mut tr = tr.clone();
+        let run = ScheduleEngine::new(&mut tr, n, cfg.delta)
+            .plan_window(
+                &mut BipartiteFabric { kind: cfg.matching },
+                &cfg.search_policy(),
+                cfg.window,
+            )
+            .unwrap();
+        (run.schedule, tr.planned_psi().to_bits())
+    }
+
+    #[test]
+    fn links_interned_one_admission_at_a_time_plan_like_a_cold_load() {
+        // A plan that learns its fabric one admission at a time numbers its
+        // links in admission order, a cold load in key order; everything
+        // read from either must agree after every admission, with and
+        // without a live snapshot patched along.
+        for (n, seed) in [(8u32, 1u64), (10, 2), (12, 3)] {
+            let events = shuffled_link_admissions(n, seed);
+            for live in [false, true] {
+                let tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
+                let mut engine = crate::engine::ScheduleEngine::new(tr, n, 10);
+                if live {
+                    assert!(engine.queues().is_empty());
+                }
+                for (k, event) in events.iter().enumerate() {
+                    engine
+                        .update_source(|tr, dirty| tr.admit_subflows_into([event.clone()], dirty))
+                        .unwrap();
+                    let cold = RemainingTraffic::from_subflows(
+                        events[..=k].iter().cloned(),
+                        HopWeighting::Uniform,
+                    );
+                    let tr = engine.source();
+                    let at = format!("n = {n}, live = {live}, event {k}");
+                    assert_eq!(tr.subflows(), cold.subflows(), "{at}");
+                    assert_eq!(replay_key(tr), replay_key(&cold), "{at}");
+                    assert_eq!(planned_window(tr, n), planned_window(&cold, n), "{at}");
+                    let want = cold.link_queues(n);
+                    assert_snapshots_equal(&tr.link_queues(n), &want);
+                    if live {
+                        let q = engine.queues();
+                        assert_live_bits_match_spans(q);
+                        assert_snapshots_equal(q, &want);
+                    }
+                }
+                assert_eq!(engine.source().interned_links(), (n * (n - 1)) as usize);
+            }
+        }
+    }
+
+    #[test]
+    #[ignore = "release-size oracle: 65 280 links interned one admission at a time"]
+    fn links_interned_one_admission_at_a_time_at_real_size() {
+        let n = 256u32;
+        let events = shuffled_link_admissions(n, 7);
+        let tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
+        let mut engine = crate::engine::ScheduleEngine::new(tr, n, 20);
+        engine.queues();
+        for event in &events {
+            engine
+                .update_source(|tr, dirty| tr.admit_subflows_into([event.clone()], dirty))
+                .unwrap();
+        }
+        assert_eq!(engine.source().interned_links(), 65_280);
+        let cold = RemainingTraffic::from_subflows(events, HopWeighting::Uniform);
+        assert_eq!(engine.source().subflows(), cold.subflows());
+        assert_snapshots_equal(engine.queues(), &cold.link_queues(n));
+    }
+
+    #[test]
+    fn links_over_the_largest_node_ids_intern_look_up_and_cancel() {
+        // Nothing in the link table is sized by a node ID: routes over the
+        // top of the ID range intern, look up and cancel like any other,
+        // and a fresh link never renumbers an interned one.
+        let top = u32::MAX;
+        let route = |ids: &[u32]| Route::from_ids(ids.iter().copied()).unwrap();
+        let mut expected = vec![
+            (FlowId(1), route(&[top - 1, top - 3, 0]), 0, 5),
+            (FlowId(2), route(&[0, top]), 0, 3),
+        ];
+        let mut tr = RemainingTraffic::from_subflows(expected.clone(), HopWeighting::Uniform);
+        let check = |tr: &RemainingTraffic, expected: &[(FlowId, Route, u32, u64)]| {
+            let cold = RemainingTraffic::from_subflows(expected.to_vec(), HopWeighting::Uniform);
+            assert_eq!(tr.subflows(), cold.subflows());
+            assert_eq!(tr.remaining_packets(), cold.remaining_packets());
+            assert_snapshots_equal(&tr.link_queues(0), &cold.link_queues(0));
+        };
+        let ids_before = tr.flow_links.clone();
+
+        // New links below, between and above the interned ones, a new
+        // source at the very top among them.
+        let batch = [
+            (FlowId(3), route(&[top, top - 1, 1]), 0, 4),
+            (FlowId(1), route(&[top - 3, top - 2]), 0, 2),
+        ];
+        assert_eq!(
+            tr.admit_subflows(batch.clone()).unwrap(),
+            vec![(top - 3, top - 2), (top, top - 1)]
+        );
+        expected.extend(batch);
+        assert_eq!(tr.flow_links[..ids_before.len()], ids_before[..]);
+        assert_eq!(tr.interned_links(), 6);
+        check(&tr, &expected);
+
+        // Serving a link at the top looks it up through the table.
+        let dirty = served(&mut tr, &[(NodeId(top), NodeId(top - 1), 3)]);
+        assert_eq!(dirty, vec![(top - 1, 1), (top, top - 1)]);
+        assert_eq!(refreshed_packets(&tr, (top, top - 1)), 1);
+        assert_eq!(refreshed_packets(&tr, (top - 1, 1)), 3);
+        expected[2].3 = 1;
+        expected.push((FlowId(3), route(&[top, top - 1, 1]), 1, 3));
+        check(&tr, &expected);
+
+        // Cancelling flow 1 empties both of its routes.
+        let (removed, dirty) = tr.cancel_flow(FlowId(1));
+        assert_eq!(removed, 7);
+        assert_eq!(dirty, vec![(top - 3, top - 2), (top - 1, top - 3)]);
+        expected.retain(|e| e.0 != FlowId(1));
+        check(&tr, &expected);
+        assert_eq!(refreshed_packets(&tr, (top - 1, top - 3)), 0);
+        assert_eq!(tr.interned_links(), 6);
     }
 }

@@ -15,6 +15,9 @@
 //!   `octopus_serve::serve_lines` stays within `ARRIVAL_LINE` and
 //!   `CANCEL_LINE`: the wire codec adds only the parsed route, and the
 //!   admission only its `Route`.
+//! * A fresh daemon that learns every link of complete n = 64 one
+//!   admission at a time stays within `FRESH_LINK_ADMISSIONS` in total: a
+//!   new link costs a lookup in the plan's link table, not a rebuild of it.
 //!
 //! The counter is a `const`-initialised thread local, so tests running in
 //! parallel on other threads never mix into a count.
@@ -269,4 +272,35 @@ fn event_lines_stay_within_budget() {
             k + 1
         );
     }
+}
+
+/// Allocations of the 4 032 admissions in
+/// `fresh_link_admissions_stay_within_budget`, as measured: per admission
+/// the `Route`'s node list and the first packet group of its link's row
+/// (8 064), plus amortized (doubling) growth of the plan's flow, hop,
+/// link and flow-ID tables and of each source's adjacency in the link
+/// table. No admission rebuilds a table as long as every link interned
+/// so far.
+const FRESH_LINK_ADMISSIONS: u64 = 8_464;
+
+#[test]
+fn fresh_link_admissions_stay_within_budget() {
+    // As a daemon's set-up does: one admission per directed link of the
+    // fabric on a fresh `ServeState` (no snapshot built yet), each on a
+    // link the plan has never seen.
+    let n = 64u32;
+    let mut state = ServeState::new(topology::complete(n), ServeConfig::default()).unwrap();
+    let links: Vec<(u32, u32)> = (0..n)
+        .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+        .collect();
+    let ((), allocs) = counted(|| {
+        for (id, &(i, j)) in links.iter().enumerate() {
+            state.admit(id as u64, &[i, j], 1).unwrap();
+        }
+    });
+    assert_eq!(state.stats().interned_links, 4_032);
+    assert!(
+        allocs <= FRESH_LINK_ADMISSIONS,
+        "4 032 fresh-link admissions made {allocs} allocations (budget {FRESH_LINK_ADMISSIONS})"
+    );
 }
