@@ -14,7 +14,7 @@
 //! * **Miss** — the window is planned cold and recorded.
 //!
 //! The key covers the planning context (search strategy, tie preference,
-//! window, Δ and a caller salt for the fabric), the fabric
+//! window, Δ and the bipartite fabric's matching kind), the fabric
 //! size, and the traffic itself through [`RemainingTraffic::replay_key`]:
 //! the interned-key generation, the hop weighting, and every waiting
 //! sub-flow's position, hop count, packet count and remaining route suffix,
@@ -23,15 +23,19 @@
 //! each served packet goes next, so two backlogs with equal queues but
 //! different downstream routes plan different windows. With the whole
 //! remaining route in the key, a replay is the plan a cold run would emit
-//! (up to a 2⁻¹²⁸ hash collision), which `tests/proptest_cache_parity.rs`
-//! pins. Mid-window admissions that intern new links bump the interned-key
-//! generation, so a backlog that *looks* identical after an admit/cancel
-//! round-trip misses.
+//! (up to a 2⁻¹²⁸ hash collision). `tests/proptest_cache_parity.rs` pins
+//! that both a miss and a replay emit the window of the executable spec
+//! (`tests/spec/model.rs` in the root package), which plans every window
+//! from scratch and caches nothing, and the root package's
+//! `tests/daemon_spec.rs` does the same for the daemon's replayed
+//! backlogs. Mid-window admissions that intern new links bump the
+//! interned-key generation, so a backlog that *looks* identical after an
+//! admit/cancel round-trip misses.
 
-use crate::engine::{Fabric, ScheduleEngine, SearchPolicy, TrafficSource, WindowRun};
+use crate::engine::{BipartiteFabric, ScheduleEngine, SearchPolicy, TrafficSource, WindowRun};
 use crate::state::RemainingTraffic;
-use crate::AlphaSearch;
 use crate::SchedError;
+use crate::{AlphaSearch, MatchingKind};
 use std::borrow::Borrow;
 
 /// Windows a [`ScheduleCache`] holds before evicting the least recently
@@ -160,16 +164,16 @@ pub struct WindowPlan {
 }
 
 /// The cache key of planning `window` slots from `traffic` on an `n`-node
-/// fabric: the planning knobs that select among schedules (search strategy,
-/// tie preference, window, Δ, and a caller `salt` for
-/// anything beyond the policy, e.g. the fabric's matching kind), then the
-/// traffic's [`RemainingTraffic::replay_key`]. `SearchPolicy::parallel`
-/// selects nothing, so it is not part of the key.
+/// bipartite fabric matched by `kind`: the planning knobs that select among
+/// schedules (search strategy, tie preference, window, Δ, and the matching
+/// kind with its bucket scale), then the traffic's
+/// [`RemainingTraffic::replay_key`]. `SearchPolicy::parallel` selects
+/// nothing, so it is not part of the key.
 fn window_key(
     policy: &SearchPolicy,
     window: u64,
     delta: u64,
-    salt: u64,
+    kind: MatchingKind,
     n: u32,
     traffic: &RemainingTraffic,
 ) -> u128 {
@@ -181,38 +185,43 @@ fn window_key(
     h.word(u64::from(policy.prefer_larger_alpha));
     h.word(window);
     h.word(delta);
-    h.word(salt);
+    match kind {
+        MatchingKind::Exact => h.word(0),
+        MatchingKind::GreedySort => h.word(1),
+        MatchingKind::BucketGreedy { scale } => {
+            h.word(2);
+            h.word(scale);
+        }
+    }
     h.word(u64::from(n));
     traffic.replay_key(|w| h.word(w));
     h.0
 }
 
-/// Plans one window ([`ScheduleEngine::plan_window`] over `window` slots)
-/// through `cache`: an exact hit replays the cached schedule, a miss plans
-/// cold and records. The emitted schedule is the cold plan either way (see
-/// the module docs for why).
+/// Plans one window ([`ScheduleEngine::plan_window`] over `window` slots on
+/// the bipartite `fabric`) through `cache`: an exact hit replays the cached
+/// schedule, a miss plans cold and records. The emitted schedule is the
+/// cold plan either way (see the module docs for why).
 ///
 /// # Errors
 /// [`SchedError::Net`] when a commit fails to realize (with the shipped
 /// kernels this is unreachable on a miss; on an exact-hit replay it would
 /// indicate a hash collision, which we surface rather than mask).
-pub fn plan_window_cached<S, F>(
+pub fn plan_window_cached<S>(
     engine: &mut ScheduleEngine<S>,
-    fabric: &mut F,
+    fabric: &mut BipartiteFabric,
     policy: &SearchPolicy,
     window: u64,
     cache: &mut ScheduleCache,
-    salt: u64,
 ) -> Result<WindowPlan, SchedError>
 where
     S: TrafficSource + Borrow<RemainingTraffic>,
-    F: Fabric,
 {
     let key = window_key(
         policy,
         window,
         engine.delta(),
-        salt,
+        fabric.kind,
         engine.n(),
         engine.source().borrow(),
     );
@@ -221,7 +230,6 @@ where
         let mut configs = Vec::with_capacity(plan.len());
         for (links, alpha) in plan {
             let matching = engine.commit(fabric, &links, alpha)?;
-            fabric.committed(&links);
             let links: Vec<(u32, u32)> =
                 matching.links().iter().map(|&(i, j)| (i.0, j.0)).collect();
             configs.push((links, alpha));
@@ -283,6 +291,7 @@ mod tests {
 
     #[test]
     fn context_separates_keys() {
+        use crate::ScheduleEngine;
         use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
         let load = TrafficLoad::new(vec![Flow::single(
             FlowId(1),
@@ -292,24 +301,42 @@ mod tests {
         .unwrap();
         let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let policy = SearchPolicy::exhaustive();
-        let key = window_key(&policy, 100, 5, 0, 4, &tr);
-        assert_eq!(key, window_key(&policy, 100, 5, 0, 4, &tr));
+        let exact = MatchingKind::Exact;
+        let key = window_key(&policy, 100, 5, exact, 4, &tr);
+        assert_eq!(key, window_key(&policy, 100, 5, exact, 4, &tr));
         let binary = SearchPolicy {
             search: AlphaSearch::Binary,
             ..policy
         };
+        let bucket = |scale| MatchingKind::BucketGreedy { scale };
         let others = [
-            window_key(&binary, 100, 5, 0, 4, &tr),
-            window_key(&policy, 101, 5, 0, 4, &tr),
-            window_key(&policy, 100, 6, 0, 4, &tr),
-            window_key(&policy, 100, 5, 1, 4, &tr),
-            window_key(&policy, 100, 5, 0, 5, &tr),
+            window_key(&binary, 100, 5, exact, 4, &tr),
+            window_key(&policy, 101, 5, exact, 4, &tr),
+            window_key(&policy, 100, 6, exact, 4, &tr),
+            window_key(&policy, 100, 5, MatchingKind::GreedySort, 4, &tr),
+            window_key(&policy, 100, 5, bucket(6), 4, &tr),
+            window_key(&policy, 100, 5, exact, 5, &tr),
         ];
         assert!(others.iter().all(|&k| k != key));
+        assert_ne!(
+            window_key(&policy, 100, 5, bucket(6), 4, &tr),
+            window_key(&policy, 100, 5, bucket(12), 4, &tr)
+        );
         let parallel = SearchPolicy {
             parallel: true,
             ..policy
         };
-        assert_eq!(key, window_key(&parallel, 100, 5, 0, 4, &tr));
+        assert_eq!(key, window_key(&parallel, 100, 5, exact, 4, &tr));
+
+        // One cache plans the same backlog under the exact kernel, then
+        // under bucket greedy: the second window is planned, not replayed.
+        let mut cache = ScheduleCache::new();
+        for (kind, outcome) in [(exact, CacheOutcome::Miss), (bucket(6), CacheOutcome::Miss)] {
+            let tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
+            let mut engine = ScheduleEngine::new(tr, 4, 5);
+            let mut fabric = BipartiteFabric { kind };
+            let plan = plan_window_cached(&mut engine, &mut fabric, &policy, 100, &mut cache);
+            assert_eq!(plan.unwrap().outcome, outcome, "{kind:?}");
+        }
     }
 }

@@ -6,7 +6,8 @@
 //! `(flow, position, count)` where `position` indexes the flow's route. The
 //! scheduler never touches real packets — this is the controller-side
 //! bookkeeping that makes the chosen schedule deterministic, thanks to the
-//! fixed packet-prioritization rule (weight first, then flow ID).
+//! fixed packet-prioritization rule (weight first, then flow ID, then the
+//! order each `(flow id, route)` row was first admitted in).
 //!
 //! The multiset is stored *keyed by link*: a sub-flow at `(flow, position)`
 //! waits on exactly one fabric link (`route.hop(position)`, routes never
@@ -533,9 +534,10 @@ impl RemainingTraffic {
     }
 
     /// Applies a chosen configuration `(M, α)` to the plan: on every link of
-    /// `M`, the top-α waiting packets (by weight, then flow ID) advance one
-    /// hop. Returns the benefit actually realized (the configuration's
-    /// contribution to ψ).
+    /// `M`, the top-α waiting packets (by weight, then flow ID, then the
+    /// order in which their `(flow id, route)` row was first admitted)
+    /// advance one hop. Returns the benefit actually realized (the
+    /// configuration's contribution to ψ).
     pub fn apply(&mut self, links: &[(NodeId, NodeId)], alpha: u64) -> f64 {
         let with_budgets: Vec<(NodeId, NodeId, u64)> =
             links.iter().map(|&(i, j)| (i, j, alpha)).collect();
@@ -546,6 +548,12 @@ impl RemainingTraffic {
     /// used by the localized-reconfiguration extension, where links that
     /// persist from the previous configuration also serve during the Δ
     /// transition and thus get `α + Δ` slots.
+    ///
+    /// Each link serves its waiting packets by weight (heaviest first), then
+    /// flow ID (lowest first), then the first admission of their
+    /// `(flow id, route)` row: the row index, which a cancellation keeps
+    /// and a re-admission of the same row reuses, so one ID's rows on one
+    /// link keep the order they were first admitted in.
     pub fn apply_budgets(&mut self, links: &[(NodeId, NodeId, u64)]) -> f64 {
         // Movements are collected first so that chained links inside one
         // matching (e.g. (d,a) and (a,b)) do not let a packet traverse two
@@ -2289,6 +2297,30 @@ mod tests {
         assert_eq!(index.rows_of(id).collect::<Vec<_>>(), vec![0, 2, 3]);
         assert_eq!(index.rows_of(FlowId(7)).collect::<Vec<_>>(), vec![1]);
         check(&tr, &expected);
+    }
+
+    #[test]
+    fn equal_rows_of_one_id_serve_in_first_admission_order() {
+        // One ID on two 2-hop routes that share their first link: equal
+        // weight, equal ID, so the row admitted first is served first, and
+        // keeps its place after a cancel and a re-admission in the
+        // opposite order.
+        let route = |ids: &[u32]| Route::from_ids(ids.iter().copied()).unwrap();
+        let (to_2, to_3) = (route(&[0, 1, 2]), route(&[0, 1, 3]));
+        let id = FlowId(7);
+        let serve_first_link = |tr: &mut RemainingTraffic| {
+            tr.apply_budgets(&[(NodeId(0), NodeId(1), 5)]);
+            waiting(tr)
+        };
+        let mut tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
+        tr.admit_subflows([(id, to_2.clone(), 0, 5), (id, to_3.clone(), 0, 5)])
+            .unwrap();
+        let served_to_2 = vec![(7, vec![0, 1, 2], 1, 5), (7, vec![0, 1, 3], 0, 5)];
+        assert_eq!(serve_first_link(&mut tr), served_to_2);
+        assert_eq!(tr.cancel_flow(id).0, 10);
+        tr.admit_subflows([(id, to_3, 0, 5)]).unwrap();
+        tr.admit_subflows([(id, to_2, 0, 5)]).unwrap();
+        assert_eq!(serve_first_link(&mut tr), served_to_2);
     }
 
     #[test]

@@ -1,106 +1,42 @@
-//! Online-driver parity: **persistent engine ≡ per-epoch rebuild**.
+//! The online drivers against the executable spec.
 //!
-//! [`OnlineScheduler`] and [`HysteresisScheduler`] keep one
-//! [`ScheduleEngine`] over the backlog across epochs, admitting each epoch's
-//! arrivals into it and patching its queue snapshot. This suite replays
-//! random arrival scripts against a reference that instead rebuilds `T^r`
-//! cold every epoch ([`RemainingTraffic::from_subflows`] on the carried
-//! [`RemainingTraffic::subflows`]) and plans on a fresh engine. Every
-//! epoch's report must match: schedule, ψ bits, delivered, backlog.
+//! [`OnlineScheduler`] and [`HysteresisScheduler`] keep one persistent
+//! engine over the backlog across epochs. Random arrival scripts run on
+//! them and on the spec's model (`tests/spec/model.rs` in the root
+//! package), and every epoch's report must match the spec's: schedule, ψ
+//! bits, delivered, arrived and backlog. The solve count, the engine's own
+//! work, must equal a cold engine's over the spec's sub-flows.
 
-use octopus_core::online::{hysteresis_replan, EpochReport, HysteresisScheduler, OnlineScheduler};
-use octopus_core::{
-    BipartiteFabric, OctopusConfig, OctopusOutput, RemainingTraffic, ScheduleEngine,
-};
-use octopus_net::{topology, Configuration, Matching, Network, Schedule};
-use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
+#[allow(dead_code, reason = "this suite drives the bipartite streams only")]
+#[path = "../../../tests/spec/model.rs"]
+mod model;
+
+use model::{configs_of, instance_in, Config, FabricKind, Instance, Spec};
+use octopus_core::engine::CandidateExtension;
+use octopus_core::online::{EpochReport, HysteresisScheduler, OnlineScheduler};
+use octopus_core::{BipartiteFabric, OctopusConfig, RemainingTraffic, SchedError, ScheduleEngine};
+use octopus_net::topology;
+use octopus_traffic::{Flow, HopWeighting, TrafficLoad};
 use proptest::prelude::*;
-use proptest::test_runner::TestCaseError;
 
-/// A fabric size, the epoch window and Δ, η, and each epoch's arrivals.
-fn script() -> impl Strategy<Value = (u32, u64, u64, f64, Vec<TrafficLoad>)> {
-    (4u32..8)
-        .prop_flat_map(|n| {
-            let epoch = prop::collection::vec((0u32..n, 0u32..n, 0u32..n, 1u64..50), 0..6);
-            (
-                Just(n),
-                30u64..300,
-                0u64..25,
-                0.0f64..0.5,
-                prop::collection::vec(epoch, 1..6),
-            )
-        })
-        .prop_filter("window fits a configuration", |(_, w, d, _, _)| w > d)
-        .prop_map(|(n, window, delta, eta, raw)| {
-            let mut id = 0u64;
-            let epochs = raw
-                .into_iter()
-                .map(|flows| {
-                    let flows = flows
-                        .into_iter()
-                        .filter(|(src, dst, _, _)| src != dst)
-                        .map(|(src, dst, via, size)| {
-                            let mut nodes = vec![src];
-                            if via != src && via != dst {
-                                nodes.push(via);
-                            }
-                            nodes.push(dst);
-                            id += 1;
-                            let route = Route::from_ids(nodes).expect("distinct hops");
-                            Flow::single(FlowId(id), size, route)
-                        })
-                        .collect();
-                    TrafficLoad::new(flows).expect("unique ids")
-                })
-                .collect();
-            (n, window, delta, eta, epochs)
-        })
-}
-
-/// The backlog of the rebuild reference: the leftovers of the last epoch.
-type Backlog = Vec<(FlowId, Route, u32, u64)>;
-
-/// Starts a reference epoch: the carried backlog plus the arrivals, rebuilt
-/// cold.
-fn rebuild(backlog: &mut Backlog, arrivals: &TrafficLoad) -> RemainingTraffic {
-    for f in arrivals.flows() {
-        backlog.push((f.id, f.routes[0].clone(), 0, f.size));
-    }
-    RemainingTraffic::from_subflows(backlog.drain(..), HopWeighting::Uniform)
-}
-
-fn report(output: OctopusOutput, arrived: u64, tr: &RemainingTraffic) -> EpochReport {
-    EpochReport {
-        delivered: output.planned_delivered,
-        output,
-        arrived,
-        backlog: tr.remaining_packets(),
-    }
-}
-
-fn assert_same(got: &EpochReport, want: &EpochReport, epoch: usize) -> Result<(), TestCaseError> {
-    prop_assert_eq!(
-        &got.output.schedule,
-        &want.output.schedule,
-        "epoch {}",
-        epoch
-    );
-    prop_assert_eq!(
-        got.output.planned_psi.to_bits(),
-        want.output.planned_psi.to_bits(),
-        "psi bits, epoch {}",
-        epoch
-    );
-    prop_assert_eq!(got.output.planned_delivered, want.output.planned_delivered);
-    prop_assert_eq!(got.output.iterations, want.output.iterations);
-    prop_assert_eq!(
-        got.output.matchings_computed,
-        want.output.matchings_computed
-    );
-    prop_assert_eq!(got.arrived, want.arrived);
-    prop_assert_eq!(got.delivered, want.delivered);
-    prop_assert_eq!(got.backlog, want.backlog, "backlog, epoch {}", epoch);
-    Ok(())
+/// A random load (`model::instance_in`) split into `epochs` epochs of
+/// arrivals and up to two quiet ones, η, and a window of Δ plus a sixth of
+/// the instance's, so backlogs carry over and outgrow a horizon.
+fn script_in(
+    nodes: std::ops::Range<u32>,
+    flows: std::ops::Range<usize>,
+    epochs: std::ops::Range<usize>,
+) -> impl Strategy<Value = (Instance, f64, Vec<TrafficLoad>)> {
+    let split = (instance_in(nodes, flows), epochs, 0usize..3, 0.0f64..0.5);
+    split.prop_map(|(mut inst, epochs, quiet, eta)| {
+        inst.window = inst.delta + inst.window / 6;
+        let per = inst.load.len().div_ceil(epochs);
+        let busy = inst.load.flows().chunks(per).map(<[Flow]>::to_vec);
+        let arrivals = busy.chain(vec![Vec::new(); quiet]);
+        let loads = arrivals.map(|flows| TrafficLoad::new(flows).expect("unique ids"));
+        let loads = loads.collect();
+        (inst, eta, loads)
+    })
 }
 
 fn config(window: u64, delta: u64) -> OctopusConfig {
@@ -111,90 +47,94 @@ fn config(window: u64, delta: u64) -> OctopusConfig {
     }
 }
 
-fn online_parity(
-    net: &Network,
-    cfg: OctopusConfig,
-    epochs: &[TrafficLoad],
-) -> Result<(), TestCaseError> {
-    let mut live = OnlineScheduler::new(net.clone(), cfg);
-    let mut backlog = Backlog::new();
-    for (e, arrivals) in epochs.iter().enumerate() {
-        let got = live.run_epoch(arrivals).expect("valid epoch");
-        let mut tr = rebuild(&mut backlog, arrivals);
-        let run = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta)
-            .plan_window(
-                &mut BipartiteFabric { kind: cfg.matching },
-                &cfg.search_policy(),
-                cfg.window,
-            )
-            .expect("realizable plan");
-        let output = OctopusOutput {
-            schedule: run.schedule,
-            planned_psi: tr.planned_psi(),
-            planned_delivered: tr.planned_delivered(),
-            iterations: run.iterations,
-            matchings_computed: run.matchings_computed,
-        };
-        let want = report(output, arrivals.total_packets(), &tr);
-        assert_same(&got, &want, e)?;
-        backlog = tr.subflows();
-    }
-    Ok(())
+/// The spec of an empty backlog under `cfg`.
+fn spec_of(n: u32, cfg: &OctopusConfig) -> Spec {
+    let fabric = FabricKind::Bipartite(cfg.matching);
+    Spec::new(n, cfg.delta, HopWeighting::Uniform, fabric)
 }
 
-fn hysteresis_parity(
-    net: &Network,
-    cfg: OctopusConfig,
-    eta: f64,
-    epochs: &[TrafficLoad],
-) -> Result<(), TestCaseError> {
-    let mut live = HysteresisScheduler::new(net.clone(), cfg, eta).expect("valid knobs");
-    let mut backlog = Backlog::new();
-    let mut incumbent: Option<Matching> = None;
-    for (e, arrivals) in epochs.iter().enumerate() {
-        let got = live.run_epoch(arrivals).expect("valid epoch");
-        let mut tr = rebuild(&mut backlog, arrivals);
-        let mut engine = ScheduleEngine::new(&mut tr, net.num_nodes(), cfg.delta);
-        let served = hysteresis_replan(
-            &mut engine,
-            &BipartiteFabric { kind: cfg.matching },
-            &cfg.search_policy(),
-            &mut incumbent,
-            cfg.window,
-            eta,
-        )
-        .expect("realizable matching");
-        let mut schedule = Schedule::new();
-        let (mut iterations, mut matchings_computed) = (0, 0);
-        if let Some(step) = served {
-            schedule.push(Configuration::new(step.matching, step.alpha));
-            (iterations, matchings_computed) = (1, step.matchings_computed);
-        }
-        let output = OctopusOutput {
-            schedule,
-            planned_psi: tr.planned_psi(),
-            planned_delivered: tr.planned_delivered(),
-            iterations,
-            matchings_computed,
-        };
-        let want = report(output, arrivals.total_packets(), &tr);
-        assert_same(&got, &want, e)?;
-        backlog = tr.subflows();
+/// Starts the spec's epoch: ψ and delivered restart, the arrivals join at
+/// their sources. Returns a cold plan of the epoch's sub-flows, whose solve
+/// count the live epoch must repeat.
+fn start_epoch(spec: &mut Spec, arrivals: &TrafficLoad) -> RemainingTraffic {
+    spec.reset_epoch();
+    for f in arrivals.flows() {
+        spec.admit(f.id, &f.routes[0], 0, f.size);
     }
-    Ok(())
+    RemainingTraffic::from_subflows(spec.subflows(), HopWeighting::Uniform)
+}
+
+/// Requires `got` to be the spec's epoch, which served `configs`, with the
+/// cold engine's `solves`.
+fn check(got: &EpochReport, spec: &Spec, arrived: u64, configs: &[Config], solves: usize) {
+    let e = &got.output;
+    assert_eq!(configs_of(&e.schedule), configs, "schedule");
+    assert_eq!(e.planned_psi.to_bits(), spec.psi.to_bits(), "psi bits");
+    assert_eq!(e.planned_delivered, spec.delivered);
+    assert_eq!(e.iterations, configs.len());
+    assert_eq!(e.matchings_computed, solves, "solves");
+    assert_eq!(got.arrived, arrived);
+    assert_eq!(got.delivered, spec.delivered);
+    assert_eq!(got.backlog, spec.backlog(), "backlog");
+}
+
+fn online_matches_spec(n: u32, cfg: OctopusConfig, epochs: &[TrafficLoad]) {
+    let mut live = OnlineScheduler::new(topology::complete(n), cfg);
+    let mut spec = spec_of(n, &cfg);
+    let (mut fabric, policy) = (BipartiteFabric { kind: cfg.matching }, cfg.search_policy());
+    for arrivals in epochs {
+        let got = live.run_epoch(arrivals).expect("valid epoch");
+        let mut cold = ScheduleEngine::new(start_epoch(&mut spec, arrivals), n, cfg.delta);
+        let cold = cold.plan_window(&mut fabric, &policy, cfg.window);
+        let configs = spec.plan_window(&policy, cfg.window);
+        let solves = cold.expect("realizable plan").matchings_computed;
+        check(&got, &spec, arrivals.total_packets(), &configs, solves);
+    }
+}
+
+fn hysteresis_matches_spec(n: u32, cfg: OctopusConfig, eta: f64, epochs: &[TrafficLoad]) {
+    let mut live = HysteresisScheduler::new(topology::complete(n), cfg, eta).expect("valid knobs");
+    let mut spec = spec_of(n, &cfg);
+    let (fabric, policy) = (BipartiteFabric { kind: cfg.matching }, cfg.search_policy());
+    let (none, mut incumbent) = (CandidateExtension::None, None);
+    for arrivals in epochs {
+        let got = live.run_epoch(arrivals).expect("valid epoch");
+        let mut cold = ScheduleEngine::new(start_epoch(&mut spec, arrivals), n, cfg.delta);
+        let cold = cold.select(&fabric, cfg.window - cfg.delta, none, &policy);
+        let served = spec.hysteresis(&policy, &mut incumbent, cfg.window, eta);
+        let configs: Vec<Config> = served.into_iter().map(|(config, _)| config).collect();
+        let solves = cold.map_or(0, |c| c.matchings_computed);
+        check(&got, &spec, arrivals.total_packets(), &configs, solves);
+    }
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn online_epochs_match_per_epoch_rebuild((n, window, delta, _eta, epochs) in script()) {
-        online_parity(&topology::complete(n), config(window, delta), &epochs)?;
+    fn online_epochs_match_per_epoch_rebuild((inst, _eta, epochs) in script_in(4..8, 1..24, 1..6)) {
+        online_matches_spec(inst.n, config(inst.window, inst.delta), &epochs);
     }
 
     #[test]
-    fn hysteresis_epochs_match_per_epoch_rebuild((n, window, delta, eta, epochs) in script()) {
-        hysteresis_parity(&topology::complete(n), config(window, delta), eta, &epochs)?;
+    fn hysteresis_epochs_match_per_epoch_rebuild((inst, eta, epochs) in script_in(4..8, 1..24, 1..6)) {
+        hysteresis_matches_spec(inst.n, config(inst.window, inst.delta), eta, &epochs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    #[ignore = "release-mode spec at n = 12-16, up to 79 flows over up to 17 epochs"]
+    fn online_epochs_match_the_spec_at_larger_sizes((inst, _eta, epochs) in script_in(12..17, 24..80, 6..16)) {
+        online_matches_spec(inst.n, config(inst.window, inst.delta), &epochs);
+    }
+
+    #[test]
+    #[ignore = "release-mode spec at n = 12-16, up to 79 flows over up to 17 epochs"]
+    fn hysteresis_epochs_match_the_spec_at_larger_sizes((inst, eta, epochs) in script_in(12..17, 24..80, 6..16)) {
+        hysteresis_matches_spec(inst.n, config(inst.window, inst.delta), eta, &epochs);
     }
 }
 
@@ -203,14 +143,11 @@ fn hysteresis_constructor_rejects_bad_knobs() {
     let net = topology::complete(4);
     for eta in [-5.0, f64::NAN] {
         let err = HysteresisScheduler::new(net.clone(), config(100, 10), eta).err();
-        assert!(
-            matches!(err, Some(octopus_core::SchedError::InvalidEta(_))),
-            "eta {eta}"
-        );
+        assert!(matches!(err, Some(SchedError::InvalidEta(_))), "eta {eta}");
     }
     assert_eq!(
         HysteresisScheduler::new(net, config(10, 10), 0.1).err(),
-        Some(octopus_core::SchedError::WindowTooSmall {
+        Some(SchedError::WindowTooSmall {
             window: 10,
             delta: 10
         })

@@ -17,7 +17,7 @@
 use crate::protocol::{Event, PlanConfig, Response, ServeStats};
 use octopus_core::online::{check_hysteresis, hysteresis_replan, HysteresisStep};
 use octopus_core::{
-    plan_window_cached, BipartiteFabric, MatchingKind, OctopusConfig, RemainingTraffic, SchedError,
+    plan_window_cached, BipartiteFabric, OctopusConfig, RemainingTraffic, SchedError,
     ScheduleCache, ScheduleEngine,
 };
 use octopus_net::{Matching, Network};
@@ -244,20 +244,12 @@ impl ServeState {
         let mut fabric = BipartiteFabric {
             kind: self.cfg.octopus.matching,
         };
-        // The context hash covers the policy/window/Δ; the matching kind
-        // (which also selects among schedules) rides in via the salt.
-        let salt = match self.cfg.octopus.matching {
-            MatchingKind::Exact => 0,
-            MatchingKind::GreedySort => 1,
-            MatchingKind::BucketGreedy { scale } => 2u64.wrapping_add(scale.wrapping_mul(31)),
-        };
         let plan = plan_window_cached(
             &mut self.engine,
             &mut fabric,
             &self.cfg.octopus.search_policy(),
             self.cfg.horizon,
             &mut self.cache,
-            salt,
         )?;
         let configs = plan
             .configs
