@@ -48,6 +48,14 @@
 //! descent step re-derives the right duals from the left ones and bounds
 //! again.
 //!
+//! These passes are straight-line. The fused pass keeps its row and column
+//! maxima in select form (`m = if g > m { g } else { m }`), and both lazy
+//! passes walk the sweep's CSR row index
+//! ([`MultiAlphaEdges::row_ranges`]) one left port at a time with no
+//! per-entry test: a disabled entry's slack is `≤ 0` and never beats a
+//! maximum that starts at `+0.0`. Every sum is still taken in port order,
+//! so each bound equals the per-edge loop's bit for bit.
+//!
 //! The search is best-first: it repeatedly takes the unsolved candidate
 //! with the highest current bound (smaller α on a tie), stops when that
 //! bound is strictly below the incumbent's score, refreshes the bound
@@ -314,17 +322,15 @@ impl DualTable {
         self.ready[k].get()
     }
 
-    /// The entries of row `k` (which must be ready).
-    fn row(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
-        (0..self.n).map(move |v| self.entry(k, v))
+    /// The cells of row `k`.
+    fn cells(&self, k: usize) -> &[Cell<f64>] {
+        &self.z[k * self.n..(k + 1) * self.n]
     }
 
-    /// Entry `v` of row `k` (which must be ready); 0 past the row's end.
-    fn entry(&self, k: usize, v: usize) -> f64 {
-        if v >= self.n {
-            return 0.0;
-        }
-        self.z[k * self.n + v].get()
+    /// The entries of row `k` (which must be ready).
+    #[cfg(test)]
+    fn row(&self, k: usize) -> impl Iterator<Item = f64> + '_ {
+        self.cells(k).iter().map(Cell::get)
     }
 
     /// Copies into `out` a dual row for `alpha` bracketed by the published
@@ -345,11 +351,10 @@ impl DualTable {
             (None, None) => return false,
         };
         out.clear();
-        out.extend(
-            self.row(lo)
-                .zip(self.row(hi))
-                .map(|(a, b)| (a + t * (b - a)).max(0.0)),
-        );
+        out.extend(self.cells(lo).iter().zip(self.cells(hi)).map(|(a, b)| {
+            let (a, b) = (a.get(), b.get());
+            (a + t * (b - a)).max(0.0)
+        }));
         true
     }
 
@@ -546,10 +551,7 @@ impl<'q> SweepContext<'q> {
             if !self.duals.bracket(alpha, &mut ws.z) {
                 return top(ws);
             }
-            let bound = self
-                .kernel
-                .bound(self.dual_bound(&col, &ws.z, Some(&mut ws.y)))
-                / cost;
+            let bound = self.kernel.bound(self.dual_bound(&col, &ws.z, &mut ws.y)) / cost;
             if bound < incumbent {
                 return bound;
             }
@@ -596,46 +598,32 @@ impl<'q> SweepContext<'q> {
     /// A certified weak-duality bound on every matching weight of the
     /// weight column `col`, from dual prices `z ≥ 0` (one entry per right
     /// port), padded by [`outward`]: re-deriving
-    /// `y_u := max_v (w(u,v) − z_v)⁺` from scratch (left in `y` when
-    /// given, one entry per left port) makes `(y, z)` dual-feasible for
-    /// **any** `z ≥ 0`, however stale, so
-    /// `Σ_u y_u + Σ_v z_v` bounds the column's maximum matching weight.
-    /// Duals from other columns or other iterations therefore tighten
-    /// pruning without ever being trusted — a poor `z` merely loosens the
-    /// bound.
-    fn dual_bound(&self, col: &[f64], z: &[f64], mut y: Option<&mut Vec<f64>>) -> f64 {
+    /// `y_u := max_v (w(u,v) − z_v)⁺` from scratch (left in `y`, one entry
+    /// per left port) makes `(y, z)` dual-feasible for **any** `z ≥ 0`,
+    /// however stale, so `Σ_u y_u + Σ_v z_v` bounds the column's maximum
+    /// matching weight. Duals from other columns or other iterations
+    /// therefore tighten pruning without ever being trusted — a poor `z`
+    /// merely loosens the bound.
+    ///
+    /// Each port's entries are one slice of the sweep's row index
+    /// ([`MultiAlphaEdges::row_ranges`]), and `y` is summed in port order. A
+    /// disabled entry (`w ≤ 0`) needs no test: its slack `w − z_v ≤ 0`
+    /// never beats the running maximum, which starts at `+0.0`.
+    fn dual_bound(&self, col: &[f64], z: &[f64], y: &mut Vec<f64>) -> f64 {
         let n = self.sweep.n() as usize;
-        if let Some(y) = y.as_deref_mut() {
-            y.clear();
-            y.resize(n, 0.0);
-        }
-        // Edges are `(u, v)`-sorted, so each left port's enabled entries
-        // form one contiguous run: its maximum is kept in a register and
-        // stored once, when the run ends.
+        debug_assert_eq!(z.len(), n, "one dual price per right port");
+        let edges = self.sweep.edges();
+        y.clear();
         let mut y_total = 0.0f64;
-        let mut end_run = |u: u32, y_u: f64| {
-            if let Some(slot) = y.as_deref_mut().and_then(|y| y.get_mut(u as usize)) {
-                *slot = y_u;
+        for run in self.sweep.row_ranges() {
+            let mut y_u = 0.0f64;
+            for (&(_, v), &w) in edges[run.clone()].iter().zip(&col[run]) {
+                let slack = w - z[v as usize];
+                y_u = if slack > y_u { slack } else { y_u };
             }
+            y.push(y_u);
             y_total += y_u;
-        };
-        let mut cur_u = u32::MAX;
-        let mut cur_best = 0.0f64;
-        for (&(u, v), &w) in self.sweep.edges().iter().zip(col) {
-            if w <= 0.0 {
-                continue;
-            }
-            if u != cur_u {
-                end_run(cur_u, cur_best);
-                cur_u = u;
-                cur_best = 0.0;
-            }
-            let slack = w - z.get(v as usize).copied().unwrap_or(0.0);
-            if slack > cur_best {
-                cur_best = slack;
-            }
         }
-        end_run(cur_u, cur_best);
         let z_total: f64 = z.iter().sum();
         // y: n rounded slacks summed; z: its own length; one final add;
         // plus the ≤ n terms of the kernel's weight.
@@ -649,17 +637,21 @@ impl<'q> SweepContext<'q> {
     /// [`outward`]. `(y, z')` is dual-feasible for any `y ≥ 0`, and since
     /// `y` was derived from some `z ≥ 0`, `z' ≤ z` entrywise: the step
     /// never loosens the bound it starts from (up to rounding).
+    ///
+    /// The walk goes port by port over the sweep's row index, as
+    /// [`SweepContext::dual_bound`]'s does; a disabled entry's slack
+    /// `w − y_u ≤ 0` never beats `z'_v ≥ +0.0`, so it needs no test.
     fn descent_bound(&self, col: &[f64], y: &[f64], z: &mut Vec<f64>) -> f64 {
         let n = self.sweep.n() as usize;
+        debug_assert_eq!(y.len(), n, "one dual price per left port");
+        let edges = self.sweep.edges();
         z.clear();
         z.resize(n, 0.0);
-        for (&(u, v), &w) in self.sweep.edges().iter().zip(col) {
-            if w <= 0.0 {
-                continue;
-            }
-            let slack = w - y.get(u as usize).copied().unwrap_or(0.0);
-            if slack > z[v as usize] {
-                z[v as usize] = slack;
+        for (run, &y_u) in self.sweep.row_ranges().zip(y) {
+            for (&(_, v), &w) in edges[run.clone()].iter().zip(&col[run]) {
+                let slack = w - y_u;
+                let z_v = &mut z[v as usize];
+                *z_v = if slack > *z_v { slack } else { *z_v };
             }
         }
         let y_total: f64 = y.iter().sum();
@@ -1429,7 +1421,7 @@ mod tests {
                 // step.
                 let lazy = ctx.solved_score_bound(alpha, delta, f64::NEG_INFINITY);
                 let halves = ctx.duals.bracket(alpha, &mut z).then(|| {
-                    let bracketed = ctx.dual_bound(col, &z, Some(&mut y)) / cost;
+                    let bracketed = ctx.dual_bound(col, &z, &mut y) / cost;
                     (bracketed, ctx.descent_bound(col, &y, &mut z_descent) / cost)
                 });
                 let s = ctx.eval(alpha, delta).score;
@@ -1439,7 +1431,7 @@ mod tests {
                     prop_assert!(descended >= s, "descent {} < score {}", descended, s);
                 }
                 prop_assert!(ctx.score_upper_bound(alpha, delta) >= s);
-                prop_assert!(ctx.dual_bound(col, &z_rand, None) / cost >= s);
+                prop_assert!(ctx.dual_bound(col, &z_rand, &mut y) / cost >= s);
                 scores[k] = s;
             }
             for (k, &alpha) in alphas.iter().enumerate() {
@@ -1447,7 +1439,7 @@ mod tests {
                 for r in [k.saturating_sub(1), k, (k + 1).min(alphas.len() - 1)] {
                     z.clear();
                     z.extend(ctx.duals.row(r));
-                    let b = ctx.dual_bound(&columns[k], &z, Some(&mut y)) / cost;
+                    let b = ctx.dual_bound(&columns[k], &z, &mut y) / cost;
                     let d = ctx.descent_bound(&columns[k], &y, &mut z_descent) / cost;
                     prop_assert!(
                         b.min(d) >= scores[k],
@@ -1465,7 +1457,7 @@ mod tests {
             }
             for (k, &alpha) in alphas.iter().enumerate() {
                 prop_assert!(signed.bracket(alpha, &mut z));
-                let b = ctx.dual_bound(&columns[k], &z, None) / (alpha + delta) as f64;
+                let b = ctx.dual_bound(&columns[k], &z, &mut y) / (alpha + delta) as f64;
                 prop_assert!(b >= scores[k], "signed row: bound {} < score {}", b, scores[k]);
             }
         }
@@ -1599,18 +1591,101 @@ mod tests {
         }
     }
 
-    /// [`SweepContext::solved_score_bound`] on an explicit column.
+    /// [`DualTable::bracket`] entry by entry through [`DualTable::row`]:
+    /// the interpolation the slice walk replaced, kept as its reference.
+    fn reference_bracket(duals: &DualTable, alpha: u64, out: &mut Vec<f64>) -> bool {
+        let (lo, hi, t) = match duals.neighbours(alpha) {
+            (Some(lo), Some(hi)) if duals.alphas[hi] != alpha => {
+                let span = (duals.alphas[hi] - duals.alphas[lo]) as f64;
+                (lo, hi, (alpha - duals.alphas[lo]) as f64 / span)
+            }
+            (_, Some(k)) | (Some(k), None) => (k, k, 0.0),
+            (None, None) => return false,
+        };
+        out.clear();
+        out.extend(
+            duals
+                .row(lo)
+                .zip(duals.row(hi))
+                .map(|(a, b)| (a + t * (b - a)).max(0.0)),
+        );
+        true
+    }
+
+    /// [`SweepContext::dual_bound`] as the per-edge loop the row-index walk
+    /// replaced, kept as its reference: it skips disabled entries and
+    /// detects each left port's run of enabled entries as it goes, and
+    /// stores a run's maximum (and adds it to the sum) when the run ends.
+    fn reference_dual_bound(ctx: &SweepContext, col: &[f64], z: &[f64], y: &mut Vec<f64>) -> f64 {
+        let n = ctx.sweep.n() as usize;
+        y.clear();
+        y.resize(n, 0.0);
+        let mut y_total = 0.0f64;
+        let mut end_run = |u: u32, y_u: f64| {
+            if let Some(slot) = y.get_mut(u as usize) {
+                *slot = y_u;
+            }
+            y_total += y_u;
+        };
+        let (mut cur_u, mut cur_best) = (u32::MAX, 0.0f64);
+        for (&(u, v), &w) in ctx.sweep.edges().iter().zip(col) {
+            if w <= 0.0 {
+                continue;
+            }
+            if u != cur_u {
+                end_run(cur_u, cur_best);
+                cur_u = u;
+                cur_best = 0.0;
+            }
+            let slack = w - z.get(v as usize).copied().unwrap_or(0.0);
+            if slack > cur_best {
+                cur_best = slack;
+            }
+        }
+        end_run(cur_u, cur_best);
+        let z_total: f64 = z.iter().sum();
+        outward(y_total + z_total, 2 * n + z.len() + 1)
+    }
+
+    /// [`SweepContext::descent_bound`] as the per-edge loop the row-index
+    /// walk replaced, kept as its reference.
+    fn reference_descent_bound(
+        ctx: &SweepContext,
+        col: &[f64],
+        y: &[f64],
+        z: &mut Vec<f64>,
+    ) -> f64 {
+        let n = ctx.sweep.n() as usize;
+        z.clear();
+        z.resize(n, 0.0);
+        for (&(u, v), &w) in ctx.sweep.edges().iter().zip(col) {
+            if w <= 0.0 {
+                continue;
+            }
+            let slack = w - y.get(u as usize).copied().unwrap_or(0.0);
+            if slack > z[v as usize] {
+                z[v as usize] = slack;
+            }
+        }
+        let y_total: f64 = y.iter().sum();
+        let z_total: f64 = z.iter().sum();
+        outward(y_total + z_total, 2 * n + y.len() + 1)
+    }
+
+    /// [`SweepContext::solved_score_bound`] on an explicit column, through
+    /// the reference bracket and the reference bound loops, so it shares
+    /// none of the passes it checks.
     fn reference_lazy(ctx: &SweepContext, col: &[f64], alpha: u64, delta: u64, inc: f64) -> f64 {
         let (mut z, mut y, mut z_descent) = (Vec::new(), Vec::new(), Vec::new());
-        if !ctx.duals.bracket(alpha, &mut z) {
+        if !reference_bracket(&ctx.duals, alpha, &mut z) {
             return f64::INFINITY;
         }
         let cost = (alpha + delta) as f64;
-        let bound = ctx.dual_bound(col, &z, Some(&mut y)) / cost;
+        let bound = reference_dual_bound(ctx, col, &z, &mut y) / cost;
         if bound < inc {
             return bound;
         }
-        bound.min(ctx.descent_bound(col, &y, &mut z_descent) / cost)
+        bound.min(reference_descent_bound(ctx, col, &y, &mut z_descent) / cost)
     }
 
     fn bits(v: &[f64]) -> Vec<u64> {
@@ -1769,6 +1844,84 @@ mod tests {
             let ctx = SweepContext::new(q.weighted_edges_multi_with(&local, extra), EXACT);
             ctx.search(&policy, delta);
             prop_assert!(assert_block_matches(&ctx, &dense_sweep(&q, &local, extra).columns) > 0);
+        }
+    }
+
+    proptest! {
+        /// The row-index passes equal the per-edge reference loops bit for
+        /// bit: the bracketed row, the weak-duality bound with its left
+        /// duals `y`, and the descent step with its right duals `z'`. The
+        /// columns hold zero-weight classes and links patched to zero
+        /// weight; port 7 and every port the links miss have no edge; the
+        /// rows come from this sweep's own solves, from rows of either sign
+        /// published on a random subset of candidates, and from a random
+        /// `z ≥ 0` with exact zeros.
+        #[test]
+        fn lazy_bound_halves_match_the_per_edge_reference(
+            links in prop::collection::vec(((0u32..7, 0u32..7), 1u32..4, 0u32..3, 1u64..40), 1..30),
+            zeroed in prop::collection::vec(0usize..64, 0..6),
+            signed in prop::collection::vec(
+                (0u32..2, prop::collection::vec(-10.0f64..10.0, 8)),
+                1..12,
+            ),
+            z_rand in prop::collection::vec((0u32..2, 0.0f64..20.0), 8),
+        ) {
+            let n = 8u32;
+            let eps = HopWeighting::EpsilonLater { eps: -0.5 };
+            let mut q = LinkQueues::from_weighted_counts(
+                n,
+                links
+                    .iter()
+                    .filter(|((i, j), ..)| i != j)
+                    .map(|&(link, k, x, c)| (link, eps.hop_weight(k, x % k).value(), c)),
+            );
+            let keys: Vec<(u32, u32)> = q.links().collect();
+            prop_assume!(!keys.is_empty());
+            for &pick in &zeroed {
+                q.set_link(keys[pick % keys.len()], &mut [(0.0, 3)]);
+            }
+            let alphas = q.alpha_candidates(10_000);
+            prop_assume!(!alphas.is_empty());
+            let ctx = SweepContext::new(q.weighted_edges_multi(&alphas), EXACT);
+            let columns: Vec<Vec<f64>> = (0..alphas.len()).map(|k| column(&ctx, k)).collect();
+            let table = DualTable::new(&alphas, n as usize);
+            for (k, (publish, row)) in signed.iter().enumerate().take(alphas.len()) {
+                if *publish > 0 {
+                    table.publish(k, row);
+                }
+            }
+            let z_rand: Vec<f64> = z_rand
+                .iter()
+                .map(|&(keep, z)| if keep > 0 { z } else { 0.0 })
+                .collect();
+            let (mut got, mut want) = (Vec::new(), Vec::new());
+            let (mut y, mut y_ref) = (Vec::new(), Vec::new());
+            let (mut zd, mut zd_ref) = (Vec::new(), Vec::new());
+            let mut check = |col: &[f64], z: &[f64]| {
+                let b = ctx.dual_bound(col, z, &mut y);
+                let b_ref = reference_dual_bound(&ctx, col, z, &mut y_ref);
+                assert_eq!(b.to_bits(), b_ref.to_bits(), "dual bound");
+                assert_eq!(bits(&y), bits(&y_ref), "left duals");
+                let d = ctx.descent_bound(col, &y, &mut zd);
+                let d_ref = reference_descent_bound(&ctx, col, &y_ref, &mut zd_ref);
+                assert_eq!(d.to_bits(), d_ref.to_bits(), "descent bound");
+                assert_eq!(bits(&zd), bits(&zd_ref), "descent duals");
+            };
+            for (k, &alpha) in alphas.iter().enumerate() {
+                check(&columns[k], &z_rand);
+                for duals in [&table, &ctx.duals] {
+                    let ready = duals.bracket(alpha, &mut got);
+                    prop_assert_eq!(ready, reference_bracket(duals, alpha, &mut want));
+                    if ready {
+                        prop_assert_eq!(bits(&got), bits(&want), "bracketed row {}", k);
+                        check(&columns[k], &got);
+                    }
+                }
+                // Publish this α's own duals for the candidates after it.
+                if k % 2 == 0 {
+                    ctx.eval(alpha, 0);
+                }
+            }
         }
     }
 

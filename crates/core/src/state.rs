@@ -73,6 +73,7 @@
 use crate::SchedError;
 use octopus_net::NodeId;
 use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
+use std::cell::Cell;
 use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
@@ -1370,17 +1371,26 @@ impl LinkQueues {
         let mut edges = Vec::with_capacity(ne);
         let mut spans = Vec::with_capacity(ne);
         let mut bonus = Vec::with_capacity(ne);
+        let mut rows = SPARE_ROWS.try_with(Cell::take).unwrap_or_default();
+        rows.clear();
+        rows.reserve(self.n as usize + 1);
         for idx in self.live_indices() {
             let (i, j) = self.links[idx];
             debug_assert!(i < self.n && j < self.n, "link ({i}, {j}) out of fabric");
+            // Live links are key-ordered, so left port i's edges start here.
+            while rows.len() <= i as usize {
+                rows.push(edges.len() as u32);
+            }
             edges.push((i, j));
             spans.push(self.spans[idx]);
             bonus.push(extra((i, j)));
         }
+        rows.resize(self.n as usize + 1, edges.len() as u32);
         MultiAlphaEdges {
             queues: self,
             alphas: alphas.to_vec(),
             edges,
+            rows,
             spans,
             bonus,
         }
@@ -1394,7 +1404,10 @@ impl LinkQueues {
 /// [`MultiAlphaEdges::fused_bounds`] bounds every candidate in one pass over
 /// the edges, evaluating each edge at all candidates at once, and
 /// [`MultiAlphaEdges::fill_columns`] builds the `g` columns of any set of
-/// candidates in one such pass.
+/// candidates in one such pass. A CSR row index over the edges lets every
+/// per-port pass walk a left port's edges as one slice instead of
+/// detecting where its run ends; it is built once per sweep, in a buffer
+/// the thread reuses from sweep to sweep.
 ///
 /// Columns may contain non-positive weights (a link whose queue holds only
 /// zero-weight classes at some α); matching kernels consuming a column must
@@ -1407,10 +1420,30 @@ pub struct MultiAlphaEdges<'q> {
     queues: &'q LinkQueues,
     alphas: Vec<u64>,
     edges: Vec<(u32, u32)>,
+    /// CSR row offsets, `n + 1` of them: left port `u`'s edges are
+    /// `edges[rows[u]..rows[u + 1]]`. Taken from and handed back to
+    /// [`SPARE_ROWS`].
+    rows: Vec<u32>,
     /// Per edge, its `(offset, len)` span in `queues`' class arenas.
     spans: Vec<(u32, u32)>,
     /// Per edge, the slots added to every candidate α.
     bonus: Vec<u64>,
+}
+
+thread_local! {
+    /// The row index buffer of the last [`MultiAlphaEdges`] this thread
+    /// dropped, so a sweep's index allocates nothing once the thread has
+    /// seen its largest fabric. Every sweep rebuilds the index in full, so
+    /// what the buffer held cannot reach a result.
+    static SPARE_ROWS: Cell<Vec<u32>> = const { Cell::new(Vec::new()) };
+}
+
+impl Drop for MultiAlphaEdges<'_> {
+    fn drop(&mut self) {
+        let rows = std::mem::take(&mut self.rows);
+        // A thread tearing down its locals just frees the buffer.
+        let _ = SPARE_ROWS.try_with(|spare| spare.set(rows));
+    }
 }
 
 /// The per-candidate bounds [`MultiAlphaEdges::fused_bounds`] computes,
@@ -1459,6 +1492,12 @@ impl MultiAlphaEdges<'_> {
     /// The fixed `(u, v)`-sorted edge topology (every non-empty link).
     pub fn edges(&self) -> &[(u32, u32)] {
         &self.edges
+    }
+
+    /// The CSR row index over [`MultiAlphaEdges::edges`]: each left port's
+    /// range of edges (and of column entries), in port order.
+    pub(crate) fn row_ranges(&self) -> impl Iterator<Item = std::ops::Range<usize>> + '_ {
+        self.rows.windows(2).map(|r| r[0] as usize..r[1] as usize)
     }
 
     /// The column index of candidate `alpha`.
@@ -1533,9 +1572,12 @@ impl MultiAlphaEdges<'_> {
     ///
     /// Each sum is taken in the order a per-column pass takes it (ports in
     /// index order), so the results equal a column-by-column computation
-    /// bit for bit. Row maxima are kept per left-port run, since a port's
-    /// edges are contiguous; ports without edges add `+0.0` to a
-    /// non-negative sum, which changes nothing.
+    /// bit for bit. Row maxima are kept per left port, walked as one slice
+    /// of the sweep's row index; a port without edges would add `+0.0` to
+    /// a non-negative sum, which changes nothing, so it is skipped. Every
+    /// maximum is updated in select form, `m = if g > m { g } else { m }`:
+    /// the conditional store's value exactly, with no branch in the
+    /// candidate loop.
     pub fn fused_bounds(&self, out: &mut FusedBounds) {
         let kk = self.alphas.len();
         let n = self.n() as usize;
@@ -1550,25 +1592,19 @@ impl MultiAlphaEdges<'_> {
             zeroed(buf, kk);
         }
         zeroed(col_max, n * kk);
-        let mut cur_u = None;
-        for (e, &(u, v)) in self.edges.iter().enumerate() {
-            if cur_u != Some(u) {
-                fold_run(row_sum, run_max);
-                cur_u = Some(u);
-            }
-            self.queue(e)
-                .g_multi_shifted(&self.alphas, self.bonus[e], row);
-            let ports = v as usize * kk..(v as usize + 1) * kk;
-            for ((&g, rm), cm) in row.iter().zip(run_max.iter_mut()).zip(&mut col_max[ports]) {
-                if g > *rm {
-                    *rm = g;
-                }
-                if g > *cm {
-                    *cm = g;
+        for run in self.row_ranges().filter(|run| !run.is_empty()) {
+            for e in run {
+                self.queue(e)
+                    .g_multi_shifted(&self.alphas, self.bonus[e], row);
+                let v = self.edges[e].1 as usize;
+                let ports = v * kk..(v + 1) * kk;
+                for ((&g, rm), cm) in row.iter().zip(run_max.iter_mut()).zip(&mut col_max[ports]) {
+                    *rm = if g > *rm { g } else { *rm };
+                    *cm = if g > *cm { g } else { *cm };
                 }
             }
+            fold_run(row_sum, run_max);
         }
-        fold_run(row_sum, run_max);
         zeroed(row_col, kk);
         for maxima in col_max.chunks_exact(kk.max(1)) {
             for (s, &m) in row_col.iter_mut().zip(maxima) {

@@ -73,6 +73,33 @@
 //! 29.1 rows per distance-0 phase at complete n = 256, against 3.5 here
 //! (EXPERIMENTS.md, "Free-first augmentation").
 //!
+//! ## Why a free heaviest entry ends the phase in one step
+//!
+//! When `s`'s heaviest entry `(w, v)` (the head of its weight order) has
+//! `v` free at potential 0, the solver matches `s` to `v` and runs no
+//! phase: no stamp, queue, Johnson pass or predecessor walk. That is the
+//! phase's own outcome, step for step. `s` is unmatched and was never
+//! reached before its insertion, so `pot_l[s] = w > 0` and its dummy
+//! sink's potential is still 0. The dummy is relaxed first and sets
+//! `ub = pot_l[s] > 0`. The head entry's reduced cost is
+//! `(−w + pot_l[s]) − 0 = +0.0`, so `v`, free, lands at distance 0 and
+//! drops `ub` to 0, and every later entry of the row is cut
+//! (`0 + max(0, pl − w') ≥ 0`). Nothing was queued, so the phase ends
+//! with `D = 0` at `v`; the Johnson pass subtracts `0 − 0` from `pot_l[s]`
+//! alone and finalized no right vertex, and the walk from `v` reaches `s`
+//! in one step. So the matching, [`AssignmentSolver::last_weight`] and
+//! [`AssignmentSolver::right_duals`] are unchanged bit for bit.
+//!
+//! The test is `pot_r[v] ≥ 0.0`, which under `pot_r ≤ 0` means 0 (and
+//! keeps clear of a float equality). A free right vertex is in fact always
+//! at 0: only matched vertices are queued and finalized, only finalized
+//! ones move, and a matched vertex stays matched. When the head entry's
+//! vertex is taken, the full phase runs, even if an equally heavy entry
+//! later in the row is free: it finds that entry at distance 0 itself.
+//! The step takes 47 % of all insertions on `serve-periodic`-shaped
+//! windows (n = 64, 256 flows) and 29 % on one `paper_default` window at
+//! complete n = 256 (EXPERIMENTS.md, "Branch-free select bounds").
+//!
 //! ## Why the cuts do not change the matching
 //!
 //! Two cuts skip the work that cannot change the target:
@@ -407,7 +434,17 @@ impl AssignmentSolver {
         for s in 0..nl as u32 {
             // A vertex with no positive edge stays unmatched (its potential
             // is exactly 0.0 iff every incident weight is <= 0).
-            if self.pot_l[s as usize] <= 0.0 {
+            let si = s as usize;
+            if self.pot_l[si] <= 0.0 {
+                continue;
+            }
+            // One-step phase: s's heaviest entry reaches a free vertex at
+            // potential 0 (`pot_r ≤ 0` always), which is the phase's own
+            // outcome (module docs).
+            let (_, v) = self.by_weight[self.start[si] as usize];
+            if self.match_r[v as usize] == UNMATCHED && self.pot_r[v as usize] >= 0.0 {
+                self.match_l[si] = v;
+                self.match_r[v as usize] = s;
                 continue;
             }
             self.phase += 1;
@@ -990,6 +1027,76 @@ mod tests {
             let columns = columns(&edges, (3, 2), &mut next, &mut cont);
             assert_matches_reference(&mut solver, (nl, nr), &edges, &columns);
         }
+    }
+
+    /// Solves one column against the reference loop (matching, bits of
+    /// the weight and of the right duals) and returns how many full
+    /// Dijkstra phases the solve ran; a one-step phase runs none.
+    fn full_phases(nl: u32, nr: u32, edges: &[(u32, u32)], col: &[f64]) -> u32 {
+        let mut solver = AssignmentSolver::new();
+        assert_matches_reference(&mut solver, (nl, nr), edges, &[col.to_vec()]);
+        // Every free real right vertex is still at potential +0.0: only
+        // finalized vertices move, and those are matched for good.
+        for v in 0..nr as usize {
+            if solver.match_r[v] == UNMATCHED {
+                assert_eq!(
+                    solver.pot_r[v].to_bits(),
+                    0.0f64.to_bits(),
+                    "free vertex {v}"
+                );
+            }
+        }
+        solver.phase
+    }
+
+    /// (a) Each row's heaviest entry is a free vertex at potential 0, so
+    /// every insertion is a one-step phase, however close the runner-up
+    /// and however light the row; a column whose row 2 heads for a taken
+    /// vertex runs exactly that one phase.
+    #[test]
+    fn one_step_phase_fires_on_a_free_heaviest_entry() {
+        let edges = [(0, 0), (0, 1), (1, 0), (1, 1), (1, 2), (2, 1), (2, 2)];
+        let col = [5.0, 1.0, 2.0, 4.0, 4.0 - 1e-9, 0.25, 0.5];
+        assert_eq!(full_phases(3, 3, &edges, &col), 0);
+        let contested = [5.0, 1.0, 2.0, 4.0, 4.0 - 1e-9, 3.0, 0.5];
+        assert_eq!(full_phases(3, 3, &edges, &contested), 1);
+    }
+
+    /// (b) An earlier deep phase pushes a vertex below potential 0; a row
+    /// whose heaviest entry is that vertex runs the full phase, and a later
+    /// row whose heaviest entry is free at 0 still takes one step. A free
+    /// vertex below 0 cannot arise (`full_phases` checks it after every
+    /// solve), so the guard's other arm is never the reason a phase runs.
+    #[test]
+    fn one_step_phase_holds_off_after_a_deep_phase() {
+        // Row 0 takes v0 in one step; row 1 wants v0 too and augments
+        // 1→v0, 0→v1 at distance 1, which moves v0 to −1; row 2's heaviest
+        // entry is v0 again (full phase); row 3's is v3, free at 0.
+        let edges = [
+            (0, 0),
+            (0, 1),
+            (1, 0),
+            (1, 1),
+            (2, 0),
+            (2, 2),
+            (3, 2),
+            (3, 3),
+        ];
+        let col = [5.0, 4.0, 5.0, 1.0, 6.0, 2.0, 1.0, 3.0];
+        assert_eq!(full_phases(4, 4, &edges, &col), 2);
+    }
+
+    /// (c) A weight tie heads the row: the lower-index vertex (first in
+    /// the `(Reverse(w), v)` order) is taken, so the full phase runs and
+    /// finds the free twin at distance 0.
+    #[test]
+    fn one_step_phase_skips_a_tied_head_that_is_taken() {
+        let edges = [(0, 0), (1, 0), (1, 1), (1, 2)];
+        let col = [5.0, 3.0, 3.0, 1.0];
+        assert_eq!(full_phases(2, 3, &edges, &col), 1);
+        let mut solver = AssignmentSolver::new();
+        solver.load_topology(2, 3, &edges);
+        assert_eq!(solver.solve_reweighted(&col), &[(0, 0), (1, 1)]);
     }
 
     /// The oracle on complete n = 64, 128 and 256 topologies with Octopus
