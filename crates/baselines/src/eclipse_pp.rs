@@ -1,5 +1,5 @@
 //! **Eclipse++-style routing**: scheduling the hops of multi-hop traffic over
-//! a *fixed* configuration sequence — the role Eclipse++ plays in [36] and
+//! a *fixed* configuration sequence — the role Eclipse++ plays in \[36\] and
 //! in the paper's Eclipse-Based baseline.
 //!
 //! Where the slot-level simulator routes myopically (per-slot VOQ

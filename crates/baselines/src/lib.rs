@@ -21,7 +21,7 @@
 //! * [`rotornet`] — the traffic-agnostic **RotorNet** schedule (Mellette et
 //!   al., SIGCOMM 2017): round-robin through a fixed family of matchings
 //!   covering the complete fabric, each held for a fixed duration.
-//! * [`solstice`] — the **Solstice** hybrid scheduler (Liu et al., CoNEXT
+//! * [`solstice`](mod@solstice) — the **Solstice** hybrid scheduler (Liu et al., CoNEXT
 //!   2015): stuffing + threshold-scanned perfect matchings, the historical
 //!   one-hop ancestor the paper cites in §2.
 

@@ -15,7 +15,6 @@ use octopus_core::{
 use octopus_net::{NodeId, Schedule};
 use octopus_traffic::Weight;
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// One one-hop demand: `size` packets of per-packet `weight` on link
 /// `(src, dst)`. The `tag` survives into the per-demand service report
@@ -59,26 +58,31 @@ pub fn one_hop_schedule(
     alpha_search: AlphaSearch,
     matching: MatchingKind,
 ) -> OneHopOutput {
-    // Demand indices per link, pre-sorted by (weight desc, tag asc).
-    let mut by_link: BTreeMap<(u32, u32), Vec<usize>> = BTreeMap::new();
-    for (idx, d) in demands.iter().enumerate() {
-        if d.size > 0 && d.weight > 0.0 && d.src != d.dst {
-            by_link.entry((d.src.0, d.dst.0)).or_default().push(idx);
-        }
-    }
-    for list in by_link.values_mut() {
-        list.sort_by(|&a, &b| {
-            Weight(demands[b].weight)
-                .cmp(&Weight(demands[a].weight))
-                .then(demands[a].tag.cmp(&demands[b].tag))
-                .then(a.cmp(&b))
-        });
+    // (link, demand index) pairs, by link, then (weight desc, tag asc).
+    let mut by_key: Vec<((u32, u32), usize)> = demands
+        .iter()
+        .enumerate()
+        .filter(|(_, d)| d.size > 0 && d.weight > 0.0 && d.src != d.dst)
+        .map(|(idx, d)| ((d.src.0, d.dst.0), idx))
+        .collect();
+    by_key.sort_by(|&(la, a), &(lb, b)| {
+        la.cmp(&lb)
+            .then(Weight(demands[b].weight).cmp(&Weight(demands[a].weight)))
+            .then(demands[a].tag.cmp(&demands[b].tag))
+            .then(a.cmp(&b))
+    });
+    let (mut keys, mut by_link) = (Vec::new(), Vec::new());
+    for group in by_key.chunk_by(|a, b| a.0 == b.0) {
+        keys.push(group[0].0);
+        by_link.push(group.iter().map(|&(_, idx)| idx).collect());
     }
 
     let source = DemandSource {
         demands,
+        keys,
         by_link,
         remaining: demands.iter().map(|d| d.size).collect(),
+        undrained: demands.iter().filter(|d| d.size > 0).count(),
         served: vec![0u64; demands.len()],
         psi: 0.0,
     };
@@ -104,44 +108,47 @@ pub fn one_hop_schedule(
     }
 }
 
-/// [`TrafficSource`] over explicit one-hop demands. Serving a link only
-/// drains that link's own demands, so the dirty set of a commit is exactly
-/// the matched links — the engine re-derives those queues and leaves the
-/// rest of the snapshot untouched.
+/// [`TrafficSource`] over explicit one-hop demands. Its links are fixed at
+/// load and numbered in key order. Serving a link only drains that link's
+/// own demands, so the dirty set of a commit is exactly the matched links —
+/// the engine re-derives those queues and leaves the rest of the snapshot
+/// untouched.
 struct DemandSource<'a> {
     demands: &'a [OneHopDemand],
-    /// Demand indices per link, sorted by (weight desc, tag asc) — the
-    /// priority order packets drain in.
-    by_link: BTreeMap<(u32, u32), Vec<usize>>,
+    /// Every link some demand waits on, ascending: `LinkId` `li` is
+    /// `keys[li]`.
+    keys: Vec<(u32, u32)>,
+    /// Per `LinkId`: its demand indices, sorted by (weight desc, tag asc) —
+    /// the priority order packets drain in.
+    by_link: Vec<Vec<usize>>,
     remaining: Vec<u64>,
+    /// Demands with packets left, so that draining is one comparison.
+    undrained: usize,
     served: Vec<u64>,
     psi: f64,
 }
 
 impl TrafficSource for DemandSource<'_> {
     fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        let rem = &self.remaining;
         LinkQueues::from_weighted_counts(
             n,
-            self.by_link.iter().flat_map(|(&link, idxs)| {
-                idxs.iter().filter_map(move |&i| {
-                    (rem[i] > 0).then_some((link, self.demands[i].weight, rem[i]))
-                })
-            }),
+            self.keys
+                .iter()
+                .zip(&self.by_link)
+                .flat_map(|(&link, idxs)| {
+                    idxs.iter()
+                        .map(move |&i| (link, self.demands[i].weight, self.remaining[i]))
+                }),
         )
     }
 
-    fn apply_served(
-        &mut self,
-        budgets: &[(NodeId, NodeId, u64)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> bool {
+    fn apply_served(&mut self, budgets: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
         for &(i, j, alpha) in budgets {
-            let Some(idxs) = self.by_link.get(&(i.0, j.0)) else {
+            let Ok(li) = self.keys.binary_search(&(i.0, j.0)) else {
                 continue;
             };
             let mut left = alpha;
-            for &idx in idxs {
+            for &idx in &self.by_link[li] {
                 if left == 0 {
                     break;
                 }
@@ -150,28 +157,34 @@ impl TrafficSource for DemandSource<'_> {
                     continue;
                 }
                 self.remaining[idx] -= take;
+                if self.remaining[idx] == 0 {
+                    self.undrained -= 1;
+                }
                 self.served[idx] += take;
                 left -= take;
                 self.psi += self.demands[idx].weight * take as f64;
             }
-            dirty.push((i.0, j.0));
+            dirty.push(li as u32);
         }
         dirty.sort_unstable();
         dirty.dedup();
         true
     }
 
-    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
-        if let Some(idxs) = self.by_link.get(&link) {
-            out.extend(
-                idxs.iter()
-                    .map(|&i| (self.demands[i].weight, self.remaining[i])),
-            );
-        }
+    fn link_keys(&self) -> &[(u32, u32)] {
+        &self.keys
+    }
+
+    fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>) {
+        out.extend(
+            self.by_link[li as usize]
+                .iter()
+                .map(|&i| (self.demands[i].weight, self.remaining[i])),
+        );
     }
 
     fn is_drained(&self) -> bool {
-        self.remaining.iter().all(|&r| r == 0)
+        self.undrained == 0
     }
 }
 

@@ -1758,15 +1758,18 @@ mod tests {
                     .filter(|((i, j), ..)| i != j)
                     .map(|&(link, k, x, c)| (link, eps.hop_weight(k, x % k).value(), c)),
             );
+            // Every link holds packets at load, so `LinkId` `k` is `keys[k]`.
             let keys: Vec<(u32, u32)> = q.links().collect();
             prop_assume!(!keys.is_empty());
             let mut bonus = Vec::new();
             for &(pick, action) in &edits {
-                let link = keys[pick % keys.len()];
+                let li = pick % keys.len();
+                let link = keys[li];
+                let li = li as u32;
                 match action {
-                    0 => q.set_link(link, &mut []),
+                    0 => q.set_link(li, &mut []),
                     1 => q.set_link(
-                        link,
+                        li,
                         &mut [
                             (eps.hop_weight(3, pick as u32 % 3).value(), 5 + pick as u64),
                             (1.0 / 3.0, 2),
@@ -1774,7 +1777,7 @@ mod tests {
                         ],
                     ),
                     2 => bonus.push(link),
-                    _ => q.set_link(link, &mut [(0.0, 4)]),
+                    _ => q.set_link(li, &mut [(0.0, 4)]),
                 }
             }
             let extra = |link| if bonus.contains(&link) { delta + 1 } else { 0 };
@@ -1875,10 +1878,10 @@ mod tests {
                     .filter(|((i, j), ..)| i != j)
                     .map(|&(link, k, x, c)| (link, eps.hop_weight(k, x % k).value(), c)),
             );
-            let keys: Vec<(u32, u32)> = q.links().collect();
-            prop_assume!(!keys.is_empty());
+            let links = q.links().count();
+            prop_assume!(links > 0);
             for &pick in &zeroed {
-                q.set_link(keys[pick % keys.len()], &mut [(0.0, 3)]);
+                q.set_link((pick % links) as u32, &mut [(0.0, 3)]);
             }
             let alphas = q.alpha_candidates(10_000);
             prop_assume!(!alphas.is_empty());

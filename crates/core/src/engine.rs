@@ -9,8 +9,8 @@
 //! maintained [`LinkQueues`] snapshot:
 //!
 //! * [`TrafficSource`] abstracts the `T^r` bookkeeping. The canonical
-//!   implementation is [`RemainingTraffic`]; Octopus+ adapts its multi-route
-//!   plan state through the same interface.
+//!   implementation is [`crate::RemainingTraffic`]; Octopus+ adapts its
+//!   multi-route plan state through the same interface.
 //! * [`Fabric`] abstracts what a *configuration* is — a plain bipartite
 //!   matching ([`BipartiteFabric`]), a union of `r` edge-disjoint matchings
 //!   ([`KPortFabric`]), a general-graph matching on an undirected duplex
@@ -23,16 +23,17 @@
 //!   the next ([`Fabric::committed`]).
 //! * [`ScheduleEngine::commit`] applies the chosen `(M, α)` and patches the
 //!   queue snapshot **incrementally**: the source reports exactly which
-//!   links gained or lost packets, and only those links' `(weight,
-//!   packets)` groups are re-read ([`TrafficSource::refresh_link`], into a
-//!   buffer the engine reuses) and folded straight into the snapshot's arena
-//!   ([`LinkQueues::set_link`]) instead of rebuilding all `O(n²)` queues. A
-//!   link's aggregated weight classes depend only on that link's waiting
-//!   packets, so the patched snapshot is identical to a from-scratch
-//!   rebuild (property-tested in `tests/proptest_invariants.rs`).
+//!   links gained or lost packets, by the `LinkId` it numbers them with,
+//!   and only those links' `(weight, packets)` groups are re-read
+//!   ([`TrafficSource::refresh_link`], into a buffer the engine reuses) and
+//!   folded straight into the snapshot's arena ([`LinkQueues::set_link`])
+//!   instead of rebuilding all `O(n²)` queues. A link's aggregated weight
+//!   classes depend only on that link's waiting packets, so the patched
+//!   snapshot is identical to a from-scratch rebuild (property-tested in
+//!   `tests/proptest_invariants.rs`).
 //!
 //! The α search itself (exhaustive with upper-bound pruning, or ternary)
-//! lives in [`crate::best_config`] and is driven through [`SearchPolicy`].
+//! lives in `best_config` and is driven through [`SearchPolicy`].
 //! The snapshot is the only state the engine keeps between selects: each
 //! select bounds its candidates from the snapshot and its own solves alone,
 //! so its solve count is a pure function of the snapshot.
@@ -41,7 +42,7 @@ use crate::best_config::{
     AlphaSearch, BestChoice, ColumnKernel, ExactKernel, MatchingKind, SweepContext,
 };
 use crate::duplex::GeneralMatcherKind;
-use crate::state::{LinkQueues, MultiAlphaEdges, RemainingTraffic};
+use crate::state::{LinkQueues, MultiAlphaEdges};
 use crate::SchedError;
 use octopus_net::duplex::{DuplexMatching, DuplexNetwork};
 use octopus_net::{Configuration, Matching, NodeId, Schedule};
@@ -99,60 +100,42 @@ pub enum CandidateExtension {
 
 /// A `T^r` bookkeeping backend the engine can drive.
 ///
-/// Implementations report, on every commit, which links' queues changed —
-/// or `None` to request a full snapshot rebuild (for representations where
-/// dirty tracking is not worth it, like the Octopus+ multi-route plan).
+/// A source numbers its links with dense `LinkId`s, and its snapshot
+/// ([`TrafficSource::snapshot_queues`]) numbers them the same way.
+/// Implementations report, on every commit, the ids of the links whose
+/// queues changed — or request a full snapshot rebuild (for
+/// representations where dirty tracking is not worth it, like the
+/// Octopus+ multi-route plan).
 pub trait TrafficSource {
-    /// Builds the full per-link queue snapshot for an `n`-node fabric.
+    /// Builds the full per-link queue snapshot for an `n`-node fabric,
+    /// each link under the source's `LinkId`.
     fn snapshot_queues(&self, n: u32) -> LinkQueues;
 
     /// Applies one committed configuration as per-link slot budgets and
-    /// fills `dirty`, handed in empty, with the sorted, deduplicated links
-    /// whose queues changed. Returns `false` when the caller must rebuild
-    /// the snapshot from scratch instead.
-    fn apply_served(
-        &mut self,
-        served: &[(NodeId, NodeId, u64)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> bool;
+    /// fills `dirty`, handed in empty, with the sorted, deduplicated
+    /// `LinkId`s whose queues changed. Returns `false` when the caller must
+    /// rebuild the snapshot from scratch instead.
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool;
 
-    /// Fills `out`, handed in empty, with one link's `(weight, packets)`
-    /// groups in the current state, in any order; groups holding no packets
-    /// are ignored, and leaving `out` empty means the link is now empty.
-    /// The engine folds them into its snapshot ([`LinkQueues::set_link`]).
-    /// Called only for links reported dirty by
+    /// The key of every link the source numbers, indexed by `LinkId`: a
+    /// patch takes on the links its snapshot has not seen yet from here
+    /// ([`LinkQueues::intern`]). Sources that always request full rebuilds
+    /// may return an empty slice.
+    fn link_keys(&self) -> &[(u32, u32)];
+
+    /// Fills `out`, handed in empty, with `LinkId` `li`'s `(weight,
+    /// packets)` groups in the current state, in any order; groups holding
+    /// no packets are ignored, and leaving `out` empty means the link is
+    /// now empty. The engine folds them into its snapshot
+    /// ([`LinkQueues::set_link`]). Called only for links reported dirty by
     /// [`TrafficSource::apply_served`] or handed to
-    /// [`ScheduleEngine::patch_links`];
-    /// sources that always request full rebuilds (return `false` from
-    /// `apply_served`) can leave `out` empty, since no link is ever
-    /// reported dirty.
-    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>);
+    /// [`ScheduleEngine::patch_links`]; sources that always request full
+    /// rebuilds can leave `out` empty, since no link is ever reported
+    /// dirty.
+    fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>);
 
     /// Whether every packet has (planned to) come home.
     fn is_drained(&self) -> bool;
-}
-
-impl TrafficSource for RemainingTraffic {
-    fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        self.link_queues(n)
-    }
-
-    fn apply_served(
-        &mut self,
-        served: &[(NodeId, NodeId, u64)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> bool {
-        self.apply_budgets_tracked(served, dirty);
-        true
-    }
-
-    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
-        RemainingTraffic::refresh_link(self, link, out);
-    }
-
-    fn is_drained(&self) -> bool {
-        RemainingTraffic::is_drained(self)
-    }
 }
 
 impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
@@ -160,16 +143,16 @@ impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
         (**self).snapshot_queues(n)
     }
 
-    fn apply_served(
-        &mut self,
-        served: &[(NodeId, NodeId, u64)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> bool {
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
         (**self).apply_served(served, dirty)
     }
 
-    fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
-        (**self).refresh_link(link, out);
+    fn link_keys(&self) -> &[(u32, u32)] {
+        (**self).link_keys()
+    }
+
+    fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>) {
+        (**self).refresh_link(li, out);
     }
 
     fn is_drained(&self) -> bool {
@@ -451,8 +434,8 @@ pub struct ScheduleEngine<S: TrafficSource> {
     delta: u64,
     /// A commit's realized `(src, dst, slots)` budgets.
     budgets: Vec<(NodeId, NodeId, u64)>,
-    /// The links a commit or source update changed.
-    dirty: Vec<(u32, u32)>,
+    /// The `LinkId`s a commit or source update changed.
+    dirty: Vec<u32>,
     /// One patched link's `(weight, packets)` groups.
     pairs: Vec<(f64, u64)>,
 }
@@ -605,13 +588,14 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Mutates the source on a link set it reports: `f` gets the source and
-    /// an empty list to fill with every link whose queues it changed, and
+    /// an empty list to fill with the `LinkId` of every link whose queues
+    /// it changed, and
     /// the snapshot is then patched on those links
     /// ([`ScheduleEngine::patch_links`]). The list is the engine's own,
     /// reused, so streaming admissions
-    /// ([`RemainingTraffic::admit_subflows_into`]) and cancellations
-    /// ([`RemainingTraffic::cancel_flow_into`]) allocate nothing here.
-    pub fn update_source<R>(&mut self, f: impl FnOnce(&mut S, &mut Vec<(u32, u32)>) -> R) -> R {
+    /// ([`crate::RemainingTraffic::admit_subflows_into`]) and cancellations
+    /// ([`crate::RemainingTraffic::cancel_flow_into`]) allocate nothing here.
+    pub fn update_source<R>(&mut self, f: impl FnOnce(&mut S, &mut Vec<u32>) -> R) -> R {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.clear();
         let out = f(&mut self.source, &mut dirty);
@@ -621,18 +605,20 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     }
 
     /// Brings the cached snapshot back in sync after the traffic source was
-    /// mutated behind the engine's back on a known set of links — the
-    /// streaming admission/cancellation path ([`RemainingTraffic::admit_subflows`]
-    /// returns exactly this dirty set), the patch step of every commit and
-    /// of [`ScheduleEngine::update_source`].
-    /// Each link's `(weight, packets)` groups are re-read from the source
-    /// into the engine's reused buffer and folded into the snapshot's arena;
-    /// links the snapshot has never interned are inserted in sorted
-    /// position. A no-op when no snapshot is cached yet.
+    /// mutated behind the engine's back on a known set of links, given by
+    /// `LinkId` — the streaming admission/cancellation path
+    /// ([`crate::RemainingTraffic::admit_subflows`] returns exactly this dirty
+    /// set), the patch step of every commit and of
+    /// [`ScheduleEngine::update_source`]. Links the source numbered since
+    /// the snapshot last saw it are pushed onto the snapshot first
+    /// ([`LinkQueues::intern`]); then each dirty link's `(weight, packets)`
+    /// groups are re-read from the source into the engine's reused buffer
+    /// and folded into the snapshot's arena at that id. A no-op when no
+    /// snapshot is cached yet.
     ///
     /// Callers mutating the source on an *unknown* link set must use
     /// [`ScheduleEngine::invalidate`] instead.
-    pub fn patch_links(&mut self, dirty: &[(u32, u32)]) {
+    pub fn patch_links(&mut self, dirty: &[u32]) {
         let Self {
             queues,
             source,
@@ -640,10 +626,11 @@ impl<S: TrafficSource> ScheduleEngine<S> {
             ..
         } = self;
         if let Some(queues) = queues.as_mut() {
-            for &link in dirty {
+            queues.intern(source.link_keys());
+            for &li in dirty {
                 pairs.clear();
-                source.refresh_link(link, pairs);
-                queues.set_link(link, pairs);
+                source.refresh_link(li, pairs);
+                queues.set_link(li, pairs);
             }
         }
     }
@@ -716,6 +703,7 @@ fn extend_candidates(mut set: Vec<u64>, budget: u64, ext: CandidateExtension) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RemainingTraffic;
     use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad};
 
     fn load_example1() -> TrafficLoad {

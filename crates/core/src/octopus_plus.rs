@@ -397,11 +397,7 @@ impl TrafficSource for PlusSource<'_> {
         )
     }
 
-    fn apply_served(
-        &mut self,
-        served: &[(NodeId, NodeId, u64)],
-        _dirty: &mut Vec<(u32, u32)>,
-    ) -> bool {
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], _dirty: &mut Vec<u32>) -> bool {
         let Some(&(_, _, alpha)) = served.first() else {
             return false;
         };
@@ -411,10 +407,14 @@ impl TrafficSource for PlusSource<'_> {
         false
     }
 
-    fn refresh_link(&self, _link: (u32, u32), _out: &mut Vec<(f64, u64)>) {
-        // `apply_served` always requests a full rebuild (returns `false`),
-        // so the engine never reports a dirty link to refresh here.
+    // `apply_served` always requests a full rebuild (returns `false`), so
+    // the engine never patches this source's snapshot: each rebuild numbers
+    // its links afresh, in key order (`LinkQueues::from_weighted_counts`).
+    fn link_keys(&self) -> &[(u32, u32)] {
+        &[]
     }
+
+    fn refresh_link(&self, _li: u32, _out: &mut Vec<(f64, u64)>) {}
 
     fn is_drained(&self) -> bool {
         self.st.is_drained()

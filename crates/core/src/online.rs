@@ -16,9 +16,7 @@
 //! queue snapshot is patched on the links they touch, instead of rebuilding
 //! `T^r` every epoch.
 
-use crate::engine::{
-    BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy, TrafficSource,
-};
+use crate::engine::{BipartiteFabric, CandidateExtension, ScheduleEngine, SearchPolicy};
 use crate::{check_window, OctopusConfig, OctopusOutput, RemainingTraffic, SchedError};
 use octopus_net::{Configuration, Matching, Network, Schedule};
 use octopus_traffic::TrafficLoad;
@@ -291,8 +289,8 @@ pub fn check_hysteresis(window: u64, delta: u64, eta: f64) -> Result<(), SchedEr
 /// # Errors
 /// [`SchedError::Net`] when the search's winner is not a matching
 /// (unreachable with the shipped kernels); nothing is committed then.
-pub fn hysteresis_replan<S: TrafficSource>(
-    engine: &mut ScheduleEngine<S>,
+pub fn hysteresis_replan(
+    engine: &mut ScheduleEngine<RemainingTraffic>,
     fabric: &BipartiteFabric,
     policy: &SearchPolicy,
     incumbent: &mut Option<Matching>,
@@ -309,11 +307,16 @@ pub fn hysteresis_replan<S: TrafficSource>(
             ),
             None => (None, 0),
         };
-    let queues = engine.queues();
-    let value = |m: &Matching, alpha: u64| -> f64 {
+    // Each link is found by its `LinkId` in the plan's link table; a link
+    // the plan has never seen holds nothing.
+    let mut value = |m: &Matching, alpha: u64| -> f64 {
         m.links()
             .iter()
-            .map(|&(i, j)| queues.g(i.0, j.0, alpha))
+            .map(|&(i, j)| {
+                let li = engine.source().link_id_of((i.0, j.0));
+                li.and_then(|li| engine.queues().link(li))
+                    .map_or(0.0, |q| q.g(alpha))
+            })
             .sum()
     };
     let (serve, alpha, switched) = match (incumbent.take(), candidate) {
@@ -354,7 +357,7 @@ pub struct HysteresisStep {
 }
 
 /// A quasi-static **hysteresis** policy in the spirit of Wang & Javidi's
-/// adaptive schedulers (§2 "[37]"): hold one matching per epoch, and
+/// adaptive schedulers (§2, ref. 37): hold one matching per epoch, and
 /// reconfigure only when the best available matching beats the incumbent's
 /// current backlog value by a factor `1 + eta` ([`hysteresis_replan`]).
 /// Traffic-aware but much simpler than Octopus — it needs queue weights

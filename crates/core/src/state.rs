@@ -28,23 +28,25 @@
 //!   seen mid-window (admitting a flow whose route crosses it,
 //!   [`RemainingTraffic::admit_subflows`]) takes the next free id, and no
 //!   stored id ever moves. Keys are found through `LinkTable`'s sorted
-//!   per-source adjacency, and every walk whose order can reach a schedule
-//!   (the snapshot build, [`RemainingTraffic::subflows`]) goes through it in
-//!   key order, never in id order;
+//!   per-source adjacency, the one key→id lookup, and every walk whose
+//!   order can reach a schedule goes in key order:
+//!   [`RemainingTraffic::subflows`] through that adjacency, the snapshot's
+//!   sweep by sorting its live links when their ids are out of key order;
 //! * `T^r` keeps one flat row `Vec<((flow index, position), count)>` per
 //!   `LinkId`, sorted by `(flow index, position)`; walked in link-key order,
 //!   the rows visit sub-flows in the same total order the old per-link
 //!   `BTreeMap` iterated in, so schedules are bit-identical by construction;
-//! * [`LinkQueues`] is a CSR: the sorted link keys in one vec, a parallel
-//!   `(offset, len)` span per link, and three contiguous arenas holding the
-//!   weight classes and their prefix sums. Patching a link rewrites its span
-//!   in place (or appends and later compacts) instead of rebalancing a tree.
+//! * [`LinkQueues`] is an arena indexed by the same `LinkId`s: per id a key,
+//!   an `(offset, len)` span and a live bit, and three contiguous arenas
+//!   holding the weight classes and their prefix sums. Patching a link
+//!   rewrites its span in place (or appends and later compacts).
 //!
 //! Determinism note (enforced by `clippy::iter_over_hash_type`,
 //! `clippy::disallowed_methods` and `clippy::disallowed_types`): everything
-//! that is ever *iterated* on a scheduling path walks these sorted vecs or
-//! the link table's sorted index, so iteration order is a fixed total order
-//! independent of hasher seeds and of the order links were interned in.
+//! that is ever *iterated* on a scheduling path walks these sorted vecs, the
+//! link table's sorted index or the snapshot's live links in key order, so
+//! iteration order is a fixed total order independent of hasher seeds and
+//! of the order links were interned in.
 //! `HashMap` remains only for pure point lookups (`from_subflows`' dedup
 //! index and the lazy flow-ID index that admissions, cancellations and
 //! chained commits look rows up through), which cannot observe iteration
@@ -59,8 +61,8 @@
 //! either finds the ID's chain (walked for the row whose route matches, or
 //! extended by a new row) or claims the ID for a new row; a cancellation is
 //! one `get` probe and a walk of the chain. Admissions and commits refill
-//! buffers this struct keeps, and report their dirty links into a list the
-//! caller owns ([`crate::ScheduleEngine::update_source`] hands in the
+//! buffers this struct keeps, and report the `LinkId`s they dirtied into a
+//! list the caller owns ([`crate::ScheduleEngine::update_source`] hands in the
 //! engine's), so once the buffers have grown, an admission that merges into
 //! a live row, a cancellation and a commit allocate nothing here. A new
 //! row's hops are looked up in the link table as they are filed, and a hop
@@ -70,6 +72,7 @@
 //! one node's adjacency (and of the source list, for a new source), never
 //! a pass over every interned link.
 
+use crate::engine::TrafficSource;
 use crate::SchedError;
 use octopus_net::NodeId;
 use octopus_traffic::{FlowId, HopWeighting, Route, TrafficLoad, Weight};
@@ -500,38 +503,25 @@ impl RemainingTraffic {
     }
 
     /// Builds the per-link queue snapshot used to compute `g`, `h` and the
-    /// candidate α set for the current iteration. One pass over the link
-    /// rows in key order, appending straight into the snapshot's arena — no
-    /// intermediate per-link maps.
+    /// candidate α set for the current iteration: one pass over the link
+    /// rows in id order, so the snapshot numbers every link as the plan
+    /// does (those nothing queues on yet as tombstones).
     pub fn link_queues(&self, n: u32) -> LinkQueues {
         let slots: usize = self.rows.iter().map(Vec::len).sum();
         let mut q = LinkQueues::with_capacity(n, self.links.len(), slots);
-        let mut pairs: Vec<(f64, u64)> = Vec::new();
-        for li in self.links.in_key_order() {
-            let link = self.links.keys[li];
-            if self.rows[li].is_empty() {
-                // Intern the key even when nothing queues there yet: packets
-                // advancing onto this link later then patch an existing span
-                // in place instead of memmoving the sorted key vector.
-                q.push_empty_link(link);
-                continue;
-            }
-            pairs.clear();
-            pairs.extend(self.row_pairs(li));
-            q.push_link_entries(link, &mut pairs);
-        }
+        q.push_links(
+            self.links
+                .keys
+                .iter()
+                .enumerate()
+                .map(|(li, &key)| (key, self.row_pairs(li))),
+        );
         q
     }
 
-    /// Fills `out`, handed in empty, with the `(weight, packets)` groups
-    /// waiting on `link` (none when nothing waits there any more). The
-    /// incremental engine calls this for exactly the links touched by an
-    /// applied configuration and folds the groups into its snapshot with
-    /// [`LinkQueues::set_link`].
-    pub(crate) fn refresh_link(&self, link: (u32, u32), out: &mut Vec<(f64, u64)>) {
-        if let Some(li) = self.links.id(link) {
-            out.extend(self.row_pairs(li));
-        }
+    /// The `LinkId` of `link`, if interned.
+    pub(crate) fn link_id_of(&self, link: (u32, u32)) -> Option<u32> {
+        self.links.id(link).map(|li| li as u32)
     }
 
     /// Applies a chosen configuration `(M, α)` to the plan: on every link of
@@ -605,28 +595,6 @@ impl RemainingTraffic {
         gained
     }
 
-    /// [`RemainingTraffic::apply_budgets`] that also appends to `dirty` the
-    /// links whose queues changed, leaving it sorted and deduplicated: each
-    /// moved group leaves its origin link and (unless delivered) lands on
-    /// the next hop's link.
-    pub(crate) fn apply_budgets_tracked(
-        &mut self,
-        links: &[(NodeId, NodeId, u64)],
-        dirty: &mut Vec<(u32, u32)>,
-    ) -> f64 {
-        let gained = self.apply_budgets(links);
-        for &(fi, pos, _, _) in &self.scratch.moves {
-            let meta = &self.flows[fi as usize];
-            dirty.push(link_of(&meta.route, pos));
-            if pos + 1 < meta.hops {
-                dirty.push(link_of(&meta.route, pos + 1));
-            }
-        }
-        dirty.sort_unstable();
-        dirty.dedup();
-        gained
-    }
-
     /// Snapshot of the current sub-flows as `(flow id, route, position,
     /// count)` tuples, sorted deterministically: by flow ID and position,
     /// ties (one ID on several routes at one position) in link-key order,
@@ -651,14 +619,14 @@ impl RemainingTraffic {
     /// hops-advanced, count)` — a packet may cross several hops in one
     /// configuration here (§5). Each movement applies to the `(flow,
     /// route)` row, found through the flow-ID index. ψ gains the weight of
-    /// every traversed hop. Appends to `dirty` the links whose queues
+    /// every traversed hop. Appends to `dirty` the `LinkId`s whose queues
     /// changed (origin and landing links; intermediate hops hold no packets
     /// before or after), leaving it sorted and deduplicated: run it through
     /// [`crate::ScheduleEngine::update_source`].
     pub(crate) fn advance_chained(
         &mut self,
         moves: &[(FlowId, Route, u32, u32, u64)],
-        dirty: &mut Vec<(u32, u32)>,
+        dirty: &mut Vec<u32>,
     ) {
         for &(id, ref route, pos, advanced, count) in moves {
             debug_assert!(advanced > 0);
@@ -670,7 +638,7 @@ impl RemainingTraffic {
                 debug_assert!(false, "chained move names an unknown flow {id}");
                 continue;
             };
-            dirty.push(link_of(&self.flows[fi as usize].route, pos));
+            dirty.push(self.link_id(fi, pos));
             self.sub(fi, pos, count);
             let hops = self.flows[fi as usize].hops;
             for x in pos..pos + advanced {
@@ -681,7 +649,7 @@ impl RemainingTraffic {
             if new_pos == hops {
                 self.delivered += count;
             } else {
-                dirty.push(link_of(&self.flows[fi as usize].route, new_pos));
+                dirty.push(self.link_id(fi, new_pos));
                 self.add(fi, new_pos, count);
             }
         }
@@ -697,7 +665,7 @@ impl RemainingTraffic {
     /// traffic for a live flow accumulates bit-identically to having loaded
     /// the merged counts cold (`w*c1 + w*c2` summed per entry would not).
     ///
-    /// Returns the links whose queues changed, sorted and deduplicated —
+    /// Returns the `LinkId`s whose queues changed, sorted and deduplicated —
     /// feed them to [`crate::ScheduleEngine::patch_links`] to bring a live
     /// snapshot back in sync. [`RemainingTraffic::admit_subflows_into`]
     /// reports them into a caller's list instead.
@@ -710,13 +678,13 @@ impl RemainingTraffic {
     pub fn admit_subflows(
         &mut self,
         subflows: impl IntoIterator<Item = (FlowId, Route, u32, u64)>,
-    ) -> Result<Vec<(u32, u32)>, SchedError> {
+    ) -> Result<Vec<u32>, SchedError> {
         let mut dirty = Vec::new();
         self.admit_subflows_into(subflows, &mut dirty)?;
         Ok(dirty)
     }
 
-    /// [`RemainingTraffic::admit_subflows`] that appends the links whose
+    /// [`RemainingTraffic::admit_subflows`] that appends the `LinkId`s whose
     /// queues changed to `dirty`, leaving it sorted and deduplicated, and
     /// otherwise works on buffers the plan keeps: a sub-flow merging into a
     /// live row allocates nothing.
@@ -727,7 +695,7 @@ impl RemainingTraffic {
     pub fn admit_subflows_into(
         &mut self,
         subflows: impl IntoIterator<Item = (FlowId, Route, u32, u64)>,
-        dirty: &mut Vec<(u32, u32)>,
+        dirty: &mut Vec<u32>,
     ) -> Result<(), SchedError> {
         let mut incoming = std::mem::take(&mut self.scratch.incoming);
         incoming.extend(subflows.into_iter().filter(|&(.., count)| count > 0));
@@ -742,7 +710,7 @@ impl RemainingTraffic {
     fn admit_incoming(
         &mut self,
         incoming: &mut Vec<(FlowId, Route, u32, u64)>,
-        dirty: &mut Vec<(u32, u32)>,
+        dirty: &mut Vec<u32>,
     ) -> Result<(), SchedError> {
         // Validate everything before mutating anything: an error mid-batch
         // must not leave a half-admitted plan.
@@ -811,7 +779,7 @@ impl RemainingTraffic {
         self.rows.resize_with(self.links.len(), Vec::new);
         for &(fi, pos, count) in &staged {
             self.add(fi, pos, count);
-            dirty.push(self.links.keys[self.link_id(fi, pos) as usize]);
+            dirty.push(self.link_id(fi, pos));
         }
         dirty.sort_unstable();
         dirty.dedup();
@@ -826,32 +794,32 @@ impl RemainingTraffic {
     /// bookkeeping row stays (indices are stable); a later re-admission of
     /// the same `(id, route)` reuses it.
     ///
-    /// Returns `(packets removed, dirty links)` — the links, sorted and
+    /// Returns `(packets removed, dirty links)` — the `LinkId`s, sorted and
     /// deduplicated, whose queues lost packets.
     /// [`RemainingTraffic::cancel_flow_into`] reports them into a caller's
     /// list instead.
-    pub fn cancel_flow(&mut self, id: FlowId) -> (u64, Vec<(u32, u32)>) {
+    pub fn cancel_flow(&mut self, id: FlowId) -> (u64, Vec<u32>) {
         let mut dirty = Vec::new();
         let removed = self.cancel_flow_into(id, &mut dirty);
         (removed, dirty)
     }
 
-    /// [`RemainingTraffic::cancel_flow`] that appends the links whose
+    /// [`RemainingTraffic::cancel_flow`] that appends the `LinkId`s whose
     /// queues lost packets to `dirty`, leaving it sorted and deduplicated;
     /// returns the packets removed. Allocates nothing once the flow-ID
     /// index is built.
-    pub fn cancel_flow_into(&mut self, id: FlowId, dirty: &mut Vec<(u32, u32)>) -> u64 {
+    pub fn cancel_flow_into(&mut self, id: FlowId, dirty: &mut Vec<u32>) -> u64 {
         let index = FlowIndex::ensure(&mut self.index, &self.flows);
         let mut removed = 0u64;
         for fi in index.rows_of(id) {
             let meta = &self.flows[fi as usize];
             for pos in 0..meta.hops {
-                let li = self.flow_links[meta.link_off as usize + pos as usize] as usize;
-                let row = &mut self.rows[li];
+                let li = self.flow_links[meta.link_off as usize + pos as usize];
+                let row = &mut self.rows[li as usize];
                 if let Ok(k) = row.binary_search_by_key(&(fi, pos), |e| e.0) {
                     removed += row[k].1;
                     row.remove(k);
-                    dirty.push(self.links.keys[li]);
+                    dirty.push(li);
                 }
             }
         }
@@ -862,49 +830,84 @@ impl RemainingTraffic {
     }
 }
 
+impl TrafficSource for RemainingTraffic {
+    fn snapshot_queues(&self, n: u32) -> LinkQueues {
+        self.link_queues(n)
+    }
+
+    /// [`RemainingTraffic::apply_budgets`], reporting each moved group's
+    /// origin link and (unless delivered) the next hop's link.
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
+        self.apply_budgets(served);
+        for &(fi, pos, _, _) in &self.scratch.moves {
+            dirty.push(self.link_id(fi, pos));
+            if pos + 1 < self.flows[fi as usize].hops {
+                dirty.push(self.link_id(fi, pos + 1));
+            }
+        }
+        dirty.sort_unstable();
+        dirty.dedup();
+        true
+    }
+
+    fn link_keys(&self) -> &[(u32, u32)] {
+        &self.links.keys
+    }
+
+    fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>) {
+        out.extend(self.row_pairs(li as usize));
+    }
+
+    fn is_drained(&self) -> bool {
+        RemainingTraffic::is_drained(self)
+    }
+}
+
 /// Snapshot of all non-empty link queues for one scheduler iteration.
 ///
 /// For each fabric link `(i, j)`, the queue aggregates waiting packets into
 /// *weight classes* sorted by descending weight. From it derive:
 ///
 /// * `g(i, j, α)` — maximum total weight of α waiting packets
-///   ([`LinkQueues::g`]);
+///   ([`LinkQueueRef::g`]);
 /// * the candidate α set of Procedure 1 — per-link prefix counts at class
 ///   boundaries ([`LinkQueues::alpha_candidates`]);
 /// * the weighted graph `G'` whose maximum matching is the best
 ///   configuration for a given α, swept over every candidate α at once
 ///   ([`LinkQueues::weighted_edges_multi`]).
 ///
-/// # Storage: CSR link index + class arena
+/// # Storage: an arena indexed by `LinkId`
 ///
-/// The snapshot is three parallel pieces: the sorted link keys
-/// (`links`), one `(offset, len)` span per link (`spans`), and contiguous
-/// arenas holding every link's weight classes and prefix sums back to back.
-/// Each span's prefix sums restart at zero, so a span is one link's complete
-/// queue laid out in shared storage; [`LinkQueues::queue`] hands out a
+/// The snapshot numbers its links as its source does. Per `LinkId` it
+/// holds the link's `(i, j)` key, pushed once when the link first reaches
+/// the snapshot, an `(offset, len)` span and a live bit; contiguous arenas
+/// hold every link's weight classes and prefix sums back to back. Each
+/// span's prefix sums restart at zero, so a span is one link's complete
+/// queue laid out in shared storage; [`LinkQueues::link`] hands out a
 /// borrowed [`LinkQueueRef`] view of it.
 ///
-/// The snapshot can be patched link-by-link ([`LinkQueues::set_link`]): the
+/// The snapshot can be patched link by link ([`LinkQueues::set_link`]): the
 /// class list of a link depends only on that link's waiting packets, so an
 /// incremental rebuild of the touched links yields exactly the snapshot a
 /// full rebuild would. A patch folds its classes at the arena tail, the
 /// one fold every builder shares; classes that fit the link's existing
 /// span move into it, and a growing patch stays at the tail while the
 /// stale span becomes garbage, reclaimed by compaction once garbage
-/// outweighs live data. A drained link keeps its key with a zero-length
-/// **tombstone** span rather than shifting the sorted key vector — commit
-/// storms touch thousands of links, and `O(links)` memmoves per
-/// drain/refill would make patching quadratic. A bitset over the key
-/// positions marks the live spans, so the read paths that walk every live
-/// link (candidate enumeration, the sweep's edge arrays) visit set bits
-/// only, not every interned key. Every patch bumps
-/// [`LinkQueues::generation`] so derived caches can detect staleness.
+/// outweighs live data. A link new to the snapshot is one push
+/// ([`LinkQueues::intern`]), and a drained link keeps its id with a
+/// zero-length **tombstone** span. The read paths that walk every live
+/// link visit the set live bits only.
+///
+/// Ids follow key order after a cold load, not after streamed admissions.
+/// The reads whose order can reach a schedule (the sweep's edges and row
+/// index, [`LinkQueues::links`]) sort the live links by key when their ids
+/// do not already visit them in key order.
 #[derive(Debug, Clone)]
 pub struct LinkQueues {
     n: u32,
-    /// Sorted `(i, j)` link keys; the CSR index.
-    links: Vec<(u32, u32)>,
-    /// Per-link `(offset, len)` span into the class arenas.
+    /// Per `LinkId`: its `(i, j)` key.
+    keys: Vec<(u32, u32)>,
+    /// Per `LinkId`: its `(offset, len)` span into the class arenas.
     spans: Vec<(u32, u32)>,
     /// `(weight, packets)` class arena; weight strictly descending within
     /// each span.
@@ -915,10 +918,10 @@ pub struct LinkQueues {
     prefix_weights: Vec<f64>,
     /// Arena slots referenced by a span; `classes.len() - live` is garbage.
     live: usize,
-    /// Bit `e` is set iff `spans[e]` is live (non-empty); bits past
-    /// `links.len()` are clear.
+    /// Bit `li` is set iff `spans[li]` is live (non-empty); bits past
+    /// `keys.len()` are clear.
     live_links: Vec<u64>,
-    /// Bumped on every [`LinkQueues::set_link`]; see the type docs.
+    /// Bumped on every [`LinkQueues::set_link`].
     generation: u64,
 }
 
@@ -1022,7 +1025,7 @@ impl LinkQueues {
     fn with_capacity(n: u32, links: usize, slots: usize) -> Self {
         LinkQueues {
             n,
-            links: Vec::with_capacity(links),
+            keys: Vec::with_capacity(links),
             spans: Vec::with_capacity(links),
             classes: Vec::with_capacity(slots),
             prefix_counts: Vec::with_capacity(slots),
@@ -1064,50 +1067,34 @@ impl LinkQueues {
         (self.classes.len() - off) as u32
     }
 
-    /// Appends one link's queue, folding its `(weight, packets)` groups
-    /// into weight classes directly in the arena. Links must arrive in
-    /// ascending key order (the builders iterate sorted rows, so this holds
-    /// by construction).
-    fn push_link_entries(&mut self, link: (u32, u32), pairs: &mut [(f64, u64)]) {
-        debug_assert!(
-            !self.links.last().is_some_and(|&l| l >= link),
-            "links must be appended in ascending order"
-        );
-        debug_assert!(!pairs.is_empty());
-        let off = self.classes.len() as u32;
-        let len = self.fold_classes(pairs);
-        self.push_key(link, (off, len));
-        self.live += len as usize;
-    }
-
-    /// Interns a key with an empty (tombstone) span: the link is known to
-    /// the CSR index but queues nothing yet. Every read path skips it, so
-    /// the snapshot behaves exactly as if the key were absent — but a later
-    /// [`LinkQueues::set_link`] patch finds the key in place instead of
-    /// memmoving the tail of the sorted key vector.
-    fn push_empty_link(&mut self, link: (u32, u32)) {
-        debug_assert!(
-            !self.links.last().is_some_and(|&l| l >= link),
-            "links must be appended in ascending order"
-        );
-        self.push_key(link, (self.classes.len() as u32, 0));
-    }
-
-    /// Appends a key and its span at the end of the CSR index, with its
-    /// live bit.
-    fn push_key(&mut self, link: (u32, u32), span: (u32, u32)) {
-        let e = self.links.len();
-        if e % 64 == 0 {
-            self.live_links.push(0);
+    /// Numbers `links` after the ones already held, in the order given:
+    /// each link's key and its `(weight, packets)` groups, folded into
+    /// classes at the arena tail (none, or only empty groups, make a
+    /// tombstone). The one builder loop.
+    fn push_links<P>(&mut self, links: impl IntoIterator<Item = ((u32, u32), P)>)
+    where
+        P: IntoIterator<Item = (f64, u64)>,
+    {
+        let mut pairs: Vec<(f64, u64)> = Vec::new();
+        for (key, groups) in links {
+            pairs.clear();
+            pairs.extend(groups);
+            let off = self.classes.len() as u32;
+            let len = self.fold_classes(&mut pairs);
+            let li = self.keys.len();
+            if li % 64 == 0 {
+                self.live_links.push(0);
+            }
+            self.keys.push(key);
+            self.spans.push((off, len));
+            self.set_live(li, len > 0);
+            self.live += len as usize;
         }
-        self.links.push(link);
-        self.spans.push(span);
-        self.set_live(e, span.1 > 0);
     }
 
-    /// Sets or clears the live bit of CSR position `e`.
-    fn set_live(&mut self, e: usize, live: bool) {
-        let (word, bit) = (e / 64, 1u64 << (e % 64));
+    /// Sets or clears the live bit of `LinkId` `li`.
+    fn set_live(&mut self, li: usize, live: bool) {
+        let (word, bit) = (li / 64, 1u64 << (li % 64));
         if live {
             self.live_links[word] |= bit;
         } else {
@@ -1115,44 +1102,32 @@ impl LinkQueues {
         }
     }
 
-    /// Inserts a key and its live span at CSR position `idx`, shifting the
-    /// keys, spans and live bits above it up by one position.
-    fn insert_key(&mut self, idx: usize, link: (u32, u32), span: (u32, u32)) {
-        if self.links.len() % 64 == 0 {
-            self.live_links.push(0);
-        }
-        self.links.insert(idx, link);
-        self.spans.insert(idx, span);
-        // From the top word down, each word moves up one bit and takes the
-        // top bit of the word below it; the word holding `idx` keeps its
-        // bits below `idx` in place.
-        let word = idx / 64;
-        for w in (word + 1..self.live_links.len()).rev() {
-            self.live_links[w] = (self.live_links[w] << 1) | (self.live_links[w - 1] >> 63);
-        }
-        let below = (1u64 << (idx % 64)) - 1;
-        let bits = self.live_links[word];
-        self.live_links[word] = (bits & below) | ((bits & !below) << 1);
-        self.set_live(idx, span.1 > 0);
-    }
-
     /// Builds a snapshot directly from `(link, weight, count)` triples —
-    /// used by schedulers with their own `T^r` representation (Octopus+).
+    /// used by sources with their own `T^r` representation (Octopus+, the
+    /// one-hop demands). Numbers every link named in ascending key order;
+    /// a link whose triples hold no packets is a tombstone.
     pub fn from_weighted_counts(
         n: u32,
         triples: impl IntoIterator<Item = ((u32, u32), f64, u64)>,
     ) -> Self {
-        let mut v: Vec<((u32, u32), f64, u64)> =
-            triples.into_iter().filter(|&(_, _, c)| c > 0).collect();
+        let mut v: Vec<((u32, u32), f64, u64)> = triples.into_iter().collect();
         v.sort_by_key(|&(link, _, _)| link);
         let mut q = LinkQueues::with_capacity(n, 0, v.len());
-        let mut pairs: Vec<(f64, u64)> = Vec::new();
-        for group in v.chunk_by(|a, b| a.0 == b.0) {
-            pairs.clear();
-            pairs.extend(group.iter().map(|&(_, w, c)| (w, c)));
-            q.push_link_entries(group[0].0, &mut pairs);
-        }
+        q.push_links(
+            v.chunk_by(|a, b| a.0 == b.0)
+                .map(|group| (group[0].0, group.iter().map(|&(_, w, c)| (w, c)))),
+        );
         q
+    }
+
+    /// Takes on, as tombstones, the links of `keys` past the ones this
+    /// snapshot numbers: `keys` holds a source's key of every `LinkId`, and
+    /// the snapshot's own keys are a prefix of it. A link new to the
+    /// snapshot is one push of its key, span and live bit; nothing already
+    /// stored moves.
+    pub fn intern(&mut self, keys: &[(u32, u32)]) {
+        let new = keys.get(self.keys.len()..).unwrap_or_default();
+        self.push_links(new.iter().map(|&key| (key, [])));
     }
 
     /// Fabric size the snapshot was built for.
@@ -1165,9 +1140,9 @@ impl LinkQueues {
         self.live == 0
     }
 
-    /// The patch generation: bumped by every [`LinkQueues::set_link`], so
-    /// state derived from a snapshot (sweeps, workspaces) can detect that
-    /// the snapshot moved on. A freshly built snapshot starts at 0.
+    /// The patch count: bumped by every [`LinkQueues::set_link`], so the
+    /// difference between two reads counts the links re-derived in
+    /// between. A freshly built snapshot starts at 0.
     pub fn generation(&self) -> u64 {
         self.generation
     }
@@ -1180,9 +1155,9 @@ impl LinkQueues {
         (self.live, self.classes.len(), self.classes.capacity())
     }
 
-    /// The borrowed view of the span at CSR position `idx`.
-    fn view_at(&self, idx: usize) -> LinkQueueRef<'_> {
-        self.view_span(self.spans[idx])
+    /// The borrowed view of `LinkId` `li`'s span.
+    fn view_at(&self, li: usize) -> LinkQueueRef<'_> {
+        self.view_span(self.spans[li])
     }
 
     /// The borrowed view of one `(offset, len)` span of the class arenas.
@@ -1195,53 +1170,54 @@ impl LinkQueues {
         }
     }
 
-    /// The queue of one link, if non-empty.
-    pub fn queue(&self, i: u32, j: u32) -> Option<LinkQueueRef<'_>> {
-        let idx = self.links.binary_search(&(i, j)).ok()?;
-        (self.spans[idx].1 > 0).then(|| self.view_at(idx))
+    /// The queue of `LinkId` `li`, if non-empty.
+    pub fn link(&self, li: u32) -> Option<LinkQueueRef<'_>> {
+        let li = li as usize;
+        (self.spans.get(li)?.1 > 0).then(|| self.view_at(li))
     }
 
-    /// Replaces one link's queue with the `(weight, packets)` groups in
+    /// The queue of link `(i, j)`, if non-empty. A scan over every key the
+    /// snapshot holds, for tests and one-off reads; the engine addresses
+    /// links by id ([`LinkQueues::link`]).
+    pub fn queue(&self, i: u32, j: u32) -> Option<LinkQueueRef<'_>> {
+        let li = self.keys.iter().position(|&key| key == (i, j))?;
+        self.link(li as u32)
+    }
+
+    /// Replaces `LinkId` `li`'s queue with the `(weight, packets)` groups in
     /// `pairs`, in any order (sorted in place) — the patch operation of the
-    /// incremental engine. The groups fold into classes at the arena tail
-    /// ([`LinkQueues::fold_classes`]); classes that fit the link's current
+    /// incremental engine. The groups fold into classes at the arena tail,
+    /// as every builder folds them; classes that fit the link's current
     /// span move into it, so a shrinking queue leaves no garbage, and a
     /// growing one keeps its tail span. Groups holding no packets tombstone
     /// the link. Stale slots are reclaimed once they outnumber live ones.
-    pub fn set_link(&mut self, link: (u32, u32), pairs: &mut [(f64, u64)]) {
+    ///
+    /// # Panics
+    /// If the snapshot does not number `li` ([`LinkQueues::intern`]).
+    pub fn set_link(&mut self, li: u32, pairs: &mut [(f64, u64)]) {
         self.generation += 1;
+        let li = li as usize;
+        let (off, old_len) = self.spans[li];
         let tail = self.classes.len();
         let len = self.fold_classes(pairs);
-        match self.links.binary_search(&link) {
-            Ok(idx) => {
-                let (off, old_len) = self.spans[idx];
-                if len <= old_len {
-                    // Fits (or drains to a tombstone): move the classes into
-                    // the old span. Removing a drained key would memmove the
-                    // tail of the sorted key vector on every drained link —
-                    // quadratic under commit storms.
-                    let new = tail..tail + len as usize;
-                    let o = off as usize;
-                    self.classes.copy_within(new.clone(), o);
-                    self.prefix_counts.copy_within(new.clone(), o);
-                    self.prefix_weights.copy_within(new, o);
-                    self.classes.truncate(tail);
-                    self.prefix_counts.truncate(tail);
-                    self.prefix_weights.truncate(tail);
-                    self.spans[idx] = (off, len);
-                    self.live -= (old_len - len) as usize;
-                } else {
-                    self.spans[idx] = (tail as u32, len);
-                    self.live += (len - old_len) as usize;
-                }
-                self.set_live(idx, len > 0);
-            }
-            Err(idx) if len > 0 => {
-                self.insert_key(idx, link, (tail as u32, len));
-                self.live += len as usize;
-            }
-            Err(_) => {}
+        if len <= old_len {
+            // Fits (or drains to a tombstone): move the classes into the
+            // old span, leaving no garbage behind.
+            let new = tail..tail + len as usize;
+            let o = off as usize;
+            self.classes.copy_within(new.clone(), o);
+            self.prefix_counts.copy_within(new.clone(), o);
+            self.prefix_weights.copy_within(new, o);
+            self.classes.truncate(tail);
+            self.prefix_counts.truncate(tail);
+            self.prefix_weights.truncate(tail);
+            self.spans[li] = (off, len);
+            self.live -= (old_len - len) as usize;
+        } else {
+            self.spans[li] = (tail as u32, len);
+            self.live += (len - old_len) as usize;
         }
+        self.set_live(li, len > 0);
         self.maybe_compact();
     }
 
@@ -1293,13 +1269,13 @@ impl LinkQueues {
         self.prefix_weights = prefix_weights;
     }
 
-    /// `g(i, j, α)` of §4.1.
+    /// `g(i, j, α)` of §4.1, through [`LinkQueues::queue`]'s scan.
     pub fn g(&self, i: u32, j: u32, alpha: u64) -> f64 {
         self.queue(i, j).map_or(0.0, |q| q.g(alpha))
     }
 
-    /// CSR positions whose spans are live (ascending link order): the set
-    /// bits of the live bitset, so tombstones cost nothing to skip.
+    /// The `LinkId`s whose spans are live, ascending: the set bits of the
+    /// live bitset, so tombstones cost nothing to skip.
     fn live_indices(&self) -> impl Iterator<Item = usize> + '_ {
         self.live_links.iter().enumerate().flat_map(|(w, &word)| {
             let mut bits = word;
@@ -1321,9 +1297,30 @@ impl LinkQueues {
             .sum()
     }
 
+    /// Appends every live link's key and span to `keys` and `spans`, in
+    /// ascending key order.
+    fn live_links_by_key(&self, keys: &mut Vec<(u32, u32)>, spans: &mut Vec<(u32, u32)>) {
+        let mut ascending = true;
+        for li in self.live_indices() {
+            let key = self.keys[li];
+            ascending &= keys.last() < Some(&key);
+            keys.push(key);
+            spans.push(self.spans[li]);
+        }
+        if !ascending {
+            let mut by_key: Vec<_> = keys.iter().copied().zip(spans.iter().copied()).collect();
+            by_key.sort_unstable_by_key(|&(key, _)| key);
+            for (k, (key, span)) in by_key.into_iter().enumerate() {
+                (keys[k], spans[k]) = (key, span);
+            }
+        }
+    }
+
     /// Iterates non-empty links (ascending).
-    pub fn links(&self) -> impl Iterator<Item = (u32, u32)> + '_ {
-        self.live_indices().map(|e| self.links[e])
+    pub fn links(&self) -> impl Iterator<Item = (u32, u32)> {
+        let (mut keys, mut spans) = (Vec::new(), Vec::new());
+        self.live_links_by_key(&mut keys, &mut spans);
+        keys.into_iter()
     }
 
     /// The candidate α set of Procedure 1: union of per-link class-boundary
@@ -1335,7 +1332,7 @@ impl LinkQueues {
         let mut set = Vec::with_capacity(self.live);
         set.extend(
             self.live_indices()
-                .flat_map(|e| self.view_at(e).boundary_alphas().iter().copied())
+                .flat_map(|li| self.view_at(li).boundary_alphas().iter().copied())
                 .map(|a| a.min(cap))
                 .filter(|&a| a > 0),
         );
@@ -1358,6 +1355,10 @@ impl LinkQueues {
     /// `(i, j)` is evaluated at `α + extra((i, j))` for every candidate α.
     /// Used by the localized-reconfiguration extension, where links kept from
     /// the previous configuration also serve during the Δ transition.
+    ///
+    /// The edges are the live links in key order, which fixes every sum
+    /// and every tie of the select: walked in id order, and sorted only
+    /// when the ids do not already visit the keys in ascending order.
     pub fn weighted_edges_multi_with(
         &self,
         alphas: &[u64],
@@ -1370,19 +1371,17 @@ impl LinkQueues {
         let ne = self.live_count();
         let mut edges = Vec::with_capacity(ne);
         let mut spans = Vec::with_capacity(ne);
+        self.live_links_by_key(&mut edges, &mut spans);
         let mut bonus = Vec::with_capacity(ne);
         let mut rows = SPARE_ROWS.try_with(Cell::take).unwrap_or_default();
         rows.clear();
         rows.reserve(self.n as usize + 1);
-        for idx in self.live_indices() {
-            let (i, j) = self.links[idx];
+        for (e, &(i, j)) in edges.iter().enumerate() {
             debug_assert!(i < self.n && j < self.n, "link ({i}, {j}) out of fabric");
-            // Live links are key-ordered, so left port i's edges start here.
+            // Edges are key-ordered, so left port i's edges start here.
             while rows.len() <= i as usize {
-                rows.push(edges.len() as u32);
+                rows.push(e as u32);
             }
-            edges.push((i, j));
-            spans.push(self.spans[idx]);
             bonus.push(extra((i, j)));
         }
         rows.resize(self.n as usize + 1, edges.len() as u32);
@@ -1620,6 +1619,7 @@ impl MultiAlphaEdges<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::ScheduleEngine;
     use octopus_traffic::Flow;
 
     fn load_example1() -> TrafficLoad {
@@ -1826,15 +1826,14 @@ mod tests {
     #[test]
     fn tracked_apply_reports_moves_and_dirty_links() {
         let mut tr = RemainingTraffic::new(&load_example1(), HopWeighting::Uniform).unwrap();
-        let mut dirty = Vec::new();
-        let gained = tr.apply_budgets_tracked(
+        let dirty = served(
+            &mut tr,
             &[(NodeId(3), NodeId(0), 50), (NodeId(2), NodeId(1), 10)],
-            &mut dirty,
         );
         // 50·½ + 10·½: f2 moved off (3,0) onto (0,1), f3 off (2,1) onto (1,0).
-        assert!((gained - 30.0).abs() < 1e-12);
+        assert!((tr.planned_psi() - 30.0).abs() < 1e-12);
         assert_eq!(tr.scratch.moves, vec![(1, 0, 50, 0.5), (2, 0, 10, 0.5)]);
-        assert_eq!(dirty, vec![(0, 1), (1, 0), (2, 1), (3, 0)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(0, 1), (1, 0), (2, 1), (3, 0)]);
         // Refreshing the dirty links matches a from-scratch rebuild.
         assert_eq!(refreshed_packets(&tr, (3, 0)), 0); // emptied
         assert_eq!(refreshed_packets(&tr, (0, 1)), 150);
@@ -1864,58 +1863,74 @@ mod tests {
     /// Packets [`RemainingTraffic::refresh_link`] reports on `link`.
     fn refreshed_packets(tr: &RemainingTraffic, link: (u32, u32)) -> u64 {
         let mut pairs = Vec::new();
-        tr.refresh_link(link, &mut pairs);
+        tr.refresh_link(tr.link_id_of(link).unwrap(), &mut pairs);
         pairs.iter().map(|&(_, c)| c).sum()
     }
 
+    /// The keys of the `LinkId`s `ids`, in key order.
+    fn keys_of(tr: &RemainingTraffic, ids: &[u32]) -> Vec<(u32, u32)> {
+        let mut keys: Vec<(u32, u32)> = ids.iter().map(|&li| tr.link_keys()[li as usize]).collect();
+        keys.sort_unstable();
+        keys
+    }
+
     /// Applies `serve` to `tr` and returns the dirty links it reports.
-    fn served(tr: &mut RemainingTraffic, serve: &[(NodeId, NodeId, u64)]) -> Vec<(u32, u32)> {
+    fn served(tr: &mut RemainingTraffic, serve: &[(NodeId, NodeId, u64)]) -> Vec<u32> {
         let mut dirty = Vec::new();
-        tr.apply_budgets_tracked(serve, &mut dirty);
+        assert!(tr.apply_served(serve, &mut dirty));
         dirty
     }
 
     /// Re-derives `dirty` from `tr` into `q`, as the engine's commit does.
-    fn patch(q: &mut LinkQueues, tr: &RemainingTraffic, dirty: &[(u32, u32)]) {
+    fn patch(q: &mut LinkQueues, tr: &RemainingTraffic, dirty: &[u32]) {
+        q.intern(tr.link_keys());
         let mut pairs = Vec::new();
-        for &link in dirty {
+        for &li in dirty {
             pairs.clear();
-            tr.refresh_link(link, &mut pairs);
-            q.set_link(link, &mut pairs);
+            tr.refresh_link(li, &mut pairs);
+            q.set_link(li, &mut pairs);
         }
     }
 
-    // ---- arena/CSR patching (snapshot/restore and mid-window patching) ----
+    // ---- arena patching (snapshot/restore and mid-window patching) ----
 
-    /// Structural equality of two snapshots through the public view API.
+    /// One live link's key, classes and boundary αs.
+    type LiveQueue<'a> = ((u32, u32), &'a [(f64, u64)], &'a [u64]);
+
+    /// Every live link's [`LiveQueue`], in key order.
+    fn live_queues(q: &LinkQueues) -> Vec<LiveQueue<'_>> {
+        let mut v: Vec<_> = q
+            .live_indices()
+            .map(|li| {
+                let view = q.view_at(li);
+                (q.keys[li], view.classes(), view.boundary_alphas())
+            })
+            .collect();
+        v.sort_unstable_by_key(|&(key, ..)| key);
+        v
+    }
+
+    /// Structural equality of two snapshots: the same live links in key
+    /// order, each with the same classes, and the same candidate αs.
     fn assert_snapshots_equal(a: &LinkQueues, b: &LinkQueues) {
-        let la: Vec<_> = a.links().collect();
-        let lb: Vec<_> = b.links().collect();
-        assert_eq!(la, lb, "link sets differ");
-        for &(i, j) in &la {
-            let qa = a.queue(i, j).unwrap();
-            let qb = b.queue(i, j).unwrap();
-            assert_eq!(qa.classes(), qb.classes(), "classes differ on ({i},{j})");
-            assert_eq!(qa.boundary_alphas(), qb.boundary_alphas());
-        }
+        assert_eq!(a.links().collect::<Vec<_>>(), b.links().collect::<Vec<_>>());
+        assert_eq!(live_queues(a), live_queues(b), "link queues differ");
         assert_eq!(a.alpha_candidates(u64::MAX), b.alpha_candidates(u64::MAX));
     }
 
-    /// The live bitset marks exactly the non-empty spans: [`LinkQueues::links`]
-    /// equals the `spans[e].1 > 0` filter over every interned key, and no
-    /// bit is set past the key vector.
+    /// The live bitset marks exactly the non-empty spans: its set bits are
+    /// the ids with `spans[li].1 > 0`, no bit is set past the last id, and
+    /// every id has a key and a span.
     fn assert_live_bits_match_spans(q: &LinkQueues) {
-        let want: Vec<(u32, u32)> = (0..q.links.len())
-            .filter(|&e| q.spans[e].1 > 0)
-            .map(|e| q.links[e])
-            .collect();
+        let want: Vec<usize> = (0..q.keys.len()).filter(|&li| q.spans[li].1 > 0).collect();
         assert_eq!(
-            q.links().collect::<Vec<_>>(),
+            q.live_indices().collect::<Vec<_>>(),
             want,
             "live bits disagree with spans"
         );
         assert_eq!(q.live_count(), want.len());
-        assert_eq!(q.live_links.len(), q.links.len().div_ceil(64));
+        assert_eq!(q.spans.len(), q.keys.len());
+        assert_eq!(q.live_links.len(), q.keys.len().div_ceil(64));
     }
 
     #[test]
@@ -1938,70 +1953,25 @@ mod tests {
     }
 
     #[test]
-    fn admitted_keys_shift_live_bits_across_words() {
-        // 210 interned keys (four bitset words), every fourth drained to a
-        // tombstone; then admissions on links that sort before all of them
-        // insert keys at positions 0..29, each shifting every later bit up
-        // one position, across every word boundary.
-        let n = 16u32;
-        let flows: Vec<Flow> = (2..n)
-            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
-            .enumerate()
-            .map(|(f, (i, j))| {
-                Flow::single(
-                    FlowId(f as u64),
-                    3 + f as u64 % 5,
-                    Route::from_ids([i, j]).unwrap(),
-                )
-            })
-            .collect();
-        let mut tr =
-            RemainingTraffic::new(&TrafficLoad::new(flows).unwrap(), HopWeighting::Uniform)
-                .unwrap();
-        let mut q = tr.link_queues(n);
-        assert!(q.links.len() > 128);
-        assert_live_bits_match_spans(&q);
-        let keys = q.links.clone();
-        for &(i, j) in keys.iter().step_by(4) {
-            let dirty = served(&mut tr, &[(NodeId(i), NodeId(j), 100)]);
-            patch(&mut q, &tr, &dirty);
-            assert_live_bits_match_spans(&q);
-        }
-        let fresh = (0..2u32).flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)));
-        for (f, (i, j)) in fresh.enumerate() {
-            let dirty = tr
-                .admit_subflows([(
-                    FlowId(1_000 + f as u64),
-                    Route::from_ids([i, j]).unwrap(),
-                    0,
-                    4,
-                )])
-                .unwrap();
-            let at = q.links.partition_point(|&l| l < (i, j));
-            assert!(at < 64, "key ({i}, {j}) lands at position {at}");
-            patch(&mut q, &tr, &dirty);
-            assert_live_bits_match_spans(&q);
-            assert_snapshots_equal(&q, &tr.link_queues(n));
-        }
-    }
-
-    #[test]
     fn set_link_handles_empty_and_duplicate_key_edges() {
+        // Ids 0 and 1 are (0, 1) and (2, 3); id 2 is (1, 1), taken on empty.
         let mut q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64), ((2, 3), 0.5, 4)]);
-        // Removing a link that holds nothing is a no-op.
-        q.set_link((1, 2), &mut []);
+        q.intern(&[(0, 1), (2, 3), (1, 1)]);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
-        // Re-setting the same key replaces, never duplicates, the CSR entry.
-        q.set_link((0, 1), &mut [(1.0, 3)]);
-        q.set_link((0, 1), &mut [(1.0, 2), (2.0, 1)]);
+        // Emptying a link that holds nothing is a no-op.
+        q.set_link(2, &mut []);
+        assert_eq!(q.links().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
+        // Re-setting the same link replaces, never duplicates, its span.
+        q.set_link(0, &mut [(1.0, 3)]);
+        q.set_link(0, &mut [(1.0, 2), (2.0, 1)]);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(0, 1), (2, 3)]);
         assert_eq!(q.queue(0, 1).unwrap().classes(), &[(2.0, 1), (1.0, 2)]);
-        // Emptying a link drops it from the index entirely.
-        q.set_link((0, 1), &mut []);
+        // Emptying a link drops it from the live links.
+        q.set_link(0, &mut []);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(2, 3)]);
         assert!(q.queue(0, 1).is_none());
-        // Inserting a brand-new link lands in sorted position.
-        q.set_link((1, 1), &mut [(3.0, 7)]);
+        // Filling the link numbered last reads it in key order.
+        q.set_link(2, &mut [(3.0, 7)]);
         assert_eq!(q.links().collect::<Vec<_>>(), vec![(1, 1), (2, 3)]);
         assert_eq!(q.queue(1, 1).unwrap().total_packets(), 7);
         // Unsorted groups with bit-equal duplicate weights and zero counts
@@ -2022,7 +1992,7 @@ mod tests {
             &[(1.0 / 3.0, 2), (1.0 / 3.0, 1), (0.0, 4), (1.0 / 3.0, 0)],
         ];
         for group in groups {
-            q.set_link((1, 1), &mut group.to_vec());
+            q.set_link(2, &mut group.to_vec());
             let expect = LinkQueues::from_weighted_counts(
                 4,
                 group
@@ -2038,10 +2008,10 @@ mod tests {
     fn generation_counts_every_patch() {
         let mut q = LinkQueues::from_weighted_counts(4, [((0, 1), 1.0, 10u64)]);
         assert_eq!(q.generation(), 0);
-        q.set_link((0, 1), &mut [(1.0, 5)]);
+        q.set_link(0, &mut [(1.0, 5)]);
         assert_eq!(q.generation(), 1);
-        q.set_link((0, 1), &mut []);
-        q.set_link((2, 2), &mut []); // even a no-op patch advances the clock
+        q.set_link(0, &mut []);
+        q.set_link(0, &mut []); // even a no-op patch advances the clock
         assert_eq!(q.generation(), 3);
     }
 
@@ -2074,7 +2044,7 @@ mod tests {
             let pairs: Vec<(f64, u64)> = (0..(round % 7) + 1)
                 .map(|k| (1.0 + k as f64, round + k))
                 .collect();
-            q.set_link((0, 1), &mut pairs.clone());
+            q.set_link(0, &mut pairs.clone());
             assert_live_bits_match_spans(&q);
             let expect = LinkQueues::from_weighted_counts(
                 4,
@@ -2105,7 +2075,7 @@ mod tests {
                 (FlowId(10), Route::from_ids([4, 5, 2]).unwrap(), 0, 7),
             ])
             .unwrap();
-        assert_eq!(dirty, vec![(1, 0), (4, 5)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(1, 0), (4, 5)]);
         let cold = RemainingTraffic::from_subflows(tr.subflows(), HopWeighting::Uniform);
         assert_snapshots_equal(&tr.link_queues(8), &cold.link_queues(8));
         // The merged plan keeps scheduling normally, including on the links
@@ -2237,7 +2207,7 @@ mod tests {
         tr.apply(&[(NodeId(3), NodeId(0))], 20);
         let (removed, dirty) = tr.cancel_flow(FlowId(2));
         assert_eq!(removed, 50);
-        assert_eq!(dirty, vec![(0, 1), (3, 0)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(0, 1), (3, 0)]);
         assert_eq!(tr.remaining_packets(), 150);
         assert_eq!(refreshed_packets(&tr, (3, 0)), 0);
         // Cancelling an unknown flow is a no-op.
@@ -2285,23 +2255,20 @@ mod tests {
         let mut dirty = Vec::new();
         tr.admit_subflows_into([(id, a.clone(), 0, 10)], &mut dirty)
             .unwrap();
-        assert_eq!(dirty, vec![(0, 1)]);
-        assert_eq!(tr.admit_subflows(expected.clone()).unwrap(), vec![(1, 2)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(0, 1)]);
+        let dirty = tr.admit_subflows(expected.clone()).unwrap();
+        assert_eq!(keys_of(&tr, &dirty), vec![(1, 2)]);
         let batch = [(id, b.clone(), 0, 6), (id, c.clone(), 0, 5)];
-        assert_eq!(
-            tr.admit_subflows(batch.clone()).unwrap(),
-            vec![(3, 4), (5, 3)]
-        );
+        let dirty = tr.admit_subflows(batch.clone()).unwrap();
+        assert_eq!(keys_of(&tr, &dirty), vec![(3, 4), (5, 3)]);
         expected.extend([(id, a.clone(), 0, 10)]);
         expected.extend(batch);
         assert_eq!(tr.flows.len(), 4);
         check(&tr, &expected);
 
         // Top up the second route: it merges into the ID's second row.
-        assert_eq!(
-            tr.admit_subflows([(id, b.clone(), 0, 3)]).unwrap(),
-            vec![(3, 4)]
-        );
+        let dirty = tr.admit_subflows([(id, b.clone(), 0, 3)]).unwrap();
+        assert_eq!(keys_of(&tr, &dirty), vec![(3, 4)]);
         expected[2].3 += 3;
         assert_eq!(tr.flows.len(), 4);
         check(&tr, &expected);
@@ -2310,7 +2277,7 @@ mod tests {
         // route through the index, not by ID alone.
         let mut dirty = Vec::new();
         tr.advance_chained(&[(id, c.clone(), 0, 2, 5)], &mut dirty);
-        assert_eq!(dirty, vec![(4, 0), (5, 3)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(4, 0), (5, 3)]);
         assert!((tr.planned_psi() - 5.0 * 2.0 / 3.0).abs() < 1e-12);
         expected[3].2 = 2;
         check(&tr, &expected);
@@ -2318,15 +2285,13 @@ mod tests {
         // Cancelling the ID empties all three of its rows.
         let mut dirty = Vec::new();
         assert_eq!(tr.cancel_flow_into(id, &mut dirty), 10 + 9 + 5);
-        assert_eq!(dirty, vec![(0, 1), (3, 4), (4, 0)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(0, 1), (3, 4), (4, 0)]);
         expected.retain(|e| e.0 != id);
         check(&tr, &expected);
 
         // Re-admitting the first route reuses its row, the ID's first.
-        assert_eq!(
-            tr.admit_subflows([(id, a.clone(), 0, 2)]).unwrap(),
-            vec![(0, 1)]
-        );
+        let dirty = tr.admit_subflows([(id, a.clone(), 0, 2)]).unwrap();
+        assert_eq!(keys_of(&tr, &dirty), vec![(0, 1)]);
         expected.push((id, a, 0, 2));
         assert_eq!(tr.flows.len(), 4);
         let index = tr.index.as_ref().unwrap();
@@ -2368,7 +2333,7 @@ mod tests {
         let mut q =
             LinkQueues::from_weighted_counts(64, (0..40u32).map(|k| ((k, k + 1), 1.0, 5u64)));
         for k in 0..40u32 {
-            q.set_link((k, k + 1), &mut []);
+            q.set_link(k, &mut []);
             assert_live_bits_match_spans(&q);
         }
         let (live, len, _) = q.arena_usage();
@@ -2376,7 +2341,7 @@ mod tests {
         assert_eq!(len, 0, "all-drained snapshot must drop its garbage");
         assert!(q.is_empty());
         // The zeroed spans must still be patchable and readable.
-        q.set_link((7, 8), &mut [(2.0, 3)]);
+        q.set_link(7, &mut [(2.0, 3)]);
         assert_live_bits_match_spans(&q);
         assert_eq!(q.queue(7, 8).unwrap().total_packets(), 3);
         assert_snapshots_equal(
@@ -2398,7 +2363,7 @@ mod tests {
         for round in 0..50u64 {
             let n_classes = 50 + (round * 13) % 51; // 50..=100, hits both directions
             let pairs: Vec<(f64, u64)> = (0..n_classes).map(|k| (1.0 + k as f64, k + 1)).collect();
-            q.set_link((0, 1), &mut pairs.clone());
+            q.set_link(0, &mut pairs.clone());
             let (live, len, _) = q.arena_usage();
             let garbage = len - live;
             assert!(
@@ -2463,23 +2428,121 @@ mod tests {
         events
     }
 
-    /// One window planned on a copy of `tr`: its configurations and ψ bits.
-    fn planned_window(tr: &RemainingTraffic, n: u32) -> (octopus_net::Schedule, u64) {
-        use crate::engine::{BipartiteFabric, ScheduleEngine};
+    /// One 300-slot window planned by `engine`, whose Δ is 10: its
+    /// configurations and the plan's ψ bits.
+    fn plan(engine: &mut ScheduleEngine<RemainingTraffic>) -> (octopus_net::Schedule, u64) {
+        use crate::engine::BipartiteFabric;
         let cfg = crate::OctopusConfig {
             window: 300,
             delta: 10,
             ..crate::OctopusConfig::default()
         };
-        let mut tr = tr.clone();
-        let run = ScheduleEngine::new(&mut tr, n, cfg.delta)
+        assert_eq!(engine.delta(), cfg.delta);
+        let run = engine
             .plan_window(
                 &mut BipartiteFabric { kind: cfg.matching },
                 &cfg.search_policy(),
                 cfg.window,
             )
             .unwrap();
-        (run.schedule, tr.planned_psi().to_bits())
+        (run.schedule, engine.source().planned_psi().to_bits())
+    }
+
+    /// One window planned on a copy of `tr` ([`plan`]).
+    fn planned_window(tr: &RemainingTraffic, n: u32) -> (octopus_net::Schedule, u64) {
+        plan(&mut ScheduleEngine::new(tr.clone(), n, 10))
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    /// Asserts that `q` sweeps exactly as `cold` does over `cold`'s
+    /// candidates, with a per-link bonus: the same edges and row index,
+    /// and the same fused bounds and columns, bit for bit.
+    fn assert_sweeps_equal(q: &LinkQueues, cold: &LinkQueues, at: &str) {
+        let alphas = cold.alpha_candidates(400);
+        assert_eq!(q.alpha_candidates(400), alphas, "{at}");
+        let extra = |(i, j): (u32, u32)| u64::from((i + j) % 3 == 0) * 7;
+        let a = q.weighted_edges_multi_with(&alphas, extra);
+        let b = cold.weighted_edges_multi_with(&alphas, extra);
+        assert_eq!(a.edges(), b.edges(), "{at}");
+        assert!(a.row_ranges().eq(b.row_ranges()), "{at}");
+        let (mut fa, mut fb) = (FusedBounds::default(), FusedBounds::default());
+        a.fused_bounds(&mut fa);
+        b.fused_bounds(&mut fb);
+        assert_eq!(bits(&fa.row_col), bits(&fb.row_col), "{at}");
+        let ks: Vec<usize> = (0..alphas.len()).collect();
+        let (mut ca, mut cb) = (Vec::new(), Vec::new());
+        a.fill_columns(&ks, &mut ca);
+        b.fill_columns(&ks, &mut cb);
+        assert_eq!(bits(&ca), bits(&cb), "{at}");
+    }
+
+    #[test]
+    fn links_interned_out_of_key_order_sweep_like_a_cold_snapshot() {
+        // A live snapshot starts on the links from sources 6..18 to even
+        // destinations (over 128 ids, so three bitset words), every fifth
+        // then drained to a tombstone. Every other link of complete n = 24
+        // is then admitted one at a time in shuffled order, so a new key
+        // sorts before, between or after the keys already held, and every
+        // tenth admission is cancelled again. After every patch the live
+        // snapshot, whose ids are out of key order, must sweep as a cold,
+        // key-ordered load of the same sub-flows does.
+        use rand::seq::SliceRandom;
+        use rand::SeedableRng;
+        let n = 24u32;
+        // Flow `k` on link (i, j): one hop, and on every third link also a
+        // two-hop flow waiting at its second hop, which weighs half as much.
+        let events = |k: usize, (i, j): (u32, u32)| {
+            let id = FlowId(2 * k as u64);
+            let mut v = vec![(id, Route::from_ids([i, j]).unwrap(), 0, 1 + k as u64 % 7)];
+            if k % 3 == 0 {
+                let m = (0..n).find(|&m| m != i && m != j).unwrap();
+                let route = Route::from_ids([m, i, j]).unwrap();
+                v.push((FlowId(2 * k as u64 + 1), route, 1, 2 + k as u64 % 5));
+            }
+            v
+        };
+        let (old, mut new): (Vec<_>, Vec<_>) = (0..n)
+            .flat_map(|i| (0..n).filter(move |&j| j != i).map(move |j| (i, j)))
+            .partition(|&(i, j)| (6..18).contains(&i) && j % 2 == 0);
+        new.shuffle(&mut rand::rngs::StdRng::seed_from_u64(5));
+        let tr = RemainingTraffic::from_subflows(
+            old.iter()
+                .enumerate()
+                .flat_map(|(k, &link)| events(k, link)),
+            HopWeighting::Uniform,
+        );
+        let mut engine = ScheduleEngine::new(tr, n, 10);
+        assert!(engine.queues().keys.len() > 128);
+        let check = |engine: &mut ScheduleEngine<RemainingTraffic>, at: &str| {
+            let cold =
+                RemainingTraffic::from_subflows(engine.source().subflows(), HopWeighting::Uniform)
+                    .link_queues(n);
+            let q = engine.queues();
+            assert_live_bits_match_spans(q);
+            assert_snapshots_equal(q, &cold);
+            assert_sweeps_equal(q, &cold, at);
+        };
+        for &(i, j) in old.iter().step_by(5) {
+            engine.commit_budgets(&[(NodeId(i), NodeId(j), 100)]);
+            check(&mut engine, &format!("drained ({i}, {j})"));
+        }
+        for (k, &link) in new.iter().enumerate() {
+            let k = old.len() + k;
+            engine
+                .update_source(|tr, dirty| tr.admit_subflows_into(events(k, link), dirty))
+                .unwrap();
+            check(&mut engine, &format!("admitted {link:?}"));
+            if k % 10 == 0 {
+                engine.update_source(|tr, dirty| tr.cancel_flow_into(FlowId(2 * k as u64), dirty));
+                check(&mut engine, &format!("cancelled {link:?}"));
+            }
+        }
+        let keys = &engine.queues().keys;
+        assert_eq!(keys.len(), (n * (n - 1)) as usize);
+        assert!(keys.windows(2).any(|w| w[0] > w[1]), "ids follow key order");
     }
 
     #[test]
@@ -2492,7 +2555,7 @@ mod tests {
             let events = shuffled_link_admissions(n, seed);
             for live in [false, true] {
                 let tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
-                let mut engine = crate::engine::ScheduleEngine::new(tr, n, 10);
+                let mut engine = ScheduleEngine::new(tr, n, 10);
                 if live {
                     assert!(engine.queues().is_empty());
                 }
@@ -2525,10 +2588,12 @@ mod tests {
     #[test]
     #[ignore = "release-size oracle: 65 280 links interned one admission at a time"]
     fn links_interned_one_admission_at_a_time_at_real_size() {
+        // The live snapshot numbers the links in admission order, so the
+        // window planned on it sorts its sweep by key at every select.
         let n = 256u32;
         let events = shuffled_link_admissions(n, 7);
         let tr = RemainingTraffic::from_subflows(std::iter::empty(), HopWeighting::Uniform);
-        let mut engine = crate::engine::ScheduleEngine::new(tr, n, 20);
+        let mut engine = ScheduleEngine::new(tr, n, 10);
         engine.queues();
         for event in &events {
             engine
@@ -2539,6 +2604,9 @@ mod tests {
         let cold = RemainingTraffic::from_subflows(events, HopWeighting::Uniform);
         assert_eq!(engine.source().subflows(), cold.subflows());
         assert_snapshots_equal(engine.queues(), &cold.link_queues(n));
+        let (schedule, psi) = plan(&mut engine);
+        assert!(!schedule.is_empty());
+        assert_eq!((schedule, psi), planned_window(&cold, n));
     }
 
     #[test]
@@ -2567,8 +2635,9 @@ mod tests {
             (FlowId(3), route(&[top, top - 1, 1]), 0, 4),
             (FlowId(1), route(&[top - 3, top - 2]), 0, 2),
         ];
+        let dirty = tr.admit_subflows(batch.clone()).unwrap();
         assert_eq!(
-            tr.admit_subflows(batch.clone()).unwrap(),
+            keys_of(&tr, &dirty),
             vec![(top - 3, top - 2), (top, top - 1)]
         );
         expected.extend(batch);
@@ -2578,7 +2647,7 @@ mod tests {
 
         // Serving a link at the top looks it up through the table.
         let dirty = served(&mut tr, &[(NodeId(top), NodeId(top - 1), 3)]);
-        assert_eq!(dirty, vec![(top - 1, 1), (top, top - 1)]);
+        assert_eq!(keys_of(&tr, &dirty), vec![(top - 1, 1), (top, top - 1)]);
         assert_eq!(refreshed_packets(&tr, (top, top - 1)), 1);
         assert_eq!(refreshed_packets(&tr, (top - 1, 1)), 3);
         expected[2].3 = 1;
@@ -2588,7 +2657,10 @@ mod tests {
         // Cancelling flow 1 empties both of its routes.
         let (removed, dirty) = tr.cancel_flow(FlowId(1));
         assert_eq!(removed, 7);
-        assert_eq!(dirty, vec![(top - 3, top - 2), (top - 1, top - 3)]);
+        assert_eq!(
+            keys_of(&tr, &dirty),
+            vec![(top - 3, top - 2), (top - 1, top - 3)]
+        );
         expected.retain(|e| e.0 != FlowId(1));
         check(&tr, &expected);
         assert_eq!(refreshed_packets(&tr, (top - 1, top - 3)), 0);

@@ -6,10 +6,10 @@
 //! directions at once. Valid configurations are matchings of the undirected
 //! graph.
 //!
-//! A [`DuplexNetwork`] can be *projected* to a directed [`Network`](crate::Network)
+//! A [`DuplexNetwork`] can be *projected* to a directed [`Network`]
 //! (each undirected edge becomes two directed edges) so that traffic and
 //! simulation machinery is shared; a [`DuplexMatching`] projects to a directed
-//! [`Matching`](crate::Matching) containing both directions of every chosen
+//! [`Matching`] containing both directions of every chosen
 //! edge — which is a valid directed matching because each node appears in at
 //! most one undirected edge.
 

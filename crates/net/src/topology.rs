@@ -103,7 +103,7 @@ fn random_derangement_avoiding<R: Rng + ?Sized>(
 /// them (any output port on the switch can reach any input port on it).
 /// Nodes attached to no common switch cannot connect directly — the reason
 /// multi-hop routing is unavoidable on such fabrics, since single optical
-/// switches cannot scale to whole data centers (low port counts [8]).
+/// switches cannot scale to whole data centers (low port counts \[8\]).
 ///
 /// Provided `switches · port_count ≥ n`, every node is attached to at least
 /// one switch: the first `⌈n / port_count⌉` switches deterministically cover

@@ -204,7 +204,7 @@ fn garbage_bytes_and_overlong_lines_get_errors_without_killing_the_session() {
 #[test]
 fn mid_window_links_are_interned_on_the_fly() {
     let mut state = new_state(PolicyMode::Octopus);
-    // First arrival seeds the key vector; the second, admitted after a
+    // First arrival seeds the link table; the second, admitted after a
     // re-plan, rides on links the state layer has never seen — the
     // headline bugfix path.
     let r1 = run_script(

@@ -1,6 +1,6 @@
 //! The paper's §8 synthetic workload generator.
 //!
-//! Traffic matrices are generated "exactly as in [36]" (Eclipse /
+//! Traffic matrices are generated "exactly as in \[36\]" (Eclipse /
 //! Solstice-style): the load is a **sum of random permutation matrices** —
 //! `n_L` permutations of large flows and `n_S` permutations of small flows —
 //! so every output port originates, and every input port terminates, exactly

@@ -1,7 +1,7 @@
 //! Trace-*like* demand generators standing in for the real datasets of Fig 6.
 //!
 //! The paper evaluates on (i) traffic heatmaps from a Microsoft data center
-//! (ProjecToR [4]) and (ii) the Facebook FBFlow dataset [2, 32] for three
+//! (ProjecToR \[4\]) and (ii) the Facebook FBFlow dataset [2, 32] for three
 //! cluster types — Hadoop, front-end web and database. Those datasets are
 //! access-gated, so — per the substitution policy in DESIGN.md §5 — this
 //! module synthesizes demand matrices with the *published characteristics*
