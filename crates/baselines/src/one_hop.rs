@@ -9,8 +9,7 @@
 //! multi-hop packet were covered.
 
 use octopus_core::{
-    AlphaSearch, BipartiteFabric, LinkQueues, MatchingKind, ScheduleEngine, SearchPolicy,
-    TrafficSource,
+    AlphaSearch, BipartiteFabric, MatchingKind, ScheduleEngine, SearchPolicy, TrafficSource,
 };
 use octopus_net::{NodeId, Schedule};
 use octopus_traffic::Weight;
@@ -58,34 +57,7 @@ pub fn one_hop_schedule(
     alpha_search: AlphaSearch,
     matching: MatchingKind,
 ) -> OneHopOutput {
-    // (link, demand index) pairs, by link, then (weight desc, tag asc).
-    let mut by_key: Vec<((u32, u32), usize)> = demands
-        .iter()
-        .enumerate()
-        .filter(|(_, d)| d.size > 0 && d.weight > 0.0 && d.src != d.dst)
-        .map(|(idx, d)| ((d.src.0, d.dst.0), idx))
-        .collect();
-    by_key.sort_by(|&(la, a), &(lb, b)| {
-        la.cmp(&lb)
-            .then(Weight(demands[b].weight).cmp(&Weight(demands[a].weight)))
-            .then(demands[a].tag.cmp(&demands[b].tag))
-            .then(a.cmp(&b))
-    });
-    let (mut keys, mut by_link) = (Vec::new(), Vec::new());
-    for group in by_key.chunk_by(|a, b| a.0 == b.0) {
-        keys.push(group[0].0);
-        by_link.push(group.iter().map(|&(_, idx)| idx).collect());
-    }
-
-    let source = DemandSource {
-        demands,
-        keys,
-        by_link,
-        remaining: demands.iter().map(|d| d.size).collect(),
-        undrained: demands.iter().filter(|d| d.size > 0).count(),
-        served: vec![0u64; demands.len()],
-        psi: 0.0,
-    };
+    let source = DemandSource::new(demands);
     let policy = SearchPolicy {
         search: alpha_search,
         ..SearchPolicy::exhaustive()
@@ -128,21 +100,40 @@ struct DemandSource<'a> {
     psi: f64,
 }
 
-impl TrafficSource for DemandSource<'_> {
-    fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        LinkQueues::from_weighted_counts(
-            n,
-            self.keys
-                .iter()
-                .zip(&self.by_link)
-                .flat_map(|(&link, idxs)| {
-                    idxs.iter()
-                        .map(move |&i| (link, self.demands[i].weight, self.remaining[i]))
-                }),
-        )
+impl<'a> DemandSource<'a> {
+    fn new(demands: &'a [OneHopDemand]) -> Self {
+        // (link, demand index) pairs, by link, then (weight desc, tag asc).
+        let mut by_key: Vec<((u32, u32), usize)> = demands
+            .iter()
+            .enumerate()
+            .filter(|(_, d)| d.size > 0 && d.weight > 0.0 && d.src != d.dst)
+            .map(|(idx, d)| ((d.src.0, d.dst.0), idx))
+            .collect();
+        by_key.sort_by(|&(la, a), &(lb, b)| {
+            la.cmp(&lb)
+                .then(Weight(demands[b].weight).cmp(&Weight(demands[a].weight)))
+                .then(demands[a].tag.cmp(&demands[b].tag))
+                .then(a.cmp(&b))
+        });
+        let (mut keys, mut by_link) = (Vec::new(), Vec::new());
+        for group in by_key.chunk_by(|a, b| a.0 == b.0) {
+            keys.push(group[0].0);
+            by_link.push(group.iter().map(|&(_, idx)| idx).collect());
+        }
+        DemandSource {
+            demands,
+            keys,
+            by_link,
+            remaining: demands.iter().map(|d| d.size).collect(),
+            undrained: demands.iter().filter(|d| d.size > 0).count(),
+            served: vec![0u64; demands.len()],
+            psi: 0.0,
+        }
     }
+}
 
-    fn apply_served(&mut self, budgets: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
+impl TrafficSource for DemandSource<'_> {
+    fn apply_served(&mut self, budgets: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) {
         for &(i, j, alpha) in budgets {
             let Ok(li) = self.keys.binary_search(&(i.0, j.0)) else {
                 continue;
@@ -168,7 +159,6 @@ impl TrafficSource for DemandSource<'_> {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        true
     }
 
     fn link_keys(&self) -> &[(u32, u32)] {
@@ -191,6 +181,8 @@ impl TrafficSource for DemandSource<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use octopus_core::{CandidateExtension, LinkQueues};
+    use proptest::prelude::*;
 
     fn d(src: u32, dst: u32, size: u64, weight: f64, tag: u64) -> OneHopDemand {
         OneHopDemand {
@@ -285,5 +277,120 @@ mod tests {
         let out = one_hop_schedule(3, &[], 2, 100, AlphaSearch::Exhaustive, MatchingKind::Exact);
         assert!(out.schedule.is_empty());
         assert_eq!(out.psi, 0.0);
+    }
+
+    /// A snapshot read back as `(key, classes)` per live link, weights as
+    /// bits.
+    type ClassBits = Vec<((u32, u32), Vec<(u64, u64)>)>;
+
+    /// [`ClassBits`] of `q` for the links numbered by `keys` (id order).
+    fn classes_by_key(q: &LinkQueues, keys: &[(u32, u32)]) -> ClassBits {
+        (0u32..)
+            .zip(keys)
+            .filter_map(|(li, &key)| {
+                let classes = q.link(li)?.classes();
+                Some((
+                    key,
+                    classes.iter().map(|&(w, c)| (w.to_bits(), c)).collect(),
+                ))
+            })
+            .collect()
+    }
+
+    /// Plans one window commit by commit, as [`one_hop_schedule`] does,
+    /// and after every commit checks the patched snapshot against a cold
+    /// one of the same demands ([`LinkQueues::from_source`]) and one built
+    /// from every demand's `(link, weight, packets left)` triple: `links()`
+    /// equal, every class equal bit for bit. Returns the number of commits.
+    fn assert_patches_match_cold(
+        n: u32,
+        demands: &[OneHopDemand],
+        window: u64,
+        delta: u64,
+    ) -> usize {
+        let mut engine = ScheduleEngine::new(DemandSource::new(demands), n, delta);
+        let fabric = BipartiteFabric {
+            kind: MatchingKind::Exact,
+        };
+        let (policy, mut used, mut commits) = (SearchPolicy::exhaustive(), 0, 0);
+        while !engine.is_drained() && used + delta < window {
+            let budget = window - used - delta;
+            let ext = CandidateExtension::None;
+            let Some(choice) = engine.select(&fabric, budget, ext, &policy) else {
+                break;
+            };
+            engine
+                .commit(&fabric, &choice.matching, choice.alpha)
+                .unwrap();
+            used += choice.alpha + delta;
+            commits += 1;
+            let src = engine.source();
+            let cold = LinkQueues::from_source(src, n);
+            let triples = src.keys.iter().zip(&src.by_link).flat_map(|(&key, idxs)| {
+                idxs.iter()
+                    .map(move |&i| (key, src.demands[i].weight, src.remaining[i]))
+            });
+            let fresh = LinkQueues::from_weighted_counts(n, triples);
+            let keys = src.keys.clone();
+            let patched = engine.queues();
+            let links: Vec<(u32, u32)> = patched.links().collect();
+            assert_eq!(links, cold.links().collect::<Vec<_>>(), "commit {commits}");
+            assert_eq!(links, fresh.links().collect::<Vec<_>>(), "commit {commits}");
+            let got = classes_by_key(patched, &keys);
+            assert_eq!(got, classes_by_key(&cold, &keys), "commit {commits}");
+            assert_eq!(got, classes_by_key(&fresh, &keys), "commit {commits}");
+        }
+        commits
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Patched snapshots equal cold ones after every commit, on random
+        /// demands.
+        #[test]
+        fn patched_snapshots_match_cold_snapshots(
+            n in 2u32..=12,
+            raw in prop::collection::vec(((0u32..12, 0u32..12), 0u64..60, 1u32..5, 0u64..8), 0..40),
+            window in 50u64..1_000,
+            delta in 0u64..20,
+        ) {
+            // Weights 1/k, as the UB run uses; tags repeat, so ties happen.
+            let demands: Vec<OneHopDemand> = raw
+                .iter()
+                .map(|&((s, t), size, k, tag)| d(s % n, t % n, size, 1.0 / f64::from(k), tag))
+                .collect();
+            assert_patches_match_cold(n, &demands, window, delta);
+        }
+    }
+
+    /// [`patched_snapshots_match_cold_snapshots`] at a real size: the UB
+    /// run's demands (one per hop of every flow, weighted 1/hops) of a
+    /// paper-default load on complete n = 64, W = 10 000, Δ = 20.
+    #[test]
+    #[ignore = "real-size oracle; run in release with --ignored"]
+    fn patched_snapshots_match_cold_snapshots_at_real_size() {
+        use octopus_traffic::synthetic::{generate, SyntheticConfig};
+        use rand::{rngs::StdRng, SeedableRng};
+        let net = octopus_net::topology::complete(64);
+        for seed in 1..=2 {
+            let synth = SyntheticConfig::paper_default(64, 10_000);
+            let load = generate(&synth, &net, &mut StdRng::seed_from_u64(seed));
+            let demands: Vec<OneHopDemand> = load
+                .flows()
+                .iter()
+                .flat_map(|f| {
+                    let (route, id) = (&f.routes[0], f.id.0);
+                    let hops = route.hops();
+                    (0..hops).map(move |k| {
+                        let (src, dst) = route.hop(k);
+                        let weight = 1.0 / f64::from(hops);
+                        d(src.0, dst.0, f.size, weight, id * 8 + u64::from(k))
+                    })
+                })
+                .collect();
+            let commits = assert_patches_match_cold(64, &demands, 10_000, 20);
+            assert!(commits > 10, "seed {seed}: {commits} commits");
+        }
     }
 }

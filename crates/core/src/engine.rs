@@ -9,8 +9,9 @@
 //! maintained [`LinkQueues`] snapshot:
 //!
 //! * [`TrafficSource`] abstracts the `T^r` bookkeeping. The canonical
-//!   implementation is [`crate::RemainingTraffic`]; Octopus+ adapts its
-//!   multi-route plan state through the same interface.
+//!   implementation is [`crate::RemainingTraffic`]; Octopus+ (its
+//!   multi-route plan state) and the one-hop demands of the Eclipse
+//!   baseline implement the same interface.
 //! * [`Fabric`] abstracts what a *configuration* is — a plain bipartite
 //!   matching ([`BipartiteFabric`]), a union of `r` edge-disjoint matchings
 //!   ([`KPortFabric`]), a general-graph matching on an undirected duplex
@@ -27,10 +28,13 @@
 //!   and only those links' `(weight, packets)` groups are re-read
 //!   ([`TrafficSource::refresh_link`], into a buffer the engine reuses) and
 //!   folded straight into the snapshot's arena ([`LinkQueues::set_link`])
-//!   instead of rebuilding all `O(n²)` queues. A link's aggregated weight
-//!   classes depend only on that link's waiting packets, so the patched
-//!   snapshot is identical to a from-scratch rebuild (property-tested in
-//!   `tests/proptest_invariants.rs`).
+//!   instead of rebuilding all `O(n²)` queues. Every source patches; the
+//!   one cold build is the same refresh on every link
+//!   ([`LinkQueues::from_source`]). A link's aggregated weight classes
+//!   depend only on that link's waiting packets, so the patched snapshot
+//!   is identical, bit for bit, to a cold one of the same state
+//!   (property-tested for each source: `tests/proptest_invariants.rs`,
+//!   and the Octopus+ and one-hop modules' tests).
 //!
 //! The α search itself (exhaustive with upper-bound pruning, or ternary)
 //! lives in `best_config` and is driven through [`SearchPolicy`].
@@ -100,38 +104,30 @@ pub enum CandidateExtension {
 
 /// A `T^r` bookkeeping backend the engine can drive.
 ///
-/// A source numbers its links with dense `LinkId`s, and its snapshot
-/// ([`TrafficSource::snapshot_queues`]) numbers them the same way.
-/// Implementations report, on every commit, the ids of the links whose
-/// queues changed — or request a full snapshot rebuild (for
-/// representations where dirty tracking is not worth it, like the
-/// Octopus+ multi-route plan).
+/// A source numbers its links with dense `LinkId`s
+/// ([`TrafficSource::link_keys`]) and hands out any link's `(weight,
+/// packets)` groups ([`TrafficSource::refresh_link`]). That is the whole
+/// snapshot interface: a cold snapshot is one refresh per id
+/// ([`LinkQueues::from_source`]), and every commit reports the ids of the
+/// links whose queues changed, which the engine refreshes alone.
 pub trait TrafficSource {
-    /// Builds the full per-link queue snapshot for an `n`-node fabric,
-    /// each link under the source's `LinkId`.
-    fn snapshot_queues(&self, n: u32) -> LinkQueues;
-
     /// Applies one committed configuration as per-link slot budgets and
     /// fills `dirty`, handed in empty, with the sorted, deduplicated
-    /// `LinkId`s whose queues changed. Returns `false` when the caller must
-    /// rebuild the snapshot from scratch instead.
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool;
+    /// `LinkId`s whose queues changed.
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>);
 
     /// The key of every link the source numbers, indexed by `LinkId`: a
     /// patch takes on the links its snapshot has not seen yet from here
-    /// ([`LinkQueues::intern`]). Sources that always request full rebuilds
-    /// may return an empty slice.
+    /// ([`LinkQueues::intern`]).
     fn link_keys(&self) -> &[(u32, u32)];
 
     /// Fills `out`, handed in empty, with `LinkId` `li`'s `(weight,
     /// packets)` groups in the current state, in any order; groups holding
     /// no packets are ignored, and leaving `out` empty means the link is
-    /// now empty. The engine folds them into its snapshot
-    /// ([`LinkQueues::set_link`]). Called only for links reported dirty by
-    /// [`TrafficSource::apply_served`] or handed to
-    /// [`ScheduleEngine::patch_links`]; sources that always request full
-    /// rebuilds can leave `out` empty, since no link is ever reported
-    /// dirty.
+    /// empty. The engine folds them into its snapshot
+    /// ([`LinkQueues::set_link`]): every link once for a cold snapshot,
+    /// then the links reported dirty by [`TrafficSource::apply_served`] or
+    /// handed to [`ScheduleEngine::patch_links`].
     fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>);
 
     /// Whether every packet has (planned to) come home.
@@ -139,12 +135,8 @@ pub trait TrafficSource {
 }
 
 impl<T: TrafficSource + ?Sized> TrafficSource for &mut T {
-    fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        (**self).snapshot_queues(n)
-    }
-
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
-        (**self).apply_served(served, dirty)
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) {
+        (**self).apply_served(served, dirty);
     }
 
     fn link_keys(&self) -> &[(u32, u32)] {
@@ -428,7 +420,8 @@ pub struct WindowRun {
 #[derive(Debug)]
 pub struct ScheduleEngine<S: TrafficSource> {
     source: S,
-    /// Lazily built, incrementally patched snapshot (`None` = needs rebuild).
+    /// Incrementally patched snapshot; `None` until first use or after
+    /// [`ScheduleEngine::invalidate`].
     queues: Option<LinkQueues>,
     n: u32,
     delta: u64,
@@ -487,7 +480,8 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         self.source.is_drained()
     }
 
-    /// Drops the cached snapshot; the next access rebuilds from scratch.
+    /// Drops the cached snapshot; the next access builds a cold one
+    /// ([`LinkQueues::from_source`]).
     pub fn invalidate(&mut self) {
         self.queues = None;
     }
@@ -497,7 +491,7 @@ impl<S: TrafficSource> ScheduleEngine<S> {
         let Self {
             queues, source, n, ..
         } = self;
-        queues.get_or_insert_with(|| source.snapshot_queues(*n))
+        queues.get_or_insert_with(|| LinkQueues::from_source(&*source, *n))
     }
 
     /// The candidate α values for this iteration, capped by `budget` and
@@ -579,11 +573,8 @@ impl<S: TrafficSource> ScheduleEngine<S> {
     pub fn commit_budgets(&mut self, budgets: &[(NodeId, NodeId, u64)]) {
         let mut dirty = std::mem::take(&mut self.dirty);
         dirty.clear();
-        if self.source.apply_served(budgets, &mut dirty) {
-            self.patch_links(&dirty);
-        } else {
-            self.queues = None;
-        }
+        self.source.apply_served(budgets, &mut dirty);
+        self.patch_links(&dirty);
         self.dirty = dirty;
     }
 
@@ -715,19 +706,22 @@ mod tests {
         .unwrap()
     }
 
-    /// The patched snapshot must equal a from-scratch rebuild after every
-    /// commit (same links, same weight classes, same g values).
+    /// The patched snapshot must equal a cold one after every commit: the
+    /// same links, and the same weight classes bit for bit.
     fn assert_snapshot_matches_rebuild(engine: &mut ScheduleEngine<&mut RemainingTraffic>) {
         let n = engine.n();
-        let rebuilt = engine.source().snapshot_queues(n);
+        let rebuilt = LinkQueues::from_source(engine.source(), n);
         let patched = engine.queues();
         let patched_links: Vec<(u32, u32)> = patched.links().collect();
         let rebuilt_links: Vec<(u32, u32)> = rebuilt.links().collect();
         assert_eq!(patched_links, rebuilt_links);
+        let bits = |c: &[(f64, u64)]| -> Vec<(u64, u64)> {
+            c.iter().map(|&(w, k)| (w.to_bits(), k)).collect()
+        };
         for (i, j) in rebuilt_links {
             let a = patched.queue(i, j).unwrap();
             let b = rebuilt.queue(i, j).unwrap();
-            assert_eq!(a.classes(), b.classes(), "link ({i}, {j})");
+            assert_eq!(bits(a.classes()), bits(b.classes()), "link ({i}, {j})");
         }
     }
 

@@ -4,7 +4,7 @@
 //! Entries live in one contiguous `Vec<(K, V)>` kept sorted by key, so
 //! iteration walks the same fixed total order a `BTreeMap` would (the
 //! determinism guarantee) without per-node pointer chasing or per-insert
-//! allocation. Lookups are binary searches; inserts and removals shift the
+//! allocation. Lookups are binary searches; inserts shift the
 //! tail. The maps this replaces hold at most a few thousand small entries on
 //! hot paths, where the memmove beats tree rebalancing comfortably.
 
@@ -43,14 +43,6 @@ impl<K: Ord, V> VecMap<K, V> {
         self.search(key).ok().map(|i| &self.entries[i].1)
     }
 
-    /// The value at `key`, mutably, if present.
-    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        match self.search(key) {
-            Ok(i) => Some(&mut self.entries[i].1),
-            Err(_) => None,
-        }
-    }
-
     /// The value at `key`, inserting `default` first if absent — the
     /// `entry(key).or_insert(default)` idiom.
     pub fn get_or_insert(&mut self, key: K, default: V) -> &mut V {
@@ -67,19 +59,6 @@ impl<K: Ord, V> VecMap<K, V> {
             }
         };
         &mut self.entries[i].1
-    }
-
-    /// Removes and returns the value at `key`, if present.
-    pub fn remove(&mut self, key: &K) -> Option<V> {
-        match self.search(key) {
-            Ok(i) => Some(self.entries.remove(i).1),
-            Err(_) => None,
-        }
-    }
-
-    /// Iterates `&(key, value)` pairs in ascending key order.
-    pub fn iter(&self) -> std::slice::Iter<'_, (K, V)> {
-        self.entries.iter()
     }
 
     /// Iterates values in ascending key order.
@@ -108,12 +87,11 @@ mod tests {
         for k in [5u32, 1, 9, 3, 7] {
             m.insert(k, k * 10);
         }
-        let keys: Vec<u32> = m.iter().map(|&(k, _)| k).collect();
-        assert_eq!(keys, vec![1, 3, 5, 7, 9]);
         assert_eq!(m.get(&3), Some(&30));
         assert_eq!(m.insert(3, 31), Some(30));
-        assert_eq!(m.remove(&3), Some(31));
-        assert_eq!(m.get(&3), None);
+        assert_eq!(m.get(&4), None);
+        let keys: Vec<u32> = m.into_iter().map(|(k, _)| k).collect();
+        assert_eq!(keys, vec![1, 3, 5, 7, 9]);
     }
 
     #[test]

@@ -20,18 +20,24 @@
 //! final; different packets of one flow may commit to different routes
 //! (out-of-order delivery is the receiver's problem, as the paper notes).
 //!
-//! The α search runs through the shared [`ScheduleEngine`] machinery.
+//! The α search runs through the shared [`ScheduleEngine`] machinery, and
+//! the plan state patches the engine's snapshot like every other traffic
+//! source. A *portion* is one group of a flow's packets at one place in the
+//! plan: at its source, or part-way along a chosen route. At load, every
+//! link a packet can ever wait on gets a `LinkId` and a list of the
+//! portions servable on it, pre-sorted in serve order; a commit walks only
+//! the served links' lists and reports the links of every portion packets
+//! left or landed in, and a link's queue is its list read with live counts.
 
 use crate::engine::{BipartiteFabric, ScheduleEngine, TrafficSource};
 use crate::flatmap::VecMap;
-use crate::state::LinkQueues;
 use crate::{check_window, OctopusConfig, SchedError};
 use octopus_net::{Network, NodeId, Schedule};
 use octopus_sim::ResolvedFlow;
 use octopus_traffic::{Flow, FlowId, HopWeighting, Route, TrafficLoad, Weight};
 use rand::seq::SliceRandom;
 use rand::Rng;
-use std::collections::HashMap;
+use std::cmp::Reverse;
 
 /// Extra knobs for Octopus+.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -72,10 +78,10 @@ pub struct PlusOutput {
 
 /// Where a group of packets currently sits in the plan.
 ///
-/// `Ord` gives plan bookkeeping a fixed total order: candidate enumeration
-/// walks `portions` in this order, and the serve-priority comparator uses it
-/// as the final tie-break, so schedules cannot depend on map iteration order.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+/// `Ord` gives plan bookkeeping a fixed total order: portion ids follow it,
+/// and the serve order uses it as the final tie-break, so schedules cannot
+/// depend on map iteration order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Portion {
     /// At the source, route not yet chosen.
     AtSource { flow: u32 },
@@ -83,7 +89,7 @@ enum Portion {
     Routed { flow: u32, route: u32, pos: u32 },
 }
 
-/// What a link candidate would do with the packets.
+/// What serving a portion on a link does with its packets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 enum Action {
     /// Annul progress, deliver over the direct link (highest precedence, as
@@ -95,17 +101,29 @@ enum Action {
     Advance,
 }
 
-/// One scheduling candidate: the link it uses, its priority weight, the
-/// packets available, where they sit, and what taking it does.
-type Candidate = ((u32, u32), Weight, u64, Portion, Action);
+/// One portion as a candidate on one link: its priority weight there, its
+/// flow's ID, what serving it does, and its portion id.
+type Entry = (Weight, FlowId, Action, u32);
 
+/// The Octopus+ plan state, and the [`TrafficSource`] the engine drives.
+/// At load it numbers every portion a packet can ever sit in, in `Portion`
+/// order, and every link a packet can ever wait on (the hops of every
+/// candidate route, and the direct link of each flow that may backtrack),
+/// in ascending key order.
 struct PlusState<'a> {
     flows: &'a [Flow],
     weighting: HopWeighting,
-    /// Ordered: candidate enumeration and plan resolution iterate this map,
-    /// and iteration order must be deterministic for schedules to be
-    /// reproducible (`clippy::iter_over_hash_type`).
-    portions: VecMap<Portion, u64>,
+    /// Every portion with its packets, indexed by portion id.
+    portions: Vec<(Portion, u64)>,
+    /// Every link a packet can wait on, ascending: `LinkId` `li` is
+    /// `keys[li]`.
+    keys: Vec<(u32, u32)>,
+    /// Per `LinkId`: its entries, by weight descending, then flow ID, then
+    /// action (Backtrack, Commit, Advance), then portion — a strict total
+    /// order (a portion is listed at most once per link).
+    by_link: Vec<Vec<Entry>>,
+    /// Per portion id: the `LinkId`s it is listed on.
+    links_of: Vec<Vec<u32>>,
     /// Packets delivered per (flow, route index); u32::MAX = direct
     /// backtrack route. Ordered: aggregated into the resolved-flow output.
     delivered_via: VecMap<(u32, u32), u64>,
@@ -117,17 +135,71 @@ struct PlusState<'a> {
 const DIRECT: u32 = u32::MAX;
 
 impl<'a> PlusState<'a> {
-    fn new(load: &'a TrafficLoad, weighting: HopWeighting) -> Self {
-        let mut portions = VecMap::new();
-        for (fi, f) in load.flows().iter().enumerate() {
-            if f.size > 0 {
-                portions.insert(Portion::AtSource { flow: fi as u32 }, f.size);
+    fn new(
+        net: &Network,
+        load: &'a TrafficLoad,
+        weighting: HopWeighting,
+        backtracking: bool,
+    ) -> Self {
+        let flows = load.flows();
+        let mut portions: Vec<(Portion, u64)> = (0..flows.len() as u32)
+            .map(|flow| (Portion::AtSource { flow }, flows[flow as usize].size))
+            .collect();
+        for (flow, f) in (0u32..).zip(flows) {
+            for (route, r) in (0u32..).zip(&f.routes) {
+                portions.extend((1..r.hops()).map(|pos| (Portion::Routed { flow, route, pos }, 0)));
             }
         }
+        let mut listed: Vec<((u32, u32), Entry)> = Vec::new();
+        for (p, &(portion, _)) in (0u32..).zip(&portions) {
+            match portion {
+                Portion::AtSource { flow } => {
+                    let f = &flows[flow as usize];
+                    // One entry per distinct first hop, at its best route's
+                    // weight: each packet counted once per link ("the
+                    // simple fix" of §6).
+                    for (ri, r) in f.routes.iter().enumerate() {
+                        let hop = r.hop(0);
+                        if f.routes[..ri].iter().any(|q| q.hop(0) == hop) {
+                            continue;
+                        }
+                        let Some((route, w)) = best_commit(f, hop, weighting) else {
+                            debug_assert!(false, "route with this first hop exists");
+                            continue;
+                        };
+                        listed.push(((hop.0 .0, hop.1 .0), (w, f.id, Action::Commit(route), p)));
+                    }
+                }
+                Portion::Routed { flow, route, pos } => {
+                    let f = &flows[flow as usize];
+                    let r = &f.routes[route as usize];
+                    let (a, b) = r.hop(pos);
+                    let w = weighting.hop_weight(r.hops(), pos);
+                    listed.push(((a.0, b.0), (w, f.id, Action::Advance, p)));
+                    if backtracking && net.has_edge(f.src(), f.dst()) {
+                        let w = weighting.hop_weight(1, 0);
+                        listed.push(((f.src().0, f.dst().0), (w, f.id, Action::Backtrack, p)));
+                    }
+                }
+            }
+        }
+        listed.sort_unstable_by_key(|&(key, (w, id, action, p))| (key, Reverse(w), id, action, p));
+        let (mut keys, mut by_link) = (Vec::new(), Vec::new());
+        let mut links_of = vec![Vec::new(); portions.len()];
+        for group in listed.chunk_by(|a, b| a.0 == b.0) {
+            for &(_, (_, _, _, p)) in group {
+                links_of[p as usize].push(keys.len() as u32);
+            }
+            keys.push(group[0].0);
+            by_link.push(group.iter().map(|&(_, e)| e).collect());
+        }
         PlusState {
-            flows: load.flows(),
+            flows,
             weighting,
             portions,
+            keys,
+            by_link,
+            links_of,
             delivered_via: VecMap::new(),
             delivered: 0,
             total: load.total_packets(),
@@ -135,182 +207,70 @@ impl<'a> PlusState<'a> {
         }
     }
 
-    fn is_drained(&self) -> bool {
-        self.delivered == self.total
+    /// The id of `portion`.
+    fn id(&self, portion: Portion) -> usize {
+        let found = self.portions.binary_search_by_key(&portion, |&(p, _)| p);
+        debug_assert!(found.is_ok(), "every portion is numbered at load");
+        found.unwrap_or_default()
     }
 
-    /// Weight of a source packet if sent over first hop `(i, j)`: the best
-    /// (max) weight among candidate routes starting with that hop, with the
-    /// winning route index (shortest route, then lowest index).
-    fn best_commit(&self, flow: u32, i: u32, j: u32) -> Option<(u32, Weight)> {
-        let f = &self.flows[flow as usize];
-        f.routes
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| {
-                let (a, b) = r.hop(0);
-                (a.0, b.0) == (i, j)
-            })
-            .map(|(ri, r)| (ri as u32, self.weighting.hop_weight(r.hops(), 0)))
-            .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
-    }
-
-    /// Enumerates `(link, weight, count, portion, action)` candidates for the
-    /// current `T^r` (the Octopus+ `g`/`h` inputs).
-    fn candidates(&self, net: &Network, backtracking: bool) -> Vec<Candidate> {
-        let mut out = Vec::new();
-        for &(portion, count) in self.portions.iter() {
-            if count == 0 {
-                continue;
-            }
-            match portion {
-                Portion::AtSource { flow } => {
-                    let f = &self.flows[flow as usize];
-                    // One candidate per distinct first hop; each packet
-                    // counted once per link ("the simple fix" of §6).
-                    let mut hops_seen = std::collections::HashSet::new();
-                    for r in &f.routes {
-                        let (a, b) = r.hop(0);
-                        if hops_seen.insert((a.0, b.0)) {
-                            let Some((ri, w)) = self.best_commit(flow, a.0, b.0) else {
-                                debug_assert!(false, "route with this first hop exists");
-                                continue;
-                            };
-                            out.push(((a.0, b.0), w, count, portion, Action::Commit(ri)));
-                        }
-                    }
-                }
-                Portion::Routed { flow, route, pos } => {
-                    let f = &self.flows[flow as usize];
-                    let r = &f.routes[route as usize];
-                    let (a, b) = r.hop(pos);
-                    let w = self.weighting.hop_weight(r.hops(), pos);
-                    out.push(((a.0, b.0), w, count, portion, Action::Advance));
-                    if backtracking {
-                        let (s, d) = (f.src(), f.dst());
-                        if net.has_edge(s, d) {
-                            out.push((
-                                (s.0, d.0),
-                                self.weighting.hop_weight(1, 0),
-                                count,
-                                portion,
-                                Action::Backtrack,
-                            ));
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Applies `(M, α)` to the plan. Two-phase (decide, then commit) so no
-    /// packet moves more than one hop per configuration, with per-portion
-    /// `taken` accounting so a packet eligible on several links (next hop
-    /// vs. direct) moves exactly once.
-    fn apply(&mut self, net: &Network, links: &[(u32, u32)], alpha: u64, backtracking: bool) {
-        type LinkCandidate = (Weight, FlowId, Action, Portion, u64);
-        let mut per_link: HashMap<(u32, u32), Vec<LinkCandidate>> = HashMap::new();
-        for (link, w, count, portion, action) in self.candidates(net, backtracking) {
-            let flow_id = match portion {
-                Portion::AtSource { flow } | Portion::Routed { flow, .. } => {
-                    self.flows[flow as usize].id
-                }
-            };
-            per_link
-                .entry(link)
-                .or_default()
-                .push((w, flow_id, action, portion, count));
-        }
-        let mut taken: HashMap<Portion, u64> = HashMap::new();
-        let mut moves: Vec<(Portion, Action, u64)> = Vec::new();
-        let mut ordered: Vec<&(u32, u32)> = links.iter().collect();
-        ordered.sort_unstable();
-        for &&link in &ordered {
-            let Some(mut cands) = per_link.remove(&link) else {
-                continue;
-            };
-            // Weight desc, then flow ID asc, then Backtrack > Commit > Advance,
-            // then portion order — a strict total order (a portion appears at
-            // most once per (link, action)), so the serve order is unique.
-            cands.sort_unstable_by(|a, b| {
-                b.0.cmp(&a.0)
-                    .then(a.1.cmp(&b.1))
-                    .then(a.2.cmp(&b.2))
-                    .then(a.3.cmp(&b.3))
-            });
+    /// Applies `(M, α)` to the plan and fills `dirty` with the `LinkId`s
+    /// whose queues changed. On each served link, in key order, the top-α
+    /// entries take packets from their portions at once, so a packet
+    /// eligible on several links (next hop vs. direct) moves exactly once;
+    /// packets land in their next portion only after every link is served,
+    /// so none moves more than one hop per configuration.
+    fn apply(
+        &mut self,
+        links: impl IntoIterator<Item = (u32, u32)>,
+        alpha: u64,
+        dirty: &mut Vec<u32>,
+    ) {
+        let mut served: Vec<usize> = links
+            .into_iter()
+            .filter_map(|key| self.keys.binary_search(&key).ok())
+            .collect();
+        served.sort_unstable();
+        served.dedup();
+        let mut landed: Vec<(usize, u64)> = Vec::new();
+        for li in served {
             let mut budget = alpha;
-            for (_, _, action, portion, count) in cands {
+            for k in 0..self.by_link[li].len() {
                 if budget == 0 {
                     break;
                 }
-                let used = taken.get(&portion).copied().unwrap_or(0);
-                let avail = count.saturating_sub(used);
-                let take = avail.min(budget);
+                let (_, _, action, p) = self.by_link[li][k];
+                let p = p as usize;
+                let take = self.portions[p].1.min(budget);
                 if take == 0 {
                     continue;
                 }
                 budget -= take;
-                *taken.entry(portion).or_insert(0) += take;
-                moves.push((portion, action, take));
+                self.portions[p].1 -= take;
+                dirty.extend_from_slice(&self.links_of[p]);
+                if let Some(next) = self.serve(self.portions[p].0, action, take) {
+                    landed.push((self.id(next), take));
+                }
             }
         }
-        for (portion, action, take) in moves {
-            self.commit_move(portion, action, take);
+        for (q, take) in landed {
+            self.portions[q].1 += take;
+            dirty.extend_from_slice(&self.links_of[q]);
         }
+        dirty.sort_unstable();
+        dirty.dedup();
     }
 
-    fn commit_move(&mut self, portion: Portion, action: Action, take: u64) {
-        let Some(c) = self.portions.get_mut(&portion) else {
-            debug_assert!(false, "move names a portion absent from the plan");
-            return;
-        };
-        debug_assert!(*c >= take);
-        *c -= take;
-        if *c == 0 {
-            self.portions.remove(&portion);
-        }
-        match (portion, action) {
-            (Portion::AtSource { flow }, Action::Commit(route)) => {
-                let r = &self.flows[flow as usize].routes[route as usize];
-                let hops = r.hops();
-                self.psi += self.weighting.hop_weight(hops, 0).value() * take as f64;
-                if hops == 1 {
-                    self.delivered += take;
-                    *self.delivered_via.get_or_insert((flow, route), 0) += take;
-                } else {
-                    *self.portions.get_or_insert(
-                        Portion::Routed {
-                            flow,
-                            route,
-                            pos: 1,
-                        },
-                        0,
-                    ) += take;
-                }
-            }
-            (Portion::Routed { flow, route, pos }, Action::Advance) => {
-                let r = &self.flows[flow as usize].routes[route as usize];
-                let hops = r.hops();
-                self.psi += self.weighting.hop_weight(hops, pos).value() * take as f64;
-                if pos + 1 == hops {
-                    self.delivered += take;
-                    *self.delivered_via.get_or_insert((flow, route), 0) += take;
-                } else {
-                    *self.portions.get_or_insert(
-                        Portion::Routed {
-                            flow,
-                            route,
-                            pos: pos + 1,
-                        },
-                        0,
-                    ) += take;
-                }
-            }
+    /// Books `take` packets of `portion` served under `action` into ψ and
+    /// the delivery counts; returns the portion they land in, unless
+    /// delivered.
+    fn serve(&mut self, portion: Portion, action: Action, take: u64) -> Option<Portion> {
+        let (flow, route, pos) = match (portion, action) {
+            (Portion::AtSource { flow }, Action::Commit(route)) => (flow, route, 0),
+            (Portion::Routed { flow, route, pos }, Action::Advance) => (flow, route, pos),
             (Portion::Routed { flow, route, pos }, Action::Backtrack) => {
                 // Annul the traversed prefix, deliver over the direct link.
-                let r = &self.flows[flow as usize].routes[route as usize];
-                let hops = r.hops();
+                let hops = self.flows[flow as usize].routes[route as usize].hops();
                 let annulled: f64 = (0..pos)
                     .map(|x| self.weighting.hop_weight(hops, x).value())
                     .sum();
@@ -318,9 +278,25 @@ impl<'a> PlusState<'a> {
                 self.psi += self.weighting.hop_weight(1, 0).value() * take as f64;
                 self.delivered += take;
                 *self.delivered_via.get_or_insert((flow, DIRECT), 0) += take;
+                return None;
             }
-            (p, a) => debug_assert!(false, "invalid move {p:?} / {a:?}"),
+            (p, a) => {
+                debug_assert!(false, "invalid move {p:?} / {a:?}");
+                return None;
+            }
+        };
+        let hops = self.flows[flow as usize].routes[route as usize].hops();
+        self.psi += self.weighting.hop_weight(hops, pos).value() * take as f64;
+        if pos + 1 == hops {
+            self.delivered += take;
+            *self.delivered_via.get_or_insert((flow, route), 0) += take;
+            return None;
         }
+        Some(Portion::Routed {
+            flow,
+            route,
+            pos: pos + 1,
+        })
     }
 
     /// Resolves the plan to one concrete route per packet group, for
@@ -328,7 +304,7 @@ impl<'a> PlusState<'a> {
     /// (shortest route, lowest index).
     fn resolve(&self) -> Vec<ResolvedFlow> {
         let mut agg: VecMap<(u32, u32), u64> = self.delivered_via.clone();
-        for &(portion, count) in self.portions.iter() {
+        for &(portion, count) in self.portions.iter().filter(|&&(_, c)| c > 0) {
             match portion {
                 Portion::AtSource { flow } => {
                     let f = &self.flows[flow as usize];
@@ -375,49 +351,40 @@ impl<'a> PlusState<'a> {
     }
 }
 
-/// [`TrafficSource`] adapter over the Octopus+ plan state. The candidate
-/// weights at a link depend on route commitments made *anywhere* (a source
-/// packet's options collapse once its first hop is served), so per-link dirty
-/// tracking is not worth it: every commit requests a full snapshot rebuild
-/// by returning `false`.
-struct PlusSource<'a> {
-    net: &'a Network,
-    st: PlusState<'a>,
-    backtracking: bool,
+/// The first-hop route of `f` a source packet commits to on link `hop`:
+/// the best (max) weight among candidate routes starting with that hop,
+/// ties to the lowest route index, with that weight.
+fn best_commit(f: &Flow, hop: (NodeId, NodeId), weighting: HopWeighting) -> Option<(u32, Weight)> {
+    (0u32..)
+        .zip(&f.routes)
+        .filter(|(_, r)| r.hop(0) == hop)
+        .map(|(ri, r)| (ri, weighting.hop_weight(r.hops(), 0)))
+        .max_by(|a, b| a.1.cmp(&b.1).then(b.0.cmp(&a.0)))
 }
 
-impl TrafficSource for PlusSource<'_> {
-    fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        LinkQueues::from_weighted_counts(
-            n,
-            self.st
-                .candidates(self.net, self.backtracking)
-                .into_iter()
-                .map(|(link, w, count, _, _)| (link, w.value(), count)),
-        )
-    }
-
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], _dirty: &mut Vec<u32>) -> bool {
+impl TrafficSource for PlusState<'_> {
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) {
         let Some(&(_, _, alpha)) = served.first() else {
-            return false;
+            return;
         };
         debug_assert!(served.iter().all(|&(_, _, a)| a == alpha));
-        let links: Vec<(u32, u32)> = served.iter().map(|&(i, j, _)| (i.0, j.0)).collect();
-        self.st.apply(self.net, &links, alpha, self.backtracking);
-        false
+        self.apply(served.iter().map(|&(i, j, _)| (i.0, j.0)), alpha, dirty);
     }
 
-    // `apply_served` always requests a full rebuild (returns `false`), so
-    // the engine never patches this source's snapshot: each rebuild numbers
-    // its links afresh, in key order (`LinkQueues::from_weighted_counts`).
     fn link_keys(&self) -> &[(u32, u32)] {
-        &[]
+        &self.keys
     }
 
-    fn refresh_link(&self, _li: u32, _out: &mut Vec<(f64, u64)>) {}
+    fn refresh_link(&self, li: u32, out: &mut Vec<(f64, u64)>) {
+        out.extend(
+            self.by_link[li as usize]
+                .iter()
+                .map(|&(w, _, _, p)| (w.value(), self.portions[p as usize].1)),
+        );
+    }
 
     fn is_drained(&self) -> bool {
-        self.st.is_drained()
+        self.delivered == self.total
     }
 }
 
@@ -433,14 +400,10 @@ pub fn octopus_plus(
     let mut fabric = BipartiteFabric {
         kind: base.matching,
     };
-    let source = PlusSource {
-        net,
-        st: PlusState::new(load, base.weighting),
-        backtracking: cfg.backtracking,
-    };
-    let mut engine = ScheduleEngine::new(source, net.num_nodes(), base.delta);
+    let st = PlusState::new(net, load, base.weighting, cfg.backtracking);
+    let mut engine = ScheduleEngine::new(st, net.num_nodes(), base.delta);
     let run = engine.plan_window(&mut fabric, &base.search_policy(), base.window)?;
-    let st = engine.into_source().st;
+    let st = engine.into_source();
 
     Ok(PlusOutput {
         schedule: run.schedule,
@@ -477,8 +440,12 @@ pub fn octopus_random<R: Rng + ?Sized>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::CandidateExtension;
+    use crate::state::LinkQueues;
     use octopus_net::topology;
     use octopus_sim::{SimConfig, Simulator};
+    use octopus_traffic::synthetic::{generate_with_routes, SyntheticConfig};
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -556,14 +523,14 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let mut st = PlusState::new(&load, HopWeighting::Uniform);
+        let mut st = PlusState::new(&net, &load, HopWeighting::Uniform, true);
         // Commit to the long route's first hop.
-        st.apply(&net, &[(0, 1)], 10, true);
+        st.apply([(0, 1)], 10, &mut Vec::new());
         assert_eq!(st.delivered, 0);
         let psi_after_first = st.psi;
         assert!(psi_after_first > 0.0);
         // Now the direct link: backtrack.
-        st.apply(&net, &[(0, 3)], 10, true);
+        st.apply([(0, 3)], 10, &mut Vec::new());
         assert_eq!(st.delivered, 10);
         assert!((st.psi - 10.0).abs() < 1e-9, "annulled prefix + direct hop");
         let resolved = st.resolve();
@@ -581,9 +548,9 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let mut st = PlusState::new(&load, HopWeighting::Uniform);
-        st.apply(&net, &[(0, 1)], 10, false);
-        st.apply(&net, &[(0, 3)], 10, false);
+        let mut st = PlusState::new(&net, &load, HopWeighting::Uniform, false);
+        st.apply([(0, 1)], 10, &mut Vec::new());
+        st.apply([(0, 3)], 10, &mut Vec::new());
         assert_eq!(st.delivered, 0, "no backtracking, packets stay committed");
     }
 
@@ -599,15 +566,15 @@ mod tests {
         )
         .unwrap()])
         .unwrap();
-        let st = PlusState::new(&load, HopWeighting::Uniform);
-        let cands = st.candidates(&net, true);
-        let on_link: Vec<_> = cands
-            .iter()
-            .filter(|(link, _, _, _, _)| *link == (0, 1))
-            .collect();
-        assert_eq!(on_link.len(), 1, "one candidate entry for the shared hop");
+        let st = PlusState::new(&net, &load, HopWeighting::Uniform, true);
+        let li = st.keys.binary_search(&(0, 1)).unwrap();
+        let on_link = &st.by_link[li];
+        assert_eq!(on_link.len(), 1, "one entry for the shared hop");
         // And it uses the better (shorter-route) weight 1/2.
-        assert_eq!(on_link[0].1, Weight(0.5));
+        assert_eq!(on_link[0].0, Weight(0.5));
+        let mut groups = Vec::new();
+        st.refresh_link(li as u32, &mut groups);
+        assert_eq!(groups, vec![(0.5, 10)]);
     }
 
     #[test]
@@ -651,5 +618,154 @@ mod tests {
         assert!(resolved.is_single_route());
         assert_eq!(resolved.len(), load.len());
         assert!(out.schedule.total_cost(5) <= 300);
+    }
+
+    /// A snapshot read back as `(key, classes)` per live link, weights as
+    /// bits.
+    type ClassBits = Vec<((u32, u32), Vec<(u64, u64)>)>;
+
+    /// [`ClassBits`] of `q` for the links numbered by `keys` (id order).
+    fn classes_by_key(q: &LinkQueues, keys: &[(u32, u32)]) -> ClassBits {
+        (0u32..)
+            .zip(keys)
+            .filter_map(|(li, &key)| {
+                let classes = q.link(li)?.classes();
+                Some((
+                    key,
+                    classes.iter().map(|&(w, c)| (w.to_bits(), c)).collect(),
+                ))
+            })
+            .collect()
+    }
+
+    /// A reference for the load-time index: a cold snapshot of every
+    /// waiting portion enumerated afresh from the plan, each counted once
+    /// per link it may be served on.
+    fn enumerated(st: &PlusState<'_>, net: &Network, backtracking: bool) -> LinkQueues {
+        let mut triples = Vec::new();
+        for &(portion, count) in st.portions.iter().filter(|&&(_, c)| c > 0) {
+            match portion {
+                Portion::AtSource { flow } => {
+                    let f = &st.flows[flow as usize];
+                    let mut hops: Vec<_> = f.routes.iter().map(|r| r.hop(0)).collect();
+                    hops.sort_unstable();
+                    hops.dedup();
+                    for hop in hops {
+                        let (_, w) = best_commit(f, hop, st.weighting).unwrap();
+                        triples.push(((hop.0 .0, hop.1 .0), w.value(), count));
+                    }
+                }
+                Portion::Routed { flow, route, pos } => {
+                    let f = &st.flows[flow as usize];
+                    let r = &f.routes[route as usize];
+                    let (a, b) = r.hop(pos);
+                    let w = st.weighting.hop_weight(r.hops(), pos).value();
+                    triples.push(((a.0, b.0), w, count));
+                    if backtracking && net.has_edge(f.src(), f.dst()) {
+                        let w = st.weighting.hop_weight(1, 0).value();
+                        triples.push(((f.src().0, f.dst().0), w, count));
+                    }
+                }
+            }
+        }
+        LinkQueues::from_weighted_counts(net.num_nodes(), triples)
+    }
+
+    /// Plans one window commit by commit, as `octopus_plus` does, and after
+    /// every commit checks the patched snapshot against a cold one of the
+    /// same state ([`LinkQueues::from_source`]) and against [`enumerated`]:
+    /// `links()` equal, every class equal bit for bit. Returns the number
+    /// of commits.
+    fn assert_patches_match_cold(net: &Network, load: &TrafficLoad, cfg: &PlusConfig) -> usize {
+        let (n, base) = (net.num_nodes(), &cfg.base);
+        let st = PlusState::new(net, load, base.weighting, cfg.backtracking);
+        let mut engine = ScheduleEngine::new(st, n, base.delta);
+        let fabric = BipartiteFabric {
+            kind: base.matching,
+        };
+        let (policy, mut used, mut commits) = (base.search_policy(), 0, 0);
+        while !engine.is_drained() && used + base.delta < base.window {
+            let budget = base.window - used - base.delta;
+            let ext = CandidateExtension::None;
+            let Some(choice) = engine.select(&fabric, budget, ext, &policy) else {
+                break;
+            };
+            engine
+                .commit(&fabric, &choice.matching, choice.alpha)
+                .unwrap();
+            used += choice.alpha + base.delta;
+            commits += 1;
+            let cold = LinkQueues::from_source(engine.source(), n);
+            let fresh = enumerated(engine.source(), net, cfg.backtracking);
+            let fresh_keys: Vec<(u32, u32)> = fresh.links().collect();
+            let keys = engine.source().keys.clone();
+            let patched = engine.queues();
+            let links: Vec<(u32, u32)> = patched.links().collect();
+            assert_eq!(links, cold.links().collect::<Vec<_>>(), "commit {commits}");
+            assert_eq!(links, fresh_keys, "commit {commits}");
+            let got = classes_by_key(patched, &keys);
+            assert_eq!(got, classes_by_key(&cold, &keys), "commit {commits}");
+            assert_eq!(got, classes_by_key(&fresh, &fresh_keys), "commit {commits}");
+        }
+        commits
+    }
+
+    fn plus_cfg(window: u64, delta: u64, backtracking: bool) -> PlusConfig {
+        PlusConfig {
+            backtracking,
+            ..cfg(window, delta)
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Patched snapshots equal cold ones after every commit, on random
+        /// multi-route loads, with and without backtracking, on complete
+        /// fabrics and on sparse ones where some flows have no direct link.
+        #[test]
+        fn patched_snapshots_match_cold_snapshots(
+            n in 6u32..=16,
+            routes in 2u32..=10,
+            flags in 0u8..8,
+            window in 200u64..2_000,
+            delta in 1u64..30,
+            seed in 0u64..u64::MAX,
+        ) {
+            // Flag bits: backtracking, a sparse fabric, Octopus-e weights.
+            let (backtracking, sparse, later) = (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let net = if sparse {
+                topology::random_regular(n, 3, &mut rng).unwrap()
+            } else {
+                topology::complete(n)
+            };
+            let synth = SyntheticConfig::paper_default(n, window);
+            let load = generate_with_routes(&synth, &net, &mut rng, routes);
+            let mut cfg = plus_cfg(window, delta, backtracking);
+            if later {
+                cfg.base.weighting = HopWeighting::EpsilonLater { eps: 0.1 };
+            }
+            prop_assert!(assert_patches_match_cold(&net, &load, &cfg) > 0);
+        }
+    }
+
+    /// [`patched_snapshots_match_cold_snapshots`] at a real size: complete
+    /// n = 64, 10 routes per flow, W = 10 000, Δ = 20, with and without
+    /// backtracking.
+    #[test]
+    #[ignore = "real-size oracle; run in release with --ignored"]
+    fn patched_snapshots_match_cold_snapshots_at_real_size() {
+        let net = topology::complete(64);
+        let synth = SyntheticConfig::paper_default(64, 10_000);
+        for seed in 1..=2 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let load = generate_with_routes(&synth, &net, &mut rng, 10);
+            for backtracking in [true, false] {
+                let commits =
+                    assert_patches_match_cold(&net, &load, &plus_cfg(10_000, 20, backtracking));
+                assert!(commits > 10, "seed {seed}: {commits} commits");
+            }
+        }
     }
 }

@@ -503,20 +503,11 @@ impl RemainingTraffic {
     }
 
     /// Builds the per-link queue snapshot used to compute `g`, `h` and the
-    /// candidate α set for the current iteration: one pass over the link
-    /// rows in id order, so the snapshot numbers every link as the plan
-    /// does (those nothing queues on yet as tombstones).
+    /// candidate α set for the current iteration
+    /// ([`LinkQueues::from_source`]): the snapshot numbers every link as the
+    /// plan does (those nothing queues on yet as tombstones).
     pub fn link_queues(&self, n: u32) -> LinkQueues {
-        let slots: usize = self.rows.iter().map(Vec::len).sum();
-        let mut q = LinkQueues::with_capacity(n, self.links.len(), slots);
-        q.push_links(
-            self.links
-                .keys
-                .iter()
-                .enumerate()
-                .map(|(li, &key)| (key, self.row_pairs(li))),
-        );
-        q
+        LinkQueues::from_source(self, n)
     }
 
     /// The `LinkId` of `link`, if interned.
@@ -831,13 +822,9 @@ impl RemainingTraffic {
 }
 
 impl TrafficSource for RemainingTraffic {
-    fn snapshot_queues(&self, n: u32) -> LinkQueues {
-        self.link_queues(n)
-    }
-
     /// [`RemainingTraffic::apply_budgets`], reporting each moved group's
     /// origin link and (unless delivered) the next hop's link.
-    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) -> bool {
+    fn apply_served(&mut self, served: &[(NodeId, NodeId, u64)], dirty: &mut Vec<u32>) {
         self.apply_budgets(served);
         for &(fi, pos, _, _) in &self.scratch.moves {
             dirty.push(self.link_id(fi, pos));
@@ -847,7 +834,6 @@ impl TrafficSource for RemainingTraffic {
         }
         dirty.sort_unstable();
         dirty.dedup();
-        true
     }
 
     fn link_keys(&self) -> &[(u32, u32)] {
@@ -1067,29 +1053,20 @@ impl LinkQueues {
         (self.classes.len() - off) as u32
     }
 
-    /// Numbers `links` after the ones already held, in the order given:
-    /// each link's key and its `(weight, packets)` groups, folded into
-    /// classes at the arena tail (none, or only empty groups, make a
-    /// tombstone). The one builder loop.
-    fn push_links<P>(&mut self, links: impl IntoIterator<Item = ((u32, u32), P)>)
-    where
-        P: IntoIterator<Item = (f64, u64)>,
-    {
-        let mut pairs: Vec<(f64, u64)> = Vec::new();
-        for (key, groups) in links {
-            pairs.clear();
-            pairs.extend(groups);
-            let off = self.classes.len() as u32;
-            let len = self.fold_classes(&mut pairs);
-            let li = self.keys.len();
-            if li % 64 == 0 {
-                self.live_links.push(0);
-            }
-            self.keys.push(key);
-            self.spans.push((off, len));
-            self.set_live(li, len > 0);
-            self.live += len as usize;
+    /// Numbers link `key` after the ones already held, its `(weight,
+    /// packets)` groups folded into classes at the arena tail (none, or
+    /// only empty groups, make a tombstone). The one builder step.
+    fn push_link(&mut self, key: (u32, u32), pairs: &mut [(f64, u64)]) {
+        let off = self.classes.len() as u32;
+        let len = self.fold_classes(pairs);
+        let li = self.keys.len();
+        if li % 64 == 0 {
+            self.live_links.push(0);
         }
+        self.keys.push(key);
+        self.spans.push((off, len));
+        self.set_live(li, len > 0);
+        self.live += len as usize;
     }
 
     /// Sets or clears the live bit of `LinkId` `li`.
@@ -1102,10 +1079,26 @@ impl LinkQueues {
         }
     }
 
-    /// Builds a snapshot directly from `(link, weight, count)` triples —
-    /// used by sources with their own `T^r` representation (Octopus+, the
-    /// one-hop demands). Numbers every link named in ascending key order;
-    /// a link whose triples hold no packets is a tombstone.
+    /// The cold snapshot of `source` for an `n`-node fabric: every
+    /// `LinkId` it numbers, in id order, holding the groups
+    /// [`TrafficSource::refresh_link`] reports for it. So a cold snapshot is
+    /// every link patched once, through the same class fold as every patch.
+    pub fn from_source<S: TrafficSource + ?Sized>(source: &S, n: u32) -> Self {
+        let keys = source.link_keys();
+        let mut q = LinkQueues::with_capacity(n, keys.len(), 0);
+        let mut pairs = Vec::new();
+        for (li, &key) in keys.iter().enumerate() {
+            pairs.clear();
+            source.refresh_link(li as u32, &mut pairs);
+            q.push_link(key, &mut pairs);
+        }
+        q
+    }
+
+    /// A fixture constructor for tests: a snapshot of `(link, weight,
+    /// count)` triples, numbering every link named in ascending key order;
+    /// a link whose triples hold no packets is a tombstone. Planning builds
+    /// its snapshots from a [`TrafficSource`] ([`LinkQueues::from_source`]).
     pub fn from_weighted_counts(
         n: u32,
         triples: impl IntoIterator<Item = ((u32, u32), f64, u64)>,
@@ -1113,10 +1106,10 @@ impl LinkQueues {
         let mut v: Vec<((u32, u32), f64, u64)> = triples.into_iter().collect();
         v.sort_by_key(|&(link, _, _)| link);
         let mut q = LinkQueues::with_capacity(n, 0, v.len());
-        q.push_links(
-            v.chunk_by(|a, b| a.0 == b.0)
-                .map(|group| (group[0].0, group.iter().map(|&(_, w, c)| (w, c)))),
-        );
+        for group in v.chunk_by(|a, b| a.0 == b.0) {
+            let mut pairs: Vec<(f64, u64)> = group.iter().map(|&(_, w, c)| (w, c)).collect();
+            q.push_link(group[0].0, &mut pairs);
+        }
         q
     }
 
@@ -1126,8 +1119,9 @@ impl LinkQueues {
     /// snapshot is one push of its key, span and live bit; nothing already
     /// stored moves.
     pub fn intern(&mut self, keys: &[(u32, u32)]) {
-        let new = keys.get(self.keys.len()..).unwrap_or_default();
-        self.push_links(new.iter().map(|&key| (key, [])));
+        for &key in keys.get(self.keys.len()..).unwrap_or_default() {
+            self.push_link(key, &mut []);
+        }
     }
 
     /// Fabric size the snapshot was built for.
@@ -1877,7 +1871,7 @@ mod tests {
     /// Applies `serve` to `tr` and returns the dirty links it reports.
     fn served(tr: &mut RemainingTraffic, serve: &[(NodeId, NodeId, u64)]) -> Vec<u32> {
         let mut dirty = Vec::new();
-        assert!(tr.apply_served(serve, &mut dirty));
+        tr.apply_served(serve, &mut dirty);
         dirty
     }
 

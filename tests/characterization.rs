@@ -1,7 +1,8 @@
 //! Characterization of the scheduler variants' exact output: for two fixed
 //! seeded instances each, a digest of the schedule, the planned ψ bits and
 //! the planned delivered count are pinned for K-port, duplex, localized,
-//! Octopus+ and the one-hop (Eclipse) scheduler, for plain `octopus()`
+//! Octopus+ (3 routes with backtracking, 10 routes without) and the
+//! one-hop (Eclipse) scheduler, for plain `octopus()`
 //! on a larger fabric, and for the chain-aware Theorem 2 variant
 //! (`octopus_multihop`) on a smaller one. A refactor of the shared
 //! greedy loop must leave every pinned value unchanged; a deliberate change
@@ -111,6 +112,12 @@ fn observed() -> Vec<(String, u64, u64, u64)> {
         };
         let p = octopus_plus(&net, &load(&net, seed, 3), &plus_cfg).expect("plus");
         push("plus", &p.schedule, p.planned_psi, p.planned_delivered);
+        let plus_cfg = PlusConfig {
+            base: cfg(),
+            backtracking: false,
+        };
+        let p = octopus_plus(&net, &load(&net, seed, 10), &plus_cfg).expect("plus_nobt");
+        push("plus_nobt", &p.schedule, p.planned_psi, p.planned_delivered);
         // One demand per hop of every flow, weighted 1/hops as in the UB run.
         let demands: Vec<OneHopDemand> = single
             .flows()
@@ -198,16 +205,18 @@ fn variant_outputs_match_the_pinned_table() {
     //   octopus/11 0xce5c85294f407e08, 0x40e972caaaaaaaab, 43190
     //   octopus/12 0x81c7f38bd626f7df, 0x40e970eaaaaaaaac, 41780
     // so each of these rows tells the two tie rules apart.
-    let pinned: [(&str, u64, u64, u64); 14] = [
+    let pinned: [(&str, u64, u64, u64); 16] = [
         ("kport/11", 0x107c3cb40531a0a7, 0x40ba14aaaaaaaaab, 5940),
         ("duplex/11", 0xf54f53bb6877fbd3, 0x40a7ac0000000000, 2580),
         ("local/11", 0x1b366c46be84d0e9, 0x40b1eaaaaaaaaaab, 3720),
         ("plus/11", 0xf515430348090cac, 0x40b8c0aaaaaaaaaa, 6020),
+        ("plus_nobt/11", 0x20e97acbd5959e43, 0x40bd9c0000000000, 7360),
         ("one_hop/11", 0xaed551ce5900007d, 0x40b2915555555556, 6960),
         ("kport/12", 0x8f8f7c0c26fa0e48, 0x40b8a5ffffffffff, 5620),
         ("duplex/12", 0xabb6b02dfffcdfe8, 0x40a61c0000000000, 2130),
         ("local/12", 0xe7bc739ba439e029, 0x40b01d0000000000, 3380),
         ("plus/12", 0xba7948fec9fe6a45, 0x40b9640000000000, 6220),
+        ("plus_nobt/12", 0xbcb942c539c55ec3, 0x40be780000000000, 7800),
         ("one_hop/12", 0x51d0a254c540169c, 0x40b1f80000000000, 6760),
         ("octopus/11", 0x457b033460f2af87, 0x40e952eaaaaaaaaa, 42250),
         ("octopus/12", 0xfeeaf114b1712f3c, 0x40e95f6aaaaaaaaa, 41010),

@@ -6,7 +6,6 @@ use octopus_mhs::core::{
     best_configuration, duplex::GeneralMatcherKind, octopus, AlphaSearch, BipartiteFabric,
     CandidateExtension, DuplexFabric, Fabric, FusedBounds, HopWeighting, KPortFabric, LinkQueues,
     LocalFabric, MatchingKind, OctopusConfig, RemainingTraffic, ScheduleEngine, SearchPolicy,
-    TrafficSource,
 };
 use octopus_mhs::matching::{matching_weight, maximum_weight_matching, WeightedBipartiteGraph};
 use octopus_mhs::net::duplex::DuplexNetwork;
@@ -306,8 +305,8 @@ proptest! {
         (n, load, window, delta) in instance()
     ) {
         // Drive the engine one commit at a time; after every commit the
-        // incrementally patched snapshot must be identical to a from-scratch
-        // rebuild of the link queues (same links, same classes, same g).
+        // incrementally patched snapshot must be identical to a cold one
+        // (same links, and the same classes and g, bit for bit).
         let mut tr = RemainingTraffic::new(&load, HopWeighting::Uniform).unwrap();
         let fabric = BipartiteFabric { kind: MatchingKind::Exact };
         let policy = SearchPolicy::exhaustive();
@@ -322,7 +321,7 @@ proptest! {
             engine.commit(&fabric, &choice.matching, choice.alpha).unwrap();
             used += choice.alpha + delta;
 
-            let rebuilt = engine.source().snapshot_queues(n);
+            let rebuilt = LinkQueues::from_source(engine.source(), n);
             let patched = engine.queues();
             let patched_links: Vec<(u32, u32)> = patched.links().collect();
             let rebuilt_links: Vec<(u32, u32)> = rebuilt.links().collect();
@@ -330,11 +329,16 @@ proptest! {
             for (i, j) in rebuilt_links {
                 let p = patched.queue(i, j).unwrap();
                 let r = rebuilt.queue(i, j).unwrap();
-                prop_assert_eq!(p.classes(), r.classes(), "classes differ on ({}, {})", i, j);
+                let bits = |c: &[(f64, u64)]| -> Vec<(u64, u64)> {
+                    c.iter().map(|&(w, k)| (w.to_bits(), k)).collect()
+                };
+                prop_assert_eq!(
+                    bits(p.classes()), bits(r.classes()), "classes differ on ({}, {})", i, j
+                );
                 for alpha in [1u64, 2, 5, choice.alpha.max(1)] {
-                    prop_assert!(
-                        (p.g(alpha) - r.g(alpha)).abs() < 1e-12,
-                        "g mismatch on ({}, {}) at alpha {}", i, j, alpha
+                    prop_assert_eq!(
+                        p.g(alpha).to_bits(), r.g(alpha).to_bits(),
+                        "g differs on ({}, {}) at alpha {}", i, j, alpha
                     );
                 }
             }
